@@ -2,7 +2,8 @@
 //!
 //! * `table1/<workload>/<agent>` — wall-clock cost of running each
 //!   workload under no agent, SPA and IPA. The *virtual-cycle* overheads
-//!   (what Table I actually reports) are printed by the `table1` binary;
+//!   (what Table I actually reports) are printed by
+//!   `jprof suite --size N --jobs N`;
 //!   these benches additionally demonstrate that the simulation itself is
 //!   cheap enough to iterate on, and their relative ordering mirrors the
 //!   virtual numbers (SPA runs are dramatically slower in wall time too,
@@ -11,8 +12,8 @@
 //!   (instrument → attach → run → report), the measurement the paper's
 //!   Table II rows come from.
 //!
-//! Sizes are reduced (S1/S10) so `cargo bench` completes quickly; the
-//! binaries run the full S100 evaluation.
+//! Sizes are reduced (S1/S10) so `cargo bench` completes quickly;
+//! `jprof suite --size 100` runs the full S100 evaluation.
 
 use std::time::Duration;
 

@@ -1,14 +1,15 @@
-//! The bytecode interpreter and invocation machinery.
+//! Invocation machinery around the interpreter.
 //!
 //! [`Vm::invoke`] is the single funnel for *every* method activation —
 //! bytecode or native, from bytecode (`invokestatic`/`invokevirtual`), from
 //! native code (JNI `Call*Method*`), or from the harness. That is exactly
 //! where JVMTI's `MethodEntry`/`MethodExit` events hang, so SPA sees every
-//! activation, and it is where the JIT invocation counter lives.
+//! activation, and it is where the tier pipeline's invocation counter
+//! lives. Bytecode bodies then run in the one execution loop,
+//! `Vm::execute` in `prepared.rs`; this module also holds the cold
+//! resolution paths that loop falls back to on an inline-cache miss.
 
-use std::sync::Arc;
-
-use jvmsim_classfile::{ArrayKind, Code, ExceptionHandler, Insn};
+use jvmsim_classfile::ExceptionHandler;
 use jvmsim_faults::FaultSite;
 use jvmsim_metrics::{Bucket, CounterId};
 use jvmsim_tiers::Tier;
@@ -16,8 +17,7 @@ use jvmsim_tiers::Tier;
 use crate::events::ThreadId;
 use crate::heap::HeapObject;
 use crate::jni::{mangle, JniCallSpec, JniEnv, NativeFn};
-use crate::klass::{CallSite, ClassId, MethodId};
-use crate::prepared::DispatchMode;
+use crate::klass::{ClassId, MethodId};
 use crate::throw::JThrow;
 use crate::value::Value;
 use crate::vm::Vm;
@@ -96,10 +96,7 @@ impl Vm {
             let overhead = self.cost().call_overhead(tier);
             self.charge(thread, overhead);
             self.note_tier_cycles(tier, overhead);
-            match self.dispatch() {
-                DispatchMode::Switch => self.execute(thread, mid, tier, args),
-                DispatchMode::Threaded => self.execute_threaded(thread, mid, tier, args),
-            }
+            self.execute(thread, mid, tier, args)
         };
         if method_events {
             if let Some(sink) = self.sink() {
@@ -437,67 +434,52 @@ impl Vm {
     }
 
     // -------------------------------------------------------- call sites
+    //
+    // Cold paths: the execution loop calls these only on an inline-cache
+    // miss and caches what they return in the op's slot.
 
-    pub(crate) fn static_target(
+    /// Resolve the call site at pool index `idx` of class `cur`. With no
+    /// `receiver` it is an `invokestatic`, resolved against the class the
+    /// site names (loaded if needed); otherwise an `invokevirtual`,
+    /// resolved against the receiver's dynamic class.
+    pub(crate) fn call_target(
         &mut self,
         thread: ThreadId,
         cur: ClassId,
         idx: u16,
-    ) -> Result<(MethodId, u8, bool), JThrow> {
-        if let Some(&hit) = self.static_call_cache.get(&(cur, idx)) {
-            return Ok(hit);
+        receiver: Option<ClassId>,
+    ) -> Result<MethodId, JThrow> {
+        let cs = &self.registry.get(cur).callsites[&idx];
+        let (name, descriptor) = (cs.name_sym, cs.desc_sym);
+        let searched = match receiver.or_else(|| self.registry.id_of(&cs.class)) {
+            Some(cid) => cid,
+            None => {
+                let class = cs.class.clone();
+                self.ensure_loaded_or_throw(thread, &class)?
+            }
+        };
+        let found = self.registry.resolve_method_sym(searched, name, descriptor);
+        if let Some(mid) = found {
+            if self.registry.method(mid).is_static() == receiver.is_none() {
+                return Ok(mid);
+            }
         }
-        let cs: CallSite = self
-            .registry
-            .get(cur)
-            .callsites
-            .get(&idx)
-            .cloned()
-            .expect("validated invokestatic has a callsite");
-        let cid = self.ensure_loaded_or_throw(thread, &cs.class)?;
-        let mid = self.resolve_or_throw(thread, cid, &cs.name, &cs.descriptor)?;
-        if !self.registry.method(mid).is_static() {
-            // The JVM raises IncompatibleClassChangeError here.
-            return Err(self.throw_new(
-                thread,
-                "java/lang/NoSuchMethodError",
-                &format!("invokestatic of instance method {}.{}", cs.class, cs.name),
-            ));
-        }
-        let entry = (mid, cs.nargs as u8, cs.returns_value);
-        self.static_call_cache.insert((cur, idx), entry);
-        Ok(entry)
-    }
-
-    pub(crate) fn virtual_target(
-        &mut self,
-        thread: ThreadId,
-        cur: ClassId,
-        idx: u16,
-        receiver_class: ClassId,
-    ) -> Result<(MethodId, u8, bool), JThrow> {
-        if let Some(&hit) = self.virtual_call_cache.get(&(cur, idx, receiver_class)) {
-            return Ok(hit);
-        }
-        let cs: CallSite = self
-            .registry
-            .get(cur)
-            .callsites
-            .get(&idx)
-            .cloned()
-            .expect("validated invokevirtual has a callsite");
-        let mid = self.resolve_or_throw(thread, receiver_class, &cs.name, &cs.descriptor)?;
-        if self.registry.method(mid).is_static() {
-            return Err(self.throw_new(
-                thread,
-                "java/lang/NoSuchMethodError",
-                &format!("invokevirtual of static method {}.{}", cs.class, cs.name),
-            ));
-        }
-        let entry = (mid, cs.nargs as u8, cs.returns_value);
-        self.virtual_call_cache
-            .insert((cur, idx, receiver_class), entry);
-        Ok(entry)
+        // The JVM raises IncompatibleClassChangeError for a method of the
+        // wrong kind; the simulator folds it into NoSuchMethodError.
+        let cs = &self.registry.get(cur).callsites[&idx];
+        let message = match (found, receiver) {
+            (None, _) => format!(
+                "{}.{}{}",
+                self.registry.get(searched).name,
+                cs.name,
+                cs.descriptor
+            ),
+            (Some(_), None) => format!("invokestatic of instance method {}.{}", cs.class, cs.name),
+            (Some(_), Some(_)) => {
+                format!("invokevirtual of static method {}.{}", cs.class, cs.name)
+            }
+        };
+        Err(self.throw_new(thread, "java/lang/NoSuchMethodError", &message))
     }
 
     pub(crate) fn static_field_target(
@@ -506,26 +488,17 @@ impl Vm {
         cur: ClassId,
         idx: u16,
     ) -> Result<(ClassId, usize), JThrow> {
-        if let Some(&hit) = self.static_field_cache.get(&(cur, idx)) {
-            return Ok(hit);
-        }
-        let fs = self
-            .registry
-            .get(cur)
-            .fieldsites
-            .get(&idx)
-            .cloned()
-            .expect("validated getstatic has a fieldsite");
+        let fs = self.registry.get(cur).fieldsites[&idx].clone();
         let cid = self.ensure_loaded_or_throw(thread, &fs.class)?;
-        let hit = self.registry.resolve_static(cid, &fs.name).ok_or_else(|| {
-            self.throw_new(
-                thread,
-                "java/lang/NoSuchFieldError",
-                &format!("static {}.{}", fs.class, fs.name),
-            )
-        })?;
-        self.static_field_cache.insert((cur, idx), hit);
-        Ok(hit)
+        self.registry
+            .resolve_static_sym(cid, fs.name_sym)
+            .ok_or_else(|| {
+                self.throw_new(
+                    thread,
+                    "java/lang/NoSuchFieldError",
+                    &format!("static {}.{}", fs.class, fs.name),
+                )
+            })
     }
 
     pub(crate) fn instance_field_slot(
@@ -534,37 +507,25 @@ impl Vm {
         cur: ClassId,
         idx: u16,
     ) -> Result<usize, JThrow> {
-        if let Some(&slot) = self.instance_field_cache.get(&(cur, idx)) {
-            return Ok(slot);
-        }
-        let fs = self
-            .registry
-            .get(cur)
-            .fieldsites
-            .get(&idx)
-            .cloned()
-            .expect("validated getfield has a fieldsite");
+        let fs = self.registry.get(cur).fieldsites[&idx].clone();
         // Resolve against the class the field reference *names* (JVM field
         // resolution is static): a superclass method referencing its own
         // `x` keeps touching the superclass slot even when a subclass
         // shadows the name. Layouts are prefix-preserving, so the declared
         // class's slot index is valid for every subclass instance.
         let cid = self.ensure_loaded_or_throw(thread, &fs.class)?;
-        let slot = self
-            .registry
-            .resolve_instance_field(cid, &fs.name)
+        self.registry
+            .resolve_instance_field_sym(cid, fs.name_sym)
             .ok_or_else(|| {
                 self.throw_new(
                     thread,
                     "java/lang/NoSuchFieldError",
                     &format!("{}.{}", fs.class, fs.name),
                 )
-            })?;
-        self.instance_field_cache.insert((cur, idx), slot);
-        Ok(slot)
+            })
     }
 
-    // -------------------------------------------------------- frame loop
+    // ---------------------------------------------------------- unwinding
 
     pub(crate) fn handle_throw(
         &mut self,
@@ -593,553 +554,5 @@ impl Vm {
             }
         }
         None
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn execute(
-        &mut self,
-        thread: ThreadId,
-        mid: MethodId,
-        tier: Tier,
-        args: Vec<Value>,
-    ) -> Result<Value, JThrow> {
-        let cur = mid.class;
-        let code: Arc<Code> = self.registry.get(cur).code[mid.index as usize]
-            .clone()
-            .expect("bytecode method has code");
-        let clock = self.clock_handle(thread);
-        let shard = clock.metrics().cloned();
-        let mut tier = tier;
-        let mut insn_cost = self.cost().insn(tier);
-        // On-stack replacement: a long-running activation below the mode's
-        // tier ceiling is promoted mid-run after enough backward branches.
-        let mode = self.effective_tiers_mode();
-        let osr_threshold = self.cost().tiers.osr_backedge_threshold;
-        let mut osr_pending = mode.allows_promotion_from(tier);
-        let mut backedges: u32 = 0;
-        // Timer sampling: poll every few instructions (cheap when off).
-        let sampling = self.sampler_interval().is_some();
-        // The fault plane shares the poll cadence: asynchronous thread
-        // death fires at the same safepoints a timer sample would.
-        let fault_polls = self.faults_enabled();
-        let polling = sampling || fault_polls;
-        let mut insns_since_poll: u32 = 0;
-
-        let mut locals = vec![Value::Int(0); code.max_locals as usize];
-        locals[..args.len()].copy_from_slice(&args);
-        let mut stack: Vec<Value> = Vec::with_capacity(code.max_stack as usize);
-        let mut pc: u32 = 0;
-
-        macro_rules! take_branch {
-            ($t:expr) => {{
-                let target: u32 = $t;
-                if osr_pending && target <= pc {
-                    backedges += 1;
-                    if backedges >= osr_threshold {
-                        backedges = 0;
-                        if let Some(next) = tier.next() {
-                            if self.tier_compile(thread, mid, next, true) {
-                                tier = next;
-                                insn_cost = self.cost().insn(tier);
-                            }
-                        }
-                        osr_pending = mode.allows_promotion_from(tier);
-                    }
-                }
-                pc = target;
-                continue;
-            }};
-        }
-
-        macro_rules! throw_or_handle {
-            ($t:expr) => {{
-                let t = $t;
-                match self.handle_throw(&code.exception_table, pc, t, &mut stack) {
-                    Some(h) => {
-                        pc = h;
-                        continue;
-                    }
-                    None => {
-                        if tier.is_compiled() {
-                            self.deopt(thread, mid);
-                        }
-                        return Err(t);
-                    }
-                }
-            }};
-        }
-
-        macro_rules! jthrow {
-            ($class:expr, $msg:expr) => {{
-                let t = self.throw_new(thread, $class, $msg);
-                throw_or_handle!(t)
-            }};
-        }
-
-        loop {
-            let insn = &code.insns[pc as usize];
-            self.stats.insns += 1;
-            if let Some(shard) = &shard {
-                shard.incr(jvmsim_metrics::CounterId::InterpInsns);
-            }
-            clock.charge(insn_cost);
-            self.note_tier_cycles(tier, insn_cost);
-            if polling {
-                insns_since_poll += 1;
-                if insns_since_poll >= 32 {
-                    insns_since_poll = 0;
-                    if sampling {
-                        self.poll_samples(thread, false);
-                    }
-                    // Fault plane: abrupt asynchronous thread death at a
-                    // safepoint. Thrown as a normal Java error so it
-                    // unwinds through every wrapper/interceptor bracket on
-                    // the way out; an uncaught instance kills only this
-                    // thread, never the VM.
-                    if fault_polls && self.fault(FaultSite::ThreadDeath).is_some() {
-                        jthrow!(
-                            "java/lang/ThreadDeath",
-                            "fault plane: asynchronous thread death"
-                        );
-                    }
-                }
-            }
-            match insn {
-                Insn::Nop => {}
-                Insn::IConst(v) => stack.push(Value::Int(*v)),
-                Insn::FConst(v) => stack.push(Value::Float(*v)),
-                Insn::AConstNull => stack.push(Value::Null),
-                Insn::Ldc(cp) => {
-                    let key = (cur, cp.0);
-                    let r = match self.ldc_cache.get(&key) {
-                        Some(&r) => r,
-                        None => {
-                            let s = self.registry.get(cur).strings[&cp.0].clone();
-                            let before = self.heap().len();
-                            let r = self.heap_mut().intern_string(&s);
-                            // Interning only allocates on a miss; an
-                            // already-interned literal is not an event.
-                            if self.alloc_events_on() && self.heap().len() > before {
-                                let (sc, sm) = self.site_of(mid);
-                                self.fire_allocation(thread, r, &sc, &sm, pc);
-                            }
-                            self.ldc_cache.insert(key, r);
-                            r
-                        }
-                    };
-                    stack.push(Value::Ref(r));
-                }
-                Insn::ILoad(s) | Insn::FLoad(s) | Insn::ALoad(s) => {
-                    stack.push(locals[*s as usize]);
-                }
-                Insn::IStore(s) | Insn::FStore(s) | Insn::AStore(s) => {
-                    locals[*s as usize] = stack.pop().expect("verified stack");
-                }
-                Insn::Pop => {
-                    stack.pop();
-                }
-                Insn::Dup => {
-                    let top = *stack.last().expect("verified stack");
-                    stack.push(top);
-                }
-                Insn::Swap => {
-                    let n = stack.len();
-                    stack.swap(n - 1, n - 2);
-                }
-                Insn::IAdd
-                | Insn::ISub
-                | Insn::IMul
-                | Insn::IShl
-                | Insn::IShr
-                | Insn::IUShr
-                | Insn::IAnd
-                | Insn::IOr
-                | Insn::IXor => {
-                    let b = stack.pop().expect("verified").as_int();
-                    let a = stack.pop().expect("verified").as_int();
-                    let r = match insn {
-                        Insn::IAdd => a.wrapping_add(b),
-                        Insn::ISub => a.wrapping_sub(b),
-                        Insn::IMul => a.wrapping_mul(b),
-                        Insn::IShl => a.wrapping_shl(b as u32 & 63),
-                        Insn::IShr => a.wrapping_shr(b as u32 & 63),
-                        Insn::IUShr => ((a as u64) >> (b as u32 & 63)) as i64,
-                        Insn::IAnd => a & b,
-                        Insn::IOr => a | b,
-                        _ => a ^ b,
-                    };
-                    stack.push(Value::Int(r));
-                }
-                Insn::IDiv | Insn::IRem => {
-                    let b = stack.pop().expect("verified").as_int();
-                    let a = stack.pop().expect("verified").as_int();
-                    if b == 0 {
-                        jthrow!("java/lang/ArithmeticException", "/ by zero");
-                    }
-                    let r = if matches!(insn, Insn::IDiv) {
-                        a.wrapping_div(b)
-                    } else {
-                        a.wrapping_rem(b)
-                    };
-                    stack.push(Value::Int(r));
-                }
-                Insn::INeg => {
-                    let a = stack.pop().expect("verified").as_int();
-                    stack.push(Value::Int(a.wrapping_neg()));
-                }
-                Insn::IInc { local, delta } => {
-                    let v = locals[*local as usize].as_int();
-                    locals[*local as usize] = Value::Int(v.wrapping_add(i64::from(*delta)));
-                }
-                Insn::FAdd | Insn::FSub | Insn::FMul | Insn::FDiv => {
-                    let b = stack.pop().expect("verified").as_float();
-                    let a = stack.pop().expect("verified").as_float();
-                    let r = match insn {
-                        Insn::FAdd => a + b,
-                        Insn::FSub => a - b,
-                        Insn::FMul => a * b,
-                        _ => a / b,
-                    };
-                    stack.push(Value::Float(r));
-                }
-                Insn::FNeg => {
-                    let a = stack.pop().expect("verified").as_float();
-                    stack.push(Value::Float(-a));
-                }
-                Insn::I2F => {
-                    let a = stack.pop().expect("verified").as_int();
-                    stack.push(Value::Float(a as f64));
-                }
-                Insn::F2I => {
-                    let a = stack.pop().expect("verified").as_float();
-                    stack.push(Value::Int(a as i64));
-                }
-                Insn::FCmp => {
-                    let b = stack.pop().expect("verified").as_float();
-                    let a = stack.pop().expect("verified").as_float();
-                    // fcmpg: NaN compares greater.
-                    let r = if a.is_nan() || b.is_nan() {
-                        1
-                    } else if a < b {
-                        -1
-                    } else {
-                        i64::from(a > b)
-                    };
-                    stack.push(Value::Int(r));
-                }
-                Insn::Goto(t) => take_branch!(*t),
-                Insn::If(cond, t) => {
-                    let v = stack.pop().expect("verified").as_int();
-                    if cond.eval(v.cmp(&0)) {
-                        take_branch!(*t);
-                    }
-                }
-                Insn::IfICmp(cond, t) => {
-                    let b = stack.pop().expect("verified").as_int();
-                    let a = stack.pop().expect("verified").as_int();
-                    if cond.eval(a.cmp(&b)) {
-                        take_branch!(*t);
-                    }
-                }
-                Insn::IfNull(t) => {
-                    let v = stack.pop().expect("verified");
-                    if v.as_ref_opt().is_none() {
-                        take_branch!(*t);
-                    }
-                }
-                Insn::IfNonNull(t) => {
-                    let v = stack.pop().expect("verified");
-                    if v.as_ref_opt().is_some() {
-                        take_branch!(*t);
-                    }
-                }
-                Insn::TableSwitch {
-                    low,
-                    targets,
-                    default,
-                } => {
-                    let k = stack.pop().expect("verified").as_int();
-                    let off = k.wrapping_sub(*low);
-                    let target = if off >= 0 && (off as usize) < targets.len() {
-                        targets[off as usize]
-                    } else {
-                        *default
-                    };
-                    take_branch!(target);
-                }
-                Insn::InvokeStatic(cp) => {
-                    let (callee, nargs, returns) = match self.static_target(thread, cur, cp.0) {
-                        Ok(t) => t,
-                        Err(t) => throw_or_handle!(t),
-                    };
-                    let split = stack.len() - nargs as usize;
-                    let call_args = stack.split_off(split);
-                    match self.invoke(thread, callee, call_args) {
-                        Ok(v) => {
-                            if returns {
-                                stack.push(v);
-                            }
-                        }
-                        Err(t) => throw_or_handle!(t),
-                    }
-                }
-                Insn::InvokeVirtual(cp) => {
-                    // Arity lookup needs the callsite before popping.
-                    let nargs = self.registry.get(cur).callsites[&cp.0].nargs;
-                    let split = stack.len() - nargs - 1;
-                    let mut call_args = stack.split_off(split);
-                    let recv = call_args[0];
-                    let obj = match recv.as_ref_opt() {
-                        Some(o) => o,
-                        None => {
-                            jthrow!("java/lang/NullPointerException", "null receiver");
-                        }
-                    };
-                    let dyn_class = match self.heap().get(obj) {
-                        HeapObject::Instance { class, .. } => *class,
-                        _ => {
-                            jthrow!(
-                                "java/lang/InternalError",
-                                "invokevirtual receiver is not an object instance"
-                            );
-                        }
-                    };
-                    let (callee, _, returns) =
-                        match self.virtual_target(thread, cur, cp.0, dyn_class) {
-                            Ok(t) => t,
-                            Err(t) => throw_or_handle!(t),
-                        };
-                    // call_args already has the receiver first.
-                    match self.invoke(thread, callee, std::mem::take(&mut call_args)) {
-                        Ok(v) => {
-                            if returns {
-                                stack.push(v);
-                            }
-                        }
-                        Err(t) => throw_or_handle!(t),
-                    }
-                }
-                Insn::Return => return Ok(Value::Null),
-                Insn::IReturn | Insn::FReturn | Insn::AReturn => {
-                    return Ok(stack.pop().expect("verified"));
-                }
-                Insn::New(cp) => {
-                    let cid = match self.new_class_cache.get(&(cur, cp.0)) {
-                        Some(&c) => c,
-                        None => {
-                            let name = self.registry.get(cur).classrefs[&cp.0].clone();
-                            let c = match self.ensure_loaded_or_throw(thread, &name) {
-                                Ok(c) => c,
-                                Err(t) => throw_or_handle!(t),
-                            };
-                            self.new_class_cache.insert((cur, cp.0), c);
-                            c
-                        }
-                    };
-                    clock.charge(self.cost().alloc_object);
-                    self.stats.allocations += 1;
-                    let defaults = self.registry.get(cid).field_defaults();
-                    let obj = self.heap_mut().alloc_instance(cid, defaults);
-                    if self.alloc_events_on() {
-                        let (sc, sm) = self.site_of(mid);
-                        self.fire_allocation(thread, obj, &sc, &sm, pc);
-                    }
-                    stack.push(Value::Ref(obj));
-                }
-                Insn::GetField(cp) | Insn::PutField(cp) => {
-                    let is_put = matches!(insn, Insn::PutField(_));
-                    let value = if is_put {
-                        Some(stack.pop().expect("verified"))
-                    } else {
-                        None
-                    };
-                    let recv = stack.pop().expect("verified");
-                    let obj = match recv.as_ref_opt() {
-                        Some(o) => o,
-                        None => {
-                            jthrow!("java/lang/NullPointerException", "null field access");
-                        }
-                    };
-                    if !matches!(self.heap().get(obj), HeapObject::Instance { .. }) {
-                        jthrow!(
-                            "java/lang/InternalError",
-                            "field access on a non-object reference"
-                        );
-                    }
-                    let slot = match self.instance_field_slot(thread, cur, cp.0) {
-                        Ok(s) => s,
-                        Err(t) => throw_or_handle!(t),
-                    };
-                    match self.heap_mut().get_mut(obj) {
-                        HeapObject::Instance { fields, .. } => {
-                            if let Some(v) = value {
-                                fields[slot] = v;
-                            } else {
-                                let v = fields[slot];
-                                stack.push(v);
-                            }
-                        }
-                        _ => unreachable!("checked instance above"),
-                    }
-                }
-                Insn::GetStatic(cp) | Insn::PutStatic(cp) => {
-                    let is_put = matches!(insn, Insn::PutStatic(_));
-                    let (cid, slot) = match self.static_field_target(thread, cur, cp.0) {
-                        Ok(t) => t,
-                        Err(t) => throw_or_handle!(t),
-                    };
-                    if is_put {
-                        let v = stack.pop().expect("verified");
-                        self.registry.get_mut(cid).statics[slot] = v;
-                    } else {
-                        stack.push(self.registry.get(cid).statics[slot]);
-                    }
-                }
-                Insn::NewArray(kind) => {
-                    let len = stack.pop().expect("verified").as_int();
-                    if len < 0 {
-                        jthrow!("java/lang/NegativeArraySizeException", &format!("{len}"));
-                    }
-                    let len = len as usize;
-                    clock.charge(self.cost().alloc_array(len));
-                    self.stats.allocations += 1;
-                    let r = match kind {
-                        ArrayKind::Int => self.heap_mut().alloc_int_array(len),
-                        ArrayKind::Float => self.heap_mut().alloc_float_array(len),
-                        ArrayKind::Ref => self.heap_mut().alloc_ref_array(len),
-                    };
-                    if self.alloc_events_on() {
-                        let (sc, sm) = self.site_of(mid);
-                        self.fire_allocation(thread, r, &sc, &sm, pc);
-                    }
-                    stack.push(Value::Ref(r));
-                }
-                Insn::IALoad | Insn::FALoad | Insn::AALoad => {
-                    let index = stack.pop().expect("verified").as_int();
-                    let arr = stack.pop().expect("verified");
-                    let arr = match arr.as_ref_opt() {
-                        Some(a) => a,
-                        None => {
-                            jthrow!("java/lang/NullPointerException", "null array load");
-                        }
-                    };
-                    if index < 0 {
-                        jthrow!(
-                            "java/lang/ArrayIndexOutOfBoundsException",
-                            &format!("{index}")
-                        );
-                    }
-                    let i = index as usize;
-                    let loaded = match (insn, self.heap().get(arr)) {
-                        (Insn::IALoad, HeapObject::IntArray(v)) => v.get(i).map(|&x| Value::Int(x)),
-                        (Insn::FALoad, HeapObject::FloatArray(v)) => {
-                            v.get(i).map(|&x| Value::Float(x))
-                        }
-                        (Insn::AALoad, HeapObject::RefArray(v)) => v.get(i).copied(),
-                        _ => {
-                            jthrow!("java/lang/InternalError", "array load kind mismatch");
-                        }
-                    };
-                    match loaded {
-                        Some(v) => stack.push(v),
-                        None => {
-                            jthrow!(
-                                "java/lang/ArrayIndexOutOfBoundsException",
-                                &format!("{index}")
-                            );
-                        }
-                    }
-                }
-                Insn::IAStore | Insn::FAStore | Insn::AAStore => {
-                    let value = stack.pop().expect("verified");
-                    let index = stack.pop().expect("verified").as_int();
-                    let arr = stack.pop().expect("verified");
-                    let arr = match arr.as_ref_opt() {
-                        Some(a) => a,
-                        None => {
-                            jthrow!("java/lang/NullPointerException", "null array store");
-                        }
-                    };
-                    if index < 0 {
-                        jthrow!(
-                            "java/lang/ArrayIndexOutOfBoundsException",
-                            &format!("{index}")
-                        );
-                    }
-                    let i = index as usize;
-                    // Distinguish kind mismatch (ArrayStoreException) from
-                    // out-of-bounds (ArrayIndexOutOfBoundsException).
-                    enum StoreOutcome {
-                        Ok,
-                        OutOfBounds,
-                        KindMismatch,
-                    }
-                    let outcome = match (insn, self.heap_mut().get_mut(arr)) {
-                        (Insn::IAStore, HeapObject::IntArray(v)) => {
-                            if i < v.len() {
-                                v[i] = value.as_int();
-                                StoreOutcome::Ok
-                            } else {
-                                StoreOutcome::OutOfBounds
-                            }
-                        }
-                        (Insn::FAStore, HeapObject::FloatArray(v)) => {
-                            if i < v.len() {
-                                v[i] = value.as_float();
-                                StoreOutcome::Ok
-                            } else {
-                                StoreOutcome::OutOfBounds
-                            }
-                        }
-                        (Insn::AAStore, HeapObject::RefArray(v)) => {
-                            if i < v.len() {
-                                v[i] = value;
-                                StoreOutcome::Ok
-                            } else {
-                                StoreOutcome::OutOfBounds
-                            }
-                        }
-                        _ => StoreOutcome::KindMismatch,
-                    };
-                    match outcome {
-                        StoreOutcome::Ok => {}
-                        StoreOutcome::OutOfBounds => {
-                            jthrow!(
-                                "java/lang/ArrayIndexOutOfBoundsException",
-                                &format!("{index}")
-                            );
-                        }
-                        StoreOutcome::KindMismatch => {
-                            jthrow!("java/lang/ArrayStoreException", "array store kind mismatch");
-                        }
-                    }
-                }
-                Insn::ArrayLength => {
-                    let arr = stack.pop().expect("verified");
-                    let arr = match arr.as_ref_opt() {
-                        Some(a) => a,
-                        None => {
-                            jthrow!("java/lang/NullPointerException", "null arraylength");
-                        }
-                    };
-                    match self.heap().get(arr).array_len() {
-                        Some(n) => stack.push(Value::Int(n as i64)),
-                        None => {
-                            jthrow!("java/lang/InternalError", "arraylength of a non-array");
-                        }
-                    }
-                }
-                Insn::AThrow => {
-                    let v = stack.pop().expect("verified");
-                    match v.as_ref_opt() {
-                        Some(r) => throw_or_handle!(JThrow::new(r)),
-                        None => {
-                            jthrow!("java/lang/NullPointerException", "throwing null");
-                        }
-                    }
-                }
-            }
-            pc += 1;
-        }
     }
 }

@@ -1,26 +1,25 @@
-//! The direct-threaded interpreter fast path.
+//! The interpreter: prepared (direct-threaded) code and the execution
+//! loop.
 //!
-//! [`Vm::invoke`] routes bytecode execution through one of two engines:
+//! Each method body is *prepared* once, on first invocation, into a dense
+//! [`Op`] array (a jump table for the compiler to dispatch over): operands
+//! are pre-decoded, call-site arity and returns-ness are baked in, and
+//! every resolution site gets an [`InlineCache`] slot, so the steady-state
+//! path does no hashing at all. A miss falls back to the cold resolvers in
+//! `interp.rs` and fills the slot.
 //!
-//! * **Switch** — the reference engine in `interp.rs`: a `match` over
-//!   [`jvmsim_classfile::Insn`] that re-derives every operand (pool-index
-//!   hash lookups for call sites, field sites and string constants) on
-//!   every execution.
-//! * **Threaded** — this module: each method body is *prepared* once into
-//!   a dense [`Op`] array (a jump table for the compiler to dispatch
-//!   over), with operands pre-decoded, call-site arity/returns baked in,
-//!   and every resolution site given an [`InlineCache`] slot so the
-//!   steady-state path does no hashing at all. Cycle charges and metrics
-//!   counter bumps are *batched* into locals and flushed before every
-//!   observable action (invokes, throws, allocations, sample polls, trace
-//!   emission, returns), which removes the per-instruction atomic
-//!   read-modify-write on the thread clock.
+//! [`Vm::execute`] runs a prepared body. Cycle charges and metrics counter
+//! bumps are *batched* into locals and flushed before every observable
+//! action (invokes, throws, allocations, sample polls, trace emission,
+//! returns), which removes the per-instruction atomic read-modify-write on
+//! the thread clock while keeping every clock reading an agent or trace
+//! can observe exact. Preparation itself charges nothing — it models the
+//! one-time threaded-code rewrite a template interpreter performs at link
+//! time, not measured work.
 //!
-//! The two engines are **identity-neutral**: byte-for-byte identical
-//! cycle totals, stats, heap contents, metrics and trace streams (a
-//! differential proptest pins this). Preparation itself charges nothing —
-//! it models the one-time threaded-code rewrite a template interpreter
-//! performs at link time, not measured work.
+//! The committed golden corpus (`tests/golden.rs` in the umbrella crate)
+//! pins this loop's cycles, stats and trace streams for every matrix
+//! cell.
 
 use std::sync::Arc;
 
@@ -35,36 +34,10 @@ use crate::throw::JThrow;
 use crate::value::{ObjRef, Value};
 use crate::vm::Vm;
 
-/// Which interpreter engine executes bytecode methods.
-///
-/// Both engines are observationally identical (same cycles, stats, heap,
-/// metrics and traces); `Switch` is kept as the differential baseline and
-/// as the slow lane the criterion bench compares against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DispatchMode {
-    /// The reference switch-dispatch interpreter (`interp.rs`).
-    Switch,
-    /// The prepared, inline-cached, batch-charging engine (this module).
-    #[default]
-    Threaded,
-}
-
-impl DispatchMode {
-    /// Stable lower-case label (`switch` / `threaded`).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            DispatchMode::Switch => "switch",
-            DispatchMode::Threaded => "threaded",
-        }
-    }
-}
-
 /// One inline-cache slot in the VM-wide arena. Ops carry `u32` indices
 /// into the arena; a slot starts [`InlineCache::Empty`] and is filled on
-/// first execution by the same cold resolution path the switch engine
-/// uses, so miss behaviour (class loading, `<clinit>` charges, linkage
-/// errors) is identical between engines.
+/// first execution by the cold resolution path (class loading, `<clinit>`
+/// charges, linkage errors).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum InlineCache {
     /// Not yet resolved.
@@ -191,8 +164,8 @@ pub(crate) enum Op {
     AThrow,
 }
 
-/// A method body rewritten for the threaded engine, cached per
-/// [`MethodId`] in the VM.
+/// A method body rewritten into threaded form, cached per [`MethodId`]
+/// in its class's prepared-code slots.
 #[derive(Debug)]
 pub(crate) struct PreparedCode {
     pub max_stack: u16,
@@ -339,7 +312,7 @@ pub(crate) fn prepare(
 impl Vm {
     /// The prepared body of `mid`, building (and caching) it on first use.
     /// The steady state is two vector indexes and an `Arc` bump — this
-    /// runs on every bytecode invocation under the threaded engine.
+    /// runs on every bytecode invocation.
     pub(crate) fn prepared_code(&mut self, mid: MethodId) -> Arc<PreparedCode> {
         let rc = self.registry.get(mid.class);
         if let Some(p) = &rc.prepared[mid.index as usize] {
@@ -353,16 +326,15 @@ impl Vm {
         p
     }
 
-    /// The threaded execution loop. Semantically a mirror of the switch
-    /// engine's `execute` — every divergence is a bug the differential
-    /// test catches. Charges are accumulated in `pending_*` and flushed
-    /// (clock, `InterpInsns` counter, `VmStats`) before every observable
-    /// action so intermediate clock readings match the reference engine
-    /// exactly.
+    /// Execute the bytecode method `mid` at `tier` with `args` in its
+    /// first local slots. Charges are accumulated in `pending_*` and
+    /// flushed (clock, `InterpInsns` counter, `VmStats`) before every
+    /// observable action, so every intermediate clock reading equals the
+    /// one an instruction-by-instruction charge would give.
     // `unused_assignments`: the flush before a `return` zeroes the pending
     // accumulators like every other flush; the zeroes are dead there.
     #[allow(clippy::too_many_lines, unused_assignments)]
-    pub(crate) fn execute_threaded(
+    pub(crate) fn execute(
         &mut self,
         thread: ThreadId,
         mid: MethodId,
@@ -499,21 +471,15 @@ impl Vm {
                         InlineCache::LdcStr(r) => r,
                         _ => {
                             flush!();
-                            let key = (cur, *cp);
-                            let r = match self.ldc_cache.get(&key) {
-                                Some(&r) => r,
-                                None => {
-                                    let s = self.registry.get(cur).strings[cp].clone();
-                                    let before = self.heap().len();
-                                    let r = self.heap_mut().intern_string(&s);
-                                    if self.alloc_events_on() && self.heap().len() > before {
-                                        let (sc, sm) = self.site_of(mid);
-                                        self.fire_allocation(thread, r, &sc, &sm, pc);
-                                    }
-                                    self.ldc_cache.insert(key, r);
-                                    r
-                                }
-                            };
+                            let s = self.registry.get(cur).strings[cp].clone();
+                            let before = self.heap().len();
+                            let r = self.heap_mut().intern_string(&s);
+                            // Interning only allocates on a miss; an
+                            // already-interned literal is not an event.
+                            if self.alloc_events_on() && self.heap().len() > before {
+                                let (sc, sm) = self.site_of(mid);
+                                self.fire_allocation(thread, r, &sc, &sm, pc);
+                            }
                             self.ic_arena[slot] = InlineCache::LdcStr(r);
                             r
                         }
@@ -664,8 +630,8 @@ impl Vm {
                         InlineCache::StaticCall(m) => m,
                         _ => {
                             flush!();
-                            match self.static_target(thread, cur, *cp) {
-                                Ok((m, _, _)) => {
+                            match self.call_target(thread, cur, *cp, None) {
+                                Ok(m) => {
                                     self.ic_arena[slot] = InlineCache::StaticCall(m);
                                     m
                                 }
@@ -718,8 +684,8 @@ impl Vm {
                         }
                         _ => {
                             flush!();
-                            match self.virtual_target(thread, cur, *cp, dyn_class) {
-                                Ok((m, _, _)) => {
+                            match self.call_target(thread, cur, *cp, Some(dyn_class)) {
+                                Ok(m) => {
                                     self.ic_arena[slot] = InlineCache::VirtualCall {
                                         receiver: dyn_class,
                                         target: m,
@@ -757,17 +723,10 @@ impl Vm {
                         InlineCache::NewClass(c) => c,
                         _ => {
                             flush!();
-                            let c = match self.new_class_cache.get(&(cur, *cp)) {
-                                Some(&c) => c,
-                                None => {
-                                    let name = self.registry.get(cur).classrefs[cp].clone();
-                                    let c = match self.ensure_loaded_or_throw(thread, &name) {
-                                        Ok(c) => c,
-                                        Err(t) => throw_or_handle!(t),
-                                    };
-                                    self.new_class_cache.insert((cur, *cp), c);
-                                    c
-                                }
+                            let name = self.registry.get(cur).classrefs[cp].clone();
+                            let c = match self.ensure_loaded_or_throw(thread, &name) {
+                                Ok(c) => c,
+                                Err(t) => throw_or_handle!(t),
                             };
                             self.ic_arena[slot] = InlineCache::NewClass(c);
                             c
@@ -927,49 +886,25 @@ impl Vm {
                         );
                     }
                     let i = index as usize;
-                    enum StoreOutcome {
-                        Ok,
-                        OutOfBounds,
-                        KindMismatch,
-                    }
-                    let outcome = match (kind, self.heap_mut().get_mut(arr)) {
+                    let stored = match (kind, self.heap_mut().get_mut(arr)) {
                         (ArrayKind::Int, HeapObject::IntArray(v)) => {
-                            if i < v.len() {
-                                v[i] = value.as_int();
-                                StoreOutcome::Ok
-                            } else {
-                                StoreOutcome::OutOfBounds
-                            }
+                            v.get_mut(i).map(|slot| *slot = value.as_int())
                         }
                         (ArrayKind::Float, HeapObject::FloatArray(v)) => {
-                            if i < v.len() {
-                                v[i] = value.as_float();
-                                StoreOutcome::Ok
-                            } else {
-                                StoreOutcome::OutOfBounds
-                            }
+                            v.get_mut(i).map(|slot| *slot = value.as_float())
                         }
                         (ArrayKind::Ref, HeapObject::RefArray(v)) => {
-                            if i < v.len() {
-                                v[i] = value;
-                                StoreOutcome::Ok
-                            } else {
-                                StoreOutcome::OutOfBounds
-                            }
+                            v.get_mut(i).map(|slot| *slot = value)
                         }
-                        _ => StoreOutcome::KindMismatch,
-                    };
-                    match outcome {
-                        StoreOutcome::Ok => {}
-                        StoreOutcome::OutOfBounds => {
-                            jthrow!(
-                                "java/lang/ArrayIndexOutOfBoundsException",
-                                &format!("{index}")
-                            );
-                        }
-                        StoreOutcome::KindMismatch => {
+                        _ => {
                             jthrow!("java/lang/ArrayStoreException", "array store kind mismatch");
                         }
+                    };
+                    if stored.is_none() {
+                        jthrow!(
+                            "java/lang/ArrayIndexOutOfBoundsException",
+                            &format!("{index}")
+                        );
                     }
                 }
                 Op::ArrayLength => {

@@ -185,17 +185,14 @@ pub struct Vm {
     jit_requested: bool,
     /// Which tier promotions the pipeline performs (the `--tiers` axis).
     tiers_mode: TiersMode,
-    /// Interpreter dispatch strategy (identity-neutral: both engines
-    /// charge byte-identical cycles).
-    dispatch: crate::prepared::DispatchMode,
-    /// Inline-cache arena the threaded engine's prepared ops index into
-    /// (the prepared bodies themselves live in per-class slots).
+    /// Inline-cache arena the prepared ops index into (the prepared
+    /// bodies themselves live in per-class slots).
     pub(crate) ic_arena: Vec<crate::prepared::InlineCache>,
-    /// Recycled `(locals, stack)` buffers for threaded-engine frames —
-    /// the contiguous-stack discipline of a real template interpreter,
+    /// Recycled `(locals, stack)` buffers for interpreter frames — the
+    /// contiguous-stack discipline of a real template interpreter,
     /// instead of two heap allocations per activation.
     pub(crate) frame_pool: Vec<(Vec<Value>, Vec<Value>)>,
-    /// Recycled argument vectors for threaded-engine call sites.
+    /// Recycled argument vectors for interpreter call sites.
     pub(crate) arg_pool: Vec<Vec<Value>>,
     threads: Vec<ThreadInfo>,
     pending: VecDeque<PendingThread>,
@@ -210,13 +207,6 @@ pub struct Vm {
     /// metrics never changes any measured quantity).
     metrics: Option<MetricsRegistry>,
     pub(crate) stats: VmStats,
-    // Interpreter caches (pool-index → resolved target + arity + returns?).
-    pub(crate) static_call_cache: HashMap<(ClassId, u16), (MethodId, u8, bool)>,
-    pub(crate) virtual_call_cache: HashMap<(ClassId, u16, ClassId), (MethodId, u8, bool)>,
-    pub(crate) static_field_cache: HashMap<(ClassId, u16), (ClassId, usize)>,
-    pub(crate) instance_field_cache: HashMap<(ClassId, u16), usize>,
-    pub(crate) ldc_cache: HashMap<(ClassId, u16), ObjRef>,
-    pub(crate) new_class_cache: HashMap<(ClassId, u16), ClassId>,
     vm_dead: bool,
 }
 
@@ -261,7 +251,6 @@ impl Vm {
             sampler: None,
             jit_requested: true,
             tiers_mode: TiersMode::default(),
-            dispatch: crate::prepared::DispatchMode::default(),
             ic_arena: Vec::new(),
             frame_pool: Vec::new(),
             arg_pool: Vec::new(),
@@ -272,12 +261,6 @@ impl Vm {
             faults: Arc::new(FaultInjector::disabled()),
             metrics: None,
             stats: VmStats::default(),
-            static_call_cache: HashMap::new(),
-            virtual_call_cache: HashMap::new(),
-            static_field_cache: HashMap::new(),
-            instance_field_cache: HashMap::new(),
-            ldc_cache: HashMap::new(),
-            new_class_cache: HashMap::new(),
             vm_dead: false,
         };
         vm.bootstrap_exception_classes();
@@ -573,17 +556,6 @@ impl Vm {
         } else {
             TiersMode::InterpOnly
         }
-    }
-
-    /// Select the interpreter dispatch engine (identity-neutral; the
-    /// default is direct-threaded).
-    pub fn set_dispatch(&mut self, dispatch: crate::prepared::DispatchMode) {
-        self.dispatch = dispatch;
-    }
-
-    /// The interpreter dispatch engine in force.
-    pub fn dispatch(&self) -> crate::prepared::DispatchMode {
-        self.dispatch
     }
 
     /// Register a native-method name prefix (JVMTI 1.1 `SetNativeMethodPrefix`).

@@ -6,27 +6,24 @@
 //! a run charges is computable by hand. These tests build tiny methods
 //! with known instruction counts and loop trip counts and assert the
 //! *exact* per-tier cycle ledger, OSR/compile counts, and the
-//! tier-transition event sequence — on both dispatch engines, at every
-//! point of the `--tiers` axis.
+//! tier-transition event sequence at every point of the `--tiers` axis.
 
 use std::sync::Mutex;
 
 use jvmsim_classfile::builder::ClassBuilder;
 use jvmsim_classfile::{Cond, MethodFlags};
-use jvmsim_vm::{
-    DispatchMode, MethodId, ThreadId, TiersMode, TraceEventKind, TraceSink, Value, Vm, VmStats,
-};
-use proptest::prelude::*;
+use jvmsim_vm::{MethodId, ThreadId, TiersMode, TraceEventKind, TraceSink, Value, Vm, VmStats};
 
-/// Collects every trace event in emission order.
+/// Collects the tier-transition trace events, in emission order.
 #[derive(Default)]
-struct CollectingSink {
-    events: Mutex<Vec<(TraceEventKind, u64, Option<MethodId>)>>,
-}
+struct TransitionSink(Mutex<Vec<TraceEventKind>>);
 
-impl TraceSink for CollectingSink {
-    fn record(&self, _t: ThreadId, kind: TraceEventKind, cycles: u64, method: Option<MethodId>) {
-        self.events.lock().unwrap().push((kind, cycles, method));
+impl TraceSink for TransitionSink {
+    fn record(&self, _t: ThreadId, kind: TraceEventKind, _cycles: u64, _m: Option<MethodId>) {
+        use TraceEventKind::{Deopt, MethodCompile, Osr, TierUpC1, TierUpC2};
+        if matches!(kind, MethodCompile | TierUpC1 | TierUpC2 | Osr | Deopt) {
+            self.0.lock().unwrap().push(kind);
+        }
     }
 }
 
@@ -53,16 +50,13 @@ struct LoopRun {
     stats: VmStats,
     result: i64,
     /// Tier-transition events only, in order.
-    transitions: Vec<(TraceEventKind, u64)>,
-    /// The full event stream (for engine differentials).
-    events: Vec<(TraceEventKind, u64, Option<MethodId>)>,
+    transitions: Vec<TraceEventKind>,
 }
 
-fn run_loop(n: i64, mode: TiersMode, dispatch: DispatchMode) -> LoopRun {
+fn run_loop(n: i64, mode: TiersMode) -> LoopRun {
     let mut vm = Vm::new();
     vm.set_tiers_mode(mode);
-    vm.set_dispatch(dispatch);
-    let sink = std::sync::Arc::new(CollectingSink::default());
+    let sink = std::sync::Arc::new(TransitionSink::default());
     vm.set_trace_sink(sink.clone());
     vm.add_classfile(&loop_class());
     let result = match vm
@@ -73,26 +67,11 @@ fn run_loop(n: i64, mode: TiersMode, dispatch: DispatchMode) -> LoopRun {
         Value::Int(v) => v,
         other => panic!("non-int {other:?}"),
     };
-    let events = sink.events.lock().unwrap().clone();
-    let transitions = events
-        .iter()
-        .filter(|(k, _, _)| {
-            matches!(
-                k,
-                TraceEventKind::MethodCompile
-                    | TraceEventKind::TierUpC1
-                    | TraceEventKind::TierUpC2
-                    | TraceEventKind::Osr
-                    | TraceEventKind::Deopt
-            )
-        })
-        .map(|&(k, c, _)| (k, c))
-        .collect();
+    let transitions = sink.0.lock().unwrap().clone();
     LoopRun {
         stats: vm.stats(),
         result,
         transitions,
-        events,
     }
 }
 
@@ -101,73 +80,74 @@ fn run_loop(n: i64, mode: TiersMode, dispatch: DispatchMode) -> LoopRun {
 /// at the top tier. Every cycle is hand-computed.
 #[test]
 fn osr_oracle_full_pipeline() {
-    for dispatch in [DispatchMode::Switch, DispatchMode::Threaded] {
-        let run = run_loop(500, TiersMode::Full, dispatch);
-        assert_eq!(run.result, 500);
-        let s = run.stats;
-        // 2 prologue + 200 iterations x 5 insns before the first OSR.
-        assert_eq!(s.interp_cycles, 1002 * 8 + 30, "{dispatch:?}");
-        // Iterations 201..=400 at C1.
-        assert_eq!(s.c1_cycles, 1000 * 2, "{dispatch:?}");
-        // Iterations 401..=500 plus the 5-insn exit path at C2.
-        assert_eq!(s.c2_cycles, 505, "{dispatch:?}");
-        // f is 9 instructions: compile charges are 9x50 and 9x200.
-        assert_eq!(s.c1_compile_cycles, 450, "{dispatch:?}");
-        assert_eq!(s.c2_compile_cycles, 1800, "{dispatch:?}");
-        assert_eq!(
-            (s.osrs, s.c1_compiles, s.c2_compiles, s.deopts),
-            (2, 1, 1, 0),
-            "{dispatch:?}"
-        );
-        assert_eq!(s.insns, 2507, "{dispatch:?}");
-        // Transition ordinals: legacy MethodCompile fires on the first
-        // departure from the interpreter only.
-        let kinds: Vec<TraceEventKind> = run.transitions.iter().map(|&(k, _)| k).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                TraceEventKind::MethodCompile,
-                TraceEventKind::TierUpC1,
-                TraceEventKind::Osr,
-                TraceEventKind::TierUpC2,
-                TraceEventKind::Osr,
-            ],
-            "{dispatch:?}"
-        );
-    }
+    let run = run_loop(500, TiersMode::Full);
+    assert_eq!(run.result, 500);
+    let s = run.stats;
+    // 2 prologue + 200 iterations x 5 insns before the first OSR.
+    assert_eq!(s.interp_cycles, 1002 * 8 + 30);
+    // Iterations 201..=400 at C1.
+    assert_eq!(s.c1_cycles, 1000 * 2);
+    // Iterations 401..=500 plus the 5-insn exit path at C2.
+    assert_eq!(s.c2_cycles, 505);
+    // f is 9 instructions: compile charges are 9x50 and 9x200.
+    assert_eq!(s.c1_compile_cycles, 450);
+    assert_eq!(s.c2_compile_cycles, 1800);
+    assert_eq!(
+        (s.osrs, s.c1_compiles, s.c2_compiles, s.deopts),
+        (2, 1, 1, 0)
+    );
+    assert_eq!(s.insns, 2507);
+    // Transition ordinals: legacy MethodCompile fires on the first
+    // departure from the interpreter only.
+    assert_eq!(
+        run.transitions,
+        vec![
+            TraceEventKind::MethodCompile,
+            TraceEventKind::TierUpC1,
+            TraceEventKind::Osr,
+            TraceEventKind::TierUpC2,
+            TraceEventKind::Osr,
+        ]
+    );
 }
 
 /// Same loop under `tiered`: the C1 ceiling stops the second OSR.
 #[test]
 fn osr_oracle_respects_the_c1_ceiling() {
-    for dispatch in [DispatchMode::Switch, DispatchMode::Threaded] {
-        let run = run_loop(500, TiersMode::Tiered, dispatch);
-        let s = run.stats;
-        assert_eq!(s.interp_cycles, 1002 * 8 + 30, "{dispatch:?}");
-        // Iterations 201..=500 plus the exit path all stay at C1.
-        assert_eq!(s.c1_cycles, 1505 * 2, "{dispatch:?}");
-        assert_eq!(s.c2_cycles, 0, "{dispatch:?}");
-        assert_eq!(s.c1_compile_cycles, 450, "{dispatch:?}");
-        assert_eq!(s.c2_compile_cycles, 0, "{dispatch:?}");
-        assert_eq!(
-            (s.osrs, s.c1_compiles, s.c2_compiles),
-            (1, 1, 0),
-            "{dispatch:?}"
-        );
-    }
+    let run = run_loop(500, TiersMode::Tiered);
+    let s = run.stats;
+    assert_eq!(s.interp_cycles, 1002 * 8 + 30);
+    // Iterations 201..=500 plus the exit path all stay at C1.
+    assert_eq!(s.c1_cycles, 1505 * 2);
+    assert_eq!(s.c2_cycles, 0);
+    assert_eq!(s.c1_compile_cycles, 450);
+    assert_eq!(s.c2_compile_cycles, 0);
+    assert_eq!((s.osrs, s.c1_compiles, s.c2_compiles), (1, 1, 0));
 }
 
 /// Same loop under `interp-only`: back-edges are never even counted.
 #[test]
 fn osr_oracle_interp_only_never_promotes() {
-    for dispatch in [DispatchMode::Switch, DispatchMode::Threaded] {
-        let run = run_loop(500, TiersMode::InterpOnly, dispatch);
-        let s = run.stats;
-        assert_eq!(s.interp_cycles, 2507 * 8 + 30, "{dispatch:?}");
-        assert_eq!(s.c1_cycles + s.c2_cycles, 0, "{dispatch:?}");
-        assert_eq!(s.c1_compile_cycles + s.c2_compile_cycles, 0, "{dispatch:?}");
-        assert_eq!((s.osrs, s.c1_compiles, s.c2_compiles), (0, 0, 0));
-        assert!(run.transitions.is_empty(), "{dispatch:?}");
+    let run = run_loop(500, TiersMode::InterpOnly);
+    let s = run.stats;
+    assert_eq!(s.interp_cycles, 2507 * 8 + 30);
+    assert_eq!(s.c1_cycles + s.c2_cycles, 0);
+    assert_eq!(s.c1_compile_cycles + s.c2_compile_cycles, 0);
+    assert_eq!((s.osrs, s.c1_compiles, s.c2_compiles), (0, 0, 0));
+    assert!(run.transitions.is_empty());
+}
+
+/// Load `tier/Hot.g()I` (2 instructions: `iconst 7; ireturn`) and call
+/// it `calls` times from the harness.
+fn call_hot(vm: &mut Vm, calls: usize) {
+    let mut cb = ClassBuilder::new("tier/Hot");
+    let mut m = cb.method("g", "()I", MethodFlags::STATIC);
+    m.iconst(7).ireturn();
+    m.finish().unwrap();
+    vm.add_classfile(&cb.finish().unwrap());
+    for _ in 0..calls {
+        let v = vm.call_static("tier/Hot", "g", "()I", vec![]);
+        assert_eq!(v.expect("link").expect("no exception"), Value::Int(7));
     }
 }
 
@@ -175,76 +155,57 @@ fn osr_oracle_interp_only_never_promotes() {
 /// threshold on its 20th call and the C2 threshold on its 200th.
 #[test]
 fn invocation_threshold_oracle() {
-    for dispatch in [DispatchMode::Switch, DispatchMode::Threaded] {
-        let mut cb = ClassBuilder::new("tier/Hot");
-        let mut m = cb.method("g", "()I", MethodFlags::STATIC);
-        m.iconst(7).ireturn();
-        m.finish().unwrap();
-        let class = cb.finish().unwrap();
-        let mut vm = Vm::new();
-        vm.set_dispatch(dispatch);
-        vm.add_classfile(&class);
-        for _ in 0..200 {
-            let v = vm
-                .call_static("tier/Hot", "g", "()I", vec![])
-                .expect("link")
-                .expect("no exception");
-            assert_eq!(v, Value::Int(7));
-        }
-        let s = vm.stats();
-        // Calls 1..=19 interpreted: 2 insns x 8 + 30 overhead each.
-        assert_eq!(s.interp_cycles, 19 * (2 * 8 + 30), "{dispatch:?}");
-        // Call 20 compiles to C1 and runs there; calls 20..=199 at C1.
-        assert_eq!(s.c1_cycles, 180 * (2 * 2 + 8), "{dispatch:?}");
-        // Call 200 compiles to C2 and runs there.
-        assert_eq!(s.c2_cycles, 2 + 4, "{dispatch:?}");
-        assert_eq!(s.c1_compile_cycles, 2 * 50, "{dispatch:?}");
-        assert_eq!(s.c2_compile_cycles, 2 * 200, "{dispatch:?}");
-        assert_eq!((s.c1_compiles, s.c2_compiles, s.osrs), (1, 1, 0));
-    }
+    let mut vm = Vm::new();
+    call_hot(&mut vm, 200);
+    let s = vm.stats();
+    // Calls 1..=19 interpreted: 2 insns x 8 + 30 overhead each.
+    assert_eq!(s.interp_cycles, 19 * (2 * 8 + 30));
+    // Call 20 compiles to C1 and runs there; calls 20..=199 at C1.
+    assert_eq!(s.c1_cycles, 180 * (2 * 2 + 8));
+    // Call 200 compiles to C2 and runs there.
+    assert_eq!(s.c2_cycles, 2 + 4);
+    assert_eq!(s.c1_compile_cycles, 2 * 50);
+    assert_eq!(s.c2_compile_cycles, 2 * 200);
+    assert_eq!((s.c1_compiles, s.c2_compiles, s.osrs), (1, 1, 0));
 }
 
 /// An exception unwinding out of a compiled activation deoptimizes: the
 /// method drops back to the interpreter and must re-earn promotion.
 #[test]
 fn unhandled_throw_from_compiled_tier_deopts() {
-    for dispatch in [DispatchMode::Switch, DispatchMode::Threaded] {
-        let mut cb = ClassBuilder::new("tier/Thrower");
-        let mut m = cb.method("h", "(I)I", MethodFlags::STATIC);
-        // 100 / x: throws ArithmeticException when x == 0.
-        m.iconst(100).iload(0).idiv().ireturn();
-        m.finish().unwrap();
-        let class = cb.finish().unwrap();
-        let mut vm = Vm::new();
-        vm.set_dispatch(dispatch);
-        vm.add_classfile(&class);
-        // Promote to C1 with benign calls.
-        for _ in 0..25 {
-            vm.call_static("tier/Thrower", "h", "(I)I", vec![Value::Int(5)])
-                .expect("link")
-                .expect("benign");
-        }
-        assert_eq!(vm.stats().c1_compiles, 1, "{dispatch:?}");
-        // Throw out of the C1 activation.
-        let thrown = vm
-            .call_static("tier/Thrower", "h", "(I)I", vec![Value::Int(0)])
-            .expect("link");
-        assert_eq!(
-            thrown.unwrap_err().class_name,
-            "java/lang/ArithmeticException",
-            "{dispatch:?}"
-        );
-        assert_eq!(vm.stats().deopts, 1, "{dispatch:?}");
-        // The next benign call runs interpreted again (the counter reset).
-        let interp_before = vm.stats().interp_cycles;
+    let mut cb = ClassBuilder::new("tier/Thrower");
+    let mut m = cb.method("h", "(I)I", MethodFlags::STATIC);
+    // 100 / x: throws ArithmeticException when x == 0.
+    m.iconst(100).iload(0).idiv().ireturn();
+    m.finish().unwrap();
+    let class = cb.finish().unwrap();
+    let mut vm = Vm::new();
+    vm.add_classfile(&class);
+    // Promote to C1 with benign calls.
+    for _ in 0..25 {
         vm.call_static("tier/Thrower", "h", "(I)I", vec![Value::Int(5)])
             .expect("link")
             .expect("benign");
-        assert!(
-            vm.stats().interp_cycles > interp_before,
-            "{dispatch:?}: post-deopt call must charge interpreter cycles"
-        );
     }
+    assert_eq!(vm.stats().c1_compiles, 1);
+    // Throw out of the C1 activation.
+    let thrown = vm
+        .call_static("tier/Thrower", "h", "(I)I", vec![Value::Int(0)])
+        .expect("link");
+    assert_eq!(
+        thrown.unwrap_err().class_name,
+        "java/lang/ArithmeticException"
+    );
+    assert_eq!(vm.stats().deopts, 1);
+    // The next benign call runs interpreted again (the counter reset).
+    let interp_before = vm.stats().interp_cycles;
+    vm.call_static("tier/Thrower", "h", "(I)I", vec![Value::Int(5)])
+        .expect("link")
+        .expect("benign");
+    assert!(
+        vm.stats().interp_cycles > interp_before,
+        "post-deopt call must charge interpreter cycles"
+    );
 }
 
 /// The `tier-compile-abort` fault site at full rate: every compile
@@ -256,62 +217,26 @@ fn tier_compile_abort_half_charges_and_keeps_the_ledger_exact() {
     use jvmsim_faults::{FaultInjector, FaultPlan, FaultSite, PPM};
     use jvmsim_metrics::{Bucket, MetricsRegistry};
 
-    for dispatch in [DispatchMode::Switch, DispatchMode::Threaded] {
-        let mut cb = ClassBuilder::new("tier/Hot");
-        let mut m = cb.method("g", "()I", MethodFlags::STATIC);
-        m.iconst(7).ireturn();
-        m.finish().unwrap();
-        let class = cb.finish().unwrap();
-        let mut vm = Vm::new();
-        vm.set_dispatch(dispatch);
-        let metrics = MetricsRegistry::new();
-        vm.set_metrics(metrics.clone());
-        vm.set_fault_injector(std::sync::Arc::new(FaultInjector::new(
-            FaultPlan::new(11).with_rate(FaultSite::TierCompileAbort, PPM),
-        )));
-        vm.add_classfile(&class);
-        let pcl = vm.pcl();
-        for _ in 0..100 {
-            let v = vm
-                .call_static("tier/Hot", "g", "()I", vec![])
-                .expect("link")
-                .expect("no exception");
-            assert_eq!(v, Value::Int(7));
-        }
-        let s = vm.stats();
-        // The counter re-arms after each abort, so the compile is
-        // re-attempted (and re-aborted) every 20th call: 5 aborts in 100
-        // calls, each charging half the 2-insn C1 compile cost (50).
-        assert_eq!(s.tier_compile_aborts, 5, "{dispatch:?}");
-        assert_eq!((s.c1_compiles, s.c2_compiles, s.osrs), (0, 0, 0));
-        assert_eq!(s.c1_compile_cycles, 5 * 50, "{dispatch:?}");
-        assert_eq!(s.c1_cycles + s.c2_cycles, 0, "{dispatch:?}");
-        assert_eq!(s.interp_cycles, 100 * (2 * 8 + 30), "{dispatch:?}");
-        // Chaos-checked invariant: the half-charges landed in the compile
-        // bucket and the ledger still sums to the PCL total exactly.
-        let snap = metrics.snapshot();
-        assert_eq!(snap.bucket_cycles(Bucket::C1Compile), 5 * 50);
-        assert_eq!(snap.total_cycles(), pcl.total_cycles(), "{dispatch:?}");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Engine differential: for any trip count and tiers mode, the
-    /// switch and threaded engines produce identical results, identical
-    /// `VmStats` (per-tier cycle columns included), and an identical
-    /// trace event stream — cycles-at-emission and all.
-    #[test]
-    fn dispatch_engines_are_byte_identical(
-        n in 0i64..700,
-        mode_ix in 0usize..3,
-    ) {
-        let mode = [TiersMode::InterpOnly, TiersMode::Tiered, TiersMode::Full][mode_ix];
-        let a = run_loop(n, mode, DispatchMode::Switch);
-        let b = run_loop(n, mode, DispatchMode::Threaded);
-        prop_assert_eq!(a.result, b.result);
-        prop_assert_eq!(a.stats, b.stats);
-        prop_assert_eq!(a.events, b.events);
-    }
+    let mut vm = Vm::new();
+    let metrics = MetricsRegistry::new();
+    vm.set_metrics(metrics.clone());
+    vm.set_fault_injector(std::sync::Arc::new(FaultInjector::new(
+        FaultPlan::new(11).with_rate(FaultSite::TierCompileAbort, PPM),
+    )));
+    let pcl = vm.pcl();
+    call_hot(&mut vm, 100);
+    let s = vm.stats();
+    // The counter re-arms after each abort, so the compile is
+    // re-attempted (and re-aborted) every 20th call: 5 aborts in 100
+    // calls, each charging half the 2-insn C1 compile cost (50).
+    assert_eq!(s.tier_compile_aborts, 5);
+    assert_eq!((s.c1_compiles, s.c2_compiles, s.osrs), (0, 0, 0));
+    assert_eq!(s.c1_compile_cycles, 5 * 50);
+    assert_eq!(s.c1_cycles + s.c2_cycles, 0);
+    assert_eq!(s.interp_cycles, 100 * (2 * 8 + 30));
+    // Chaos-checked invariant: the half-charges landed in the compile
+    // bucket and the ledger still sums to the PCL total exactly.
+    let snap = metrics.snapshot();
+    assert_eq!(snap.bucket_cycles(Bucket::C1Compile), 5 * 50);
+    assert_eq!(snap.total_cycles(), pcl.total_cycles());
 }

@@ -169,8 +169,9 @@ fn finally_style_catch_all_runs_on_throw() {
     assert_eq!(count, Value::Int(1));
 }
 
-#[test]
-fn objects_fields_and_virtual_dispatch() {
+/// `t/A { int v; int get() { return v; } }` (3 insns in `get`) and
+/// `t/B extends t/A { int get() { return v + 100; } }` (5 insns).
+fn a_and_b_classes() -> [jvmsim_classfile::ClassFile; 2] {
     let mut a = ClassBuilder::new("t/A");
     a.field("v", "I", FieldFlags::PUBLIC).unwrap();
     let mut m = a.method("get", "()I", MethodFlags::PUBLIC);
@@ -188,7 +189,12 @@ fn objects_fields_and_virtual_dispatch() {
         .ireturn();
     m.finish().unwrap();
     let b = b.finish().unwrap();
+    [a, b]
+}
 
+#[test]
+fn objects_fields_and_virtual_dispatch() {
+    let [a, b] = a_and_b_classes();
     let main = single_method_class("t/Main", "main", "()I", |m| {
         // new A(v=1).get() + new B(v=2).get()  => 1 + 102 = 103
         m.new_obj("t/A").astore(0);
@@ -210,6 +216,62 @@ fn objects_fields_and_virtual_dispatch() {
         .unwrap()
         .unwrap();
     assert_eq!(r, Value::Int(103));
+}
+
+/// One `invokevirtual` site sees receivers A, B, A, B: its monomorphic
+/// inline cache misses and re-fills on every call, and each re-fill must
+/// resolve the receiver's own override.
+#[test]
+fn polymorphic_call_site_refills_its_inline_cache() {
+    let [a, b] = a_and_b_classes();
+    let main = single_method_class("t/Poly", "main", "()I", |m| {
+        let top = m.new_label();
+        let use_b = m.new_label();
+        let call = m.new_label();
+        let done = m.new_label();
+        // 14-insn prologue: a = new A(v=1), b = new B(v=2), sum = i = 0.
+        m.new_obj("t/A").astore(0);
+        m.aload(0).iconst(1).putfield("t/A", "v", "I");
+        m.new_obj("t/B").astore(1);
+        m.aload(1).iconst(2).putfield("t/A", "v", "I");
+        m.iconst(0).istore(2);
+        m.iconst(0).istore(3);
+        // for (i = 0; i < 4; i++) sum += (i odd ? b : a).get();
+        // 15 insns per A iteration, 14 per B iteration, 5 on exit.
+        m.bind(top);
+        m.iload(3).iconst(4).if_icmp(Cond::Ge, done);
+        m.iload(3).iconst(1).iand().if_(Cond::Ne, use_b);
+        m.aload(0).goto(call);
+        m.bind(use_b);
+        m.aload(1);
+        m.bind(call);
+        m.invokevirtual("t/A", "get", "()I");
+        m.iload(2).iadd().istore(2);
+        m.iinc(3, 1).goto(top);
+        m.bind(done);
+        m.iload(2).ireturn();
+    })
+    .unwrap();
+
+    let mut vm = Vm::new();
+    vm.add_classfile(&a);
+    vm.add_classfile(&b);
+    vm.add_classfile(&main);
+    let r = vm
+        .call_static("t/Poly", "main", "()I", vec![])
+        .unwrap()
+        .unwrap();
+    // A.get() = 1, B.get() = 2 + 100.
+    assert_eq!(r, Value::Int(1 + 102 + 1 + 102));
+    let s = vm.stats();
+    // main plus four calls through the one site.
+    assert_eq!(s.invocations, 5);
+    // main: 14 + 2 x 15 + 2 x 14 + 5 = 77; A.get 2 x 3; B.get 2 x 5.
+    assert_eq!(s.insns, 77 + 2 * 3 + 2 * 5);
+    // Nothing reaches a tier threshold: 8 cycles per insn plus the
+    // 30-cycle interpreted call overhead per invocation.
+    assert_eq!(s.interp_cycles, 93 * 8 + 5 * 30);
+    assert_eq!(s.c1_cycles + s.c2_cycles, 0);
 }
 
 #[test]

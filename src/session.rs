@@ -36,7 +36,7 @@ use jvmsim_jvmti::Agent;
 use jvmsim_metrics::MetricsRegistry;
 use jvmsim_pcl::Pcl;
 use jvmsim_vm::cost::CostModel;
-use jvmsim_vm::{builtins, DispatchMode, TiersMode, TraceSink, Value, Vm};
+use jvmsim_vm::{builtins, TiersMode, TraceSink, Value, Vm};
 use nativeprof::{InstrumentationMode, IpaAgent, NativeProfile, SpaAgent};
 use nativeprof_agents::{AllocAgent, AllocReport, LockAgent, LockReport};
 use workloads::{by_name, ProblemSize, Workload, WorkloadProgram};
@@ -190,7 +190,6 @@ pub struct Session<'w> {
     size: ProblemSize,
     agent: AgentChoice,
     tiers: TiersMode,
-    dispatch: DispatchMode,
     trace: Option<Arc<dyn TraceSink>>,
     faults: Option<Arc<FaultInjector>>,
     metrics: Option<MetricsRegistry>,
@@ -204,7 +203,6 @@ impl std::fmt::Debug for Session<'_> {
             .field("size", &self.size)
             .field("agent", &self.agent.label())
             .field("tiers", &self.tiers.label())
-            .field("dispatch", &self.dispatch.label())
             .field("trace", &self.trace.is_some())
             .field("faults", &self.faults.is_some())
             .field("metrics", &self.metrics.is_some())
@@ -223,7 +221,6 @@ impl<'w> Session<'w> {
             size,
             agent: AgentChoice::None,
             tiers: TiersMode::default(),
-            dispatch: DispatchMode::default(),
             trace: None,
             faults: None,
             metrics: None,
@@ -243,15 +240,6 @@ impl<'w> Session<'w> {
     #[must_use]
     pub fn tiers(mut self, tiers: TiersMode) -> Self {
         self.tiers = tiers;
-        self
-    }
-
-    /// Select the interpreter dispatch engine. Identity-neutral — the
-    /// switch and threaded engines produce byte-identical runs — so it is
-    /// excluded from [`Session::result_key`], like trace sinks.
-    #[must_use]
-    pub fn dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
         self
     }
 
@@ -355,7 +343,6 @@ impl<'w> Session<'w> {
         let program = self.workload.program();
         let mut vm = Vm::new();
         vm.set_tiers_mode(self.tiers);
-        vm.set_dispatch(self.dispatch);
         if let Some(metrics) = &self.metrics {
             metrics.set_agent_bucket(self.agent.bucket());
             vm.set_metrics(metrics.clone());

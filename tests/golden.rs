@@ -2,30 +2,24 @@
 //! the 8-workload × 5-agent × 3-`--tiers` matrix at size 1.
 //!
 //! Every other equivalence test compares two live runs, so a change that
-//! shifts both sides alike passes unnoticed. This one compares each run
-//! against bytes recorded in `tests/golden/cells.tsv`:
+//! shifts both sides alike passes unnoticed. This one checks each run
+//! against `tests/golden/cells.tsv`: the canonical [`cell_row_json`] row,
+//! a SHA-256 of the run's transition-trace CSV export, and a SHA-256 of
+//! [`VmStats`] with its fields written out in declaration order. A
+//! mismatch names every differing cell with expected and actual values.
 //!
-//! * the canonical [`cell_row_json`] row (Table I/II quantities and the
-//!   per-tier cycle columns);
-//! * a SHA-256 of the run's transition-trace CSV export (every thread,
-//!   tier-up, OSR, deopt and J2N/N2J event with its cycle stamp);
-//! * a SHA-256 of [`VmStats`], fields written out in declaration order.
-//!
-//! A mismatch names every differing cell with expected and actual values.
-//! The file is regenerated by the ignored `regenerate_golden_corpus` test,
-//! which prints it to stdout; every corpus line (the header included)
-//! contains a tab and none of the test harness's own lines do:
+//! The ignored `regenerate_golden_corpus` test prints a fresh file. Every
+//! corpus line contains a tab and none of the test harness's lines do:
 //!
 //! ```sh
 //! cargo test --release --test golden -- --ignored --nocapture \
 //!     | grep -P '\t' > tests/golden/cells.tsv
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use jnativeprof::cell::{cell_row_json, CellQuantities};
-use jnativeprof::harness::AgentChoice;
 use jnativeprof::session::Session;
 use jvmsim_cache::Digest;
 use jvmsim_trace::{csv::events_csv, TraceRecorder};
@@ -34,7 +28,14 @@ use workloads::{by_name, ProblemSize};
 
 const CORPUS: &str = include_str!("golden/cells.tsv");
 
-const HEADER: &str = "# workload\tagent\ttiers\ttrace_sha256\tstats_sha256\trow";
+const COLUMNS: [&str; 6] = [
+    "workload",
+    "agent",
+    "tiers",
+    "trace_sha256",
+    "stats_sha256",
+    "row",
+];
 
 const WORKLOADS: [&str; 8] = [
     "compress",
@@ -49,78 +50,28 @@ const WORKLOADS: [&str; 8] = [
 
 const AGENTS: [&str; 5] = ["original", "spa", "ipa", "alloc", "lock"];
 
-/// `(workload, agent label, tiers label)`.
-type CellId = (String, String, String);
-
-/// The three recorded values of one cell, as they appear in the file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Expect {
-    trace: String,
-    stats: String,
-    row: String,
+/// `name=value\n` for each listed field. The destructuring has no `..`,
+/// so a field added to `VmStats` fails to compile until it is listed.
+macro_rules! stats_text {
+    ($stats:expr; $($field:ident),+) => {{
+        let VmStats { $($field),+ } = $stats;
+        let mut text = String::new();
+        $(text.push_str(&format!(concat!(stringify!($field), "={}\n"), $field));)+
+        text
+    }};
 }
 
-/// SHA-256 over every `VmStats` field in declaration order. The
-/// destructuring has no `..`, so adding a field fails to compile here
-/// until the digest covers it.
 fn stats_digest(stats: &VmStats) -> String {
-    let VmStats {
-        insns,
-        invocations,
-        native_calls,
-        jni_upcalls,
-        classes_loaded,
-        allocations,
-        events_dispatched,
-        native_cycles,
-        samples_taken,
-        interp_cycles,
-        c1_cycles,
-        c2_cycles,
-        c1_compile_cycles,
-        c2_compile_cycles,
-        c1_compiles,
-        c2_compiles,
-        osrs,
-        deopts,
-        tier_compile_aborts,
-    } = *stats;
-    let mut text = String::new();
-    for (name, v) in [
-        ("insns", insns),
-        ("invocations", invocations),
-        ("native_calls", native_calls),
-        ("jni_upcalls", jni_upcalls),
-        ("classes_loaded", classes_loaded),
-        ("allocations", allocations),
-        ("events_dispatched", events_dispatched),
-        ("native_cycles", native_cycles),
-        ("samples_taken", samples_taken),
-        ("interp_cycles", interp_cycles),
-        ("c1_cycles", c1_cycles),
-        ("c2_cycles", c2_cycles),
-        ("c1_compile_cycles", c1_compile_cycles),
-        ("c2_compile_cycles", c2_compile_cycles),
-        ("c1_compiles", c1_compiles),
-        ("c2_compiles", c2_compiles),
-        ("osrs", osrs),
-        ("deopts", deopts),
-        ("tier_compile_aborts", tier_compile_aborts),
-    ] {
-        text.push_str(&format!("{name}={v}\n"));
-    }
+    let text = stats_text!(*stats; insns, invocations, native_calls, jni_upcalls,
+        classes_loaded, allocations, events_dispatched, native_cycles, samples_taken,
+        interp_cycles, c1_cycles, c2_cycles, c1_compile_cycles, c2_compile_cycles,
+        c1_compiles, c2_compiles, osrs, deopts, tier_compile_aborts);
     Digest::of(text.as_bytes()).to_hex()
 }
 
-/// Escape a row onto one line. Injective, so comparing escaped forms is
-/// comparing rows.
-fn one_line(row: &str) -> String {
-    row.replace('\\', "\\\\")
-        .replace('\n', "\\n")
-        .replace('\t', "\\t")
-}
-
-fn run_cell(workload: &str, agent: &str, tiers: TiersMode) -> Expect {
+/// The corpus line of one cell. The row is escaped onto one line
+/// (injectively, so comparing lines compares rows).
+fn cell_line(workload: &str, agent: &str, tiers: TiersMode) -> String {
     let w = by_name(workload).expect("corpus workload exists");
     let recorder = TraceRecorder::with_default_capacity();
     let run = Session::new(w.as_ref(), ProblemSize::S1)
@@ -131,105 +82,94 @@ fn run_cell(workload: &str, agent: &str, tiers: TiersMode) -> Expect {
         .unwrap_or_else(|e| panic!("{workload}/{agent}/{}: {e}", tiers.label()));
     let snapshot = recorder.snapshot();
     assert_eq!(snapshot.dropped(), 0, "trace buffer too small for size 1");
-    let row = cell_row_json(workload, run.agent, 1, &CellQuantities::from_run(&run));
-    Expect {
-        trace: Digest::of(events_csv(&snapshot).as_bytes()).to_hex(),
-        stats: stats_digest(&run.outcome.stats),
-        row: one_line(&row),
-    }
+    let row = cell_row_json(workload, run.agent, 1, &CellQuantities::from_run(&run))
+        .replace('\\', "\\\\")
+        .replace('\n', "\\n")
+        .replace('\t', "\\t");
+    let trace = Digest::of(events_csv(&snapshot).as_bytes()).to_hex();
+    let stats = stats_digest(&run.outcome.stats);
+    format!(
+        "{workload}\t{}\t{}\t{trace}\t{stats}\t{row}",
+        run.agent,
+        tiers.label()
+    )
 }
 
-/// Every cell of the matrix, in file order.
-fn compute_corpus() -> BTreeMap<CellId, Expect> {
-    let mut cells = BTreeMap::new();
+/// Every cell of the matrix, one line each, in file order.
+fn corpus_lines() -> Vec<String> {
+    let mut lines = Vec::new();
     for workload in WORKLOADS {
         for agent in AGENTS {
-            let label = AgentChoice::parse(agent).expect("agent").label();
             for tiers in TiersMode::ALL {
-                let id = (workload.to_owned(), label.to_owned(), tiers.label().to_owned());
-                cells.insert(id, run_cell(workload, agent, tiers));
+                lines.push(cell_line(workload, agent, tiers));
             }
         }
     }
-    cells
+    lines.sort();
+    lines
 }
 
-fn parse_corpus(text: &str) -> BTreeMap<CellId, Expect> {
+/// Corpus lines keyed by `workload/agent/tiers`, split into columns.
+fn by_cell<'a>(lines: impl Iterator<Item = &'a str>) -> BTreeMap<String, Vec<&'a str>> {
     let mut cells = BTreeMap::new();
-    for (n, line) in text.lines().enumerate() {
-        if line.starts_with('#') || line.is_empty() {
-            continue;
-        }
+    for line in lines.filter(|l| !l.starts_with('#')) {
         let fields: Vec<&str> = line.split('\t').collect();
-        let [workload, agent, tiers, trace, stats, row] = fields[..] else {
-            panic!("golden corpus line {}: expected 6 tab-separated fields", n + 1);
-        };
-        let id = (workload.to_owned(), agent.to_owned(), tiers.to_owned());
-        let expect = Expect {
-            trace: trace.to_owned(),
-            stats: stats.to_owned(),
-            row: row.to_owned(),
-        };
-        assert!(
-            cells.insert(id, expect).is_none(),
-            "golden corpus line {}: duplicate cell",
-            n + 1
-        );
+        assert_eq!(fields.len(), COLUMNS.len(), "malformed corpus line: {line}");
+        let previous = cells.insert(fields[..3].join("/"), fields);
+        assert!(previous.is_none(), "duplicate corpus cell: {line}");
     }
     cells
 }
 
 #[test]
 fn golden_corpus_matches_every_cell() {
-    let expected = parse_corpus(CORPUS);
+    let expected = by_cell(CORPUS.lines());
     assert_eq!(expected.len(), 120, "corpus covers the whole matrix");
-    let actual = compute_corpus();
+    let lines = corpus_lines();
+    let actual = by_cell(lines.iter().map(String::as_str));
     let mut diffs = Vec::new();
-    for (id, want) in &expected {
-        let cell = format!("{}/{}/{}", id.0, id.1, id.2);
-        let Some(got) = actual.get(id) else {
-            diffs.push(format!("{cell}: not computed"));
-            continue;
-        };
-        for (field, w, g) in [
-            ("trace_sha256", &want.trace, &got.trace),
-            ("stats_sha256", &want.stats, &got.stats),
-            ("row", &want.row, &got.row),
-        ] {
-            if w != g {
-                diffs.push(format!("{cell} {field}:\n  expected {w}\n  actual   {g}"));
+    for cell in expected
+        .keys()
+        .chain(actual.keys())
+        .collect::<BTreeSet<_>>()
+    {
+        match (expected.get(cell), actual.get(cell)) {
+            (Some(want), Some(got)) => {
+                for (i, column) in COLUMNS.iter().enumerate().skip(3) {
+                    if want[i] != got[i] {
+                        diffs.push(format!(
+                            "{cell} {column}:\n  expected {}\n  actual   {}",
+                            want[i], got[i]
+                        ));
+                    }
+                }
             }
+            (Some(_), None) => diffs.push(format!("{cell}: not computed")),
+            (None, _) => diffs.push(format!("{cell}: missing from the corpus")),
         }
-    }
-    for id in actual.keys().filter(|id| !expected.contains_key(*id)) {
-        diffs.push(format!("{}/{}/{}: missing from the corpus", id.0, id.1, id.2));
     }
     assert!(
         diffs.is_empty(),
-        "{} golden cell field(s) differ:\n{}",
-        diffs.len(),
+        "golden cells differ:\n{}",
         diffs.join("\n")
     );
 }
 
 #[test]
 fn golden_corpus_covers_virtual_dispatch_and_both_compiled_tiers() {
-    let corpus = parse_corpus(CORPUS);
-    assert!(corpus.keys().any(|(w, _, _)| w == "mtrt"), "virtual dispatch");
+    let corpus = by_cell(CORPUS.lines());
+    assert!(corpus.keys().any(|cell| cell.starts_with("mtrt/")));
     // A full-tier row with non-zero c1 and c2 cycle columns.
-    let compiled = corpus.iter().any(|((_, _, tiers), e)| {
-        tiers == "full"
-            && !e.row.contains("\"c1_cycles\":\"0\"")
-            && !e.row.contains("\"c2_cycles\":\"0\"")
-    });
-    assert!(compiled, "some full-tier cell reaches both C1 and C2");
+    assert!(corpus.values().any(|fields| fields[2] == "full"
+        && !fields[5].contains("\"c1_cycles\":\"0\"")
+        && !fields[5].contains("\"c2_cycles\":\"0\"")));
 }
 
 #[test]
 #[ignore = "prints a regenerated corpus to stdout"]
 fn regenerate_golden_corpus() {
-    println!("{HEADER}");
-    for ((workload, agent, tiers), e) in compute_corpus() {
-        println!("{workload}\t{agent}\t{tiers}\t{}\t{}\t{}", e.trace, e.stats, e.row);
+    println!("# {}", COLUMNS.join("\t"));
+    for line in corpus_lines() {
+        println!("{line}");
     }
 }
