@@ -4,9 +4,11 @@
 //! Every other equivalence test compares two live runs, so a change that
 //! shifts both sides alike passes unnoticed. This one checks each run
 //! against `tests/golden/cells.tsv`: the canonical [`cell_row_json`] row,
-//! a SHA-256 of the run's transition-trace CSV export, and a SHA-256 of
-//! [`VmStats`] with its fields written out in declaration order. A
-//! mismatch names every differing cell with expected and actual values.
+//! a SHA-256 of the run's transition-trace CSV export, a SHA-256 of
+//! [`VmStats`] with its fields written out in declaration order, and a
+//! SHA-256 of the run's [`MetricsSnapshot`] (bucket cycles, counters,
+//! gauges and histograms, each in declaration order). A mismatch names
+//! every differing cell with expected and actual values.
 //!
 //! The ignored `regenerate_golden_corpus` test prints a fresh file. Every
 //! corpus line contains a tab and none of the test harness's lines do:
@@ -22,18 +24,20 @@ use std::sync::Arc;
 use jnativeprof::cell::{cell_row_json, CellQuantities};
 use jnativeprof::session::Session;
 use jvmsim_cache::Digest;
+use jvmsim_metrics::{Bucket, CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot};
 use jvmsim_trace::{csv::events_csv, TraceRecorder};
 use jvmsim_vm::{TiersMode, TraceSink, VmStats};
 use workloads::{by_name, ProblemSize};
 
 const CORPUS: &str = include_str!("golden/cells.tsv");
 
-const COLUMNS: [&str; 6] = [
+const COLUMNS: [&str; 7] = [
     "workload",
     "agent",
     "tiers",
     "trace_sha256",
     "stats_sha256",
+    "metrics_sha256",
     "row",
 ];
 
@@ -69,15 +73,45 @@ fn stats_digest(stats: &VmStats) -> String {
     Digest::of(text.as_bytes()).to_hex()
 }
 
+/// `name=value\n` for every bucket, counter, gauge and histogram of
+/// `snapshot`, each family in declaration order; a histogram line lists
+/// its bucket counts, then its sum and count.
+fn metrics_digest(snapshot: &MetricsSnapshot) -> String {
+    let mut text = String::new();
+    for bucket in Bucket::ALL {
+        let cycles = snapshot.bucket_cycles(bucket);
+        text.push_str(&format!("bucket.{}={cycles}\n", bucket.name()));
+    }
+    for id in CounterId::ALL {
+        text.push_str(&format!("counter.{}={}\n", id.name(), snapshot.counter(id)));
+    }
+    for id in GaugeId::ALL {
+        text.push_str(&format!("gauge.{}={}\n", id.name(), snapshot.gauge(id)));
+    }
+    for id in HistogramId::ALL {
+        let h = snapshot.histogram(id);
+        text.push_str(&format!(
+            "histogram.{}={:?},{},{}\n",
+            id.name(),
+            h.buckets,
+            h.sum,
+            h.count
+        ));
+    }
+    Digest::of(text.as_bytes()).to_hex()
+}
+
 /// The corpus line of one cell. The row is escaped onto one line
 /// (injectively, so comparing lines compares rows).
 fn cell_line(workload: &str, agent: &str, tiers: TiersMode) -> String {
     let w = by_name(workload).expect("corpus workload exists");
     let recorder = TraceRecorder::with_default_capacity();
+    let registry = MetricsRegistry::new();
     let run = Session::new(w.as_ref(), ProblemSize::S1)
         .agent(agent.parse().expect("corpus agent label"))
         .tiers(tiers)
         .trace(Arc::clone(&recorder) as Arc<dyn TraceSink>)
+        .metrics(registry.clone())
         .run()
         .unwrap_or_else(|e| panic!("{workload}/{agent}/{}: {e}", tiers.label()));
     let snapshot = recorder.snapshot();
@@ -88,8 +122,9 @@ fn cell_line(workload: &str, agent: &str, tiers: TiersMode) -> String {
         .replace('\t', "\\t");
     let trace = Digest::of(events_csv(&snapshot).as_bytes()).to_hex();
     let stats = stats_digest(&run.outcome.stats);
+    let metrics = metrics_digest(&registry.snapshot());
     format!(
-        "{workload}\t{}\t{}\t{trace}\t{stats}\t{row}",
+        "{workload}\t{}\t{}\t{trace}\t{stats}\t{metrics}\t{row}",
         run.agent,
         tiers.label()
     )
@@ -161,8 +196,8 @@ fn golden_corpus_covers_virtual_dispatch_and_both_compiled_tiers() {
     assert!(corpus.keys().any(|cell| cell.starts_with("mtrt/")));
     // A full-tier row with non-zero c1 and c2 cycle columns.
     assert!(corpus.values().any(|fields| fields[2] == "full"
-        && !fields[5].contains("\"c1_cycles\":\"0\"")
-        && !fields[5].contains("\"c2_cycles\":\"0\"")));
+        && !fields[6].contains("\"c1_cycles\":\"0\"")
+        && !fields[6].contains("\"c2_cycles\":\"0\"")));
 }
 
 #[test]
