@@ -12,16 +12,29 @@
 //! `total_cycles` at size 10 equals the constant pinned below — the bench is
 //! self-checking, not just a report. It also prints host speed in
 //! millions of simulated instructions per second (median of N runs).
+//!
+//! A second pass runs each workload at size 10 under the SPA agent, once
+//! bare and once with a metrics registry attached, and panics unless every
+//! run's SPA `total_cycles` equals the constant pinned below. It prints the
+//! host cost of one dispatched JVMTI event: the median SPA run time minus
+//! the median interp-only, no-agent run time of the same program (metered
+//! alike), divided by `events_dispatched`, plus the geometric mean over
+//! the workloads.
+//!
 //! Speed is reported, not gated: host-time regressions are gated end to
 //! end by the `hostbench` pipeline.
 //!
 //! Set `JVMSIM_BENCH_SMOKE=1` (as CI does) to shrink sample counts for a
-//! fast functional pass; the exactness gate still applies.
+//! fast functional pass; both exactness gates still apply.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use jvmsim_jvmti::Agent;
+use jvmsim_metrics::{Bucket, MetricsRegistry};
 use jvmsim_vm::{RunOutcome, TiersMode, Value};
+use nativeprof::SpaAgent;
 use workloads::{by_name, prepare_vm, WorkloadProgram};
 
 /// Interp-only `total_cycles` per workload at size 10.
@@ -36,7 +49,28 @@ const PINNED_CYCLES: [(&str, u64); 8] = [
     ("jbb", 47_596_738),
 ];
 
+/// SPA `total_cycles` per workload at size 10, identical with and
+/// without a metrics registry attached.
+const PINNED_SPA_CYCLES: [(&str, u64); 8] = [
+    ("compress", 136_117_814),
+    ("jess", 115_521_476),
+    ("db", 113_383_614),
+    ("javac", 139_649_116),
+    ("mpegaudio", 163_197_214),
+    ("mtrt", 143_325_691),
+    ("jack", 51_348_242),
+    ("jbb", 647_785_678),
+];
+
 const SIZE: i64 = 10;
+
+fn samples() -> usize {
+    if smoke() {
+        3
+    } else {
+        9
+    }
+}
 
 fn smoke() -> bool {
     std::env::var_os("JVMSIM_BENCH_SMOKE").is_some()
@@ -44,10 +78,51 @@ fn smoke() -> bool {
 
 /// One interpreter-only run of a pre-generated program.
 fn run(program: &WorkloadProgram) -> RunOutcome {
+    run_metered(program, false, false)
+}
+
+/// One run of a pre-generated program: under SPA if `spa` (method events
+/// turn the JIT off), interp-only with no agent otherwise, and with a
+/// metrics registry attached if `metered` (as `jprof report` and the
+/// hostbench matrix run cells).
+fn run_metered(program: &WorkloadProgram, spa: bool, metered: bool) -> RunOutcome {
     let mut vm = prepare_vm(program);
     vm.set_tiers_mode(TiersMode::InterpOnly);
+    if metered {
+        let registry = MetricsRegistry::new();
+        registry.set_agent_bucket(if spa {
+            Bucket::SpaProbe
+        } else {
+            Bucket::Workload
+        });
+        vm.set_metrics(registry);
+    }
+    if spa {
+        jvmsim_jvmti::attach(&mut vm, SpaAgent::new() as Arc<dyn Agent>)
+            .unwrap_or_else(|e| panic!("{}: SPA attach: {e}", program.entry_class));
+    }
     vm.run(&program.entry_class, "main", "(I)I", vec![Value::Int(SIZE)])
         .unwrap_or_else(|e| panic!("{}: {e:?}", program.entry_class))
+}
+
+/// Median host time of `samples()` runs of `run`, each on a freshly
+/// generated program (see [`bench_exactness_gate`]), and the last run's
+/// outcome.
+fn median_run(
+    name: &str,
+    mut run: impl FnMut(&WorkloadProgram) -> RunOutcome,
+) -> (Duration, RunOutcome) {
+    let mut times = Vec::with_capacity(samples());
+    let mut last = None;
+    for _ in 0..samples() {
+        let program = by_name(name).unwrap().program();
+        let t0 = Instant::now();
+        let outcome = black_box(run(&program));
+        times.push(t0.elapsed());
+        last = Some(outcome);
+    }
+    times.sort();
+    (times[times.len() / 2], last.expect("at least one sample"))
 }
 
 fn bench_interp(c: &mut Criterion) {
@@ -80,27 +155,19 @@ fn bench_exactness_gate(c: &mut Criterion) {
     // Zero-sample group so the gate shows up in the report ordering.
     let mut group = c.benchmark_group("interp_exactness");
     group.finish();
-    let samples = if smoke() { 3 } else { 9 };
     let mut wrong = Vec::new();
     for (name, pinned) in PINNED_CYCLES {
-        let mut times = Vec::with_capacity(samples);
-        let mut insns = 0;
-        for _ in 0..samples {
-            let program = by_name(name).unwrap().program();
-            let t0 = Instant::now();
-            let outcome = black_box(run(&program));
-            times.push(t0.elapsed());
-            insns = outcome.stats.insns;
+        let (median, outcome) = median_run(name, |program| {
+            let outcome = run(program);
             if outcome.total_cycles != pinned {
                 wrong.push(format!(
                     "{name}: {} != pinned {pinned}",
                     outcome.total_cycles
                 ));
             }
-        }
-        times.sort();
-        let median = times[times.len() / 2];
-        let minsn_per_s = insns as f64 / median.as_secs_f64().max(f64::EPSILON) / 1e6;
+            outcome
+        });
+        let minsn_per_s = outcome.stats.insns as f64 / median.as_secs_f64().max(f64::EPSILON) / 1e6;
         println!(
             "interp_exactness/{name:<10} pinned total_cycles {pinned:>11}  median {median:>10.3?}  {minsn_per_s:>7.1} Minsn/s"
         );
@@ -112,5 +179,55 @@ fn bench_exactness_gate(c: &mut Criterion) {
     );
 }
 
-criterion_group!(interp, bench_interp, bench_exactness_gate);
+/// The SPA gate: every SPA run's cycle total, bare and metered, equals
+/// the workload's pinned constant. Prints host ns per dispatched JVMTI
+/// event for both, per workload and as a geometric mean.
+fn bench_spa_event_cost(c: &mut Criterion) {
+    let mut group = c.benchmark_group("spa_event_cost");
+    group.finish();
+    let mut wrong = Vec::new();
+    let (mut log_bare, mut log_metered) = (0.0, 0.0);
+    for (name, pinned) in PINNED_SPA_CYCLES {
+        let mut ns_per_event = [0.0; 2];
+        for (metered, ns) in [false, true].into_iter().zip(&mut ns_per_event) {
+            let (interp, _) = median_run(name, |program| run_metered(program, false, metered));
+            let (spa, outcome) = median_run(name, |program| {
+                let outcome = run_metered(program, true, metered);
+                if outcome.total_cycles != pinned {
+                    wrong.push(format!(
+                        "{name} (metered: {metered}): {} != pinned {pinned}",
+                        outcome.total_cycles
+                    ));
+                }
+                outcome
+            });
+            let events = outcome.stats.events_dispatched.max(1) as f64;
+            *ns = (spa.saturating_sub(interp).as_nanos() as f64 / events).max(f64::EPSILON);
+        }
+        let [bare, metered] = ns_per_event;
+        log_bare += bare.ln();
+        log_metered += metered.ln();
+        println!(
+            "spa_event_cost/{name:<10} pinned total_cycles {pinned:>11}  {bare:>7.1} ns/event  {metered:>7.1} ns/event metered"
+        );
+    }
+    let n = PINNED_SPA_CYCLES.len() as f64;
+    println!(
+        "spa_event_cost/geomean    {:>7.1} ns/event  {:>7.1} ns/event metered",
+        (log_bare / n).exp(),
+        (log_metered / n).exp()
+    );
+    assert!(
+        wrong.is_empty(),
+        "SPA cycle totals moved: {}",
+        wrong.join("; ")
+    );
+}
+
+criterion_group!(
+    interp,
+    bench_interp,
+    bench_exactness_gate,
+    bench_spa_event_cost
+);
 criterion_main!(interp);
