@@ -176,7 +176,7 @@ impl Agent for ChainProfiler {
     }
 
     fn method_entry(&self, thread: ThreadId, method: MethodView<'_>) {
-        let env = self.env.get().expect("attached").clone();
+        let env = self.env.get().expect("attached");
         let stack = self.stack(thread);
         let mut stack = stack.lock();
         stack.push(Frame {
@@ -211,7 +211,7 @@ impl Agent for ChainProfiler {
     }
 
     fn method_exit(&self, thread: ThreadId, _method: MethodView<'_>, _via_exception: bool) {
-        let env = self.env.get().expect("attached").clone();
+        let env = self.env.get().expect("attached");
         let stack = self.stack(thread);
         stack.lock().pop();
         env.charge(thread, env.costs().agent_logic);

@@ -232,7 +232,7 @@ impl IpaAgent {
     }
 
     fn context(&self, thread: ThreadId) -> Arc<Mutex<TcIpa>> {
-        let env = self.env().clone();
+        let env = self.env();
         self.tls
             .get()
             .expect("IPA used before attach")
@@ -250,7 +250,7 @@ impl IpaAgent {
     /// generated native-method wrapper.
     pub fn j2n_begin(&self, thread: ThreadId) {
         self.native_method_calls.fetch_add(1, Ordering::Relaxed);
-        let env = self.env().clone();
+        let env = self.env();
         let _span = env.probe_span(thread, ProbeKind::Ipa);
         let tc = self.context(thread);
         let mut tc = tc.lock();
@@ -263,7 +263,7 @@ impl IpaAgent {
 
     /// `J2N_End()` — called in the wrapper's `finally`.
     pub fn j2n_end(&self, thread: ThreadId) {
-        let env = self.env().clone();
+        let env = self.env();
         let _span = env.probe_span(thread, ProbeKind::Ipa);
         let tc = self.context(thread);
         let mut tc = tc.lock();
@@ -278,7 +278,7 @@ impl IpaAgent {
     /// before the actual call.
     pub fn n2j_begin(&self, thread: ThreadId) {
         self.jni_calls.fetch_add(1, Ordering::Relaxed);
-        let env = self.env().clone();
+        let env = self.env();
         let _span = env.probe_span(thread, ProbeKind::Ipa);
         let tc = self.context(thread);
         let mut tc = tc.lock();
@@ -292,7 +292,7 @@ impl IpaAgent {
     /// `N2J_End()` — called by the intercepted JNI functions after the
     /// call returns (or unwinds).
     pub fn n2j_end(&self, thread: ThreadId) {
-        let env = self.env().clone();
+        let env = self.env();
         let _span = env.probe_span(thread, ProbeKind::Ipa);
         let tc = self.context(thread);
         let mut tc = tc.lock();
@@ -445,7 +445,7 @@ impl Agent for IpaAgent {
     }
 
     fn thread_end(&self, thread: ThreadId) {
-        let env = self.env().clone();
+        let env = self.env();
         // Remove the context so a re-run (or a reused thread id) cannot
         // double-count the already-banked split.
         let tc = self

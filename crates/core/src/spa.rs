@@ -81,7 +81,7 @@ impl SpaAgent {
     /// allocated on demand because the JVMTI "does not signal the
     /// ThreadStart event for the bootstrapping thread" (§III).
     fn context(&self, thread: ThreadId) -> Arc<Mutex<TcSpa>> {
-        let env = self.env().clone();
+        let env = self.env();
         self.tls().get_or_insert_with(thread, || {
             Mutex::new(TcSpa {
                 meter: Meter::new(env.timestamp(thread)),
@@ -132,7 +132,7 @@ impl Agent for SpaAgent {
     }
 
     fn method_entry(&self, thread: ThreadId, method: MethodView<'_>) {
-        let env = self.env().clone();
+        let env = self.env();
         let _span = env.probe_span(thread, ProbeKind::Spa);
         let tc = self.context(thread);
         let mut tc = tc.lock();
@@ -152,7 +152,7 @@ impl Agent for SpaAgent {
     }
 
     fn method_exit(&self, thread: ThreadId, method: MethodView<'_>, _via_exception: bool) {
-        let env = self.env().clone();
+        let env = self.env();
         let _span = env.probe_span(thread, ProbeKind::Spa);
         let tc = self.context(thread);
         let mut tc = tc.lock();
@@ -169,7 +169,7 @@ impl Agent for SpaAgent {
     }
 
     fn thread_end(&self, thread: ThreadId) {
-        let env = self.env().clone();
+        let env = self.env();
         // Take the context out of TLS: the thread is done, and a future
         // thread reusing the id (or a re-run of the VM) must start fresh
         // rather than double-count the banked split.

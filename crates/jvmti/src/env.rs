@@ -1,13 +1,12 @@
 //! The agent environment, agent trait, and attach protocol.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use jvmsim_faults::{FaultInjector, FaultSite};
-use jvmsim_metrics::{Bucket, BucketGuard, CounterId, HistogramId, MetricsRegistry, MetricsShard};
-use jvmsim_pcl::{Pcl, Timestamp};
+use jvmsim_metrics::{Bucket, BucketGuard, CounterId, HistogramId, MetricsRegistry};
+use jvmsim_pcl::{ClockHandle, Pcl, Timestamp};
 use jvmsim_vm::cost::CostModel;
 use jvmsim_vm::jni::{JniCallKey, JniEntryFn};
 use jvmsim_vm::{AllocationView, EventMask, MethodView, NativeLibrary, ThreadId, Vm, VmEventSink};
@@ -48,7 +47,7 @@ impl std::fmt::Debug for JvmtiEnv {
 }
 
 impl JvmtiEnv {
-    fn new(
+    pub(crate) fn new(
         pcl: Pcl,
         costs: Arc<CostModel>,
         faults: Arc<FaultInjector>,
@@ -74,39 +73,37 @@ impl JvmtiEnv {
         *self.granted.read()
     }
 
-    /// Charge `cycles` of agent work to `thread`'s clock.
+    /// Charge `cycles` of agent work to `thread`'s clock (a no-op for a
+    /// thread with no registered clock).
     pub fn charge(&self, thread: ThreadId, cycles: u64) {
-        if let Some(id) = self.pcl.clock_id(thread.index()) {
-            self.pcl.charge(id, cycles);
-        }
+        self.pcl.with_clock(thread.index(), |h| h.charge(cycles));
     }
 
     /// Read `thread`'s cycle counter — `PCL.getTimestamp(Thread)` — charging
     /// the read cost first (the read itself takes time, and that time is
     /// visible to the next read, exactly like a real `rdtsc` pair).
+    /// [`Timestamp::default()`] for a thread with no registered clock.
     pub fn timestamp(&self, thread: ThreadId) -> Timestamp {
-        match self.pcl.clock_id(thread.index()) {
-            Some(id) => {
-                self.pcl.charge(id, self.costs.timestamp_read);
-                let ts = self.pcl.timestamp(id);
+        self.pcl
+            .with_clock(thread.index(), |h| {
+                h.charge(self.costs.timestamp_read);
+                let ts = h.timestamp();
                 // Fault plane: a clock step-back anomaly — this reading
                 // observes an instant *earlier* than the previous one.
                 // Agent meters must saturate such intervals to zero, not
                 // underflow (pinned by the chaos invariant checks).
-                if let Some(entropy) = self.faults.inject(FaultSite::ClockStepBack) {
-                    return ts.rewound(entropy % 5_000 + 1);
+                match self.faults.inject(FaultSite::ClockStepBack) {
+                    Some(entropy) => ts.rewound(entropy % 5_000 + 1),
+                    None => ts,
                 }
-                ts
-            }
-            None => Timestamp::default(),
-        }
+            })
+            .unwrap_or_default()
     }
 
     /// Read `thread`'s counter without charging (harness-side inspection).
     pub fn timestamp_unaccounted(&self, thread: ThreadId) -> Timestamp {
         self.pcl
-            .clock_id(thread.index())
-            .map(|id| self.pcl.timestamp(id))
+            .with_clock(thread.index(), ClockHandle::timestamp)
             .unwrap_or_default()
     }
 
@@ -117,21 +114,26 @@ impl JvmtiEnv {
     /// histogram. A no-op (still cheap and safe) without a metrics
     /// registry.
     ///
+    /// The shard and start timestamp come from the thread's clock slot; the
+    /// registry's (locked) shard lookup is the fallback for a slot without.
+    ///
     /// This is how probe cost self-attribution works: the probe bodies do
     /// not estimate their own overhead — the span measures it from the
     /// same virtual clock the workload runs on.
-    pub fn probe_span(&self, thread: ThreadId, kind: ProbeKind) -> ProbeSpan {
+    pub fn probe_span(&self, thread: ThreadId, kind: ProbeKind) -> ProbeSpan<'_> {
         let state = self.metrics.as_ref().map(|metrics| {
-            let shard = metrics.shard(thread.index());
-            let guard = shard.enter(kind.bucket());
-            let start = self.timestamp_unaccounted(thread);
+            let (mirror, start) = self
+                .pcl
+                .with_clock(thread.index(), |h| {
+                    (h.metrics().map(|s| s.enter(kind.bucket())), h.timestamp())
+                })
+                .unwrap_or_default();
             ProbeState {
-                pcl: self.pcl.clone(),
+                pcl: &self.pcl,
                 thread,
-                shard,
                 kind,
                 start,
-                _guard: guard,
+                guard: mirror.unwrap_or_else(|| metrics.shard(thread.index()).enter(kind.bucket())),
             }
         });
         ProbeSpan { state }
@@ -211,24 +213,23 @@ impl ProbeKind {
     }
 }
 
-struct ProbeState {
-    pcl: Pcl,
+struct ProbeState<'a> {
+    pcl: &'a Pcl,
     thread: ThreadId,
-    shard: Arc<MetricsShard>,
     kind: ProbeKind,
     start: Timestamp,
-    _guard: BucketGuard,
+    guard: BucketGuard,
 }
 
 /// RAII guard for one probe activation (see [`JvmtiEnv::probe_span`]).
 /// Dropping it closes the attribution scope, counts the probe, and records
 /// the probe's measured cycle cost.
 #[must_use = "a probe span attributes cost only while it is alive"]
-pub struct ProbeSpan {
-    state: Option<ProbeState>,
+pub struct ProbeSpan<'a> {
+    state: Option<ProbeState<'a>>,
 }
 
-impl std::fmt::Debug for ProbeSpan {
+impl std::fmt::Debug for ProbeSpan<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProbeSpan")
             .field("active", &self.state.is_some())
@@ -236,18 +237,16 @@ impl std::fmt::Debug for ProbeSpan {
     }
 }
 
-impl Drop for ProbeSpan {
+impl Drop for ProbeSpan<'_> {
     fn drop(&mut self) {
         if let Some(state) = self.state.take() {
             let end = state
                 .pcl
-                .clock_id(state.thread.index())
-                .map(|id| state.pcl.timestamp(id))
+                .with_clock(state.thread.index(), ClockHandle::timestamp)
                 .unwrap_or_default();
-            state.shard.incr(state.kind.counter());
-            state
-                .shard
-                .observe(state.kind.histogram(), end.cycles_since(state.start));
+            let shard = state.guard.shard();
+            shard.incr(state.kind.counter());
+            shard.observe(state.kind.histogram(), end.cycles_since(state.start));
         }
     }
 }
@@ -257,8 +256,11 @@ impl Drop for ProbeSpan {
 pub struct AgentHost<'vm> {
     vm: &'vm mut Vm,
     env: JvmtiEnv,
-    enabled: HashSet<EventType>,
+    enabled: EnabledEvents,
 }
+
+/// Which events an agent enabled, indexed by `EventType as usize`.
+type EnabledEvents = [bool; EventType::ALL.len()];
 
 impl<'vm> AgentHost<'vm> {
     /// The environment handle to keep for the agent's lifetime.
@@ -284,7 +286,7 @@ impl<'vm> AgentHost<'vm> {
                 "event {event} requires a capability that was not requested"
             )));
         }
-        self.enabled.insert(event);
+        self.enabled[event as usize] = true;
         Ok(())
     }
 
@@ -411,44 +413,44 @@ pub trait Agent: Send + Sync + 'static {
 /// Adapter delivering VM events to the agent, filtered by what it enabled.
 struct AgentSink {
     agent: Arc<dyn Agent>,
-    enabled: HashSet<EventType>,
+    enabled: EnabledEvents,
 }
 
 impl VmEventSink for AgentSink {
     fn thread_start(&self, thread: ThreadId) {
-        if self.enabled.contains(&EventType::ThreadStart) {
+        if self.enabled[EventType::ThreadStart as usize] {
             self.agent.thread_start(thread);
         }
     }
     fn thread_end(&self, thread: ThreadId) {
-        if self.enabled.contains(&EventType::ThreadEnd) {
+        if self.enabled[EventType::ThreadEnd as usize] {
             self.agent.thread_end(thread);
         }
     }
     fn vm_death(&self) {
-        if self.enabled.contains(&EventType::VmDeath) {
+        if self.enabled[EventType::VmDeath as usize] {
             self.agent.vm_death();
         }
     }
     fn method_entry(&self, thread: ThreadId, method: MethodView<'_>) {
-        if self.enabled.contains(&EventType::MethodEntry) {
+        if self.enabled[EventType::MethodEntry as usize] {
             self.agent.method_entry(thread, method);
         }
     }
     fn method_exit(&self, thread: ThreadId, method: MethodView<'_>, via_exception: bool) {
-        if self.enabled.contains(&EventType::MethodExit) {
+        if self.enabled[EventType::MethodExit as usize] {
             self.agent.method_exit(thread, method, via_exception);
         }
     }
     fn class_file_load(&self, class_name: &str, bytes: &[u8]) -> Option<Vec<u8>> {
-        if self.enabled.contains(&EventType::ClassFileLoadHook) {
+        if self.enabled[EventType::ClassFileLoadHook as usize] {
             self.agent.class_file_load_hook(class_name, bytes)
         } else {
             None
         }
     }
     fn allocation(&self, thread: ThreadId, alloc: AllocationView<'_>) {
-        if self.enabled.contains(&EventType::Allocation) {
+        if self.enabled[EventType::Allocation as usize] {
             self.agent.allocation(thread, alloc);
         }
     }
@@ -478,20 +480,114 @@ pub fn attach(vm: &mut Vm, agent: Arc<dyn Agent>) -> Result<JvmtiEnv, JvmtiError
     let mut host = AgentHost {
         vm,
         env: env.clone(),
-        enabled: HashSet::new(),
+        enabled: [false; EventType::ALL.len()],
     };
     agent.on_load(&mut host)?;
     let enabled = host.enabled;
+    let on = |event: EventType| enabled[event as usize];
     let mask = EventMask {
-        thread_events: enabled.contains(&EventType::ThreadStart)
-            || enabled.contains(&EventType::ThreadEnd),
-        method_events: enabled.contains(&EventType::MethodEntry)
-            || enabled.contains(&EventType::MethodExit),
-        vm_death: enabled.contains(&EventType::VmDeath),
-        class_file_load_hook: enabled.contains(&EventType::ClassFileLoadHook),
-        alloc_events: enabled.contains(&EventType::Allocation),
+        thread_events: on(EventType::ThreadStart) || on(EventType::ThreadEnd),
+        method_events: on(EventType::MethodEntry) || on(EventType::MethodExit),
+        vm_death: on(EventType::VmDeath),
+        class_file_load_hook: on(EventType::ClassFileLoadHook),
+        alloc_events: on(EventType::Allocation),
     };
     vm.set_event_sink(Arc::new(AgentSink { agent, enabled }));
     vm.set_event_mask(mask);
     Ok(env)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jvmsim_metrics::MetricsShard;
+
+    fn env(pcl: &Pcl, metrics: Option<MetricsRegistry>) -> JvmtiEnv {
+        JvmtiEnv::new(
+            pcl.clone(),
+            Arc::new(CostModel::default()),
+            Arc::new(FaultInjector::disabled()),
+            metrics,
+        )
+    }
+
+    #[test]
+    fn clock_operations_on_a_thread_without_a_clock_are_no_ops() {
+        let pcl = Pcl::new();
+        let env = env(&pcl, None);
+        let thread = ThreadId::from_index(3);
+        env.charge(thread, 1_000);
+        assert_eq!(env.timestamp(thread), Timestamp::default());
+        assert_eq!(env.timestamp_unaccounted(thread), Timestamp::default());
+        drop(env.probe_span(thread, ProbeKind::Spa));
+        assert_eq!(pcl.thread_count(), 0);
+        assert_eq!(pcl.total_cycles(), 0);
+    }
+
+    #[test]
+    fn probe_span_without_a_clock_still_counts_into_the_registry() {
+        let pcl = Pcl::new();
+        let registry = MetricsRegistry::new();
+        let env = env(&pcl, Some(registry.clone()));
+        let thread = ThreadId::from_index(1);
+        {
+            let _span = env.probe_span(thread, ProbeKind::Spa);
+            env.charge(thread, 500);
+        }
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter(CounterId::SpaProbes), 1);
+        assert_eq!(snap.histogram(HistogramId::SpaProbeCycles).count, 1);
+        assert_eq!(snap.histogram(HistogramId::SpaProbeCycles).sum, 0);
+        assert_eq!(snap.total_cycles(), 0);
+        assert_eq!(pcl.total_cycles(), 0);
+    }
+
+    #[test]
+    fn probe_span_on_a_clock_without_a_mirror_counts_into_the_registry_shard() {
+        let pcl = Pcl::new();
+        let id = pcl.register_thread();
+        let registry = MetricsRegistry::new();
+        let env = env(&pcl, Some(registry.clone()));
+        let thread = ThreadId::from_index(id.index());
+        {
+            let _span = env.probe_span(thread, ProbeKind::Ipa);
+            assert_eq!(
+                registry.shard(thread.index()).current_bucket(),
+                Bucket::IpaProbe
+            );
+            env.charge(thread, 40);
+            let _ = env.timestamp(thread);
+        }
+        let cost = 40 + CostModel::default().timestamp_read;
+        assert_eq!(pcl.timestamp(id).cycles(), cost);
+        let shard = registry.shard(thread.index());
+        assert_eq!(shard.current_bucket(), Bucket::Workload);
+        let snap = shard.snapshot();
+        assert_eq!(snap.counter(CounterId::IpaProbes), 1);
+        assert_eq!(snap.histogram(HistogramId::IpaProbeCycles).sum, cost);
+        // No mirror, so the clock's charges never reach the ledger.
+        assert_eq!(snap.total_cycles(), 0);
+    }
+
+    #[test]
+    fn probe_span_attributes_through_the_clock_mirror() {
+        let pcl = Pcl::new();
+        let id = pcl.register_thread();
+        let registry = MetricsRegistry::new();
+        let shard: Arc<MetricsShard> = registry.shard(id.index());
+        pcl.attach_metrics(id, Arc::clone(&shard));
+        let env = env(&pcl, Some(registry.clone()));
+        let thread = ThreadId::from_index(id.index());
+        env.charge(thread, 7);
+        {
+            let _span = env.probe_span(thread, ProbeKind::Spa);
+            env.charge(thread, 30);
+        }
+        let snap = registry.snapshot();
+        assert_eq!(snap.bucket_cycles(Bucket::Workload), 7);
+        assert_eq!(snap.bucket_cycles(Bucket::SpaProbe), 30);
+        assert_eq!(snap.counter(CounterId::SpaProbes), 1);
+        assert_eq!(snap.histogram(HistogramId::SpaProbeCycles).sum, 30);
+        assert_eq!(snap.total_cycles(), pcl.total_cycles());
+    }
 }

@@ -605,6 +605,13 @@ pub struct BucketGuard {
     prev: u8,
 }
 
+impl BucketGuard {
+    /// The shard this scope attributes to.
+    pub fn shard(&self) -> &Arc<MetricsShard> {
+        &self.shard
+    }
+}
+
 impl Drop for BucketGuard {
     fn drop(&mut self) {
         self.shard
@@ -653,8 +660,9 @@ impl MetricsRegistry {
         self.inner.shards.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The shard for VM thread `index`, created on demand (registration is
-    /// the only locking path; recording never takes this lock).
+    /// The shard for VM thread `index`, created on demand. This locks, so
+    /// the VM calls it once per thread and attaches the shard to the
+    /// thread's PCL clock, where recording and probe spans find it.
     pub fn shard(&self, index: usize) -> Arc<MetricsShard> {
         if let Some(s) = self.read_shards().get(index) {
             return Arc::clone(s);

@@ -111,8 +111,11 @@ impl fmt::Display for Timestamp {
 /// The PCL registry: one virtual cycle counter per registered thread.
 ///
 /// Cloning is cheap (`Arc` inside); the VM and any number of agents share one
-/// instance. All operations are lock-free on the hot path (an atomic add per
-/// charge) — the `RwLock` only guards the registration vector.
+/// instance. Every registry operation on a clock takes one `RwLock` read of
+/// the slot table and then charges or reads the slot's [`ClockHandle`] in
+/// place: an atomic add per charge, plus one into the mirrored metrics shard
+/// if attached. Only registration and [`Pcl::attach_metrics`] write-lock.
+/// The VM's interpreter skips even the read lock by holding a cloned handle.
 #[derive(Clone, Default)]
 pub struct Pcl {
     inner: Arc<PclInner>,
@@ -120,12 +123,11 @@ pub struct Pcl {
 
 #[derive(Default)]
 struct PclInner {
-    clocks: RwLock<Vec<Arc<AtomicU64>>>,
-    /// Optional metric shard per clock (same index). When attached, every
-    /// charge is mirrored into the shard's current attribution bucket, so
-    /// the bucket totals sum to `total_cycles()` *exactly*. Mirroring never
-    /// charges cycles of its own.
-    shards: RwLock<Vec<Option<Arc<MetricsShard>>>>,
+    /// One handle per registered clock, indexed by [`ThreadClockId`]. A
+    /// slot's metrics shard, when attached, receives a mirror of every
+    /// charge, so the bucket totals sum to `total_cycles()` *exactly*.
+    /// Mirroring never charges cycles of its own.
+    slots: RwLock<Vec<ClockHandle>>,
     clock_hz: AtomicU64,
 }
 
@@ -170,15 +172,18 @@ impl Pcl {
 
     /// Number of registered thread clocks.
     pub fn thread_count(&self) -> usize {
-        self.inner.clocks.read().len()
+        self.inner.slots.read().len()
     }
 
     /// Register a new thread and return its clock id. The clock starts at 0.
     pub fn register_thread(&self) -> ThreadClockId {
-        let mut clocks = self.inner.clocks.write();
-        let id = ThreadClockId(u32::try_from(clocks.len()).expect("too many thread clocks"));
-        clocks.push(Arc::new(AtomicU64::new(0)));
-        self.inner.shards.write().push(None);
+        let mut slots = self.inner.slots.write();
+        let id = ThreadClockId(u32::try_from(slots.len()).expect("too many thread clocks"));
+        slots.push(ClockHandle {
+            clock: Arc::new(AtomicU64::new(0)),
+            shard: None,
+            id,
+        });
         id
     }
 
@@ -190,23 +195,25 @@ impl Pcl {
     ///
     /// Panics if `id` was not registered on this registry.
     pub fn attach_metrics(&self, id: ThreadClockId, shard: Arc<MetricsShard>) {
-        let mut shards = self.inner.shards.write();
-        let slot = shards
+        let mut slots = self.inner.slots.write();
+        let slot = slots
             .get_mut(id.index())
             .unwrap_or_else(|| panic!("unregistered {id}"));
-        *slot = Some(shard);
+        slot.shard = Some(shard);
     }
 
-    fn shard(&self, id: ThreadClockId) -> Option<Arc<MetricsShard>> {
-        self.inner.shards.read().get(id.index()).cloned().flatten()
+    /// Run `f` on the handle of the clock registered at `index`, under one
+    /// read lock and without cloning the handle, or return `None` if no
+    /// clock is registered there. Callers that both charge and read a clock
+    /// do it in one lookup this way. `f` must not register threads or
+    /// attach metrics on this registry.
+    pub fn with_clock<R>(&self, index: usize, f: impl FnOnce(&ClockHandle) -> R) -> Option<R> {
+        self.inner.slots.read().get(index).map(f)
     }
 
-    fn clock(&self, id: ThreadClockId) -> Arc<AtomicU64> {
-        let clocks = self.inner.clocks.read();
-        clocks
-            .get(id.index())
+    fn expect_clock<R>(&self, id: ThreadClockId, f: impl FnOnce(&ClockHandle) -> R) -> R {
+        self.with_clock(id.index(), f)
             .unwrap_or_else(|| panic!("unregistered {id}"))
-            .clone()
     }
 
     /// Advance thread `id`'s counter by `cycles`.
@@ -216,10 +223,7 @@ impl Pcl {
     /// Panics if `id` was not returned by [`Pcl::register_thread`] on this
     /// registry.
     pub fn charge(&self, id: ThreadClockId, cycles: u64) {
-        self.clock(id).fetch_add(cycles, Ordering::Relaxed);
-        if let Some(shard) = self.shard(id) {
-            shard.charge(cycles);
-        }
+        self.expect_clock(id, |h| h.charge(cycles));
     }
 
     /// Read thread `id`'s cycle counter — the paper's
@@ -229,7 +233,7 @@ impl Pcl {
     ///
     /// Panics if `id` was not registered on this registry.
     pub fn timestamp(&self, id: ThreadClockId) -> Timestamp {
-        Timestamp(self.clock(id).load(Ordering::Relaxed))
+        self.expect_clock(id, ClockHandle::timestamp)
     }
 
     /// Convert a cycle count to seconds at this registry's clock frequency.
@@ -241,22 +245,11 @@ impl Pcl {
     /// the denominator for whole-program native-time percentages.
     pub fn total_cycles(&self) -> u64 {
         self.inner
-            .clocks
+            .slots
             .read()
             .iter()
-            .map(|c| c.load(Ordering::Relaxed))
+            .map(ClockHandle::cycles)
             .sum()
-    }
-
-    /// Look up the clock id registered at `index`, if any. Thread tables
-    /// that register clocks in creation order (as the VM does) can map
-    /// their own indices back to clock ids with this.
-    pub fn clock_id(&self, index: usize) -> Option<ThreadClockId> {
-        if index < self.thread_count() {
-            Some(ThreadClockId(index as u32))
-        } else {
-            None
-        }
     }
 
     /// A cheap handle that charges one fixed clock without registry lookup.
@@ -264,11 +257,7 @@ impl Pcl {
     /// The VM's interpreter loop holds one of these per running thread so the
     /// per-instruction charge is a single relaxed atomic add.
     pub fn handle(&self, id: ThreadClockId) -> ClockHandle {
-        ClockHandle {
-            clock: self.clock(id),
-            shard: self.shard(id),
-            id,
-        }
+        self.expect_clock(id, ClockHandle::clone)
     }
 }
 
@@ -462,6 +451,18 @@ mod tests {
         pcl.charge(a, 50);
         assert!(pcl.handle(a).metrics().is_none());
         assert_eq!(shard.snapshot().total_cycles(), 0);
+    }
+
+    #[test]
+    fn with_clock_borrows_the_registered_slot() {
+        let pcl = Pcl::new();
+        let t = pcl.register_thread();
+        assert_eq!(pcl.with_clock(t.index() + 1, ClockHandle::cycles), None);
+        let read = pcl.with_clock(t.index(), |h| {
+            h.charge(3);
+            (h.id(), h.timestamp())
+        });
+        assert_eq!(read, Some((t, Timestamp::from_cycles(3))));
     }
 
     #[test]

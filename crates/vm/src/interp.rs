@@ -58,15 +58,13 @@ impl Vm {
         mid: MethodId,
         args: Vec<Value>,
     ) -> Result<Value, JThrow> {
-        let method_events = self.event_mask().method_events;
-        if method_events {
-            if let Some(sink) = self.sink() {
-                self.stats.events_dispatched += 1;
-                let _agent = self.agent_scope(thread);
-                self.metric_incr(thread, jvmsim_metrics::CounterId::JvmtiEvents);
-                self.charge(thread, self.cost().event_dispatch);
-                sink.method_entry(thread, self.registry.method_view(mid));
-            }
+        let sink = self.method_event_sink();
+        if let Some(sink) = &sink {
+            self.stats.events_dispatched += 1;
+            let _agent = self.agent_scope(thread);
+            self.metric_incr(thread, jvmsim_metrics::CounterId::JvmtiEvents);
+            self.charge(thread, self.cost().event_dispatch);
+            sink.method_entry(thread, self.registry.method_view(mid));
         }
         let is_native = self.registry.method(mid).is_native();
         let result = if is_native {
@@ -98,14 +96,12 @@ impl Vm {
             self.note_tier_cycles(tier, overhead);
             self.execute(thread, mid, tier, args)
         };
-        if method_events {
-            if let Some(sink) = self.sink() {
-                self.stats.events_dispatched += 1;
-                let _agent = self.agent_scope(thread);
-                self.metric_incr(thread, jvmsim_metrics::CounterId::JvmtiEvents);
-                self.charge(thread, self.cost().event_dispatch);
-                sink.method_exit(thread, self.registry.method_view(mid), result.is_err());
-            }
+        if let Some(sink) = &sink {
+            self.stats.events_dispatched += 1;
+            let _agent = self.agent_scope(thread);
+            self.metric_incr(thread, jvmsim_metrics::CounterId::JvmtiEvents);
+            self.charge(thread, self.cost().event_dispatch);
+            sink.method_exit(thread, self.registry.method_view(mid), result.is_err());
         }
         result
     }

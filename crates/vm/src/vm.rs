@@ -1163,8 +1163,9 @@ impl Vm {
         self.threads[thread.index()].depth = depth;
     }
 
-    pub(crate) fn sink(&self) -> Option<Arc<dyn VmEventSink>> {
-        self.sink.clone()
+    /// The event sink, when method entry/exit events are enabled.
+    pub(crate) fn method_event_sink(&self) -> Option<Arc<dyn VmEventSink>> {
+        self.mask.method_events.then(|| self.sink.clone())?
     }
 
     pub(crate) fn max_call_depth(&self) -> usize {
