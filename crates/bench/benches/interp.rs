@@ -16,10 +16,10 @@
 //! A second pass runs each workload at size 10 under the SPA agent, once
 //! bare and once with a metrics registry attached, and panics unless every
 //! run's SPA `total_cycles` equals the constant pinned below. It prints the
-//! host cost of one dispatched JVMTI event: the median SPA run time minus
-//! the median interp-only, no-agent run time of the same program (metered
-//! alike), divided by `events_dispatched`, plus the geometric mean over
-//! the workloads.
+//! host cost of one dispatched JVMTI event: an SPA run's time minus the
+//! time of the same program's interp-only, no-agent run (metered alike),
+//! divided by `events_dispatched`, as the median of N such pairs per
+//! workload and the geometric mean of those medians.
 //!
 //! Speed is reported, not gated: host-time regressions are gated end to
 //! end by the `hostbench` pipeline.
@@ -105,26 +105,6 @@ fn run_metered(program: &WorkloadProgram, spa: bool, metered: bool) -> RunOutcom
         .unwrap_or_else(|e| panic!("{}: {e:?}", program.entry_class))
 }
 
-/// Median host time of `samples()` runs of `run`, each on a freshly
-/// generated program (see [`bench_exactness_gate`]), and the last run's
-/// outcome.
-fn median_run(
-    name: &str,
-    mut run: impl FnMut(&WorkloadProgram) -> RunOutcome,
-) -> (Duration, RunOutcome) {
-    let mut times = Vec::with_capacity(samples());
-    let mut last = None;
-    for _ in 0..samples() {
-        let program = by_name(name).unwrap().program();
-        let t0 = Instant::now();
-        let outcome = black_box(run(&program));
-        times.push(t0.elapsed());
-        last = Some(outcome);
-    }
-    times.sort();
-    (times[times.len() / 2], last.expect("at least one sample"))
-}
-
 fn bench_interp(c: &mut Criterion) {
     let mut group = c.benchmark_group("interp");
     if smoke() {
@@ -155,19 +135,27 @@ fn bench_exactness_gate(c: &mut Criterion) {
     // Zero-sample group so the gate shows up in the report ordering.
     let mut group = c.benchmark_group("interp_exactness");
     group.finish();
+    let samples = samples();
     let mut wrong = Vec::new();
     for (name, pinned) in PINNED_CYCLES {
-        let (median, outcome) = median_run(name, |program| {
-            let outcome = run(program);
+        let mut times = Vec::with_capacity(samples);
+        let mut insns = 0;
+        for _ in 0..samples {
+            let program = by_name(name).unwrap().program();
+            let t0 = Instant::now();
+            let outcome = black_box(run(&program));
+            times.push(t0.elapsed());
+            insns = outcome.stats.insns;
             if outcome.total_cycles != pinned {
                 wrong.push(format!(
                     "{name}: {} != pinned {pinned}",
                     outcome.total_cycles
                 ));
             }
-            outcome
-        });
-        let minsn_per_s = outcome.stats.insns as f64 / median.as_secs_f64().max(f64::EPSILON) / 1e6;
+        }
+        times.sort();
+        let median = times[times.len() / 2];
+        let minsn_per_s = insns as f64 / median.as_secs_f64().max(f64::EPSILON) / 1e6;
         println!(
             "interp_exactness/{name:<10} pinned total_cycles {pinned:>11}  median {median:>10.3?}  {minsn_per_s:>7.1} Minsn/s"
         );
@@ -180,42 +168,58 @@ fn bench_exactness_gate(c: &mut Criterion) {
 }
 
 /// The SPA gate: every SPA run's cycle total, bare and metered, equals
-/// the workload's pinned constant. Prints host ns per dispatched JVMTI
-/// event for both, per workload and as a geometric mean.
+/// the workload's pinned constant. Each sample times an interp-only run
+/// and an SPA run back to back, each on a freshly generated program, and
+/// takes the difference per dispatched event; the pass prints the median
+/// for both, per workload and as a geometric mean.
 fn bench_spa_event_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("spa_event_cost");
     group.finish();
     let mut wrong = Vec::new();
-    let (mut log_bare, mut log_metered) = (0.0, 0.0);
+    let mut medians = [Vec::new(), Vec::new()];
     for (name, pinned) in PINNED_SPA_CYCLES {
-        let mut ns_per_event = [0.0; 2];
-        for (metered, ns) in [false, true].into_iter().zip(&mut ns_per_event) {
-            let (interp, _) = median_run(name, |program| run_metered(program, false, metered));
-            let (spa, outcome) = median_run(name, |program| {
-                let outcome = run_metered(program, true, metered);
+        let mut events = 0;
+        for (metered, medians) in [false, true].into_iter().zip(&mut medians) {
+            let mut ns_per_event = Vec::with_capacity(samples());
+            let program = || by_name(name).unwrap().program();
+            for _ in 0..samples() {
+                let (base, spa) = (program(), program());
+                let t0 = Instant::now();
+                black_box(run_metered(&base, false, metered));
+                let t1 = Instant::now();
+                let outcome = black_box(run_metered(&spa, true, metered));
+                let spa_time = t1.elapsed().as_secs_f64();
+                let base_time = (t1 - t0).as_secs_f64();
                 if outcome.total_cycles != pinned {
                     wrong.push(format!(
                         "{name} (metered: {metered}): {} != pinned {pinned}",
                         outcome.total_cycles
                     ));
                 }
-                outcome
-            });
-            let events = outcome.stats.events_dispatched.max(1) as f64;
-            *ns = (spa.saturating_sub(interp).as_nanos() as f64 / events).max(f64::EPSILON);
+                events = outcome.stats.events_dispatched;
+                ns_per_event.push((spa_time - base_time) * 1e9 / events.max(1) as f64);
+            }
+            ns_per_event.sort_by(f64::total_cmp);
+            medians.push(ns_per_event[ns_per_event.len() / 2]);
         }
-        let [bare, metered] = ns_per_event;
-        log_bare += bare.ln();
-        log_metered += metered.ln();
+        let (bare, metered) = (medians[0].last().unwrap(), medians[1].last().unwrap());
         println!(
-            "spa_event_cost/{name:<10} pinned total_cycles {pinned:>11}  {bare:>7.1} ns/event  {metered:>7.1} ns/event metered"
+            "spa_event_cost/{name:<10} pinned total_cycles {pinned:>11}  {events:>8} events  {bare:>7.1} ns/event  {metered:>7.1} ns/event metered"
         );
     }
-    let n = PINNED_SPA_CYCLES.len() as f64;
+    // A non-positive median (host noise above the events' cost) leaves
+    // the geometric mean undefined, printed as NaN.
+    let geomean = |xs: &[f64]| {
+        let logs: f64 = xs
+            .iter()
+            .map(|x| if *x > 0.0 { x.ln() } else { f64::NAN })
+            .sum();
+        (logs / xs.len() as f64).exp()
+    };
     println!(
         "spa_event_cost/geomean    {:>7.1} ns/event  {:>7.1} ns/event metered",
-        (log_bare / n).exp(),
-        (log_metered / n).exp()
+        geomean(&medians[0]),
+        geomean(&medians[1])
     );
     assert!(
         wrong.is_empty(),
