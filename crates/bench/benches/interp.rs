@@ -78,14 +78,14 @@ fn smoke() -> bool {
 
 /// One interpreter-only run of a pre-generated program.
 fn run(program: &WorkloadProgram) -> RunOutcome {
-    run_metered(program, false, false)
+    run_with(program, false, false)
 }
 
 /// One run of a pre-generated program: under SPA if `spa` (method events
 /// turn the JIT off), interp-only with no agent otherwise, and with a
 /// metrics registry attached if `metered` (as `jprof report` and the
 /// hostbench matrix run cells).
-fn run_metered(program: &WorkloadProgram, spa: bool, metered: bool) -> RunOutcome {
+fn run_with(program: &WorkloadProgram, spa: bool, metered: bool) -> RunOutcome {
     let mut vm = prepare_vm(program);
     vm.set_tiers_mode(TiersMode::InterpOnly);
     if metered {
@@ -185,9 +185,9 @@ fn bench_spa_event_cost(c: &mut Criterion) {
             for _ in 0..samples() {
                 let (base, spa) = (program(), program());
                 let t0 = Instant::now();
-                black_box(run_metered(&base, false, metered));
+                black_box(run_with(&base, false, metered));
                 let t1 = Instant::now();
-                let outcome = black_box(run_metered(&spa, true, metered));
+                let outcome = black_box(run_with(&spa, true, metered));
                 let spa_time = t1.elapsed().as_secs_f64();
                 let base_time = (t1 - t0).as_secs_f64();
                 if outcome.total_cycles != pinned {

@@ -500,7 +500,6 @@ pub fn attach(vm: &mut Vm, agent: Arc<dyn Agent>) -> Result<JvmtiEnv, JvmtiError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jvmsim_metrics::MetricsShard;
 
     fn env(pcl: &Pcl, metrics: Option<MetricsRegistry>) -> JvmtiEnv {
         JvmtiEnv::new(
@@ -574,7 +573,7 @@ mod tests {
         let pcl = Pcl::new();
         let id = pcl.register_thread();
         let registry = MetricsRegistry::new();
-        let shard: Arc<MetricsShard> = registry.shard(id.index());
+        let shard = registry.shard(id.index());
         pcl.attach_metrics(id, Arc::clone(&shard));
         let env = env(&pcl, Some(registry.clone()));
         let thread = ThreadId::from_index(id.index());
