@@ -5,9 +5,11 @@
 //! shifts both sides alike passes unnoticed. This one checks each run
 //! against `tests/golden/cells.tsv`: the canonical [`cell_row_json`] row,
 //! a SHA-256 of the run's transition-trace CSV export, a SHA-256 of
-//! [`VmStats`] with its fields written out in declaration order, and a
+//! [`VmStats`] with its fields written out in declaration order, a
 //! SHA-256 of the run's [`MetricsSnapshot`] (bucket cycles, counters,
-//! gauges and histograms, each in declaration order). A mismatch names
+//! gauges and histograms, each in declaration order) and the cell's
+//! [`Session::result_key`] in hex. A changed key silently orphans every
+//! result cache, so the key is pinned like an output. A mismatch names
 //! every differing cell with expected and actual values.
 //!
 //! The ignored `regenerate_golden_corpus` test prints a fresh file. Every
@@ -31,13 +33,14 @@ use workloads::{by_name, ProblemSize};
 
 const CORPUS: &str = include_str!("golden/cells.tsv");
 
-const COLUMNS: [&str; 7] = [
+const COLUMNS: [&str; 8] = [
     "workload",
     "agent",
     "tiers",
     "trace_sha256",
     "stats_sha256",
     "metrics_sha256",
+    "result_key",
     "row",
 ];
 
@@ -107,11 +110,13 @@ fn cell_line(workload: &str, agent: &str, tiers: TiersMode) -> String {
     let w = by_name(workload).expect("corpus workload exists");
     let recorder = TraceRecorder::with_default_capacity();
     let registry = MetricsRegistry::new();
-    let run = Session::new(w.as_ref(), ProblemSize::S1)
+    let session = Session::new(w.as_ref(), ProblemSize::S1)
         .agent(agent.parse().expect("corpus agent label"))
         .tiers(tiers)
         .trace(Arc::clone(&recorder) as Arc<dyn TraceSink>)
-        .metrics(registry.clone())
+        .metrics(registry.clone());
+    let key = session.result_key().digest().to_hex();
+    let run = session
         .run()
         .unwrap_or_else(|e| panic!("{workload}/{agent}/{}: {e}", tiers.label()));
     let snapshot = recorder.snapshot();
@@ -124,7 +129,7 @@ fn cell_line(workload: &str, agent: &str, tiers: TiersMode) -> String {
     let stats = stats_digest(&run.outcome.stats);
     let metrics = metrics_digest(&registry.snapshot());
     format!(
-        "{workload}\t{}\t{}\t{trace}\t{stats}\t{metrics}\t{row}",
+        "{workload}\t{}\t{}\t{trace}\t{stats}\t{metrics}\t{key}\t{row}",
         run.agent,
         tiers.label()
     )
@@ -196,8 +201,8 @@ fn golden_corpus_covers_virtual_dispatch_and_both_compiled_tiers() {
     assert!(corpus.keys().any(|cell| cell.starts_with("mtrt/")));
     // A full-tier row with non-zero c1 and c2 cycle columns.
     assert!(corpus.values().any(|fields| fields[2] == "full"
-        && !fields[6].contains("\"c1_cycles\":\"0\"")
-        && !fields[6].contains("\"c2_cycles\":\"0\"")));
+        && !fields[7].contains("\"c1_cycles\":\"0\"")
+        && !fields[7].contains("\"c2_cycles\":\"0\"")));
 }
 
 #[test]
