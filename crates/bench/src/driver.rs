@@ -453,8 +453,9 @@ fn execute_cell(cell: Cell, chaos_seed: Option<u64>, cache: Option<&CacheStore>)
         }
     });
     // Result-plane identity: needs the workload's program bytes, so an
-    // unknown workload has no key and falls through to the cold path,
-    // failing there with the same error as an uncached run.
+    // unknown workload, or one whose program panics, has no key and falls
+    // through to the guarded cold path, failing there exactly as an
+    // uncached run does.
     let result_key: Option<CacheKey> = cache.as_ref().and_then(|_| {
         let workload = by_name(cell.workload)?;
         let mut session = Session::new(workload.as_ref(), cell.size)
@@ -463,7 +464,7 @@ fn execute_cell(cell: Cell, chaos_seed: Option<u64>, cache: Option<&CacheStore>)
         if let Some((injector, _, _)) = &chaos {
             session = session.faults(Arc::clone(injector));
         }
-        Some(session.result_key())
+        catch_unwind(AssertUnwindSafe(|| session.result_key())).ok()
     });
     if let (Some(store), Some(key)) = (&cache, &result_key) {
         if let Some(bytes) = store.lookup(Plane::CellResult, key) {

@@ -2,7 +2,8 @@
 //!
 //! * a deliberately panicking workload is *quarantined* — its cells turn
 //!   into explicit failure records while every other cell completes and
-//!   the assembled artifacts are byte-identical to a run without it;
+//!   the assembled artifacts are byte-identical to a run without it, with
+//!   or without a result cache attached;
 //! * the hardening machinery itself (timeouts, retries, unwind isolation)
 //!   perturbs nothing: a hardened run's artifacts equal a plain run's;
 //! * a present-but-disabled fault injector changes no measurement;
@@ -14,10 +15,12 @@ use std::time::Duration;
 
 use jnativeprof::harness::AgentChoice;
 use jnativeprof::session::Session;
+use jvmsim_cache::CacheStore;
 use jvmsim_faults::FaultInjector;
+use jvmsim_metrics::CounterId;
 use nativeprof_bench::{
-    run_chaos, run_suite, run_suite_with_workloads, table1_artifact, table2_artifact,
-    CellFailureKind, SuiteConfig,
+    agents_artifact, run_chaos, run_suite, run_suite_with_workloads, table1_artifact,
+    table2_artifact, CellFailureKind, SuiteConfig, SuiteResult,
 };
 use workloads::{by_name, jvm98_suite, ProblemSize};
 
@@ -70,6 +73,52 @@ fn crashy_cells_retry_the_configured_number_of_times() {
     for failure in crashy {
         assert_eq!(failure.attempts, 3, "{failure}");
     }
+}
+
+#[test]
+fn crashy_workload_is_quarantined_with_a_cache_attached() {
+    // Deriving a cell's result key builds its program, which is exactly
+    // what panics for crashy: that panic must stay inside the cell.
+    let dir = std::env::temp_dir().join(format!("jvmsim-crashy-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CacheStore::open(&dir).unwrap();
+    let config = SuiteConfig::with_size(ProblemSize::S1)
+        .jobs(4)
+        .retries(2)
+        .cache(store);
+    let baseline = run_suite(config.clone());
+    assert!(baseline.failures.is_empty(), "{:?}", baseline.failures);
+
+    let mut names = jvm98_names();
+    names.push("crashy");
+    let with_crashy = run_suite_with_workloads(config, &names);
+
+    assert_eq!(with_crashy.failures.len(), 5, "{:?}", with_crashy.failures);
+    for failure in &with_crashy.failures {
+        assert_eq!(failure.workload, "crashy");
+        assert!(
+            matches!(&failure.kind, CellFailureKind::Panicked(m) if m.contains("deliberate")),
+            "{failure}"
+        );
+        assert_eq!(failure.attempts, 3, "{failure}");
+    }
+    // Every real row came from the cache the baseline filled, and its
+    // bytes are the baseline's.
+    let hits: u64 = with_crashy
+        .metrics
+        .iter()
+        .map(|e| e.snapshot.counter(CounterId::CacheHits))
+        .sum();
+    assert_eq!(hits, 40);
+    let artifacts = |suite: &SuiteResult| {
+        (
+            table1_artifact(&suite.table1, suite.jbb).to_csv(),
+            table2_artifact(&suite.table2).to_csv(),
+            agents_artifact(&suite.agent_rows).to_csv(),
+        )
+    };
+    assert_eq!(artifacts(&baseline), artifacts(&with_crashy));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
