@@ -27,9 +27,10 @@
 //! a poisoned entry is quarantined and the work recomputed, so a cached
 //! session can never differ from an uncached one by a single byte.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
-use jvmsim_cache::{CacheKey, CacheStore, KeyHasher, Plane};
+use jvmsim_cache::{CacheKey, CacheStore, Digest, KeyHasher, Plane};
 use jvmsim_faults::FaultInjector;
 use jvmsim_instr::{instrumentation_cache_key, Archive};
 use jvmsim_jvmti::Agent;
@@ -290,10 +291,18 @@ impl<'w> Session<'w> {
     /// change a run's Table I/II quantities. Two sessions with equal keys
     /// produce bit-identical [`RunOutcome`] quantities; the suite driver
     /// memoizes completed rows under this key.
+    ///
+    /// The program is not rebuilt per call: the archive digest is
+    /// computed once per process for each workload name (see
+    /// [`Workload::name`]), so a warm cache hit costs only hashing the
+    /// key fields.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a panic from [`Workload::program`] (the `crashy` drill
+    /// workload panics on every call).
     #[must_use]
     pub fn result_key(&self) -> CacheKey {
-        let program = self.workload.program();
-        let archive = encode_program_archive(&program);
         let mut k = KeyHasher::new("cell-result");
         k.field_str("workload", self.workload.name());
         k.field_u64("size", self.size.0 as u64);
@@ -321,7 +330,7 @@ impl<'w> Session<'w> {
             }
             None => k.field_str("faults", "none"),
         }
-        k.field_digest("archive", archive.digest());
+        k.field_digest("archive", archive_digest(self.workload));
         k.finish()
     }
 
@@ -492,6 +501,25 @@ pub(crate) fn encode_program_archive(program: &WorkloadProgram) -> Archive {
     archive
 }
 
+/// The digest of `workload`'s [`encode_program_archive`], computed once
+/// per process for each workload name. [`Workload::program`] takes no
+/// size and is deterministic, so the digest depends on the name alone.
+/// Only the digest is shared: programs carry native-library state across
+/// runs, so every run still builds its own.
+fn archive_digest(workload: &dyn Workload) -> Digest {
+    static MEMO: Mutex<BTreeMap<&'static str, Digest>> = Mutex::new(BTreeMap::new());
+    let memo = || MEMO.lock().expect("nothing panics while holding the memo");
+    let name = workload.name();
+    if let Some(&digest) = memo().get(name) {
+        return digest;
+    }
+    // Built outside the lock, so a panicking `program()` neither poisons
+    // the memo nor stores an entry. Racing threads compute equal digests.
+    let digest = encode_program_archive(&workload.program()).digest();
+    memo().insert(name, digest);
+    digest
+}
+
 /// Absorb every cost-model field, in declaration order, into a key. The
 /// cost model is part of a run's identity: a recalibrated model must never
 /// serve results cached under the old one.
@@ -655,6 +683,82 @@ mod tests {
             .agent(AgentChoice::ipa())
             .result_key();
         assert_eq!(spec_key, direct_key);
+    }
+
+    const WORKLOADS: [&str; 8] = [
+        "compress",
+        "jess",
+        "db",
+        "javac",
+        "mpegaudio",
+        "mtrt",
+        "jack",
+        "jbb",
+    ];
+
+    fn ipa_key(name: &str) -> CacheKey {
+        let w = by_name(name).unwrap();
+        Session::new(w.as_ref(), ProblemSize::S1)
+            .agent(AgentChoice::ipa())
+            .result_key()
+    }
+
+    /// Every workload's key, derived in order starting at `first`.
+    fn keys_from(first: usize) -> BTreeMap<&'static str, CacheKey> {
+        let order = WORKLOADS.iter().cycle().skip(first).take(WORKLOADS.len());
+        order.map(|&name| (name, ipa_key(name))).collect()
+    }
+
+    #[test]
+    fn concurrent_key_derivation_matches_serial() {
+        let barrier = std::sync::Barrier::new(4);
+        let concurrent: Vec<_> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..4)
+                .map(|t| {
+                    let barrier = &barrier;
+                    // Each thread starts at a different workload, so first
+                    // derivations race each other.
+                    scope.spawn(move || {
+                        barrier.wait();
+                        keys_from(2 * t)
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        let serial = keys_from(0);
+        for keys in &concurrent {
+            assert_eq!(keys, &serial);
+        }
+        // The memoized digest is the digest of a freshly built archive.
+        for name in WORKLOADS {
+            let w = by_name(name).unwrap();
+            assert_eq!(
+                archive_digest(w.as_ref()),
+                encode_program_archive(&w.program()).digest(),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn crashy_key_derivation_panics_every_time_and_poisons_nothing() {
+        for _ in 0..3 {
+            let payload = std::panic::catch_unwind(|| {
+                Session::new(&workloads::Crashy, ProblemSize::S1).result_key()
+            })
+            .expect_err("crashy's program() panics");
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .expect("a static panic message");
+            assert!(
+                message.contains("crashy: deliberate workload failure"),
+                "{message}"
+            );
+        }
+        // The memo's lock is not poisoned: every other key still derives.
+        assert_eq!(keys_from(0).len(), WORKLOADS.len());
     }
 
     #[test]
