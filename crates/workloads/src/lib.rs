@@ -88,6 +88,11 @@ impl std::fmt::Debug for WorkloadProgram {
 /// A benchmark in the suite.
 pub trait Workload: Send + Sync {
     /// SPEC-style short name (`compress`, `jess`, …).
+    ///
+    /// Within a process the name *is* the program's identity: it is a
+    /// field of every cell-result cache key, and the key's digest of
+    /// [`Workload::program`] is memoized per name. Two workloads with one
+    /// name must build the same program.
     fn name(&self) -> &'static str;
 
     /// Assemble the program.
