@@ -12,6 +12,11 @@
 //! result cache, so the key is pinned like an output. A mismatch names
 //! every differing cell with expected and actual values.
 //!
+//! Each cell also runs bare, with no metrics registry and no trace sink,
+//! and that run's row, `VmStats` digest and result key must match the
+//! same committed columns: observation planes never change a measured quantity, and the
+//! bare path is pinned absolutely rather than against a live metered run.
+//!
 //! The ignored `regenerate_golden_corpus` test prints a fresh file. Every
 //! corpus line contains a tab and none of the test harness's lines do:
 //!
@@ -104,47 +109,89 @@ fn metrics_digest(snapshot: &MetricsSnapshot) -> String {
     Digest::of(text.as_bytes()).to_hex()
 }
 
-/// The corpus line of one cell. The row is escaped onto one line
-/// (injectively, so comparing lines compares rows).
-fn cell_line(workload: &str, agent: &str, tiers: TiersMode) -> String {
+/// One run of a cell: its result key and its agent label, `row` and
+/// `stats_sha256` columns. The row is escaped onto one line (injectively,
+/// so comparing lines compares rows).
+struct CellRun {
+    key: String,
+    label: &'static str,
+    row: String,
+    stats: String,
+}
+
+/// Run one cell, with `observers` (a trace sink and a metrics registry)
+/// attached when given, bare otherwise.
+fn run_cell(
+    workload: &str,
+    agent: &str,
+    tiers: TiersMode,
+    observers: Option<(Arc<dyn TraceSink>, MetricsRegistry)>,
+) -> CellRun {
     let w = by_name(workload).expect("corpus workload exists");
-    let recorder = TraceRecorder::with_default_capacity();
-    let registry = MetricsRegistry::new();
-    let session = Session::new(w.as_ref(), ProblemSize::S1)
+    let mut session = Session::new(w.as_ref(), ProblemSize::S1)
         .agent(agent.parse().expect("corpus agent label"))
-        .tiers(tiers)
-        .trace(Arc::clone(&recorder) as Arc<dyn TraceSink>)
-        .metrics(registry.clone());
+        .tiers(tiers);
+    if let Some((trace, registry)) = observers {
+        session = session.trace(trace).metrics(registry);
+    }
     let key = session.result_key().digest().to_hex();
     let run = session
         .run()
         .unwrap_or_else(|e| panic!("{workload}/{agent}/{}: {e}", tiers.label()));
-    let snapshot = recorder.snapshot();
-    assert_eq!(snapshot.dropped(), 0, "trace buffer too small for size 1");
     let row = cell_row_json(workload, run.agent, 1, &CellQuantities::from_run(&run))
         .replace('\\', "\\\\")
         .replace('\n', "\\n")
         .replace('\t', "\\t");
+    CellRun {
+        key,
+        label: run.agent,
+        row,
+        stats: stats_digest(&run.outcome.stats),
+    }
+}
+
+/// The corpus line of one cell, run with a trace recorder and a metrics
+/// registry attached.
+fn cell_line(workload: &str, agent: &str, tiers: TiersMode) -> String {
+    let recorder = TraceRecorder::with_default_capacity();
+    let registry = MetricsRegistry::new();
+    let observers = (
+        Arc::clone(&recorder) as Arc<dyn TraceSink>,
+        registry.clone(),
+    );
+    let CellRun {
+        key,
+        label,
+        row,
+        stats,
+    } = run_cell(workload, agent, tiers, Some(observers));
+    let snapshot = recorder.snapshot();
+    assert_eq!(snapshot.dropped(), 0, "trace buffer too small for size 1");
     let trace = Digest::of(events_csv(&snapshot).as_bytes()).to_hex();
-    let stats = stats_digest(&run.outcome.stats);
     let metrics = metrics_digest(&registry.snapshot());
     format!(
-        "{workload}\t{}\t{}\t{trace}\t{stats}\t{metrics}\t{key}\t{row}",
-        run.agent,
+        "{workload}\t{label}\t{}\t{trace}\t{stats}\t{metrics}\t{key}\t{row}",
         tiers.label()
     )
 }
 
+/// Every cell of the matrix, with the corpus agent argument each was run
+/// with.
+fn cells() -> impl Iterator<Item = (&'static str, &'static str, TiersMode)> {
+    WORKLOADS.into_iter().flat_map(|workload| {
+        AGENTS.into_iter().flat_map(move |agent| {
+            TiersMode::ALL
+                .into_iter()
+                .map(move |tiers| (workload, agent, tiers))
+        })
+    })
+}
+
 /// Every cell of the matrix, one line each, in file order.
 fn corpus_lines() -> Vec<String> {
-    let mut lines = Vec::new();
-    for workload in WORKLOADS {
-        for agent in AGENTS {
-            for tiers in TiersMode::ALL {
-                lines.push(cell_line(workload, agent, tiers));
-            }
-        }
-    }
+    let mut lines: Vec<String> = cells()
+        .map(|(workload, agent, tiers)| cell_line(workload, agent, tiers))
+        .collect();
     lines.sort();
     lines
 }
@@ -191,6 +238,42 @@ fn golden_corpus_matches_every_cell() {
     assert!(
         diffs.is_empty(),
         "golden cells differ:\n{}",
+        diffs.join("\n")
+    );
+}
+
+#[test]
+fn golden_corpus_matches_every_bare_cell() {
+    let expected = by_cell(CORPUS.lines());
+    let mut diffs = Vec::new();
+    let mut checked = 0;
+    for (workload, agent, tiers) in cells() {
+        let run = run_cell(workload, agent, tiers, None);
+        let cell = format!("{workload}/{}/{}", run.label, tiers.label());
+        let Some(want) = expected.get(&cell) else {
+            diffs.push(format!("{cell}: missing from the corpus"));
+            continue;
+        };
+        checked += 1;
+        let columns = [
+            ("stats_sha256", &run.stats),
+            ("result_key", &run.key),
+            ("row", &run.row),
+        ];
+        for (column, got) in columns {
+            let i = COLUMNS.iter().position(|c| *c == column).expect("column");
+            if want[i] != got {
+                diffs.push(format!(
+                    "{cell} bare {column}:\n  expected {}\n  actual   {got}",
+                    want[i]
+                ));
+            }
+        }
+    }
+    assert_eq!(checked, 120, "every bare cell has a corpus line");
+    assert!(
+        diffs.is_empty(),
+        "bare golden cells differ:\n{}",
         diffs.join("\n")
     );
 }
