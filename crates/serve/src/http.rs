@@ -525,7 +525,7 @@ impl ResponseParser {
 ///
 /// Generic over [`Read`] so the parser can be driven by arbitrary byte
 /// sources (the fuzz tests feed it adversarial chunkings); the daemon
-/// passes a [`TcpStream`] with a read timeout of [`READ_POLL`] installed
+/// passes a [`TcpStream`] with a read timeout of `READ_POLL` installed
 /// (the connection loop sets it once). Each poll tick (`WouldBlock`)
 /// re-checks the drain flag and the per-request read deadline, so a
 /// stalled peer costs at most one tick after the deadline and a drain

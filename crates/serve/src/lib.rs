@@ -13,10 +13,10 @@
 //!   body), the routed `ApiRequest`/`ApiResponse` pair every endpoint
 //!   dispatches through, and the [`spec::ApiError`] envelope
 //!   (`{"error":{"code",…}}`) every non-2xx `/v1` response carries.
-//! * [`conn`] — the per-connection state machine (reading → parsing →
+//! * `conn` — the per-connection state machine (reading → parsing →
 //!   queued → executing → writing → keep-alive idle), unit-tested
 //!   against adversarial partial reads and writes.
-//! * [`timer`] — the hashed timer wheel pricing tens of thousands of
+//! * `timer` — the hashed timer wheel pricing tens of thousands of
 //!   connection deadlines at O(1) per event.
 //! * [`admission`] — the bounded queue into the worker pool and the
 //!   completion board back out of it; a full queue load-sheds

@@ -7,7 +7,7 @@
 //! [`polling::Poller::wait`] (epoll on Linux, `poll(2)` elsewhere) and
 //! on each wakeup drains three sources: worker completions off the
 //! [`CompletionBoard`], socket readiness events, and expired
-//! [`TimerWheel`] deadline candidates. Nothing CPU-bound runs on the
+//! `TimerWheel` deadline candidates. Nothing CPU-bound runs on the
 //! loop — a validated `POST /v1/run` miss is handed to the worker pool
 //! as a [`Job`] carrying a routing token, and the worker posts a
 //! [`Completion`] back to the board (waking the loop via its notifier)

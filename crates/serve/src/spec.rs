@@ -42,7 +42,7 @@ pub struct RunSpec {
     pub size: u32,
     /// Tiers mode label (`interp-only` / `tiered` / `full`; default
     /// `full`). Validated through the shared
-    /// [`TiersMode`](jvmsim_vm::TiersMode) parser in
+    /// [`TiersMode`](jnativeprof::vm::TiersMode) parser in
     /// [`Self::to_session_spec`].
     pub tiers: String,
 }

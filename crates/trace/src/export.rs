@@ -1,5 +1,5 @@
-//! The unified exporter interface over the [chrome][crate::chrome],
-//! [flame][crate::flame], and [csv][crate::csv] backends.
+//! The unified exporter interface over the [chrome], [flame], and [csv]
+//! backends.
 //!
 //! Each backend historically exposed one free function with its own shape
 //! (`chrome_trace_json` returned `Result<String, _>`, `collapsed_stacks`

@@ -5,7 +5,7 @@
 //! bytecode↔native transition IPA observes, every JIT promotion, and every
 //! thread's lifetime, each stamped with the emitting thread's PCL virtual
 //! clock. The [`TraceRecorder`] implements the VM's
-//! [`TraceSink`](jvmsim_vm::TraceSink) hook, so recording needs no changes
+//! [`TraceSink`] hook, so recording needs no changes
 //! to agents or workloads — install it with [`jvmsim_vm::Vm::set_trace_sink`]
 //! (and [IPA adopts it automatically at attach]) and export afterwards:
 //!
