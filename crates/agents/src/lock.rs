@@ -19,7 +19,7 @@ use jvmsim_jvmti::{
     Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError, LedgerSnapshot, MonitorRow,
     ProbeKind, RawMonitor,
 };
-use jvmsim_vm::ThreadId;
+use jvmsim_vm::ThreadInfo;
 
 #[derive(Debug, Default)]
 struct LockTotals {
@@ -64,7 +64,7 @@ impl LockAgent {
     /// the paper's "overall profiling statistics … updated upon thread
     /// termination" pattern, which is precisely the traffic the ledger
     /// observes.
-    fn update_totals(&self, thread: ThreadId, start: bool) {
+    fn update_totals(&self, thread: &ThreadInfo, start: bool) {
         let (Some(env), Some(totals)) = (self.env.get(), self.totals.get()) else {
             return;
         };
@@ -99,11 +99,11 @@ impl Agent for LockAgent {
         Ok(())
     }
 
-    fn thread_start(&self, thread: ThreadId) {
+    fn thread_start(&self, thread: &ThreadInfo) {
         self.update_totals(thread, true);
     }
 
-    fn thread_end(&self, thread: ThreadId) {
+    fn thread_end(&self, thread: &ThreadInfo) {
         self.update_totals(thread, false);
     }
 }

@@ -19,7 +19,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jnativeprof::harness::AgentChoice;
 use jnativeprof::session::{RunOutcome, Session};
-use jvmsim_vm::{builtins, MethodView, ThreadId, Value, Vm};
+use jvmsim_vm::{builtins, MethodView, ThreadInfo, Value, Vm};
 use nativeprof::{InstrumentationMode, IpaConfig};
 use workloads::{by_name, ProblemSize, Workload};
 
@@ -95,10 +95,10 @@ impl jvmsim_jvmti::Agent for TimestampEverything {
         self.env.set(host.env()).ok();
         Ok(())
     }
-    fn method_entry(&self, thread: ThreadId, _m: MethodView<'_>) {
+    fn method_entry(&self, thread: &ThreadInfo, _m: MethodView<'_>) {
         let _ = self.env.get().unwrap().timestamp(thread);
     }
-    fn method_exit(&self, thread: ThreadId, _m: MethodView<'_>, _e: bool) {
+    fn method_exit(&self, thread: &ThreadInfo, _m: MethodView<'_>, _e: bool) {
         let _ = self.env.get().unwrap().timestamp(thread);
     }
 }

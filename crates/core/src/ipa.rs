@@ -22,17 +22,15 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::Mutex;
-
 use jvmsim_instr::{bridge_class, NativeWrapperTransform, WrapperConfig};
 use jvmsim_jvmti::{
     Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError, ProbeKind, RawMonitor,
     ThreadLocalStorage,
 };
 use jvmsim_vm::cost::CostModel;
-use jvmsim_vm::{NativeLibrary, ThreadId, TraceEventKind, TraceSink, Value};
+use jvmsim_vm::{NativeLibrary, ThreadInfo, TraceEventKind, TraceSink, Value};
 
-use crate::stats::{Meter, NativeProfile, Side, TimeSplit};
+use crate::stats::{EventCount, Meter, NativeProfile, Side, TimeSplit};
 
 /// How the native-method wrappers get into the program (§IV discusses the
 /// trade-off and the paper settles on static).
@@ -136,10 +134,26 @@ struct TcIpa {
     in_native: bool,
 }
 
+impl TcIpa {
+    /// Bank the open span at `now` and return the thread's split.
+    fn close(&mut self, now: jvmsim_pcl::Timestamp) -> TimeSplit {
+        let side = Side::from_is_native(self.in_native);
+        self.meter.bank(side, now, 0);
+        self.meter.split
+    }
+}
+
 #[derive(Debug, Default)]
 struct IpaTotals {
     split: TimeSplit,
     threads: Vec<(String, TimeSplit)>,
+}
+
+impl IpaTotals {
+    fn absorb(&mut self, thread: &ThreadInfo, split: TimeSplit) {
+        self.split.absorb(split);
+        self.threads.push((format!("{}", thread.id()), split));
+    }
 }
 
 /// The Improved Profiling Agent.
@@ -147,13 +161,13 @@ pub struct IpaAgent {
     weak: Weak<IpaAgent>,
     config: IpaConfig,
     env: OnceLock<JvmtiEnv>,
-    tls: OnceLock<ThreadLocalStorage<Mutex<TcIpa>>>,
+    tls: OnceLock<ThreadLocalStorage<TcIpa>>,
     totals: OnceLock<RawMonitor<IpaTotals>>,
     comp: OnceLock<Compensation>,
     /// Table II "JNI calls": intercepted N2J transitions.
-    jni_calls: AtomicU64,
+    jni_calls: EventCount,
     /// Table II "native method calls": J2N transitions.
-    native_method_calls: AtomicU64,
+    native_method_calls: EventCount,
     /// Classes the dynamic `ClassFileLoadHook` failed to instrument (left
     /// uninstrumented; their native calls escape the J2N count).
     instrumentation_failures: AtomicU64,
@@ -188,8 +202,8 @@ impl IpaAgent {
             tls: OnceLock::new(),
             totals: OnceLock::new(),
             comp: OnceLock::new(),
-            jni_calls: AtomicU64::new(0),
-            native_method_calls: AtomicU64::new(0),
+            jni_calls: EventCount::default(),
+            native_method_calls: EventCount::default(),
             instrumentation_failures: AtomicU64::new(0),
             trace: OnceLock::new(),
         })
@@ -201,9 +215,9 @@ impl IpaAgent {
         let _ = self.trace.set(trace);
     }
 
-    fn trace_record(&self, thread: ThreadId, kind: TraceEventKind, now: jvmsim_pcl::Timestamp) {
+    fn trace_record(&self, thread: &ThreadInfo, kind: TraceEventKind, now: jvmsim_pcl::Timestamp) {
         if let Some(trace) = self.trace.get() {
-            trace.record(thread, kind, now.cycles(), None);
+            trace.record(thread.id(), kind, now.cycles(), None);
         }
     }
 
@@ -231,76 +245,76 @@ impl IpaAgent {
         self.comp.get().copied().unwrap_or_default()
     }
 
-    fn context(&self, thread: ThreadId) -> Arc<Mutex<TcIpa>> {
+    fn tls(&self) -> &ThreadLocalStorage<TcIpa> {
+        self.tls.get().expect("IPA used before attach")
+    }
+
+    fn totals(&self) -> &RawMonitor<IpaTotals> {
+        self.totals.get().expect("IPA used before attach")
+    }
+
+    fn new_context(&self, thread: &ThreadInfo) -> TcIpa {
+        TcIpa {
+            meter: Meter::new(self.env().timestamp(thread)),
+            in_native: true,
+        }
+    }
+
+    /// One transition probe: inside an IPA probe span, read the clock,
+    /// trace the transition, bank the span ending here (less `comp`), flip
+    /// `inNative`, and charge the agent logic — all on `thread`'s context.
+    fn transition(&self, thread: &ThreadInfo, kind: TraceEventKind, ending: Side, comp: u64) {
         let env = self.env();
-        self.tls
-            .get()
-            .expect("IPA used before attach")
-            .get_or_insert_with(thread, || {
-                Mutex::new(TcIpa {
-                    meter: Meter::new(env.timestamp(thread)),
-                    in_native: true,
-                })
-            })
+        let _span = env.probe_span(thread, ProbeKind::Ipa);
+        let make = || self.new_context(thread);
+        self.tls().with_or_insert(thread, make, |tc| {
+            let now = env.timestamp(thread);
+            self.trace_record(thread, kind, now);
+            tc.meter.bank(ending, now, comp);
+            tc.in_native = ending == Side::Bytecode;
+            env.charge(thread, env.costs().agent_logic);
+        });
     }
 
     // ------------------------------------------------- transition probes
 
     /// `J2N_Begin()` — called (via the bridge native) at the top of every
     /// generated native-method wrapper.
-    pub fn j2n_begin(&self, thread: ThreadId) {
-        self.native_method_calls.fetch_add(1, Ordering::Relaxed);
-        let env = self.env();
-        let _span = env.probe_span(thread, ProbeKind::Ipa);
-        let tc = self.context(thread);
-        let mut tc = tc.lock();
-        let now = env.timestamp(thread);
-        self.trace_record(thread, TraceEventKind::J2nBegin, now);
-        tc.meter.bank(Side::Bytecode, now, self.comp().j2n_begin);
-        tc.in_native = true;
-        env.charge(thread, env.costs().agent_logic);
+    pub fn j2n_begin(&self, thread: &ThreadInfo) {
+        self.native_method_calls.bump();
+        let comp = self.comp().j2n_begin;
+        self.transition(thread, TraceEventKind::J2nBegin, Side::Bytecode, comp);
     }
 
     /// `J2N_End()` — called in the wrapper's `finally`.
-    pub fn j2n_end(&self, thread: ThreadId) {
-        let env = self.env();
-        let _span = env.probe_span(thread, ProbeKind::Ipa);
-        let tc = self.context(thread);
-        let mut tc = tc.lock();
-        let now = env.timestamp(thread);
-        self.trace_record(thread, TraceEventKind::J2nEnd, now);
-        tc.meter.bank(Side::Native, now, self.comp().j2n_end);
-        tc.in_native = false;
-        env.charge(thread, env.costs().agent_logic);
+    pub fn j2n_end(&self, thread: &ThreadInfo) {
+        let comp = self.comp().j2n_end;
+        self.transition(thread, TraceEventKind::J2nEnd, Side::Native, comp);
     }
 
     /// `N2J_Begin()` — called by the intercepted JNI invocation functions
     /// before the actual call.
-    pub fn n2j_begin(&self, thread: ThreadId) {
-        self.jni_calls.fetch_add(1, Ordering::Relaxed);
-        let env = self.env();
-        let _span = env.probe_span(thread, ProbeKind::Ipa);
-        let tc = self.context(thread);
-        let mut tc = tc.lock();
-        let now = env.timestamp(thread);
-        self.trace_record(thread, TraceEventKind::N2jBegin, now);
-        tc.meter.bank(Side::Native, now, self.comp().n2j_begin);
-        tc.in_native = false;
-        env.charge(thread, env.costs().agent_logic);
+    pub fn n2j_begin(&self, thread: &ThreadInfo) {
+        self.jni_calls.bump();
+        let comp = self.comp().n2j_begin;
+        self.transition(thread, TraceEventKind::N2jBegin, Side::Native, comp);
     }
 
     /// `N2J_End()` — called by the intercepted JNI functions after the
     /// call returns (or unwinds).
-    pub fn n2j_end(&self, thread: ThreadId) {
-        let env = self.env();
-        let _span = env.probe_span(thread, ProbeKind::Ipa);
-        let tc = self.context(thread);
-        let mut tc = tc.lock();
-        let now = env.timestamp(thread);
-        self.trace_record(thread, TraceEventKind::N2jEnd, now);
-        tc.meter.bank(Side::Bytecode, now, self.comp().n2j_end);
-        tc.in_native = true;
-        env.charge(thread, env.costs().agent_logic);
+    pub fn n2j_end(&self, thread: &ThreadInfo) {
+        let comp = self.comp().n2j_end;
+        self.transition(thread, TraceEventKind::N2jEnd, Side::Bytecode, comp);
+    }
+
+    /// This agent as an owned handle, for the probes installed in the VM.
+    /// The VM's event sink already owns the agent for the VM's lifetime,
+    /// so the probes hold it strongly: a probe call is then a plain call,
+    /// with no upgrade of a weak reference per transition.
+    fn strong(&self) -> Arc<IpaAgent> {
+        self.weak
+            .upgrade()
+            .expect("an attaching agent is owned by an Arc")
     }
 
     /// Build the native library implementing the bridge class's four
@@ -308,40 +322,20 @@ impl IpaAgent {
     fn bridge_library(&self) -> NativeLibrary {
         let class = self.config.wrapper.bridge_class.clone();
         let mut lib = NativeLibrary::new("nativeprof-ipa");
-        fn probe(
-            weak: Weak<IpaAgent>,
-            f: fn(&IpaAgent, ThreadId),
-        ) -> impl Fn(&mut jvmsim_vm::JniEnv<'_>, &[Value]) -> Result<Value, jvmsim_vm::JThrow>
-               + Send
-               + Sync
-               + 'static {
-            move |env, _args| {
-                if let Some(agent) = weak.upgrade() {
-                    f(&agent, env.thread());
-                }
+        type Probe = fn(&IpaAgent, &ThreadInfo);
+        let probes: [(&str, Probe); 4] = [
+            ("J2N_Begin", IpaAgent::j2n_begin),
+            ("J2N_End", IpaAgent::j2n_end),
+            ("N2J_Begin", IpaAgent::n2j_begin),
+            ("N2J_End", IpaAgent::n2j_end),
+        ];
+        for (name, probe) in probes {
+            let agent = self.strong();
+            lib.register_method(&class, name, move |env, _args| {
+                probe(&agent, env.thread_info());
                 Ok(Value::Null)
-            }
+            });
         }
-        lib.register_method(
-            &class,
-            "J2N_Begin",
-            probe(self.weak.clone(), IpaAgent::j2n_begin),
-        );
-        lib.register_method(
-            &class,
-            "J2N_End",
-            probe(self.weak.clone(), IpaAgent::j2n_end),
-        );
-        lib.register_method(
-            &class,
-            "N2J_Begin",
-            probe(self.weak.clone(), IpaAgent::n2j_begin),
-        );
-        lib.register_method(
-            &class,
-            "N2J_End",
-            probe(self.weak.clone(), IpaAgent::n2j_end),
-        );
         lib
     }
 
@@ -364,8 +358,8 @@ impl IpaAgent {
         let totals = totals.enter_unaccounted();
         NativeProfile {
             total: totals.split,
-            jni_calls: self.jni_calls.load(Ordering::Relaxed),
-            native_method_calls: self.native_method_calls.load(Ordering::Relaxed),
+            jni_calls: self.jni_calls.get(),
+            native_method_calls: self.native_method_calls.get(),
             threads: totals.threads.clone(),
         }
     }
@@ -394,18 +388,13 @@ impl Agent for IpaAgent {
         // without it (JVMTI 1.1 native method prefixing).
         host.set_native_method_prefix(&self.config.wrapper.prefix)?;
         // Install the 90 JNI invocation wrappers.
-        let weak = self.weak.clone();
+        let agent = self.strong();
         host.intercept_jni_functions(move |_key, original| {
-            let weak = weak.clone();
+            let agent = Arc::clone(&agent);
             Arc::new(move |env, spec| {
-                let agent = weak.upgrade();
-                if let Some(a) = &agent {
-                    a.n2j_begin(env.thread());
-                }
+                agent.n2j_begin(env.thread_info());
                 let result = original(env, spec);
-                if let Some(a) = &agent {
-                    a.n2j_end(env.thread());
-                }
+                agent.n2j_end(env.thread_info());
                 result
             })
         })?;
@@ -432,58 +421,35 @@ impl Agent for IpaAgent {
         Ok(())
     }
 
-    fn thread_start(&self, thread: ThreadId) {
-        let env = self.env();
-        let tc = TcIpa {
-            meter: Meter::new(env.timestamp(thread)),
-            in_native: true,
-        };
-        self.tls
-            .get()
-            .expect("attached")
-            .put(thread, Arc::new(Mutex::new(tc)));
+    fn thread_start(&self, thread: &ThreadInfo) {
+        let tc = self.new_context(thread);
+        self.tls().put(thread, tc);
     }
 
-    fn thread_end(&self, thread: ThreadId) {
+    fn thread_end(&self, thread: &ThreadInfo) {
         let env = self.env();
         // Remove the context so a re-run (or a reused thread id) cannot
         // double-count the already-banked split.
-        let tc = self
-            .tls
-            .get()
-            .expect("attached")
-            .remove(thread)
-            .unwrap_or_else(|| self.context(thread));
-        let split = {
-            let mut tc = tc.lock();
-            let side = Side::from_is_native(tc.in_native);
-            let now = env.timestamp(thread);
-            tc.meter.bank(side, now, 0);
-            tc.meter.split
+        let totals = match self.tls().remove(thread) {
+            Some(mut tc) => tc.close(env.timestamp(thread)),
+            None => {
+                let make = || self.new_context(thread);
+                self.tls()
+                    .with_or_insert(thread, make, |tc| tc.close(env.timestamp(thread)))
+            }
         };
-        let totals = self.totals.get().expect("attached");
-        let mut g = totals.enter(thread);
-        g.split.absorb(split);
-        g.threads.push((format!("{thread}"), split));
+        self.totals().enter(thread).absorb(thread, totals);
     }
 
-    fn vm_death(&self) {
+    fn vm_death(&self, threads: &[ThreadInfo]) {
         // Statistics are exposed via `report()`. Fold in any thread that
-        // never saw ThreadEnd so no measured time is lost.
-        let tls = self.tls.get().expect("attached");
-        for (thread, tc) in tls.entries() {
-            let split = {
-                let mut tc = tc.lock();
-                let side = Side::from_is_native(tc.in_native);
-                let now = self.env().timestamp_unaccounted(thread);
-                tc.meter.bank(side, now, 0);
-                tc.meter.split
-            };
-            tls.remove(thread);
-            let totals = self.totals.get().expect("attached");
-            let mut g = totals.enter_unaccounted();
-            g.split.absorb(split);
-            g.threads.push((format!("{thread}"), split));
+        // never saw ThreadEnd so no measured time is lost, in ascending
+        // thread order.
+        for thread in self.tls().holders(threads) {
+            let now = self.env().timestamp_unaccounted(thread);
+            let mut tc = self.tls().remove(thread).expect("a holder holds");
+            let totals = tc.close(now);
+            self.totals().enter_unaccounted().absorb(thread, totals);
         }
     }
 

@@ -11,18 +11,15 @@
 //! measures 1 527 % – 41 775 %). It exists as the baseline that motivates
 //! IPA.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
 
 use jvmsim_jvmti::{
     Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError, ProbeKind, RawMonitor,
     ThreadLocalStorage,
 };
-use jvmsim_vm::{MethodView, ThreadId};
+use jvmsim_vm::{MethodView, ThreadInfo};
 
-use crate::stats::{Meter, NativeProfile, Side, TimeSplit};
+use crate::stats::{EventCount, Meter, NativeProfile, Side, TimeSplit};
 
 /// The paper's `TC_SPA` thread context: last timestamp, per-side cycle
 /// counters, and the reified boolean stack.
@@ -33,6 +30,15 @@ struct TcSpa {
     stack: Vec<bool>,
 }
 
+impl TcSpa {
+    /// Bank the open span at `now` and return the thread's split.
+    fn close(&mut self, now: jvmsim_pcl::Timestamp) -> TimeSplit {
+        let in_native = self.stack.last().copied().unwrap_or(true);
+        self.meter.bank(Side::from_is_native(in_native), now, 0);
+        self.meter.split
+    }
+}
+
 /// Global profiling state, guarded by a raw monitor (§II-B c).
 #[derive(Debug, Default)]
 struct SpaTotals {
@@ -40,14 +46,21 @@ struct SpaTotals {
     threads: Vec<(String, TimeSplit)>,
 }
 
+impl SpaTotals {
+    fn absorb(&mut self, thread: &ThreadInfo, split: TimeSplit) {
+        self.split.absorb(split);
+        self.threads.push((format!("{}", thread.id()), split));
+    }
+}
+
 /// The Simple Profiling Agent.
 pub struct SpaAgent {
     env: OnceLock<JvmtiEnv>,
-    tls: OnceLock<ThreadLocalStorage<Mutex<TcSpa>>>,
+    tls: OnceLock<ThreadLocalStorage<TcSpa>>,
     totals: OnceLock<RawMonitor<SpaTotals>>,
     /// Extension over Fig. 1: SPA sees every invocation anyway, so it can
     /// count native-method entries for free.
-    native_entries: AtomicU64,
+    native_entries: EventCount,
 }
 
 impl std::fmt::Debug for SpaAgent {
@@ -65,7 +78,7 @@ impl SpaAgent {
             env: OnceLock::new(),
             tls: OnceLock::new(),
             totals: OnceLock::new(),
-            native_entries: AtomicU64::new(0),
+            native_entries: EventCount::default(),
         })
     }
 
@@ -73,21 +86,24 @@ impl SpaAgent {
         self.env.get().expect("SPA used before attach")
     }
 
-    fn tls(&self) -> &ThreadLocalStorage<Mutex<TcSpa>> {
+    fn tls(&self) -> &ThreadLocalStorage<TcSpa> {
         self.tls.get().expect("SPA used before attach")
+    }
+
+    fn totals(&self) -> &RawMonitor<SpaTotals> {
+        self.totals.get().expect("SPA used before attach")
     }
 
     /// The paper's `GetThreadLocalStorage` helper: the thread context is
     /// allocated on demand because the JVMTI "does not signal the
     /// ThreadStart event for the bootstrapping thread" (§III).
-    fn context(&self, thread: ThreadId) -> Arc<Mutex<TcSpa>> {
+    fn with_context<R>(&self, thread: &ThreadInfo, f: impl FnOnce(&mut TcSpa) -> R) -> R {
         let env = self.env();
-        self.tls().get_or_insert_with(thread, || {
-            Mutex::new(TcSpa {
-                meter: Meter::new(env.timestamp(thread)),
-                stack: Vec::with_capacity(256),
-            })
-        })
+        let make = || TcSpa {
+            meter: Meter::new(env.timestamp(thread)),
+            stack: Vec::with_capacity(256),
+        };
+        self.tls().with_or_insert(thread, make, f)
     }
 
     /// Final statistics (what Fig. 1's `VMDeath` prints).
@@ -102,7 +118,7 @@ impl SpaAgent {
         NativeProfile {
             total: totals.split,
             jni_calls: 0, // SPA cannot attribute entries to JNI upcalls
-            native_method_calls: self.native_entries.load(Ordering::Relaxed),
+            native_method_calls: self.native_entries.get(),
             threads: totals.threads.clone(),
         }
     }
@@ -125,89 +141,71 @@ impl Agent for SpaAgent {
         Ok(())
     }
 
-    fn thread_start(&self, thread: ThreadId) {
+    fn thread_start(&self, thread: &ThreadInfo) {
         // Same construction as the lazy path; creating it here just makes
         // the meter start at the thread's first instant.
-        let _ = self.context(thread);
+        self.with_context(thread, |_| ());
     }
 
-    fn method_entry(&self, thread: ThreadId, method: MethodView<'_>) {
+    fn method_entry(&self, thread: &ThreadInfo, method: MethodView<'_>) {
         let env = self.env();
         let _span = env.probe_span(thread, ProbeKind::Spa);
-        let tc = self.context(thread);
-        let mut tc = tc.lock();
-        let is_native_m = method.is_native;
-        if is_native_m {
-            self.native_entries.fetch_add(1, Ordering::Relaxed);
-        }
-        // "We assume that each thread initially executes native code."
-        let is_native_caller = tc.stack.last().copied().unwrap_or(true);
-        if is_native_m != is_native_caller {
-            let now = env.timestamp(thread);
-            tc.meter
-                .bank(Side::from_is_native(is_native_caller), now, 0);
-        }
-        tc.stack.push(is_native_m);
-        env.charge(thread, env.costs().agent_logic);
+        self.with_context(thread, |tc| {
+            let is_native_m = method.is_native;
+            if is_native_m {
+                self.native_entries.bump();
+            }
+            // "We assume that each thread initially executes native code."
+            let is_native_caller = tc.stack.last().copied().unwrap_or(true);
+            if is_native_m != is_native_caller {
+                let now = env.timestamp(thread);
+                tc.meter
+                    .bank(Side::from_is_native(is_native_caller), now, 0);
+            }
+            tc.stack.push(is_native_m);
+            env.charge(thread, env.costs().agent_logic);
+        });
     }
 
-    fn method_exit(&self, thread: ThreadId, method: MethodView<'_>, _via_exception: bool) {
+    fn method_exit(&self, thread: &ThreadInfo, method: MethodView<'_>, _via_exception: bool) {
         let env = self.env();
         let _span = env.probe_span(thread, ProbeKind::Spa);
-        let tc = self.context(thread);
-        let mut tc = tc.lock();
-        // The reified stack tells us the implementation-type of the method
-        // being left; for frames entered before the context existed
-        // (bootstrap thread) fall back to the event's view.
-        let is_native_m = tc.stack.pop().unwrap_or(method.is_native);
-        let is_native_caller = tc.stack.last().copied().unwrap_or(true);
-        if is_native_m != is_native_caller {
-            let now = env.timestamp(thread);
-            tc.meter.bank(Side::from_is_native(is_native_m), now, 0);
-        }
-        env.charge(thread, env.costs().agent_logic);
+        self.with_context(thread, |tc| {
+            // The reified stack tells us the implementation-type of the
+            // method being left; for frames entered before the context
+            // existed (bootstrap thread) fall back to the event's view.
+            let is_native_m = tc.stack.pop().unwrap_or(method.is_native);
+            let is_native_caller = tc.stack.last().copied().unwrap_or(true);
+            if is_native_m != is_native_caller {
+                let now = env.timestamp(thread);
+                tc.meter.bank(Side::from_is_native(is_native_m), now, 0);
+            }
+            env.charge(thread, env.costs().agent_logic);
+        });
     }
 
-    fn thread_end(&self, thread: ThreadId) {
+    fn thread_end(&self, thread: &ThreadInfo) {
         let env = self.env();
         // Take the context out of TLS: the thread is done, and a future
         // thread reusing the id (or a re-run of the VM) must start fresh
         // rather than double-count the banked split.
-        let tc = self
-            .tls()
-            .remove(thread)
-            .unwrap_or_else(|| self.context(thread));
-        let split = {
-            let mut tc = tc.lock();
-            let in_native = tc.stack.last().copied().unwrap_or(true);
-            let now = env.timestamp(thread);
-            tc.meter.bank(Side::from_is_native(in_native), now, 0);
-            tc.meter.split
+        let totals = match self.tls().remove(thread) {
+            Some(mut tc) => tc.close(env.timestamp(thread)),
+            None => self.with_context(thread, |tc| tc.close(env.timestamp(thread))),
         };
-        let totals = self.totals.get().expect("attached");
-        let mut g = totals.enter(thread);
-        g.split.absorb(split);
-        g.threads.push((format!("{thread}"), split));
+        self.totals().enter(thread).absorb(thread, totals);
     }
 
-    fn vm_death(&self) {
+    fn vm_death(&self, threads: &[ThreadInfo]) {
         // Fig. 1 prints the statistics here; this port exposes them via
         // `report()` instead. Fold in any thread that never saw ThreadEnd
         // (defensive: the VM ends every thread it starts, but an agent must
-        // not lose data if one slips through).
-        for (thread, tc) in self.tls().entries() {
-            let split = {
-                let mut tc = tc.lock();
-                let in_native = tc.stack.last().copied().unwrap_or(true);
-                let now = self.env().timestamp_unaccounted(thread);
-                tc.meter.bank(Side::from_is_native(in_native), now, 0);
-                tc.meter.split
-            };
-            self.tls().remove(thread);
-            let totals = self.totals.get().expect("attached");
-            let mut g = totals.enter_unaccounted();
-            g.split.absorb(split);
-            g.threads.push((format!("{thread}"), split));
+        // not lose data if one slips through), in ascending thread order.
+        for thread in self.tls().holders(threads) {
+            let now = self.env().timestamp_unaccounted(thread);
+            let mut tc = self.tls().remove(thread).expect("a holder holds");
+            let totals = tc.close(now);
+            self.totals().enter_unaccounted().absorb(thread, totals);
         }
     }
 }

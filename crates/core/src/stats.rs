@@ -2,8 +2,29 @@
 //! report (the contents of the paper's Table II columns).
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use jvmsim_pcl::{Pcl, Timestamp};
+
+/// A count bumped only from one agent's event callbacks. An agent attaches
+/// to one VM, and that VM's events all arrive on the one host thread that
+/// is driving it, so each count has a single writer at a time: a bump is
+/// a load and a store, not an atomic read-modify-write on the probe path.
+/// A report read after the run sees every bump, because handing the VM
+/// back to the reading thread (a join or a channel) orders them.
+#[derive(Debug, Default)]
+pub(crate) struct EventCount(AtomicU64);
+
+impl EventCount {
+    pub(crate) fn bump(&self) {
+        self.0
+            .store(self.0.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
 
 /// Which kind of code a thread is currently executing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,15 +1,18 @@
 //! The agent environment, agent trait, and attach protocol.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use jvmsim_faults::{FaultInjector, FaultSite};
-use jvmsim_metrics::{Bucket, BucketGuard, CounterId, HistogramId, MetricsRegistry};
-use jvmsim_pcl::{ClockHandle, Pcl, Timestamp};
+use jvmsim_metrics::{Bucket, CounterId, HistogramId};
+use jvmsim_pcl::{Pcl, Timestamp};
 use jvmsim_vm::cost::CostModel;
 use jvmsim_vm::jni::{JniCallKey, JniEntryFn};
-use jvmsim_vm::{AllocationView, EventMask, MethodView, NativeLibrary, ThreadId, Vm, VmEventSink};
+use jvmsim_vm::{
+    AllocationView, BucketScope, EventMask, MethodView, NativeLibrary, ThreadInfo, Vm, VmEventSink,
+};
 
 use crate::caps::{Capabilities, EventType};
 use crate::error::JvmtiError;
@@ -20,7 +23,9 @@ use crate::tls::ThreadLocalStorage;
 ///
 /// Cheap to clone; provides cycle-charged access to PCL timestamps,
 /// thread-local storage and raw monitors, mirroring the services the
-/// paper's C agents get from the real JVMTI + PCL.
+/// paper's C agents get from the real JVMTI + PCL. Every per-thread
+/// service takes the acting thread's borrowed [`ThreadInfo`] record, so
+/// it is a plain memory operation on state that thread owns.
 #[derive(Clone)]
 pub struct JvmtiEnv {
     pcl: Pcl,
@@ -30,12 +35,11 @@ pub struct JvmtiEnv {
     /// it): timestamp reads are where per-thread clock anomalies surface
     /// to agents.
     faults: Arc<FaultInjector>,
-    /// The VM's metrics registry, if one was installed before attach —
-    /// probe spans attribute their cost through it.
-    metrics: Option<MetricsRegistry>,
     /// The raw-monitor observation plane (disabled unless the LOCK agent
     /// enabled it; every monitor this env creates registers here).
     monitors: Arc<MonitorLedger>,
+    /// Next free thread-local-storage slot index on the thread records.
+    tls_keys: Arc<AtomicUsize>,
 }
 
 impl std::fmt::Debug for JvmtiEnv {
@@ -47,19 +51,14 @@ impl std::fmt::Debug for JvmtiEnv {
 }
 
 impl JvmtiEnv {
-    pub(crate) fn new(
-        pcl: Pcl,
-        costs: Arc<CostModel>,
-        faults: Arc<FaultInjector>,
-        metrics: Option<MetricsRegistry>,
-    ) -> Self {
+    pub(crate) fn new(pcl: Pcl, costs: Arc<CostModel>, faults: Arc<FaultInjector>) -> Self {
         JvmtiEnv {
             pcl,
             costs,
             granted: Arc::new(RwLock::new(Capabilities::none())),
             faults,
-            metrics,
             monitors: Arc::new(MonitorLedger::new()),
+            tls_keys: Arc::new(AtomicUsize::new(0)),
         }
     }
 
@@ -73,70 +72,50 @@ impl JvmtiEnv {
         *self.granted.read()
     }
 
-    /// Charge `cycles` of agent work to `thread`'s clock (a no-op for a
-    /// thread with no registered clock).
-    pub fn charge(&self, thread: ThreadId, cycles: u64) {
-        self.pcl.with_clock(thread.index(), |h| h.charge(cycles));
+    /// Charge `cycles` of agent work to `thread`'s clock.
+    #[inline]
+    pub fn charge(&self, thread: &ThreadInfo, cycles: u64) {
+        thread.charge(cycles);
     }
 
     /// Read `thread`'s cycle counter — `PCL.getTimestamp(Thread)` — charging
     /// the read cost first (the read itself takes time, and that time is
     /// visible to the next read, exactly like a real `rdtsc` pair).
-    /// [`Timestamp::default()`] for a thread with no registered clock.
-    pub fn timestamp(&self, thread: ThreadId) -> Timestamp {
-        self.pcl
-            .with_clock(thread.index(), |h| {
-                h.charge(self.costs.timestamp_read);
-                let ts = h.timestamp();
-                // Fault plane: a clock step-back anomaly — this reading
-                // observes an instant *earlier* than the previous one.
-                // Agent meters must saturate such intervals to zero, not
-                // underflow (pinned by the chaos invariant checks).
-                match self.faults.inject(FaultSite::ClockStepBack) {
-                    Some(entropy) => ts.rewound(entropy % 5_000 + 1),
-                    None => ts,
-                }
-            })
-            .unwrap_or_default()
+    pub fn timestamp(&self, thread: &ThreadInfo) -> Timestamp {
+        thread.charge(self.costs.timestamp_read);
+        let ts = thread.timestamp();
+        // Fault plane: a clock step-back anomaly — this reading observes
+        // an instant *earlier* than the previous one. Agent meters must
+        // saturate such intervals to zero, not underflow (pinned by the
+        // chaos invariant checks).
+        match self.faults.inject(FaultSite::ClockStepBack) {
+            Some(entropy) => ts.rewound(entropy % 5_000 + 1),
+            None => ts,
+        }
     }
 
     /// Read `thread`'s counter without charging (harness-side inspection).
-    pub fn timestamp_unaccounted(&self, thread: ThreadId) -> Timestamp {
-        self.pcl
-            .with_clock(thread.index(), ClockHandle::timestamp)
-            .unwrap_or_default()
+    pub fn timestamp_unaccounted(&self, thread: &ThreadInfo) -> Timestamp {
+        thread.timestamp()
     }
 
     /// Open a self-timing probe span on `thread`: until the returned guard
     /// drops, every cycle the thread's clock charges is attributed to the
     /// probe's bucket rather than the workload, and on drop the span bumps
     /// the probe counter and records its own cycle cost in the probe-cost
-    /// histogram. A no-op (still cheap and safe) without a metrics
-    /// registry.
-    ///
-    /// The shard and start timestamp come from the thread's clock slot; the
-    /// registry's (locked) shard lookup is the fallback for a slot without.
+    /// histogram — all in the thread's own ledger, which reaches the
+    /// metrics registry (if one is attached) when the thread ends.
     ///
     /// This is how probe cost self-attribution works: the probe bodies do
     /// not estimate their own overhead — the span measures it from the
     /// same virtual clock the workload runs on.
-    pub fn probe_span(&self, thread: ThreadId, kind: ProbeKind) -> ProbeSpan<'_> {
-        let state = self.metrics.as_ref().map(|metrics| {
-            let (mirror, start) = self
-                .pcl
-                .with_clock(thread.index(), |h| {
-                    (h.metrics().map(|s| s.enter(kind.bucket())), h.timestamp())
-                })
-                .unwrap_or_default();
-            ProbeState {
-                pcl: &self.pcl,
-                thread,
-                kind,
-                start,
-                guard: mirror.unwrap_or_else(|| metrics.shard(thread.index()).enter(kind.bucket())),
-            }
-        });
-        ProbeSpan { state }
+    pub fn probe_span<'t>(&self, thread: &'t ThreadInfo, kind: ProbeKind) -> ProbeSpan<'t> {
+        ProbeSpan {
+            start: thread.timestamp(),
+            kind,
+            _scope: thread.enter(kind.bucket()),
+            thread,
+        }
     }
 
     /// Consult the fault-injection plane at `site` — agents own their
@@ -147,8 +126,9 @@ impl JvmtiEnv {
         self.faults.inject(site)
     }
 
-    /// Sum of every thread's cycle counter — the end-of-run tick the ALLOC
-    /// agent prices lifetimes against (≥ any single thread's clock).
+    /// Sum of every published thread counter — the end-of-run tick the
+    /// ALLOC agent prices lifetimes against (at `VMDeath` every thread has
+    /// ended and published, so it is ≥ any single thread's clock).
     pub fn total_cycles(&self) -> u64 {
         self.pcl.total_cycles()
     }
@@ -159,9 +139,11 @@ impl JvmtiEnv {
         &self.monitors
     }
 
-    /// Allocate a thread-local storage map for agent data.
-    pub fn create_tls<T>(&self) -> ThreadLocalStorage<T> {
-        ThreadLocalStorage::new(self.clone())
+    /// Allocate a thread-local storage key for agent data: one typed slot
+    /// on every thread record.
+    pub fn create_tls<T: Send + 'static>(&self) -> ThreadLocalStorage<T> {
+        let slot = self.tls_keys.fetch_add(1, Ordering::Relaxed);
+        ThreadLocalStorage::new(self.clone(), slot)
     }
 
     /// Create a raw monitor protecting `initial`.
@@ -213,41 +195,24 @@ impl ProbeKind {
     }
 }
 
-struct ProbeState<'a> {
-    pcl: &'a Pcl,
-    thread: ThreadId,
-    kind: ProbeKind,
-    start: Timestamp,
-    guard: BucketGuard,
-}
-
 /// RAII guard for one probe activation (see [`JvmtiEnv::probe_span`]).
 /// Dropping it closes the attribution scope, counts the probe, and records
 /// the probe's measured cycle cost.
 #[must_use = "a probe span attributes cost only while it is alive"]
-pub struct ProbeSpan<'a> {
-    state: Option<ProbeState<'a>>,
-}
-
-impl std::fmt::Debug for ProbeSpan<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProbeSpan")
-            .field("active", &self.state.is_some())
-            .finish()
-    }
+#[derive(Debug)]
+pub struct ProbeSpan<'t> {
+    thread: &'t ThreadInfo,
+    kind: ProbeKind,
+    start: Timestamp,
+    // Restores the previous bucket after `drop` has recorded the span.
+    _scope: BucketScope<'t>,
 }
 
 impl Drop for ProbeSpan<'_> {
     fn drop(&mut self) {
-        if let Some(state) = self.state.take() {
-            let end = state
-                .pcl
-                .with_clock(state.thread.index(), ClockHandle::timestamp)
-                .unwrap_or_default();
-            let shard = state.guard.shard();
-            shard.incr(state.kind.counter());
-            shard.observe(state.kind.histogram(), end.cycles_since(state.start));
-        }
+        let cost = self.thread.timestamp().cycles_since(self.start);
+        self.thread.incr(self.kind.counter());
+        self.thread.observe(self.kind.histogram(), cost);
     }
 }
 
@@ -383,6 +348,11 @@ impl<'vm> AgentHost<'vm> {
 /// A JVMTI agent. `on_load` is `Agent_OnLoad`; the event callbacks mirror
 /// the JVMTI event set. Only events the agent enabled during `on_load` are
 /// delivered.
+///
+/// Per-thread callbacks borrow the acting thread's [`ThreadInfo`] record
+/// for the duration of the event: pass it to [`JvmtiEnv`]'s clock and TLS
+/// services and to [`crate::RawMonitor::enter`]. Callbacks must not
+/// re-enter the VM.
 pub trait Agent: Send + Sync + 'static {
     /// Agent initialization: request capabilities, enable events, install
     /// interceptors, stash the [`JvmtiEnv`].
@@ -393,21 +363,22 @@ pub trait Agent: Send + Sync + 'static {
     fn on_load(&self, host: &mut AgentHost<'_>) -> Result<(), JvmtiError>;
 
     /// `ThreadStart`.
-    fn thread_start(&self, _thread: ThreadId) {}
+    fn thread_start(&self, _thread: &ThreadInfo) {}
     /// `ThreadEnd`.
-    fn thread_end(&self, _thread: ThreadId) {}
+    fn thread_end(&self, _thread: &ThreadInfo) {}
     /// `MethodEntry`.
-    fn method_entry(&self, _thread: ThreadId, _method: MethodView<'_>) {}
+    fn method_entry(&self, _thread: &ThreadInfo, _method: MethodView<'_>) {}
     /// `MethodExit`.
-    fn method_exit(&self, _thread: ThreadId, _method: MethodView<'_>, _via_exception: bool) {}
-    /// `VMDeath`.
-    fn vm_death(&self) {}
+    fn method_exit(&self, _thread: &ThreadInfo, _method: MethodView<'_>, _via_exception: bool) {}
+    /// `VMDeath`; `threads` holds every thread's record in ascending thread
+    /// order, for folding per-thread state no `ThreadEnd` collected.
+    fn vm_death(&self, _threads: &[ThreadInfo]) {}
     /// `ClassFileLoadHook`: return replacement bytes to rewrite the class.
     fn class_file_load_hook(&self, _class_name: &str, _bytes: &[u8]) -> Option<Vec<u8>> {
         None
     }
     /// `Allocation`: `thread` allocated one object.
-    fn allocation(&self, _thread: ThreadId, _alloc: AllocationView<'_>) {}
+    fn allocation(&self, _thread: &ThreadInfo, _alloc: AllocationView<'_>) {}
 }
 
 /// Adapter delivering VM events to the agent, filtered by what it enabled.
@@ -417,27 +388,27 @@ struct AgentSink {
 }
 
 impl VmEventSink for AgentSink {
-    fn thread_start(&self, thread: ThreadId) {
+    fn thread_start(&self, thread: &ThreadInfo) {
         if self.enabled[EventType::ThreadStart as usize] {
             self.agent.thread_start(thread);
         }
     }
-    fn thread_end(&self, thread: ThreadId) {
+    fn thread_end(&self, thread: &ThreadInfo) {
         if self.enabled[EventType::ThreadEnd as usize] {
             self.agent.thread_end(thread);
         }
     }
-    fn vm_death(&self) {
+    fn vm_death(&self, threads: &[ThreadInfo]) {
         if self.enabled[EventType::VmDeath as usize] {
-            self.agent.vm_death();
+            self.agent.vm_death(threads);
         }
     }
-    fn method_entry(&self, thread: ThreadId, method: MethodView<'_>) {
+    fn method_entry(&self, thread: &ThreadInfo, method: MethodView<'_>) {
         if self.enabled[EventType::MethodEntry as usize] {
             self.agent.method_entry(thread, method);
         }
     }
-    fn method_exit(&self, thread: ThreadId, method: MethodView<'_>, via_exception: bool) {
+    fn method_exit(&self, thread: &ThreadInfo, method: MethodView<'_>, via_exception: bool) {
         if self.enabled[EventType::MethodExit as usize] {
             self.agent.method_exit(thread, method, via_exception);
         }
@@ -449,7 +420,7 @@ impl VmEventSink for AgentSink {
             None
         }
     }
-    fn allocation(&self, thread: ThreadId, alloc: AllocationView<'_>) {
+    fn allocation(&self, thread: &ThreadInfo, alloc: AllocationView<'_>) {
         if self.enabled[EventType::Allocation as usize] {
             self.agent.allocation(thread, alloc);
         }
@@ -471,12 +442,7 @@ pub fn attach(vm: &mut Vm, agent: Arc<dyn Agent>) -> Result<JvmtiEnv, JvmtiError
             "an agent is already attached to this VM".into(),
         ));
     }
-    let env = JvmtiEnv::new(
-        vm.pcl(),
-        Arc::new(vm.cost().clone()),
-        vm.fault_injector(),
-        vm.metrics(),
-    );
+    let env = JvmtiEnv::new(vm.pcl(), Arc::new(vm.cost().clone()), vm.fault_injector());
     let mut host = AgentHost {
         vm,
         env: env.clone(),
@@ -500,93 +466,57 @@ pub fn attach(vm: &mut Vm, agent: Arc<dyn Agent>) -> Result<JvmtiEnv, JvmtiError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jvmsim_vm::ThreadId;
 
-    fn env(pcl: &Pcl, metrics: Option<MetricsRegistry>) -> JvmtiEnv {
+    fn env() -> JvmtiEnv {
         JvmtiEnv::new(
-            pcl.clone(),
+            Pcl::new(),
             Arc::new(CostModel::default()),
             Arc::new(FaultInjector::disabled()),
-            metrics,
         )
     }
 
     #[test]
-    fn clock_operations_on_a_thread_without_a_clock_are_no_ops() {
-        let pcl = Pcl::new();
-        let env = env(&pcl, None);
-        let thread = ThreadId::from_index(3);
-        env.charge(thread, 1_000);
-        assert_eq!(env.timestamp(thread), Timestamp::default());
-        assert_eq!(env.timestamp_unaccounted(thread), Timestamp::default());
-        drop(env.probe_span(thread, ProbeKind::Spa));
-        assert_eq!(pcl.thread_count(), 0);
-        assert_eq!(pcl.total_cycles(), 0);
+    fn clock_services_touch_only_the_borrowed_record() {
+        let env = env();
+        let (a, b) = (
+            ThreadInfo::new(ThreadId::from_index(0), "a"),
+            ThreadInfo::new(ThreadId::from_index(3), "b"),
+        );
+        env.charge(&b, 1_000);
+        let read = CostModel::default().timestamp_read;
+        assert_eq!(env.timestamp(&b).cycles(), 1_000 + read);
+        assert_eq!(env.timestamp_unaccounted(&b).cycles(), 1_000 + read);
+        assert_eq!(a.cycles(), 0);
+        assert_eq!(a.ledger(), jvmsim_metrics::MetricsSnapshot::default());
+        // Nothing is published until the VM ends the thread.
+        assert_eq!(env.total_cycles(), 0);
     }
 
     #[test]
-    fn probe_span_without_a_clock_still_counts_into_the_registry() {
-        let pcl = Pcl::new();
-        let registry = MetricsRegistry::new();
-        let env = env(&pcl, Some(registry.clone()));
-        let thread = ThreadId::from_index(1);
+    fn probe_span_attributes_exactly_in_the_thread_ledger() {
+        let env = env();
+        let thread = ThreadInfo::new(ThreadId::from_index(1), "t");
+        env.charge(&thread, 7);
         {
-            let _span = env.probe_span(thread, ProbeKind::Spa);
-            env.charge(thread, 500);
+            let _span = env.probe_span(&thread, ProbeKind::Spa);
+            assert_eq!(thread.bucket(), Bucket::SpaProbe);
+            env.charge(&thread, 30);
+            {
+                let _inner = env.probe_span(&thread, ProbeKind::Lock);
+                env.charge(&thread, 2);
+            }
+            assert_eq!(thread.bucket(), Bucket::SpaProbe);
         }
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter(CounterId::SpaProbes), 1);
-        assert_eq!(snap.histogram(HistogramId::SpaProbeCycles).count, 1);
-        assert_eq!(snap.histogram(HistogramId::SpaProbeCycles).sum, 0);
-        assert_eq!(snap.total_cycles(), 0);
-        assert_eq!(pcl.total_cycles(), 0);
-    }
-
-    #[test]
-    fn probe_span_on_a_clock_without_a_mirror_counts_into_the_registry_shard() {
-        let pcl = Pcl::new();
-        let id = pcl.register_thread();
-        let registry = MetricsRegistry::new();
-        let env = env(&pcl, Some(registry.clone()));
-        let thread = ThreadId::from_index(id.index());
-        {
-            let _span = env.probe_span(thread, ProbeKind::Ipa);
-            assert_eq!(
-                registry.shard(thread.index()).current_bucket(),
-                Bucket::IpaProbe
-            );
-            env.charge(thread, 40);
-            let _ = env.timestamp(thread);
-        }
-        let cost = 40 + CostModel::default().timestamp_read;
-        assert_eq!(pcl.timestamp(id).cycles(), cost);
-        let shard = registry.shard(thread.index());
-        assert_eq!(shard.current_bucket(), Bucket::Workload);
-        let snap = shard.snapshot();
-        assert_eq!(snap.counter(CounterId::IpaProbes), 1);
-        assert_eq!(snap.histogram(HistogramId::IpaProbeCycles).sum, cost);
-        // No mirror, so the clock's charges never reach the ledger.
-        assert_eq!(snap.total_cycles(), 0);
-    }
-
-    #[test]
-    fn probe_span_attributes_through_the_clock_mirror() {
-        let pcl = Pcl::new();
-        let id = pcl.register_thread();
-        let registry = MetricsRegistry::new();
-        let shard = registry.shard(id.index());
-        pcl.attach_metrics(id, Arc::clone(&shard));
-        let env = env(&pcl, Some(registry.clone()));
-        let thread = ThreadId::from_index(id.index());
-        env.charge(thread, 7);
-        {
-            let _span = env.probe_span(thread, ProbeKind::Spa);
-            env.charge(thread, 30);
-        }
-        let snap = registry.snapshot();
+        assert_eq!(thread.bucket(), Bucket::Workload);
+        let snap = thread.ledger();
         assert_eq!(snap.bucket_cycles(Bucket::Workload), 7);
         assert_eq!(snap.bucket_cycles(Bucket::SpaProbe), 30);
+        assert_eq!(snap.bucket_cycles(Bucket::LockProbe), 2);
         assert_eq!(snap.counter(CounterId::SpaProbes), 1);
-        assert_eq!(snap.histogram(HistogramId::SpaProbeCycles).sum, 30);
-        assert_eq!(snap.total_cycles(), pcl.total_cycles());
+        assert_eq!(snap.counter(CounterId::LockProbes), 1);
+        assert_eq!(snap.histogram(HistogramId::SpaProbeCycles).sum, 32);
+        assert_eq!(snap.histogram(HistogramId::LockProbeCycles).sum, 2);
+        assert_eq!(snap.total_cycles(), thread.cycles());
     }
 }

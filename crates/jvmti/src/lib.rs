@@ -12,7 +12,7 @@
 //!   the run (the behaviour that makes SPA unusable, §III/§V-A);
 //! * no `ThreadStart` is delivered for the primordial thread, so agents
 //!   must lazily allocate thread contexts
-//!   ([`tls::ThreadLocalStorage::get_or_insert_with`]);
+//!   ([`tls::ThreadLocalStorage::with_or_insert`]);
 //! * every TLS access, timestamp read and raw-monitor entry charges cycles
 //!   to the acting thread — agent overhead is measured, not free.
 

@@ -22,7 +22,7 @@ use parking_lot::{Mutex, MutexGuard};
 
 use jvmsim_faults::FaultSite;
 use jvmsim_pcl::Timestamp;
-use jvmsim_vm::{ThreadId, TraceEventKind, TraceSink};
+use jvmsim_vm::{ThreadInfo, TraceEventKind, TraceSink};
 
 use crate::env::{JvmtiEnv, ProbeKind};
 
@@ -147,12 +147,13 @@ impl MonitorLedger {
     /// only while enabled. Charges modeled blocked cycles to the waiting
     /// thread inside a LOCK probe span, so the wait lands in the
     /// `lock_probe` attribution bucket.
-    fn note_enter(&self, env: &JvmtiEnv, id: usize, thread: ThreadId) {
+    fn note_enter(&self, env: &JvmtiEnv, id: usize, thread: &ThreadInfo) {
+        let index = thread.id().index();
         let blocked = {
             let mut g = self.inner.lock();
             let s = &mut g.monitors[id];
             s.entries += 1;
-            let contended = s.last_owner.is_some_and(|o| o != thread.index());
+            let contended = s.last_owner.is_some_and(|o| o != index);
             if !contended {
                 None
             } else if env.fault(FaultSite::MonitorLedgerCorrupt).is_some() {
@@ -166,10 +167,10 @@ impl MonitorLedger {
                 s.contended += 1;
                 let blocked = s.last_hold_cycles;
                 s.blocked_cycles += blocked;
-                if thread.index() >= g.per_thread_blocked.len() {
-                    g.per_thread_blocked.resize(thread.index() + 1, 0);
+                if index >= g.per_thread_blocked.len() {
+                    g.per_thread_blocked.resize(index + 1, 0);
                 }
-                g.per_thread_blocked[thread.index()] += blocked;
+                g.per_thread_blocked[index] += blocked;
                 Some(blocked)
             }
         };
@@ -178,16 +179,17 @@ impl MonitorLedger {
             env.charge(thread, blocked);
             if let Some(trace) = self.trace.get() {
                 let now = env.timestamp_unaccounted(thread);
-                trace.record(thread, TraceEventKind::MonitorContend, now.cycles(), None);
+                let kind = TraceEventKind::MonitorContend;
+                trace.record(thread.id(), kind, now.cycles(), None);
             }
         }
     }
 
     /// Record a release: `thread` held monitor `id` for `held_cycles`.
-    fn note_release(&self, id: usize, thread: ThreadId, held_cycles: u64) {
+    fn note_release(&self, id: usize, thread: &ThreadInfo, held_cycles: u64) {
         let mut g = self.inner.lock();
         let s = &mut g.monitors[id];
-        s.last_owner = Some(thread.index());
+        s.last_owner = Some(thread.id().index());
         s.last_hold_cycles = held_cycles;
     }
 
@@ -259,28 +261,22 @@ impl<T> RawMonitor<T> {
 
     /// `RawMonitorEnter` on behalf of `thread`; the guard is
     /// `RawMonitorExit`.
-    pub fn enter(&self, thread: ThreadId) -> MonitorGuard<'_, T> {
+    pub fn enter<'a>(&'a self, thread: &'a ThreadInfo) -> MonitorGuard<'a, T> {
         self.env.charge(thread, self.env.costs().raw_monitor);
         let ledger = self.env.monitor_ledger();
-        let release = if ledger.is_enabled() {
+        let observed = ledger.is_enabled();
+        if observed {
             // Contention is observed *before* acquiring, like a real
             // monitor: the entering thread sees the previous owner.
             ledger.note_enter(&self.env, self.id, thread);
-            Some(ReleaseNote {
-                ledger: Arc::clone(ledger),
-                env: self.env.clone(),
-                id: self.id,
-                thread,
-                entered: Timestamp::default(),
-            })
-        } else {
-            None
-        };
+        }
         let guard = self.data.lock();
-        let release = release.map(|mut r| {
+        let release = observed.then(|| ReleaseNote {
+            ledger,
+            id: self.id,
+            thread,
             // Hold time starts once the lock is held, on the owner's clock.
-            r.entered = self.env.timestamp_unaccounted(thread);
-            r
+            entered: thread.timestamp(),
         });
         MonitorGuard { release, guard }
     }
@@ -295,11 +291,10 @@ impl<T> RawMonitor<T> {
     }
 }
 
-struct ReleaseNote {
-    ledger: Arc<MonitorLedger>,
-    env: JvmtiEnv,
+struct ReleaseNote<'a> {
+    ledger: &'a MonitorLedger,
     id: usize,
-    thread: ThreadId,
+    thread: &'a ThreadInfo,
     entered: Timestamp,
 }
 
@@ -310,7 +305,7 @@ struct ReleaseNote {
 pub struct MonitorGuard<'a, T> {
     // Declared before `guard` so the release note (which reads the clock
     // and locks the ledger) runs while the monitor is still held.
-    release: Option<ReleaseNote>,
+    release: Option<ReleaseNote<'a>>,
     guard: MutexGuard<'a, T>,
 }
 
@@ -330,9 +325,8 @@ impl<T> DerefMut for MonitorGuard<'_, T> {
 impl<T> Drop for MonitorGuard<'_, T> {
     fn drop(&mut self) {
         if let Some(r) = self.release.take() {
-            let now = r.env.timestamp_unaccounted(r.thread);
-            r.ledger
-                .note_release(r.id, r.thread, now.cycles_since(r.entered));
+            let held = r.thread.timestamp().cycles_since(r.entered);
+            r.ledger.note_release(r.id, r.thread, held);
         }
     }
 }

@@ -7,7 +7,7 @@ use std::sync::{Arc, OnceLock};
 use jvmsim_classfile::builder::{single_method_class, ClassBuilder};
 use jvmsim_classfile::MethodFlags;
 use jvmsim_jvmti::{attach, Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError};
-use jvmsim_vm::{MethodView, ThreadId, Value, Vm};
+use jvmsim_vm::{MethodView, ThreadId, ThreadInfo, Value, Vm};
 
 fn trivial_class() -> jvmsim_classfile::ClassFile {
     single_method_class("t/M", "main", "()V", |m| {
@@ -114,10 +114,10 @@ fn only_enabled_events_are_delivered() {
             // MethodExit deliberately NOT enabled.
             Ok(())
         }
-        fn method_entry(&self, _t: ThreadId, _m: MethodView<'_>) {
+        fn method_entry(&self, _t: &ThreadInfo, _m: MethodView<'_>) {
             self.entries.fetch_add(1, Ordering::Relaxed);
         }
-        fn method_exit(&self, _t: ThreadId, _m: MethodView<'_>, _e: bool) {
+        fn method_exit(&self, _t: &ThreadInfo, _m: MethodView<'_>, _e: bool) {
             self.exits.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -173,12 +173,12 @@ fn tls_and_monitor_charge_the_acting_thread() {
             self.env.set(host.env()).ok();
             Ok(())
         }
-        fn thread_end(&self, thread: ThreadId) {
+        fn thread_end(&self, thread: &ThreadInfo) {
             let env = self.env.get().unwrap();
             let before = env.timestamp_unaccounted(thread);
             let tls = env.create_tls::<u64>();
-            let v = tls.get_or_insert_with(thread, || 7);
-            assert_eq!(*v, 7);
+            let v = tls.with_or_insert(thread, || 7, |v| *v);
+            assert_eq!(v, 7);
             let mon = env.create_raw_monitor("stats", 0u64);
             *mon.enter(thread) += 1;
             let t1 = env.timestamp(thread);
@@ -219,17 +219,17 @@ fn tls_lifecycle() {
         .unwrap();
 
     let tls = env.create_tls::<Vec<u64>>();
-    let t0 = ThreadId_from_index_for_test();
-    assert!(tls.is_empty());
-    assert!(tls.get(t0).is_none());
-    tls.put(t0, Arc::new(vec![1, 2]));
-    assert_eq!(tls.len(), 1);
-    assert_eq!(*tls.get(t0).unwrap(), vec![1, 2]);
-    let entries = tls.entries();
-    assert_eq!(entries.len(), 1);
+    let t0 = vm.thread_info(ThreadId_from_index_for_test());
+    let threads = std::slice::from_ref(t0);
+    assert_eq!(tls.holders(threads).count(), 0);
+    assert!(tls.with(t0, |v| v.is_none()));
+    tls.put(t0, vec![1, 2]);
+    assert_eq!(tls.holders(threads).count(), 1);
+    assert_eq!(tls.with(t0, |v| v.cloned()), Some(vec![1, 2]));
     let removed = tls.remove(t0).unwrap();
-    assert_eq!(*removed, vec![1, 2]);
-    assert!(tls.get(t0).is_none());
+    assert_eq!(removed, vec![1, 2]);
+    assert!(tls.with(t0, |v| v.is_none()));
+    assert_eq!(tls.holders(threads).count(), 0);
 }
 
 // ThreadId has no public constructor; recover the primordial thread's id
@@ -245,8 +245,8 @@ fn ThreadId_from_index_for_test() -> ThreadId {
             host.enable_event(EventType::ThreadEnd)?;
             Ok(())
         }
-        fn thread_end(&self, thread: ThreadId) {
-            *CAPTURED.lock().unwrap() = Some(thread);
+        fn thread_end(&self, thread: &ThreadInfo) {
+            *CAPTURED.lock().unwrap() = Some(thread.id());
         }
     }
     let mut vm = Vm::new();

@@ -11,14 +11,15 @@
 //! ## Determinism contract
 //!
 //! Mirrors the trace recorder's contract: snapshots are **byte-identical
-//! for any `--jobs` value**. The registry is sharded per VM thread (thread
-//! index == shard index, the same identity the PCL clocks use); the hot
-//! path touches only fixed-size `AtomicU64` arrays inside one shard — no
-//! locks, no heap allocation. [`MetricsRegistry::snapshot`] folds shards in
-//! thread-index order, and [`MetricsSnapshot::absorb`] is commutative and
-//! associative (counters and histograms sum, gauges take the max), so the
-//! merged result is independent of scheduling. A property test pins the
-//! merge-order independence.
+//! for any `--jobs` value**. Each VM thread records into a plain
+//! [`MetricsSnapshot`] it owns (its *ledger*) — no atomics, no locks, no
+//! heap allocation — and hands it to [`MetricsRegistry::absorb`] when it
+//! ends. [`MetricsRegistry::snapshot`] folds the thread ledgers in
+//! thread-index order, then the global [`MetricsShard`], and
+//! [`MetricsSnapshot::absorb`] is commutative and associative (counters and
+//! histograms sum, gauges take the max), so the merged result is
+//! independent of scheduling. A property test pins the merge-order
+//! independence.
 //!
 //! Recording **never charges cycles**: a run with a registry attached
 //! produces the same Table I/II numbers as a run without one.
@@ -28,7 +29,7 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex};
 
 /// Which machinery a charged cycle belongs to — the columns of the
 /// overhead-attribution table.
@@ -507,16 +508,15 @@ impl Histogram {
     }
 }
 
-/// One thread's (or the global) metric storage: fixed atomic arrays only,
-/// so recording is lock-free and allocation-free.
+/// Metric storage shared across host threads (the registry's global
+/// shard, the cache and the serve daemon): fixed atomic arrays only, so
+/// recording is lock-free and allocation-free. Simulated threads record
+/// into their own [`MetricsSnapshot`] ledger instead.
 #[derive(Debug)]
 pub struct MetricsShard {
     counters: [AtomicU64; CounterId::COUNT],
     gauges: [AtomicU64; GaugeId::COUNT],
     histograms: [Histogram; HistogramId::COUNT],
-    bucket_cycles: [AtomicU64; Bucket::COUNT],
-    /// The bucket currently receiving mirrored cycle charges.
-    current_bucket: AtomicU8,
 }
 
 impl Default for MetricsShard {
@@ -526,14 +526,12 @@ impl Default for MetricsShard {
 }
 
 impl MetricsShard {
-    /// A zeroed shard, attributing to [`Bucket::Workload`].
+    /// A zeroed shard.
     pub fn new() -> Self {
         MetricsShard {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             gauges: std::array::from_fn(|_| AtomicU64::new(0)),
             histograms: std::array::from_fn(|_| Histogram::new()),
-            bucket_cycles: std::array::from_fn(|_| AtomicU64::new(0)),
-            current_bucket: AtomicU8::new(Bucket::Workload.index() as u8),
         }
     }
 
@@ -557,36 +555,13 @@ impl MetricsShard {
         self.histograms[id.index()].observe(v);
     }
 
-    /// Mirror a cycle charge into the currently attributed bucket. Called
-    /// by PCL on every clock charge; must stay branch-light.
-    pub fn charge(&self, cycles: u64) {
-        let b = self.current_bucket.load(Ordering::Relaxed) as usize;
-        self.bucket_cycles[b].fetch_add(cycles, Ordering::Relaxed);
-    }
-
-    /// The bucket currently receiving charges.
-    pub fn current_bucket(&self) -> Bucket {
-        Bucket::from_index(self.current_bucket.load(Ordering::Relaxed))
-    }
-
-    /// Attribute charges to `bucket` until the guard drops (scopes nest:
-    /// dropping restores the previous attribution).
-    pub fn enter(self: &Arc<Self>, bucket: Bucket) -> BucketGuard {
-        let prev = self
-            .current_bucket
-            .swap(bucket.index() as u8, Ordering::Relaxed);
-        BucketGuard {
-            shard: Arc::clone(self),
-            prev,
-        }
-    }
-
-    /// Freeze this shard's contents.
+    /// Freeze this shard's contents (its bucket cycles are all zero: only
+    /// thread ledgers attribute cycles).
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed)),
             gauges: std::array::from_fn(|i| self.gauges[i].load(Ordering::Relaxed)),
-            bucket_cycles: std::array::from_fn(|i| self.bucket_cycles[i].load(Ordering::Relaxed)),
+            bucket_cycles: [0; Bucket::COUNT],
             histograms: std::array::from_fn(|h| HistogramSnapshot {
                 buckets: std::array::from_fn(|i| {
                     self.histograms[h].buckets[i].load(Ordering::Relaxed)
@@ -598,32 +573,10 @@ impl MetricsShard {
     }
 }
 
-/// RAII bucket attribution scope (see [`MetricsShard::enter`]).
-#[derive(Debug)]
-pub struct BucketGuard {
-    shard: Arc<MetricsShard>,
-    prev: u8,
-}
-
-impl BucketGuard {
-    /// The shard this scope attributes to.
-    pub fn shard(&self) -> &Arc<MetricsShard> {
-        &self.shard
-    }
-}
-
-impl Drop for BucketGuard {
-    fn drop(&mut self) {
-        self.shard
-            .current_bucket
-            .store(self.prev, Ordering::Relaxed);
-    }
-}
-
 #[derive(Debug)]
 struct RegistryInner {
-    /// Per-thread shards, indexed by VM thread index (== PCL clock index).
-    shards: RwLock<Vec<Arc<MetricsShard>>>,
+    /// Absorbed per-thread ledgers, indexed by VM thread index.
+    threads: Mutex<Vec<MetricsSnapshot>>,
     /// Shard for machinery with no thread context (trace recorder totals,
     /// fault-plane totals, suite-cell lifecycle). Totals sum over shards,
     /// so *which* shard a count lands in never changes the snapshot.
@@ -645,33 +598,31 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An empty registry with no per-thread shards yet.
+    /// An empty registry with no thread ledgers yet.
     pub fn new() -> Self {
         MetricsRegistry {
             inner: Arc::new(RegistryInner {
-                shards: RwLock::new(Vec::new()),
+                threads: Mutex::new(Vec::new()),
                 global: Arc::new(MetricsShard::new()),
                 agent_bucket: AtomicU8::new(Bucket::Workload.index() as u8),
             }),
         }
     }
 
-    fn read_shards(&self) -> std::sync::RwLockReadGuard<'_, Vec<Arc<MetricsShard>>> {
-        self.inner.shards.read().unwrap_or_else(|e| e.into_inner())
+    fn threads(&self) -> std::sync::MutexGuard<'_, Vec<MetricsSnapshot>> {
+        // Every update is a single `absorb` into plain data, so a poisoned
+        // lock still guards a consistent vector.
+        self.inner.threads.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The shard for VM thread `index`, created on demand. This locks, so
-    /// the VM calls it once per thread and attaches the shard to the
-    /// thread's PCL clock, where recording and probe spans find it.
-    pub fn shard(&self, index: usize) -> Arc<MetricsShard> {
-        if let Some(s) = self.read_shards().get(index) {
-            return Arc::clone(s);
+    /// Fold VM thread `index`'s ledger into the registry. This locks, so
+    /// the VM calls it at thread boundaries, never per event.
+    pub fn absorb(&self, index: usize, ledger: &MetricsSnapshot) {
+        let mut threads = self.threads();
+        if threads.len() <= index {
+            threads.resize_with(index + 1, MetricsSnapshot::default);
         }
-        let mut w = self.inner.shards.write().unwrap_or_else(|e| e.into_inner());
-        while w.len() <= index {
-            w.push(Arc::new(MetricsShard::new()));
-        }
-        Arc::clone(&w[index])
+        threads[index].absorb(ledger);
     }
 
     /// The global (thread-context-free) shard.
@@ -693,14 +644,14 @@ impl MetricsRegistry {
         Bucket::from_index(self.inner.agent_bucket.load(Ordering::Relaxed))
     }
 
-    /// Fold every shard — per-thread shards in thread-index order, then the
-    /// global shard — into one snapshot. Because [`MetricsSnapshot::absorb`]
-    /// is commutative and associative, the result is a pure function of
-    /// what was recorded, independent of scheduling or fold order.
+    /// Fold every thread ledger in thread-index order, then the global
+    /// shard, into one snapshot. Because [`MetricsSnapshot::absorb`] is
+    /// commutative and associative, the result is a pure function of what
+    /// was recorded, independent of scheduling or fold order.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut out = MetricsSnapshot::default();
-        for shard in self.read_shards().iter() {
-            out.absorb(&shard.snapshot());
+        for ledger in self.threads().iter() {
+            out.absorb(ledger);
         }
         out.absorb(&self.inner.global.snapshot());
         out
@@ -729,6 +680,13 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    fn observe(&mut self, v: u64) {
+        let b = &mut self.buckets[bucket_index(v)];
+        *b = b.wrapping_add(1);
+        self.sum = self.sum.wrapping_add(v);
+        self.count = self.count.wrapping_add(1);
+    }
+
     /// Fold `other` into `self` (bucket-wise sums). Sums wrap on overflow,
     /// matching the wrapping semantics of the underlying atomic adds.
     pub fn absorb(&mut self, other: &HistogramSnapshot) {
@@ -740,7 +698,8 @@ impl HistogramSnapshot {
     }
 }
 
-/// Frozen registry contents: plain data, `Eq`, and mergeable.
+/// Frozen registry contents: plain data, `Eq`, and mergeable. A simulated
+/// thread also records into one of these directly, as its owned ledger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     counters: [u64; CounterId::COUNT],
@@ -763,6 +722,35 @@ impl Default for MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// Increment counter `id` by one.
+    pub fn incr(&mut self, id: CounterId) {
+        self.add(id, 1);
+    }
+
+    /// Increment counter `id` by `n`.
+    pub fn add(&mut self, id: CounterId, n: u64) {
+        let c = &mut self.counters[id.index()];
+        *c = c.wrapping_add(n);
+    }
+
+    /// Raise gauge `id` to at least `v`.
+    pub fn gauge_max(&mut self, id: GaugeId, v: u64) {
+        let g = &mut self.gauges[id.index()];
+        *g = (*g).max(v);
+    }
+
+    /// Record one observation of `v` into histogram `id`.
+    pub fn observe(&mut self, id: HistogramId, v: u64) {
+        self.histograms[id.index()].observe(v);
+    }
+
+    /// Attribute `cycles` to `bucket`.
+    #[inline]
+    pub fn charge(&mut self, bucket: Bucket, cycles: u64) {
+        let b = &mut self.bucket_cycles[bucket.index()];
+        *b = b.wrapping_add(cycles);
+    }
+
     /// Value of counter `id`.
     pub fn counter(&self, id: CounterId) -> u64 {
         self.counters[id.index()]
@@ -778,8 +766,9 @@ impl MetricsSnapshot {
         self.bucket_cycles[bucket.index()]
     }
 
-    /// Sum over all buckets. When PCL mirroring is attached this equals
-    /// `Pcl::total_cycles()` exactly (every charge path mirrors).
+    /// Sum over all buckets. For a VM's registry this equals
+    /// `Pcl::total_cycles()` exactly: every clock charge also lands in the
+    /// charging thread's ledger.
     pub fn total_cycles(&self) -> u64 {
         self.bucket_cycles
             .iter()
@@ -1060,22 +1049,11 @@ mod tests {
     }
 
     #[test]
-    fn bucket_guard_nests_and_restores() {
-        let shard = Arc::new(MetricsShard::new());
-        shard.charge(10);
-        {
-            let _g = shard.enter(Bucket::IpaProbe);
-            shard.charge(5);
-            {
-                let _h = shard.enter(Bucket::Harness);
-                shard.charge(2);
-            }
-            assert_eq!(shard.current_bucket(), Bucket::IpaProbe);
-            shard.charge(1);
-        }
-        assert_eq!(shard.current_bucket(), Bucket::Workload);
-        shard.charge(3);
-        let s = shard.snapshot();
+    fn ledger_charges_land_in_the_named_bucket() {
+        let mut s = MetricsSnapshot::default();
+        s.charge(Bucket::Workload, 13);
+        s.charge(Bucket::IpaProbe, 6);
+        s.charge(Bucket::Harness, 2);
         assert_eq!(s.bucket_cycles(Bucket::Workload), 13);
         assert_eq!(s.bucket_cycles(Bucket::IpaProbe), 6);
         assert_eq!(s.bucket_cycles(Bucket::Harness), 2);
@@ -1084,29 +1062,33 @@ mod tests {
     }
 
     #[test]
-    fn registry_shards_grow_and_snapshot_folds() {
+    fn registry_thread_ledgers_grow_and_snapshot_folds() {
         let reg = MetricsRegistry::new();
-        let s2 = reg.shard(2); // indices 0 and 1 materialize too
-        let s0 = reg.shard(0);
-        assert!(Arc::ptr_eq(&reg.shard(2), &s2));
-        s0.incr(CounterId::InterpInsns);
-        s2.add(CounterId::InterpInsns, 4);
-        s2.gauge_max(GaugeId::Threads, 3);
-        s0.gauge_max(GaugeId::Threads, 7);
+        let (mut t0, mut t2) = (MetricsSnapshot::default(), MetricsSnapshot::default());
+        t0.incr(CounterId::InterpInsns);
+        t2.add(CounterId::InterpInsns, 4);
+        t2.gauge_max(GaugeId::Threads, 3);
+        t0.gauge_max(GaugeId::Threads, 7);
+        reg.absorb(2, &t2); // index 1 materializes too, empty
+        reg.absorb(0, &t0);
+        reg.absorb(0, &t0);
         reg.global().incr(CounterId::TraceAppends);
         let snap = reg.snapshot();
-        assert_eq!(snap.counter(CounterId::InterpInsns), 5);
+        assert_eq!(snap.counter(CounterId::InterpInsns), 6);
         assert_eq!(snap.counter(CounterId::TraceAppends), 1);
         assert_eq!(snap.gauge(GaugeId::Threads), 7);
     }
 
     #[test]
     fn histogram_observations_round_trip() {
-        let shard = Arc::new(MetricsShard::new());
+        let shard = MetricsShard::new();
+        let mut ledger = MetricsSnapshot::default();
         for v in [0u64, 1, 100, 100, 5000] {
             shard.observe(HistogramId::IpaProbeCycles, v);
+            ledger.observe(HistogramId::IpaProbeCycles, v);
         }
         let s = shard.snapshot();
+        assert_eq!(s, ledger, "shard and ledger record alike");
         let h = s.histogram(HistogramId::IpaProbeCycles);
         assert_eq!(h.count, 5);
         assert_eq!(h.sum, 5_201);
@@ -1126,20 +1108,20 @@ mod tests {
     #[test]
     fn absorb_is_commutative_on_fixed_values() {
         let a = {
-            let s = MetricsShard::new();
+            let mut s = MetricsSnapshot::default();
             s.add(CounterId::Invocations, 3);
             s.gauge_max(GaugeId::Threads, 2);
             s.observe(HistogramId::CellCycles, 77);
-            s.charge(40);
-            s.snapshot()
+            s.charge(Bucket::Workload, 40);
+            s
         };
         let b = {
-            let s = MetricsShard::new();
+            let mut s = MetricsSnapshot::default();
             s.add(CounterId::Invocations, 9);
             s.gauge_max(GaugeId::Threads, 5);
             s.observe(HistogramId::CellCycles, 3);
-            s.charge(2);
-            s.snapshot()
+            s.charge(Bucket::Workload, 2);
+            s
         };
         let mut ab = a.clone();
         ab.absorb(&b);
@@ -1157,14 +1139,14 @@ mod tests {
 
     #[test]
     fn exporters_emit_stable_labelled_lines() {
-        let shard = MetricsShard::new();
-        shard.add(CounterId::JniUpcalls, 7);
-        shard.charge(123);
-        shard.observe(HistogramId::IpaProbeCycles, 55);
+        let mut snapshot = MetricsSnapshot::default();
+        snapshot.add(CounterId::JniUpcalls, 7);
+        snapshot.charge(Bucket::Workload, 123);
+        snapshot.observe(HistogramId::IpaProbeCycles, 55);
         let entries = vec![MetricsEntry {
             benchmark: "compress".into(),
             agent: "ipa".into(),
-            snapshot: shard.snapshot(),
+            snapshot,
         }];
         let prom = render_prometheus(&entries);
         assert!(prom.contains("# TYPE jvmsim_jni_upcalls_total counter"));

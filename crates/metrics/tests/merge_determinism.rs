@@ -1,33 +1,31 @@
 //! The determinism contract, pinned by property test: interleaved
 //! counter/gauge/histogram/charge updates distributed over N simulated
-//! threads (shards) merge to the same [`MetricsSnapshot`] regardless of
+//! threads (ledgers) merge to the same [`MetricsSnapshot`] regardless of
 //! merge order, and the registry's own fold agrees with a manual fold.
 
 use proptest::prelude::*;
 
-use jvmsim_metrics::{
-    Bucket, CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsShard, MetricsSnapshot,
-};
+use jvmsim_metrics::{Bucket, CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot};
 
-/// Apply one encoded update to a shard. The encoding keeps the strategy
-/// simple: `kind` selects the metric family, `a`/`b` select the id and
-/// the value.
-fn apply(shard: &std::sync::Arc<MetricsShard>, kind: u8, a: u64, b: u64) {
+/// Apply one encoded update to a thread ledger. The encoding keeps the
+/// strategy simple: `kind` selects the metric family, `a`/`b` select the
+/// id and the value.
+fn apply(ledger: &mut MetricsSnapshot, kind: u8, a: u64, b: u64) {
     match kind % 5 {
-        0 => shard.add(
+        0 => ledger.add(
             CounterId::ALL[(a % CounterId::COUNT as u64) as usize],
             b % 1_000,
         ),
-        1 => shard.gauge_max(GaugeId::ALL[(a % GaugeId::COUNT as u64) as usize], b),
-        2 => shard.observe(
+        1 => ledger.gauge_max(GaugeId::ALL[(a % GaugeId::COUNT as u64) as usize], b),
+        2 => ledger.observe(
             HistogramId::ALL[(a % HistogramId::COUNT as u64) as usize],
             b,
         ),
-        3 => shard.charge(b % 100_000),
-        _ => {
-            let _g = shard.enter(Bucket::ALL[(a % Bucket::COUNT as u64) as usize]);
-            shard.charge(b % 100_000);
-        }
+        3 => ledger.charge(Bucket::Workload, b % 100_000),
+        _ => ledger.charge(
+            Bucket::ALL[(a % Bucket::COUNT as u64) as usize],
+            b % 100_000,
+        ),
     }
 }
 
@@ -42,15 +40,17 @@ proptest! {
     ) {
         let reg = MetricsRegistry::new();
         // Interleave the update stream over the simulated threads.
+        let mut ledgers = vec![MetricsSnapshot::default(); threads];
         for (i, (kind, a, b)) in ops.iter().enumerate() {
-            let shard = reg.shard(i % threads);
-            apply(&shard, *kind, *a, *b);
+            apply(&mut ledgers[i % threads], *kind, *a, *b);
+        }
+        for (i, ledger) in ledgers.iter().enumerate() {
+            reg.absorb(i, ledger);
         }
         reg.global().incr(CounterId::CellsStarted);
 
         // Manual folds in three different orders: forward, reverse, rotated.
-        let mut parts: Vec<MetricsSnapshot> =
-            (0..threads).map(|i| reg.shard(i).snapshot()).collect();
+        let mut parts = ledgers;
         parts.push(reg.global().snapshot());
         let fold = |order: &[usize]| {
             let mut out = MetricsSnapshot::default();
@@ -80,11 +80,11 @@ proptest! {
         ops_c in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 0..50),
     ) {
         let snap = |ops: &[(u8, u64, u64)]| {
-            let shard = std::sync::Arc::new(MetricsShard::new());
+            let mut ledger = MetricsSnapshot::default();
             for (kind, a, b) in ops {
-                apply(&shard, *kind, *a, *b);
+                apply(&mut ledger, *kind, *a, *b);
             }
-            shard.snapshot()
+            ledger
         };
         let (a, b, c) = (snap(&ops_a), snap(&ops_b), snap(&ops_c));
         // (a + b) + c == a + (b + c)

@@ -8,6 +8,7 @@
 use std::fmt;
 
 use crate::klass::MethodId;
+use crate::vm::ThreadInfo;
 
 /// Identifier of a VM (green) thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -110,20 +111,25 @@ pub struct AllocationView<'a> {
 /// Receiver of VM events. All methods have empty defaults so sinks override
 /// only what they enable.
 ///
-/// Callbacks take `&self`: agents keep their state behind interior
+/// Callbacks take `&self`: agents keep their global state behind interior
 /// mutability, exactly like a C JVMTI agent keeps globals behind raw
-/// monitors. Callbacks must not re-enter the VM.
+/// monitors. Per-thread callbacks borrow the acting thread's
+/// [`ThreadInfo`] record for the duration of the event — its clock,
+/// attribution bucket, metrics ledger and agent thread-local storage — so
+/// per-thread agent state needs no synchronisation. Callbacks must not
+/// re-enter the VM.
 pub trait VmEventSink: Send + Sync {
     /// A new thread is about to execute its initial method.
-    fn thread_start(&self, _thread: ThreadId) {}
+    fn thread_start(&self, _thread: &ThreadInfo) {}
     /// A thread finished its initial method (normally or exceptionally).
-    fn thread_end(&self, _thread: ThreadId) {}
-    /// The VM is terminating; no events follow.
-    fn vm_death(&self) {}
+    fn thread_end(&self, _thread: &ThreadInfo) {}
+    /// The VM is terminating; no events follow. `threads` holds every
+    /// thread's record in ascending thread order.
+    fn vm_death(&self, _threads: &[ThreadInfo]) {}
     /// `thread` is entering `method` (bytecode *or* native).
-    fn method_entry(&self, _thread: ThreadId, _method: MethodView<'_>) {}
+    fn method_entry(&self, _thread: &ThreadInfo, _method: MethodView<'_>) {}
     /// `thread` is leaving `method`, by return or by exception.
-    fn method_exit(&self, _thread: ThreadId, _method: MethodView<'_>, _via_exception: bool) {}
+    fn method_exit(&self, _thread: &ThreadInfo, _method: MethodView<'_>, _via_exception: bool) {}
     /// A classfile is about to be linked; return replacement bytes to
     /// rewrite it (dynamic instrumentation), or `None` to keep it.
     fn class_file_load(&self, _class_name: &str, _bytes: &[u8]) -> Option<Vec<u8>> {
@@ -131,7 +137,7 @@ pub trait VmEventSink: Send + Sync {
     }
     /// `thread` allocated one object (dispatched only when
     /// [`EventMask::alloc_events`] is set).
-    fn allocation(&self, _thread: ThreadId, _alloc: AllocationView<'_>) {}
+    fn allocation(&self, _thread: &ThreadInfo, _alloc: AllocationView<'_>) {}
 }
 
 /// A sink that ignores every event (useful as a baseline and in tests).
@@ -269,8 +275,9 @@ mod tests {
     #[test]
     fn null_sink_defaults() {
         let s = NullSink;
-        s.thread_start(ThreadId(0));
-        s.vm_death();
+        let main = ThreadInfo::new(ThreadId(0), "main");
+        s.thread_start(&main);
+        s.vm_death(std::slice::from_ref(&main));
         assert_eq!(s.class_file_load("a/B", &[1, 2, 3]), None);
     }
 

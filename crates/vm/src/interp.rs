@@ -58,13 +58,11 @@ impl Vm {
         mid: MethodId,
         args: Vec<Value>,
     ) -> Result<Value, JThrow> {
-        let sink = self.method_event_sink();
-        if let Some(sink) = &sink {
-            self.stats.events_dispatched += 1;
-            let _agent = self.agent_scope(thread);
-            self.metric_incr(thread, jvmsim_metrics::CounterId::JvmtiEvents);
-            self.charge(thread, self.cost().event_dispatch);
-            sink.method_entry(thread, self.registry.method_view(mid));
+        let events = self.method_events_on();
+        if events {
+            self.dispatch(thread, |sink, info, vm| {
+                sink.method_entry(info, vm.registry.method_view(mid));
+            });
         }
         let is_native = self.registry.method(mid).is_native();
         let result = if is_native {
@@ -96,12 +94,11 @@ impl Vm {
             self.note_tier_cycles(tier, overhead);
             self.execute(thread, mid, tier, args)
         };
-        if let Some(sink) = &sink {
-            self.stats.events_dispatched += 1;
-            let _agent = self.agent_scope(thread);
-            self.metric_incr(thread, jvmsim_metrics::CounterId::JvmtiEvents);
-            self.charge(thread, self.cost().event_dispatch);
-            sink.method_exit(thread, self.registry.method_view(mid), result.is_err());
+        if events {
+            let via_exception = result.is_err();
+            self.dispatch(thread, |sink, info, vm| {
+                sink.method_exit(info, vm.registry.method_view(mid), via_exception);
+            });
         }
         result
     }
@@ -139,8 +136,7 @@ impl Vm {
             _ => Bucket::C2Compile,
         };
         {
-            let shard = self.thread_shard(thread);
-            let _compile = shard.as_ref().map(|s| s.enter(bucket));
+            let _compile = self.thread_info(thread).enter(bucket);
             self.charge(thread, charged);
         }
         match target {
@@ -213,11 +209,10 @@ impl Vm {
         // native is probe overhead, not workload time, and its cycles are
         // attributed to the configured agent bucket.
         let (f, fault_exempt) = self.resolve_native(thread, mid)?;
-        let _agent = if fault_exempt {
-            self.agent_scope(thread)
-        } else {
-            None
-        };
+        // The scope spans the native call, which borrows the VM mutably,
+        // so the previous bucket is restored by hand after it returns.
+        let agent_prev =
+            fault_exempt.then(|| self.thread_info(thread).swap_bucket(self.agent_bucket()));
         let dispatch = self.cost().native_dispatch;
         self.charge(thread, dispatch);
         self.stats.native_cycles += dispatch;
@@ -235,6 +230,9 @@ impl Vm {
         }
         let mut env = JniEnv { vm: self, thread };
         let result = f(&mut env, args);
+        if let Some(prev) = agent_prev {
+            self.thread_info(thread).swap_bucket(prev);
+        }
         // Fault plane: force an exception to unwind out of this native
         // frame at the instant it would have returned normally — the
         // abnormal path the paper's try/finally wrapper (§IV) must keep

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use crate::events::ThreadId;
 use crate::throw::JThrow;
 use crate::value::{ObjRef, Value};
-use crate::vm::Vm;
+use crate::vm::{ThreadInfo, Vm};
 
 pub use table::{
     CallKind, JniCallKey, JniCallSpec, JniEntryFn, JniFunctionTable, JniRetType, ParamStyle,
@@ -173,6 +173,12 @@ impl<'a> JniEnv<'a> {
         self.thread
     }
 
+    /// The record of the thread this native code runs on (what agent
+    /// probes and interceptors charge and keep their per-thread state in).
+    pub fn thread_info(&self) -> &ThreadInfo {
+        self.vm.thread_info(self.thread)
+    }
+
     /// Burn `cycles` of native work on this thread's clock — the simulated
     /// equivalent of the native library actually computing something.
     pub fn work(&mut self, cycles: u64) {
@@ -206,25 +212,21 @@ impl<'a> JniEnv<'a> {
     }
 
     /// [`JniEnv::call`], attributing the JNI invocation cost itself to
-    /// `bucket` (if metrics are on). Only the `jni_invoke` charge is
-    /// scoped: the callee runs in whatever bucket is otherwise current, so
-    /// the launcher's harness-bucket entry call does not swallow the
-    /// workload's cycles.
+    /// `bucket`. Only the `jni_invoke` charge is scoped: the callee runs in
+    /// whatever bucket is otherwise current, so the launcher's
+    /// harness-bucket entry call does not swallow the workload's cycles.
     pub(crate) fn call_in_bucket(
         &mut self,
         spec: &JniCallSpec,
         bucket: Option<jvmsim_metrics::Bucket>,
     ) -> JniResult {
         self.vm.stats.jni_upcalls += 1;
-        if let Some(shard) = self.vm.thread_shard(self.thread) {
-            shard.incr(jvmsim_metrics::CounterId::JniUpcalls);
-        }
         let cost = self.vm.cost().jni_invoke;
+        let info = self.thread_info();
+        info.incr(jvmsim_metrics::CounterId::JniUpcalls);
         {
-            let _scope = bucket
-                .and_then(|b| self.vm.thread_shard(self.thread).map(|shard| (shard, b)))
-                .map(|(shard, b)| shard.enter(b));
-            self.vm.charge(self.thread, cost);
+            let _scope = bucket.map(|b| info.enter(b));
+            info.charge(cost);
         }
         // The JNI function's own marshalling is native-code time.
         self.vm.stats.native_cycles += cost;

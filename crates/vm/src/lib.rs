@@ -10,9 +10,10 @@
 //! JDK's.
 //!
 //! Time is virtual: every instruction, call, allocation, transition and
-//! event charges cycles to the running thread's
-//! [`jvmsim_pcl`] clock, so the measurements the paper's agents take are
-//! exact and reproducible.
+//! event charges cycles to the running thread's clock on its
+//! [`ThreadInfo`] record (published to [`jvmsim_pcl`] when the thread
+//! ends), so the measurements the paper's agents take are exact and
+//! reproducible.
 //!
 //! ```
 //! use jvmsim_classfile::builder::ClassBuilder;
@@ -69,4 +70,4 @@ pub use jvmsim_tiers::{ParseTiersModeError, Tier, TiersMode};
 pub use klass::{ClassId, MethodId, Sym};
 pub use throw::{ExceptionInfo, JThrow};
 pub use value::{ObjRef, Value};
-pub use vm::{RunOutcome, ThreadOutcome, Vm, VmStats};
+pub use vm::{BucketScope, RunOutcome, ThreadInfo, ThreadOutcome, TlsSlot, Vm, VmStats};

@@ -343,8 +343,6 @@ impl Vm {
     ) -> Result<Value, JThrow> {
         let cur = mid.class;
         let prepared = self.prepared_code(mid);
-        let clock = self.clock_handle(thread);
-        let shard = clock.metrics().cloned();
         let mut tier = tier;
         let mut insn_cost = self.cost().insn(tier);
         let mode = self.effective_tiers_mode();
@@ -377,10 +375,9 @@ impl Vm {
         macro_rules! flush {
             () => {{
                 if pending_insns != 0 {
-                    clock.charge(pending_cycles);
-                    if let Some(shard) = &shard {
-                        shard.add(jvmsim_metrics::CounterId::InterpInsns, pending_insns);
-                    }
+                    let info = self.thread_info(thread);
+                    info.charge(pending_cycles);
+                    info.add(jvmsim_metrics::CounterId::InterpInsns, pending_insns);
                     self.stats.insns += pending_insns;
                     self.note_tier_cycles(tier, pending_cycles);
                     pending_cycles = 0;
@@ -733,7 +730,7 @@ impl Vm {
                         }
                     };
                     flush!();
-                    clock.charge(self.cost().alloc_object);
+                    self.charge(thread, self.cost().alloc_object);
                     self.stats.allocations += 1;
                     let defaults = self.registry.get(cid).field_defaults();
                     let obj = self.heap_mut().alloc_instance(cid, defaults);
@@ -818,7 +815,7 @@ impl Vm {
                     }
                     let len = len as usize;
                     flush!();
-                    clock.charge(self.cost().alloc_array(len));
+                    self.charge(thread, self.cost().alloc_array(len));
                     self.stats.allocations += 1;
                     let r = match kind {
                         ArrayKind::Int => self.heap_mut().alloc_int_array(len),

@@ -1,6 +1,8 @@
 //! The virtual machine: configuration, class loading, threads, and the run
 //! protocol.
 
+use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -8,8 +10,8 @@ use std::sync::Arc;
 use jvmsim_classfile::builder::ClassBuilder;
 use jvmsim_classfile::{codec, ClassFile, FieldFlags, CLINIT};
 use jvmsim_faults::{FaultInjector, FaultSite};
-use jvmsim_metrics::{Bucket, BucketGuard, CounterId, GaugeId, MetricsRegistry, MetricsShard};
-use jvmsim_pcl::{ClockHandle, Pcl};
+use jvmsim_metrics::{Bucket, CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot};
+use jvmsim_pcl::{Pcl, Timestamp};
 use jvmsim_tiers::{Tier, TiersMode};
 
 use crate::cost::CostModel;
@@ -87,17 +89,185 @@ impl VmStats {
     }
 }
 
-/// Per-thread bookkeeping.
-#[derive(Debug)]
-pub(crate) struct ThreadInfo {
-    pub name: String,
-    pub clock: ClockHandle,
-    pub depth: usize,
+/// One agent thread-local-storage slot: a type-erased value the agent's
+/// typed key downcasts (see `jvmsim_jvmti::ThreadLocalStorage`).
+pub type TlsSlot = Option<Box<dyn Any + Send>>;
+
+/// One simulated thread's record, and the single owner of its hot state:
+/// the cycle counter, the current attribution bucket, a metrics ledger and
+/// the agents' thread-local storage.
+///
+/// A simulated thread runs on exactly one host thread, so the record keeps
+/// this state in `Cell`/`RefCell` and every charge, bucket switch, counter
+/// bump or TLS access is a plain memory operation — no lock and no atomic
+/// read-modify-write. The record is `Send` (so [`Vm`] is) but not `Sync`:
+/// event callbacks borrow it for the duration of one event. When the
+/// thread ends the VM publishes its count into the [`Pcl`] registry and
+/// absorbs its ledger into the attached [`MetricsRegistry`], if any.
+///
+/// ```
+/// use jvmsim_metrics::Bucket;
+/// use jvmsim_vm::{ThreadId, ThreadInfo};
+///
+/// let t = ThreadInfo::new(ThreadId::from_index(0), "main");
+/// t.charge(10);
+/// {
+///     let _probe = t.enter(Bucket::SpaProbe);
+///     t.charge(5);
+/// }
+/// assert_eq!(t.cycles(), 15);
+/// assert_eq!(t.ledger().bucket_cycles(Bucket::SpaProbe), 5);
+/// ```
+pub struct ThreadInfo {
+    id: ThreadId,
+    name: String,
+    cycles: Cell<u64>,
+    bucket: Cell<Bucket>,
+    ledger: RefCell<MetricsSnapshot>,
+    tls: RefCell<Vec<TlsSlot>>,
+    pub(crate) depth: usize,
     /// Cycle count at which the next timer sample is due (when sampling).
-    pub next_sample_due: u64,
+    pub(crate) next_sample_due: u64,
     /// Result recorded when the thread's initial method finishes.
-    pub result: Option<Result<Value, ExceptionInfo>>,
+    pub(crate) result: Option<Result<Value, ExceptionInfo>>,
 }
+
+impl fmt::Debug for ThreadInfo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ThreadInfo")
+            .field("id", &self.id)
+            .field("name", &self.name)
+            .field("cycles", &self.cycles())
+            .field("bucket", &self.bucket())
+            .finish()
+    }
+}
+
+impl ThreadInfo {
+    /// A fresh record: clock at 0, attributing to [`Bucket::Workload`]. The
+    /// VM creates one per thread; this is public so sinks and their tests
+    /// can synthesize events without a running VM.
+    pub fn new(id: ThreadId, name: &str) -> Self {
+        ThreadInfo {
+            id,
+            name: name.to_owned(),
+            cycles: Cell::new(0),
+            bucket: Cell::new(Bucket::Workload),
+            ledger: RefCell::new(MetricsSnapshot::default()),
+            tls: RefCell::new(Vec::new()),
+            depth: 0,
+            next_sample_due: u64::MAX,
+            result: None,
+        }
+    }
+
+    /// The thread's identifier.
+    pub fn id(&self) -> ThreadId {
+        self.id
+    }
+
+    /// The thread's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Cycles consumed so far.
+    #[inline]
+    pub fn cycles(&self) -> u64 {
+        self.cycles.get()
+    }
+
+    /// The current counter reading — the paper's `PCL.getTimestamp(Thread)`
+    /// without the read cost (`JvmtiEnv::timestamp` charges it).
+    #[inline]
+    pub fn timestamp(&self) -> Timestamp {
+        Timestamp::from_cycles(self.cycles())
+    }
+
+    /// Advance the clock by `cycles`, attributing them to the current
+    /// bucket in the ledger.
+    #[inline]
+    pub fn charge(&self, cycles: u64) {
+        self.cycles.set(self.cycles.get().wrapping_add(cycles));
+        self.ledger.borrow_mut().charge(self.bucket.get(), cycles);
+    }
+
+    /// The bucket receiving charges.
+    pub fn bucket(&self) -> Bucket {
+        self.bucket.get()
+    }
+
+    /// Attribute charges to `bucket` until the returned scope drops (scopes
+    /// nest: dropping restores the previous attribution).
+    #[inline]
+    pub fn enter(&self, bucket: Bucket) -> BucketScope<'_> {
+        BucketScope {
+            thread: self,
+            prev: self.bucket.replace(bucket),
+        }
+    }
+
+    /// Switch attribution to `bucket` without a scope, returning the bucket
+    /// to restore — for a scope that spans a mutable borrow of the VM.
+    pub(crate) fn swap_bucket(&self, bucket: Bucket) -> Bucket {
+        self.bucket.replace(bucket)
+    }
+
+    /// Increment counter `id` in the ledger.
+    #[inline]
+    pub fn incr(&self, id: CounterId) {
+        self.ledger.borrow_mut().incr(id);
+    }
+
+    /// Increment counter `id` by `n` in the ledger.
+    pub fn add(&self, id: CounterId, n: u64) {
+        self.ledger.borrow_mut().add(id, n);
+    }
+
+    /// Record one observation of `v` into histogram `id` in the ledger.
+    pub fn observe(&self, id: HistogramId, v: u64) {
+        self.ledger.borrow_mut().observe(id, v);
+    }
+
+    /// A copy of the ledger: what this thread recorded since it was last
+    /// published.
+    pub fn ledger(&self) -> MetricsSnapshot {
+        self.ledger.borrow().clone()
+    }
+
+    /// The agents' thread-local-storage slots, indexed by TLS key. Only
+    /// the JVMTI layer's typed keys should touch these.
+    pub fn tls_slots(&self) -> &RefCell<Vec<TlsSlot>> {
+        &self.tls
+    }
+}
+
+/// An attribution scope on one thread record (see [`ThreadInfo::enter`]).
+#[must_use = "a bucket scope attributes charges only while it is alive"]
+#[derive(Debug)]
+pub struct BucketScope<'a> {
+    thread: &'a ThreadInfo,
+    prev: Bucket,
+}
+
+impl Drop for BucketScope<'_> {
+    fn drop(&mut self) {
+        self.thread.bucket.set(self.prev);
+    }
+}
+
+// The record is the unsynchronised owner of its thread's state: it must
+// never be shared across host threads, while the VM owning it must move.
+const _: fn() = || {
+    trait AmbiguousIfSync<A> {
+        fn some_item() {}
+    }
+    impl<T: ?Sized> AmbiguousIfSync<()> for T {}
+    impl<T: ?Sized + Sync> AmbiguousIfSync<u8> for T {}
+    let _ = <ThreadInfo as AmbiguousIfSync<_>>::some_item;
+    fn assert_send<T: Send>() {}
+    assert_send::<Vm>();
+};
 
 /// Outcome of one thread's initial method.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,9 +372,9 @@ pub struct Vm {
     /// the chaos driver). Shared so the JVMTI shim and trace recorder can
     /// consult the same schedule.
     faults: Arc<FaultInjector>,
-    /// Metrics registry (observation-only; attached shards mirror every
-    /// clock charge into the current attribution bucket, so enabling
-    /// metrics never changes any measured quantity).
+    /// Metrics registry (observation-only: each thread's ledger is
+    /// absorbed into it when the thread ends, so enabling metrics never
+    /// changes any measured quantity).
     metrics: Option<MetricsRegistry>,
     pub(crate) stats: VmStats,
     vm_dead: bool,
@@ -396,7 +566,7 @@ impl Vm {
         method: Option<MethodId>,
     ) {
         if let Some(trace) = &self.trace {
-            let cycles = self.threads[thread.index()].clock.cycles();
+            let cycles = self.threads[thread.index()].cycles();
             trace.record(thread, kind, cycles, method);
         }
     }
@@ -425,7 +595,7 @@ impl Vm {
         self.sampler = Some((interval_cycles, sink));
         for t in &mut self.threads {
             if t.next_sample_due == u64::MAX {
-                t.next_sample_due = t.clock.cycles() + interval_cycles;
+                t.next_sample_due = t.cycles() + interval_cycles;
             }
         }
     }
@@ -442,7 +612,7 @@ impl Vm {
             return;
         };
         let info = &mut self.threads[thread.index()];
-        let now = info.clock.cycles();
+        let now = info.cycles();
         if now < info.next_sample_due {
             return;
         }
@@ -456,14 +626,14 @@ impl Vm {
         let ticks = due.min(16);
         let dispatch = self.cost.sample_dispatch;
         for _ in 0..ticks {
-            self.threads[thread.index()].clock.charge(dispatch);
+            self.charge(thread, dispatch);
             if in_native {
                 self.stats.native_cycles += dispatch;
             }
             self.stats.samples_taken += 1;
             sink.sample(thread, in_native);
         }
-        let after = self.threads[thread.index()].clock.cycles();
+        let after = self.threads[thread.index()].cycles();
         self.threads[thread.index()].next_sample_due = after + interval;
     }
 
@@ -490,10 +660,9 @@ impl Vm {
         self.faults.inject(site)
     }
 
-    /// Attach a metrics registry. Must be installed **before** any thread
-    /// is created (typically right after constructing the VM): each new
-    /// thread's clock mirrors its charges into the registry shard of the
-    /// same index, and already-created threads are not retrofitted.
+    /// Attach a metrics registry. Install it before running: each thread's
+    /// ledger is absorbed into the registry (at the thread's index) when
+    /// the thread ends.
     pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
         self.metrics = Some(metrics);
     }
@@ -504,26 +673,24 @@ impl Vm {
         self.metrics.clone()
     }
 
-    /// The metrics shard mirroring `thread`'s clock, if metrics are on.
-    pub(crate) fn thread_shard(&self, thread: ThreadId) -> Option<Arc<MetricsShard>> {
-        self.threads[thread.index()].clock.metrics().cloned()
-    }
-
-    /// Bump a counter on `thread`'s metrics shard (no-op without metrics).
+    /// Bump a counter in `thread`'s ledger.
     pub(crate) fn metric_incr(&self, thread: ThreadId, id: CounterId) {
-        if let Some(shard) = self.threads[thread.index()].clock.metrics() {
-            shard.incr(id);
-        }
+        self.threads[thread.index()].incr(id);
     }
 
-    /// Enter the configured agent bucket on `thread`'s shard for the
-    /// lifetime of the returned guard — scoping event-dispatch and agent
-    /// callback cycles to the attribution bucket of the attached agent
-    /// (IPA probe, SPA probe, or harness).
-    pub(crate) fn agent_scope(&self, thread: ThreadId) -> Option<BucketGuard> {
-        let registry = self.metrics.as_ref()?;
-        let shard = self.threads[thread.index()].clock.metrics()?;
-        Some(shard.enter(registry.agent_bucket()))
+    /// The attribution bucket of the attached agent's machinery (IPA
+    /// probe, SPA probe, or harness), as declared on the registry.
+    pub(crate) fn agent_bucket(&self) -> Bucket {
+        self.metrics
+            .as_ref()
+            .map_or(Bucket::Workload, MetricsRegistry::agent_bucket)
+    }
+
+    /// Enter the agent bucket on `thread` for the lifetime of the returned
+    /// scope — scoping event-dispatch and agent callback cycles to the
+    /// attached agent's attribution bucket.
+    pub(crate) fn agent_scope(&self, thread: ThreadId) -> BucketScope<'_> {
+        self.threads[thread.index()].enter(self.agent_bucket())
     }
 
     /// Turn the JIT off entirely (the `-Xint` ablation).
@@ -629,17 +796,23 @@ impl Vm {
 
     // ------------------------------------------------------------ threads
 
-    pub(crate) fn charge(&mut self, thread: ThreadId, cycles: u64) {
-        self.threads[thread.index()].clock.charge(cycles);
+    #[inline]
+    pub(crate) fn charge(&self, thread: ThreadId, cycles: u64) {
+        self.threads[thread.index()].charge(cycles);
     }
 
-    pub(crate) fn clock_handle(&self, thread: ThreadId) -> ClockHandle {
-        self.threads[thread.index()].clock.clone()
+    /// The record of `thread`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `thread` was not created by this VM.
+    pub fn thread_info(&self, thread: ThreadId) -> &ThreadInfo {
+        &self.threads[thread.index()]
     }
 
     /// Cycles consumed so far by `thread`.
     pub fn thread_cycles(&self, thread: ThreadId) -> u64 {
-        self.threads[thread.index()].clock.cycles()
+        self.threads[thread.index()].cycles()
     }
 
     /// Name of `thread`.
@@ -648,27 +821,29 @@ impl Vm {
     }
 
     fn create_thread(&mut self, name: &str) -> ThreadId {
-        let clock_id = self.pcl.register_thread();
         let id = ThreadId(self.threads.len() as u32);
-        debug_assert_eq!(clock_id.index(), id.index(), "thread/clock ids aligned");
-        // Attach the mirror shard *before* taking the clock handle: the
-        // handle captures its shard at creation time.
         if let Some(metrics) = &self.metrics {
-            self.pcl
-                .attach_metrics(clock_id, metrics.shard(clock_id.index()));
             metrics
                 .global()
                 .gauge_max(GaugeId::Threads, self.threads.len() as u64 + 1);
         }
-        let next_sample_due = self.sampler.as_ref().map_or(u64::MAX, |(i, _)| *i);
-        self.threads.push(ThreadInfo {
-            name: name.to_owned(),
-            clock: self.pcl.handle(clock_id),
-            depth: 0,
-            next_sample_due,
-            result: None,
-        });
+        let mut info = ThreadInfo::new(id, name);
+        info.next_sample_due = self.sampler.as_ref().map_or(u64::MAX, |(i, _)| *i);
+        self.threads.push(info);
         id
+    }
+
+    /// Publish `thread`'s count into the PCL registry and absorb its
+    /// ledger into the metrics registry, if one is attached — the one
+    /// place thread-owned state crosses to shared state. Publishing again
+    /// later is exact: the count is replaced and the ledger restarts empty.
+    fn publish(&self, thread: ThreadId) {
+        let info = &self.threads[thread.index()];
+        self.pcl.publish(thread.index(), info.cycles());
+        let ledger = info.ledger.take();
+        if let Some(metrics) = &self.metrics {
+            metrics.absorb(thread.index(), &ledger);
+        }
     }
 
     /// The primordial thread (created lazily, **without** a `ThreadStart`
@@ -703,27 +878,34 @@ impl Vm {
 
     // ------------------------------------------------------------- events
 
+    /// Dispatch one JVMTI event on `thread`, if a sink is installed:
+    /// counted in `events_dispatched`, scoped to the agent's attribution
+    /// bucket, charged one `event_dispatch`, then delivered with the
+    /// thread's record borrowed. Callbacks get `&Vm` only through
+    /// `deliver`'s arguments, so they cannot re-enter the VM.
+    pub(crate) fn dispatch<R>(
+        &mut self,
+        thread: ThreadId,
+        deliver: impl FnOnce(&dyn VmEventSink, &ThreadInfo, &Vm) -> R,
+    ) -> Option<R> {
+        let sink = self.sink.as_deref()?;
+        self.stats.events_dispatched += 1;
+        let _agent = self.agent_scope(thread);
+        let info = &self.threads[thread.index()];
+        info.incr(CounterId::JvmtiEvents);
+        info.charge(self.cost.event_dispatch);
+        Some(deliver(sink, info, self))
+    }
+
     pub(crate) fn fire_thread_start(&mut self, thread: ThreadId) {
         if self.mask.thread_events {
-            if let Some(sink) = self.sink.clone() {
-                self.stats.events_dispatched += 1;
-                let _agent = self.agent_scope(thread);
-                self.metric_incr(thread, CounterId::JvmtiEvents);
-                self.charge(thread, self.cost.event_dispatch);
-                sink.thread_start(thread);
-            }
+            self.dispatch(thread, |sink, info, _| sink.thread_start(info));
         }
     }
 
     pub(crate) fn fire_thread_end(&mut self, thread: ThreadId) {
         if self.mask.thread_events {
-            if let Some(sink) = self.sink.clone() {
-                self.stats.events_dispatched += 1;
-                let _agent = self.agent_scope(thread);
-                self.metric_incr(thread, CounterId::JvmtiEvents);
-                self.charge(thread, self.cost.event_dispatch);
-                sink.thread_end(thread);
-            }
+            self.dispatch(thread, |sink, info, _| sink.thread_end(info));
         }
     }
 
@@ -761,9 +943,6 @@ impl Vm {
         if !self.alloc_events_on() {
             return;
         }
-        let Some(sink) = self.sink.clone() else {
-            return;
-        };
         let (class_name, bytes) = {
             let o = self.heap.get(obj);
             let label = match o {
@@ -775,20 +954,14 @@ impl Vm {
             };
             (label, o.model_bytes())
         };
-        self.stats.events_dispatched += 1;
-        let _agent = self.agent_scope(thread);
-        self.metric_incr(thread, CounterId::JvmtiEvents);
-        self.charge(thread, self.cost.event_dispatch);
-        sink.allocation(
-            thread,
-            AllocationView {
-                class_name: &class_name,
-                bytes,
-                site_class,
-                site_method,
-                bci,
-            },
-        );
+        let alloc = AllocationView {
+            class_name: &class_name,
+            bytes,
+            site_class,
+            site_method,
+            bci,
+        };
+        self.dispatch(thread, |sink, info, _| sink.allocation(info, alloc));
     }
 
     fn fire_vm_death(&mut self) {
@@ -797,14 +970,14 @@ impl Vm {
         }
         self.vm_dead = true;
         if self.mask.vm_death {
-            if let Some(sink) = self.sink.clone() {
+            if let Some(sink) = self.sink.as_deref() {
                 self.stats.events_dispatched += 1;
                 // VMDeath is delivered after the last thread has finished,
                 // on no particular thread — count it on the global shard.
                 if let Some(metrics) = &self.metrics {
                     metrics.global().incr(CounterId::JvmtiEvents);
                 }
-                sink.vm_death();
+                sink.vm_death(&self.threads);
             }
         }
     }
@@ -820,7 +993,9 @@ impl Vm {
     /// [`VmError::BadHierarchy`] on load failures.
     pub fn ensure_loaded(&mut self, name: &str) -> Result<ClassId, VmError> {
         let thread = self.ensure_main_thread();
-        self.ensure_loaded_on(thread, name)
+        let loaded = self.ensure_loaded_on(thread, name);
+        self.publish(thread);
+        loaded
     }
 
     /// [`Vm::ensure_loaded`], charging `<clinit>` execution to the thread
@@ -841,18 +1016,11 @@ impl Vm {
             .ok_or_else(|| VmError::ClassNotFound(name.to_owned()))?;
         // ClassFileLoadHook: the sink may rewrite the bytes (dynamic
         // instrumentation, §IV).
+        // Hook delivery costs like any other JVMTI event.
         let bytes = if self.mask.class_file_load_hook {
-            match self.sink.clone() {
-                Some(sink) => {
-                    self.stats.events_dispatched += 1;
-                    let _agent = self.agent_scope(thread);
-                    self.metric_incr(thread, CounterId::JvmtiEvents);
-                    // Hook delivery costs like any other JVMTI event.
-                    self.charge(thread, self.cost.event_dispatch);
-                    sink.class_file_load(name, &bytes).unwrap_or(bytes)
-                }
-                None => bytes,
-            }
+            self.dispatch(thread, |sink, _, _| sink.class_file_load(name, &bytes))
+                .flatten()
+                .unwrap_or(bytes)
         } else {
             bytes
         };
@@ -1033,6 +1201,7 @@ impl Vm {
         self.threads[main.index()].result = Some(main_result.clone());
         self.fire_thread_end(main);
         self.trace_emit(main, TraceEventKind::ThreadEnd, None);
+        self.publish(main);
 
         // Run spawned threads to completion, FIFO (they may spawn more).
         // Each enters through the JNI interface like main; a linkage
@@ -1046,15 +1215,21 @@ impl Vm {
             self.threads[tid.index()].result = Some(res);
             self.fire_thread_end(tid);
             self.trace_emit(tid, TraceEventKind::ThreadEnd, None);
+            self.publish(tid);
         }
         self.fire_vm_death();
+        // VMDeath folds may still charge (agent TLS removal): publish every
+        // thread once more so the registries hold the final counts.
+        for thread in self.threads.iter().map(ThreadInfo::id) {
+            self.publish(thread);
+        }
 
         let threads = self
             .threads
             .iter()
             .map(|t| ThreadOutcome {
                 name: t.name.clone(),
-                cycles: t.clock.cycles(),
+                cycles: t.cycles(),
                 result: t.result.clone().unwrap_or(Ok(Value::Null)),
             })
             .collect();
@@ -1151,8 +1326,9 @@ impl Vm {
         args: Vec<Value>,
     ) -> Result<Result<Value, ExceptionInfo>, VmError> {
         let thread = self.ensure_main_thread();
-        let _ = thread;
-        self.run_entry(ThreadId(0), class, method, descriptor, args)
+        let result = self.run_entry(thread, class, method, descriptor, args);
+        self.publish(thread);
+        result
     }
 
     pub(crate) fn depth(&self, thread: ThreadId) -> usize {
@@ -1163,9 +1339,9 @@ impl Vm {
         self.threads[thread.index()].depth = depth;
     }
 
-    /// The event sink, when method entry/exit events are enabled.
-    pub(crate) fn method_event_sink(&self) -> Option<Arc<dyn VmEventSink>> {
-        self.mask.method_events.then(|| self.sink.clone())?
+    /// Are method entry/exit events delivered to a sink?
+    pub(crate) fn method_events_on(&self) -> bool {
+        self.mask.method_events && self.sink.is_some()
     }
 
     pub(crate) fn max_call_depth(&self) -> usize {

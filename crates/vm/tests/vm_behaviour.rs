@@ -8,7 +8,7 @@ use std::sync::Arc;
 use jvmsim_classfile::builder::{single_method_class, ClassBuilder};
 use jvmsim_classfile::{Cond, FieldFlags, MethodFlags};
 use jvmsim_vm::jni::{JniRetType, NativeLibrary, ParamStyle};
-use jvmsim_vm::{builtins, EventMask, MethodView, ThreadId, Value, Vm, VmEventSink};
+use jvmsim_vm::{builtins, EventMask, MethodView, ThreadInfo, Value, Vm, VmEventSink};
 
 const ST: MethodFlags = MethodFlags::STATIC;
 
@@ -620,25 +620,25 @@ struct CountingSink {
 }
 
 impl VmEventSink for CountingSink {
-    fn method_entry(&self, _t: ThreadId, m: MethodView<'_>) {
+    fn method_entry(&self, _t: &ThreadInfo, m: MethodView<'_>) {
         self.entries.fetch_add(1, Ordering::Relaxed);
         if m.is_native {
             self.native_entries.fetch_add(1, Ordering::Relaxed);
         }
     }
-    fn method_exit(&self, _t: ThreadId, _m: MethodView<'_>, via_exception: bool) {
+    fn method_exit(&self, _t: &ThreadInfo, _m: MethodView<'_>, via_exception: bool) {
         self.exits.fetch_add(1, Ordering::Relaxed);
         if via_exception {
             self.exceptional_exits.fetch_add(1, Ordering::Relaxed);
         }
     }
-    fn thread_start(&self, _t: ThreadId) {
+    fn thread_start(&self, _t: &ThreadInfo) {
         self.thread_starts.fetch_add(1, Ordering::Relaxed);
     }
-    fn thread_end(&self, _t: ThreadId) {
+    fn thread_end(&self, _t: &ThreadInfo) {
         self.thread_ends.fetch_add(1, Ordering::Relaxed);
     }
-    fn vm_death(&self) {
+    fn vm_death(&self, _threads: &[ThreadInfo]) {
         self.deaths.fetch_add(1, Ordering::Relaxed);
     }
 }

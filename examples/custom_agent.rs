@@ -10,17 +10,23 @@
 //! what this costs: requesting `MethodEntry` events disables the JIT, so
 //! the program runs ~10× slower even before the agent does any work —
 //! exactly the trap the paper's SPA falls into.
+//!
+//! Each callback borrows the acting thread's record, and the counts live
+//! in thread-local storage on that record, so counting takes no lock; the
+//! per-thread tables are merged once, at `VMDeath`.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, OnceLock};
 
-use jnativeprof::vm::{builtins, MethodView, ThreadId, Value, Vm};
-use jvmsim_jvmti::{attach, Agent, AgentHost, Capabilities, EventType, JvmtiError};
+use jnativeprof::vm::{builtins, MethodView, ThreadInfo, Value, Vm};
+use jvmsim_jvmti::{
+    attach, Agent, AgentHost, Capabilities, EventType, JvmtiError, ThreadLocalStorage,
+};
 use workloads::by_name;
 
 #[derive(Default)]
 struct HotMethodAgent {
-    counts: Mutex<HashMap<String, u64>>,
+    counts: OnceLock<ThreadLocalStorage<HashMap<String, u64>>>,
     done: OnceLock<()>,
 }
 
@@ -29,16 +35,26 @@ impl Agent for HotMethodAgent {
         host.add_capabilities(Capabilities::spa());
         host.enable_event(EventType::MethodEntry)?;
         host.enable_event(EventType::VmDeath)?;
+        self.counts.set(host.env().create_tls()).ok();
         Ok(())
     }
 
-    fn method_entry(&self, _thread: ThreadId, method: MethodView<'_>) {
+    fn method_entry(&self, thread: &ThreadInfo, method: MethodView<'_>) {
         let key = format!("{}.{}{}", method.class_name, method.name, method.descriptor);
-        *self.counts.lock().unwrap().entry(key).or_insert(0) += 1;
+        let tls = self.counts.get().expect("attached");
+        tls.with_or_insert(thread, HashMap::new, |counts| {
+            *counts.entry(key).or_insert(0) += 1;
+        });
     }
 
-    fn vm_death(&self) {
-        let counts = self.counts.lock().unwrap();
+    fn vm_death(&self, threads: &[ThreadInfo]) {
+        let tls = self.counts.get().expect("attached");
+        let mut counts = BTreeMap::new();
+        for thread in threads {
+            for (sig, n) in tls.remove(thread).unwrap_or_default() {
+                *counts.entry(sig).or_insert(0) += n;
+            }
+        }
         let mut rows: Vec<_> = counts.iter().collect();
         rows.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
         println!("hottest methods:");

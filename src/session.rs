@@ -264,10 +264,9 @@ impl<'w> Session<'w> {
         self
     }
 
-    /// Install a [`MetricsRegistry`] on the VM **before any thread
-    /// exists** (so every PCL clock mirrors its charges into a per-thread
-    /// shard from cycle zero). Recording never charges cycles; the caller
-    /// snapshots the registry after the run.
+    /// Install a [`MetricsRegistry`] on the VM: each thread's ledger is
+    /// absorbed into it when the thread ends. Recording never charges
+    /// cycles; the caller snapshots the registry after the run.
     #[must_use]
     pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
         self.metrics = Some(registry);
