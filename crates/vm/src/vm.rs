@@ -166,11 +166,6 @@ impl ThreadInfo {
         self.id
     }
 
-    /// The thread's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Cycles consumed so far.
     #[inline]
     pub fn cycles(&self) -> u64 {
@@ -220,7 +215,7 @@ impl ThreadInfo {
     }
 
     /// Increment counter `id` by `n` in the ledger.
-    pub fn add(&self, id: CounterId, n: u64) {
+    pub(crate) fn add(&self, id: CounterId, n: u64) {
         self.ledger.borrow_mut().add(id, n);
     }
 
