@@ -17,12 +17,16 @@
 //! same committed columns: observation planes never change a measured quantity, and the
 //! bare path is pinned absolutely rather than against a live metered run.
 //!
-//! The ignored `regenerate_golden_corpus` test prints a fresh file. Every
-//! corpus line contains a tab and none of the test harness's lines do:
+//! `tests/golden/ids.txt` pins every dense id table the same way: one
+//! `Type<TAB>index<TAB>name` line per variant. Those indices are not just
+//! array slots: a [`FaultSite`] index salts its fault-decision stream, a
+//! [`SpanStage`] index is the `/v1/spans/bin` wire byte, and the metrics
+//! and trace-kind orders fix exposition and digest order.
+//!
+//! The ignored `regenerate_golden_corpus` test rewrites both files:
 //!
 //! ```sh
-//! cargo test --release --test golden -- --ignored --nocapture \
-//!     | grep -P '\t' > tests/golden/cells.tsv
+//! cargo test --release --test golden -- --ignored
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -31,12 +35,15 @@ use std::sync::Arc;
 use jnativeprof::cell::{cell_row_json, CellQuantities};
 use jnativeprof::session::Session;
 use jvmsim_cache::Digest;
+use jvmsim_faults::FaultSite;
 use jvmsim_metrics::{Bucket, CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot};
+use jvmsim_spans::SpanStage;
 use jvmsim_trace::{csv::events_csv, TraceRecorder};
-use jvmsim_vm::{TiersMode, TraceSink, VmStats};
+use jvmsim_vm::{TiersMode, TraceEventKind, TraceSink, VmStats};
 use workloads::{by_name, ProblemSize};
 
 const CORPUS: &str = include_str!("golden/cells.tsv");
+const IDS: &str = include_str!("golden/ids.txt");
 
 const COLUMNS: [&str; 8] = [
     "workload",
@@ -288,11 +295,76 @@ fn golden_corpus_covers_virtual_dispatch_and_both_compiled_tiers() {
         && !fields[7].contains("\"c2_cycles\":\"0\"")));
 }
 
+/// One `(type, index, name)` row per variant of every dense id table, in
+/// declaration order.
+fn id_rows() -> Vec<(&'static str, usize, &'static str)> {
+    use TraceEventKind::*;
+    let trace_kinds = [
+        J2nBegin,
+        J2nEnd,
+        N2jBegin,
+        N2jEnd,
+        MethodCompile,
+        ThreadStart,
+        ThreadEnd,
+        AllocSite,
+        MonitorContend,
+        TierUpC1,
+        TierUpC2,
+        Osr,
+        Deopt,
+    ];
+    assert_eq!(trace_kinds.len(), TraceEventKind::COUNT);
+    let mut rows = Vec::new();
+    rows.extend(Bucket::ALL.map(|id| ("Bucket", id.index(), id.name())));
+    rows.extend(CounterId::ALL.map(|id| ("CounterId", id.index(), id.name())));
+    rows.extend(GaugeId::ALL.map(|id| ("GaugeId", id.index(), id.name())));
+    rows.extend(HistogramId::ALL.map(|id| ("HistogramId", id.index(), id.name())));
+    rows.extend(trace_kinds.map(|id| ("TraceEventKind", id.index(), id.label())));
+    rows.extend(SpanStage::ALL.map(|id| ("SpanStage", id.index(), id.name())));
+    rows.extend(FaultSite::ALL.map(|id| ("FaultSite", id.index(), id.label())));
+    rows
+}
+
+/// The `ids.txt` text for [`id_rows`].
+fn ids_text() -> String {
+    id_rows()
+        .into_iter()
+        .map(|(ty, index, name)| format!("{ty}\t{index}\t{name}\n"))
+        .collect()
+}
+
 #[test]
-#[ignore = "prints a regenerated corpus to stdout"]
-fn regenerate_golden_corpus() {
-    println!("# {}", COLUMNS.join("\t"));
-    for line in corpus_lines() {
-        println!("{line}");
+fn golden_id_tables_match_and_names_are_unique() {
+    let actual = ids_text();
+    let diffs: Vec<String> = IDS
+        .lines()
+        .zip(actual.lines())
+        .filter(|(want, got)| want != got)
+        .map(|(want, got)| format!("  expected {want}\n  actual   {got}"))
+        .collect();
+    assert!(
+        diffs.is_empty() && IDS.lines().count() == actual.lines().count(),
+        "id tables differ from tests/golden/ids.txt ({} vs {} lines):\n{}",
+        IDS.lines().count(),
+        actual.lines().count(),
+        diffs.join("\n")
+    );
+    let mut names = BTreeSet::new();
+    for (ty, _, name) in id_rows() {
+        assert!(names.insert((ty, name)), "duplicate {ty} name {name}");
     }
+}
+
+#[test]
+#[ignore = "rewrites tests/golden/cells.tsv and tests/golden/ids.txt"]
+fn regenerate_golden_corpus() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+    let mut cells = format!("# {}\n", COLUMNS.join("\t"));
+    for line in corpus_lines() {
+        cells.push_str(&line);
+        cells.push('\n');
+    }
+    std::fs::write(format!("{dir}/cells.tsv"), cells).expect("write cells.tsv");
+    std::fs::write(format!("{dir}/ids.txt"), ids_text()).expect("write ids.txt");
 }
