@@ -205,6 +205,62 @@ mod tests {
         assert!(json.contains("\"ts\":0.600"), "{json}");
     }
 
+    /// One event of every kind on thread 1, all at cycle 1500.
+    fn every_kind_snapshot() -> TraceSnapshot {
+        use TraceEventKind::*;
+        let r = TraceRecorder::new(16);
+        let t1 = ThreadId::from_index(1);
+        let kinds = [
+            J2nBegin,
+            J2nEnd,
+            N2jBegin,
+            N2jEnd,
+            MethodCompile,
+            ThreadStart,
+            ThreadEnd,
+            AllocSite,
+            MonitorContend,
+            TierUpC1,
+            TierUpC2,
+            Osr,
+            Deopt,
+        ];
+        assert_eq!(kinds.len(), TraceEventKind::COUNT);
+        for kind in kinds {
+            r.record(t1, kind, 1500, None);
+        }
+        r.snapshot()
+    }
+
+    #[test]
+    fn every_kind_renders_byte_for_byte() {
+        let json = chrome_trace_json(&every_kind_snapshot(), 1_000_000_000).expect("clock rate");
+        let expected = [
+            r#"{"traceEvents":["#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"thread#0"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"thread#1"}},"#,
+            r#"{"name":"native","cat":"transition","ph":"B","ts":1.500,"pid":1,"tid":1},"#,
+            r#"{"ph":"E","ts":1.500,"pid":1,"tid":1},"#,
+            r#"{"name":"bytecode","cat":"transition","ph":"B","ts":1.500,"pid":1,"tid":1},"#,
+            r#"{"ph":"E","ts":1.500,"pid":1,"tid":1},"#,
+            r#"{"name":"compile","cat":"jit","ph":"i","s":"t","ts":1.500,"pid":1,"tid":1},"#,
+            r#"{"name":"thread_start","cat":"thread","ph":"i","s":"t","ts":1.500,"pid":1,"tid":1},"#,
+            r#"{"name":"thread_end","cat":"thread","ph":"i","s":"t","ts":1.500,"pid":1,"tid":1},"#,
+            r#"{"name":"alloc_site","cat":"agent","ph":"i","s":"t","ts":1.500,"pid":1,"tid":1},"#,
+            r#"{"name":"monitor_contend","cat":"agent","ph":"i","s":"t","ts":1.500,"pid":1,"tid":1},"#,
+            r#"{"name":"tier_up_c1","cat":"jit","ph":"i","s":"t","ts":1.500,"pid":1,"tid":1},"#,
+            r#"{"name":"tier_up_c2","cat":"jit","ph":"i","s":"t","ts":1.500,"pid":1,"tid":1},"#,
+            r#"{"name":"osr","cat":"jit","ph":"i","s":"t","ts":1.500,"pid":1,"tid":1},"#,
+            r#"{"name":"deopt","cat":"jit","ph":"i","s":"t","ts":1.500,"pid":1,"tid":1}"#,
+            r#"],"#,
+            r#""displayTimeUnit":"ms","#,
+            r#""otherData":{"clock_hz":1000000000,"j2n_begin":1,"j2n_end":1,"n2j_begin":1,"n2j_end":1,"method_compile":1,"thread_start":1,"thread_end":1,"alloc_site":1,"monitor_contend":1,"tier_up_c1":1,"tier_up_c2":1,"osr":1,"deopt":1,"recorded":13,"dropped":0}}"#,
+            "",
+        ]
+        .join("\n");
+        assert_eq!(json, expected);
+    }
+
     #[test]
     fn escaping() {
         assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");

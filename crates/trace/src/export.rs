@@ -357,13 +357,19 @@ mod tests {
         let mut b = Vec::new();
         exporter.export(&shuffled, &mut b).unwrap();
         assert_eq!(a, b, "export must not depend on input order");
-        let text = String::from_utf8(a).unwrap();
-        assert!(text.contains("\"name\":\"member-0\""), "{text}");
         // 100 cycles at 1 GHz = 0.100µs: request 1 starts where 0 ended.
-        assert!(
-            text.contains("\"name\":\"root\",\"cat\":\"span\",\"ts\":0.100"),
-            "{text}"
-        );
+        let expected = [
+            r#"{"traceEvents":["#,
+            r#"{"ph":"M","name":"process_name","pid":0,"tid":0,"args":{"name":"member-0"}},"#,
+            r#"{"ph":"X","name":"root","cat":"span","ts":0.000,"dur":0.100,"pid":0,"tid":0,"args":{"trace":"00000000000011110000000000002222","span":"0000000000003333","parent":"0000000000000000","req":0,"detail":200}},"#,
+            r#"{"ph":"X","name":"accept","cat":"span","ts":0.000,"dur":0.100,"pid":0,"tid":0,"args":{"trace":"00000000000011110000000000002222","span":"0000000000003333","parent":"0000000000000000","req":0,"detail":200}},"#,
+            r#"{"ph":"X","name":"root","cat":"span","ts":0.100,"dur":0.050,"pid":0,"tid":0,"args":{"trace":"00000000000011110000000000002222","span":"0000000000003334","parent":"0000000000000000","req":1,"detail":200}},"#,
+            r#"{"ph":"X","name":"accept","cat":"span","ts":0.100,"dur":0.050,"pid":0,"tid":0,"args":{"trace":"00000000000011110000000000002222","span":"0000000000003334","parent":"0000000000000000","req":1,"detail":200}}"#,
+            r#"],"displayTimeUnit":"ms"}"#,
+            "",
+        ]
+        .join("\n");
+        assert_eq!(String::from_utf8(a).unwrap(), expected);
     }
 
     #[test]
