@@ -501,7 +501,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), HarnessError> {
     );
     for (site, consulted, injected) in &drill.sites {
         if *consulted > 0 {
-            eprintln!("  {}: {injected}/{consulted} injected", site.label());
+            eprintln!("  {}: {injected}/{consulted} injected", site.name());
         }
     }
     for violation in &drill.violations {

@@ -1006,7 +1006,7 @@ pub fn run_chaos(config: SuiteConfig, seeds: u64) -> ChaosReport {
         completed: 0,
         failures: Vec::new(),
         violations: Vec::new(),
-        sites: FaultSite::ALL.iter().map(|s| (s.label(), 0, 0)).collect(),
+        sites: FaultSite::ALL.iter().map(|s| (s.name(), 0, 0)).collect(),
         degraded_exports: 0,
         exports: 0,
         metrics: Vec::new(),

@@ -16,8 +16,9 @@
 //! same plan inject exactly the same schedule regardless of wall-clock
 //! time, and a failing chaos seed reproduces byte-for-byte.
 //!
-//! This crate sits at the bottom of the workspace dependency stack and is
-//! deliberately dependency-free; threads are identified by raw `usize`
+//! This crate sits at the bottom of the workspace dependency stack and
+//! depends only on the dependency-free `jvmsim-metrics` (for its
+//! `id_table!` macro); threads are identified by raw `usize`
 //! indices so it needs no knowledge of the VM's `ThreadId`.
 
 #![forbid(unsafe_code)]
@@ -40,166 +41,93 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The hook points where a fault can fire. Each consumer consults exactly
-/// the sites it owns; the injector tracks consultations and injections per
-/// site so a chaos run can report coverage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultSite {
-    /// Force an exception to unwind out of a (possibly prefixed) native
-    /// method just as it would otherwise have returned normally — the
-    /// paper's `try/finally` wrapper semantics must keep J2N accounting
-    /// balanced (checked by the interpreter's `invoke_native`).
-    NativeUnwind,
-    /// Materialise a pending exception at the return of an intercepted JNI
-    /// `Call<Type>Method` function, after the N2J bracket has closed
-    /// (checked by `JniEnv::call`).
-    NativePendingThrow,
-    /// Abrupt asynchronous thread death: `java/lang/ThreadDeath` thrown at
-    /// an interpreter safepoint poll.
-    ThreadDeath,
-    /// Truncate the classfile byte stream handed to the decoder at load
-    /// time; the VM must degrade to a Java-level linkage error.
-    ClassBytes,
-    /// Force the trace ring to drop an event as if saturated; the
-    /// `recorded + dropped == appended` ledger must still balance.
-    TraceSaturation,
-    /// Fail an artifact/exporter write; the driver must record the failure
-    /// instead of panicking.
-    ExporterWrite,
-    /// Per-thread clock stall: a timestamp read observes an anomalously
-    /// late clock (extra cycles charged before the read).
-    ClockStall,
-    /// Per-thread clock step-back: a timestamp read observes an earlier
-    /// instant than the previous read; meters must saturate, not underflow.
-    ClockStepBack,
-    /// Flip a byte of a content-addressed cache entry as it is read back;
-    /// digest verification must catch the poison, quarantine the entry and
-    /// recompute — a corrupted cache may cost time, never correctness.
-    CacheCorrupt,
-    /// A serve-plane client stalls mid-request: the daemon's read loop
-    /// observes a request that never completes within its deadline and must
-    /// answer `408` and close the connection, counting the request exactly
-    /// once in the admission ledger.
-    ServeSlowRead,
-    /// The connection drops just before the daemon writes its response; the
-    /// request must still be accounted (accepted + dropped) and never
-    /// double-executed or double-counted.
-    ServeConnDrop,
-    /// The ALLOC agent's allocation-site table refuses a new site as if
-    /// full; the record must be routed to the overflow bin so
-    /// `total_objects == Σ site objects + overflow` still balances.
-    AllocSiteOverflow,
-    /// A LOCK-agent contention record is dropped as if the monitor ledger
-    /// were corrupted; the agent must count the discard so
-    /// `observed == recorded + discarded` and `contended ≤ entries` hold.
-    MonitorLedgerCorrupt,
-    /// A cluster peer-fetch connection drops before the entry arrives; the
-    /// fetching node must fall through its retry budget to the next tier
-    /// (another peer, then local recompute) without ever serving a partial
-    /// entry.
-    PeerConnDrop,
-    /// A cluster peer-fetch read stalls past its per-attempt timeout; the
-    /// seeded backoff policy must retry or degrade, never hang the
-    /// requesting worker.
-    PeerSlowRead,
-    /// A fleet member crashes outright mid-run; the cluster drill kills the
-    /// daemon at this consultation, and routing must fail over to the
-    /// consistent-hash successor while every surviving ledger stays
-    /// balanced.
-    MemberCrash,
-    /// The span plane's collection ring refuses a request's span batch as
-    /// if saturated; the plane must count every dropped record so
-    /// `appended + dropped` still covers all finished spans and drill
-    /// invariants are checked only over survivors.
-    SpanBufferSaturation,
-    /// A tier compile (C1 or C2) aborts partway — the compiler thread is
-    /// modeled as bailing out. Half the compile cost has already been
-    /// charged to the compile bucket; the method must stay at its current
-    /// tier with its invocation counter reset, and the bucket ledger must
-    /// still partition `total_cycles` exactly.
-    TierCompileAbort,
-}
-
-impl FaultSite {
-    /// Number of distinct sites.
-    pub const COUNT: usize = 18;
-
-    /// Every site, in a fixed order (indexing matches [`FaultSite::index`]).
+jvmsim_metrics::id_table! {
+    /// The hook points where a fault can fire. Each consumer consults exactly
+    /// the sites it owns; the injector tracks consultations and injections per
+    /// site so a chaos run can report coverage.
     ///
     /// New sites are appended, never inserted: per-site decision streams are
     /// salted by index, so appending leaves every existing schedule (and
     /// every cached cell entry recording site tallies) untouched.
-    pub const ALL: [FaultSite; FaultSite::COUNT] = [
-        FaultSite::NativeUnwind,
-        FaultSite::NativePendingThrow,
-        FaultSite::ThreadDeath,
-        FaultSite::ClassBytes,
-        FaultSite::TraceSaturation,
-        FaultSite::ExporterWrite,
-        FaultSite::ClockStall,
-        FaultSite::ClockStepBack,
-        FaultSite::CacheCorrupt,
-        FaultSite::ServeSlowRead,
-        FaultSite::ServeConnDrop,
-        FaultSite::AllocSiteOverflow,
-        FaultSite::MonitorLedgerCorrupt,
-        FaultSite::PeerConnDrop,
-        FaultSite::PeerSlowRead,
-        FaultSite::MemberCrash,
-        FaultSite::SpanBufferSaturation,
-        FaultSite::TierCompileAbort,
-    ];
-
-    /// Stable index of this site into rate/counter arrays.
-    #[must_use]
-    pub const fn index(self) -> usize {
-        match self {
-            FaultSite::NativeUnwind => 0,
-            FaultSite::NativePendingThrow => 1,
-            FaultSite::ThreadDeath => 2,
-            FaultSite::ClassBytes => 3,
-            FaultSite::TraceSaturation => 4,
-            FaultSite::ExporterWrite => 5,
-            FaultSite::ClockStall => 6,
-            FaultSite::ClockStepBack => 7,
-            FaultSite::CacheCorrupt => 8,
-            FaultSite::ServeSlowRead => 9,
-            FaultSite::ServeConnDrop => 10,
-            FaultSite::AllocSiteOverflow => 11,
-            FaultSite::MonitorLedgerCorrupt => 12,
-            FaultSite::PeerConnDrop => 13,
-            FaultSite::PeerSlowRead => 14,
-            FaultSite::MemberCrash => 15,
-            FaultSite::SpanBufferSaturation => 16,
-            FaultSite::TierCompileAbort => 17,
-        }
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum FaultSite {
+        /// Force an exception to unwind out of a (possibly prefixed) native
+        /// method just as it would otherwise have returned normally — the
+        /// paper's `try/finally` wrapper semantics must keep J2N accounting
+        /// balanced (checked by the interpreter's `invoke_native`).
+        NativeUnwind => "native-unwind",
+        /// Materialise a pending exception at the return of an intercepted JNI
+        /// `Call<Type>Method` function, after the N2J bracket has closed
+        /// (checked by `JniEnv::call`).
+        NativePendingThrow => "pending-throw",
+        /// Abrupt asynchronous thread death: `java/lang/ThreadDeath` thrown at
+        /// an interpreter safepoint poll.
+        ThreadDeath => "thread-death",
+        /// Truncate the classfile byte stream handed to the decoder at load
+        /// time; the VM must degrade to a Java-level linkage error.
+        ClassBytes => "class-bytes",
+        /// Force the trace ring to drop an event as if saturated; the
+        /// `recorded + dropped == appended` ledger must still balance.
+        TraceSaturation => "trace-saturation",
+        /// Fail an artifact/exporter write; the driver must record the failure
+        /// instead of panicking.
+        ExporterWrite => "exporter-write",
+        /// Per-thread clock stall: a timestamp read observes an anomalously
+        /// late clock (extra cycles charged before the read).
+        ClockStall => "clock-stall",
+        /// Per-thread clock step-back: a timestamp read observes an earlier
+        /// instant than the previous read; meters must saturate, not underflow.
+        ClockStepBack => "clock-step-back",
+        /// Flip a byte of a content-addressed cache entry as it is read back;
+        /// digest verification must catch the poison, quarantine the entry and
+        /// recompute — a corrupted cache may cost time, never correctness.
+        CacheCorrupt => "cache-corrupt",
+        /// A serve-plane client stalls mid-request: the daemon's read loop
+        /// observes a request that never completes within its deadline and must
+        /// answer `408` and close the connection, counting the request exactly
+        /// once in the admission ledger.
+        ServeSlowRead => "serve-slow-read",
+        /// The connection drops just before the daemon writes its response; the
+        /// request must still be accounted (accepted + dropped) and never
+        /// double-executed or double-counted.
+        ServeConnDrop => "serve-conn-drop",
+        /// The ALLOC agent's allocation-site table refuses a new site as if
+        /// full; the record must be routed to the overflow bin so
+        /// `total_objects == Σ site objects + overflow` still balances.
+        AllocSiteOverflow => "alloc-site-overflow",
+        /// A LOCK-agent contention record is dropped as if the monitor ledger
+        /// were corrupted; the agent must count the discard so
+        /// `observed == recorded + discarded` and `contended ≤ entries` hold.
+        MonitorLedgerCorrupt => "monitor-ledger-corrupt",
+        /// A cluster peer-fetch connection drops before the entry arrives; the
+        /// fetching node must fall through its retry budget to the next tier
+        /// (another peer, then local recompute) without ever serving a partial
+        /// entry.
+        PeerConnDrop => "peer-conn-drop",
+        /// A cluster peer-fetch read stalls past its per-attempt timeout; the
+        /// seeded backoff policy must retry or degrade, never hang the
+        /// requesting worker.
+        PeerSlowRead => "peer-slow-read",
+        /// A fleet member crashes outright mid-run; the cluster drill kills the
+        /// daemon at this consultation, and routing must fail over to the
+        /// consistent-hash successor while every surviving ledger stays
+        /// balanced.
+        MemberCrash => "member-crash",
+        /// The span plane's collection ring refuses a request's span batch as
+        /// if saturated; the plane must count every dropped record so
+        /// `appended + dropped` still covers all finished spans and drill
+        /// invariants are checked only over survivors.
+        SpanBufferSaturation => "span-buffer-saturation",
+        /// A tier compile (C1 or C2) aborts partway — the compiler thread is
+        /// modeled as bailing out. Half the compile cost has already been
+        /// charged to the compile bucket; the method must stay at its current
+        /// tier with its invocation counter reset, and the bucket ledger must
+        /// still partition `total_cycles` exactly.
+        TierCompileAbort => "tier-compile-abort",
     }
+}
 
-    /// Short human-readable label (used in chaos reports).
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            FaultSite::NativeUnwind => "native-unwind",
-            FaultSite::NativePendingThrow => "pending-throw",
-            FaultSite::ThreadDeath => "thread-death",
-            FaultSite::ClassBytes => "class-bytes",
-            FaultSite::TraceSaturation => "trace-saturation",
-            FaultSite::ExporterWrite => "exporter-write",
-            FaultSite::ClockStall => "clock-stall",
-            FaultSite::ClockStepBack => "clock-step-back",
-            FaultSite::CacheCorrupt => "cache-corrupt",
-            FaultSite::ServeSlowRead => "serve-slow-read",
-            FaultSite::ServeConnDrop => "serve-conn-drop",
-            FaultSite::AllocSiteOverflow => "alloc-site-overflow",
-            FaultSite::MonitorLedgerCorrupt => "monitor-ledger-corrupt",
-            FaultSite::PeerConnDrop => "peer-conn-drop",
-            FaultSite::PeerSlowRead => "peer-slow-read",
-            FaultSite::MemberCrash => "member-crash",
-            FaultSite::SpanBufferSaturation => "span-buffer-saturation",
-            FaultSite::TierCompileAbort => "tier-compile-abort",
-        }
-    }
-
+impl FaultSite {
     /// Per-site salt mixed into every decision so sites with equal rates
     /// do not fire in lockstep.
     #[inline]
@@ -210,7 +138,7 @@ impl FaultSite {
 
 impl std::fmt::Display for FaultSite {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
+        f.write_str(self.name())
     }
 }
 

@@ -31,435 +31,246 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Which machinery a charged cycle belongs to — the columns of the
-/// overhead-attribution table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Bucket {
-    /// Application bytecode, JDK natives, and VM bookkeeping on their
-    /// behalf — everything an unprofiled run would also pay.
-    #[default]
-    Workload,
-    /// IPA probe machinery: wrapper-native dispatch, transition timestamps,
-    /// meter updates, thread-lifecycle event delivery to the IPA agent.
-    IpaProbe,
-    /// SPA probe machinery: MethodEntry/MethodExit event dispatch, the
-    /// reified stack, raw-monitor totals.
-    SpaProbe,
-    /// Transition-trace recording. The recorder's documented contract is
-    /// zero cycle perturbation, so this bucket must stay 0; it exists so
-    /// the report *shows* that instead of assuming it.
-    Trace,
-    /// Launcher machinery: the JNI `Call*Method*` charge the harness pays
-    /// to enter each thread's initial method.
-    Harness,
-    /// ALLOC agent machinery: allocation-event delivery and the agent's
-    /// site-table bookkeeping.
-    AllocProbe,
-    /// LOCK agent machinery: monitor-ledger bookkeeping plus the modeled
-    /// blocked cycles charged to waiting threads.
-    LockProbe,
-    /// C1 quick-compiler time: cycles spent producing tier-1 code (and
-    /// half-charged aborted compiles under fault injection).
-    C1Compile,
-    /// C2 optimizing-compiler time: cycles spent producing tier-2 code
-    /// (and half-charged aborted compiles under fault injection).
-    C2Compile,
+/// Declares a dense id enum: each variant is written once, as
+/// `Variant => "name"`, and the macro generates `COUNT`, `ALL` (every
+/// variant in declaration order), `const fn index` (the declaration
+/// position) and `const fn name`. Attributes on the enum and on each
+/// variant (docs, derives, `#[default]`) pass through unchanged.
+///
+/// An index is a variant's position, so inserting or reordering variants
+/// renumbers every later one; the golden id corpus pins each table.
+///
+/// ```
+/// jvmsim_metrics::id_table! {
+///     /// Primary colours.
+///     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///     pub enum Colour {
+///         /// Red.
+///         Red => "red",
+///         /// Blue.
+///         Blue => "blue",
+///     }
+/// }
+///
+/// assert_eq!(Colour::COUNT, 2);
+/// assert_eq!(Colour::ALL, [Colour::Red, Colour::Blue]);
+/// assert_eq!((Colour::Blue.index(), Colour::Blue.name()), (1, "blue"));
+/// ```
+#[macro_export]
+macro_rules! id_table {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $ty:ident {
+            $($(#[$vmeta:meta])* $variant:ident => $name:literal,)+
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $ty {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        impl $ty {
+            /// Number of variants (array sizing).
+            pub const COUNT: usize = [$($name),+].len();
+
+            /// Every variant, in dense-index order.
+            pub const ALL: [$ty; $ty::COUNT] = [$($ty::$variant),+];
+
+            /// Dense index in `[0, COUNT)`: the declaration position.
+            #[must_use]
+            pub const fn index(self) -> usize {
+                self as usize
+            }
+
+            /// Stable name (exporters, reports, wire formats).
+            #[must_use]
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
+
+id_table! {
+    /// Which machinery a charged cycle belongs to — the columns of the
+    /// overhead-attribution table.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum Bucket {
+        /// Application bytecode, JDK natives, and VM bookkeeping on their
+        /// behalf — everything an unprofiled run would also pay.
+        #[default]
+        Workload => "workload",
+        /// IPA probe machinery: wrapper-native dispatch, transition timestamps,
+        /// meter updates, thread-lifecycle event delivery to the IPA agent.
+        IpaProbe => "ipa_probe",
+        /// SPA probe machinery: MethodEntry/MethodExit event dispatch, the
+        /// reified stack, raw-monitor totals.
+        SpaProbe => "spa_probe",
+        /// Transition-trace recording. The recorder's documented contract is
+        /// zero cycle perturbation, so this bucket must stay 0; it exists so
+        /// the report *shows* that instead of assuming it.
+        Trace => "trace",
+        /// Launcher machinery: the JNI `Call*Method*` charge the harness pays
+        /// to enter each thread's initial method.
+        Harness => "harness",
+        /// ALLOC agent machinery: allocation-event delivery and the agent's
+        /// site-table bookkeeping.
+        AllocProbe => "alloc_probe",
+        /// LOCK agent machinery: monitor-ledger bookkeeping plus the modeled
+        /// blocked cycles charged to waiting threads.
+        LockProbe => "lock_probe",
+        /// C1 quick-compiler time: cycles spent producing tier-1 code (and
+        /// half-charged aborted compiles under fault injection).
+        C1Compile => "c1_compile",
+        /// C2 optimizing-compiler time: cycles spent producing tier-2 code
+        /// (and half-charged aborted compiles under fault injection).
+        C2Compile => "c2_compile",
+    }
 }
 
 impl Bucket {
-    /// Number of buckets (array sizing).
-    pub const COUNT: usize = 9;
-
-    /// Every bucket, in dense-index order.
-    pub const ALL: [Bucket; Bucket::COUNT] = [
-        Bucket::Workload,
-        Bucket::IpaProbe,
-        Bucket::SpaProbe,
-        Bucket::Trace,
-        Bucket::Harness,
-        Bucket::AllocProbe,
-        Bucket::LockProbe,
-        Bucket::C1Compile,
-        Bucket::C2Compile,
-    ];
-
-    /// Dense index in `[0, COUNT)`.
-    pub fn index(self) -> usize {
-        match self {
-            Bucket::Workload => 0,
-            Bucket::IpaProbe => 1,
-            Bucket::SpaProbe => 2,
-            Bucket::Trace => 3,
-            Bucket::Harness => 4,
-            Bucket::AllocProbe => 5,
-            Bucket::LockProbe => 6,
-            Bucket::C1Compile => 7,
-            Bucket::C2Compile => 8,
-        }
-    }
-
-    /// Stable snake_case label (exporters, table headers).
-    pub fn name(self) -> &'static str {
-        match self {
-            Bucket::Workload => "workload",
-            Bucket::IpaProbe => "ipa_probe",
-            Bucket::SpaProbe => "spa_probe",
-            Bucket::Trace => "trace",
-            Bucket::Harness => "harness",
-            Bucket::AllocProbe => "alloc_probe",
-            Bucket::LockProbe => "lock_probe",
-            Bucket::C1Compile => "c1_compile",
-            Bucket::C2Compile => "c2_compile",
-        }
-    }
-
     fn from_index(i: u8) -> Bucket {
         Bucket::ALL[i as usize]
     }
 }
 
-/// Monotonic counter identities. Static: adding one is a code change, so
-/// exposition order (and therefore artifact bytes) can never drift.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CounterId {
-    /// Interpreted bytecode instructions executed.
-    InterpInsns,
-    /// Method invocations (bytecode and native).
-    Invocations,
-    /// Native method invocations from bytecode (J2N dispatches).
-    NativeCalls,
-    /// JNI `Call*Method*` upcalls (N2J dispatches).
-    JniUpcalls,
-    /// JVMTI events delivered to an agent sink.
-    JvmtiEvents,
-    /// IPA probe executions (J2N begin/end + intercepted N2J begin/end).
-    IpaProbes,
-    /// SPA probe executions (MethodEntry/MethodExit callbacks).
-    SpaProbes,
-    /// Transition-trace events appended (stored in a ring).
-    TraceAppends,
-    /// Transition-trace events dropped (ring full or injected saturation).
-    TraceDrops,
-    /// Fault-injector consultations across all sites.
-    FaultsConsulted,
-    /// Faults actually injected across all sites.
-    FaultsInjected,
-    /// Suite cells whose execution began.
-    CellsStarted,
-    /// Suite cells that completed and produced a result.
-    CellsCompleted,
-    /// Suite cells quarantined with a typed failure.
-    CellsQuarantined,
-    /// Content-addressed cache lookups that verified and were served.
-    CacheHits,
-    /// Content-addressed cache lookups that found no entry.
-    CacheMisses,
-    /// Bytes moved through the content-addressed cache (reads + writes).
-    CacheBytes,
-    /// Cache entries that failed digest verification and were quarantined.
-    CacheQuarantined,
-    /// Serve-plane requests admitted (parsed far enough to be accounted).
-    ServeAccepted,
-    /// Serve-plane requests answered successfully (2xx, including hits).
-    ServeServed,
-    /// Serve-plane requests shed with `429` because the queue was full.
-    ServeShed,
-    /// Serve-plane requests that exceeded a deadline (`408`/`504`).
-    ServeTimeout,
-    /// Serve-plane requests whose connection dropped before the response.
-    ServeDropped,
-    /// Serve-plane requests rejected with a client/server error (4xx/5xx
-    /// other than shed/timeout).
-    ServeErrors,
-    /// Serve-plane run requests answered from the cell-result cache.
-    ServeHits,
-    /// ALLOC probe executions (allocation-event callbacks).
-    AllocProbes,
-    /// LOCK probe executions (instrumented raw-monitor entries).
-    LockProbes,
-    /// Serve-plane run requests executed through a worker (cache misses
-    /// that actually computed a row). Summed across a fleet this counts
-    /// rows computed, so a healthy cluster run asserts it equals the
-    /// matrix size exactly — zero double-computes.
-    ServeRunsExecuted,
-    /// Cluster peer-fetch attempts that returned a verified cell entry.
-    ClusterPeerHits,
-    /// Cluster peer-fetch rounds that exhausted every peer and degraded
-    /// to local recompute.
-    ClusterPeerMisses,
-    /// Cluster peer-fetch retries (attempts beyond the first per peer),
-    /// driven by the seeded backoff policy.
-    ClusterRetries,
-    /// Cluster requests routed past a quarantined owner to its
-    /// consistent-hash successor.
-    ClusterFailovers,
-    /// Cache entries evicted by bounded-store compaction.
-    ClusterEvictions,
-    /// Serve-plane connections accepted by the event loop over the
-    /// daemon's lifetime (keep-alive connections count once).
-    ServeConnsAccepted,
-    /// Methods promoted to the C1 quick tier (including via OSR).
-    C1Compiles,
-    /// Methods promoted to the C2 optimizing tier (including via OSR).
-    C2Compiles,
-    /// On-stack replacements: promotions triggered by a hot loop
-    /// back-edge inside a running activation.
-    OsrReplacements,
-    /// Deoptimizations: compiled frames demoted back to the interpreter
-    /// by exception unwinding.
-    Deopts,
-    /// Tier compiles aborted by the `tier-compile-abort` fault site.
-    TierCompileAborts,
-}
-
-impl CounterId {
-    /// Number of counters (array sizing).
-    pub const COUNT: usize = 39;
-
-    /// Every counter, in dense-index order.
-    pub const ALL: [CounterId; CounterId::COUNT] = [
-        CounterId::InterpInsns,
-        CounterId::Invocations,
-        CounterId::NativeCalls,
-        CounterId::JniUpcalls,
-        CounterId::JvmtiEvents,
-        CounterId::IpaProbes,
-        CounterId::SpaProbes,
-        CounterId::TraceAppends,
-        CounterId::TraceDrops,
-        CounterId::FaultsConsulted,
-        CounterId::FaultsInjected,
-        CounterId::CellsStarted,
-        CounterId::CellsCompleted,
-        CounterId::CellsQuarantined,
-        CounterId::CacheHits,
-        CounterId::CacheMisses,
-        CounterId::CacheBytes,
-        CounterId::CacheQuarantined,
-        CounterId::ServeAccepted,
-        CounterId::ServeServed,
-        CounterId::ServeShed,
-        CounterId::ServeTimeout,
-        CounterId::ServeDropped,
-        CounterId::ServeErrors,
-        CounterId::ServeHits,
-        CounterId::AllocProbes,
-        CounterId::LockProbes,
-        CounterId::ServeRunsExecuted,
-        CounterId::ClusterPeerHits,
-        CounterId::ClusterPeerMisses,
-        CounterId::ClusterRetries,
-        CounterId::ClusterFailovers,
-        CounterId::ClusterEvictions,
-        CounterId::ServeConnsAccepted,
-        CounterId::C1Compiles,
-        CounterId::C2Compiles,
-        CounterId::OsrReplacements,
-        CounterId::Deopts,
-        CounterId::TierCompileAborts,
-    ];
-
-    /// Dense index in `[0, COUNT)`.
-    pub fn index(self) -> usize {
-        match self {
-            CounterId::InterpInsns => 0,
-            CounterId::Invocations => 1,
-            CounterId::NativeCalls => 2,
-            CounterId::JniUpcalls => 3,
-            CounterId::JvmtiEvents => 4,
-            CounterId::IpaProbes => 5,
-            CounterId::SpaProbes => 6,
-            CounterId::TraceAppends => 7,
-            CounterId::TraceDrops => 8,
-            CounterId::FaultsConsulted => 9,
-            CounterId::FaultsInjected => 10,
-            CounterId::CellsStarted => 11,
-            CounterId::CellsCompleted => 12,
-            CounterId::CellsQuarantined => 13,
-            CounterId::CacheHits => 14,
-            CounterId::CacheMisses => 15,
-            CounterId::CacheBytes => 16,
-            CounterId::CacheQuarantined => 17,
-            CounterId::ServeAccepted => 18,
-            CounterId::ServeServed => 19,
-            CounterId::ServeShed => 20,
-            CounterId::ServeTimeout => 21,
-            CounterId::ServeDropped => 22,
-            CounterId::ServeErrors => 23,
-            CounterId::ServeHits => 24,
-            CounterId::AllocProbes => 25,
-            CounterId::LockProbes => 26,
-            CounterId::ServeRunsExecuted => 27,
-            CounterId::ClusterPeerHits => 28,
-            CounterId::ClusterPeerMisses => 29,
-            CounterId::ClusterRetries => 30,
-            CounterId::ClusterFailovers => 31,
-            CounterId::ClusterEvictions => 32,
-            CounterId::ServeConnsAccepted => 33,
-            CounterId::C1Compiles => 34,
-            CounterId::C2Compiles => 35,
-            CounterId::OsrReplacements => 36,
-            CounterId::Deopts => 37,
-            CounterId::TierCompileAborts => 38,
-        }
-    }
-
-    /// Stable snake_case label.
-    pub fn name(self) -> &'static str {
-        match self {
-            CounterId::InterpInsns => "interp_insns",
-            CounterId::Invocations => "invocations",
-            CounterId::NativeCalls => "native_calls",
-            CounterId::JniUpcalls => "jni_upcalls",
-            CounterId::JvmtiEvents => "jvmti_events",
-            CounterId::IpaProbes => "ipa_probes",
-            CounterId::SpaProbes => "spa_probes",
-            CounterId::TraceAppends => "trace_appends",
-            CounterId::TraceDrops => "trace_drops",
-            CounterId::FaultsConsulted => "faults_consulted",
-            CounterId::FaultsInjected => "faults_injected",
-            CounterId::CellsStarted => "cells_started",
-            CounterId::CellsCompleted => "cells_completed",
-            CounterId::CellsQuarantined => "cells_quarantined",
-            CounterId::CacheHits => "cache_hits",
-            CounterId::CacheMisses => "cache_misses",
-            CounterId::CacheBytes => "cache_bytes",
-            CounterId::CacheQuarantined => "cache_quarantined",
-            CounterId::ServeAccepted => "serve_accepted",
-            CounterId::ServeServed => "serve_served",
-            CounterId::ServeShed => "serve_shed",
-            CounterId::ServeTimeout => "serve_timeout",
-            CounterId::ServeDropped => "serve_dropped",
-            CounterId::ServeErrors => "serve_errors",
-            CounterId::ServeHits => "serve_hits",
-            CounterId::AllocProbes => "alloc_probes",
-            CounterId::LockProbes => "lock_probes",
-            CounterId::ServeRunsExecuted => "serve_runs_executed",
-            CounterId::ClusterPeerHits => "cluster_peer_hits",
-            CounterId::ClusterPeerMisses => "cluster_peer_misses",
-            CounterId::ClusterRetries => "cluster_retries",
-            CounterId::ClusterFailovers => "cluster_failovers",
-            CounterId::ClusterEvictions => "cluster_evictions",
-            CounterId::ServeConnsAccepted => "serve_conns_accepted",
-            CounterId::C1Compiles => "c1_compiles",
-            CounterId::C2Compiles => "c2_compiles",
-            CounterId::OsrReplacements => "osr_replacements",
-            CounterId::Deopts => "deopts",
-            CounterId::TierCompileAborts => "tier_compile_aborts",
-        }
+id_table! {
+    /// Monotonic counter identities. Static: adding one is a code change, so
+    /// exposition order (and therefore artifact bytes) can never drift.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum CounterId {
+        /// Interpreted bytecode instructions executed.
+        InterpInsns => "interp_insns",
+        /// Method invocations (bytecode and native).
+        Invocations => "invocations",
+        /// Native method invocations from bytecode (J2N dispatches).
+        NativeCalls => "native_calls",
+        /// JNI `Call*Method*` upcalls (N2J dispatches).
+        JniUpcalls => "jni_upcalls",
+        /// JVMTI events delivered to an agent sink.
+        JvmtiEvents => "jvmti_events",
+        /// IPA probe executions (J2N begin/end + intercepted N2J begin/end).
+        IpaProbes => "ipa_probes",
+        /// SPA probe executions (MethodEntry/MethodExit callbacks).
+        SpaProbes => "spa_probes",
+        /// Transition-trace events appended (stored in a ring).
+        TraceAppends => "trace_appends",
+        /// Transition-trace events dropped (ring full or injected saturation).
+        TraceDrops => "trace_drops",
+        /// Fault-injector consultations across all sites.
+        FaultsConsulted => "faults_consulted",
+        /// Faults actually injected across all sites.
+        FaultsInjected => "faults_injected",
+        /// Suite cells whose execution began.
+        CellsStarted => "cells_started",
+        /// Suite cells that completed and produced a result.
+        CellsCompleted => "cells_completed",
+        /// Suite cells quarantined with a typed failure.
+        CellsQuarantined => "cells_quarantined",
+        /// Content-addressed cache lookups that verified and were served.
+        CacheHits => "cache_hits",
+        /// Content-addressed cache lookups that found no entry.
+        CacheMisses => "cache_misses",
+        /// Bytes moved through the content-addressed cache (reads + writes).
+        CacheBytes => "cache_bytes",
+        /// Cache entries that failed digest verification and were quarantined.
+        CacheQuarantined => "cache_quarantined",
+        /// Serve-plane requests admitted (parsed far enough to be accounted).
+        ServeAccepted => "serve_accepted",
+        /// Serve-plane requests answered successfully (2xx, including hits).
+        ServeServed => "serve_served",
+        /// Serve-plane requests shed with `429` because the queue was full.
+        ServeShed => "serve_shed",
+        /// Serve-plane requests that exceeded a deadline (`408`/`504`).
+        ServeTimeout => "serve_timeout",
+        /// Serve-plane requests whose connection dropped before the response.
+        ServeDropped => "serve_dropped",
+        /// Serve-plane requests rejected with a client/server error (4xx/5xx
+        /// other than shed/timeout).
+        ServeErrors => "serve_errors",
+        /// Serve-plane run requests answered from the cell-result cache.
+        ServeHits => "serve_hits",
+        /// ALLOC probe executions (allocation-event callbacks).
+        AllocProbes => "alloc_probes",
+        /// LOCK probe executions (instrumented raw-monitor entries).
+        LockProbes => "lock_probes",
+        /// Serve-plane run requests executed through a worker (cache misses
+        /// that actually computed a row). Summed across a fleet this counts
+        /// rows computed, so a healthy cluster run asserts it equals the
+        /// matrix size exactly — zero double-computes.
+        ServeRunsExecuted => "serve_runs_executed",
+        /// Cluster peer-fetch attempts that returned a verified cell entry.
+        ClusterPeerHits => "cluster_peer_hits",
+        /// Cluster peer-fetch rounds that exhausted every peer and degraded
+        /// to local recompute.
+        ClusterPeerMisses => "cluster_peer_misses",
+        /// Cluster peer-fetch retries (attempts beyond the first per peer),
+        /// driven by the seeded backoff policy.
+        ClusterRetries => "cluster_retries",
+        /// Cluster requests routed past a quarantined owner to its
+        /// consistent-hash successor.
+        ClusterFailovers => "cluster_failovers",
+        /// Cache entries evicted by bounded-store compaction.
+        ClusterEvictions => "cluster_evictions",
+        /// Serve-plane connections accepted by the event loop over the
+        /// daemon's lifetime (keep-alive connections count once).
+        ServeConnsAccepted => "serve_conns_accepted",
+        /// Methods promoted to the C1 quick tier (including via OSR).
+        C1Compiles => "c1_compiles",
+        /// Methods promoted to the C2 optimizing tier (including via OSR).
+        C2Compiles => "c2_compiles",
+        /// On-stack replacements: promotions triggered by a hot loop
+        /// back-edge inside a running activation.
+        OsrReplacements => "osr_replacements",
+        /// Deoptimizations: compiled frames demoted back to the interpreter
+        /// by exception unwinding.
+        Deopts => "deopts",
+        /// Tier compiles aborted by the `tier-compile-abort` fault site.
+        TierCompileAborts => "tier_compile_aborts",
     }
 }
 
-/// Gauge identities. Gauges merge by `max`, so they suit high-water marks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GaugeId {
-    /// VM threads created (high-water mark).
-    Threads,
-    /// Trace-ring capacity in slots.
-    TraceCapacity,
-    /// Deepest the serve-plane admission queue ever got (jobs queued at
-    /// the moment of a successful enqueue, high-water mark).
-    ServeQueueDepthHighwater,
-    /// Most connections the event loop ever held open at once
-    /// (high-water mark) — the C10k headline number.
-    ServeOpenConnsHighwater,
-}
-
-impl GaugeId {
-    /// Number of gauges (array sizing).
-    pub const COUNT: usize = 4;
-
-    /// Every gauge, in dense-index order.
-    pub const ALL: [GaugeId; GaugeId::COUNT] = [
-        GaugeId::Threads,
-        GaugeId::TraceCapacity,
-        GaugeId::ServeQueueDepthHighwater,
-        GaugeId::ServeOpenConnsHighwater,
-    ];
-
-    /// Dense index in `[0, COUNT)`.
-    pub fn index(self) -> usize {
-        match self {
-            GaugeId::Threads => 0,
-            GaugeId::TraceCapacity => 1,
-            GaugeId::ServeQueueDepthHighwater => 2,
-            GaugeId::ServeOpenConnsHighwater => 3,
-        }
-    }
-
-    /// Stable snake_case label.
-    pub fn name(self) -> &'static str {
-        match self {
-            GaugeId::Threads => "threads",
-            GaugeId::TraceCapacity => "trace_capacity",
-            GaugeId::ServeQueueDepthHighwater => "serve_queue_depth_highwater",
-            GaugeId::ServeOpenConnsHighwater => "serve_open_conns_highwater",
-        }
+id_table! {
+    /// Gauge identities. Gauges merge by `max`, so they suit high-water marks.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum GaugeId {
+        /// VM threads created (high-water mark).
+        Threads => "threads",
+        /// Trace-ring capacity in slots.
+        TraceCapacity => "trace_capacity",
+        /// Deepest the serve-plane admission queue ever got (jobs queued at
+        /// the moment of a successful enqueue, high-water mark).
+        ServeQueueDepthHighwater => "serve_queue_depth_highwater",
+        /// Most connections the event loop ever held open at once
+        /// (high-water mark) — the C10k headline number.
+        ServeOpenConnsHighwater => "serve_open_conns_highwater",
     }
 }
 
-/// Histogram identities (log2-bucketed cycle distributions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HistogramId {
-    /// Self-timed cycles of one IPA probe body.
-    IpaProbeCycles,
-    /// Self-timed cycles of one SPA probe body.
-    SpaProbeCycles,
-    /// Total cycles of one suite cell.
-    CellCycles,
-    /// Wall-clock latency of one serve-plane request, in microseconds.
-    /// This is the only wall-clock quantity in the registry; it exists for
-    /// operators and never feeds artifact bytes.
-    ServeLatencyMicros,
-    /// Self-timed cycles of one ALLOC probe body.
-    AllocProbeCycles,
-    /// Self-timed cycles of one LOCK probe body.
-    LockProbeCycles,
-    /// Modeled cycles a served request spent waiting in the admission
-    /// queue (the span plane's `queue_wait` stage, one observation per
-    /// admitted request).
-    ServeQueueWaitCycles,
-}
-
-impl HistogramId {
-    /// Number of histograms (array sizing).
-    pub const COUNT: usize = 7;
-
-    /// Every histogram, in dense-index order.
-    pub const ALL: [HistogramId; HistogramId::COUNT] = [
-        HistogramId::IpaProbeCycles,
-        HistogramId::SpaProbeCycles,
-        HistogramId::CellCycles,
-        HistogramId::ServeLatencyMicros,
-        HistogramId::AllocProbeCycles,
-        HistogramId::LockProbeCycles,
-        HistogramId::ServeQueueWaitCycles,
-    ];
-
-    /// Dense index in `[0, COUNT)`.
-    pub fn index(self) -> usize {
-        match self {
-            HistogramId::IpaProbeCycles => 0,
-            HistogramId::SpaProbeCycles => 1,
-            HistogramId::CellCycles => 2,
-            HistogramId::ServeLatencyMicros => 3,
-            HistogramId::AllocProbeCycles => 4,
-            HistogramId::LockProbeCycles => 5,
-            HistogramId::ServeQueueWaitCycles => 6,
-        }
-    }
-
-    /// Stable snake_case label.
-    pub fn name(self) -> &'static str {
-        match self {
-            HistogramId::IpaProbeCycles => "ipa_probe_cycles",
-            HistogramId::SpaProbeCycles => "spa_probe_cycles",
-            HistogramId::CellCycles => "cell_cycles",
-            HistogramId::ServeLatencyMicros => "serve_latency_micros",
-            HistogramId::AllocProbeCycles => "alloc_probe_cycles",
-            HistogramId::LockProbeCycles => "lock_probe_cycles",
-            HistogramId::ServeQueueWaitCycles => "serve_queue_wait_cycles",
-        }
+id_table! {
+    /// Histogram identities (log2-bucketed cycle distributions).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum HistogramId {
+        /// Self-timed cycles of one IPA probe body.
+        IpaProbeCycles => "ipa_probe_cycles",
+        /// Self-timed cycles of one SPA probe body.
+        SpaProbeCycles => "spa_probe_cycles",
+        /// Total cycles of one suite cell.
+        CellCycles => "cell_cycles",
+        /// Wall-clock latency of one serve-plane request, in microseconds.
+        /// This is the only wall-clock quantity in the registry; it exists for
+        /// operators and never feeds artifact bytes.
+        ServeLatencyMicros => "serve_latency_micros",
+        /// Self-timed cycles of one ALLOC probe body.
+        AllocProbeCycles => "alloc_probe_cycles",
+        /// Self-timed cycles of one LOCK probe body.
+        LockProbeCycles => "lock_probe_cycles",
+        /// Modeled cycles a served request spent waiting in the admission
+        /// queue (the span plane's `queue_wait` stage, one observation per
+        /// admitted request).
+        ServeQueueWaitCycles => "serve_queue_wait_cycles",
     }
 }
 

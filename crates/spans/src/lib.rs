@@ -93,85 +93,36 @@ impl TraceId {
     }
 }
 
-/// The request lifecycle stages. `Root` is the request span itself; the
-/// rest are its children, in the order the lifecycle visits them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SpanStage {
-    /// The whole request (duration ≡ Σ children).
-    Root,
-    /// Accepting and reading the request off the wire.
-    Accept,
-    /// Parsing/validating the spec — the admission verdict.
-    Admission,
-    /// Waiting in the bounded admission queue behind earlier jobs.
-    QueueWait,
-    /// Content-addressed store lookup plus digest verification.
-    CacheLookup,
-    /// One peer-fetch wire attempt (backoff included; one span each).
-    PeerFetch,
-    /// Executing the run through the Session API (the run's own PCL
-    /// cycles — the only stage timed by a real clock reading).
-    Recompute,
-    /// Rendering the canonical cell row.
-    RowEncode,
-    /// Serializing and writing the response.
-    ResponseWrite,
-    /// Client-side: the seeded sleep honoring a `429 Retry-After` hint.
-    DeferredWait,
+jvmsim_metrics::id_table! {
+    /// The request lifecycle stages. `Root` is the request span itself; the
+    /// rest are its children, in the order the lifecycle visits them.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum SpanStage {
+        /// The whole request (duration ≡ Σ children).
+        Root => "root",
+        /// Accepting and reading the request off the wire.
+        Accept => "accept",
+        /// Parsing/validating the spec — the admission verdict.
+        Admission => "admission",
+        /// Waiting in the bounded admission queue behind earlier jobs.
+        QueueWait => "queue_wait",
+        /// Content-addressed store lookup plus digest verification.
+        CacheLookup => "cache_lookup",
+        /// One peer-fetch wire attempt (backoff included; one span each).
+        PeerFetch => "peer_fetch",
+        /// Executing the run through the Session API (the run's own PCL
+        /// cycles — the only stage timed by a real clock reading).
+        Recompute => "recompute",
+        /// Rendering the canonical cell row.
+        RowEncode => "row_encode",
+        /// Serializing and writing the response.
+        ResponseWrite => "response_write",
+        /// Client-side: the seeded sleep honoring a `429 Retry-After` hint.
+        DeferredWait => "deferred_wait",
+    }
 }
 
 impl SpanStage {
-    /// Number of stages (array sizing).
-    pub const COUNT: usize = 10;
-
-    /// Every stage, in dense-index order.
-    pub const ALL: [SpanStage; SpanStage::COUNT] = [
-        SpanStage::Root,
-        SpanStage::Accept,
-        SpanStage::Admission,
-        SpanStage::QueueWait,
-        SpanStage::CacheLookup,
-        SpanStage::PeerFetch,
-        SpanStage::Recompute,
-        SpanStage::RowEncode,
-        SpanStage::ResponseWrite,
-        SpanStage::DeferredWait,
-    ];
-
-    /// Dense index in `[0, COUNT)`.
-    #[must_use]
-    pub const fn index(self) -> usize {
-        match self {
-            SpanStage::Root => 0,
-            SpanStage::Accept => 1,
-            SpanStage::Admission => 2,
-            SpanStage::QueueWait => 3,
-            SpanStage::CacheLookup => 4,
-            SpanStage::PeerFetch => 5,
-            SpanStage::Recompute => 6,
-            SpanStage::RowEncode => 7,
-            SpanStage::ResponseWrite => 8,
-            SpanStage::DeferredWait => 9,
-        }
-    }
-
-    /// Stable snake_case label (JSON, annotations, tables).
-    #[must_use]
-    pub const fn name(self) -> &'static str {
-        match self {
-            SpanStage::Root => "root",
-            SpanStage::Accept => "accept",
-            SpanStage::Admission => "admission",
-            SpanStage::QueueWait => "queue_wait",
-            SpanStage::CacheLookup => "cache_lookup",
-            SpanStage::PeerFetch => "peer_fetch",
-            SpanStage::Recompute => "recompute",
-            SpanStage::RowEncode => "row_encode",
-            SpanStage::ResponseWrite => "response_write",
-            SpanStage::DeferredWait => "deferred_wait",
-        }
-    }
-
     /// Inverse of [`SpanStage::name`].
     #[must_use]
     pub fn from_name(name: &str) -> Option<SpanStage> {

@@ -82,11 +82,11 @@ fn push_event(out: &mut String, event: &TraceEvent, clock_hz: u64) {
         ),
         TraceEventKind::ThreadStart | TraceEventKind::ThreadEnd => format!(
             r#"{{"name":"{}","cat":"thread","ph":"i","s":"t","ts":{ts:.3},"pid":1,"tid":{tid}}}"#,
-            event.kind.label()
+            event.kind.name()
         ),
         TraceEventKind::AllocSite | TraceEventKind::MonitorContend => format!(
             r#"{{"name":"{}","cat":"agent","ph":"i","s":"t","ts":{ts:.3},"pid":1,"tid":{tid}}}"#,
-            event.kind.label()
+            event.kind.name()
         ),
     };
     out.push_str(&record);
@@ -130,22 +130,8 @@ pub fn chrome_trace_json(snapshot: &TraceSnapshot, clock_hz: u64) -> Result<Stri
     }
     out.push_str("\n],\n\"displayTimeUnit\":\"ms\",\n\"otherData\":{");
     let _ = write!(out, "\"clock_hz\":{clock_hz}");
-    for kind in [
-        TraceEventKind::J2nBegin,
-        TraceEventKind::J2nEnd,
-        TraceEventKind::N2jBegin,
-        TraceEventKind::N2jEnd,
-        TraceEventKind::MethodCompile,
-        TraceEventKind::ThreadStart,
-        TraceEventKind::ThreadEnd,
-        TraceEventKind::AllocSite,
-        TraceEventKind::MonitorContend,
-        TraceEventKind::TierUpC1,
-        TraceEventKind::TierUpC2,
-        TraceEventKind::Osr,
-        TraceEventKind::Deopt,
-    ] {
-        let _ = write!(out, ",\"{}\":{}", kind.label(), snapshot.count(kind));
+    for kind in TraceEventKind::ALL {
+        let _ = write!(out, ",\"{}\":{}", kind.name(), snapshot.count(kind));
     }
     let _ = write!(
         out,
@@ -207,26 +193,9 @@ mod tests {
 
     /// One event of every kind on thread 1, all at cycle 1500.
     fn every_kind_snapshot() -> TraceSnapshot {
-        use TraceEventKind::*;
         let r = TraceRecorder::new(16);
         let t1 = ThreadId::from_index(1);
-        let kinds = [
-            J2nBegin,
-            J2nEnd,
-            N2jBegin,
-            N2jEnd,
-            MethodCompile,
-            ThreadStart,
-            ThreadEnd,
-            AllocSite,
-            MonitorContend,
-            TierUpC1,
-            TierUpC2,
-            Osr,
-            Deopt,
-        ];
-        assert_eq!(kinds.len(), TraceEventKind::COUNT);
-        for kind in kinds {
+        for kind in TraceEventKind::ALL {
             r.record(t1, kind, 1500, None);
         }
         r.snapshot()

@@ -132,7 +132,7 @@ pub fn events_csv(snapshot: &TraceSnapshot) -> String {
             };
             table.push_row([
                 event.thread.to_string(),
-                event.kind.label().to_owned(),
+                event.kind.name().to_owned(),
                 event.cycles.to_string(),
                 mc,
                 mi,

@@ -16,22 +16,6 @@ use proptest::prelude::*;
 use jvmsim_trace::{chrome, TraceRecorder};
 use jvmsim_vm::{ThreadId, TraceEventKind, TraceSink};
 
-const KINDS: [TraceEventKind; TraceEventKind::COUNT] = [
-    TraceEventKind::J2nBegin,
-    TraceEventKind::J2nEnd,
-    TraceEventKind::N2jBegin,
-    TraceEventKind::N2jEnd,
-    TraceEventKind::MethodCompile,
-    TraceEventKind::ThreadStart,
-    TraceEventKind::ThreadEnd,
-    TraceEventKind::AllocSite,
-    TraceEventKind::MonitorContend,
-    TraceEventKind::TierUpC1,
-    TraceEventKind::TierUpC2,
-    TraceEventKind::Osr,
-    TraceEventKind::Deopt,
-];
-
 /// Replay a generated `(thread, kind, cycle-delta)` stream into a
 /// recorder, keeping per-thread clocks monotone like the PCL does.
 fn replay(recorder: &TraceRecorder, stream: &[(usize, u8, u64)]) -> Vec<u64> {
@@ -41,7 +25,7 @@ fn replay(recorder: &TraceRecorder, stream: &[(usize, u8, u64)]) -> Vec<u64> {
         clocks[thread] += delta;
         recorder.record(
             ThreadId::from_index(thread),
-            KINDS[kind as usize % KINDS.len()],
+            TraceEventKind::ALL[kind as usize % TraceEventKind::COUNT],
             clocks[thread],
             None,
         );
@@ -246,12 +230,12 @@ proptest! {
         );
         prop_assert_eq!(snapshot.appended(), stream.len() as u64);
         // Per-kind counters are exact even when payload slots overflowed.
-        for (i, kind) in KINDS.iter().enumerate() {
+        for kind in TraceEventKind::ALL {
             let expected = stream
                 .iter()
-                .filter(|&&(_, k, _)| k as usize % KINDS.len() == i)
+                .filter(|&&(_, k, _)| k as usize % TraceEventKind::COUNT == kind.index())
                 .count() as u64;
-            prop_assert_eq!(snapshot.count(*kind), expected);
+            prop_assert_eq!(snapshot.count(kind), expected);
         }
     }
 

@@ -146,85 +146,44 @@ pub struct NullSink;
 
 impl VmEventSink for NullSink {}
 
-/// Category of a transition-trace event.
-///
-/// `J2nBegin`/`N2jBegin` mark the starts of the spans the paper's IPA banks
-/// time into; their `*End` counterparts close the spans. `MethodCompile`
-/// marks a method's interpreted→compiled promotion (threshold or OSR), and
-/// `ThreadStart`/`ThreadEnd` bracket each thread's lifetime — including the
-/// primordial thread, which JVMTI itself never announces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TraceEventKind {
-    /// Bytecode → native transition (wrapper's `J2N_Begin`).
-    J2nBegin,
-    /// Return from native back into the wrapper (`J2N_End`).
-    J2nEnd,
-    /// Native → bytecode transition (intercepted `Call*Method*` entry).
-    N2jBegin,
-    /// The intercepted JNI call returned (`N2J_End`).
-    N2jEnd,
-    /// A method became JIT-compiled (invocation threshold or OSR).
-    MethodCompile,
-    /// A VM thread began executing its initial method.
-    ThreadStart,
-    /// A VM thread finished its initial method.
-    ThreadEnd,
-    /// The ALLOC agent recorded an object allocation at a site.
-    AllocSite,
-    /// The LOCK agent observed a contended raw-monitor entry.
-    MonitorContend,
-    /// A method was promoted to the C1 quick tier.
-    TierUpC1,
-    /// A method was promoted to the C2 optimizing tier.
-    TierUpC2,
-    /// An on-stack replacement: a running activation was switched to the
-    /// next tier at a hot loop back-edge.
-    Osr,
-    /// A deoptimization: exception unwinding demoted a compiled method
-    /// back to the interpreter.
-    Deopt,
-}
-
-impl TraceEventKind {
-    /// Number of distinct kinds (for per-kind counter arrays).
-    pub const COUNT: usize = 13;
-
-    /// Dense index of this kind in `[0, COUNT)`.
-    pub fn index(self) -> usize {
-        match self {
-            TraceEventKind::J2nBegin => 0,
-            TraceEventKind::J2nEnd => 1,
-            TraceEventKind::N2jBegin => 2,
-            TraceEventKind::N2jEnd => 3,
-            TraceEventKind::MethodCompile => 4,
-            TraceEventKind::ThreadStart => 5,
-            TraceEventKind::ThreadEnd => 6,
-            TraceEventKind::AllocSite => 7,
-            TraceEventKind::MonitorContend => 8,
-            TraceEventKind::TierUpC1 => 9,
-            TraceEventKind::TierUpC2 => 10,
-            TraceEventKind::Osr => 11,
-            TraceEventKind::Deopt => 12,
-        }
-    }
-
-    /// Short stable label (used by the exporters).
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceEventKind::J2nBegin => "j2n_begin",
-            TraceEventKind::J2nEnd => "j2n_end",
-            TraceEventKind::N2jBegin => "n2j_begin",
-            TraceEventKind::N2jEnd => "n2j_end",
-            TraceEventKind::MethodCompile => "method_compile",
-            TraceEventKind::ThreadStart => "thread_start",
-            TraceEventKind::ThreadEnd => "thread_end",
-            TraceEventKind::AllocSite => "alloc_site",
-            TraceEventKind::MonitorContend => "monitor_contend",
-            TraceEventKind::TierUpC1 => "tier_up_c1",
-            TraceEventKind::TierUpC2 => "tier_up_c2",
-            TraceEventKind::Osr => "osr",
-            TraceEventKind::Deopt => "deopt",
-        }
+jvmsim_metrics::id_table! {
+    /// Category of a transition-trace event.
+    ///
+    /// `J2nBegin`/`N2jBegin` mark the starts of the spans the paper's IPA banks
+    /// time into; their `*End` counterparts close the spans. `MethodCompile`
+    /// marks a method's interpreted→compiled promotion (threshold or OSR), and
+    /// `ThreadStart`/`ThreadEnd` bracket each thread's lifetime — including the
+    /// primordial thread, which JVMTI itself never announces.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum TraceEventKind {
+        /// Bytecode → native transition (wrapper's `J2N_Begin`).
+        J2nBegin => "j2n_begin",
+        /// Return from native back into the wrapper (`J2N_End`).
+        J2nEnd => "j2n_end",
+        /// Native → bytecode transition (intercepted `Call*Method*` entry).
+        N2jBegin => "n2j_begin",
+        /// The intercepted JNI call returned (`N2J_End`).
+        N2jEnd => "n2j_end",
+        /// A method became JIT-compiled (invocation threshold or OSR).
+        MethodCompile => "method_compile",
+        /// A VM thread began executing its initial method.
+        ThreadStart => "thread_start",
+        /// A VM thread finished its initial method.
+        ThreadEnd => "thread_end",
+        /// The ALLOC agent recorded an object allocation at a site.
+        AllocSite => "alloc_site",
+        /// The LOCK agent observed a contended raw-monitor entry.
+        MonitorContend => "monitor_contend",
+        /// A method was promoted to the C1 quick tier.
+        TierUpC1 => "tier_up_c1",
+        /// A method was promoted to the C2 optimizing tier.
+        TierUpC2 => "tier_up_c2",
+        /// An on-stack replacement: a running activation was switched to the
+        /// next tier at a hot loop back-edge.
+        Osr => "osr",
+        /// A deoptimization: exception unwinding demoted a compiled method
+        /// back to the interpreter.
+        Deopt => "deopt",
     }
 }
 
@@ -279,34 +238,6 @@ mod tests {
         s.thread_start(&main);
         s.vm_death(std::slice::from_ref(&main));
         assert_eq!(s.class_file_load("a/B", &[1, 2, 3]), None);
-    }
-
-    #[test]
-    fn trace_kind_indices_are_dense_and_labels_unique() {
-        use TraceEventKind::*;
-        let kinds = [
-            J2nBegin,
-            J2nEnd,
-            N2jBegin,
-            N2jEnd,
-            MethodCompile,
-            ThreadStart,
-            ThreadEnd,
-            AllocSite,
-            MonitorContend,
-            TierUpC1,
-            TierUpC2,
-            Osr,
-            Deopt,
-        ];
-        assert_eq!(kinds.len(), TraceEventKind::COUNT);
-        let mut seen_idx = [false; TraceEventKind::COUNT];
-        let mut labels = std::collections::HashSet::new();
-        for k in kinds {
-            assert!(!seen_idx[k.index()], "duplicate index for {k:?}");
-            seen_idx[k.index()] = true;
-            assert!(labels.insert(k.label()), "duplicate label for {k:?}");
-        }
     }
 
     #[test]

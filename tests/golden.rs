@@ -298,32 +298,20 @@ fn golden_corpus_covers_virtual_dispatch_and_both_compiled_tiers() {
 /// One `(type, index, name)` row per variant of every dense id table, in
 /// declaration order.
 fn id_rows() -> Vec<(&'static str, usize, &'static str)> {
-    use TraceEventKind::*;
-    let trace_kinds = [
-        J2nBegin,
-        J2nEnd,
-        N2jBegin,
-        N2jEnd,
-        MethodCompile,
-        ThreadStart,
-        ThreadEnd,
-        AllocSite,
-        MonitorContend,
-        TierUpC1,
-        TierUpC2,
-        Osr,
-        Deopt,
-    ];
-    assert_eq!(trace_kinds.len(), TraceEventKind::COUNT);
-    let mut rows = Vec::new();
-    rows.extend(Bucket::ALL.map(|id| ("Bucket", id.index(), id.name())));
-    rows.extend(CounterId::ALL.map(|id| ("CounterId", id.index(), id.name())));
-    rows.extend(GaugeId::ALL.map(|id| ("GaugeId", id.index(), id.name())));
-    rows.extend(HistogramId::ALL.map(|id| ("HistogramId", id.index(), id.name())));
-    rows.extend(trace_kinds.map(|id| ("TraceEventKind", id.index(), id.label())));
-    rows.extend(SpanStage::ALL.map(|id| ("SpanStage", id.index(), id.name())));
-    rows.extend(FaultSite::ALL.map(|id| ("FaultSite", id.index(), id.label())));
-    rows
+    macro_rules! rows {
+        ($($ty:ident),+) => {
+            [$($ty::ALL.map(|id| (stringify!($ty), id.index(), id.name())).to_vec()),+].concat()
+        };
+    }
+    rows!(
+        Bucket,
+        CounterId,
+        GaugeId,
+        HistogramId,
+        TraceEventKind,
+        SpanStage,
+        FaultSite
+    )
 }
 
 /// The `ids.txt` text for [`id_rows`].
