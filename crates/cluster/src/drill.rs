@@ -35,7 +35,7 @@ use jvmsim_serve::RunSpec;
 use jvmsim_spans::{
     decode_spans, encode_spans, partition_violations, stitched_traces, StageLatencyTable,
 };
-use jvmsim_trace::{ChromeSpanExporter, SpanExporter};
+use jvmsim_trace::chrome::chrome_span_json;
 
 use crate::fleet::{Cluster, ClusterConfig};
 use crate::ring::key_of;
@@ -401,16 +401,13 @@ pub fn cluster_drill(config: &ClusterDrillConfig) -> Result<ClusterDrillReport, 
         }
         report.stage_table.observe_all(&spans);
         if let Some(path) = &config.trace_out {
-            let exporter = ChromeSpanExporter {
-                clock_hz: PAPER_CLOCK_HZ,
-            };
-            let mut out = Vec::new();
-            if let Err(e) = exporter.export(&spans, &mut out) {
-                report.violations.push(format!("chrome span export: {e}"));
-            } else if let Err(e) = std::fs::write(path, &out) {
-                report
-                    .violations
-                    .push(format!("write {}: {e}", path.display()));
+            let written = chrome_span_json(&spans, PAPER_CLOCK_HZ)
+                .map_err(|e| format!("chrome span export: {e}"))
+                .and_then(|json| {
+                    std::fs::write(path, json).map_err(|e| format!("write {}: {e}", path.display()))
+                });
+            if let Err(violation) = written {
+                report.violations.push(violation);
             }
         }
     }

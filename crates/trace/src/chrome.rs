@@ -1,6 +1,8 @@
-//! Chrome `trace_event` JSON export (Perfetto / `chrome://tracing`).
+//! Chrome `trace_event` JSON export (Perfetto / `chrome://tracing`) for
+//! both record planes: [`chrome_trace_json`] renders VM transition events,
+//! [`chrome_span_json`] renders request spans.
 //!
-//! The event stream maps onto the trace-event phases directly:
+//! The transition-event stream maps onto the trace-event phases directly:
 //!
 //! * `J2nBegin` opens a `native` duration slice (`ph: "B"`) on the thread's
 //!   track; `J2nEnd` closes it (`ph: "E"`). `N2jBegin`/`N2jEnd` do the same
@@ -12,12 +14,17 @@
 //!   instants (`ph: "i"`).
 //! * Each thread also gets a `thread_name` metadata record.
 //!
+//! Request spans become one complete (`"X"`) event each, with one process
+//! lane per fleet member and one thread lane per connection.
+//!
 //! Timestamps are microseconds of *virtual* time: PCL cycles divided by
 //! the clock rate (the paper's 2.66 GHz by default), emitted with
 //! nanosecond precision (three decimals).
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use jvmsim_spans::{sort_ordinal, SpanRecord, SpanStage, TraceId};
 use jvmsim_vm::TraceEventKind;
 
 use crate::{ExportError, TraceEvent, TraceSnapshot};
@@ -143,6 +150,98 @@ pub fn chrome_trace_json(snapshot: &TraceSnapshot, clock_hz: u64) -> Result<Stri
     Ok(out)
 }
 
+/// Microseconds with a fixed three-decimal fraction — deterministic
+/// formatting for sub-microsecond stage costs.
+fn micros_fixed(cycles: u64, clock_hz: u64) -> String {
+    let ns = u128::from(cycles) * 1_000_000_000 / u128::from(clock_hz);
+    format!("{}.{:03}", ns / 1000, ns % 1000)
+}
+
+/// Render request spans as a Chrome `trace_event` JSON object: one process
+/// lane per fleet member, one thread lane per connection, one complete
+/// (`"X"`) event per span. Span starts are request-relative, so each
+/// connection's requests are laid out serially at their cumulative offsets
+/// — the view reads as a per-connection timeline in modeled time.
+///
+/// Input order does not matter: a copy is sorted into ordinal order first,
+/// so the output is a pure function of the span *set*.
+///
+/// # Errors
+///
+/// [`ExportError::ZeroClockRate`] if `clock_hz` is zero.
+pub fn chrome_span_json(spans: &[SpanRecord], clock_hz: u64) -> Result<String, ExportError> {
+    if clock_hz == 0 {
+        return Err(ExportError::ZeroClockRate);
+    }
+    let mut sorted = spans.to_vec();
+    sort_ordinal(&mut sorted);
+
+    let mut body = String::from("{\"traceEvents\":[\n");
+    let mut first = true;
+    let mut push = |body: &mut String, event: String| {
+        if !first {
+            body.push_str(",\n");
+        }
+        first = false;
+        body.push_str(&event);
+    };
+
+    // Name the process lanes after the fleet slots.
+    let mut members: Vec<u32> = sorted.iter().map(|s| s.member).collect();
+    members.sort_unstable();
+    members.dedup();
+    for member in members {
+        push(
+            &mut body,
+            format!(
+                "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{member},\"tid\":0,\
+                 \"args\":{{\"name\":\"member-{member}\"}}}}"
+            ),
+        );
+    }
+
+    // Each connection's requests laid out serially: a root span at the
+    // connection's cumulative offset, children at root + start.
+    let mut lane_cursor: BTreeMap<(u32, u64), u64> = BTreeMap::new();
+    let mut request_offset: BTreeMap<(u32, u64, u64), u64> = BTreeMap::new();
+    for span in &sorted {
+        let lane = (span.member, span.conn);
+        let request = (span.member, span.conn, span.req);
+        let offset = if span.stage == SpanStage::Root {
+            let offset = *lane_cursor.get(&lane).unwrap_or(&0);
+            request_offset.insert(request, offset);
+            lane_cursor.insert(lane, offset + span.duration_cycles);
+            offset
+        } else {
+            *request_offset.get(&request).unwrap_or(&0)
+        };
+        let trace = TraceId {
+            hi: span.trace_hi,
+            lo: span.trace_lo,
+        };
+        push(
+            &mut body,
+            format!(
+                "{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"span\",\"ts\":{},\"dur\":{},\
+                 \"pid\":{},\"tid\":{},\"args\":{{\"trace\":\"{}\",\"span\":\"{:016x}\",\
+                 \"parent\":\"{:016x}\",\"req\":{},\"detail\":{}}}}}",
+                span.stage.name(),
+                micros_fixed(offset + span.start_cycles, clock_hz),
+                micros_fixed(span.duration_cycles, clock_hz),
+                span.member,
+                span.conn,
+                trace.to_hex(),
+                span.span_id,
+                span.parent_span,
+                span.req,
+                span.detail,
+            ),
+        );
+    }
+    body.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
+    Ok(body)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,5 +333,62 @@ mod tests {
     fn escaping() {
         assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
+    }
+
+    fn span(
+        member: u32,
+        conn: u64,
+        req: u64,
+        stage: SpanStage,
+        start: u64,
+        dur: u64,
+    ) -> SpanRecord {
+        SpanRecord {
+            trace_hi: 0x1111,
+            trace_lo: 0x2222,
+            span_id: 0x3333 + u64::from(member) + req,
+            parent_span: 0,
+            member,
+            conn,
+            req,
+            stage,
+            start_cycles: start,
+            duration_cycles: dur,
+            detail: 200,
+        }
+    }
+
+    #[test]
+    fn chrome_span_export_is_input_order_invariant_and_lays_out_serially() {
+        // Two requests on one connection, each a root plus one child.
+        let spans = vec![
+            span(0, 0, 0, SpanStage::Root, 0, 100),
+            span(0, 0, 0, SpanStage::Accept, 0, 100),
+            span(0, 0, 1, SpanStage::Root, 0, 50),
+            span(0, 0, 1, SpanStage::Accept, 0, 50),
+        ];
+        let a = chrome_span_json(&spans, 1_000_000_000).unwrap();
+        let mut shuffled = spans.clone();
+        shuffled.reverse();
+        let b = chrome_span_json(&shuffled, 1_000_000_000).unwrap();
+        assert_eq!(a, b, "export must not depend on input order");
+        // 100 cycles at 1 GHz = 0.100µs: request 1 starts where 0 ended.
+        let expected = [
+            r#"{"traceEvents":["#,
+            r#"{"ph":"M","name":"process_name","pid":0,"tid":0,"args":{"name":"member-0"}},"#,
+            r#"{"ph":"X","name":"root","cat":"span","ts":0.000,"dur":0.100,"pid":0,"tid":0,"args":{"trace":"00000000000011110000000000002222","span":"0000000000003333","parent":"0000000000000000","req":0,"detail":200}},"#,
+            r#"{"ph":"X","name":"accept","cat":"span","ts":0.000,"dur":0.100,"pid":0,"tid":0,"args":{"trace":"00000000000011110000000000002222","span":"0000000000003333","parent":"0000000000000000","req":0,"detail":200}},"#,
+            r#"{"ph":"X","name":"root","cat":"span","ts":0.100,"dur":0.050,"pid":0,"tid":0,"args":{"trace":"00000000000011110000000000002222","span":"0000000000003334","parent":"0000000000000000","req":1,"detail":200}},"#,
+            r#"{"ph":"X","name":"accept","cat":"span","ts":0.100,"dur":0.050,"pid":0,"tid":0,"args":{"trace":"00000000000011110000000000002222","span":"0000000000003334","parent":"0000000000000000","req":1,"detail":200}}"#,
+            r#"],"displayTimeUnit":"ms"}"#,
+            "",
+        ]
+        .join("\n");
+        assert_eq!(a, expected);
+    }
+
+    #[test]
+    fn chrome_span_export_rejects_a_zero_clock() {
+        assert_eq!(chrome_span_json(&[], 0), Err(ExportError::ZeroClockRate));
     }
 }

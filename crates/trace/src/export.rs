@@ -21,10 +21,7 @@
 //! }
 //! ```
 
-use std::collections::BTreeMap;
 use std::io::Write;
-
-use jvmsim_spans::{sort_ordinal, SpanRecord, SpanStage, TraceId};
 
 use crate::{chrome, csv, flame, ExportError, TraceSnapshot};
 
@@ -121,140 +118,6 @@ pub fn registry(clock_hz: u64) -> Vec<Box<dyn TraceExporter>> {
     ]
 }
 
-// --- Request-span exporters ------------------------------------------------
-
-/// One export format over *request spans* (the `jvmsim-spans` plane), the
-/// sibling of [`TraceExporter`], which renders VM transition events. The
-/// two planes carry different records — a [`TraceSnapshot`] is per-thread
-/// VM events, a span set is per-request lifecycle stages — so they get
-/// separate traits rather than a lossy common shape.
-pub trait SpanExporter {
-    /// Format name, e.g. `"chrome"` — stable, used as a CLI value.
-    fn name(&self) -> &'static str;
-
-    /// Conventional artifact extension (no dot), e.g. `"json"`.
-    fn extension(&self) -> &'static str;
-
-    /// Render `spans` into `out`. Input order does not matter: exporters
-    /// sort a copy into ordinal order first, so output bytes are a pure
-    /// function of the span *set*.
-    ///
-    /// # Errors
-    ///
-    /// [`ExportError::Write`] when the sink fails; backend-specific
-    /// validation errors otherwise.
-    fn export(&self, spans: &[SpanRecord], out: &mut dyn Write) -> Result<(), ExportError>;
-}
-
-/// Chrome `trace_event` JSON over request spans: one process lane per
-/// fleet member, one thread lane per connection, one complete (`"X"`)
-/// event per span. Span starts are request-relative, so each connection's
-/// requests are laid out serially at their cumulative offsets — the view
-/// reads as a per-connection timeline in modeled time.
-#[derive(Debug, Clone, Copy)]
-pub struct ChromeSpanExporter {
-    /// Virtual clock frequency used for the cycle→µs conversion.
-    pub clock_hz: u64,
-}
-
-/// Microseconds with a fixed three-decimal fraction — deterministic
-/// formatting for sub-microsecond stage costs.
-fn micros_fixed(cycles: u64, clock_hz: u64) -> String {
-    let ns = u128::from(cycles) * 1_000_000_000 / u128::from(clock_hz);
-    format!("{}.{:03}", ns / 1000, ns % 1000)
-}
-
-impl SpanExporter for ChromeSpanExporter {
-    fn name(&self) -> &'static str {
-        "chrome"
-    }
-
-    fn extension(&self) -> &'static str {
-        "json"
-    }
-
-    fn export(&self, spans: &[SpanRecord], out: &mut dyn Write) -> Result<(), ExportError> {
-        if self.clock_hz == 0 {
-            return Err(ExportError::ZeroClockRate);
-        }
-        let mut sorted = spans.to_vec();
-        sort_ordinal(&mut sorted);
-
-        let mut body = String::from("{\"traceEvents\":[\n");
-        let mut first = true;
-        let mut push = |body: &mut String, event: String| {
-            if !first {
-                body.push_str(",\n");
-            }
-            first = false;
-            body.push_str(&event);
-        };
-
-        // Name the process lanes after the fleet slots.
-        let mut members: Vec<u32> = sorted.iter().map(|s| s.member).collect();
-        members.sort_unstable();
-        members.dedup();
-        for member in members {
-            push(
-                &mut body,
-                format!(
-                    "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{member},\"tid\":0,\
-                     \"args\":{{\"name\":\"member-{member}\"}}}}"
-                ),
-            );
-        }
-
-        // Each connection's requests laid out serially: a root span at the
-        // connection's cumulative offset, children at root + start.
-        let mut lane_cursor: BTreeMap<(u32, u64), u64> = BTreeMap::new();
-        let mut request_offset: BTreeMap<(u32, u64, u64), u64> = BTreeMap::new();
-        for span in &sorted {
-            let lane = (span.member, span.conn);
-            let request = (span.member, span.conn, span.req);
-            let offset = if span.stage == SpanStage::Root {
-                let offset = *lane_cursor.get(&lane).unwrap_or(&0);
-                request_offset.insert(request, offset);
-                lane_cursor.insert(lane, offset + span.duration_cycles);
-                offset
-            } else {
-                *request_offset.get(&request).unwrap_or(&0)
-            };
-            let trace = TraceId {
-                hi: span.trace_hi,
-                lo: span.trace_lo,
-            };
-            push(
-                &mut body,
-                format!(
-                    "{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"span\",\"ts\":{},\"dur\":{},\
-                     \"pid\":{},\"tid\":{},\"args\":{{\"trace\":\"{}\",\"span\":\"{:016x}\",\
-                     \"parent\":\"{:016x}\",\"req\":{},\"detail\":{}}}}}",
-                    span.stage.name(),
-                    micros_fixed(offset + span.start_cycles, self.clock_hz),
-                    micros_fixed(span.duration_cycles, self.clock_hz),
-                    span.member,
-                    span.conn,
-                    trace.to_hex(),
-                    span.span_id,
-                    span.parent_span,
-                    span.req,
-                    span.detail,
-                ),
-            );
-        }
-        body.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-        write_all(out, &body)
-    }
-}
-
-/// Every built-in span exporter, in stable order. Currently the Chrome
-/// view only; the registry shape matches [`registry`] so CLI plumbing can
-/// iterate formats the same way for both planes.
-#[must_use]
-pub fn span_registry(clock_hz: u64) -> Vec<Box<dyn SpanExporter>> {
-    vec![Box::new(ChromeSpanExporter { clock_hz })]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,79 +168,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ExportError::ZeroClockRate));
         assert!(out.is_empty(), "nothing written on error");
-    }
-
-    fn span(
-        member: u32,
-        conn: u64,
-        req: u64,
-        stage: SpanStage,
-        start: u64,
-        dur: u64,
-    ) -> SpanRecord {
-        SpanRecord {
-            trace_hi: 0x1111,
-            trace_lo: 0x2222,
-            span_id: 0x3333 + u64::from(member) + req,
-            parent_span: 0,
-            member,
-            conn,
-            req,
-            stage,
-            start_cycles: start,
-            duration_cycles: dur,
-            detail: 200,
-        }
-    }
-
-    #[test]
-    fn span_registry_has_the_chrome_view() {
-        let exporters = span_registry(2_660_000_000);
-        let names: Vec<_> = exporters.iter().map(|e| e.name()).collect();
-        assert_eq!(names, ["chrome"]);
-        assert_eq!(exporters[0].extension(), "json");
-    }
-
-    #[test]
-    fn chrome_span_export_is_input_order_invariant_and_lays_out_serially() {
-        // Two requests on one connection, each a root plus one child.
-        let spans = vec![
-            span(0, 0, 0, SpanStage::Root, 0, 100),
-            span(0, 0, 0, SpanStage::Accept, 0, 100),
-            span(0, 0, 1, SpanStage::Root, 0, 50),
-            span(0, 0, 1, SpanStage::Accept, 0, 50),
-        ];
-        let exporter = ChromeSpanExporter {
-            clock_hz: 1_000_000_000,
-        };
-        let mut a = Vec::new();
-        exporter.export(&spans, &mut a).unwrap();
-        let mut shuffled = spans.clone();
-        shuffled.reverse();
-        let mut b = Vec::new();
-        exporter.export(&shuffled, &mut b).unwrap();
-        assert_eq!(a, b, "export must not depend on input order");
-        // 100 cycles at 1 GHz = 0.100µs: request 1 starts where 0 ended.
-        let expected = [
-            r#"{"traceEvents":["#,
-            r#"{"ph":"M","name":"process_name","pid":0,"tid":0,"args":{"name":"member-0"}},"#,
-            r#"{"ph":"X","name":"root","cat":"span","ts":0.000,"dur":0.100,"pid":0,"tid":0,"args":{"trace":"00000000000011110000000000002222","span":"0000000000003333","parent":"0000000000000000","req":0,"detail":200}},"#,
-            r#"{"ph":"X","name":"accept","cat":"span","ts":0.000,"dur":0.100,"pid":0,"tid":0,"args":{"trace":"00000000000011110000000000002222","span":"0000000000003333","parent":"0000000000000000","req":0,"detail":200}},"#,
-            r#"{"ph":"X","name":"root","cat":"span","ts":0.100,"dur":0.050,"pid":0,"tid":0,"args":{"trace":"00000000000011110000000000002222","span":"0000000000003334","parent":"0000000000000000","req":1,"detail":200}},"#,
-            r#"{"ph":"X","name":"accept","cat":"span","ts":0.100,"dur":0.050,"pid":0,"tid":0,"args":{"trace":"00000000000011110000000000002222","span":"0000000000003334","parent":"0000000000000000","req":1,"detail":200}}"#,
-            r#"],"displayTimeUnit":"ms"}"#,
-            "",
-        ]
-        .join("\n");
-        assert_eq!(String::from_utf8(a).unwrap(), expected);
-    }
-
-    #[test]
-    fn chrome_span_export_rejects_a_zero_clock() {
-        let err = ChromeSpanExporter { clock_hz: 0 }
-            .export(&[], &mut Vec::new())
-            .unwrap_err();
-        assert!(matches!(err, ExportError::ZeroClockRate));
     }
 
     #[test]

@@ -62,10 +62,7 @@ pub mod csv;
 pub mod export;
 pub mod flame;
 
-pub use export::{
-    registry, span_registry, ChromeExporter, ChromeSpanExporter, CsvExporter, FlameExporter,
-    SpanExporter, TraceExporter,
-};
+pub use export::{registry, ChromeExporter, CsvExporter, FlameExporter, TraceExporter};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
