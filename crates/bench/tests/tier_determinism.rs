@@ -76,8 +76,7 @@ fn tier_ordinals(events: &[TraceEvent]) -> Vec<TraceEvent> {
         .filter(|e| {
             matches!(
                 e.kind,
-                TraceEventKind::MethodCompile
-                    | TraceEventKind::TierUpC1
+                TraceEventKind::TierUpC1
                     | TraceEventKind::TierUpC2
                     | TraceEventKind::Osr
                     | TraceEventKind::Deopt

@@ -10,8 +10,9 @@
 //!   are properly nested per thread, the B/E stream forms a well-formed
 //!   stack; events dropped at buffer saturation can truncate the tail,
 //!   which the viewers tolerate (slices are auto-closed at trace end).
-//! * `MethodCompile` and `ThreadStart`/`ThreadEnd` become thread-scoped
-//!   instants (`ph: "i"`).
+//! * The compilation-pipeline kinds (`TierUpC1`, `TierUpC2`, `Osr`,
+//!   `Deopt`), `ThreadStart`/`ThreadEnd` and the agents' `AllocSite`/
+//!   `MonitorContend` become thread-scoped instants (`ph: "i"`).
 //! * Each thread also gets a `thread_name` metadata record.
 //!
 //! Request spans become one complete (`"X"`) event each, with one process
@@ -53,13 +54,7 @@ fn cycles_to_us(cycles: u64, clock_hz: u64) -> f64 {
 }
 
 fn method_label(event: &TraceEvent) -> String {
-    let verb = match event.kind {
-        TraceEventKind::TierUpC1 => "tier_up_c1",
-        TraceEventKind::TierUpC2 => "tier_up_c2",
-        TraceEventKind::Osr => "osr",
-        TraceEventKind::Deopt => "deopt",
-        _ => "compile",
-    };
+    let verb = event.kind.name();
     match event.method {
         Some(m) => format!("{verb} class{}.m{}", m.class.index(), m.index),
         None => verb.to_owned(),
@@ -79,8 +74,7 @@ fn push_event(out: &mut String, event: &TraceEvent, clock_hz: u64) {
         TraceEventKind::J2nEnd | TraceEventKind::N2jEnd => {
             format!(r#"{{"ph":"E","ts":{ts:.3},"pid":1,"tid":{tid}}}"#)
         }
-        TraceEventKind::MethodCompile
-        | TraceEventKind::TierUpC1
+        TraceEventKind::TierUpC1
         | TraceEventKind::TierUpC2
         | TraceEventKind::Osr
         | TraceEventKind::Deopt => format!(
@@ -311,7 +305,6 @@ mod tests {
             r#"{"ph":"E","ts":1.500,"pid":1,"tid":1},"#,
             r#"{"name":"bytecode","cat":"transition","ph":"B","ts":1.500,"pid":1,"tid":1},"#,
             r#"{"ph":"E","ts":1.500,"pid":1,"tid":1},"#,
-            r#"{"name":"compile","cat":"jit","ph":"i","s":"t","ts":1.500,"pid":1,"tid":1},"#,
             r#"{"name":"thread_start","cat":"thread","ph":"i","s":"t","ts":1.500,"pid":1,"tid":1},"#,
             r#"{"name":"thread_end","cat":"thread","ph":"i","s":"t","ts":1.500,"pid":1,"tid":1},"#,
             r#"{"name":"alloc_site","cat":"agent","ph":"i","s":"t","ts":1.500,"pid":1,"tid":1},"#,
@@ -322,7 +315,7 @@ mod tests {
             r#"{"name":"deopt","cat":"jit","ph":"i","s":"t","ts":1.500,"pid":1,"tid":1}"#,
             r#"],"#,
             r#""displayTimeUnit":"ms","#,
-            r#""otherData":{"clock_hz":1000000000,"j2n_begin":1,"j2n_end":1,"n2j_begin":1,"n2j_end":1,"method_compile":1,"thread_start":1,"thread_end":1,"alloc_site":1,"monitor_contend":1,"tier_up_c1":1,"tier_up_c2":1,"osr":1,"deopt":1,"recorded":13,"dropped":0}}"#,
+            r#""otherData":{"clock_hz":1000000000,"j2n_begin":1,"j2n_end":1,"n2j_begin":1,"n2j_end":1,"thread_start":1,"thread_end":1,"alloc_site":1,"monitor_contend":1,"tier_up_c1":1,"tier_up_c2":1,"osr":1,"deopt":1,"recorded":12,"dropped":0}}"#,
             "",
         ]
         .join("\n");

@@ -56,8 +56,7 @@ pub fn collapsed_stacks(snapshot: &TraceSnapshot) -> String {
                 }
                 // Instants (no duration, no frame change): the compilation
                 // pipeline, thread lifecycle, and the agents' point events.
-                TraceEventKind::MethodCompile
-                | TraceEventKind::ThreadStart
+                TraceEventKind::ThreadStart
                 | TraceEventKind::ThreadEnd
                 | TraceEventKind::AllocSite
                 | TraceEventKind::MonitorContend

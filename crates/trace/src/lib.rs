@@ -32,10 +32,11 @@
 //! ## Integration
 //!
 //! The recorder observes; it never charges cycles. VM-side events
-//! (`ThreadStart`/`ThreadEnd`/`MethodCompile`) are stamped by the VM from
-//! the thread's clock, and IPA's probes reuse the timestamp they already
-//! took for span banking — so a traced run produces *identical* Table I/II
-//! quantities to an untraced one.
+//! (`ThreadStart`/`ThreadEnd` and the tier kinds `TierUpC1`/`TierUpC2`/
+//! `Osr`/`Deopt`) are stamped by the VM from the thread's clock, and IPA's
+//! probes reuse the timestamp they already took for span banking — so a
+//! traced run produces *identical* Table I/II quantities to an untraced
+//! one.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -123,7 +124,10 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
     /// The thread's PCL virtual-clock reading at emission.
     pub cycles: u64,
-    /// The promoted method, for [`TraceEventKind::MethodCompile`] only.
+    /// The method a compilation-pipeline event concerns
+    /// ([`TraceEventKind::TierUpC1`], [`TraceEventKind::TierUpC2`],
+    /// [`TraceEventKind::Osr`] and [`TraceEventKind::Deopt`]); `None` for
+    /// every other kind.
     pub method: Option<MethodId>,
 }
 

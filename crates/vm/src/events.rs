@@ -150,8 +150,8 @@ jvmsim_metrics::id_table! {
     /// Category of a transition-trace event.
     ///
     /// `J2nBegin`/`N2jBegin` mark the starts of the spans the paper's IPA banks
-    /// time into; their `*End` counterparts close the spans. `MethodCompile`
-    /// marks a method's interpreted→compiled promotion (threshold or OSR), and
+    /// time into; their `*End` counterparts close the spans. `TierUpC1`,
+    /// `TierUpC2`, `Osr` and `Deopt` trace the interp → C1 → C2 pipeline, and
     /// `ThreadStart`/`ThreadEnd` bracket each thread's lifetime — including the
     /// primordial thread, which JVMTI itself never announces.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -164,8 +164,6 @@ jvmsim_metrics::id_table! {
         N2jBegin => "n2j_begin",
         /// The intercepted JNI call returned (`N2J_End`).
         N2jEnd => "n2j_end",
-        /// A method became JIT-compiled (invocation threshold or OSR).
-        MethodCompile => "method_compile",
         /// A VM thread began executing its initial method.
         ThreadStart => "thread_start",
         /// A VM thread finished its initial method.
@@ -197,9 +195,8 @@ jvmsim_metrics::id_table! {
 ///
 /// `cycles` is the emitting thread's PCL virtual-clock reading at the
 /// event; successive events on one thread therefore carry non-decreasing
-/// `cycles`. `method` is set only for the compilation-pipeline kinds
-/// ([`TraceEventKind::MethodCompile`], the `TierUp*` pair,
-/// [`TraceEventKind::Osr`] and [`TraceEventKind::Deopt`]).
+/// `cycles`. `method` is set only for the compilation-pipeline kinds (the
+/// `TierUp*` pair, [`TraceEventKind::Osr`] and [`TraceEventKind::Deopt`]).
 pub trait TraceSink: Send + Sync {
     /// Record one event.
     fn record(&self, thread: ThreadId, kind: TraceEventKind, cycles: u64, method: Option<MethodId>);

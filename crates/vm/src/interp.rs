@@ -149,7 +149,6 @@ impl Vm {
             self.registry.reset_invocations(mid);
             return false;
         }
-        let from = self.registry.tier_of(mid);
         self.registry.set_tier(mid, target);
         match target {
             Tier::C1 => {
@@ -160,15 +159,6 @@ impl Vm {
                 self.stats.c2_compiles += 1;
                 self.metric_incr(thread, CounterId::C2Compiles);
             }
-        }
-        // First departure from the interpreter still emits the legacy
-        // MethodCompile event, so single-tier trace consumers keep working.
-        if from == Tier::Interp {
-            self.trace_emit(
-                thread,
-                crate::events::TraceEventKind::MethodCompile,
-                Some(mid),
-            );
         }
         let kind = match target {
             Tier::C1 => crate::events::TraceEventKind::TierUpC1,

@@ -20,8 +20,8 @@ struct TransitionSink(Mutex<Vec<TraceEventKind>>);
 
 impl TraceSink for TransitionSink {
     fn record(&self, _t: ThreadId, kind: TraceEventKind, _cycles: u64, _m: Option<MethodId>) {
-        use TraceEventKind::{Deopt, MethodCompile, Osr, TierUpC1, TierUpC2};
-        if matches!(kind, MethodCompile | TierUpC1 | TierUpC2 | Osr | Deopt) {
+        use TraceEventKind::{Deopt, Osr, TierUpC1, TierUpC2};
+        if matches!(kind, TierUpC1 | TierUpC2 | Osr | Deopt) {
             self.0.lock().unwrap().push(kind);
         }
     }
@@ -97,12 +97,10 @@ fn osr_oracle_full_pipeline() {
         (2, 1, 1, 0)
     );
     assert_eq!(s.insns, 2507);
-    // Transition ordinals: legacy MethodCompile fires on the first
-    // departure from the interpreter only.
+    // Transition ordinals: each promotion, then its OSR.
     assert_eq!(
         run.transitions,
         vec![
-            TraceEventKind::MethodCompile,
             TraceEventKind::TierUpC1,
             TraceEventKind::Osr,
             TraceEventKind::TierUpC2,

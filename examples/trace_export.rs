@@ -68,8 +68,8 @@ fn main() {
         profile.jni_calls
     );
     println!(
-        "  method compiles: {}, threads: {}",
-        snapshot.count(TraceEventKind::MethodCompile),
+        "  C1 promotions: {}, threads: {}",
+        snapshot.count(TraceEventKind::TierUpC1),
         snapshot.count(TraceEventKind::ThreadStart)
     );
     println!("wrote trace.json, trace.folded, events.csv");

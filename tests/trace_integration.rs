@@ -48,14 +48,15 @@ fn trace_counts_match_the_native_profile_exactly() {
         snapshot.count(TraceEventKind::N2jBegin),
         snapshot.count(TraceEventKind::N2jEnd)
     );
-    // The VM contributes lifecycle events; JIT at default threshold fires
-    // on a real workload.
+    // The VM contributes lifecycle events, and at the default thresholds
+    // a real workload leaves the interpreter: every first departure from
+    // it is a C1 promotion.
     assert!(snapshot.count(TraceEventKind::ThreadStart) >= 1);
     assert_eq!(
         snapshot.count(TraceEventKind::ThreadStart),
         snapshot.count(TraceEventKind::ThreadEnd)
     );
-    assert!(snapshot.count(TraceEventKind::MethodCompile) > 0);
+    assert!(snapshot.count(TraceEventKind::TierUpC1) > 0);
     assert_eq!(snapshot.dropped(), 0, "buffer deep enough for this size");
 }
 
