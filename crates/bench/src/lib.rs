@@ -319,7 +319,7 @@ pub fn render_table1(rows: &[MeasuredOverheadRow], jbb: (f64, f64, f64, f64, f64
 }
 
 /// Render the internal overhead-attribution table: one row per suite
-/// cell, decomposing the cell's total charged cycles into the five
+/// cell, decomposing the cell's total charged cycles into the nine
 /// attribution buckets, plus the overhead percentage those buckets imply
 /// (`non-workload / workload × 100`). This reproduces Table I's overhead
 /// columns from *internal* measurement — every cycle is attributed at the
