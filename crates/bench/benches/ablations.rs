@@ -19,7 +19,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jnativeprof::harness::AgentChoice;
 use jnativeprof::session::{RunOutcome, Session};
-use jvmsim_vm::{builtins, MethodView, ThreadInfo, Value, Vm};
+use jvmsim_vm::{MethodView, ThreadInfo, Vm};
 use nativeprof::{InstrumentationMode, IpaConfig};
 use workloads::{by_name, ProblemSize, Workload};
 
@@ -116,24 +116,16 @@ fn bench_spa_timestamps(c: &mut Criterion) {
                 .total_cycles
         })
     });
+    let program = workload.program();
     group.bench_function("timestamp_every_event", |b| {
         b.iter(|| {
-            let program = workload.program();
             let mut vm = Vm::new();
-            builtins::install(&mut vm);
-            for class in &program.classes {
-                vm.add_classfile(class);
-            }
-            for lib in &program.libraries {
-                vm.register_native_library(lib.clone(), true);
-            }
+            program.load(&mut vm);
             let agent = Arc::new(TimestampEverything {
                 env: std::sync::OnceLock::new(),
             });
             jvmsim_jvmti::attach(&mut vm, agent).unwrap();
-            vm.run(&program.entry_class, "main", "(I)I", vec![Value::Int(1)])
-                .unwrap()
-                .total_cycles
+            program.run(&mut vm, ProblemSize::S1).unwrap().total_cycles
         })
     });
     group.finish();
@@ -144,23 +136,14 @@ fn bench_jit(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_millis(1200));
-    let workload = by_name("mtrt").unwrap();
+    let program = by_name("mtrt").unwrap().program();
     for (label, jit) in [("jit_on", true), ("jit_off", false)] {
         group.bench_function(label, |b| {
             b.iter(|| {
-                let program = workload.program();
                 let mut vm = Vm::new();
                 vm.set_jit_requested(jit);
-                builtins::install(&mut vm);
-                for class in &program.classes {
-                    vm.add_classfile(class);
-                }
-                for lib in &program.libraries {
-                    vm.register_native_library(lib.clone(), true);
-                }
-                vm.run(&program.entry_class, "main", "(I)I", vec![Value::Int(5)])
-                    .unwrap()
-                    .total_cycles
+                program.load(&mut vm);
+                program.run(&mut vm, ProblemSize(5)).unwrap().total_cycles
             })
         });
     }

@@ -33,9 +33,9 @@ use std::time::{Duration, Instant};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use jvmsim_jvmti::Agent;
 use jvmsim_metrics::{Bucket, MetricsRegistry};
-use jvmsim_vm::{RunOutcome, TiersMode, Value};
+use jvmsim_vm::{RunOutcome, TiersMode, Vm};
 use nativeprof::SpaAgent;
-use workloads::{by_name, prepare_vm, WorkloadProgram};
+use workloads::{by_name, ProblemSize, WorkloadProgram};
 
 /// Interp-only `total_cycles` per workload at size 10.
 const PINNED_CYCLES: [(&str, u64); 8] = [
@@ -62,7 +62,7 @@ const PINNED_SPA_CYCLES: [(&str, u64); 8] = [
     ("jbb", 647_785_678),
 ];
 
-const SIZE: i64 = 10;
+const SIZE: ProblemSize = ProblemSize::S10;
 
 fn samples() -> usize {
     if smoke() {
@@ -86,7 +86,8 @@ fn run(program: &WorkloadProgram) -> RunOutcome {
 /// metrics registry attached if `metered` (as `jprof report` and the
 /// hostbench matrix run cells).
 fn run_with(program: &WorkloadProgram, spa: bool, metered: bool) -> RunOutcome {
-    let mut vm = prepare_vm(program);
+    let mut vm = Vm::new();
+    program.load(&mut vm);
     vm.set_tiers_mode(TiersMode::InterpOnly);
     if metered {
         let registry = MetricsRegistry::new();
@@ -101,7 +102,8 @@ fn run_with(program: &WorkloadProgram, spa: bool, metered: bool) -> RunOutcome {
         jvmsim_jvmti::attach(&mut vm, SpaAgent::new() as Arc<dyn Agent>)
             .unwrap_or_else(|e| panic!("{}: SPA attach: {e}", program.entry_class));
     }
-    vm.run(&program.entry_class, "main", "(I)I", vec![Value::Int(SIZE)])
+    program
+        .run(&mut vm, SIZE)
         .unwrap_or_else(|e| panic!("{}: {e:?}", program.entry_class))
 }
 
@@ -127,10 +129,7 @@ fn bench_interp(c: &mut Criterion) {
 
 /// The acceptance gate: every sample's interp-only cycle total equals
 /// the workload's pinned constant. Prints the median host speed
-/// alongside. Each sample gets a freshly generated program: a workload's
-/// native libraries keep state across runs (compress and javac count
-/// calls in shared counters), so re-running one program object is not
-/// the same run twice.
+/// alongside.
 fn bench_exactness_gate(c: &mut Criterion) {
     // Zero-sample group so the gate shows up in the report ordering.
     let mut group = c.benchmark_group("interp_exactness");
@@ -138,10 +137,10 @@ fn bench_exactness_gate(c: &mut Criterion) {
     let samples = samples();
     let mut wrong = Vec::new();
     for (name, pinned) in PINNED_CYCLES {
+        let program = by_name(name).unwrap().program();
         let mut times = Vec::with_capacity(samples);
         let mut insns = 0;
         for _ in 0..samples {
-            let program = by_name(name).unwrap().program();
             let t0 = Instant::now();
             let outcome = black_box(run(&program));
             times.push(t0.elapsed());
@@ -169,25 +168,24 @@ fn bench_exactness_gate(c: &mut Criterion) {
 
 /// The SPA gate: every SPA run's cycle total, bare and metered, equals
 /// the workload's pinned constant. Each sample times an interp-only run
-/// and an SPA run back to back, each on a freshly generated program, and
-/// takes the difference per dispatched event; the pass prints the median
-/// for both, per workload and as a geometric mean.
+/// and an SPA run of one program back to back, and takes the difference
+/// per dispatched event; the pass prints the median for both, per
+/// workload and as a geometric mean.
 fn bench_spa_event_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("spa_event_cost");
     group.finish();
     let mut wrong = Vec::new();
     let mut medians = [Vec::new(), Vec::new()];
     for (name, pinned) in PINNED_SPA_CYCLES {
+        let program = by_name(name).unwrap().program();
         let mut events = 0;
         for (metered, medians) in [false, true].into_iter().zip(&mut medians) {
             let mut ns_per_event = Vec::with_capacity(samples());
-            let program = || by_name(name).unwrap().program();
             for _ in 0..samples() {
-                let (base, spa) = (program(), program());
                 let t0 = Instant::now();
-                black_box(run_with(&base, false, metered));
+                black_box(run_with(&program, false, metered));
                 let t1 = Instant::now();
-                let outcome = black_box(run_with(&spa, true, metered));
+                let outcome = black_box(run_with(&program, true, metered));
                 let spa_time = t1.elapsed().as_secs_f64();
                 let base_time = (t1 - t0).as_secs_f64();
                 if outcome.total_cycles != pinned {

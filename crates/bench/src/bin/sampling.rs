@@ -8,22 +8,20 @@
 
 use jnativeprof::harness::AgentChoice;
 use jnativeprof::session::Session;
+use jvmsim_vm::Vm;
 use nativeprof::SamplingProfiler;
-use workloads::{by_name, prepare_vm, ProblemSize, Workload};
+use workloads::{by_name, ProblemSize, WorkloadProgram};
 
-fn run_with_sampler(workload: &dyn Workload, size: ProblemSize, interval: u64) -> (f64, u64, u64) {
-    let program = workload.program();
-    let mut vm = prepare_vm(&program);
+fn run_with_sampler(
+    program: &WorkloadProgram,
+    size: ProblemSize,
+    interval: u64,
+) -> (f64, u64, u64) {
+    let mut vm = Vm::new();
+    program.load(&mut vm);
     let sampler = SamplingProfiler::new();
     sampler.install(&mut vm, interval);
-    let outcome = vm
-        .run(
-            &program.entry_class,
-            &program.entry_method,
-            "(I)I",
-            vec![jvmsim_vm::Value::Int(i64::from(size.0))],
-        )
-        .expect("run");
+    let outcome = program.run(&mut vm, size).expect("run");
     let estimate = sampler.estimate();
     (
         estimate.percent_native(),
@@ -64,9 +62,10 @@ fn main() {
         let ipa_pct = ipa.profile.as_ref().unwrap().percent_native();
         let ipa_ovh =
             100.0 * (ipa.outcome.total_cycles as f64 / base.outcome.total_cycles as f64 - 1.0);
+        let program = workload.program();
         let mut cols = Vec::new();
         for interval in [10_000u64, 100_000] {
-            let (pct, samples, cycles) = run_with_sampler(workload.as_ref(), size, interval);
+            let (pct, samples, cycles) = run_with_sampler(&program, size, interval);
             let ovh = 100.0 * (cycles as f64 / base.outcome.total_cycles as f64 - 1.0);
             cols.push(format!("{pct:>6.2}% ({ovh:>5.2}%, n={samples})"));
         }

@@ -12,32 +12,18 @@ use std::sync::Arc;
 
 use jvmsim_jvmti::Agent;
 use jvmsim_vm::cost::CostModel;
-use jvmsim_vm::{builtins, Value, Vm};
+use jvmsim_vm::Vm;
 use nativeprof::SpaAgent;
-use workloads::{by_name, ProblemSize, Workload};
+use workloads::{by_name, ProblemSize, WorkloadProgram};
 
-fn run_cycles(workload: &dyn Workload, size: ProblemSize, cost: &CostModel, spa: bool) -> u64 {
-    let program = workload.program();
+fn run_cycles(program: &WorkloadProgram, size: ProblemSize, cost: &CostModel, spa: bool) -> u64 {
     let mut vm = Vm::with_cost_model(cost.clone());
-    builtins::install(&mut vm);
-    for class in &program.classes {
-        vm.add_classfile(class);
-    }
-    for lib in &program.libraries {
-        vm.register_native_library(lib.clone(), true);
-    }
+    program.load(&mut vm);
     if spa {
         let agent = SpaAgent::new();
         jvmsim_jvmti::attach(&mut vm, agent as Arc<dyn Agent>).expect("attach");
     }
-    vm.run(
-        &program.entry_class,
-        &program.entry_method,
-        "(I)I",
-        vec![Value::Int(i64::from(size.0))],
-    )
-    .expect("run")
-    .total_cycles
+    program.run(&mut vm, size).expect("run").total_cycles
 }
 
 fn main() {
@@ -50,8 +36,8 @@ fn main() {
         "{:<26} {:>14} {:>14} {:>16}",
         "configuration", "mtrt SPA ovh", "db SPA ovh", "mtrt/db ratio"
     );
-    let mtrt = by_name("mtrt").unwrap();
-    let db = by_name("db").unwrap();
+    let mtrt = by_name("mtrt").unwrap().program();
+    let db = by_name("db").unwrap().program();
     for (label, event_dispatch, interp_insn) in [
         ("baseline (1200, 8)", 1_200u64, 8u64),
         ("cheap events (300, 8)", 300, 8),
@@ -66,13 +52,13 @@ fn main() {
             ..CostModel::default()
         };
         cost.tiers.interp_insn = interp_insn;
-        let ovh = |w: &dyn Workload| {
-            let base = run_cycles(w, size, &cost, false) as f64;
-            let spa = run_cycles(w, size, &cost, true) as f64;
+        let ovh = |program: &WorkloadProgram| {
+            let base = run_cycles(program, size, &cost, false) as f64;
+            let spa = run_cycles(program, size, &cost, true) as f64;
             (spa / base - 1.0) * 100.0
         };
-        let m = ovh(mtrt.as_ref());
-        let d = ovh(db.as_ref());
+        let m = ovh(&mtrt);
+        let d = ovh(&db);
         println!("{label:<26} {m:>13.0}% {d:>13.0}% {:>15.1}x", m / d);
     }
     println!("\ninvariants across the grid: SPA overhead stays in the thousands of");

@@ -336,6 +336,9 @@ pub struct Vm {
     loaded_libraries: Vec<NativeLibrary>,
     /// Cache of resolved native bindings.
     native_bindings: HashMap<MethodId, (NativeFn, bool)>,
+    /// Native libraries' statics, one value per type (see
+    /// [`crate::jni::JniEnv::vm_local`]).
+    native_statics: Vec<Box<dyn Any + Send>>,
     /// Registered native-method name prefixes (JVMTI 1.1 prefix retry).
     prefixes: Vec<String>,
     sink: Option<Arc<dyn VmEventSink>>,
@@ -409,6 +412,7 @@ impl Vm {
             available_libraries: HashMap::new(),
             loaded_libraries: Vec::new(),
             native_bindings: HashMap::new(),
+            native_statics: Vec::new(),
             prefixes: Vec::new(),
             sink: None,
             trace: None,
@@ -1355,5 +1359,18 @@ impl Vm {
 
     pub(crate) fn cache_native_binding(&mut self, mid: MethodId, f: NativeFn, fault_exempt: bool) {
         self.native_bindings.insert(mid, (f, fault_exempt));
+    }
+
+    pub(crate) fn native_static<T: Default + Send + 'static>(&mut self) -> &mut T {
+        let i = match self.native_statics.iter().position(|s| s.is::<T>()) {
+            Some(i) => i,
+            None => {
+                self.native_statics.push(Box::new(T::default()));
+                self.native_statics.len() - 1
+            }
+        };
+        self.native_statics[i]
+            .downcast_mut()
+            .expect("the slot holds a T")
     }
 }

@@ -7,9 +7,6 @@
 //! of execution is small (the paper measures 4.54 %) while the bulk of the
 //! time sits in tight bytecode loops with a helper call per element.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use jvmsim_classfile::builder::ClassBuilder;
 use jvmsim_classfile::{Cond, MethodFlags};
 use jvmsim_vm::jni::{JniRetType, ParamStyle};
@@ -141,10 +138,13 @@ fn build_class() -> jvmsim_classfile::ClassFile {
     cb.finish().unwrap()
 }
 
+/// The library's one static: blocks checksummed so far in this VM.
+#[derive(Default)]
+struct BlocksSeen(u64);
+
 fn build_library() -> NativeLibrary {
     let mut lib = NativeLibrary::new("compress");
-    let blocks_seen = Arc::new(AtomicU64::new(0));
-    lib.register_method(CLASS, "crc32", move |env, args| {
+    lib.register_method(CLASS, "crc32", |env, args| {
         let buf = match args[0].as_ref_opt() {
             Some(b) => b,
             None => return Err(env.throw_new("java/lang/NullPointerException", "null buffer")),
@@ -159,7 +159,9 @@ fn build_library() -> NativeLibrary {
         }
         // Every 8th block, report progress back into Java through the JNI
         // invocation interface (an N2J transition IPA must intercept).
-        let seen = blocks_seen.fetch_add(1, Ordering::Relaxed) + 1;
+        let blocks = env.vm_local::<BlocksSeen>();
+        blocks.0 += 1;
+        let seen = blocks.0;
         if seen.is_multiple_of(8) {
             let r = env.call_static(
                 JniRetType::Int,

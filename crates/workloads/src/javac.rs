@@ -8,9 +8,6 @@
 //! share (paper: 16.82 %, 3.7 M native calls over 15 runs); the parser
 //! keeps a healthy bytecode method-call density in between.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use jvmsim_classfile::builder::ClassBuilder;
 use jvmsim_classfile::{ArrayKind, Cond, MethodFlags};
 use jvmsim_vm::jni::{JniRetType, ParamStyle};
@@ -308,15 +305,20 @@ fn build_class() -> jvmsim_classfile::ClassFile {
     cb.finish().unwrap()
 }
 
+/// The library's one static: identifiers interned so far in this VM.
+#[derive(Default)]
+struct Interned(u64);
+
 fn build_library() -> NativeLibrary {
     let mut lib = NativeLibrary::new("javac");
-    let interned = Arc::new(AtomicU64::new(0));
-    lib.register_method(CLASS, "internIdent", move |env, args| {
+    lib.register_method(CLASS, "internIdent", |env, args| {
         // Symbol-table insert with rehash — the expensive JDK intern path.
         env.work(900);
         let (ch, pos) = (args[0].as_int(), args[1].as_int());
         let mut sym = (ch * 131) ^ pos;
-        let n = interned.fetch_add(1, Ordering::Relaxed) + 1;
+        let interned = env.vm_local::<Interned>();
+        interned.0 += 1;
+        let n = interned.0;
         // Occasional diagnostics callback through the JNI (N2J).
         if n.is_multiple_of(64) {
             let r = env.call_static(

@@ -361,7 +361,8 @@ impl Workload for Jbb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{prepare_vm, run_reference, ProblemSize};
+    use crate::{run_reference, ProblemSize};
+    use jvmsim_vm::Vm;
 
     #[test]
     fn spawns_the_warehouse_sequence() {
@@ -391,10 +392,9 @@ mod tests {
     fn committed_count_matches_planned() {
         let w = Jbb;
         let program = w.program();
-        let mut vm = prepare_vm(&program);
-        let outcome = vm
-            .run(&program.entry_class, "main", "(I)I", vec![Value::Int(10)])
-            .unwrap();
+        let mut vm = Vm::new();
+        program.load(&mut vm);
+        let outcome = program.run(&mut vm, ProblemSize::S10).unwrap();
         let planned = match outcome.main.unwrap() {
             Value::Int(v) => v,
             other => panic!("{other:?}"),

@@ -7,9 +7,6 @@
 //! `String.intern`-ish JDK path — giving jess its modest native share
 //! (paper: 5.38 %).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use jvmsim_classfile::builder::ClassBuilder;
 use jvmsim_classfile::{ArrayKind, Cond, MethodFlags};
 use jvmsim_vm::jni::{JniRetType, ParamStyle};
@@ -152,17 +149,22 @@ fn build_class() -> jvmsim_classfile::ClassFile {
     cb.finish().unwrap()
 }
 
+/// The library's one static: symbols interned so far in this VM.
+#[derive(Default)]
+struct Interned(u64);
+
 fn build_library() -> NativeLibrary {
     let mut lib = NativeLibrary::new("jess");
-    let interned = Arc::new(AtomicU64::new(0));
-    lib.register_method(CLASS, "internSymbol", move |env, args| {
+    lib.register_method(CLASS, "internSymbol", |env, args| {
         // Symbol-table probe: hash + chain walk, then the occasional agenda
         // notification back into Java via JNI.
         // Full symbol-table insert with table growth — the heavyweight
         // JDK intern path.
         env.work(700);
         let sym = args[0].as_int();
-        let count = interned.fetch_add(1, Ordering::Relaxed) + 1;
+        let interned = env.vm_local::<Interned>();
+        interned.0 += 1;
+        let count = interned.0;
         let mut out = sym ^ (sym >> 5) ^ 0x5DEECE66;
         if count.is_multiple_of(256) {
             let r = env.call_static(

@@ -34,8 +34,8 @@ pub mod jess;
 pub mod mpegaudio;
 pub mod mtrt;
 
-use jvmsim_classfile::ClassFile;
-use jvmsim_vm::{builtins, NativeLibrary, Value, Vm};
+use jvmsim_classfile::{codec, ClassFile};
+use jvmsim_vm::{builtins, NativeLibrary, RunOutcome, Value, Vm, VmError};
 
 /// Problem size, mirroring SPEC JVM98's `-s` switch. The simulator's
 /// "size 100" is itself scaled down from the paper's (documented in
@@ -59,6 +59,10 @@ impl Default for ProblemSize {
 }
 
 /// Everything needed to run one benchmark program.
+///
+/// A program is a reusable value: its native libraries keep their
+/// statics in each VM ([`jvmsim_vm::jni::JniEnv::vm_local`]), so every VM
+/// it is loaded into runs it from the same start.
 pub struct WorkloadProgram {
     /// Application classes (instrument these before adding to the VM when
     /// profiling with IPA).
@@ -85,14 +89,52 @@ impl std::fmt::Debug for WorkloadProgram {
     }
 }
 
+impl WorkloadProgram {
+    /// Load the bootstrap library, this program's classes and its native
+    /// libraries into `vm`, uninstrumented.
+    pub fn load(&self, vm: &mut Vm) {
+        let classes = self
+            .classes
+            .iter()
+            .map(|class| (class.name().to_owned(), codec::encode(class)));
+        self.load_archive(vm, builtins::boot_archive().into_iter().chain(classes));
+    }
+
+    /// Load `archive` — the bootstrap library and this program's classes,
+    /// possibly instrumented — into `vm`, with `libjava` and this
+    /// program's native libraries.
+    pub fn load_archive(&self, vm: &mut Vm, archive: impl IntoIterator<Item = (String, Vec<u8>)>) {
+        vm.add_archive(archive);
+        vm.register_native_library(builtins::libjava(), true);
+        for lib in &self.libraries {
+            vm.register_native_library(lib.clone(), true);
+        }
+    }
+
+    /// Call the entry method with the problem size.
+    ///
+    /// # Errors
+    ///
+    /// As [`Vm::run`].
+    pub fn run(&self, vm: &mut Vm, size: ProblemSize) -> Result<RunOutcome, VmError> {
+        vm.run(
+            &self.entry_class,
+            &self.entry_method,
+            "(I)I",
+            vec![Value::Int(i64::from(size.0))],
+        )
+    }
+}
+
 /// A benchmark in the suite.
 pub trait Workload: Send + Sync {
     /// SPEC-style short name (`compress`, `jess`, …).
     ///
     /// Within a process the name *is* the program's identity: it is a
-    /// field of every cell-result cache key, and the key's digest of
-    /// [`Workload::program`] is memoized per name. Two workloads with one
-    /// name must build the same program.
+    /// field of every cell-result cache key, and [`Workload::program`] is
+    /// built once per name and shared by every run (its natives keep their
+    /// state per VM, see [`jvmsim_vm::jni::JniEnv::vm_local`]). Two
+    /// workloads with one name must build the same program.
     fn name(&self) -> &'static str;
 
     /// Assemble the program.
@@ -154,36 +196,18 @@ impl Workload for Crashy {
     }
 }
 
-/// Build a VM loaded with the bootstrap library and this program's classes
-/// and native libraries (uninstrumented).
-pub fn prepare_vm(program: &WorkloadProgram) -> Vm {
-    let mut vm = Vm::new();
-    builtins::install(&mut vm);
-    for class in &program.classes {
-        vm.add_classfile(class);
-    }
-    for lib in &program.libraries {
-        vm.register_native_library(lib.clone(), true);
-    }
-    vm
-}
-
 /// Run a workload uninstrumented and return `(checksum, outcome)`.
 ///
 /// # Panics
 ///
 /// Panics if the program fails to link or throws — workloads are expected
 /// to be self-contained.
-pub fn run_reference(workload: &dyn Workload, size: ProblemSize) -> (i64, jvmsim_vm::RunOutcome) {
+pub fn run_reference(workload: &dyn Workload, size: ProblemSize) -> (i64, RunOutcome) {
     let program = workload.program();
-    let mut vm = prepare_vm(&program);
-    let outcome = vm
-        .run(
-            &program.entry_class,
-            &program.entry_method,
-            "(I)I",
-            vec![Value::Int(i64::from(size.0))],
-        )
+    let mut vm = Vm::new();
+    program.load(&mut vm);
+    let outcome = program
+        .run(&mut vm, size)
         .unwrap_or_else(|e| panic!("{}: {e}", workload.name()));
     let checksum = match &outcome.main {
         Ok(Value::Int(v)) => *v,

@@ -254,13 +254,18 @@ fn build_main() -> jvmsim_classfile::ClassFile {
     cb.finish().unwrap()
 }
 
+/// The library's one static: noise samples taken so far in this VM.
+#[derive(Default)]
+struct NoiseCalls(u64);
+
 fn build_library() -> NativeLibrary {
     let mut lib = NativeLibrary::new("mtrt");
-    let calls = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-    lib.register_method(CLASS, "noise", move |env, args| {
+    lib.register_method(CLASS, "noise", |env, args| {
         env.work(220);
         let x = args[0].as_float();
-        let n = calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+        let calls = env.vm_local::<NoiseCalls>();
+        calls.0 += 1;
+        let n = calls.0;
         let mut v = (x * 12.9898).sin();
         if n.is_multiple_of(128) {
             let r = env.call_static(

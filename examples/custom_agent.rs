@@ -18,11 +18,11 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 
-use jnativeprof::vm::{builtins, MethodView, ThreadInfo, Value, Vm};
+use jnativeprof::vm::{MethodView, ThreadInfo, Vm};
 use jvmsim_jvmti::{
     attach, Agent, AgentHost, Capabilities, EventType, JvmtiError, ThreadLocalStorage,
 };
-use workloads::by_name;
+use workloads::{by_name, ProblemSize};
 
 #[derive(Default)]
 struct HotMethodAgent {
@@ -70,20 +70,12 @@ fn main() {
     let program = workload.program();
 
     let mut vm = Vm::new();
-    builtins::install(&mut vm);
-    for class in &program.classes {
-        vm.add_classfile(class);
-    }
-    for lib in &program.libraries {
-        vm.register_native_library(lib.clone(), true);
-    }
+    program.load(&mut vm);
 
     let agent = Arc::new(HotMethodAgent::default());
     attach(&mut vm, Arc::clone(&agent) as Arc<dyn Agent>).expect("attach");
 
-    let outcome = vm
-        .run(&program.entry_class, "main", "(I)I", vec![Value::Int(10)])
-        .expect("run");
+    let outcome = program.run(&mut vm, ProblemSize::S10).expect("run");
     assert!(agent.done.get().is_some(), "VMDeath must have fired");
     println!(
         "\n{} method invocations, {} virtual cycles (JIT was disabled by the agent)",

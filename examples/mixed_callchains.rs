@@ -16,13 +16,14 @@ use std::sync::Arc;
 use jnativeprof::classfile::builder::ClassBuilder;
 use jnativeprof::classfile::MethodFlags;
 use jnativeprof::vm::jni::{JniRetType, ParamStyle};
-use jnativeprof::vm::{NativeLibrary, Value, Vm};
+use jnativeprof::vm::{NativeLibrary, Vm};
+use jnativeprof::workloads::{ProblemSize, WorkloadProgram};
 use jvmsim_jvmti::Agent;
 use nativeprof::ChainProfiler;
 
 const ST: MethodFlags = MethodFlags::PUBLIC.with(MethodFlags::STATIC);
 
-fn build_program() -> (jnativeprof::classfile::ClassFile, NativeLibrary) {
+fn build_program() -> WorkloadProgram {
     let mut cb = ClassBuilder::new("demo/Codec");
     cb.native_method("encode", "(I)I", ST).unwrap();
     // quantize: the Java callback the native encoder consults per block.
@@ -61,20 +62,22 @@ fn build_program() -> (jnativeprof::classfile::ClassFile, NativeLibrary) {
             &[args[0]],
         )
     });
-    (cb.finish().unwrap(), lib)
+    WorkloadProgram {
+        classes: vec![cb.finish().unwrap()],
+        libraries: vec![lib],
+        entry_class: "demo/Codec".to_owned(),
+        entry_method: "main".to_owned(),
+    }
 }
 
 fn main() {
-    let (class, lib) = build_program();
+    let program = build_program();
     let profiler = ChainProfiler::new(vec![("demo/Codec".to_owned(), "quantize".to_owned())], 8);
 
     let mut vm = Vm::new();
-    vm.add_classfile(&class);
-    vm.register_native_library(lib, true);
+    program.load(&mut vm);
     jvmsim_jvmti::attach(&mut vm, Arc::clone(&profiler) as Arc<dyn Agent>).expect("attach");
-    let outcome = vm
-        .run("demo/Codec", "main", "(I)I", vec![Value::Int(100)])
-        .expect("run");
+    let outcome = program.run(&mut vm, ProblemSize::S100).expect("run");
     println!("result: {:?}\n", outcome.main);
 
     println!("chains captured at demo/Codec.quantize:");

@@ -5,6 +5,7 @@
 
 use jnativeprof::harness::AgentChoice;
 use jnativeprof::session::{RunOutcome, Session};
+use jnativeprof::vm::Vm;
 use nativeprof::{InstrumentationMode, IpaConfig};
 use workloads::{by_name, ProblemSize, Workload};
 
@@ -119,4 +120,27 @@ fn compensation_changes_statistics_not_behaviour() {
         poff.total.total(),
         pon.total.total()
     );
+}
+
+/// A program is a reusable value: its natives keep their statics per VM,
+/// so loading one program into three VMs gives three identical runs.
+#[test]
+fn one_program_reruns_identically_in_fresh_vms() {
+    let mut diverged = Vec::new();
+    for name in ALL {
+        let program = by_name(name).unwrap().program();
+        let runs: Vec<_> = (0..3)
+            .map(|_| {
+                let mut vm = Vm::new();
+                program.load(&mut vm);
+                let outcome = program.run(&mut vm, ProblemSize::S10).expect(name);
+                let checksum = outcome.main.expect(name);
+                (outcome.total_cycles, checksum, outcome.stats)
+            })
+            .collect();
+        if runs.iter().any(|run| *run != runs[0]) {
+            diverged.push(format!("{name}: {runs:?}"));
+        }
+    }
+    assert!(diverged.is_empty(), "{}", diverged.join("\n"));
 }
