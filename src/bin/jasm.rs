@@ -20,16 +20,13 @@
 //! the same contract `jprof` honours.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use jnativeprof::classfile::jasm;
 use jnativeprof::harness::{AgentChoice, HarnessError};
 use jnativeprof::instr::Archive;
-use jnativeprof::vm::{builtins, Value, Vm};
-use jvmsim_jvmti::Agent;
-use nativeprof::IpaAgent;
-use nativeprof::SpaAgent;
-use nativeprof_agents::{AllocAgent, LockAgent};
+use jnativeprof::session::program_archive;
+use jnativeprof::vm::{Value, Vm};
+use jnativeprof::workloads::WorkloadProgram;
 
 const USAGE: &str = "\
 usage:
@@ -88,15 +85,6 @@ fn build(args: &[String]) -> Result<(), HarnessError> {
     Ok(())
 }
 
-/// Which agent `profile` attached, kept alive until the report prints.
-enum Attached {
-    None,
-    Spa(Arc<SpaAgent>),
-    Ipa(Arc<IpaAgent>),
-    Alloc(Arc<AllocAgent>),
-    Lock(Arc<LockAgent>),
-}
-
 fn execute(args: &[String], profile: bool) -> Result<(), HarnessError> {
     // `profile` accepts an optional leading `--agent LABEL`; parsing goes
     // through the shared `FromStr` so jasm, jprof, and the serve spec all
@@ -130,56 +118,18 @@ fn execute(args: &[String], profile: bool) -> Result<(), HarnessError> {
         .collect::<Result<_, _>>()?;
     let descriptor = format!("({})I", "I".repeat(values.len()));
 
-    let mut vm = Vm::new();
-    let attached = if let AgentChoice::Ipa(_) = &agent {
-        // IPA rewrites the archive, so the boot library rides in it too.
-        let mut archive = Archive::new();
-        for (name, bytes) in builtins::boot_archive() {
-            archive
-                .insert_bytes(name, bytes)
-                .map_err(|e| HarnessError::Instrument(e.to_string()))?;
-        }
-        for c in &classes {
-            archive
-                .insert_class(c)
-                .map_err(|e| HarnessError::Instrument(e.to_string()))?;
-        }
-        let ipa = IpaAgent::new();
-        ipa.instrument_archive(&mut archive)
-            .map_err(|e| HarnessError::Instrument(e.to_string()))?;
-        vm.add_archive(archive);
-        vm.register_native_library(builtins::libjava(), true);
-        jvmsim_jvmti::attach(&mut vm, Arc::clone(&ipa) as Arc<dyn Agent>)
-            .map_err(|e| HarnessError::Attach(e.to_string()))?;
-        Attached::Ipa(ipa)
-    } else {
-        builtins::install(&mut vm);
-        for c in &classes {
-            vm.add_classfile(c);
-        }
-        match &agent {
-            AgentChoice::None => Attached::None,
-            AgentChoice::Spa => {
-                let spa = SpaAgent::new();
-                jvmsim_jvmti::attach(&mut vm, Arc::clone(&spa) as Arc<dyn Agent>)
-                    .map_err(|e| HarnessError::Attach(e.to_string()))?;
-                Attached::Spa(spa)
-            }
-            AgentChoice::Alloc => {
-                let alloc = AllocAgent::new();
-                jvmsim_jvmti::attach(&mut vm, Arc::clone(&alloc) as Arc<dyn Agent>)
-                    .map_err(|e| HarnessError::Attach(e.to_string()))?;
-                Attached::Alloc(alloc)
-            }
-            AgentChoice::Lock => {
-                let lock = LockAgent::new();
-                jvmsim_jvmti::attach(&mut vm, Arc::clone(&lock) as Arc<dyn Agent>)
-                    .map_err(|e| HarnessError::Attach(e.to_string()))?;
-                Attached::Lock(lock)
-            }
-            AgentChoice::Ipa(_) => unreachable!("handled above"),
-        }
+    // The program has no native libraries of its own; loading it this
+    // way puts the boot library (instrumented too, under IPA) beside it.
+    let program = WorkloadProgram {
+        classes,
+        libraries: Vec::new(),
+        entry_class: class.clone(),
+        entry_method: method.clone(),
     };
+    let (archive, _) = program_archive(&program, &agent, None)?;
+    let mut vm = Vm::new();
+    program.load_archive(&mut vm, archive);
+    let attached = agent.attach(&mut vm)?;
 
     let pcl = vm.pcl();
     let outcome = vm
@@ -199,12 +149,15 @@ fn execute(args: &[String], profile: bool) -> Result<(), HarnessError> {
         outcome.stats.invocations,
         outcome.stats.native_calls
     );
-    match attached {
-        Attached::None => {}
-        Attached::Spa(spa) => print!("{}", spa.report()),
-        Attached::Ipa(ipa) => print!("{}", ipa.report()),
-        Attached::Alloc(alloc) => print!("{}", alloc.report()),
-        Attached::Lock(lock) => print!("{}", lock.report()),
+    let reports = attached.reports();
+    if let Some(profile) = reports.profile {
+        print!("{profile}");
+    }
+    if let Some(alloc) = reports.alloc {
+        print!("{alloc}");
+    }
+    if let Some(lock) = reports.lock {
+        print!("{lock}");
     }
     // Exit nonzero on an uncaught exception, like `java` does.
     failed.map_or(Ok(()), Err)

@@ -10,8 +10,13 @@
 //! [`HarnessError`] with its stable exit codes, and the paper's overhead
 //! formulas.
 
+use std::sync::Arc;
+
+use jvmsim_jvmti::Agent;
 use jvmsim_metrics::Bucket;
-use nativeprof::IpaConfig;
+use jvmsim_vm::Vm;
+use nativeprof::{IpaAgent, IpaConfig, NativeProfile, SpaAgent};
+use nativeprof_agents::{AllocAgent, AllocReport, LockAgent, LockReport};
 
 /// Typed failure taxonomy for a harness run — used by the suite driver to
 /// quarantine failing cells instead of dying, by the serve daemon to map
@@ -174,6 +179,74 @@ impl AgentChoice {
             AgentChoice::Lock => Bucket::LockProbe,
         }
     }
+
+    /// Create this choice's agent and attach it to `vm`;
+    /// [`AgentChoice::None`] attaches nothing. Static IPA expects `vm` to
+    /// hold the instrumented archive already (see
+    /// [`crate::session::program_archive`]).
+    ///
+    /// # Errors
+    ///
+    /// [`HarnessError::Attach`], prefixed with the agent's label.
+    pub fn attach(&self, vm: &mut Vm) -> Result<Attached, HarnessError> {
+        fn attach<A: Agent + 'static>(
+            vm: &mut Vm,
+            label: &str,
+            agent: Arc<A>,
+            report: fn(&A) -> AgentReports,
+        ) -> Result<Attached, HarnessError> {
+            jvmsim_jvmti::attach(vm, Arc::clone(&agent) as Arc<dyn Agent>)
+                .map_err(|e| HarnessError::Attach(format!("{label}: {e}")))?;
+            Ok(Attached(Box::new(move || report(&agent))))
+        }
+        let label = self.label();
+        match self {
+            AgentChoice::None => Ok(Attached(Box::new(AgentReports::default))),
+            AgentChoice::Spa => attach(vm, label, SpaAgent::new(), |a| AgentReports {
+                profile: Some(a.report()),
+                ..AgentReports::default()
+            }),
+            AgentChoice::Ipa(config) => {
+                let agent = IpaAgent::with_config(config.clone());
+                attach(vm, label, agent, |a| AgentReports {
+                    profile: Some(a.report()),
+                    ..AgentReports::default()
+                })
+            }
+            AgentChoice::Alloc => attach(vm, label, AllocAgent::new(), |a| AgentReports {
+                alloc: Some(a.report()),
+                ..AgentReports::default()
+            }),
+            AgentChoice::Lock => attach(vm, label, LockAgent::new(), |a| AgentReports {
+                lock: Some(a.report()),
+                ..AgentReports::default()
+            }),
+        }
+    }
+}
+
+/// The agent [`AgentChoice::attach`] put on a VM; read its reports once
+/// the run is over.
+pub struct Attached(Box<dyn Fn() -> AgentReports>);
+
+impl Attached {
+    /// What the agent has measured so far.
+    #[must_use]
+    pub fn reports(&self) -> AgentReports {
+        (self.0)()
+    }
+}
+
+/// An attached agent's reports: SPA and IPA fill `profile`, ALLOC
+/// `alloc`, LOCK `lock`, and no agent none.
+#[derive(Debug, Default)]
+pub struct AgentReports {
+    /// The native/bytecode time profile.
+    pub profile: Option<NativeProfile>,
+    /// The allocation-site profile.
+    pub alloc: Option<AllocReport>,
+    /// The monitor-contention profile.
+    pub lock: Option<LockReport>,
 }
 
 /// Overhead of `with` relative to `baseline`, as the paper computes it:

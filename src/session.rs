@@ -33,16 +33,15 @@ use std::sync::{Arc, Mutex};
 use jvmsim_cache::{CacheKey, CacheStore, Digest, KeyHasher, Plane};
 use jvmsim_faults::FaultInjector;
 use jvmsim_instr::{instrumentation_cache_key, Archive};
-use jvmsim_jvmti::Agent;
 use jvmsim_metrics::MetricsRegistry;
 use jvmsim_pcl::Pcl;
 use jvmsim_vm::cost::CostModel;
 use jvmsim_vm::{builtins, TiersMode, TraceSink, Value, Vm};
-use nativeprof::{InstrumentationMode, IpaAgent, NativeProfile, SpaAgent};
-use nativeprof_agents::{AllocAgent, AllocReport, LockAgent, LockReport};
+use nativeprof::{InstrumentationMode, IpaAgent, NativeProfile};
+use nativeprof_agents::{AllocReport, LockReport};
 use workloads::{by_name, ProblemSize, Workload, WorkloadProgram};
 
-use crate::harness::{AgentChoice, HarnessError};
+use crate::harness::{AgentChoice, AgentReports, HarnessError};
 
 /// An owned, `Send` description of one run: workload name, agent, size.
 ///
@@ -291,8 +290,8 @@ impl<'w> Session<'w> {
     /// produce bit-identical [`RunOutcome`] quantities; the suite driver
     /// memoizes completed rows under this key.
     ///
-    /// The program is not rebuilt per call: the archive digest is
-    /// computed once per process for each workload name (see
+    /// The program is not rebuilt per call: it and its archive digest
+    /// are built once per process for each workload name (see
     /// [`Workload::name`]), so a warm cache hit costs only hashing the
     /// key fields.
     ///
@@ -329,26 +328,34 @@ impl<'w> Session<'w> {
             }
             None => k.field_str("faults", "none"),
         }
-        k.field_digest("archive", archive_digest(self.workload));
+        k.field_digest("archive", shared_program(self.workload).digest);
         k.finish()
     }
 
     /// Execute the session.
     ///
-    /// For [`AgentChoice::Ipa`] in static mode this performs the paper's
-    /// full pipeline: the application archive **and** the bootstrap
-    /// library (the `rt.jar` analog) are rewritten by the native-wrapper
-    /// transform before the VM starts, and the wrapper prefix is announced
-    /// via JVMTI. With a cache attached, the rewritten archive is served
-    /// from (or stored to) the instrumentation plane.
+    /// The program comes from the same per-process memo as the key's
+    /// digest. For [`AgentChoice::Ipa`] in static mode this performs the
+    /// paper's full pipeline: the application archive **and** the
+    /// bootstrap library (the `rt.jar` analog) are rewritten by the
+    /// native-wrapper transform before the VM starts, and the wrapper
+    /// prefix is announced via JVMTI. With a cache attached, the rewritten
+    /// archive is served from (or stored to) the instrumentation plane.
     ///
     /// # Errors
     ///
     /// Every failure mode — instrumentation, attach, VM-level errors,
     /// escaped exceptions, bad checksums — comes back as a typed
     /// [`HarnessError`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Session::result_key`].
     pub fn run(self) -> Result<RunOutcome, HarnessError> {
-        let program = self.workload.program();
+        let shared = shared_program(self.workload);
+        let program = &shared.program;
+        let (archive, instr_cache_hit) =
+            program_archive(program, &self.agent, self.cache.as_ref())?;
         let mut vm = Vm::new();
         vm.set_tiers_mode(self.tiers);
         if let Some(metrics) = &self.metrics {
@@ -361,116 +368,31 @@ impl<'w> Session<'w> {
         if let Some(faults) = &self.faults {
             vm.set_fault_injector(Arc::clone(faults));
         }
-        let label = self.agent.label();
-        let mut instr_cache_hit = None;
-
-        let profile_source: Option<ProfileSource> = match self.agent {
-            AgentChoice::None => {
-                vm.add_archive(encode_program_archive(&program));
-                None
-            }
-            AgentChoice::Spa => {
-                vm.add_archive(encode_program_archive(&program));
-                let spa = SpaAgent::new();
-                jvmsim_jvmti::attach(&mut vm, Arc::clone(&spa) as Arc<dyn Agent>)
-                    .map_err(|e| HarnessError::Attach(format!("SPA: {e}")))?;
-                Some(ProfileSource::Spa(spa))
-            }
-            AgentChoice::Ipa(config) => {
-                let ipa = IpaAgent::with_config(config.clone());
-                let mut archive = encode_program_archive(&program);
-                if config.mode == InstrumentationMode::Static {
-                    match &self.cache {
-                        Some(cache) => {
-                            let key = instrumentation_cache_key(&archive, &config.wrapper);
-                            let mut served = false;
-                            if let Some(bytes) = cache.lookup(Plane::Instrumentation, &key) {
-                                // The entry's digest verified, so these are
-                                // exactly the bytes a fresh instrumentation
-                                // run stored; a decode failure can only mean
-                                // a foreign/stale payload under this key —
-                                // quarantine it and recompute.
-                                match Archive::from_bytes(&bytes) {
-                                    Ok(cached) => {
-                                        archive = cached;
-                                        served = true;
-                                    }
-                                    Err(_) => cache.quarantine(Plane::Instrumentation, &key),
-                                }
-                            }
-                            if !served {
-                                ipa.instrument_archive(&mut archive)
-                                    .map_err(|e| HarnessError::Instrument(e.to_string()))?;
-                                // A failed store only means the next run
-                                // pays instrumentation again.
-                                let _ =
-                                    cache.store(Plane::Instrumentation, &key, &archive.to_bytes());
-                            }
-                            instr_cache_hit = Some(served);
-                        }
-                        None => {
-                            ipa.instrument_archive(&mut archive)
-                                .map_err(|e| HarnessError::Instrument(e.to_string()))?;
-                        }
-                    }
-                }
-                vm.add_archive(archive);
-                jvmsim_jvmti::attach(&mut vm, Arc::clone(&ipa) as Arc<dyn Agent>)
-                    .map_err(|e| HarnessError::Attach(format!("IPA: {e}")))?;
-                Some(ProfileSource::Ipa(ipa))
-            }
-            AgentChoice::Alloc => {
-                vm.add_archive(encode_program_archive(&program));
-                let agent = AllocAgent::new();
-                jvmsim_jvmti::attach(&mut vm, Arc::clone(&agent) as Arc<dyn Agent>)
-                    .map_err(|e| HarnessError::Attach(format!("ALLOC: {e}")))?;
-                Some(ProfileSource::Alloc(agent))
-            }
-            AgentChoice::Lock => {
-                vm.add_archive(encode_program_archive(&program));
-                let agent = LockAgent::new();
-                jvmsim_jvmti::attach(&mut vm, Arc::clone(&agent) as Arc<dyn Agent>)
-                    .map_err(|e| HarnessError::Attach(format!("LOCK: {e}")))?;
-                Some(ProfileSource::Lock(agent))
-            }
-        };
-        // Native libraries: the JDK's plus the workload's.
-        vm.register_native_library(builtins::libjava(), true);
-        for lib in &program.libraries {
-            vm.register_native_library(lib.clone(), true);
-        }
+        program.load_archive(&mut vm, archive);
+        let attached = self.agent.attach(&mut vm)?;
 
         let pcl = vm.pcl();
-        let outcome = vm
-            .run(
-                &program.entry_class,
-                &program.entry_method,
-                "(I)I",
-                vec![Value::Int(i64::from(self.size.0))],
-            )
+        let outcome = program
+            .run(&mut vm, self.size)
             .map_err(|e| HarnessError::Vm(e.to_string()))?;
         let checksum = match &outcome.main {
             Ok(Value::Int(v)) => *v,
             Err(escaped) => return Err(HarnessError::Escaped(escaped.to_string())),
             other => return Err(HarnessError::BadChecksum(format!("{other:?}"))),
         };
-        let seconds = pcl.cycles_to_seconds(outcome.total_cycles);
-        let (mut profile, mut alloc, mut lock) = (None, None, None);
-        match profile_source {
-            Some(ProfileSource::Spa(a)) => profile = Some(a.report()),
-            Some(ProfileSource::Ipa(a)) => profile = Some(a.report()),
-            Some(ProfileSource::Alloc(a)) => alloc = Some(a.report()),
-            Some(ProfileSource::Lock(a)) => lock = Some(a.report()),
-            None => {}
-        }
+        let AgentReports {
+            profile,
+            alloc,
+            lock,
+        } = attached.reports();
         Ok(RunOutcome {
             workload: self.workload.name().to_owned(),
-            agent: label,
+            agent: self.agent.label(),
+            seconds: pcl.cycles_to_seconds(outcome.total_cycles),
             outcome,
             profile,
             alloc,
             lock,
-            seconds,
             checksum,
             pcl,
             instr_cache_hit,
@@ -478,45 +400,88 @@ impl<'w> Session<'w> {
     }
 }
 
-enum ProfileSource {
-    Spa(Arc<SpaAgent>),
-    Ipa(Arc<IpaAgent>),
-    Alloc(Arc<AllocAgent>),
-    Lock(Arc<LockAgent>),
-}
-
-/// Encode a workload program (plus the boot library) into one archive —
-/// the input to both instrumentation and the cache-key derivations.
-pub(crate) fn encode_program_archive(program: &WorkloadProgram) -> Archive {
+/// The archive a run of `program` loads: the boot library plus the
+/// program's classes, rewritten by the native-wrapper transform when
+/// `agent` is static IPA. With a `cache`, the rewritten archive is served
+/// from (or stored to) its instrumentation plane; the flag says whether
+/// it was served (`None` when no cache was consulted).
+///
+/// # Errors
+///
+/// [`HarnessError::Instrument`] on a duplicate class name or a failed
+/// transform.
+pub fn program_archive(
+    program: &WorkloadProgram,
+    agent: &AgentChoice,
+    cache: Option<&CacheStore>,
+) -> Result<(Archive, Option<bool>), HarnessError> {
+    let instrument_err = |e: jvmsim_instr::InstrError| HarnessError::Instrument(e.to_string());
     let mut archive = Archive::new();
     for (name, bytes) in builtins::boot_archive() {
-        archive
-            .insert_bytes(name, bytes)
-            .expect("unique boot class");
+        archive.insert_bytes(name, bytes).map_err(instrument_err)?;
     }
     for class in &program.classes {
-        archive.insert_class(class).expect("unique app class");
+        archive.insert_class(class).map_err(instrument_err)?;
     }
-    archive
+    let config = match agent {
+        AgentChoice::Ipa(config) if config.mode == InstrumentationMode::Static => config,
+        _ => return Ok((archive, None)),
+    };
+    let instrument = |archive: &mut Archive| {
+        IpaAgent::with_config(config.clone())
+            .instrument_archive(archive)
+            .map_err(instrument_err)
+    };
+    let Some(cache) = cache else {
+        instrument(&mut archive)?;
+        return Ok((archive, None));
+    };
+    let key = instrumentation_cache_key(&archive, &config.wrapper);
+    if let Some(bytes) = cache.lookup(Plane::Instrumentation, &key) {
+        // The entry's digest verified, so these are exactly the bytes a
+        // fresh instrumentation run stored; a decode failure can only mean
+        // a foreign/stale payload under this key — quarantine it and
+        // recompute.
+        match Archive::from_bytes(&bytes) {
+            Ok(cached) => return Ok((cached, Some(true))),
+            Err(_) => cache.quarantine(Plane::Instrumentation, &key),
+        }
+    }
+    instrument(&mut archive)?;
+    // A failed store only means the next run pays instrumentation again.
+    let _ = cache.store(Plane::Instrumentation, &key, &archive.to_bytes());
+    Ok((archive, Some(false)))
 }
 
-/// The digest of `workload`'s [`encode_program_archive`], computed once
-/// per process for each workload name. [`Workload::program`] takes no
-/// size and is deterministic, so the digest depends on the name alone.
-/// Only the digest is shared: programs carry native-library state across
-/// runs, so every run still builds its own.
-fn archive_digest(workload: &dyn Workload) -> Digest {
-    static MEMO: Mutex<BTreeMap<&'static str, Digest>> = Mutex::new(BTreeMap::new());
+/// A workload's program with the digest of its uninstrumented
+/// [`program_archive`].
+struct SharedProgram {
+    program: WorkloadProgram,
+    digest: Digest,
+}
+
+/// `workload`'s program and archive digest, built once per process for
+/// each workload name. [`Workload::program`] takes no size and is
+/// deterministic, and a program keeps no state between VMs, so every run
+/// and every key of one name shares one build.
+fn shared_program(workload: &dyn Workload) -> Arc<SharedProgram> {
+    static MEMO: Mutex<BTreeMap<&'static str, Arc<SharedProgram>>> = Mutex::new(BTreeMap::new());
     let memo = || MEMO.lock().expect("nothing panics while holding the memo");
     let name = workload.name();
-    if let Some(&digest) = memo().get(name) {
-        return digest;
+    if let Some(shared) = memo().get(name) {
+        return Arc::clone(shared);
     }
     // Built outside the lock, so a panicking `program()` neither poisons
-    // the memo nor stores an entry. Racing threads compute equal digests.
-    let digest = encode_program_archive(&workload.program()).digest();
-    memo().insert(name, digest);
-    digest
+    // the memo nor stores an entry. Racing threads build equal programs;
+    // the first one stored is the one every caller gets.
+    let program = workload.program();
+    let (archive, _) = program_archive(&program, &AgentChoice::None, None)
+        .expect("workload class names are unique");
+    let shared = SharedProgram {
+        digest: archive.digest(),
+        program,
+    };
+    Arc::clone(memo().entry(name).or_insert_with(|| Arc::new(shared)))
 }
 
 /// Absorb every cost-model field, in declaration order, into a key. The
@@ -732,11 +697,8 @@ mod tests {
         // The memoized digest is the digest of a freshly built archive.
         for name in WORKLOADS {
             let w = by_name(name).unwrap();
-            assert_eq!(
-                archive_digest(w.as_ref()),
-                encode_program_archive(&w.program()).digest(),
-                "{name}"
-            );
+            let (fresh, _) = program_archive(&w.program(), &AgentChoice::None, None).unwrap();
+            assert_eq!(shared_program(w.as_ref()).digest, fresh.digest(), "{name}");
         }
     }
 
