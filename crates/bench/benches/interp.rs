@@ -27,14 +27,12 @@
 //! Set `JVMSIM_BENCH_SMOKE=1` (as CI does) to shrink sample counts for a
 //! fast functional pass; both exactness gates still apply.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use jvmsim_jvmti::Agent;
-use jvmsim_metrics::{Bucket, MetricsRegistry};
+use jnativeprof::harness::AgentChoice;
+use jvmsim_metrics::MetricsRegistry;
 use jvmsim_vm::{RunOutcome, TiersMode, Vm};
-use nativeprof::SpaAgent;
 use workloads::{by_name, ProblemSize, WorkloadProgram};
 
 /// Interp-only `total_cycles` per workload at size 10.
@@ -89,19 +87,19 @@ fn run_with(program: &WorkloadProgram, spa: bool, metered: bool) -> RunOutcome {
     let mut vm = Vm::new();
     program.load(&mut vm);
     vm.set_tiers_mode(TiersMode::InterpOnly);
+    let agent = if spa {
+        AgentChoice::Spa
+    } else {
+        AgentChoice::None
+    };
     if metered {
         let registry = MetricsRegistry::new();
-        registry.set_agent_bucket(if spa {
-            Bucket::SpaProbe
-        } else {
-            Bucket::Workload
-        });
+        registry.set_agent_bucket(agent.bucket());
         vm.set_metrics(registry);
     }
-    if spa {
-        jvmsim_jvmti::attach(&mut vm, SpaAgent::new() as Arc<dyn Agent>)
-            .unwrap_or_else(|e| panic!("{}: SPA attach: {e}", program.entry_class));
-    }
+    agent
+        .attach(&mut vm)
+        .unwrap_or_else(|e| panic!("{}: {e}", program.entry_class));
     program
         .run(&mut vm, SIZE)
         .unwrap_or_else(|e| panic!("{}: {e:?}", program.entry_class))

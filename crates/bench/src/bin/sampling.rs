@@ -12,11 +12,7 @@ use jvmsim_vm::Vm;
 use nativeprof::SamplingProfiler;
 use workloads::{by_name, ProblemSize, WorkloadProgram};
 
-fn run_with_sampler(
-    program: &WorkloadProgram,
-    size: ProblemSize,
-    interval: u64,
-) -> (f64, u64, u64) {
+fn sample(program: &WorkloadProgram, size: ProblemSize, interval: u64) -> (f64, u64, u64) {
     let mut vm = Vm::new();
     program.load(&mut vm);
     let sampler = SamplingProfiler::new();
@@ -65,7 +61,7 @@ fn main() {
         let program = workload.program();
         let mut cols = Vec::new();
         for interval in [10_000u64, 100_000] {
-            let (pct, samples, cycles) = run_with_sampler(&program, size, interval);
+            let (pct, samples, cycles) = sample(&program, size, interval);
             let ovh = 100.0 * (cycles as f64 / base.outcome.total_cycles as f64 - 1.0);
             cols.push(format!("{pct:>6.2}% ({ovh:>5.2}%, n={samples})"));
         }

@@ -8,20 +8,16 @@
 //! qualitative claims (SPA ≥ thousands of percent, mtrt ≫ db) hold across
 //! the whole grid; only magnitudes move.
 
-use std::sync::Arc;
-
-use jvmsim_jvmti::Agent;
+use jnativeprof::harness::AgentChoice;
 use jvmsim_vm::cost::CostModel;
 use jvmsim_vm::Vm;
-use nativeprof::SpaAgent;
 use workloads::{by_name, ProblemSize, WorkloadProgram};
 
 fn run_cycles(program: &WorkloadProgram, size: ProblemSize, cost: &CostModel, spa: bool) -> u64 {
     let mut vm = Vm::with_cost_model(cost.clone());
     program.load(&mut vm);
     if spa {
-        let agent = SpaAgent::new();
-        jvmsim_jvmti::attach(&mut vm, agent as Arc<dyn Agent>).expect("attach");
+        AgentChoice::Spa.attach(&mut vm).expect("attach");
     }
     program.run(&mut vm, size).expect("run").total_cycles
 }

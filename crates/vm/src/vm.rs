@@ -338,7 +338,7 @@ pub struct Vm {
     native_bindings: HashMap<MethodId, (NativeFn, bool)>,
     /// Native libraries' statics, one value per type (see
     /// [`crate::jni::JniEnv::vm_local`]).
-    native_statics: Vec<Box<dyn Any + Send>>,
+    pub(crate) native_statics: Vec<Box<dyn Any + Send>>,
     /// Registered native-method name prefixes (JVMTI 1.1 prefix retry).
     prefixes: Vec<String>,
     sink: Option<Arc<dyn VmEventSink>>,
@@ -1359,18 +1359,5 @@ impl Vm {
 
     pub(crate) fn cache_native_binding(&mut self, mid: MethodId, f: NativeFn, fault_exempt: bool) {
         self.native_bindings.insert(mid, (f, fault_exempt));
-    }
-
-    pub(crate) fn native_static<T: Default + Send + 'static>(&mut self) -> &mut T {
-        let i = match self.native_statics.iter().position(|s| s.is::<T>()) {
-            Some(i) => i,
-            None => {
-                self.native_statics.push(Box::new(T::default()));
-                self.native_statics.len() - 1
-            }
-        };
-        self.native_statics[i]
-            .downcast_mut()
-            .expect("the slot holds a T")
     }
 }

@@ -947,3 +947,32 @@ fn run_outcome_reports_cycles_and_seconds() {
     assert!(secs > 0.0 && secs < 1.0);
     assert_eq!(outcome.stats.invocations, 10_001);
 }
+
+#[test]
+fn vm_locals_are_per_vm_and_per_type() {
+    #[derive(Default)]
+    struct Calls(i64);
+    #[derive(Default)]
+    struct Other(i64);
+    let mut lib = NativeLibrary::new("demo");
+    lib.register_method("a/B", "next", |env, _args| {
+        // Another type's value lives beside `Calls` without touching it.
+        env.vm_local::<Other>().0 -= 1;
+        let calls = env.vm_local::<Calls>();
+        calls.0 += 1;
+        Ok(Value::Int(calls.0))
+    });
+    let mut cb = ClassBuilder::new("a/B");
+    cb.native_method("next", "()I", ST).unwrap();
+    let class = cb.finish().unwrap();
+    let next = |vm: &mut Vm| vm.call_static("a/B", "next", "()I", vec![]).unwrap();
+    let mut vms: Vec<Vm> = (0..2).map(|_| Vm::new()).collect();
+    for vm in &mut vms {
+        vm.add_classfile(&class);
+        vm.register_native_library(lib.clone(), true);
+    }
+    assert_eq!(next(&mut vms[0]), Ok(Value::Int(1)));
+    assert_eq!(next(&mut vms[0]), Ok(Value::Int(2)));
+    // A clone of the library shares nothing with the first VM.
+    assert_eq!(next(&mut vms[1]), Ok(Value::Int(1)));
+}

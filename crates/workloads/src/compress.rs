@@ -138,7 +138,6 @@ fn build_class() -> jvmsim_classfile::ClassFile {
     cb.finish().unwrap()
 }
 
-/// The library's one static: blocks checksummed so far in this VM.
 #[derive(Default)]
 struct BlocksSeen(u64);
 
@@ -159,9 +158,8 @@ fn build_library() -> NativeLibrary {
         }
         // Every 8th block, report progress back into Java through the JNI
         // invocation interface (an N2J transition IPA must intercept).
-        let blocks = env.vm_local::<BlocksSeen>();
-        blocks.0 += 1;
-        let seen = blocks.0;
+        env.vm_local::<BlocksSeen>().0 += 1;
+        let seen = env.vm_local::<BlocksSeen>().0;
         if seen.is_multiple_of(8) {
             let r = env.call_static(
                 JniRetType::Int,

@@ -305,7 +305,6 @@ fn build_class() -> jvmsim_classfile::ClassFile {
     cb.finish().unwrap()
 }
 
-/// The library's one static: identifiers interned so far in this VM.
 #[derive(Default)]
 struct Interned(u64);
 
@@ -316,9 +315,8 @@ fn build_library() -> NativeLibrary {
         env.work(900);
         let (ch, pos) = (args[0].as_int(), args[1].as_int());
         let mut sym = (ch * 131) ^ pos;
-        let interned = env.vm_local::<Interned>();
-        interned.0 += 1;
-        let n = interned.0;
+        env.vm_local::<Interned>().0 += 1;
+        let n = env.vm_local::<Interned>().0;
         // Occasional diagnostics callback through the JNI (N2J).
         if n.is_multiple_of(64) {
             let r = env.call_static(

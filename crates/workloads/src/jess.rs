@@ -149,7 +149,6 @@ fn build_class() -> jvmsim_classfile::ClassFile {
     cb.finish().unwrap()
 }
 
-/// The library's one static: symbols interned so far in this VM.
 #[derive(Default)]
 struct Interned(u64);
 
@@ -162,9 +161,8 @@ fn build_library() -> NativeLibrary {
         // JDK intern path.
         env.work(700);
         let sym = args[0].as_int();
-        let interned = env.vm_local::<Interned>();
-        interned.0 += 1;
-        let count = interned.0;
+        env.vm_local::<Interned>().0 += 1;
+        let count = env.vm_local::<Interned>().0;
         let mut out = sym ^ (sym >> 5) ^ 0x5DEECE66;
         if count.is_multiple_of(256) {
             let r = env.call_static(

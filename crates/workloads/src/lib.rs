@@ -58,11 +58,8 @@ impl Default for ProblemSize {
     }
 }
 
-/// Everything needed to run one benchmark program.
-///
-/// A program is a reusable value: its native libraries keep their
-/// statics in each VM ([`jvmsim_vm::jni::JniEnv::vm_local`]), so every VM
-/// it is loaded into runs it from the same start.
+/// Everything needed to run one benchmark program. A reusable value: its
+/// natives keep their statics per VM ([`jvmsim_vm::jni::JniEnv::vm_local`]).
 pub struct WorkloadProgram {
     /// Application classes (instrument these before adding to the VM when
     /// profiling with IPA).
@@ -96,7 +93,7 @@ impl WorkloadProgram {
         let classes = self
             .classes
             .iter()
-            .map(|class| (class.name().to_owned(), codec::encode(class)));
+            .map(|c| (c.name().to_owned(), codec::encode(c)));
         self.load_archive(vm, builtins::boot_archive().into_iter().chain(classes));
     }
 
@@ -117,12 +114,8 @@ impl WorkloadProgram {
     ///
     /// As [`Vm::run`].
     pub fn run(&self, vm: &mut Vm, size: ProblemSize) -> Result<RunOutcome, VmError> {
-        vm.run(
-            &self.entry_class,
-            &self.entry_method,
-            "(I)I",
-            vec![Value::Int(i64::from(size.0))],
-        )
+        let args = vec![Value::Int(i64::from(size.0))];
+        vm.run(&self.entry_class, &self.entry_method, "(I)I", args)
     }
 }
 
@@ -139,13 +132,6 @@ pub trait Workload: Send + Sync {
 
     /// Assemble the program.
     fn program(&self) -> WorkloadProgram;
-
-    /// The checksum `main(size)` must produce at this size, as an oracle
-    /// for behavioural-equivalence tests (computed by a reference run).
-    fn expected_checksum(&self, size: ProblemSize) -> Option<i64> {
-        let _ = size;
-        None
-    }
 }
 
 /// The seven JVM98-like workloads, in the paper's table order.

@@ -254,7 +254,6 @@ fn build_main() -> jvmsim_classfile::ClassFile {
     cb.finish().unwrap()
 }
 
-/// The library's one static: noise samples taken so far in this VM.
 #[derive(Default)]
 struct NoiseCalls(u64);
 
@@ -263,9 +262,8 @@ fn build_library() -> NativeLibrary {
     lib.register_method(CLASS, "noise", |env, args| {
         env.work(220);
         let x = args[0].as_float();
-        let calls = env.vm_local::<NoiseCalls>();
-        calls.0 += 1;
-        let n = calls.0;
+        env.vm_local::<NoiseCalls>().0 += 1;
+        let n = env.vm_local::<NoiseCalls>().0;
         let mut v = (x * 12.9898).sin();
         if n.is_multiple_of(128) {
             let r = env.call_static(

@@ -91,13 +91,11 @@ fn execute(args: &[String], profile: bool) -> Result<(), HarnessError> {
     // reject unknown labels with the same typed message.
     let (agent, args) = match args {
         [flag, label, rest @ ..] if profile && flag == "--agent" => {
-            let choice: AgentChoice =
-                label
-                    .parse()
-                    .map_err(|e: jnativeprof::harness::ParseAgentError| {
-                        HarnessError::Usage(e.to_string())
-                    })?;
-            (choice, rest)
+            let choice = label.parse::<AgentChoice>();
+            (
+                choice.map_err(|e| HarnessError::Usage(e.to_string()))?,
+                rest,
+            )
         }
         _ if profile => (AgentChoice::ipa(), args),
         _ => (AgentChoice::None, args),
@@ -118,8 +116,6 @@ fn execute(args: &[String], profile: bool) -> Result<(), HarnessError> {
         .collect::<Result<_, _>>()?;
     let descriptor = format!("({})I", "I".repeat(values.len()));
 
-    // The program has no native libraries of its own; loading it this
-    // way puts the boot library (instrumented too, under IPA) beside it.
     let program = WorkloadProgram {
         classes,
         libraries: Vec::new(),
@@ -149,16 +145,10 @@ fn execute(args: &[String], profile: bool) -> Result<(), HarnessError> {
         outcome.stats.invocations,
         outcome.stats.native_calls
     );
-    let reports = attached.reports();
-    if let Some(profile) = reports.profile {
-        print!("{profile}");
-    }
-    if let Some(alloc) = reports.alloc {
-        print!("{alloc}");
-    }
-    if let Some(lock) = reports.lock {
-        print!("{lock}");
-    }
+    let (profile, alloc, lock) = attached.reports();
+    print!("{}", profile.map(|r| r.to_string()).unwrap_or_default());
+    print!("{}", alloc.map(|r| r.to_string()).unwrap_or_default());
+    print!("{}", lock.map(|r| r.to_string()).unwrap_or_default());
     // Exit nonzero on an uncaught exception, like `java` does.
     failed.map_or(Ok(()), Err)
 }

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use jvmsim_jvmti::Agent;
+use jvmsim_jvmti::{Agent, JvmtiError};
 use jvmsim_metrics::Bucket;
 use jvmsim_vm::Vm;
 use nativeprof::{IpaAgent, IpaConfig, NativeProfile, SpaAgent};
@@ -189,39 +189,24 @@ impl AgentChoice {
     ///
     /// [`HarnessError::Attach`], prefixed with the agent's label.
     pub fn attach(&self, vm: &mut Vm) -> Result<Attached, HarnessError> {
-        fn attach<A: Agent + 'static>(
+        fn on<A: Agent + 'static>(
             vm: &mut Vm,
-            label: &str,
             agent: Arc<A>,
             report: fn(&A) -> AgentReports,
-        ) -> Result<Attached, HarnessError> {
-            jvmsim_jvmti::attach(vm, Arc::clone(&agent) as Arc<dyn Agent>)
-                .map_err(|e| HarnessError::Attach(format!("{label}: {e}")))?;
+        ) -> Result<Attached, JvmtiError> {
+            jvmsim_jvmti::attach(vm, Arc::clone(&agent) as Arc<dyn Agent>)?;
             Ok(Attached(Box::new(move || report(&agent))))
         }
-        let label = self.label();
         match self {
-            AgentChoice::None => Ok(Attached(Box::new(AgentReports::default))),
-            AgentChoice::Spa => attach(vm, label, SpaAgent::new(), |a| AgentReports {
-                profile: Some(a.report()),
-                ..AgentReports::default()
+            AgentChoice::None => Ok(Attached(Box::new(|| (None, None, None)))),
+            AgentChoice::Spa => on(vm, SpaAgent::new(), |a| (Some(a.report()), None, None)),
+            AgentChoice::Ipa(config) => on(vm, IpaAgent::with_config(config.clone()), |a| {
+                (Some(a.report()), None, None)
             }),
-            AgentChoice::Ipa(config) => {
-                let agent = IpaAgent::with_config(config.clone());
-                attach(vm, label, agent, |a| AgentReports {
-                    profile: Some(a.report()),
-                    ..AgentReports::default()
-                })
-            }
-            AgentChoice::Alloc => attach(vm, label, AllocAgent::new(), |a| AgentReports {
-                alloc: Some(a.report()),
-                ..AgentReports::default()
-            }),
-            AgentChoice::Lock => attach(vm, label, LockAgent::new(), |a| AgentReports {
-                lock: Some(a.report()),
-                ..AgentReports::default()
-            }),
+            AgentChoice::Alloc => on(vm, AllocAgent::new(), |a| (None, Some(a.report()), None)),
+            AgentChoice::Lock => on(vm, LockAgent::new(), |a| (None, None, Some(a.report()))),
         }
+        .map_err(|e| HarnessError::Attach(format!("{}: {e}", self.label())))
     }
 }
 
@@ -237,17 +222,14 @@ impl Attached {
     }
 }
 
-/// An attached agent's reports: SPA and IPA fill `profile`, ALLOC
-/// `alloc`, LOCK `lock`, and no agent none.
-#[derive(Debug, Default)]
-pub struct AgentReports {
-    /// The native/bytecode time profile.
-    pub profile: Option<NativeProfile>,
-    /// The allocation-site profile.
-    pub alloc: Option<AllocReport>,
-    /// The monitor-contention profile.
-    pub lock: Option<LockReport>,
-}
+/// An attached agent's reports, `(profile, alloc, lock)`: SPA and IPA
+/// fill the native/bytecode time profile, ALLOC the allocation-site
+/// profile, LOCK the monitor-contention profile.
+pub type AgentReports = (
+    Option<NativeProfile>,
+    Option<AllocReport>,
+    Option<LockReport>,
+);
 
 /// Overhead of `with` relative to `baseline`, as the paper computes it:
 /// `(time_with / time_without − 1) × 100`.

@@ -41,7 +41,7 @@ use nativeprof::{InstrumentationMode, IpaAgent, NativeProfile};
 use nativeprof_agents::{AllocReport, LockReport};
 use workloads::{by_name, ProblemSize, Workload, WorkloadProgram};
 
-use crate::harness::{AgentChoice, AgentReports, HarnessError};
+use crate::harness::{AgentChoice, HarnessError};
 
 /// An owned, `Send` description of one run: workload name, agent, size.
 ///
@@ -380,11 +380,7 @@ impl<'w> Session<'w> {
             Err(escaped) => return Err(HarnessError::Escaped(escaped.to_string())),
             other => return Err(HarnessError::BadChecksum(format!("{other:?}"))),
         };
-        let AgentReports {
-            profile,
-            alloc,
-            lock,
-        } = attached.reports();
+        let (profile, alloc, lock) = attached.reports();
         Ok(RunOutcome {
             workload: self.workload.name().to_owned(),
             agent: self.agent.label(),
@@ -427,29 +423,27 @@ pub fn program_archive(
         AgentChoice::Ipa(config) if config.mode == InstrumentationMode::Static => config,
         _ => return Ok((archive, None)),
     };
-    let instrument = |archive: &mut Archive| {
-        IpaAgent::with_config(config.clone())
-            .instrument_archive(archive)
-            .map_err(instrument_err)
-    };
-    let Some(cache) = cache else {
-        instrument(&mut archive)?;
-        return Ok((archive, None));
-    };
-    let key = instrumentation_cache_key(&archive, &config.wrapper);
-    if let Some(bytes) = cache.lookup(Plane::Instrumentation, &key) {
-        // The entry's digest verified, so these are exactly the bytes a
-        // fresh instrumentation run stored; a decode failure can only mean
-        // a foreign/stale payload under this key — quarantine it and
-        // recompute.
-        match Archive::from_bytes(&bytes) {
-            Ok(cached) => return Ok((cached, Some(true))),
-            Err(_) => cache.quarantine(Plane::Instrumentation, &key),
+    let cache = cache.map(|store| (store, instrumentation_cache_key(&archive, &config.wrapper)));
+    if let Some((store, key)) = &cache {
+        if let Some(bytes) = store.lookup(Plane::Instrumentation, key) {
+            // The entry's digest verified, so these are exactly the bytes a
+            // fresh instrumentation run stored; a decode failure can only
+            // mean a foreign/stale payload under this key — quarantine it
+            // and recompute.
+            match Archive::from_bytes(&bytes) {
+                Ok(cached) => return Ok((cached, Some(true))),
+                Err(_) => store.quarantine(Plane::Instrumentation, key),
+            }
         }
     }
-    instrument(&mut archive)?;
+    IpaAgent::with_config(config.clone())
+        .instrument_archive(&mut archive)
+        .map_err(instrument_err)?;
+    let Some((store, key)) = cache else {
+        return Ok((archive, None));
+    };
     // A failed store only means the next run pays instrumentation again.
-    let _ = cache.store(Plane::Instrumentation, &key, &archive.to_bytes());
+    let _ = store.store(Plane::Instrumentation, &key, &archive.to_bytes());
     Ok((archive, Some(false)))
 }
 
@@ -477,11 +471,12 @@ fn shared_program(workload: &dyn Workload) -> Arc<SharedProgram> {
     let program = workload.program();
     let (archive, _) = program_archive(&program, &AgentChoice::None, None)
         .expect("workload class names are unique");
-    let shared = SharedProgram {
-        digest: archive.digest(),
-        program,
-    };
-    Arc::clone(memo().entry(name).or_insert_with(|| Arc::new(shared)))
+    let digest = archive.digest();
+    Arc::clone(
+        memo()
+            .entry(name)
+            .or_insert(Arc::new(SharedProgram { program, digest })),
+    )
 }
 
 /// Absorb every cost-model field, in declaration order, into a key. The
