@@ -91,11 +91,13 @@ fn execute(args: &[String], profile: bool) -> Result<(), HarnessError> {
     // reject unknown labels with the same typed message.
     let (agent, args) = match args {
         [flag, label, rest @ ..] if profile && flag == "--agent" => {
-            let choice = label.parse::<AgentChoice>();
-            (
-                choice.map_err(|e| HarnessError::Usage(e.to_string()))?,
-                rest,
-            )
+            let choice: AgentChoice =
+                label
+                    .parse()
+                    .map_err(|e: jnativeprof::harness::ParseAgentError| {
+                        HarnessError::Usage(e.to_string())
+                    })?;
+            (choice, rest)
         }
         _ if profile => (AgentChoice::ipa(), args),
         _ => (AgentChoice::None, args),

@@ -352,8 +352,7 @@ impl<'w> Session<'w> {
     ///
     /// As [`Session::result_key`].
     pub fn run(self) -> Result<RunOutcome, HarnessError> {
-        let shared = shared_program(self.workload);
-        let program = &shared.program;
+        let program = &shared_program(self.workload).program;
         let (archive, instr_cache_hit) =
             program_archive(program, &self.agent, self.cache.as_ref())?;
         let mut vm = Vm::new();
