@@ -3,9 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use jvmsim_faults::FaultSite;
 use jvmsim_jvmti::{Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError, ProbeKind};
@@ -73,7 +71,7 @@ impl AllocAgent {
     /// The accumulated allocation-site profile. Defaults (all zero) if the
     /// agent was never attached.
     pub fn report(&self) -> AllocReport {
-        let t = self.table.lock();
+        let t = self.table.lock().unwrap_or_else(PoisonError::into_inner);
         let death_tick = match self.death_tick.load(Ordering::Relaxed) {
             // No VMDeath seen (mid-run extraction): price against "now".
             0 => self.env.get().map_or(0, JvmtiEnv::total_cycles),
@@ -120,7 +118,7 @@ impl Agent for AllocAgent {
         let _span = env.probe_span(thread, ProbeKind::Alloc);
         env.charge(thread, env.costs().agent_logic);
         let tick = env.timestamp_unaccounted(thread).cycles();
-        let mut t = self.table.lock();
+        let mut t = self.table.lock().unwrap_or_else(PoisonError::into_inner);
         t.total_objects += 1;
         t.total_bytes += alloc.bytes;
         let key = (

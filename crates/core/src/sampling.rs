@@ -16,9 +16,7 @@
 //! interval grows (quantified by the `sampling` bench binary).
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use jvmsim_vm::events::SampleSink;
 use jvmsim_vm::{ThreadId, Vm};
@@ -85,7 +83,10 @@ impl SamplingProfiler {
 
     /// The whole-program estimate (sum of the per-thread tallies).
     pub fn estimate(&self) -> SamplingEstimate {
-        let map = self.per_thread.lock();
+        let map = self
+            .per_thread
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let mut total = SamplingEstimate::default();
         for e in map.values() {
             total.bytecode_samples += e.bytecode_samples;
@@ -99,6 +100,7 @@ impl SamplingProfiler {
         let mut rows: Vec<_> = self
             .per_thread
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(&t, &e)| (t, e))
             .collect();
@@ -109,7 +111,10 @@ impl SamplingProfiler {
 
 impl SampleSink for SamplingProfiler {
     fn sample(&self, thread: ThreadId, in_native: bool) {
-        let mut map = self.per_thread.lock();
+        let mut map = self
+            .per_thread
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let e = map.entry(thread).or_default();
         if in_native {
             e.native_samples += 1;

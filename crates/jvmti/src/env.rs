@@ -1,9 +1,7 @@
 //! The agent environment, agent trait, and attach protocol.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use jvmsim_faults::{FaultInjector, FaultSite};
 use jvmsim_metrics::{Bucket, CounterId, HistogramId};
@@ -45,7 +43,7 @@ pub struct JvmtiEnv {
 impl std::fmt::Debug for JvmtiEnv {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JvmtiEnv")
-            .field("granted", &*self.granted.read())
+            .field("granted", &self.capabilities())
             .finish()
     }
 }
@@ -69,7 +67,7 @@ impl JvmtiEnv {
 
     /// Capabilities granted so far.
     pub fn capabilities(&self) -> Capabilities {
-        *self.granted.read()
+        *self.granted.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Charge `cycles` of agent work to `thread`'s clock.
@@ -235,7 +233,11 @@ impl<'vm> AgentHost<'vm> {
 
     /// `AddCapabilities`.
     pub fn add_capabilities(&mut self, caps: Capabilities) {
-        let mut g = self.env.granted.write();
+        let mut g = self
+            .env
+            .granted
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         *g = g.with(caps);
     }
 

@@ -16,9 +16,7 @@
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use jvmsim_faults::FaultSite;
 use jvmsim_pcl::Timestamp;
@@ -134,7 +132,7 @@ impl MonitorLedger {
 
     /// Register a monitor, returning its stable id (creation order).
     pub(crate) fn register(&self, name: &str) -> usize {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let id = g.monitors.len();
         g.monitors.push(MonitorState {
             name: name.to_owned(),
@@ -150,7 +148,7 @@ impl MonitorLedger {
     fn note_enter(&self, env: &JvmtiEnv, id: usize, thread: &ThreadInfo) {
         let index = thread.id().index();
         let blocked = {
-            let mut g = self.inner.lock();
+            let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
             let s = &mut g.monitors[id];
             s.entries += 1;
             let contended = s.last_owner.is_some_and(|o| o != index);
@@ -187,7 +185,7 @@ impl MonitorLedger {
 
     /// Record a release: `thread` held monitor `id` for `held_cycles`.
     fn note_release(&self, id: usize, thread: &ThreadInfo, held_cycles: u64) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let s = &mut g.monitors[id];
         s.last_owner = Some(thread.id().index());
         s.last_hold_cycles = held_cycles;
@@ -195,7 +193,7 @@ impl MonitorLedger {
 
     /// Snapshot every monitor and the per-thread blocked ledger.
     pub fn snapshot(&self) -> LedgerSnapshot {
-        let g = self.inner.lock();
+        let g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         LedgerSnapshot {
             monitors: g
                 .monitors
@@ -270,7 +268,7 @@ impl<T> RawMonitor<T> {
             // monitor: the entering thread sees the previous owner.
             ledger.note_enter(&self.env, self.id, thread);
         }
-        let guard = self.data.lock();
+        let guard = self.data.lock().unwrap_or_else(PoisonError::into_inner);
         let release = observed.then(|| ReleaseNote {
             ledger,
             id: self.id,
@@ -286,7 +284,7 @@ impl<T> RawMonitor<T> {
     pub fn enter_unaccounted(&self) -> MonitorGuard<'_, T> {
         MonitorGuard {
             release: None,
-            guard: self.data.lock(),
+            guard: self.data.lock().unwrap_or_else(PoisonError::into_inner),
         }
     }
 }
@@ -328,5 +326,62 @@ impl<T> Drop for MonitorGuard<'_, T> {
             let held = r.thread.timestamp().cycles_since(r.entered);
             r.ledger.note_release(r.id, r.thread, held);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use jvmsim_faults::FaultInjector;
+    use jvmsim_pcl::Pcl;
+    use jvmsim_vm::cost::CostModel;
+    use jvmsim_vm::ThreadId;
+
+    use super::*;
+
+    /// A panicking agent callback must not cascade: a holder that panics
+    /// poisons the monitor's lock (and a panic during bookkeeping poisons
+    /// the ledger's), yet every later enter, registration and snapshot
+    /// recovers the guard and sees the data as the holder left it.
+    #[test]
+    fn a_panicking_holder_poisons_nothing() {
+        let env = JvmtiEnv::new(
+            Pcl::new(),
+            Arc::new(CostModel::default()),
+            Arc::new(FaultInjector::disabled()),
+        );
+        let ledger = env.monitor_ledger();
+        ledger.enable();
+        let a = ThreadInfo::new(ThreadId::from_index(0), "a");
+        let b = ThreadInfo::new(ThreadId::from_index(1), "b");
+        let monitor = env.create_raw_monitor("stats", vec![1u64, 2]);
+
+        let held = catch_unwind(AssertUnwindSafe(|| {
+            let mut stats = monitor.enter(&a);
+            stats.push(3);
+            env.charge(&a, 500);
+            panic!("agent callback failed while holding the monitor");
+        }));
+        assert!(held.is_err());
+        assert!(monitor.data.is_poisoned());
+        let bookkeeping = catch_unwind(AssertUnwindSafe(|| {
+            let _inner = ledger.inner.lock().unwrap_or_else(PoisonError::into_inner);
+            panic!("ledger update failed");
+        }));
+        assert!(bookkeeping.is_err());
+        assert!(ledger.inner.is_poisoned());
+
+        // `b` finds the monitor last held by `a` for 500 cycles.
+        assert_eq!(*monitor.enter(&b), [1, 2, 3]);
+        assert_eq!(*monitor.enter_unaccounted(), [1, 2, 3]);
+        let _other = env.create_raw_monitor("other", ());
+        let snapshot = ledger.snapshot();
+        let names: Vec<_> = snapshot.monitors.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, ["stats", "other"]);
+        assert_eq!(snapshot.monitors[0].entries, 2);
+        assert_eq!(snapshot.monitors[0].contended, 1);
+        assert_eq!(snapshot.monitors[0].blocked_cycles, 500);
+        assert_eq!(snapshot.per_thread_blocked, [0, 500]);
     }
 }

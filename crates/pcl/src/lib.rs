@@ -37,9 +37,7 @@ pub mod cost;
 pub use cost::TierCostModel;
 
 use std::fmt;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Clock frequency of the paper's evaluation machine (Pentium 4, 2.66 GHz).
 pub const PAPER_CLOCK_HZ: u64 = 2_660_000_000;
@@ -152,13 +150,21 @@ impl Pcl {
     /// Number of threads published so far (the highest published index
     /// plus one).
     pub fn thread_count(&self) -> usize {
-        self.inner.published.lock().len()
+        self.inner
+            .published
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Record that thread `index`'s counter reads `cycles`. Publishing
     /// again replaces the earlier count, so it is idempotent.
     pub fn publish(&self, index: usize, cycles: u64) {
-        let mut published = self.inner.published.lock();
+        let mut published = self
+            .inner
+            .published
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if published.len() <= index {
             published.resize(index + 1, 0);
         }
@@ -177,6 +183,7 @@ impl Pcl {
         self.inner
             .published
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .fold(0, |a, b| a.wrapping_add(*b))
     }

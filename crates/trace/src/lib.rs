@@ -66,9 +66,7 @@ pub mod flame;
 pub use export::{registry, ChromeExporter, CsvExporter, FlameExporter, TraceExporter};
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::RwLock;
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use jvmsim_faults::{FaultInjector, FaultSite};
 use jvmsim_metrics::{CounterId, GaugeId, MetricsShard};
@@ -189,7 +187,14 @@ impl std::fmt::Debug for TraceRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceRecorder")
             .field("capacity", &self.capacity)
-            .field("threads", &self.threads.read().len())
+            .field(
+                "threads",
+                &self
+                    .threads
+                    .read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .len(),
+            )
             .finish()
     }
 }
@@ -248,10 +253,15 @@ impl TraceRecorder {
     }
 
     fn ring(&self, index: usize) -> Arc<ThreadRing> {
-        if let Some(ring) = self.threads.read().get(index) {
+        if let Some(ring) = self
+            .threads
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(index)
+        {
             return Arc::clone(ring);
         }
-        let mut threads = self.threads.write();
+        let mut threads = self.threads.write().unwrap_or_else(PoisonError::into_inner);
         while threads.len() <= index {
             threads.push(Arc::new(ThreadRing::new(self.capacity)));
         }
@@ -260,7 +270,7 @@ impl TraceRecorder {
 
     /// Copy out everything recorded so far.
     pub fn snapshot(&self) -> TraceSnapshot {
-        let threads = self.threads.read();
+        let threads = self.threads.read().unwrap_or_else(PoisonError::into_inner);
         let per_thread = threads
             .iter()
             .enumerate()
