@@ -7,11 +7,11 @@
 //! synthesis, not interpretation); the measured loop is VM construction,
 //! class loading, and the full bytecode run.
 //!
-//! After the per-workload criterion groups, a summary pass runs each
-//! workload N more times and panics unless every run's interp-only
-//! `total_cycles` at size 10 equals the constant pinned below — the bench is
-//! self-checking, not just a report. It also prints host speed in
-//! millions of simulated instructions per second (median of N runs).
+//! The first pass runs each workload N times and panics unless every
+//! run's interp-only `total_cycles` at size 10 equals the constant pinned
+//! below — the bench is self-checking, not just a report. It also prints
+//! host speed in millions of simulated instructions per second (median of
+//! N runs).
 //!
 //! A second pass runs each workload at size 10 under the SPA agent, once
 //! bare and once with a metrics registry attached, and panics unless every
@@ -27,9 +27,9 @@
 //! Set `JVMSIM_BENCH_SMOKE=1` (as CI does) to shrink sample counts for a
 //! fast functional pass; both exactness gates still apply.
 
-use std::time::{Duration, Instant};
+use std::hint::black_box;
+use std::time::Instant;
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use jnativeprof::harness::AgentChoice;
 use jvmsim_metrics::MetricsRegistry;
 use jvmsim_vm::{RunOutcome, TiersMode, Vm};
@@ -105,33 +105,10 @@ fn run_with(program: &WorkloadProgram, spa: bool, metered: bool) -> RunOutcome {
         .unwrap_or_else(|e| panic!("{}: {e:?}", program.entry_class))
 }
 
-fn bench_interp(c: &mut Criterion) {
-    let mut group = c.benchmark_group("interp");
-    if smoke() {
-        group.sample_size(3);
-        group.warm_up_time(Duration::from_millis(50));
-        group.measurement_time(Duration::from_millis(200));
-    } else {
-        group.sample_size(10);
-        group.warm_up_time(Duration::from_millis(300));
-        group.measurement_time(Duration::from_millis(1500));
-    }
-    for (name, _) in PINNED_CYCLES {
-        let program = by_name(name).unwrap().program();
-        group.bench_function(BenchmarkId::new(name, "interp-only"), |b| {
-            b.iter(|| run(&program).total_cycles)
-        });
-    }
-    group.finish();
-}
-
 /// The acceptance gate: every sample's interp-only cycle total equals
 /// the workload's pinned constant. Prints the median host speed
 /// alongside.
-fn bench_exactness_gate(c: &mut Criterion) {
-    // Zero-sample group so the gate shows up in the report ordering.
-    let mut group = c.benchmark_group("interp_exactness");
-    group.finish();
+fn exactness_gate() {
     let samples = samples();
     let mut wrong = Vec::new();
     for (name, pinned) in PINNED_CYCLES {
@@ -169,9 +146,7 @@ fn bench_exactness_gate(c: &mut Criterion) {
 /// and an SPA run of one program back to back, and takes the difference
 /// per dispatched event; the pass prints the median for both, per
 /// workload and as a geometric mean.
-fn bench_spa_event_cost(c: &mut Criterion) {
-    let mut group = c.benchmark_group("spa_event_cost");
-    group.finish();
+fn spa_event_cost() {
     let mut wrong = Vec::new();
     let mut medians = [Vec::new(), Vec::new()];
     for (name, pinned) in PINNED_SPA_CYCLES {
@@ -224,10 +199,7 @@ fn bench_spa_event_cost(c: &mut Criterion) {
     );
 }
 
-criterion_group!(
-    interp,
-    bench_interp,
-    bench_exactness_gate,
-    bench_spa_event_cost
-);
-criterion_main!(interp);
+fn main() {
+    exactness_gate();
+    spa_event_cost();
+}

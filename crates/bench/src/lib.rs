@@ -1,5 +1,5 @@
 //! Shared measurement and rendering code for the Table I / Table II
-//! regeneration binaries and the criterion benches.
+//! regeneration binaries.
 //!
 //! The paper's numbers are reproduced in *shape*, not absolute value: the
 //! simulated problem sizes are scaled down (EXPERIMENTS.md documents the
@@ -21,7 +21,7 @@ pub use driver::{
 use jnativeprof::harness::{self, overhead_percent, throughput_overhead_percent, AgentChoice};
 use jnativeprof::session::{RunOutcome, Session};
 use jvmsim_metrics::{Bucket, MetricsEntry};
-use workloads::{by_name, jvm98_suite, ProblemSize, Workload};
+use workloads::{by_name, ProblemSize, Workload};
 
 /// Run `workload` under `agent`, panicking on any failure — the standard
 /// entry for the measurement paths here, which expect healthy workloads.
@@ -250,13 +250,6 @@ pub fn measure_profile(name: &str, size: ProblemSize) -> MeasuredProfileRow {
         jni_calls: profile.jni_calls,
         native_method_calls: profile.native_method_calls,
     }
-}
-
-/// All eight workload names, Table II order.
-pub fn all_names() -> Vec<&'static str> {
-    let mut names: Vec<&'static str> = jvm98_suite().iter().map(|w| w.name()).collect();
-    names.push("jbb");
-    names
 }
 
 /// Render a Table I analog.
