@@ -9,7 +9,8 @@
 //! chain seen, and every chain ending in a watched method. It necessarily
 //! uses `MethodEntry`/`MethodExit` events and therefore inherits SPA's
 //! costs — which is exactly why the paper left it as future work; the
-//! ablation bench quantifies that.
+//! `ablations` binary of `nativeprof-bench` prints its modeled overhead
+//! beside SPA's.
 
 use std::collections::HashSet;
 use std::fmt;
