@@ -16,7 +16,7 @@
 //! interval grows (quantified by the `sampling` bench binary).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use jvmsim_vm::events::SampleSink;
 use jvmsim_vm::{ThreadId, Vm};
@@ -83,10 +83,7 @@ impl SamplingProfiler {
 
     /// The whole-program estimate (sum of the per-thread tallies).
     pub fn estimate(&self) -> SamplingEstimate {
-        let map = self
-            .per_thread
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let map = self.tallies();
         let mut total = SamplingEstimate::default();
         for e in map.values() {
             total.bytecode_samples += e.bytecode_samples;
@@ -97,24 +94,22 @@ impl SamplingProfiler {
 
     /// Per-thread estimates (thread id → tallies).
     pub fn per_thread(&self) -> Vec<(ThreadId, SamplingEstimate)> {
-        let mut rows: Vec<_> = self
-            .per_thread
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(&t, &e)| (t, e))
-            .collect();
+        let mut rows: Vec<_> = self.tallies().iter().map(|(&t, &e)| (t, e)).collect();
         rows.sort_by_key(|(t, _)| *t);
         rows
+    }
+
+    /// The per-thread tallies; a panicking sampler poisons nothing.
+    fn tallies(&self) -> MutexGuard<'_, HashMap<ThreadId, SamplingEstimate>> {
+        self.per_thread
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl SampleSink for SamplingProfiler {
     fn sample(&self, thread: ThreadId, in_native: bool) {
-        let mut map = self
-            .per_thread
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut map = self.tallies();
         let e = map.entry(thread).or_default();
         if in_native {
             e.native_samples += 1;

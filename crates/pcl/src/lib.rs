@@ -37,7 +37,7 @@ pub mod cost;
 pub use cost::TierCostModel;
 
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Clock frequency of the paper's evaluation machine (Pentium 4, 2.66 GHz).
 pub const PAPER_CLOCK_HZ: u64 = 2_660_000_000;
@@ -150,21 +150,13 @@ impl Pcl {
     /// Number of threads published so far (the highest published index
     /// plus one).
     pub fn thread_count(&self) -> usize {
-        self.inner
-            .published
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.published().len()
     }
 
     /// Record that thread `index`'s counter reads `cycles`. Publishing
     /// again replaces the earlier count, so it is idempotent.
     pub fn publish(&self, index: usize, cycles: u64) {
-        let mut published = self
-            .inner
-            .published
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut published = self.published();
         if published.len() <= index {
             published.resize(index + 1, 0);
         }
@@ -180,12 +172,15 @@ impl Pcl {
     /// the program, the denominator for whole-program native-time
     /// percentages.
     pub fn total_cycles(&self) -> u64 {
+        self.published().iter().fold(0, |a, b| a.wrapping_add(*b))
+    }
+
+    /// The published counts; a panicking publisher poisons nothing.
+    fn published(&self) -> MutexGuard<'_, Vec<u64>> {
         self.inner
             .published
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .fold(0, |a, b| a.wrapping_add(*b))
     }
 }
 

@@ -66,7 +66,7 @@ pub mod flame;
 pub use export::{registry, ChromeExporter, CsvExporter, FlameExporter, TraceExporter};
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 use jvmsim_faults::{FaultInjector, FaultSite};
 use jvmsim_metrics::{CounterId, GaugeId, MetricsShard};
@@ -187,14 +187,7 @@ impl std::fmt::Debug for TraceRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceRecorder")
             .field("capacity", &self.capacity)
-            .field(
-                "threads",
-                &self
-                    .threads
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .len(),
-            )
+            .field("threads", &self.threads().len())
             .finish()
     }
 }
@@ -252,13 +245,13 @@ impl TraceRecorder {
         self.counts[kind.index()].load(Ordering::Relaxed)
     }
 
+    /// The per-thread rings; a panicking recorder poisons nothing.
+    fn threads(&self) -> RwLockReadGuard<'_, Vec<Arc<ThreadRing>>> {
+        self.threads.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn ring(&self, index: usize) -> Arc<ThreadRing> {
-        if let Some(ring) = self
-            .threads
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(index)
-        {
+        if let Some(ring) = self.threads().get(index) {
             return Arc::clone(ring);
         }
         let mut threads = self.threads.write().unwrap_or_else(PoisonError::into_inner);
@@ -270,7 +263,7 @@ impl TraceRecorder {
 
     /// Copy out everything recorded so far.
     pub fn snapshot(&self) -> TraceSnapshot {
-        let threads = self.threads.read().unwrap_or_else(PoisonError::into_inner);
+        let threads = self.threads();
         let per_thread = threads
             .iter()
             .enumerate()
