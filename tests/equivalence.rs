@@ -3,6 +3,8 @@
 //! under SPA, under statically instrumented IPA, and under dynamically
 //! instrumented IPA — and deterministic across repeated runs.
 
+use std::sync::Arc;
+
 use jnativeprof::harness::AgentChoice;
 use jnativeprof::session::{RunOutcome, Session};
 use jnativeprof::vm::Vm;
@@ -140,6 +142,59 @@ fn one_program_reruns_identically_in_fresh_vms() {
             .collect();
         if runs.iter().any(|run| *run != runs[0]) {
             diverged.push(format!("{name}: {runs:?}"));
+        }
+    }
+    assert!(diverged.is_empty(), "{}", diverged.join("\n"));
+}
+
+/// One `--tiers full` run of `name` at size 1 under `agent`, with a
+/// trace recorder attached and, if `polled`, a sampler whose interval is
+/// never reached. The sampler charges nothing, but it makes the
+/// interpreter poll, so its run takes the unfused dispatch path.
+fn tiered_run(name: &str, agent: &AgentChoice, polled: bool) -> (jvmsim_vm::RunOutcome, String) {
+    struct NeverFires;
+    impl jvmsim_vm::events::SampleSink for NeverFires {
+        fn sample(&self, _thread: jvmsim_vm::ThreadId, _in_native: bool) {
+            unreachable!("a sampler interval of 2^60 cycles is never reached");
+        }
+    }
+    let program = by_name(name).unwrap().program();
+    let (archive, _) = jnativeprof::session::program_archive(&program, agent, None).unwrap();
+    let recorder = jvmsim_trace::TraceRecorder::with_default_capacity();
+    let mut vm = Vm::new();
+    vm.set_tiers_mode(jvmsim_vm::TiersMode::Full);
+    vm.set_trace_sink(Arc::clone(&recorder) as Arc<dyn jvmsim_vm::TraceSink>);
+    if polled {
+        vm.set_sampler(1 << 60, Arc::new(NeverFires));
+    }
+    program.load_archive(&mut vm, archive);
+    let _attached = agent.attach(&mut vm).unwrap();
+    let outcome = program.run(&mut vm, ProblemSize::S1).expect(name);
+    let snapshot = recorder.snapshot();
+    assert_eq!(snapshot.dropped(), 0, "{name}: trace buffer too small");
+    let digest = jvmsim_cache::Digest::of(jvmsim_trace::csv::events_csv(&snapshot).as_bytes());
+    (outcome, digest.to_hex())
+}
+
+/// Fused dispatch counts exactly like unfused dispatch: every workload,
+/// under no agent and under SPA, gives the same cycles (total and per
+/// thread), `VmStats`, checksum and transition trace whether the
+/// interpreter runs fused bodies or, because a sampler makes it poll,
+/// unfused ones.
+#[test]
+fn fused_and_unfused_dispatch_agree() {
+    let mut diverged = Vec::new();
+    for name in ALL {
+        for agent in [AgentChoice::None, AgentChoice::Spa] {
+            let (fused, fused_trace) = tiered_run(name, &agent, false);
+            let (unfused, unfused_trace) = tiered_run(name, &agent, true);
+            assert!(fused.main.is_ok(), "{name}: {:?}", fused.main);
+            if fused != unfused || fused_trace != unfused_trace {
+                diverged.push(format!(
+                    "{name}/{}: fused {fused:?} trace {fused_trace}\n  unfused {unfused:?} trace {unfused_trace}",
+                    agent.label()
+                ));
+            }
         }
     }
     assert!(diverged.is_empty(), "{}", diverged.join("\n"));
