@@ -321,6 +321,7 @@ impl Vm {
         let code = rc.code[mid.index as usize]
             .as_deref()
             .expect("bytecode method has code");
+        self.bodies_prepared = true;
         let p = Arc::new(prepare(code, rc, &mut self.ic_arena));
         self.registry.get_mut(mid.class).prepared[mid.index as usize] = Some(Arc::clone(&p));
         p

@@ -362,6 +362,10 @@ pub struct Vm {
     pub(crate) frame_pool: Vec<(Vec<Value>, Vec<Value>)>,
     /// Recycled argument vectors for interpreter call sites.
     pub(crate) arg_pool: Vec<Vec<Value>>,
+    /// Set when the first method body is prepared. From then on the
+    /// sampler and the fault plane are fixed, so every body is prepared
+    /// under the same polling decision.
+    pub(crate) bodies_prepared: bool,
     threads: Vec<ThreadInfo>,
     pending: VecDeque<PendingThread>,
     jni_table: JniFunctionTable,
@@ -423,6 +427,7 @@ impl Vm {
             ic_arena: Vec::new(),
             frame_pool: Vec::new(),
             arg_pool: Vec::new(),
+            bodies_prepared: false,
             threads: Vec::new(),
             pending: VecDeque::new(),
             jni_table: JniFunctionTable::new(),
@@ -588,9 +593,15 @@ impl Vm {
     ///
     /// # Panics
     ///
-    /// Panics if `interval_cycles` is zero.
+    /// Panics if `interval_cycles` is zero, or if a method body has
+    /// already been prepared (some bytecode has run): a sampler makes the
+    /// interpreter poll, and bodies prepared without one are fused.
     pub fn set_sampler(&mut self, interval_cycles: u64, sink: Arc<dyn SampleSink>) {
         assert!(interval_cycles > 0, "sampling interval must be nonzero");
+        assert!(
+            !self.bodies_prepared,
+            "install the sampler before any bytecode runs"
+        );
         self.sampler = Some((interval_cycles, sink));
         for t in &mut self.threads {
             if t.next_sample_due == u64::MAX {
@@ -638,8 +649,19 @@ impl Vm {
 
     /// Arm the deterministic fault-injection plane. The injector is shared:
     /// the JVMTI shim picks it up at attach time and the trace recorder can
-    /// hold a clone, so one seeded schedule drives every consumer.
+    /// hold a clone, so one seeded schedule drives every consumer. Call
+    /// before [`Vm::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a method body has already been prepared (some bytecode
+    /// has run): an enabled fault plane makes the interpreter poll, and
+    /// bodies prepared without one are fused.
     pub fn set_fault_injector(&mut self, faults: Arc<FaultInjector>) {
+        assert!(
+            !self.bodies_prepared,
+            "install the fault injector before any bytecode runs"
+        );
         self.faults = faults;
     }
 

@@ -976,3 +976,34 @@ fn vm_locals_are_per_vm_and_per_type() {
     // A clone of the library shares nothing with the first VM.
     assert_eq!(next(&mut vms[1]), Ok(Value::Int(1)));
 }
+
+/// A VM that has already run bytecode (so prepared, possibly fused,
+/// bodies exist).
+fn vm_after_a_run() -> Vm {
+    let class = single_method_class("t/Ran", "f", "()I", |m| {
+        m.iconst(1).ireturn();
+    })
+    .unwrap();
+    let mut vm = Vm::new();
+    vm.add_classfile(&class);
+    vm.call_static("t/Ran", "f", "()I", vec![])
+        .unwrap()
+        .unwrap();
+    vm
+}
+
+#[test]
+#[should_panic(expected = "install the sampler before any bytecode runs")]
+fn sampler_installed_after_a_run_panics() {
+    struct Ignore;
+    impl jvmsim_vm::events::SampleSink for Ignore {
+        fn sample(&self, _: jvmsim_vm::ThreadId, _: bool) {}
+    }
+    vm_after_a_run().set_sampler(100, Arc::new(Ignore));
+}
+
+#[test]
+#[should_panic(expected = "install the fault injector before any bytecode runs")]
+fn fault_injector_installed_after_a_run_panics() {
+    vm_after_a_run().set_fault_injector(Arc::new(jvmsim_faults::FaultInjector::disabled()));
+}
