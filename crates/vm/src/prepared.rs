@@ -17,10 +17,25 @@
 //! one-time threaded-code rewrite a template interpreter performs at link
 //! time, not measured work.
 //!
+//! Preparation also fuses the hot straight-line sequences (DESIGN §16)
+//! into superinstructions, unless the VM polls (a sampler is installed or
+//! the fault plane is enabled; both are fixed before the first body is
+//! prepared). A fused op replaces only the *head* of its span: the span's
+//! other source ops stay at their own indexes, so the array keeps one
+//! `Op` per source index and a jump into the span runs them unfused. A
+//! fused op charges its whole span, and moves `pc` to the span's last op
+//! before it branches or throws, so the OSR back-edge test, handler lookup
+//! and every `bci` see the `pc` the unfused ops would. Only a span's last
+//! op may branch or throw, and a span fuses only if no branch target,
+//! handler entry or handler range boundary falls strictly between its
+//! first and last index. While polling nothing fuses, so a poll still
+//! lands every 32 instructions exactly.
+//!
 //! The committed golden corpus (`tests/golden.rs` in the umbrella crate)
 //! pins this loop's cycles, stats and trace streams for every matrix
 //! cell.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use jvmsim_classfile::{ArrayKind, Code, Cond, ExceptionHandler, Insn};
@@ -29,7 +44,7 @@ use jvmsim_tiers::Tier;
 
 use crate::events::ThreadId;
 use crate::heap::HeapObject;
-use crate::klass::{ClassId, MethodId, RuntimeClass};
+use crate::klass::{CallSite, ClassId, MethodId};
 use crate::throw::JThrow;
 use crate::value::{ObjRef, Value};
 use crate::vm::Vm;
@@ -68,10 +83,43 @@ pub(crate) enum InlineCache {
     NewClass(ClassId),
 }
 
+/// The int binops that cannot throw, as one op with an operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum IntOp {
+    Add,
+    Sub,
+    Mul,
+    Shl,
+    Shr,
+    UShr,
+    And,
+    Or,
+    Xor,
+}
+
+impl IntOp {
+    #[inline]
+    fn apply(self, a: i64, b: i64) -> i64 {
+        match self {
+            IntOp::Add => a.wrapping_add(b),
+            IntOp::Sub => a.wrapping_sub(b),
+            IntOp::Mul => a.wrapping_mul(b),
+            IntOp::Shl => a.wrapping_shl(b as u32 & 63),
+            IntOp::Shr => a.wrapping_shr(b as u32 & 63),
+            IntOp::UShr => ((a as u64) >> (b as u32 & 63)) as i64,
+            IntOp::And => a & b,
+            IntOp::Or => a | b,
+            IntOp::Xor => a ^ b,
+        }
+    }
+}
+
 /// A prepared (direct-threaded) instruction. One `Op` per source
 /// [`Insn`], at the same index — branch targets, the exception table and
-/// trace/alloc-site `bci`s carry over unchanged.
-#[derive(Debug, Clone)]
+/// trace/alloc-site `bci`s carry over unchanged. A fused op (the variants
+/// after [`Op::AThrow`]) sits at the head index of the span it stands
+/// for; the span's other ops stay behind it, unfused.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Op {
     Nop,
     IConst(i64),
@@ -88,15 +136,7 @@ pub(crate) enum Op {
     Pop,
     Dup,
     Swap,
-    IAdd,
-    ISub,
-    IMul,
-    IShl,
-    IShr,
-    IUShr,
-    IAnd,
-    IOr,
-    IXor,
+    IBin(IntOp),
     IDiv,
     IRem,
     INeg,
@@ -162,6 +202,30 @@ pub(crate) enum Op {
     ArrStore(ArrayKind),
     ArrayLength,
     AThrow,
+    /// `Load a; Load b`.
+    Load2(u16, u16),
+    /// `Load a; IConst k`.
+    LoadK(u16, i64),
+    /// `Store a; Load b`.
+    StoreLoad(u16, u16),
+    /// `IConst k; IBin`.
+    IBinK(IntOp, i64),
+    /// `Load a; IConst k; IBin`.
+    IBinLK(IntOp, u16, i64),
+    /// `IConst k; IfICmp`.
+    IfK(Cond, i64, u32),
+    /// `Load a; Load b; IfICmp`.
+    IfLL(Cond, u16, u16, u32),
+    /// `Load a; IConst k; IfICmp`.
+    IfLK(Cond, u16, i64, u32),
+    /// `Load array; Load index; ArrLoad`.
+    ArrLoadLL(ArrayKind, u16, u16),
+    /// `IInc; Goto`.
+    IIncGoto {
+        local: u16,
+        delta: i32,
+        target: u32,
+    },
 }
 
 /// A method body rewritten into threaded form, cached per [`MethodId`]
@@ -181,13 +245,15 @@ fn alloc_ic(arena: &mut Vec<InlineCache>) -> u32 {
 }
 
 /// Rewrite `code` into threaded form, allocating inline-cache slots in
-/// `arena`. Call-site arity and returns-ness come from the class's
-/// pre-parsed [`crate::klass::CallSite`]s, so the execution loop never
-/// touches the callsite map.
+/// `arena`, and fuse its hot spans if `fuse`. Call-site arity and
+/// returns-ness come from the class's pre-parsed
+/// [`crate::klass::CallSite`]s, so the execution loop never touches the
+/// callsite map.
 pub(crate) fn prepare(
     code: &Code,
-    rc: &RuntimeClass,
+    callsites: &HashMap<u16, CallSite>,
     arena: &mut Vec<InlineCache>,
+    fuse: bool,
 ) -> PreparedCode {
     let mut ops = Vec::with_capacity(code.insns.len());
     for insn in &code.insns {
@@ -205,15 +271,15 @@ pub(crate) fn prepare(
             Insn::Pop => Op::Pop,
             Insn::Dup => Op::Dup,
             Insn::Swap => Op::Swap,
-            Insn::IAdd => Op::IAdd,
-            Insn::ISub => Op::ISub,
-            Insn::IMul => Op::IMul,
-            Insn::IShl => Op::IShl,
-            Insn::IShr => Op::IShr,
-            Insn::IUShr => Op::IUShr,
-            Insn::IAnd => Op::IAnd,
-            Insn::IOr => Op::IOr,
-            Insn::IXor => Op::IXor,
+            Insn::IAdd => Op::IBin(IntOp::Add),
+            Insn::ISub => Op::IBin(IntOp::Sub),
+            Insn::IMul => Op::IBin(IntOp::Mul),
+            Insn::IShl => Op::IBin(IntOp::Shl),
+            Insn::IShr => Op::IBin(IntOp::Shr),
+            Insn::IUShr => Op::IBin(IntOp::UShr),
+            Insn::IAnd => Op::IBin(IntOp::And),
+            Insn::IOr => Op::IBin(IntOp::Or),
+            Insn::IXor => Op::IBin(IntOp::Xor),
             Insn::IDiv => Op::IDiv,
             Insn::IRem => Op::IRem,
             Insn::INeg => Op::INeg,
@@ -244,8 +310,7 @@ pub(crate) fn prepare(
                 default: *default,
             },
             Insn::InvokeStatic(cp) => {
-                let cs = rc
-                    .callsites
+                let cs = callsites
                     .get(&cp.0)
                     .expect("validated invokestatic has a callsite");
                 Op::InvokeStatic {
@@ -256,8 +321,7 @@ pub(crate) fn prepare(
                 }
             }
             Insn::InvokeVirtual(cp) => {
-                let cs = rc
-                    .callsites
+                let cs = callsites
                     .get(&cp.0)
                     .expect("validated invokevirtual has a callsite");
                 Op::InvokeVirtual {
@@ -301,6 +365,9 @@ pub(crate) fn prepare(
         };
         ops.push(op);
     }
+    if fuse {
+        fuse_spans(&mut ops, code);
+    }
     PreparedCode {
         max_stack: code.max_stack,
         max_locals: code.max_locals,
@@ -309,7 +376,109 @@ pub(crate) fn prepare(
     }
 }
 
+/// Rewrite span heads in `ops` into fused ops. Each index gets the
+/// choice (its own op, or the two- or three-op span it starts) that
+/// leaves the fewest dispatches to the end of the body when falling
+/// through. Spans may overlap: the op at a span's interior index still
+/// serves jumps there.
+fn fuse_spans(ops: &mut [Op], code: &Code) {
+    // Indexes control can enter other than by falling through.
+    let mut entered = vec![false; ops.len() + 1];
+    for t in code.insns.iter().flat_map(Insn::branch_targets) {
+        entered[t as usize] = true;
+    }
+    for h in &code.exception_table {
+        for i in [h.start, h.end, h.handler] {
+            entered[i as usize] = true;
+        }
+    }
+    let mut dispatches = vec![0_usize; ops.len() + 1];
+    let mut heads = vec![None; ops.len()];
+    for head in (0..ops.len()).rev() {
+        let w = &ops[head..];
+        dispatches[head] = 1 + dispatches[head + 1];
+        let three = if entered[head + 1] { None } else { fused3(w) };
+        // Fusing `len` ops leaves `1 + dispatches[head + len]`; a tie
+        // goes to the longer span.
+        for (len, op) in [(2, fused2(w)), (3, three)] {
+            if let Some(op) = op.filter(|_| dispatches[head + len] < dispatches[head]) {
+                dispatches[head] = 1 + dispatches[head + len];
+                heads[head] = Some(op);
+            }
+        }
+    }
+    for (op, head) in ops.iter_mut().zip(heads) {
+        if let Some(head) = head {
+            *op = head;
+        }
+    }
+}
+
+/// The fused op for the two-op span `w` starts with, if any. Only the
+/// span's last op may branch or throw.
+fn fused2(w: &[Op]) -> Option<Op> {
+    use Op::{Goto, IBin, IConst, IInc, IfICmp, Load, Store};
+    Some(match *w {
+        [Load(a), Load(b), ..] => Op::Load2(a, b),
+        [Load(a), IConst(k), ..] => Op::LoadK(a, k),
+        [Store(a), Load(b), ..] => Op::StoreLoad(a, b),
+        [IConst(k), IBin(f), ..] => Op::IBinK(f, k),
+        [IConst(k), IfICmp(c, t), ..] => Op::IfK(c, k, t),
+        [IInc { local, delta }, Goto(target), ..] => Op::IIncGoto {
+            local,
+            delta,
+            target,
+        },
+        _ => return None,
+    })
+}
+
+/// The fused op for the three-op span `w` starts with, if any, as
+/// [`fused2`].
+fn fused3(w: &[Op]) -> Option<Op> {
+    use Op::{ArrLoad, IBin, IConst, IfICmp, Load};
+    Some(match *w {
+        [Load(a), Load(b), IfICmp(c, t), ..] => Op::IfLL(c, a, b, t),
+        [Load(a), IConst(k), IfICmp(c, t), ..] => Op::IfLK(c, a, k, t),
+        [Load(a), Load(i), ArrLoad(kind), ..] => Op::ArrLoadLL(kind, a, i),
+        [Load(a), IConst(k), IBin(f), ..] => Op::IBinLK(f, a, k),
+        _ => return None,
+    })
+}
+
 impl Vm {
+    /// `array[index]` for an `ArrLoad` of `kind`, or the class and message
+    /// of the exception it throws.
+    fn array_load(
+        &self,
+        kind: ArrayKind,
+        array: Value,
+        index: i64,
+    ) -> Result<Value, (&'static str, String)> {
+        let Some(arr) = array.as_ref_opt() else {
+            return Err(("java/lang/NullPointerException", "null array load".into()));
+        };
+        let out_of_bounds = || {
+            (
+                "java/lang/ArrayIndexOutOfBoundsException",
+                format!("{index}"),
+            )
+        };
+        if index < 0 {
+            return Err(out_of_bounds());
+        }
+        let i = index as usize;
+        let loaded = match (kind, self.heap().get(arr)) {
+            (ArrayKind::Int, HeapObject::IntArray(v)) => v.get(i).map(|&x| Value::Int(x)),
+            (ArrayKind::Float, HeapObject::FloatArray(v)) => v.get(i).map(|&x| Value::Float(x)),
+            (ArrayKind::Ref, HeapObject::RefArray(v)) => v.get(i).copied(),
+            _ => {
+                return Err(("java/lang/InternalError", "array load kind mismatch".into()));
+            }
+        };
+        loaded.ok_or_else(out_of_bounds)
+    }
+
     /// The prepared body of `mid`, building (and caching) it on first use.
     /// The steady state is two vector indexes and an `Arc` bump — this
     /// runs on every bytecode invocation.
@@ -322,18 +491,21 @@ impl Vm {
             .as_deref()
             .expect("bytecode method has code");
         self.bodies_prepared = true;
-        let p = Arc::new(prepare(code, rc, &mut self.ic_arena));
+        let fuse = self.sampler_interval().is_none() && !self.faults_enabled();
+        let p = Arc::new(prepare(code, &rc.callsites, &mut self.ic_arena, fuse));
         self.registry.get_mut(mid.class).prepared[mid.index as usize] = Some(Arc::clone(&p));
         p
     }
 
     /// Execute the bytecode method `mid` at `tier` with `args` in its
-    /// first local slots. Charges are accumulated in `pending_*` and
+    /// first local slots. Instructions are counted in `pending_insns` and
     /// flushed (clock, `InterpInsns` counter, `VmStats`) before every
     /// observable action, so every intermediate clock reading equals the
-    /// one an instruction-by-instruction charge would give.
+    /// one an instruction-by-instruction charge would give. The tier, and
+    /// with it the per-instruction cost, only changes right after a
+    /// flush, so the pending cycles are `pending_insns * insn_cost`.
     // `unused_assignments`: the flush before a `return` zeroes the pending
-    // accumulators like every other flush; the zeroes are dead there.
+    // count like every other flush; the zero is dead there.
     #[allow(clippy::too_many_lines, unused_assignments)]
     pub(crate) fn execute(
         &mut self,
@@ -354,7 +526,6 @@ impl Vm {
         let fault_polls = self.faults_enabled();
         let polling = sampling || fault_polls;
         let mut insns_since_poll: u32 = 0;
-        let mut pending_cycles: u64 = 0;
         let mut pending_insns: u64 = 0;
 
         // Frames come from the recycle pool: a template interpreter runs
@@ -376,12 +547,12 @@ impl Vm {
         macro_rules! flush {
             () => {{
                 if pending_insns != 0 {
+                    let cycles = pending_insns * insn_cost;
                     let info = self.thread_info(thread);
-                    info.charge(pending_cycles);
+                    info.charge(cycles);
                     info.add(jvmsim_metrics::CounterId::InterpInsns, pending_insns);
                     self.stats.insns += pending_insns;
-                    self.note_tier_cycles(tier, pending_cycles);
-                    pending_cycles = 0;
+                    self.note_tier_cycles(tier, cycles);
                     pending_insns = 0;
                 }
             }};
@@ -430,6 +601,15 @@ impl Vm {
             }};
         }
 
+        // A fused head charges the rest of its span and moves `pc` to the
+        // span's last op, where the unfused ops would branch or throw.
+        macro_rules! fused {
+            ($n:literal) => {{
+                pc += $n - 1;
+                pending_insns += $n - 1;
+            }};
+        }
+
         macro_rules! jthrow {
             ($class:expr, $msg:expr) => {{
                 flush!();
@@ -440,7 +620,6 @@ impl Vm {
 
         loop {
             let op = &prepared.ops[pc as usize];
-            pending_cycles += insn_cost;
             pending_insns += 1;
             if polling {
                 insns_since_poll += 1;
@@ -497,29 +676,10 @@ impl Vm {
                     let n = stack.len();
                     stack.swap(n - 1, n - 2);
                 }
-                Op::IAdd
-                | Op::ISub
-                | Op::IMul
-                | Op::IShl
-                | Op::IShr
-                | Op::IUShr
-                | Op::IAnd
-                | Op::IOr
-                | Op::IXor => {
+                Op::IBin(f) => {
                     let b = stack.pop().expect("verified").as_int();
                     let a = stack.pop().expect("verified").as_int();
-                    let r = match op {
-                        Op::IAdd => a.wrapping_add(b),
-                        Op::ISub => a.wrapping_sub(b),
-                        Op::IMul => a.wrapping_mul(b),
-                        Op::IShl => a.wrapping_shl(b as u32 & 63),
-                        Op::IShr => a.wrapping_shr(b as u32 & 63),
-                        Op::IUShr => ((a as u64) >> (b as u32 & 63)) as i64,
-                        Op::IAnd => a & b,
-                        Op::IOr => a | b,
-                        _ => a ^ b,
-                    };
-                    stack.push(Value::Int(r));
+                    stack.push(Value::Int(f.apply(a, b)));
                 }
                 Op::IDiv | Op::IRem => {
                     let b = stack.pop().expect("verified").as_int();
@@ -832,39 +992,9 @@ impl Vm {
                 Op::ArrLoad(kind) => {
                     let index = stack.pop().expect("verified").as_int();
                     let arr = stack.pop().expect("verified");
-                    let arr = match arr.as_ref_opt() {
-                        Some(a) => a,
-                        None => {
-                            jthrow!("java/lang/NullPointerException", "null array load");
-                        }
-                    };
-                    if index < 0 {
-                        jthrow!(
-                            "java/lang/ArrayIndexOutOfBoundsException",
-                            &format!("{index}")
-                        );
-                    }
-                    let i = index as usize;
-                    let loaded = match (kind, self.heap().get(arr)) {
-                        (ArrayKind::Int, HeapObject::IntArray(v)) => {
-                            v.get(i).map(|&x| Value::Int(x))
-                        }
-                        (ArrayKind::Float, HeapObject::FloatArray(v)) => {
-                            v.get(i).map(|&x| Value::Float(x))
-                        }
-                        (ArrayKind::Ref, HeapObject::RefArray(v)) => v.get(i).copied(),
-                        _ => {
-                            jthrow!("java/lang/InternalError", "array load kind mismatch");
-                        }
-                    };
-                    match loaded {
-                        Some(v) => stack.push(v),
-                        None => {
-                            jthrow!(
-                                "java/lang/ArrayIndexOutOfBoundsException",
-                                &format!("{index}")
-                            );
-                        }
+                    match self.array_load(*kind, arr, index) {
+                        Ok(v) => stack.push(v),
+                        Err((class, msg)) => jthrow!(class, &msg),
                     }
                 }
                 Op::ArrStore(kind) => {
@@ -929,8 +1059,148 @@ impl Vm {
                         }
                     }
                 }
+                Op::Load2(a, b) => {
+                    fused!(2);
+                    stack.push(locals[*a as usize]);
+                    stack.push(locals[*b as usize]);
+                }
+                Op::LoadK(a, k) => {
+                    fused!(2);
+                    stack.push(locals[*a as usize]);
+                    stack.push(Value::Int(*k));
+                }
+                Op::StoreLoad(a, b) => {
+                    fused!(2);
+                    let top = stack.last_mut().expect("verified stack");
+                    locals[*a as usize] = *top;
+                    *top = locals[*b as usize];
+                }
+                Op::IBinK(f, k) => {
+                    fused!(2);
+                    let top = stack.last_mut().expect("verified stack");
+                    *top = Value::Int(f.apply(top.as_int(), *k));
+                }
+                Op::IBinLK(f, a, k) => {
+                    fused!(3);
+                    stack.push(Value::Int(f.apply(locals[*a as usize].as_int(), *k)));
+                }
+                Op::IfK(cond, k, t) => {
+                    fused!(2);
+                    let a = stack.pop().expect("verified").as_int();
+                    if cond.eval(a.cmp(k)) {
+                        take_branch!(*t);
+                    }
+                }
+                Op::IfLL(cond, a, b, t) => {
+                    fused!(3);
+                    let (a, b) = (locals[*a as usize].as_int(), locals[*b as usize].as_int());
+                    if cond.eval(a.cmp(&b)) {
+                        take_branch!(*t);
+                    }
+                }
+                Op::IfLK(cond, a, k, t) => {
+                    fused!(3);
+                    if cond.eval(locals[*a as usize].as_int().cmp(k)) {
+                        take_branch!(*t);
+                    }
+                }
+                Op::ArrLoadLL(kind, a, i) => {
+                    fused!(3);
+                    let index = locals[*i as usize].as_int();
+                    match self.array_load(*kind, locals[*a as usize], index) {
+                        Ok(v) => stack.push(v),
+                        Err((class, msg)) => jthrow!(class, &msg),
+                    }
+                }
+                Op::IIncGoto {
+                    local,
+                    delta,
+                    target,
+                } => {
+                    fused!(2);
+                    let v = locals[*local as usize].as_int();
+                    locals[*local as usize] = Value::Int(v.wrapping_add(i64::from(*delta)));
+                    take_branch!(*target);
+                }
             }
             pc += 1;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use jvmsim_classfile::{Code, Cond, ExceptionHandler, Insn};
+
+    use super::{prepare, HashMap, Op};
+
+    /// `iload 0; iload 1; iload 2; if_icmplt 0; iload 0; iload 1;
+    /// if_icmplt 0; return` with `exception_table`, prepared fused.
+    fn fused(exception_table: Vec<ExceptionHandler>) -> Vec<Op> {
+        let insns = vec![
+            Insn::ILoad(0),
+            Insn::ILoad(1),
+            Insn::ILoad(2),
+            Insn::IfICmp(Cond::Lt, 0),
+            Insn::ILoad(0),
+            Insn::ILoad(1),
+            Insn::IfICmp(Cond::Lt, 0),
+            Insn::Return,
+        ];
+        let code = Code {
+            max_stack: 3,
+            max_locals: 3,
+            insns,
+            exception_table,
+        };
+        prepare(&code, &HashMap::new(), &mut Vec::new(), true).ops
+    }
+
+    fn handler(start: u32, end: u32, handler: u32) -> ExceptionHandler {
+        ExceptionHandler {
+            start,
+            end,
+            handler,
+            catch_class: None,
+        }
+    }
+
+    #[test]
+    fn heads_are_chosen_for_the_fewest_dispatches() {
+        let ops = fused(Vec::new());
+        // `Load; IfLL` (two dispatches) beats `Load2; Load; IfICmp`.
+        assert_eq!(ops[0], Op::Load(0));
+        assert_eq!(ops[1], Op::IfLL(Cond::Lt, 1, 2, 0));
+        // Interior ops stay behind their heads for jumps.
+        assert_eq!(ops[2], Op::Load(2));
+        assert_eq!(ops[3], Op::IfICmp(Cond::Lt, 0));
+        assert_eq!(ops[4], Op::IfLL(Cond::Lt, 0, 1, 0));
+    }
+
+    #[test]
+    fn an_index_entered_inside_a_span_blocks_it() {
+        // A handler entry, start or end at a three-op span's middle index
+        // leaves it to a two-op span.
+        for h in [handler(7, 8, 5), handler(5, 7, 7), handler(0, 5, 7)] {
+            let ops = fused(vec![h]);
+            assert_eq!(ops[4], Op::Load2(0, 1));
+        }
+        // Boundaries at a span's first or last index do not.
+        for h in [handler(6, 7, 4), handler(0, 6, 7), handler(4, 8, 7)] {
+            let ops = fused(vec![h]);
+            assert_eq!(ops[4], Op::IfLL(Cond::Lt, 0, 1, 0));
+        }
+    }
+
+    #[test]
+    fn a_polling_vm_prepares_unfused_bodies() {
+        let code = Code {
+            max_stack: 2,
+            max_locals: 2,
+            insns: vec![Insn::ILoad(0), Insn::ILoad(1), Insn::Return],
+            exception_table: Vec::new(),
+        };
+        let ops = prepare(&code, &HashMap::new(), &mut Vec::new(), false).ops;
+        assert_eq!(ops, [Op::Load(0), Op::Load(1), Op::Return]);
     }
 }

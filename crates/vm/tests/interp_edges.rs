@@ -1,9 +1,13 @@
 //! Interpreter edge cases: IEEE semantics, shift masking, switch bounds,
-//! aliasing arraycopy, nested handlers, inheritance, and builtin corners.
+//! aliasing arraycopy, nested handlers, inheritance, builtin corners, and
+//! fused ops at branch targets, handler boundaries and OSR back-edges.
+
+use std::sync::Arc;
 
 use jvmsim_classfile::builder::{single_method_class, ClassBuilder};
 use jvmsim_classfile::{ArrayKind, Cond, FieldFlags, MethodFlags};
-use jvmsim_vm::{builtins, Value, Vm};
+use jvmsim_vm::events::SampleSink;
+use jvmsim_vm::{builtins, RunOutcome, ThreadId, TiersMode, Value, Vm};
 
 const ST: MethodFlags = MethodFlags::STATIC;
 
@@ -373,4 +377,147 @@ fn iinc_wraps_like_iadd() {
         r,
         Value::Int((i64::MAX - 100).wrapping_add(2 * i64::from(i32::MAX)))
     );
+}
+
+/// Run `class.method(args)` twice in fresh VMs: once plain, where the
+/// interpreter runs fused bodies, and once with a sampler whose interval
+/// is never reached, which charges nothing but makes the interpreter
+/// poll and so run unfused bodies. Returns both outcomes.
+fn fused_and_unfused(
+    class: &jvmsim_classfile::ClassFile,
+    method: &str,
+    descriptor: &str,
+    args: &[i64],
+    tiers: TiersMode,
+) -> (RunOutcome, RunOutcome) {
+    struct NeverFires;
+    impl SampleSink for NeverFires {
+        fn sample(&self, _thread: ThreadId, _in_native: bool) {
+            unreachable!("a sampler interval of 2^60 cycles is never reached");
+        }
+    }
+    let run = |polled: bool| {
+        let mut vm = Vm::new();
+        vm.set_tiers_mode(tiers);
+        if polled {
+            vm.set_sampler(1 << 60, Arc::new(NeverFires));
+        }
+        vm.add_classfile(class);
+        let args = args.iter().map(|&a| Value::Int(a)).collect();
+        vm.run(class.name(), method, descriptor, args).unwrap()
+    };
+    (run(false), run(true))
+}
+
+/// `f(a, b)`: `a < b ? 1 : 0`, where the second `iload` of the
+/// `iload iload if_icmp` span is also reached by a jump. The jump blocks
+/// the three-op fusion; both dispatch paths agree exactly.
+#[test]
+fn a_branch_target_inside_a_span_blocks_fusion_and_counts_alike() {
+    let class = single_method_class("e/T", "f", "(II)I", |m| {
+        let inside = m.new_label();
+        let less = m.new_label();
+        let first = m.new_label();
+        m.iload(0).iconst(0).if_icmp(Cond::Ge, first);
+        // A negative `a` enters the span at its middle op.
+        m.iconst(-1);
+        m.goto(inside);
+        m.bind(first);
+        m.iload(0);
+        m.bind(inside);
+        m.iload(1).if_icmp(Cond::Lt, less);
+        m.iconst(0).ireturn();
+        m.bind(less);
+        m.iconst(1).ireturn();
+    })
+    .unwrap();
+    for (a, b, want) in [(1, 2, 1), (3, 2, 0), (-5, 0, 1), (-5, -1, 0)] {
+        let (fused, unfused) = fused_and_unfused(&class, "f", "(II)I", &[a, b], TiersMode::Full);
+        assert_eq!(fused.main, Ok(Value::Int(want)), "f({a}, {b})");
+        assert_eq!(fused, unfused, "f({a}, {b})");
+    }
+}
+
+/// `f(i, null_array)`: loads `array[i]` of a 2-element array (or of a
+/// null local) with a fused `aload iload iaload`, inside a handler range
+/// that starts at the `iaload`. Only a fused op that moves `pc` to its
+/// last op before throwing lands in the handler.
+#[test]
+fn a_fused_array_load_throws_into_a_handler_starting_at_its_last_op() {
+    // (caught class, index, null array?, result)
+    let cases = [
+        ("java/lang/ArrayIndexOutOfBoundsException", 1, 0, 0),
+        ("java/lang/ArrayIndexOutOfBoundsException", 2, 0, -1),
+        ("java/lang/ArrayIndexOutOfBoundsException", -1, 0, -1),
+        ("java/lang/NullPointerException", 0, 1, -1),
+    ];
+    for (catch, i, null_array, want) in cases {
+        let class = single_method_class("e/A", "f", "(II)I", |m| {
+            let start = m.new_label();
+            let end = m.new_label();
+            let handler = m.new_label();
+            let fill = m.new_label();
+            let load = m.new_label();
+            m.iload(1).iconst(0).if_icmp(Cond::Eq, fill);
+            m.aconst_null().astore(2).goto(load);
+            m.bind(fill);
+            m.iconst(2).newarray(ArrayKind::Int).astore(2);
+            m.bind(load);
+            m.aload(2).iload(0);
+            m.bind(start);
+            m.iaload().ireturn();
+            m.bind(end);
+            m.bind(handler);
+            m.pop().iconst(-1).ireturn();
+            m.try_region(start, end, handler, Some(catch));
+        })
+        .unwrap();
+        let (fused, unfused) = fused_and_unfused(
+            &class,
+            "f",
+            "(II)I",
+            &[i, null_array],
+            TiersMode::InterpOnly,
+        );
+        assert_eq!(
+            fused.main,
+            Ok(Value::Int(want)),
+            "{catch}: f({i}, {null_array})"
+        );
+        assert_eq!(fused, unfused, "{catch}: f({i}, {null_array})");
+    }
+}
+
+/// Counting loops whose back-edge is a fused op (`iload iload if_icmp`
+/// at the bottom, or `iinc goto` behind a fused loop test at the top)
+/// OSR at the same back-edge count, with the same per-tier cycles, as the
+/// unfused loops.
+#[test]
+fn a_fused_back_edge_osrs_at_the_same_count() {
+    let bottom_test = single_method_class("e/L", "f", "(I)I", |m| {
+        let top = m.new_label();
+        m.iconst(0).istore(1);
+        m.bind(top);
+        m.iinc(1, 1);
+        m.iload(1).iload(0).if_icmp(Cond::Lt, top);
+        m.iload(1).ireturn();
+    })
+    .unwrap();
+    let top_test = single_method_class("e/L", "f", "(I)I", |m| {
+        let top = m.new_label();
+        let done = m.new_label();
+        m.iconst(0).istore(1);
+        m.bind(top);
+        m.iload(1).iload(0).if_icmp(Cond::Ge, done);
+        m.iinc(1, 1).goto(top);
+        m.bind(done);
+        m.iload(1).ireturn();
+    })
+    .unwrap();
+    for class in [bottom_test, top_test] {
+        let (fused, unfused) = fused_and_unfused(&class, "f", "(I)I", &[500], TiersMode::Full);
+        assert_eq!(fused.main, Ok(Value::Int(500)));
+        assert_eq!(fused.stats.osrs, 2, "{:?}", fused.stats);
+        assert_eq!(fused, unfused);
+    }
 }

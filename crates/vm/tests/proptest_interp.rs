@@ -4,11 +4,16 @@
 //! assembler and evaluated both by a reference Rust evaluator and by the
 //! VM; results must agree exactly (including wrapping arithmetic and
 //! division-by-zero exceptions). Additionally, JIT state must never change
-//! results: interpreted-only and JIT-enabled runs agree.
+//! results: interpreted-only and JIT-enabled runs agree. Nor must fused
+//! dispatch: a run on fused bodies and a polled run on unfused ones agree
+//! on result, `VmStats` and cycles.
+
+use std::sync::Arc;
 
 use jvmsim_classfile::builder::{ClassBuilder, MethodBuilder};
 use jvmsim_classfile::MethodFlags;
-use jvmsim_vm::{Value, Vm};
+use jvmsim_vm::events::SampleSink;
+use jvmsim_vm::{RunOutcome, ThreadId, TiersMode, Value, Vm};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -24,6 +29,11 @@ enum Expr {
     And(Box<Expr>, Box<Expr>),
     Or(Box<Expr>, Box<Expr>),
     Xor(Box<Expr>, Box<Expr>),
+    Shl(Box<Expr>, Box<Expr>),
+    Shr(Box<Expr>, Box<Expr>),
+    UShr(Box<Expr>, Box<Expr>),
+    // a * a, through a store to local 3 and two loads of it
+    Sq(Box<Expr>),
     // if a >= b { c } else { d }
     IfGe(Box<Expr>, Box<Expr>, Box<Expr>, Box<Expr>),
 }
@@ -54,6 +64,13 @@ fn eval(e: &Expr, args: &[i64; 3]) -> Option<i64> {
         Expr::And(a, b) => eval(a, args)? & eval(b, args)?,
         Expr::Or(a, b) => eval(a, args)? | eval(b, args)?,
         Expr::Xor(a, b) => eval(a, args)? ^ eval(b, args)?,
+        Expr::Shl(a, b) => eval(a, args)?.wrapping_shl(eval(b, args)? as u32 & 63),
+        Expr::Shr(a, b) => eval(a, args)?.wrapping_shr(eval(b, args)? as u32 & 63),
+        Expr::UShr(a, b) => ((eval(a, args)? as u64) >> (eval(b, args)? as u32 & 63)) as i64,
+        Expr::Sq(a) => {
+            let x = eval(a, args)?;
+            x.wrapping_mul(x)
+        }
         Expr::IfGe(a, b, c, d) => {
             if eval(a, args)? >= eval(b, args)? {
                 eval(c, args)?
@@ -117,6 +134,25 @@ fn compile(e: &Expr, m: &mut MethodBuilder<'_>) {
             compile(b, m);
             m.ixor();
         }
+        Expr::Shl(a, b) => {
+            compile(a, m);
+            compile(b, m);
+            m.ishl();
+        }
+        Expr::Shr(a, b) => {
+            compile(a, m);
+            compile(b, m);
+            m.ishr();
+        }
+        Expr::UShr(a, b) => {
+            compile(a, m);
+            compile(b, m);
+            m.iushr();
+        }
+        Expr::Sq(a) => {
+            compile(a, m);
+            m.istore(3).iload(3).iload(3).imul();
+        }
         Expr::IfGe(a, b, c, d) => {
             let else_l = m.new_label();
             let end_l = m.new_label();
@@ -148,19 +184,27 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::And(a.into(), b.into())),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Or(a.into(), b.into())),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Xor(a.into(), b.into())),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Shl(a.into(), b.into())),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Shr(a.into(), b.into())),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::UShr(a.into(), b.into())),
+            inner.clone().prop_map(|a| Expr::Sq(a.into())),
             (inner.clone(), inner.clone(), inner.clone(), inner)
                 .prop_map(|(a, b, c, d)| Expr::IfGe(a.into(), b.into(), c.into(), d.into())),
         ]
     })
 }
 
-fn run_in_vm(expr: &Expr, args: [i64; 3], jit: bool) -> Result<i64, String> {
+fn expr_class(expr: &Expr) -> Result<jvmsim_classfile::ClassFile, String> {
     let mut cb = ClassBuilder::new("pt/Expr");
     let mut m = cb.method("eval", "(III)I", MethodFlags::STATIC);
     compile(expr, &mut m);
     m.ireturn();
     m.finish().map_err(|e| e.to_string())?;
-    let class = cb.finish().map_err(|e| e.to_string())?;
+    cb.finish().map_err(|e| e.to_string())
+}
+
+fn run_in_vm(expr: &Expr, args: [i64; 3], jit: bool) -> Result<i64, String> {
+    let class = expr_class(expr)?;
     let mut vm = Vm::new();
     vm.set_jit_requested(jit);
     vm.add_classfile(&class);
@@ -177,6 +221,32 @@ fn run_in_vm(expr: &Expr, args: [i64; 3], jit: bool) -> Result<i64, String> {
         Ok(other) => Err(format!("non-int result {other:?}")),
         Err(info) => Err(info.class_name),
     }
+}
+
+/// One `--tiers full` run of the expression, on fused bodies or, with a
+/// sampler that never fires (it charges nothing but makes the
+/// interpreter poll), on unfused ones.
+fn run_outcome(expr: &Expr, args: [i64; 3], polled: bool) -> RunOutcome {
+    struct NeverFires;
+    impl SampleSink for NeverFires {
+        fn sample(&self, _thread: ThreadId, _in_native: bool) {
+            unreachable!("a sampler interval of 2^60 cycles is never reached");
+        }
+    }
+    let class = expr_class(expr).expect("expression compiles");
+    let mut vm = Vm::new();
+    vm.set_tiers_mode(TiersMode::Full);
+    if polled {
+        vm.set_sampler(1 << 60, Arc::new(NeverFires));
+    }
+    vm.add_classfile(&class);
+    vm.run(
+        "pt/Expr",
+        "eval",
+        "(III)I",
+        args.iter().map(|&a| Value::Int(a)).collect(),
+    )
+    .expect("links")
 }
 
 proptest! {
@@ -210,5 +280,16 @@ proptest! {
         let jit = run_in_vm(&expr, args, true);
         let interp = run_in_vm(&expr, args, false);
         prop_assert_eq!(jit, interp);
+    }
+
+    #[test]
+    fn fusion_never_changes_results(
+        expr in arb_expr(),
+        a in -100i64..100,
+    ) {
+        let args = [a, a ^ 5, a.wrapping_mul(3)];
+        let fused = run_outcome(&expr, args, false);
+        let unfused = run_outcome(&expr, args, true);
+        prop_assert_eq!(fused, unfused);
     }
 }
