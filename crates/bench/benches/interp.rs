@@ -19,7 +19,9 @@
 //! host cost of one dispatched JVMTI event: an SPA run's time minus the
 //! time of the same program's interp-only, no-agent run (metered alike),
 //! divided by `events_dispatched`, as the median of N such pairs per
-//! workload and the geometric mean of those medians.
+//! workload and the geometric mean of the positive medians (host noise
+//! can push a median to zero or below; the line says how many it left
+//! out).
 //!
 //! Speed is reported, not gated: host-time regressions are gated end to
 //! end by the `hostbench` pipeline.
@@ -178,17 +180,16 @@ fn spa_event_cost() {
             "spa_event_cost/{name:<10} pinned total_cycles {pinned:>11}  {events:>8} events  {bare:>7.1} ns/event  {metered:>7.1} ns/event metered"
         );
     }
-    // A non-positive median (host noise above the events' cost) leaves
-    // the geometric mean undefined, printed as NaN.
+    // A non-positive median (host noise above the events' cost) has no
+    // logarithm: the geometric mean covers the positive medians and says
+    // how many it left out.
     let geomean = |xs: &[f64]| {
-        let logs: f64 = xs
-            .iter()
-            .map(|x| if *x > 0.0 { x.ln() } else { f64::NAN })
-            .sum();
-        (logs / xs.len() as f64).exp()
+        let logs: Vec<f64> = xs.iter().filter(|x| **x > 0.0).map(|x| x.ln()).collect();
+        let mean = (logs.iter().sum::<f64>() / logs.len() as f64).exp();
+        format!("{mean:>7.1} ns/event ({} left out)", xs.len() - logs.len())
     };
     println!(
-        "spa_event_cost/geomean    {:>7.1} ns/event  {:>7.1} ns/event metered",
+        "spa_event_cost/geomean    {}  {} metered",
         geomean(&medians[0]),
         geomean(&medians[1])
     );
