@@ -20,7 +20,7 @@ use std::sync::{Arc, OnceLock};
 use jnativeprof::harness::AgentChoice;
 use jnativeprof::session::Session;
 use jvmsim_jvmti::{Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError};
-use jvmsim_vm::{MethodView, ThreadInfo, Vm};
+use jvmsim_vm::{MethodView, ThreadInfo, TiersMode, Vm};
 use nativeprof::{ChainProfiler, InstrumentationMode, IpaConfig};
 use workloads::{by_name, ProblemSize, WorkloadProgram};
 
@@ -37,15 +37,15 @@ fn session(name: &str, size: ProblemSize, agent: AgentChoice) -> (u64, Option<f6
 }
 
 /// `total_cycles` of one run of `program` with `agent` attached (if any)
-/// and the JIT requested or not.
+/// under the `tiers` ceiling.
 fn raw(
     program: &WorkloadProgram,
     size: ProblemSize,
     agent: Option<Arc<dyn Agent>>,
-    jit: bool,
+    tiers: TiersMode,
 ) -> u64 {
     let mut vm = Vm::new();
-    vm.set_jit_requested(jit);
+    vm.set_tiers_mode(tiers);
     program.load(&mut vm);
     if let Some(agent) = agent {
         jvmsim_jvmti::attach(&mut vm, agent).expect("attach");
@@ -132,7 +132,7 @@ fn main() {
     println!("\ntimestamps only at transitions (mtrt, size {})", size.0);
     header();
     let program = by_name("mtrt").unwrap().program();
-    let base = raw(&program, size, None, true);
+    let base = raw(&program, size, None, TiersMode::Full);
     row("mtrt original", base, base, None);
     let (spa, native) = session("mtrt", size, AgentChoice::Spa);
     row("mtrt SPA", spa, base, native);
@@ -141,14 +141,14 @@ fn main() {
     });
     row(
         "mtrt timestamp every event",
-        raw(&program, size, Some(strawman), true),
+        raw(&program, size, Some(strawman), TiersMode::Full),
         base,
         None,
     );
     let chains = ChainProfiler::new([], 0);
     row(
         "mtrt ChainProfiler (SPA events)",
-        raw(&program, size, Some(chains), true),
+        raw(&program, size, Some(chains), TiersMode::Full),
         base,
         None,
     );
@@ -156,8 +156,8 @@ fn main() {
     let size = ProblemSize(5);
     println!("\nJIT on vs off, no agent (mtrt, size {})", size.0);
     header();
-    let on = raw(&program, size, None, true);
-    let off = raw(&program, size, None, false);
+    let on = raw(&program, size, None, TiersMode::Full);
+    let off = raw(&program, size, None, TiersMode::InterpOnly);
     row("mtrt JIT on", on, on, None);
     row("mtrt JIT off (-Xint)", off, on, None);
     println!("  JIT off / on: {:.2}x", off as f64 / on as f64);

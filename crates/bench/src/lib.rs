@@ -18,7 +18,7 @@ pub use driver::{
     SuiteResult,
 };
 
-use jnativeprof::harness::{self, overhead_percent, throughput_overhead_percent, AgentChoice};
+use jnativeprof::harness::{self, overhead_percent, AgentChoice};
 use jnativeprof::session::{RunOutcome, Session};
 use jvmsim_metrics::{Bucket, MetricsEntry};
 use workloads::{by_name, ProblemSize, Workload};
@@ -217,26 +217,6 @@ pub fn measure_overheads(name: &str, size: ProblemSize) -> MeasuredOverheadRow {
         overhead_spa_pct: overhead_percent(&base, &spa),
         overhead_ipa_pct: overhead_percent(&base, &ipa),
     }
-}
-
-/// Measure the JBB2005 throughput row: `(orig, spa, ipa)` ops/s plus the
-/// two overhead percentages.
-pub fn measure_jbb_throughput(size: ProblemSize) -> (f64, f64, f64, f64, f64) {
-    let workload = by_name("jbb").unwrap();
-    let tx = |run: &RunOutcome| run.checksum.max(0) as u64;
-    let base = measure(workload.as_ref(), size, AgentChoice::None);
-    let spa = measure(workload.as_ref(), size, AgentChoice::Spa);
-    let ipa = measure(workload.as_ref(), size, AgentChoice::ipa());
-    let t_base = base.throughput(tx(&base));
-    let t_spa = spa.throughput(tx(&spa));
-    let t_ipa = ipa.throughput(tx(&ipa));
-    (
-        t_base,
-        t_spa,
-        t_ipa,
-        throughput_overhead_percent(t_base, t_spa),
-        throughput_overhead_percent(t_base, t_ipa),
-    )
 }
 
 /// Measure one workload's Table II row with IPA.

@@ -46,8 +46,6 @@ pub struct ClusterConfig {
     /// Injection rate (ppm) for the `peer-conn-drop` and
     /// `peer-slow-read` sites on every member — 0 for a quiet fleet.
     pub peer_fault_ppm: u32,
-    /// Virtual nodes per member on the ring.
-    pub vnodes: usize,
     /// Open a request span plane on every member. Each life gets its own
     /// span seed (mixed from the fleet seed, the slot, and the
     /// generation) so a rejoined member never reissues a dead life's
@@ -66,7 +64,6 @@ impl Default for ClusterConfig {
             queue: 8,
             deadline: Duration::from_secs(120),
             peer_fault_ppm: 0,
-            vnodes: DEFAULT_VNODES,
             spans: false,
         }
     }
@@ -193,7 +190,7 @@ impl Cluster {
     pub fn start(config: ClusterConfig) -> Result<Cluster, String> {
         let peers = config.peers.max(1);
         let directory = Arc::new(PeerDirectory::new(peers));
-        let ring = HashRing::new(peers, config.vnodes.max(1));
+        let ring = HashRing::new(peers, DEFAULT_VNODES);
         let mut cluster = Cluster {
             members: (0..peers)
                 .map(|i| Member {

@@ -349,8 +349,6 @@ pub struct Vm {
     mask: EventMask,
     /// Timer-based sampler: (interval in cycles, sink).
     sampler: Option<(u64, Arc<dyn SampleSink>)>,
-    /// User-level JIT switch (`-Xint` analog).
-    jit_requested: bool,
     /// Which tier promotions the pipeline performs (the `--tiers` axis).
     tiers_mode: TiersMode,
     /// Inline-cache arena the prepared ops index into (the prepared
@@ -422,7 +420,6 @@ impl Vm {
             trace: None,
             mask: EventMask::none(),
             sampler: None,
-            jit_requested: true,
             tiers_mode: TiersMode::default(),
             ic_arena: Vec::new(),
             frame_pool: Vec::new(),
@@ -714,14 +711,10 @@ impl Vm {
         self.threads[thread.index()].enter(self.agent_bucket())
     }
 
-    /// Turn the JIT off entirely (the `-Xint` ablation).
-    pub fn set_jit_requested(&mut self, on: bool) {
-        self.jit_requested = on;
-    }
-
-    /// Is JIT compilation effective right now?
+    /// Is JIT compilation effective right now? Method events suppress it
+    /// (as on HotSpot); the `-Xint` analog is [`TiersMode::InterpOnly`].
     pub fn jit_enabled(&self) -> bool {
-        self.jit_requested && !self.mask.method_events
+        !self.mask.method_events
     }
 
     /// Select which tier promotions the pipeline performs (the `--tiers`
@@ -736,8 +729,8 @@ impl Vm {
     }
 
     /// The tiers mode actually in force: the configured mode, collapsed
-    /// to `InterpOnly` whenever compilation is suppressed (`-Xint`, or an
-    /// agent holding method events).
+    /// to `InterpOnly` whenever an agent holding method events suppresses
+    /// compilation.
     pub fn effective_tiers_mode(&self) -> TiersMode {
         if self.jit_enabled() {
             self.tiers_mode

@@ -206,7 +206,9 @@ fn expr_class(expr: &Expr) -> Result<jvmsim_classfile::ClassFile, String> {
 fn run_in_vm(expr: &Expr, args: [i64; 3], jit: bool) -> Result<i64, String> {
     let class = expr_class(expr)?;
     let mut vm = Vm::new();
-    vm.set_jit_requested(jit);
+    if !jit {
+        vm.set_tiers_mode(TiersMode::InterpOnly);
+    }
     vm.add_classfile(&class);
     let result = vm
         .call_static(

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use jvmsim_classfile::builder::{single_method_class, ClassBuilder};
 use jvmsim_classfile::{Cond, FieldFlags, MethodFlags};
 use jvmsim_vm::jni::{JniRetType, NativeLibrary, ParamStyle};
-use jvmsim_vm::{builtins, EventMask, MethodView, ThreadInfo, Value, Vm, VmEventSink};
+use jvmsim_vm::{builtins, EventMask, MethodView, ThreadInfo, TiersMode, Value, Vm, VmEventSink};
 
 const ST: MethodFlags = MethodFlags::STATIC;
 
@@ -704,8 +704,9 @@ fn enabling_method_events_disables_jit() {
     assert!(!vm.jit_enabled());
     vm.set_event_mask(EventMask::none());
     assert!(vm.jit_enabled());
-    vm.set_jit_requested(false);
-    assert!(!vm.jit_enabled());
+    assert_eq!(vm.effective_tiers_mode(), TiersMode::Full);
+    vm.set_tiers_mode(TiersMode::InterpOnly);
+    assert_eq!(vm.effective_tiers_mode(), TiersMode::InterpOnly);
 }
 
 fn hot_loop_class() -> jvmsim_classfile::ClassFile {
@@ -732,7 +733,9 @@ fn hot_loop_class() -> jvmsim_classfile::ClassFile {
 fn jit_makes_hot_code_much_faster() {
     let run = |jit: bool| -> u64 {
         let mut vm = Vm::new();
-        vm.set_jit_requested(jit);
+        if !jit {
+            vm.set_tiers_mode(TiersMode::InterpOnly);
+        }
         vm.add_classfile(&hot_loop_class());
         let outcome = vm.run("t/Hot", "main", "()I", vec![]).unwrap();
         outcome.total_cycles
@@ -807,7 +810,7 @@ fn spawned_threads_run_with_events_and_own_clocks() {
     builtins::install(&mut vm);
     // Interpreted-only so the two workers' cycle counts are directly
     // comparable (otherwise w1 warms the shared code cache for w2).
-    vm.set_jit_requested(false);
+    vm.set_tiers_mode(TiersMode::InterpOnly);
     vm.add_classfile(&cb.finish().unwrap());
     vm.set_event_sink(Arc::clone(&sink) as Arc<dyn VmEventSink>);
     vm.set_event_mask(EventMask {
