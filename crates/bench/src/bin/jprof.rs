@@ -95,16 +95,17 @@
 //! quarantine diagnostics go to stderr, so redirecting stdout always
 //! yields a clean artifact. Exit codes are stable per failure class
 //! ([`HarnessError::exit_code`]): `0` success, `2` usage, `8` artifact
-//! I/O, `9` degraded run (quarantined cells / broken invariants).
+//! I/O, `9` degraded run (quarantined cells / broken invariants), `11` a
+//! `run` whose workload panicked.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use jnativeprof::cell::{cell_row_json, decode_cell_entry, encode_cell_entry, CellQuantities};
+use jnativeprof::cell::{self, cell_row_json, CellQuantities};
 use jnativeprof::harness::{AgentChoice, HarnessError};
 use jnativeprof::session::{Session, SessionSpec};
-use jvmsim_cache::{CacheStore, Plane};
+use jvmsim_cache::CacheStore;
 use jvmsim_cluster::{cluster_drill, ClusterDrillConfig};
 use jvmsim_metrics::{render_json, render_prometheus, MetricsEntry};
 use jvmsim_serve::{
@@ -707,38 +708,31 @@ fn cmd_run(args: &[String]) -> Result<(), HarnessError> {
         flags.get("--tiers").unwrap_or("full"),
     )?;
     let cache = flags.cache()?;
-    // Cache-first with the same plane and key the daemon and the suite
+    // Cache-first through the same protocol the daemon and the suite
     // driver use, so all three producers agree byte-for-byte on the row.
-    let row = 'row: {
-        if let Some(store) = &cache {
-            let key = spec.with_session(|s| s.result_key())?;
-            if let Some(bytes) = store.lookup(Plane::CellResult, &key) {
-                match decode_cell_entry(&bytes) {
-                    Some((cell, _sites)) => {
-                        break 'row cell_row_json(
-                            &spec.workload,
-                            spec.agent.label(),
-                            spec.size.0,
-                            &cell,
-                        )
-                    }
-                    None => store.quarantine(Plane::CellResult, &key),
-                }
+    let key = match &cache {
+        Some(_) => spec.with_session(|s| cell::result_key(&s))?,
+        None => None,
+    };
+    let cell = 'cell: {
+        if let (Some(store), Some(key)) = (&cache, &key) {
+            if let Some((cell, _sites)) = cell::lookup(store, key).entry {
+                break 'cell cell;
             }
         }
         let run = spec.with_session(|mut session| {
             if let Some(store) = &cache {
                 session = session.cache(store.clone());
             }
-            session.run()
+            cell::run(session)
         })??;
         let cell = CellQuantities::from_run(&run);
-        if let Some(store) = &cache {
-            let key = spec.with_session(|s| s.result_key())?;
-            let _ = store.store(Plane::CellResult, &key, &encode_cell_entry(&cell, &[]));
+        if let (Some(store), Some(key)) = (&cache, &key) {
+            cell::store(store, key, &cell, &[]);
         }
-        cell_row_json(&spec.workload, spec.agent.label(), spec.size.0, &cell)
+        cell
     };
+    let row = cell_row_json(&spec.workload, spec.agent.label(), spec.size.0, &cell);
     if let Some(store) = &cache {
         report_cache(store);
     }

@@ -13,7 +13,8 @@
 //!
 //! # Fault isolation
 //!
-//! Every cell runs behind `catch_unwind` (on its own thread when a
+//! Every cell runs through [`cell::run`], which turns a panic into a
+//! typed error (on its own thread when a
 //! [`SuiteConfig::soft_timeout`] is set), so one failing workload cannot
 //! take the suite down: the cell is retried up to [`SuiteConfig::retries`]
 //! times and then *quarantined* — recorded as a [`CellFailure`] on the
@@ -32,15 +33,14 @@
 //! failures (escaped exceptions, dead threads, truncated classfiles) are
 //! *expected* and merely reported; only invariant breaks fail the run.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use jnativeprof::cell::{decode_cell_entry, encode_cell_entry, CellQuantities, SiteTally};
-use jnativeprof::harness::{self, throughput_overhead_percent, AgentChoice};
+use jnativeprof::cell::{self, CellQuantities, SiteTally};
+use jnativeprof::harness::{throughput_overhead_percent, AgentChoice, HarnessError, AGENT_AXIS};
 use jnativeprof::session::Session;
-use jvmsim_cache::{CacheKey, CacheStore, Plane};
+use jvmsim_cache::CacheStore;
 use jvmsim_faults::{
     splitmix64, FaultInjector, FaultPlan, FaultSite, TransitionKind, TransitionLedger,
 };
@@ -51,57 +51,6 @@ use jvmsim_vm::{MethodId, ThreadId, TiersMode, TraceEventKind, TraceSink};
 use workloads::{by_name, jvm98_suite, ProblemSize};
 
 use crate::{MeasuredAgentRow, MeasuredOverheadRow, MeasuredProfileRow};
-
-/// Agent column of the matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AgentCol {
-    Original,
-    Spa,
-    Ipa,
-    Alloc,
-    Lock,
-}
-
-impl AgentCol {
-    const ALL: [AgentCol; 5] = [
-        AgentCol::Original,
-        AgentCol::Spa,
-        AgentCol::Ipa,
-        AgentCol::Alloc,
-        AgentCol::Lock,
-    ];
-
-    fn choice(self) -> AgentChoice {
-        match self {
-            AgentCol::Original => AgentChoice::None,
-            AgentCol::Spa => AgentChoice::Spa,
-            AgentCol::Ipa => AgentChoice::ipa(),
-            AgentCol::Alloc => AgentChoice::Alloc,
-            AgentCol::Lock => AgentChoice::Lock,
-        }
-    }
-
-    fn label(self) -> &'static str {
-        match self {
-            AgentCol::Original => "original",
-            AgentCol::Spa => "SPA",
-            AgentCol::Ipa => "IPA",
-            AgentCol::Alloc => "ALLOC",
-            AgentCol::Lock => "LOCK",
-        }
-    }
-
-    /// Lowercase label used for metric entries (Prometheus label values).
-    fn metric_label(self) -> &'static str {
-        match self {
-            AgentCol::Original => "original",
-            AgentCol::Spa => "spa",
-            AgentCol::Ipa => "ipa",
-            AgentCol::Alloc => "alloc",
-            AgentCol::Lock => "lock",
-        }
-    }
-}
 
 /// Chaos-mode switch: when set on a [`SuiteConfig`], every cell runs under
 /// a deterministic fault schedule derived from `seed` and the cell index.
@@ -219,10 +168,10 @@ impl SuiteConfig {
 }
 
 /// One cell of the matrix.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Cell {
     workload: &'static str,
-    agent: AgentCol,
+    agent: AgentChoice,
     size: ProblemSize,
     tiers: TiersMode,
 }
@@ -316,7 +265,7 @@ pub struct SuiteResult {
 }
 
 // ---------------------------------------------------------------------
-// Cell execution: catch_unwind + optional soft timeout + bounded retry,
+// Cell execution: panic isolation + optional soft timeout + bounded retry,
 // with chaos-mode shadow accounting.
 
 /// Shadow-accounting sink for chaos cells: mirrors every J2N/N2J event
@@ -362,16 +311,6 @@ struct CellExecution {
     /// or timed out before reporting).
     snapshot: MetricsSnapshot,
     attempts: u32,
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
 }
 
 /// Chaos-mode trace capacity: small enough to actually saturate at real
@@ -424,12 +363,13 @@ fn replay_cell(
     }
 }
 
-/// Run one cell once: look up the workload, run it behind `catch_unwind`,
-/// and — in chaos mode — check the accounting invariants that must
-/// survive any injected fault. With a cache attached, a completed row is
+/// Run one cell once: look up the workload, run it through [`cell::run`]
+/// (a panic becomes [`CellFailureKind::Panicked`]), and — in chaos mode
+/// — check the accounting invariants that must survive any injected
+/// fault. With a cache attached, a completed row is
 /// served from the result plane when present (skipping the run entirely)
 /// and stored there afterwards when the run was clean.
-fn execute_cell(cell: Cell, chaos_seed: Option<u64>, cache: Option<&CacheStore>) -> CellExecution {
+fn execute_cell(cell: &Cell, chaos_seed: Option<u64>, cache: Option<&CacheStore>) -> CellExecution {
     // Every cell gets its own registry: cells share no metric state, so
     // the per-cell snapshots (and anything assembled from them) are
     // byte-identical for any worker count.
@@ -452,64 +392,56 @@ fn execute_cell(cell: Cell, chaos_seed: Option<u64>, cache: Option<&CacheStore>)
             None => store,
         }
     });
-    // Result-plane identity: needs the workload's program bytes, so an
-    // unknown workload, or one whose program panics, has no key and falls
-    // through to the guarded cold path, failing there exactly as an
-    // uncached run does.
-    let result_key: Option<CacheKey> = cache.as_ref().and_then(|_| {
-        let workload = by_name(cell.workload)?;
-        let mut session = Session::new(workload.as_ref(), cell.size)
-            .agent(cell.agent.choice())
+    // The session the key is derived from and the run executes; an
+    // unknown workload has neither and fails as a harness error below.
+    let workload = by_name(cell.workload);
+    let session = workload.as_deref().map(|workload| {
+        let session = Session::new(workload, cell.size)
+            .agent(cell.agent.clone())
             .tiers(cell.tiers);
-        if let Some((injector, _, _)) = &chaos {
-            session = session.faults(Arc::clone(injector));
+        match &chaos {
+            Some((injector, _, _)) => session.faults(Arc::clone(injector)),
+            None => session,
         }
-        catch_unwind(AssertUnwindSafe(|| session.result_key())).ok()
     });
+    let result_key = cache
+        .as_ref()
+        .and(session.as_ref())
+        .and_then(cell::result_key);
     if let (Some(store), Some(key)) = (&cache, &result_key) {
-        if let Some(bytes) = store.lookup(Plane::CellResult, key) {
-            match decode_cell_entry(&bytes) {
-                Some((outcome, stored_sites)) => {
-                    return replay_cell(
-                        outcome,
-                        stored_sites,
-                        chaos.as_ref().map(|(injector, _, _)| injector),
-                        &metrics,
-                    );
-                }
-                // The frame's digest verified but the payload does not
-                // decode: foreign or stale bytes under this key —
-                // quarantine them and recompute.
-                None => store.quarantine(Plane::CellResult, key),
-            }
+        if let Some((outcome, stored_sites)) = cell::lookup(store, key).entry {
+            return replay_cell(
+                outcome,
+                stored_sites,
+                chaos.as_ref().map(|(injector, _, _)| injector),
+                &metrics,
+            );
         }
     }
 
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        let workload = by_name(cell.workload).ok_or_else(|| {
-            harness::HarnessError::Vm(format!("unknown workload {}", cell.workload))
-        })?;
-        let mut session = Session::new(workload.as_ref(), cell.size)
-            .agent(cell.agent.choice())
-            .tiers(cell.tiers)
-            .metrics(metrics.clone());
-        if let Some((injector, ledger, recorder)) = &chaos {
-            session = session
-                .trace(Arc::new(ChaosSink {
+    let run = match session {
+        None => Err(HarnessError::Vm(format!(
+            "unknown workload {}",
+            cell.workload
+        ))),
+        Some(session) => {
+            let mut session = session.metrics(metrics.clone());
+            if let Some((_, ledger, recorder)) = &chaos {
+                session = session.trace(Arc::new(ChaosSink {
                     ledger: Arc::clone(ledger),
                     recorder: Arc::clone(recorder),
-                }) as Arc<dyn TraceSink>)
-                .faults(Arc::clone(injector));
+                }) as Arc<dyn TraceSink>);
+            }
+            if let Some(store) = &cache {
+                session = session.cache(store.clone());
+            }
+            cell::run(session)
         }
-        if let Some(store) = &cache {
-            session = session.cache(store.clone());
-        }
-        session.run()
-    }));
+    };
 
     let mut violations = Vec::new();
     let result = match run {
-        Ok(Ok(run)) => {
+        Ok(run) => {
             // Agent-ledger invariants must hold on every run, faulted or
             // not: contended + discarded ≤ entries, the allocation object
             // and byte ledgers balance against the overflow bin, and
@@ -523,8 +455,8 @@ fn execute_cell(cell: Cell, chaos_seed: Option<u64>, cache: Option<&CacheStore>)
             }
             Ok(CellQuantities::from_run(&run))
         }
-        Ok(Err(e)) => Err(CellFailureKind::Harness(e.to_string())),
-        Err(payload) => Err(CellFailureKind::Panicked(panic_message(payload))),
+        Err(HarnessError::Panicked(message)) => Err(CellFailureKind::Panicked(message)),
+        Err(e) => Err(CellFailureKind::Harness(e.to_string())),
     };
     match &result {
         Ok(outcome) => {
@@ -594,7 +526,7 @@ fn execute_cell(cell: Cell, chaos_seed: Option<u64>, cache: Option<&CacheStore>)
     // re-run live. A failed store just means the next run pays again.
     if let (Some(store), Some(key), Ok(outcome)) = (&cache, &result_key, &result) {
         if violations.is_empty() {
-            let _ = store.store(Plane::CellResult, key, &encode_cell_entry(outcome, &sites));
+            cell::store(store, key, outcome, &sites);
         }
     }
 
@@ -608,7 +540,7 @@ fn execute_cell(cell: Cell, chaos_seed: Option<u64>, cache: Option<&CacheStore>)
 }
 
 /// [`execute_cell`] behind the configured soft timeout and bounded retry.
-fn run_cell_guarded(cell: Cell, chaos_seed: Option<u64>, config: &SuiteConfig) -> CellExecution {
+fn run_cell_guarded(cell: &Cell, chaos_seed: Option<u64>, config: &SuiteConfig) -> CellExecution {
     let mut attempts = 0u32;
     loop {
         attempts += 1;
@@ -617,12 +549,12 @@ fn run_cell_guarded(cell: Cell, chaos_seed: Option<u64>, config: &SuiteConfig) -
             Some(budget) => {
                 let (tx, rx) = mpsc::channel();
                 // The cell thread may outlive this frame (soft timeout
-                // detaches it), so it gets its own store handle.
-                let cache = config.cache.clone();
+                // detaches it), so it gets its own cell and store handle.
+                let (cell, cache) = (cell.clone(), config.cache.clone());
                 let spawned = std::thread::Builder::new()
                     .name(format!("cell-{}-{}", cell.workload, cell.agent.label()))
                     .spawn(move || {
-                        let _ = tx.send(execute_cell(cell, chaos_seed, cache.as_ref()));
+                        let _ = tx.send(execute_cell(&cell, chaos_seed, cache.as_ref()));
                     });
                 match spawned {
                     Err(e) => CellExecution {
@@ -662,29 +594,22 @@ fn run_cell_guarded(cell: Cell, chaos_seed: Option<u64>, config: &SuiteConfig) -
 // Matrix construction, parallel execution, and partial assembly.
 
 fn build_cells(config: &SuiteConfig, jvm98: &[&'static str]) -> Vec<Cell> {
-    let selected = |col: AgentCol| match &config.agents {
-        None => true,
-        Some(agents) => agents.iter().any(|a| a.label() == col.label()),
-    };
+    let agents: Vec<AgentChoice> = AGENT_AXIS
+        .iter()
+        .map(|name| name.parse().expect("every axis name parses"))
+        .filter(|col: &AgentChoice| match &config.agents {
+            None => true,
+            Some(agents) => agents.iter().any(|a| a.label() == col.label()),
+        })
+        .collect();
+    let rows = jvm98.iter().map(|&workload| (workload, config.size));
     let mut cells = Vec::new();
-    for &workload in jvm98 {
-        for agent in AgentCol::ALL {
-            if selected(agent) {
-                cells.push(Cell {
-                    workload,
-                    agent,
-                    size: config.size,
-                    tiers: config.tiers,
-                });
-            }
-        }
-    }
-    for agent in AgentCol::ALL {
-        if selected(agent) {
+    for (workload, size) in rows.chain([("jbb", config.jbb_size)]) {
+        for agent in &agents {
             cells.push(Cell {
-                workload: "jbb",
-                agent,
-                size: config.jbb_size,
+                workload,
+                agent: agent.clone(),
+                size,
                 tiers: config.tiers,
             });
         }
@@ -703,7 +628,7 @@ fn run_matrix(config: &SuiteConfig, cells: &[Cell]) -> Vec<CellExecution> {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(cell) = cells.get(i) else { break };
                 let chaos_seed = config.chaos.map(|c| splitmix64(c.seed ^ i as u64));
-                let exec = run_cell_guarded(*cell, chaos_seed, config);
+                let exec = run_cell_guarded(cell, chaos_seed, config);
                 // Poison recovery: cells are already unwind-isolated, so a
                 // poisoned store lock only means another worker died while
                 // holding it — the data itself is per-index and intact.
@@ -743,7 +668,7 @@ fn assemble(cells: &[Cell], execs: &[CellExecution], jvm98: &[&'static str]) -> 
         }
         metrics.push(MetricsEntry {
             benchmark: cell.workload.to_owned(),
-            agent: cell.agent.metric_label().to_owned(),
+            agent: cell.agent.label().to_ascii_lowercase(),
             snapshot: exec.snapshot.clone(),
         });
         // Agent-ledger invariant breaks surface even on the plain
@@ -758,25 +683,26 @@ fn assemble(cells: &[Cell], execs: &[CellExecution], jvm98: &[&'static str]) -> 
             });
         }
     }
-    let outcome = |workload: &str, agent: AgentCol| -> Option<&CellQuantities> {
+    let ipa = AgentChoice::ipa();
+    let outcome = |workload: &str, agent: &AgentChoice| -> Option<&CellQuantities> {
         let i = cells
             .iter()
-            .position(|c| c.workload == workload && c.agent == agent)?;
+            .position(|c| c.workload == workload && c.agent.label() == agent.label())?;
         execs[i].result.as_ref().ok()
     };
 
     let mut table1 = Vec::new();
     for &name in jvm98 {
-        let (Some(base), Some(spa), Some(ipa)) = (
-            outcome(name, AgentCol::Original),
-            outcome(name, AgentCol::Spa),
-            outcome(name, AgentCol::Ipa),
+        let (Some(base), Some(spa), Some(ipa_cell)) = (
+            outcome(name, &AgentChoice::None),
+            outcome(name, &AgentChoice::Spa),
+            outcome(name, &ipa),
         ) else {
             // The failing cell is already recorded; the row is quarantined.
             continue;
         };
         let mut row_ok = true;
-        for (agent, with) in [(AgentCol::Spa, spa), (AgentCol::Ipa, ipa)] {
+        for (agent, with) in [(&AgentChoice::Spa, spa), (&ipa, ipa_cell)] {
             if with.checksum != base.checksum {
                 failures.push(CellFailure {
                     workload: name.to_owned(),
@@ -797,9 +723,9 @@ fn assemble(cells: &[Cell], execs: &[CellExecution], jvm98: &[&'static str]) -> 
             name: name.to_owned(),
             time_original_s: base.seconds,
             time_spa_s: spa.seconds,
-            time_ipa_s: ipa.seconds,
+            time_ipa_s: ipa_cell.seconds,
             overhead_spa_pct: overhead_pct(base.seconds, spa.seconds),
-            overhead_ipa_pct: overhead_pct(base.seconds, ipa.seconds),
+            overhead_ipa_pct: overhead_pct(base.seconds, ipa_cell.seconds),
         });
     }
 
@@ -808,9 +734,9 @@ fn assemble(cells: &[Cell], execs: &[CellExecution], jvm98: &[&'static str]) -> 
         _ => 0.0,
     };
     let (b, s, i) = (
-        throughput(outcome("jbb", AgentCol::Original)),
-        throughput(outcome("jbb", AgentCol::Spa)),
-        throughput(outcome("jbb", AgentCol::Ipa)),
+        throughput(outcome("jbb", &AgentChoice::None)),
+        throughput(outcome("jbb", &AgentChoice::Spa)),
+        throughput(outcome("jbb", &ipa)),
     );
     let jbb = (
         b,
@@ -822,13 +748,13 @@ fn assemble(cells: &[Cell], execs: &[CellExecution], jvm98: &[&'static str]) -> 
 
     let mut table2 = Vec::new();
     for name in jvm98.iter().copied().chain(["jbb"]) {
-        let Some(ipa) = outcome(name, AgentCol::Ipa) else {
+        let Some(ipa_cell) = outcome(name, &ipa) else {
             continue;
         };
-        let Some((pct_native, jni_calls, native_method_calls)) = ipa.profile else {
+        let Some((pct_native, jni_calls, native_method_calls)) = ipa_cell.profile else {
             failures.push(CellFailure {
                 workload: name.to_owned(),
-                agent: AgentCol::Ipa.label(),
+                agent: ipa.label(),
                 attempts: 1,
                 kind: CellFailureKind::MissingProfile,
             });
@@ -844,12 +770,12 @@ fn assemble(cells: &[Cell], execs: &[CellExecution], jvm98: &[&'static str]) -> 
 
     let mut agent_rows = Vec::new();
     for name in jvm98.iter().copied().chain(["jbb"]) {
-        let base = outcome(name, AgentCol::Original);
+        let base = outcome(name, &AgentChoice::None);
         // An agent column is kept only when it did not perturb the
         // workload; without a baseline cell the checksum is unverifiable
         // and the triple is reported as-is (the filter may have excluded
         // the original column on purpose).
-        let mut checked = |agent: AgentCol| -> Option<&CellQuantities> {
+        let mut checked = |agent: &AgentChoice| -> Option<&CellQuantities> {
             let with = outcome(name, agent)?;
             if let Some(base) = base {
                 if with.checksum != base.checksum {
@@ -867,8 +793,8 @@ fn assemble(cells: &[Cell], execs: &[CellExecution], jvm98: &[&'static str]) -> 
             }
             Some(with)
         };
-        let alloc = checked(AgentCol::Alloc).and_then(|o| o.alloc);
-        let lock = checked(AgentCol::Lock).and_then(|o| o.lock);
+        let alloc = checked(&AgentChoice::Alloc).and_then(|o| o.alloc);
+        let lock = checked(&AgentChoice::Lock).and_then(|o| o.lock);
         if alloc.is_none() && lock.is_none() {
             continue;
         }
@@ -1024,7 +950,7 @@ pub fn run_chaos(config: SuiteConfig, seeds: u64) -> ChaosReport {
                 .iter()
                 .map(|cell| MetricsEntry {
                     benchmark: cell.workload.to_owned(),
-                    agent: cell.agent.metric_label().to_owned(),
+                    agent: cell.agent.label().to_ascii_lowercase(),
                     snapshot: MetricsSnapshot::default(),
                 })
                 .collect();
@@ -1283,7 +1209,7 @@ mod tests {
     #[test]
     fn agent_filter_selects_matrix_columns() {
         let all = build_cells(&SuiteConfig::with_size(ProblemSize::S1), &["compress"]);
-        assert_eq!(all.len(), 2 * AgentCol::ALL.len());
+        assert_eq!(all.len(), 2 * AGENT_AXIS.len());
         let some = build_cells(
             &SuiteConfig::with_size(ProblemSize::S1)
                 .agents(vec![AgentChoice::Alloc, AgentChoice::Lock]),
@@ -1292,7 +1218,7 @@ mod tests {
         assert_eq!(some.len(), 4); // {compress, jbb} × {ALLOC, LOCK}
         assert!(some
             .iter()
-            .all(|c| matches!(c.agent, AgentCol::Alloc | AgentCol::Lock)));
+            .all(|c| matches!(c.agent, AgentChoice::Alloc | AgentChoice::Lock)));
         let none = build_cells(
             &SuiteConfig::with_size(ProblemSize::S1).agents(Vec::new()),
             &["compress"],

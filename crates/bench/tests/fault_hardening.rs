@@ -4,6 +4,8 @@
 //!   into explicit failure records while every other cell completes and
 //!   the assembled artifacts are byte-identical to a run without it, with
 //!   or without a result cache attached;
+//! * `jprof run` of that workload exits with the typed `panicked` code
+//!   (11), cached or not, instead of dying with a Rust panic;
 //! * the hardening machinery itself (timeouts, retries, unwind isolation)
 //!   perturbs nothing: a hardened run's artifacts equal a plain run's;
 //! * a present-but-disabled fault injector changes no measurement;
@@ -118,6 +120,25 @@ fn crashy_workload_is_quarantined_with_a_cache_attached() {
         )
     };
     assert_eq!(artifacts(&baseline), artifacts(&with_crashy));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn jprof_run_of_a_panicking_workload_exits_with_the_panicked_code() {
+    let dir = std::env::temp_dir().join(format!("jvmsim-crashy-run-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache_dir = dir.to_str().expect("utf8 tmp path");
+    for extra in [&[][..], &["--cache-dir", cache_dir][..]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_jprof"))
+            .args(["run", "--workload", "crashy"])
+            .args(extra)
+            .output()
+            .expect("spawn jprof");
+        assert_eq!(out.status.code(), Some(11), "jprof run {extra:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "no row for a panicked run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("run panicked: "), "{stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -26,7 +26,8 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use jnativeprof::cell::{cell_row_json, CellQuantities};
+use jnativeprof::cell::{self, cell_row_json, CellQuantities};
+use jnativeprof::harness::AGENT_AXIS;
 use jnativeprof::session::SessionSpec;
 use jvmsim_faults::{splitmix64, FaultInjector, FaultPlan, FaultSite};
 use jvmsim_pcl::PAPER_CLOCK_HZ;
@@ -51,9 +52,6 @@ const WORKLOADS: [&str; 8] = [
     "jack",
     "jbb",
 ];
-
-/// The agent axis, matrix order (request-body labels).
-const AGENTS: [&str; 5] = ["original", "spa", "ipa", "alloc", "lock"];
 
 /// Drill configuration.
 #[derive(Debug, Clone)]
@@ -578,7 +576,7 @@ fn build_cells(config: &ClusterDrillConfig) -> Result<Vec<DrillCell>, String> {
         } else {
             config.size
         };
-        for agent in AGENTS {
+        for agent in AGENT_AXIS {
             let run_spec = RunSpec {
                 workload: workload.clone(),
                 agent: agent.to_owned(),
@@ -590,9 +588,10 @@ fn build_cells(config: &ClusterDrillConfig) -> Result<Vec<DrillCell>, String> {
                 .to_session_spec()
                 .map_err(|e| format!("cell {workload}/{agent}: {e}"))?;
             let key = spec
-                .with_session(|s| s.result_key())
-                .map_err(|e| format!("cell {workload}/{agent}: {e}"))
-                .map(|k| key_of(&k.digest().0))?;
+                .with_session(|s| cell::result_key(&s))
+                .map_err(|e| format!("cell {workload}/{agent}: {e}"))?
+                .map(|k| key_of(&k.digest().0))
+                .ok_or_else(|| format!("cell {workload}/{agent}: key derivation panicked"))?;
             cells.push(DrillCell {
                 body,
                 file_name: format!("run-{workload}-{agent}-{size}.json"),

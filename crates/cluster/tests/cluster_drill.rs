@@ -110,3 +110,13 @@ fn traced_drill_partitions_every_root_and_stitches_the_fleet() {
         "missing fleet lane"
     );
 }
+
+#[test]
+fn a_panicking_workload_fails_drill_setup_with_a_typed_error() {
+    let config = ClusterDrillConfig {
+        workloads: Some(vec!["crashy".to_owned()]),
+        ..ClusterDrillConfig::default()
+    };
+    let err = cluster_drill(&config).expect_err("crashy has no cell key");
+    assert_eq!(err, "cell crashy/original: key derivation panicked");
+}

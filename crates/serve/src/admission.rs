@@ -24,6 +24,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use jnativeprof::harness::HarnessError;
 use jnativeprof::session::SessionSpec;
+use jvmsim_cache::CacheKey;
 use polling::Notifier;
 
 use crate::peer::FetchAttempt;
@@ -33,6 +34,9 @@ use crate::peer::FetchAttempt;
 pub struct Job {
     /// The validated spec to execute.
     pub spec: SessionSpec,
+    /// The spec's cell-result key, derived once on the loop; `None`
+    /// without a cache or when the key could not be derived.
+    pub key: Option<CacheKey>,
     /// Routing token: the loop maps the eventual [`Completion`] back to
     /// the waiting connection through it. Tokens are minted from one
     /// monotonic counter and never reused.
@@ -228,6 +232,7 @@ mod tests {
                 jnativeprof::harness::AgentChoice::None,
                 ProblemSize::S1,
             ),
+            key: None,
             token,
             traceparent: None,
             abandoned: Arc::new(AtomicBool::new(false)),

@@ -19,6 +19,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use jnativeprof::harness::AGENT_AXIS;
 use jvmsim_faults::splitmix64;
 use jvmsim_spans::{ms_to_cycles, parse_annotation, SpanStage, StageLatencyTable};
 
@@ -36,9 +37,6 @@ const WORKLOADS: [&str; 8] = [
     "jack",
     "jbb",
 ];
-
-/// Agent labels the generator cycles through.
-const AGENTS: [&str; 5] = ["original", "spa", "ipa", "alloc", "lock"];
 
 /// Load-generator configuration.
 #[derive(Debug, Clone)]
@@ -213,7 +211,7 @@ pub fn pick_spec(seed: u64, conn: usize, idx: usize, size: u32) -> RunSpec {
     let h = splitmix64(seed ^ ((conn as u64) << 32) ^ idx as u64);
     RunSpec {
         workload: WORKLOADS[(h % WORKLOADS.len() as u64) as usize].to_owned(),
-        agent: AGENTS[((h >> 8) % AGENTS.len() as u64) as usize].to_owned(),
+        agent: AGENT_AXIS[((h >> 8) % AGENT_AXIS.len() as u64) as usize].to_owned(),
         size,
         tiers: "full".to_owned(),
     }
@@ -741,7 +739,7 @@ mod tests {
         let b = pick_spec(42, 1, 3, 10);
         assert_eq!(a, b);
         assert!(WORKLOADS.contains(&a.workload.as_str()));
-        assert!(AGENTS.contains(&a.agent.as_str()));
+        assert!(AGENT_AXIS.contains(&a.agent.as_str()));
         assert_eq!(a.size, 10);
     }
 

@@ -18,17 +18,11 @@
 //! * [`ResponseParser`] — the one response-decode path shared by the
 //!   load-gen client and the peer-fetch tier (`Content-Length` framing
 //!   with an at-EOF fallback for unframed bodies).
-//! * [`read_request`] — the blocking convenience wrapper over
-//!   [`RequestParser`] (generic over [`Read`]; the fuzz suite drives it
-//!   with adversarial chunkings), preserving the strict one-request
-//!   framing the sequential call sites expect.
 //!
 //! [`push`]: RequestParser::push
 //! [`try_next`]: RequestParser::try_next
 
-use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Maximum size of the request line + headers.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -36,17 +30,15 @@ pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// Maximum size of a request body.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 
-/// Poll interval for deadline/drain checks while blocked on a read.
+/// Poll interval of the blocking waits around the daemon (the client's
+/// response reads, `Server::wait`'s drain check) and the tick of the
+/// event loop's deadline wheel.
 pub(crate) const READ_POLL: Duration = Duration::from_millis(50);
 
 /// Typed failure taxonomy of the HTTP layer. Every variant maps onto one
-/// response status (or a silent close), so the connection loop has a
-/// single error path.
+/// response status, so the connection loop has a single error path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The peer closed the connection before a complete request arrived
-    /// (clean close between requests is `Closed` with zero bytes read).
-    Closed,
     /// The request could not be parsed as HTTP/1.1.
     Malformed(String),
     /// The header block exceeded [`MAX_HEADER_BYTES`].
@@ -55,24 +47,17 @@ pub enum ServeError {
     BodyTooLarge,
     /// The read deadline elapsed before a complete request arrived.
     ReadTimeout,
-    /// The server is draining and stops reading new requests.
-    Draining,
-    /// A transport error on the socket.
-    Io(String),
 }
 
 impl ServeError {
-    /// The response status for this error, or `None` when the connection
-    /// just closes silently (peer already gone).
+    /// The response status for this error.
     #[must_use]
-    pub fn status(&self) -> Option<u16> {
+    pub fn status(&self) -> u16 {
         match self {
-            ServeError::Closed | ServeError::Io(_) => None,
-            ServeError::Malformed(_) => Some(400),
-            ServeError::HeadersTooLarge => Some(431),
-            ServeError::BodyTooLarge => Some(413),
-            ServeError::ReadTimeout => Some(408),
-            ServeError::Draining => Some(503),
+            ServeError::Malformed(_) => 400,
+            ServeError::HeadersTooLarge => 431,
+            ServeError::BodyTooLarge => 413,
+            ServeError::ReadTimeout => 408,
         }
     }
 }
@@ -80,13 +65,10 @@ impl ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeError::Closed => write!(f, "connection closed"),
             ServeError::Malformed(m) => write!(f, "malformed request: {m}"),
             ServeError::HeadersTooLarge => write!(f, "header block too large"),
             ServeError::BodyTooLarge => write!(f, "request body too large"),
             ServeError::ReadTimeout => write!(f, "read deadline elapsed"),
-            ServeError::Draining => write!(f, "server is draining"),
-            ServeError::Io(m) => write!(f, "io error: {m}"),
         }
     }
 }
@@ -215,29 +197,16 @@ impl Response {
         out.extend_from_slice(&self.body);
         out
     }
-
-    /// Serialize and write the response.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] if the socket write fails (peer gone).
-    pub fn write(&self, stream: &mut TcpStream) -> Result<(), ServeError> {
-        stream
-            .write_all(&self.render())
-            .and_then(|()| stream.flush())
-            .map_err(|e| ServeError::Io(e.to_string()))
-    }
 }
 
 /// Incremental, pipelining-capable HTTP/1.1 request parser.
 ///
 /// Push bytes in as they arrive; take complete [`Request`]s out. Bytes
 /// beyond one complete request stay buffered as the start of the next —
-/// the event-loop server's keep-alive framing. All the limits of
-/// [`read_request`] apply incrementally: an over-long header block or
-/// declared body fails as soon as it is detectable, never after
-/// unbounded buffering. Errors are terminal — the caller answers the
-/// mapped status and closes.
+/// the event-loop server's keep-alive framing. The size limits apply
+/// incrementally: an over-long header block or declared body fails as
+/// soon as it is detectable, never after unbounded buffering. Errors are
+/// terminal — the caller answers the mapped status and closes.
 #[derive(Debug, Default)]
 pub struct RequestParser {
     buf: Vec<u8>,
@@ -294,8 +263,9 @@ impl RequestParser {
     ///
     /// # Errors
     ///
-    /// The same taxonomy as [`read_request`]: malformed head, size-limit
-    /// violations. Terminal for the connection.
+    /// [`ServeError::Malformed`] for a bad head,
+    /// [`ServeError::HeadersTooLarge`] or [`ServeError::BodyTooLarge`] for
+    /// a size-limit violation. Terminal for the connection.
     pub fn try_next(&mut self) -> Result<Option<Request>, ServeError> {
         if self.pending.is_none() {
             let Some(header_end) = self.find_header_end() else {
@@ -520,97 +490,21 @@ impl ResponseParser {
     }
 }
 
-/// Read one request off a keep-alive connection, polling `is_draining`
-/// and the `deadline` while blocked.
-///
-/// Generic over [`Read`] so the parser can be driven by arbitrary byte
-/// sources (the fuzz tests feed it adversarial chunkings); the daemon
-/// passes a [`TcpStream`] with a read timeout of `READ_POLL` installed
-/// (the connection loop sets it once). Each poll tick (`WouldBlock`)
-/// re-checks the drain flag and the per-request read deadline, so a
-/// stalled peer costs at most one tick after the deadline and a drain
-/// never waits on an idle connection.
-///
-/// # Errors
-///
-/// * [`ServeError::Closed`] — clean close before any byte of a request.
-/// * [`ServeError::Draining`] — drain began before any byte of a request.
-/// * [`ServeError::ReadTimeout`] — deadline elapsed mid-request.
-/// * [`ServeError::Malformed`] / size variants — parse failures.
-/// * [`ServeError::Io`] — transport failure.
-pub fn read_request<R: Read>(
-    stream: &mut R,
-    deadline: Duration,
-    is_draining: &dyn Fn() -> bool,
-) -> Result<Request, ServeError> {
-    let start = Instant::now();
-    let mut parser = RequestParser::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(request) = parser.try_next()? {
-            if parser.buffered() > 0 {
-                // Pipelined extra bytes would desynchronise the strict
-                // one-request-per-read framing this wrapper promises.
-                return Err(ServeError::Malformed("bytes beyond content-length".into()));
-            }
-            return Ok(request);
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(if parser.awaiting_body() {
-                    ServeError::Malformed("eof mid-body".into())
-                } else if parser.mid_request() {
-                    ServeError::Malformed("eof mid-headers".into())
-                } else {
-                    ServeError::Closed
-                });
-            }
-            Ok(n) => parser.push(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if !parser.mid_request() && is_draining() {
-                    return Err(ServeError::Draining);
-                }
-                if start.elapsed() >= deadline {
-                    return Err(if parser.mid_request() {
-                        ServeError::ReadTimeout
-                    } else {
-                        ServeError::Closed
-                    });
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(ServeError::Io(e.to_string())),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
 
-    fn round_trip(raw: &[u8]) -> Result<Request, ServeError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(&raw).unwrap();
-            s.flush().unwrap();
-            // Keep the stream open briefly so the reader sees a stall, not
-            // an EOF, if it wants more bytes.
-            std::thread::sleep(Duration::from_millis(300));
-        });
-        let (mut stream, _) = listener.accept().unwrap();
-        stream.set_read_timeout(Some(READ_POLL)).unwrap();
-        let got = read_request(&mut stream, Duration::from_millis(200), &|| false);
-        writer.join().unwrap();
-        got
+    /// Parse one whole request delivered in a single push.
+    fn parse_one(raw: &[u8]) -> Result<Option<Request>, ServeError> {
+        let mut parser = RequestParser::new();
+        parser.push(raw);
+        parser.try_next()
     }
 
     #[test]
     fn parses_a_request_with_body() {
-        let req = round_trip(b"POST /v1/run HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd")
+        let req = parse_one(b"POST /v1/run HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd")
+            .unwrap()
             .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/run");
@@ -621,45 +515,35 @@ mod tests {
     #[test]
     fn rejects_malformed_shapes() {
         assert!(matches!(
-            round_trip(b"NONSENSE\r\n\r\n"),
+            parse_one(b"NONSENSE\r\n\r\n"),
             Err(ServeError::Malformed(_))
         ));
         assert!(matches!(
-            round_trip(b"GET / HTTP/2.0\r\n\r\n"),
+            parse_one(b"GET / HTTP/2.0\r\n\r\n"),
             Err(ServeError::Malformed(_))
         ));
         assert!(matches!(
-            round_trip(b"GET / HTTP/1.1\r\nContent-Length: huge\r\n\r\n"),
+            parse_one(b"GET / HTTP/1.1\r\nContent-Length: huge\r\n\r\n"),
             Err(ServeError::Malformed(_))
         ));
     }
 
     #[test]
-    fn oversized_declared_body_fails_closed() {
-        let raw = format!(
-            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-            MAX_BODY_BYTES + 1
-        );
-        assert_eq!(round_trip(raw.as_bytes()), Err(ServeError::BodyTooLarge));
-    }
-
-    #[test]
-    fn stalled_body_times_out() {
-        // Declares 10 bytes, sends 2: the deadline must fire.
-        assert_eq!(
-            round_trip(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nab"),
-            Err(ServeError::ReadTimeout)
-        );
+    fn a_partial_body_is_still_mid_request() {
+        // Declares 10 bytes, sends 2: no request yet, and the loop's
+        // deadline (not the parser) decides when to answer 408.
+        let mut parser = RequestParser::new();
+        parser.push(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nab");
+        assert_eq!(parser.try_next(), Ok(None));
+        assert!(parser.mid_request() && parser.awaiting_body());
     }
 
     #[test]
     fn error_statuses() {
-        assert_eq!(ServeError::Closed.status(), None);
-        assert_eq!(ServeError::Malformed(String::new()).status(), Some(400));
-        assert_eq!(ServeError::HeadersTooLarge.status(), Some(431));
-        assert_eq!(ServeError::BodyTooLarge.status(), Some(413));
-        assert_eq!(ServeError::ReadTimeout.status(), Some(408));
-        assert_eq!(ServeError::Draining.status(), Some(503));
+        assert_eq!(ServeError::Malformed(String::new()).status(), 400);
+        assert_eq!(ServeError::HeadersTooLarge.status(), 431);
+        assert_eq!(ServeError::BodyTooLarge.status(), 413);
+        assert_eq!(ServeError::ReadTimeout.status(), 408);
     }
 
     #[test]
@@ -770,20 +654,9 @@ mod tests {
 
     #[test]
     fn response_bytes_are_fixed_length() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let reader = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            let mut out = Vec::new();
-            s.read_to_end(&mut out).unwrap();
-            out
-        });
-        let (mut stream, _) = listener.accept().unwrap();
         let mut resp = Response::json(429, "{}");
         resp.retry_after = Some(1);
-        resp.closing().write(&mut stream).unwrap();
-        drop(stream);
-        let raw = String::from_utf8(reader.join().unwrap()).unwrap();
+        let raw = String::from_utf8(resp.closing().render()).unwrap();
         assert!(
             raw.starts_with("HTTP/1.1 429 Too Many Requests\r\n"),
             "{raw}"

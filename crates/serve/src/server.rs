@@ -62,7 +62,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use jnativeprof::cell::{cell_row_json, decode_cell_entry, encode_cell_entry, CellQuantities};
+use jnativeprof::cell::{self, cell_row_json, CellQuantities};
 use jnativeprof::harness::HarnessError;
 use jnativeprof::session::SessionSpec;
 use jvmsim_cache::{CacheKey, CacheStore, Digest, Plane};
@@ -577,12 +577,8 @@ impl EventLoop {
                 Err(error) => {
                     // Framing failure: the byte stream can no longer be
                     // trusted to start a next request; answer and close.
-                    match ApiError::from_serve_error(&error) {
-                        Some(envelope) => {
-                            self.respond(slot, None, ApiResponse::Error(envelope));
-                        }
-                        None => self.close_silent(slot),
-                    }
+                    let envelope = ApiError::from_serve_error(&error);
+                    self.respond(slot, None, ApiResponse::Error(envelope));
                     return;
                 }
                 Ok(Some(request)) => self.process(slot, &request),
@@ -605,7 +601,8 @@ impl EventLoop {
 
     /// Apply EOF consequences once the parser has been given every byte:
     /// a clean between-requests EOF closes silently; bytes of an
-    /// incomplete request answer the same `400` the blocking reader gave.
+    /// incomplete request answer a `400` (`eof mid-headers` or
+    /// `eof mid-body`).
     fn reap_eof(&mut self, slot: usize) {
         let Some(conn) = self.conns[slot].as_ref() else {
             return;
@@ -621,11 +618,9 @@ impl EventLoop {
                 } else {
                     "eof mid-headers"
                 };
-                let error = ServeError::Malformed(message.to_owned());
-                match ApiError::from_serve_error(&error) {
-                    Some(envelope) => self.respond(slot, None, ApiResponse::Error(envelope)),
-                    None => self.close_silent(slot),
-                }
+                let envelope =
+                    ApiError::from_serve_error(&ServeError::Malformed(message.to_owned()));
+                self.respond(slot, None, ApiResponse::Error(envelope));
             }
             // A response (or dispatched job) is in flight: the write half
             // may outlive the read half, so the write path decides.
@@ -763,41 +758,35 @@ impl EventLoop {
     /// worker pool and move the connection to `Dispatched`.
     fn handle_run(&mut self, slot: usize, mut span: Option<SpanBuilder>, spec: SessionSpec) {
         let shared = Arc::clone(&self.shared);
+        // The request's one key derivation; the job carries it to the
+        // worker. A workload whose key panics has none and runs uncached.
+        let key = shared
+            .cache
+            .as_ref()
+            .and_then(|_| spec.with_session(|s| cell::result_key(&s)).ok().flatten());
         // Cache-first: a warm identity never touches the queue. Every hit
         // is digest-verified by the store; a verified frame whose payload
         // does not decode is quarantined and falls through to a fresh run.
-        if let Some(store) = &shared.cache {
-            if let Ok(key) = spec.with_session(|s| s.result_key()) {
-                let looked_up = store.lookup(Plane::CellResult, &key);
+        if let (Some(store), Some(key)) = (&shared.cache, &key) {
+            let looked_up = cell::lookup(store, key);
+            if let Some(s) = span.as_mut() {
+                s.stage(
+                    SpanStage::CacheLookup,
+                    cache_lookup_cost(looked_up.bytes),
+                    looked_up.bytes.unwrap_or(0) as u64,
+                );
+            }
+            if let Some((cell, _sites)) = looked_up.entry {
+                let row = cell_row_json(&spec.workload, spec.agent.label(), spec.size.0, &cell);
                 if let Some(s) = span.as_mut() {
                     s.stage(
-                        SpanStage::CacheLookup,
-                        cache_lookup_cost(looked_up.as_deref().map(<[u8]>::len)),
-                        looked_up.as_deref().map_or(0, |b| b.len() as u64),
+                        SpanStage::RowEncode,
+                        row_encode_cost(row.len()),
+                        row.len() as u64,
                     );
                 }
-                if let Some(bytes) = looked_up {
-                    match decode_cell_entry(&bytes) {
-                        Some((cell, _sites)) => {
-                            let row = cell_row_json(
-                                &spec.workload,
-                                spec.agent.label(),
-                                spec.size.0,
-                                &cell,
-                            );
-                            if let Some(s) = span.as_mut() {
-                                s.stage(
-                                    SpanStage::RowEncode,
-                                    row_encode_cost(row.len()),
-                                    row.len() as u64,
-                                );
-                            }
-                            self.respond(slot, span, ApiResponse::Row { row, hit: true });
-                            return;
-                        }
-                        None => store.quarantine(Plane::CellResult, &key),
-                    }
-                }
+                self.respond(slot, span, ApiResponse::Row { row, hit: true });
+                return;
             }
         }
         // Miss: dispatch. The peer-fetch tier now runs inside the job
@@ -809,6 +798,7 @@ impl EventLoop {
         let traceparent = span.as_ref().map(SpanBuilder::traceparent);
         let job = Job {
             spec,
+            key,
             token,
             traceparent,
             abandoned: Arc::clone(&abandoned),
@@ -918,13 +908,10 @@ impl EventLoop {
             // Idle cutoff: no request in it, nothing to account.
             Phase::Idle => self.close_silent(slot),
             Phase::Reading => {
-                // The request never finished arriving: the same `408` the
-                // blocking reader's deadline produced. Untraced, like
-                // every torn read.
-                match ApiError::from_serve_error(&ServeError::ReadTimeout) {
-                    Some(envelope) => self.respond(slot, None, ApiResponse::Error(envelope)),
-                    None => self.close_silent(slot),
-                }
+                // The request never finished arriving: `408`. Untraced,
+                // like every torn read.
+                let envelope = ApiError::from_serve_error(&ServeError::ReadTimeout);
+                self.respond(slot, None, ApiResponse::Error(envelope));
             }
             Phase::Dispatched { token } => {
                 // Deadline while queued or running: mark the job so an
@@ -1159,10 +1146,11 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 /// Execute one job: try the peer-fetch tier, else run the spec through
-/// the Session API and render its canonical row. This is the only place
+/// [`cell::run`] and render its canonical row. This is the only place
 /// the serve plane runs workloads; the fault injector is deliberately
 /// *not* attached to the session, so transport chaos can never perturb
-/// row bytes.
+/// row bytes. A panicking run comes back as [`HarnessError::Panicked`],
+/// so the worker survives it.
 fn execute_job(shared: &Arc<Shared>, job: &Job) -> Result<JobOutput, HarnessError> {
     let spec = &job.spec;
     let mut attempts = Vec::new();
@@ -1170,32 +1158,27 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> Result<JobOutput, HarnessErro
     // that already owns this identity hands the entry over; it is
     // decode-validated here, stored locally, and served as a hit.
     // Exhausting every peer degrades to the recompute below.
-    if let (Some(store), Some(view)) = (&shared.cache, &shared.peers) {
-        if let Ok(key) = spec.with_session(|s| s.result_key()) {
-            let shard = shared.registry.global();
-            let fetched = view.fetch_entry(
-                &key.digest().to_hex(),
-                &shared.injector,
-                &shard,
-                job.traceparent.as_deref(),
-                &mut attempts,
-            );
-            match fetched.as_deref().and_then(decode_cell_entry) {
-                Some((cell, _sites)) => {
-                    shard.incr(CounterId::ClusterPeerHits);
-                    if let Some(bytes) = &fetched {
-                        let _ = store.store(Plane::CellResult, &key, bytes);
-                    }
-                    let row = cell_row_json(&spec.workload, spec.agent.label(), spec.size.0, &cell);
-                    return Ok(JobOutput {
-                        row,
-                        cycles: cell.total_cycles,
-                        hit: true,
-                        attempts,
-                    });
-                }
-                None => shard.incr(CounterId::ClusterPeerMisses),
+    if let (Some(store), Some(view), Some(key)) = (&shared.cache, &shared.peers, &job.key) {
+        let shard = shared.registry.global();
+        let fetched = view.fetch_entry(
+            &key.digest().to_hex(),
+            &shared.injector,
+            &shard,
+            job.traceparent.as_deref(),
+            &mut attempts,
+        );
+        match fetched.and_then(|bytes| cell::adopt(store, key, &bytes)) {
+            Some(cell) => {
+                shard.incr(CounterId::ClusterPeerHits);
+                let row = cell_row_json(&spec.workload, spec.agent.label(), spec.size.0, &cell);
+                return Ok(JobOutput {
+                    row,
+                    cycles: cell.total_cycles,
+                    hit: true,
+                    attempts,
+                });
             }
+            None => shard.incr(CounterId::ClusterPeerMisses),
         }
     }
     let registry = MetricsRegistry::new();
@@ -1204,20 +1187,18 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> Result<JobOutput, HarnessErro
         if let Some(store) = &shared.cache {
             session = session.cache(store.clone());
         }
-        session.run()
+        cell::run(session)
     })??;
     // The fleet's zero-double-compute audit: this is the only line that
     // turns a spec into a row, so summing `serve_runs_executed` across
     // members counts real computes exactly.
     shared.registry.global().incr(CounterId::ServeRunsExecuted);
     let cell = CellQuantities::from_run(&run);
-    if let Some(store) = &shared.cache {
-        if let Ok(key) = spec.with_session(|s| s.result_key()) {
-            // Site tallies are empty off the chaos path — exactly what the
-            // batch driver stores for a fault-free cell, so serve-written
-            // and suite-written entries are interchangeable.
-            let _ = store.store(Plane::CellResult, &key, &encode_cell_entry(&cell, &[]));
-        }
+    if let (Some(store), Some(key)) = (&shared.cache, &job.key) {
+        // Site tallies are empty off the chaos path — exactly what the
+        // batch driver stores for a fault-free cell, so serve-written
+        // and suite-written entries are interchangeable.
+        cell::store(store, key, &cell, &[]);
     }
     shared
         .run_metrics

@@ -224,25 +224,21 @@ impl ApiError {
         }
     }
 
-    /// The envelope for a transport-layer parse/deadline failure, or
-    /// `None` when the connection just closes silently (peer gone).
-    /// Every variant closes: after a framing error the byte stream can
-    /// no longer be trusted to start a next request.
+    /// The envelope for a transport-layer parse/deadline failure. Every
+    /// variant closes: after a framing error the byte stream can no
+    /// longer be trusted to start a next request.
     #[must_use]
-    pub fn from_serve_error(error: &ServeError) -> Option<ApiError> {
-        let status = error.status()?;
+    pub fn from_serve_error(error: &ServeError) -> ApiError {
         let code = match error {
             ServeError::Malformed(_) => "malformed",
             ServeError::HeadersTooLarge => "headers_too_large",
             ServeError::BodyTooLarge => "body_too_large",
             ServeError::ReadTimeout => "read_timeout",
-            ServeError::Draining => "draining",
-            ServeError::Closed | ServeError::Io(_) => return None,
         };
-        Some(ApiError {
+        ApiError {
             close: true,
-            ..ApiError::new(status, code, error.to_string())
-        })
+            ..ApiError::new(error.status(), code, error.to_string())
+        }
     }
 
     /// The envelope for a harness failure (`400` for admission rejects,
@@ -259,6 +255,7 @@ impl ApiError {
             HarnessError::Artifact(_) => "artifact",
             HarnessError::Bind(_) => "bind",
             HarnessError::Degraded(_) => "degraded",
+            HarnessError::Panicked(_) => "panicked",
             _ => "harness",
         };
         ApiError::new(status, code, error.to_string())

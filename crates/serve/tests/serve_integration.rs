@@ -1,7 +1,7 @@
 //! End-to-end tests for the profiling-as-a-service daemon: an ephemeral
 //! in-process server driven over real sockets.
 //!
-//! The four properties the issue pins:
+//! The properties pinned here:
 //!
 //! 1. a served `POST /v1/run` body is byte-identical to the batch
 //!    driver's cell row (cold *and* warm),
@@ -10,12 +10,15 @@
 //! 3. queue overflow answers `429 Retry-After` and the daemon keeps
 //!    serving afterwards (bounded queue, no panic, no pile-up),
 //! 4. a graceful drain completes in-flight requests before the last
-//!    thread exits.
+//!    thread exits,
+//! 5. a run that panics answers a typed `500 panicked` envelope and the
+//!    daemon keeps serving.
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use jnativeprof::cell::{cell_row_json, CellQuantities};
+use jnativeprof::harness::AGENT_AXIS;
 use jnativeprof::session::SessionSpec;
 use jvmsim_cache::CacheStore;
 use jvmsim_metrics::{CounterId, MetricsRegistry};
@@ -167,6 +170,73 @@ fn warm_requests_hit_the_cache_with_pinned_counters() {
     server.shutdown();
 }
 
+/// Send a `crashy` run (its program panics on every build) to a fresh
+/// daemon: it must answer a typed `500 panicked` envelope and keep
+/// serving — `/healthz` answers `ok` and the next run returns the batch
+/// row byte for byte — with the admission ledger balanced and the one
+/// error booked.
+fn a_panicking_run_leaves_the_daemon_serving(config: ServeConfig) {
+    let (server, addr) = start(ServeConfig {
+        deadline: Duration::from_secs(20),
+        ..config
+    });
+    let crashy = RunSpec {
+        workload: "crashy".to_owned(),
+        agent: "original".to_owned(),
+        size: 1,
+        tiers: "full".to_owned(),
+    };
+    let (status, body) = post_run(&addr, &crashy);
+    assert_eq!(status, 500, "{body}");
+    assert!(
+        body.starts_with("{\"error\":{\"code\":\"panicked\",\"message\":\"run panicked: "),
+        "{body}"
+    );
+    let mut stream = connect_with_retry(&addr, Duration::from_secs(5)).expect("reconnect");
+    let (status, body) = http_request(&mut stream, "GET", "/healthz", None).expect("healthz");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    let compress = RunSpec {
+        workload: "compress".to_owned(),
+        agent: "ipa".to_owned(),
+        size: 1,
+        tiers: "full".to_owned(),
+    };
+    let (status, body) = post_run(&addr, &compress);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body, batch_row(&compress));
+    let entries = server.shutdown();
+    let serve = &entries[0].snapshot;
+    assert_eq!(serve.counter(CounterId::ServeErrors), 1);
+    assert_eq!(
+        serve.counter(CounterId::ServeAccepted),
+        serve.counter(CounterId::ServeServed)
+            + serve.counter(CounterId::ServeShed)
+            + serve.counter(CounterId::ServeTimeout)
+            + serve.counter(CounterId::ServeDropped)
+            + serve.counter(CounterId::ServeErrors),
+        "admission ledger must balance"
+    );
+}
+
+#[test]
+fn a_panicking_run_answers_500_and_a_cached_daemon_keeps_serving() {
+    // The key derivation on the loop thread builds the program first.
+    let tmp = TempDir::new("crashy");
+    a_panicking_run_leaves_the_daemon_serving(ServeConfig {
+        cache: Some(CacheStore::open(&tmp.0).expect("open cache")),
+        ..ServeConfig::default()
+    });
+}
+
+#[test]
+fn a_panicking_run_answers_500_and_a_one_worker_daemon_keeps_serving() {
+    // Uncached, the panic lands in the only worker.
+    a_panicking_run_leaves_the_daemon_serving(ServeConfig {
+        jobs: 1,
+        ..ServeConfig::default()
+    });
+}
+
 #[test]
 fn queue_overflow_sheds_with_429_and_daemon_survives() {
     // One worker, one queue slot: a burst of simultaneous requests can
@@ -252,8 +322,8 @@ fn graceful_drain_completes_in_flight_requests() {
     let mut stream = connect_with_retry(&addr, Duration::from_secs(5)).expect("connect");
     let (status, _) = http_request(&mut stream, "POST", "/v1/shutdown", None).expect("shutdown");
     assert_eq!(status, 200);
-    // wait() joins the acceptor, the pool, and every connection thread —
-    // it can only return after the in-flight requests finished.
+    // wait() joins the event loop and the worker pool — it can only
+    // return after the in-flight requests finished.
     let entries = server.wait();
     for handle in in_flight {
         let (status, body) = handle.join().expect("in-flight client must not panic");
@@ -278,7 +348,7 @@ fn run_spec_equivalence_holds_for_every_agent() {
     // The determinism boundary in one assertion: for each agent, the
     // SessionSpec the daemon executes and the one the batch driver
     // executes share a cell-result identity.
-    for agent in ["original", "spa", "ipa", "alloc", "lock"] {
+    for agent in AGENT_AXIS {
         let spec = RunSpec {
             workload: "compress".to_owned(),
             agent: agent.to_owned(),

@@ -1,8 +1,9 @@
-//! The shared cell-row model: one (workload, agent, size) cell's
-//! deterministic quantities, its cache-entry codec, and its canonical
-//! JSON row rendering.
+//! The shared cell-row model and the one owner of the cache's
+//! cell-result plane: one (workload, agent, size) cell's deterministic
+//! quantities, its cache-entry codec, its canonical JSON row rendering,
+//! and the protocol every producer follows to serve or compute a row.
 //!
-//! Three consumers must agree on these bytes exactly:
+//! Three producers must agree on these bytes exactly:
 //!
 //! * the suite driver, which memoizes completed rows on the cache's
 //!   cell-result plane and assembles the Table I/II artifacts;
@@ -10,13 +11,22 @@
 //! * `jvmsim-serve`, whose `POST /v1/run` response must be byte-identical
 //!   to the batch driver's row for the same run identity, cold or warm.
 //!
-//! Keeping the codec and the row renderer here — in the umbrella crate,
-//! below all three — makes that agreement structural rather than a test
-//! assertion: there is exactly one implementation to diverge from.
+//! Each of them follows the same protocol through this module: derive
+//! the key ([`result_key`]), consult the plane ([`lookup`]: verify,
+//! decode or quarantine), and on a miss run the cell ([`run`], which
+//! turns a panicking run into [`HarnessError::Panicked`]) and memoize it
+//! ([`store`]). Keeping the codec, the renderer and the protocol here —
+//! in the umbrella crate, below all three — makes that agreement
+//! structural rather than a test assertion: there is exactly one
+//! implementation to diverge from.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use jvmsim_cache::{CacheKey, CacheStore, Plane};
 use jvmsim_faults::FaultSite;
 
-use crate::session::RunOutcome;
+use crate::harness::HarnessError;
+use crate::session::{RunOutcome, Session};
 
 /// Per-tier cycle attribution for one cell: where the execution engine
 /// spent its time (per execution tier) and what tier-up compilation cost.
@@ -229,6 +239,87 @@ pub fn decode_cell_entry(bytes: &[u8]) -> Option<(CellQuantities, Vec<SiteTally>
     ))
 }
 
+/// The cell-result-plane key of `session` ([`Session::result_key`]), or
+/// `None` when deriving it panics: the key needs the workload's program
+/// bytes, so a workload whose program panics has no key and falls
+/// through to [`run`], failing there exactly as an uncached run does.
+#[must_use]
+pub fn result_key(session: &Session<'_>) -> Option<CacheKey> {
+    catch_unwind(AssertUnwindSafe(|| session.result_key())).ok()
+}
+
+/// What [`lookup`] found under a key.
+#[derive(Debug)]
+pub struct Lookup {
+    /// Byte length of the verified stored payload; `None` on a miss.
+    pub bytes: Option<usize>,
+    /// The decoded row and its stored fault-site tally; `None` on a miss
+    /// or when the payload did not decode.
+    pub entry: Option<(CellQuantities, Vec<SiteTally>)>,
+}
+
+/// Read `key`'s entry off the cell-result plane. The store re-verifies
+/// the frame's digest; a verified frame whose payload does not decode
+/// holds foreign or stale bytes, so it is quarantined and the caller
+/// recomputes.
+#[must_use]
+pub fn lookup(store: &CacheStore, key: &CacheKey) -> Lookup {
+    let Some(payload) = store.lookup(Plane::CellResult, key) else {
+        return Lookup {
+            bytes: None,
+            entry: None,
+        };
+    };
+    let entry = decode_cell_entry(&payload);
+    if entry.is_none() {
+        store.quarantine(Plane::CellResult, key);
+    }
+    Lookup {
+        bytes: Some(payload.len()),
+        entry,
+    }
+}
+
+/// Adopt an entry another store supplied (the fleet's peer-fetch tier):
+/// when `payload` decodes it is stored verbatim under `key` and its row
+/// returned; otherwise nothing is stored.
+#[must_use]
+pub fn adopt(store: &CacheStore, key: &CacheKey, payload: &[u8]) -> Option<CellQuantities> {
+    let (cell, _sites) = decode_cell_entry(payload)?;
+    let _ = store.store(Plane::CellResult, key, payload);
+    Some(cell)
+}
+
+/// Memoize a completed cell under `key`. Off the chaos path `sites` is
+/// empty, so entries written by any producer are interchangeable. A
+/// failed store only means the next run pays again.
+pub fn store(store: &CacheStore, key: &CacheKey, cell: &CellQuantities, sites: &[SiteTally]) {
+    let _ = store.store(Plane::CellResult, key, &encode_cell_entry(cell, sites));
+}
+
+/// Run `session` ([`Session::run`]) with its panic caught: a panicking
+/// run comes back as [`HarnessError::Panicked`] carrying the panic
+/// message, so the thread that asked for the row survives it.
+///
+/// # Errors
+///
+/// As [`Session::run`], plus [`HarnessError::Panicked`].
+pub fn run(session: Session<'_>) -> Result<RunOutcome, HarnessError> {
+    catch_unwind(AssertUnwindSafe(|| session.run()))
+        .unwrap_or_else(|payload| Err(HarnessError::Panicked(panic_message(payload.as_ref()))))
+}
+
+/// The message a panic was raised with.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
+}
+
 /// Column names of the canonical cell row, in rendering order.
 pub const CELL_ROW_COLUMNS: [&str; 20] = [
     "benchmark",
@@ -332,6 +423,68 @@ fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::{by_name, Crashy, ProblemSize};
+
+    #[test]
+    fn a_panicking_cell_has_no_key_and_runs_to_a_typed_error() {
+        let session = Session::new(&Crashy, ProblemSize::S1);
+        assert!(result_key(&session).is_none());
+        match run(session) {
+            Err(e @ HarnessError::Panicked(_)) => {
+                assert!(e.to_string().starts_with("run panicked: "), "{e}");
+                assert_eq!(e.exit_code(), 11);
+            }
+            other => panic!("expected Panicked, got {other:?}"),
+        }
+        // Nothing was poisoned: a healthy cell still keys and runs.
+        let compress = by_name("compress").unwrap();
+        let session = Session::new(compress.as_ref(), ProblemSize::S1);
+        assert!(result_key(&session).is_some());
+        assert!(run(session).is_ok());
+    }
+
+    #[test]
+    fn lookup_serves_stored_rows_and_quarantines_foreign_payloads() {
+        let root =
+            std::env::temp_dir().join(format!("jnativeprof-cell-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cache = CacheStore::open(&root).unwrap();
+        let compress = by_name("compress").unwrap();
+        let key = result_key(&Session::new(compress.as_ref(), ProblemSize::S1)).unwrap();
+        let miss = lookup(&cache, &key);
+        assert!(miss.bytes.is_none() && miss.entry.is_none());
+
+        let cell = CellQuantities {
+            seconds: 0.5,
+            checksum: 9,
+            total_cycles: 10,
+            tiers: TierCycles::default(),
+            profile: None,
+            alloc: None,
+            lock: None,
+        };
+        store(&cache, &key, &cell, &[]);
+        let hit = lookup(&cache, &key);
+        assert_eq!(hit.bytes, Some(encode_cell_entry(&cell, &[]).len()));
+        assert_eq!(hit.entry, Some((cell.clone(), Vec::new())));
+
+        // A peer's payload is adopted only when it decodes.
+        assert_eq!(adopt(&cache, &key, b"torn"), None);
+        assert_eq!(
+            adopt(&cache, &key, &encode_cell_entry(&cell, &[])),
+            Some(cell)
+        );
+
+        // A verified frame whose payload does not decode is priced,
+        // quarantined, and gone on the next read.
+        cache.store(Plane::CellResult, &key, b"torn").unwrap();
+        let foreign = lookup(&cache, &key);
+        assert_eq!(foreign.bytes, Some(4));
+        assert!(foreign.entry.is_none());
+        assert_eq!(cache.quarantined_files(), 1);
+        assert!(lookup(&cache, &key).bytes.is_none());
+        let _ = std::fs::remove_dir_all(&root);
+    }
 
     #[test]
     fn cell_entry_codec_round_trips() {

@@ -48,14 +48,21 @@ pub enum HarnessError {
     /// The run completed but degraded: cells were quarantined, invariants
     /// broke, or two views of the same data disagreed.
     Degraded(String),
+    /// The run panicked (a workload bug, or the `crashy` drill workload).
+    /// [`crate::cell::run`] catches the panic and carries its message
+    /// here, so no producer of a cell row dies with the run.
+    Panicked(String),
 }
 
 impl HarnessError {
     /// Stable process exit code for this failure class — the one `jprof`
     /// exits with, so scripts can distinguish "you typed it wrong" (2)
-    /// from "the run degraded" (9) without parsing stderr. `0` is success
-    /// and `1` is reserved for untyped/unexpected exits, so every variant
-    /// maps to a distinct code ≥ 2.
+    /// from "the run degraded" (9) or "the run panicked" (11) without
+    /// parsing stderr. `0` is success and `1` is reserved for
+    /// untyped/unexpected exits, so every variant maps to a distinct
+    /// code ≥ 2. (An uncaught Rust panic exits 101; a cell run never
+    /// does, since [`crate::cell::run`] turns its panic into
+    /// [`HarnessError::Panicked`].)
     #[must_use]
     pub fn exit_code(&self) -> u8 {
         match self {
@@ -68,6 +75,7 @@ impl HarnessError {
             HarnessError::Artifact(_) => 8,
             HarnessError::Degraded(_) => 9,
             HarnessError::Bind(_) => 10,
+            HarnessError::Panicked(_) => 11,
         }
     }
 }
@@ -84,6 +92,7 @@ impl std::fmt::Display for HarnessError {
             HarnessError::Artifact(e) => write!(f, "artifact error: {e}"),
             HarnessError::Bind(e) => write!(f, "bind failed: {e}"),
             HarnessError::Degraded(e) => write!(f, "{e}"),
+            HarnessError::Panicked(e) => write!(f, "run panicked: {e}"),
         }
     }
 }
@@ -118,13 +127,21 @@ impl std::fmt::Display for ParseAgentError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "unknown agent '{}' (valid: original, spa, ipa, alloc, lock)",
-            self.got
+            "unknown agent '{}' (valid: {})",
+            self.got,
+            AGENT_AXIS.join(", ")
         )
     }
 }
 
 impl std::error::Error for ParseAgentError {}
+
+/// The agent axis of the workload × agent matrix, in column order, by
+/// the lowercase name [`AgentChoice`]'s `FromStr` parses (and metric
+/// exports label cells with). The suite driver's columns, the load
+/// generator's request mix and the cluster drill's cells all walk it, so
+/// its order is part of every matrix artifact's bytes.
+pub const AGENT_AXIS: [&str; 5] = ["original", "spa", "ipa", "alloc", "lock"];
 
 impl std::str::FromStr for AgentChoice {
     type Err = ParseAgentError;
@@ -342,6 +359,7 @@ mod tests {
             HarnessError::Artifact(String::new()),
             HarnessError::Degraded(String::new()),
             HarnessError::Bind(String::new()),
+            HarnessError::Panicked(String::new()),
         ];
         let mut codes: Vec<u8> = variants.iter().map(HarnessError::exit_code).collect();
         codes.sort_unstable();
@@ -350,6 +368,7 @@ mod tests {
         // 0 = success, 1 = untyped exit: both reserved.
         assert!(codes.iter().all(|&c| c >= 2));
         assert_eq!(HarnessError::Usage(String::new()).exit_code(), 2);
+        assert_eq!(HarnessError::Panicked(String::new()).exit_code(), 11);
     }
 
     #[test]
@@ -392,6 +411,12 @@ mod tests {
         ] {
             let back = AgentChoice::parse(choice.label()).unwrap();
             assert_eq!(back.label(), choice.label());
+        }
+        // The axis names are the lowercased labels, in column order.
+        let labels = AGENT_AXIS.map(|name| name.parse::<AgentChoice>().unwrap().label());
+        assert_eq!(labels, ["original", "SPA", "IPA", "ALLOC", "LOCK"]);
+        for (name, label) in AGENT_AXIS.iter().zip(labels) {
+            assert_eq!(label.to_ascii_lowercase(), *name);
         }
     }
 

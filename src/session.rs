@@ -298,7 +298,8 @@ impl<'w> Session<'w> {
     /// # Panics
     ///
     /// Propagates a panic from [`Workload::program`] (the `crashy` drill
-    /// workload panics on every call).
+    /// workload panics on every call); [`crate::cell::result_key`] is the
+    /// guarded form the row producers call.
     #[must_use]
     pub fn result_key(&self) -> CacheKey {
         let mut k = KeyHasher::new("cell-result");
@@ -350,7 +351,8 @@ impl<'w> Session<'w> {
     ///
     /// # Panics
     ///
-    /// As [`Session::result_key`].
+    /// As [`Session::result_key`]; [`crate::cell::run`] is the guarded
+    /// form the row producers call.
     pub fn run(self) -> Result<RunOutcome, HarnessError> {
         let program = &shared_program(self.workload).program;
         let (archive, instr_cache_hit) =
