@@ -615,12 +615,51 @@ mod tests {
         })
         .unwrap();
         assert_eq!(cells.len(), 40);
-        let jbb: Vec<_> = cells
-            .iter()
-            .filter(|c| c.file_name.starts_with("run-jbb-"))
-            .collect();
-        assert_eq!(jbb.len(), 5);
-        assert!(jbb.iter().all(|c| c.file_name.ends_with("-1.json")));
+        // Workload-major, JVM98 table order then jbb at a tenth of the size.
+        let expected = [
+            "run-compress-original-10.json",
+            "run-compress-spa-10.json",
+            "run-compress-ipa-10.json",
+            "run-compress-alloc-10.json",
+            "run-compress-lock-10.json",
+            "run-jess-original-10.json",
+            "run-jess-spa-10.json",
+            "run-jess-ipa-10.json",
+            "run-jess-alloc-10.json",
+            "run-jess-lock-10.json",
+            "run-db-original-10.json",
+            "run-db-spa-10.json",
+            "run-db-ipa-10.json",
+            "run-db-alloc-10.json",
+            "run-db-lock-10.json",
+            "run-javac-original-10.json",
+            "run-javac-spa-10.json",
+            "run-javac-ipa-10.json",
+            "run-javac-alloc-10.json",
+            "run-javac-lock-10.json",
+            "run-mpegaudio-original-10.json",
+            "run-mpegaudio-spa-10.json",
+            "run-mpegaudio-ipa-10.json",
+            "run-mpegaudio-alloc-10.json",
+            "run-mpegaudio-lock-10.json",
+            "run-mtrt-original-10.json",
+            "run-mtrt-spa-10.json",
+            "run-mtrt-ipa-10.json",
+            "run-mtrt-alloc-10.json",
+            "run-mtrt-lock-10.json",
+            "run-jack-original-10.json",
+            "run-jack-spa-10.json",
+            "run-jack-ipa-10.json",
+            "run-jack-alloc-10.json",
+            "run-jack-lock-10.json",
+            "run-jbb-original-1.json",
+            "run-jbb-spa-1.json",
+            "run-jbb-ipa-1.json",
+            "run-jbb-alloc-1.json",
+            "run-jbb-lock-1.json",
+        ];
+        let names: Vec<&str> = cells.iter().map(|c| c.file_name.as_str()).collect();
+        assert_eq!(names, expected);
         // Shard keys are distinct across the matrix (digest prefixes).
         let mut keys: Vec<u64> = cells.iter().map(|c| c.key).collect();
         keys.sort_unstable();

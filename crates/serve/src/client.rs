@@ -741,6 +741,33 @@ mod tests {
         assert!(WORKLOADS.contains(&a.workload.as_str()));
         assert!(AGENT_AXIS.contains(&a.agent.as_str()));
         assert_eq!(a.size, 10);
+        // The absolute mix at seed 0: a reordered workload or agent axis
+        // changes what every seeded client offers.
+        let mix: Vec<String> = (0..2)
+            .flat_map(|conn| (0..8).map(move |idx| pick_spec(0, conn, idx, 1)))
+            .map(|s| format!("{}/{}", s.workload, s.agent))
+            .collect();
+        assert_eq!(
+            mix,
+            [
+                "jbb/original",
+                "jess/ipa",
+                "jack/lock",
+                "mtrt/spa",
+                "db/spa",
+                "db/alloc",
+                "compress/ipa",
+                "jbb/ipa",
+                "compress/original",
+                "jbb/spa",
+                "db/original",
+                "javac/alloc",
+                "jess/alloc",
+                "db/lock",
+                "jbb/original",
+                "jbb/ipa",
+            ]
+        );
     }
 
     #[test]

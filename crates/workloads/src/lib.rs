@@ -134,6 +134,21 @@ pub trait Workload: Send + Sync {
     fn program(&self) -> WorkloadProgram;
 }
 
+/// The workload axis of the measurement matrix: the seven JVM98 analogs
+/// in the paper's table order, then the `jbb` throughput analog. Every
+/// matrix producer (suite driver, load generator, cluster drill) draws its
+/// rows from here, so their orders cannot drift apart.
+pub const AXIS: [&str; 8] = [
+    "compress",
+    "jess",
+    "db",
+    "javac",
+    "mpegaudio",
+    "mtrt",
+    "jack",
+    "jbb",
+];
+
 /// The seven JVM98-like workloads, in the paper's table order.
 pub fn jvm98_suite() -> Vec<Box<dyn Workload>> {
     vec![
@@ -221,6 +236,20 @@ mod tests {
                 "jack"
             ]
         );
+        assert_eq!(
+            AXIS,
+            [
+                "compress",
+                "jess",
+                "db",
+                "javac",
+                "mpegaudio",
+                "mtrt",
+                "jack",
+                "jbb"
+            ]
+        );
+        assert!(AXIS.iter().all(|name| by_name(name).is_some()));
     }
 
     #[test]
