@@ -118,7 +118,7 @@ use nativeprof_bench::{
     agents_artifact, render_agents, render_overhead_attribution, render_table1, render_table2,
     run_chaos, run_suite, table1_artifact, table2_artifact, SuiteConfig,
 };
-use workloads::{by_name, jvm98_suite, ProblemSize};
+use workloads::{by_name, ProblemSize, AXIS};
 
 const USAGE: &str = "\
 usage:
@@ -803,9 +803,10 @@ fn cmd_cluster(args: &[String]) -> Result<(), HarnessError> {
     );
     let report = cluster_drill(&config)
         .map_err(|e| HarnessError::Degraded(format!("cluster drill setup failed: {e}")))?;
-    // The summary is a diagnostic like the chaos narrative: retries and
-    // failover timing depend on when the health sweep catches a corpse,
-    // so the counts are not byte-stable — keep them off stdout.
+    // The summary is a diagnostic like the chaos narrative: peer-fetch
+    // retry counts and failover timing depend on when the health sweep
+    // catches a corpse, so the counts are not byte-stable — keep them off
+    // stdout.
     eprint!("{}", report.render_summary());
     if report.is_clean() {
         Ok(())
@@ -818,9 +819,8 @@ fn cmd_cluster(args: &[String]) -> Result<(), HarnessError> {
 }
 
 fn cmd_list() -> Result<(), HarnessError> {
-    for w in jvm98_suite() {
-        println!("{}", w.name());
+    for name in AXIS {
+        println!("{name}");
     }
-    println!("jbb");
     Ok(())
 }

@@ -10,7 +10,7 @@ use jnativeprof::harness::AgentChoice;
 use jnativeprof::session::Session;
 use jvmsim_vm::Vm;
 use nativeprof::SamplingProfiler;
-use workloads::{by_name, ProblemSize, WorkloadProgram};
+use workloads::{by_name, ProblemSize, WorkloadProgram, AXIS};
 
 fn sample(program: &WorkloadProgram, size: ProblemSize, interval: u64) -> (f64, u64, u64) {
     let mut vm = Vm::new();
@@ -40,15 +40,7 @@ fn main() {
         "{:<12} {:>10} | {:>28} | {:>28} | {:>12}",
         "benchmark", "IPA %nat", "sampling@10k: %nat (ovh)", "sampling@100k: %nat (ovh)", "IPA ovh"
     );
-    for name in [
-        "compress",
-        "jess",
-        "db",
-        "javac",
-        "mpegaudio",
-        "mtrt",
-        "jack",
-    ] {
+    for &name in &AXIS[..7] {
         let workload = by_name(name).unwrap();
         let base = Session::new(workload.as_ref(), size).run().expect(name);
         let ipa = Session::new(workload.as_ref(), size)

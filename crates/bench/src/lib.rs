@@ -1,5 +1,4 @@
-//! Shared measurement and rendering code for the Table I / Table II
-//! regeneration binaries.
+//! The suite driver, measurement and table-rendering code behind `jprof`.
 //!
 //! The paper's numbers are reproduced in *shape*, not absolute value: the
 //! simulated problem sizes are scaled down (EXPERIMENTS.md documents the
@@ -14,8 +13,7 @@ pub mod driver;
 
 pub use driver::{
     agents_artifact, run_chaos, run_suite, run_suite_with_workloads, table1_artifact,
-    table2_artifact, CellFailure, CellFailureKind, ChaosReport, ChaosSpec, SuiteConfig,
-    SuiteResult,
+    table2_artifact, CellFailure, CellFailureKind, ChaosReport, SuiteConfig, SuiteResult,
 };
 
 use jnativeprof::harness::{self, overhead_percent, AgentChoice};

@@ -6,14 +6,11 @@
 //!   or without a result cache attached;
 //! * `jprof run` of that workload exits with the typed `panicked` code
 //!   (11), cached or not, instead of dying with a Rust panic;
-//! * the hardening machinery itself (timeouts, retries, unwind isolation)
-//!   perturbs nothing: a hardened run's artifacts equal a plain run's;
 //! * a present-but-disabled fault injector changes no measurement;
 //! * the chaos driver is deterministic (same seeds → same report, any
 //!   job count) and every accounting invariant holds under injection.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use jnativeprof::harness::AgentChoice;
 use jnativeprof::session::Session;
@@ -62,32 +59,13 @@ fn crashy_workload_is_quarantined_without_touching_other_rows() {
 }
 
 #[test]
-fn crashy_cells_retry_the_configured_number_of_times() {
-    let config = SuiteConfig::with_size(ProblemSize::S1).retries(2);
-    let with_crashy = run_suite_with_workloads(config, &["crashy"]);
-    // 5 crashy cells + 5 jbb cells; crashy fails after 1 + 2 retries.
-    let crashy: Vec<_> = with_crashy
-        .failures
-        .iter()
-        .filter(|f| f.workload == "crashy")
-        .collect();
-    assert_eq!(crashy.len(), 5);
-    for failure in crashy {
-        assert_eq!(failure.attempts, 3, "{failure}");
-    }
-}
-
-#[test]
 fn crashy_workload_is_quarantined_with_a_cache_attached() {
     // Deriving a cell's result key builds its program, which is exactly
     // what panics for crashy: that panic must stay inside the cell.
     let dir = std::env::temp_dir().join(format!("jvmsim-crashy-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = CacheStore::open(&dir).unwrap();
-    let config = SuiteConfig::with_size(ProblemSize::S1)
-        .jobs(4)
-        .retries(2)
-        .cache(store);
+    let config = SuiteConfig::with_size(ProblemSize::S1).jobs(4).cache(store);
     let baseline = run_suite(config.clone());
     assert!(baseline.failures.is_empty(), "{:?}", baseline.failures);
 
@@ -102,7 +80,6 @@ fn crashy_workload_is_quarantined_with_a_cache_attached() {
             matches!(&failure.kind, CellFailureKind::Panicked(m) if m.contains("deliberate")),
             "{failure}"
         );
-        assert_eq!(failure.attempts, 3, "{failure}");
     }
     // Every real row came from the cache the baseline filled, and its
     // bytes are the baseline's.
@@ -140,28 +117,6 @@ fn jprof_run_of_a_panicking_workload_exits_with_the_panicked_code() {
         assert!(stderr.contains("run panicked: "), "{stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn hardening_machinery_is_invisible_on_the_measurement_path() {
-    // Soft timeout + retries move every cell onto its own thread behind
-    // catch_unwind; none of that may perturb a single byte of output.
-    let plain = run_suite(SuiteConfig::with_size(ProblemSize::S1));
-    let hardened = run_suite(
-        SuiteConfig::with_size(ProblemSize::S1)
-            .jobs(2)
-            .soft_timeout(Duration::from_secs(300))
-            .retries(1),
-    );
-    assert!(hardened.failures.is_empty(), "{:?}", hardened.failures);
-    assert_eq!(
-        table1_artifact(&plain.table1, plain.jbb).to_csv(),
-        table1_artifact(&hardened.table1, hardened.jbb).to_csv()
-    );
-    assert_eq!(
-        table2_artifact(&plain.table2).to_csv(),
-        table2_artifact(&hardened.table2).to_csv()
-    );
 }
 
 #[test]

@@ -29,9 +29,11 @@ use std::time::Duration;
 use jnativeprof::cell::{self, cell_row_json, CellQuantities};
 use jnativeprof::harness::AGENT_AXIS;
 use jnativeprof::session::SessionSpec;
+use jnativeprof::workloads::{row_size, ProblemSize, AXIS};
 use jvmsim_faults::{splitmix64, FaultInjector, FaultPlan, FaultSite};
 use jvmsim_pcl::PAPER_CLOCK_HZ;
 use jvmsim_serve::client::{connect_with_retry, http_request};
+use jvmsim_serve::peer::{hex_decode, hex_encode};
 use jvmsim_serve::RunSpec;
 use jvmsim_spans::{
     decode_spans, encode_spans, partition_violations, stitched_traces, StageLatencyTable,
@@ -40,18 +42,6 @@ use jvmsim_trace::chrome::chrome_span_json;
 
 use crate::fleet::{Cluster, ClusterConfig};
 use crate::ring::key_of;
-
-/// The full workload axis, JVM98 order plus the throughput analog.
-const WORKLOADS: [&str; 8] = [
-    "compress",
-    "jess",
-    "db",
-    "javac",
-    "mpegaudio",
-    "mtrt",
-    "jack",
-    "jbb",
-];
 
 /// Drill configuration.
 #[derive(Debug, Clone)]
@@ -508,15 +498,17 @@ fn check_span_codec(cluster: &Cluster, report: &mut ClusterDrillReport) {
     };
     let scraped = connect_with_retry(&addr.to_string(), Duration::from_millis(500))
         .and_then(|mut s| http_request(&mut s, "GET", "/v1/spans/bin", None));
-    let bytes = match scraped {
-        Ok((200, body)) => match decode_hex(body.trim()) {
-            Some(bytes) => bytes,
+    let (body, bytes) = match scraped {
+        Ok((200, body)) => match hex_decode(body.trim()) {
+            Some(bytes) => (body, bytes),
             None => return fail(report, "scrape body is not hex"),
         },
         Ok((status, _)) => return fail(report, &format!("scrape answered {status}")),
         Err(e) => return fail(report, &format!("scrape failed: {e}")),
     };
-    if bytes != encode_spans(&snap.records) {
+    // Compared as text, so an uppercase digit fails too: the spans
+    // endpoint emits lowercase hex.
+    if body.trim() != hex_encode(&encode_spans(&snap.records)) {
         return fail(report, "wire bytes differ from the in-process encoding");
     }
     match decode_spans(&bytes) {
@@ -524,24 +516,6 @@ fn check_span_codec(cluster: &Cluster, report: &mut ClusterDrillReport) {
         Some(_) => fail(report, "decoded records differ from the in-process ring"),
         None => fail(report, "wire bytes fail to decode"),
     }
-}
-
-/// Strict lowercase-hex decode (the spans endpoint emits lowercase).
-fn decode_hex(s: &str) -> Option<Vec<u8>> {
-    fn nibble(b: u8) -> Option<u8> {
-        match b {
-            b'0'..=b'9' => Some(b - b'0'),
-            b'a'..=b'f' => Some(b - b'a' + 10),
-            _ => None,
-        }
-    }
-    let s = s.as_bytes();
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    s.chunks(2)
-        .map(|pair| Some(nibble(pair[0])? << 4 | nibble(pair[1])?))
-        .collect()
 }
 
 /// The batch oracle for one cell (no cache, no transport).
@@ -563,19 +537,15 @@ fn reference_row(spec: &SessionSpec) -> Result<String, String> {
 }
 
 /// Enumerate the matrix: selected workloads × the five agents, with the
-/// conventional JBB size scaling, sharded by result-key digest.
+/// JBB row at [`row_size`], sharded by result-key digest.
 fn build_cells(config: &ClusterDrillConfig) -> Result<Vec<DrillCell>, String> {
     let workloads: Vec<String> = match &config.workloads {
         Some(list) if !list.is_empty() => list.clone(),
-        _ => WORKLOADS.iter().map(|w| (*w).to_owned()).collect(),
+        _ => AXIS.iter().map(|w| (*w).to_owned()).collect(),
     };
     let mut cells = Vec::new();
     for workload in &workloads {
-        let size = if workload == "jbb" {
-            config.size.max(10) / 10
-        } else {
-            config.size
-        };
+        let size = row_size(workload, ProblemSize(config.size)).0;
         for agent in AGENT_AXIS {
             let run_spec = RunSpec {
                 workload: workload.clone(),

@@ -636,12 +636,18 @@ fn escape_label(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-fn escape_json(s: &str) -> String {
+/// Escape a string for inclusion in a JSON string literal: quotes,
+/// backslashes and every control character, so no raw byte below 0x20
+/// reaches the output.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
@@ -766,8 +772,8 @@ pub fn render_json(entries: &[MetricsEntry]) -> String {
         let _ = write!(
             out,
             "\"benchmark\": \"{}\", \"agent\": \"{}\"",
-            escape_json(&e.benchmark),
-            escape_json(&e.agent)
+            json_escape(&e.benchmark),
+            json_escape(&e.agent)
         );
         out.push_str(", \"counters\": {");
         for (i, id) in CounterId::ALL.iter().enumerate() {
@@ -823,6 +829,13 @@ pub fn render_json(entries: &[MetricsEntry]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escape_covers_quotes_and_control_characters() {
+        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
+        assert_eq!(json_escape("\r\t"), "\\r\\t");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    }
 
     #[test]
     fn bucket_index_edges() {

@@ -21,22 +21,12 @@ use std::time::{Duration, Instant};
 
 use jnativeprof::harness::AGENT_AXIS;
 use jvmsim_faults::splitmix64;
+use jvmsim_metrics::bucket_index;
 use jvmsim_spans::{ms_to_cycles, parse_annotation, SpanStage, StageLatencyTable};
+use workloads::AXIS;
 
 use crate::http::{ParsedResponse, ResponseParser, READ_POLL};
 use crate::spec::{ApiError, RunSpec};
-
-/// Workloads the generator draws from (the SPECjvm98-shaped set).
-const WORKLOADS: [&str; 8] = [
-    "compress",
-    "jess",
-    "db",
-    "javac",
-    "mpegaudio",
-    "mtrt",
-    "jack",
-    "jbb",
-];
 
 /// Load-generator configuration.
 #[derive(Debug, Clone)]
@@ -118,7 +108,7 @@ impl ClientReport {
             .latency
             .entry(endpoint.to_owned())
             .or_insert([0u64; 65]);
-        hist[latency_bucket(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX))] += 1;
+        hist[bucket_index(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX))] += 1;
     }
 
     fn merge(&mut self, other: ClientReport) {
@@ -178,30 +168,26 @@ impl ClientReport {
         let mut out = String::new();
         for (endpoint, hist) in &self.latency {
             out.push_str(&format!("latency {endpoint}:"));
-            for (i, count) in hist.iter().enumerate() {
-                if *count == 0 {
-                    continue;
-                }
-                if i == 0 {
-                    out.push_str(&format!(" [0us]={count}"));
-                } else {
-                    out.push_str(&format!(" [2^{}us,2^{i}us)={count}", i - 1));
-                }
-            }
-            out.push('\n');
+            push_buckets(&mut out, hist);
         }
         out
     }
 }
 
-/// The log2 bucket index for a microsecond latency.
-#[must_use]
-pub fn latency_bucket(micros: u64) -> usize {
-    if micros == 0 {
-        0
-    } else {
-        64 - micros.leading_zeros() as usize
+/// Append the nonzero buckets of `hist` as ` [lo,hi)=count` terms, then
+/// end the line.
+fn push_buckets(out: &mut String, hist: &LatencyHistogram) {
+    for (i, count) in hist.iter().enumerate() {
+        if *count == 0 {
+            continue;
+        }
+        if i == 0 {
+            out.push_str(&format!(" [0us]={count}"));
+        } else {
+            out.push_str(&format!(" [2^{}us,2^{i}us)={count}", i - 1));
+        }
     }
+    out.push('\n');
 }
 
 /// The spec connection `conn` issues as its `idx`-th request, a pure
@@ -210,7 +196,7 @@ pub fn latency_bucket(micros: u64) -> usize {
 pub fn pick_spec(seed: u64, conn: usize, idx: usize, size: u32) -> RunSpec {
     let h = splitmix64(seed ^ ((conn as u64) << 32) ^ idx as u64);
     RunSpec {
-        workload: WORKLOADS[(h % WORKLOADS.len() as u64) as usize].to_owned(),
+        workload: AXIS[(h % AXIS.len() as u64) as usize].to_owned(),
         agent: AGENT_AXIS[((h >> 8) % AGENT_AXIS.len() as u64) as usize].to_owned(),
         size,
         tiers: "full".to_owned(),
@@ -559,7 +545,7 @@ impl OpenLoopReport {
             .or_insert(0) += 1;
         let micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
         self.samples_micros.push(micros);
-        self.latency[latency_bucket(micros)] += 1;
+        self.latency[bucket_index(micros)] += 1;
     }
 
     /// `(p50, p99)` over the recorded samples, in microseconds.
@@ -601,17 +587,7 @@ impl OpenLoopReport {
             "open_loop latency_us p50={p50} p99={p99} samples={}\nlatency open_loop:",
             self.samples_micros.len()
         );
-        for (i, count) in self.latency.iter().enumerate() {
-            if *count == 0 {
-                continue;
-            }
-            if i == 0 {
-                out.push_str(&format!(" [0us]={count}"));
-            } else {
-                out.push_str(&format!(" [2^{}us,2^{i}us)={count}", i - 1));
-            }
-        }
-        out.push('\n');
+        push_buckets(&mut out, &self.latency);
         out
     }
 }
@@ -724,21 +700,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn latency_buckets_match_log2_boundaries() {
-        assert_eq!(latency_bucket(0), 0);
-        assert_eq!(latency_bucket(1), 1);
-        assert_eq!(latency_bucket(2), 2);
-        assert_eq!(latency_bucket(3), 2);
-        assert_eq!(latency_bucket(4), 3);
-        assert_eq!(latency_bucket(u64::MAX), 64);
-    }
-
-    #[test]
     fn spec_mix_is_deterministic() {
         let a = pick_spec(42, 1, 3, 10);
         let b = pick_spec(42, 1, 3, 10);
         assert_eq!(a, b);
-        assert!(WORKLOADS.contains(&a.workload.as_str()));
+        assert!(AXIS.contains(&a.workload.as_str()));
         assert!(AGENT_AXIS.contains(&a.agent.as_str()));
         assert_eq!(a.size, 10);
         // The absolute mix at seed 0: a reordered workload or agent axis

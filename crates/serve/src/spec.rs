@@ -24,6 +24,7 @@
 use jnativeprof::harness::HarnessError;
 use jnativeprof::session::SessionSpec;
 use jvmsim_cache::Digest;
+use jvmsim_metrics::json_escape;
 
 use crate::http::{Request, Response, ServeError};
 
@@ -99,10 +100,10 @@ impl RunSpec {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"workload\":\"{}\",\"agent\":\"{}\",\"size\":{},\"tiers\":\"{}\"}}",
-            escape(&self.workload),
-            escape(&self.agent),
+            json_escape(&self.workload),
+            json_escape(&self.agent),
             self.size,
-            escape(&self.tiers)
+            json_escape(&self.tiers)
         )
     }
 }
@@ -272,8 +273,8 @@ impl ApiError {
             .unwrap_or_default();
         format!(
             "{{\"error\":{{\"code\":\"{}\",\"message\":\"{}\"{retry}}}}}\n",
-            escape(&self.code),
-            escape(&self.message)
+            json_escape(&self.code),
+            json_escape(&self.message)
         )
     }
 
@@ -623,10 +624,6 @@ impl Parser<'_> {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -772,6 +769,19 @@ mod tests {
         }
         assert!(ApiError::decode(400, b"bare string\n").is_none());
         assert!(ApiError::decode(400, b"{\"error\":\"old shape\"}\n").is_none());
+    }
+
+    #[test]
+    fn envelope_of_a_control_character_workload_is_valid_json() {
+        let spec = RunSpec::from_json(br#"{"workload":"a\nb"}"#).unwrap();
+        assert_eq!(spec.workload, "a\nb");
+        let error = ApiError::from_harness(400, &spec.to_session_spec().unwrap_err());
+        let body = error.render();
+        let framed = body.strip_suffix('\n').expect("newline-terminated");
+        assert!(!framed.chars().any(char::is_control), "{body:?}");
+        let decoded = ApiError::decode(400, body.as_bytes()).expect("envelope decodes");
+        assert_eq!(decoded.code, "usage");
+        assert_eq!(decoded.message, error.message);
     }
 
     #[test]

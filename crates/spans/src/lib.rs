@@ -42,6 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use jvmsim_faults::{splitmix64, FaultInjector, FaultSite};
+use jvmsim_metrics::{bucket_index, bucket_upper_bound};
 use jvmsim_pcl::PAPER_CLOCK_HZ;
 
 /// Per-operand salts so connection and request ordinals decorrelate in
@@ -777,29 +778,6 @@ pub fn stitched_traces(spans: &[SpanRecord]) -> usize {
 
 // --- Per-stage latency aggregation -----------------------------------------
 
-/// The log2 bucket index of `v` (bucket 0 holds 0; bucket `i ≥ 1` holds
-/// `[2^(i-1), 2^i)`) — the same shape as the metrics plane's histograms.
-#[must_use]
-pub fn log2_bucket(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        (64 - v.leading_zeros()) as usize
-    }
-}
-
-/// Inclusive upper bound of a log2 bucket.
-#[must_use]
-pub fn log2_upper_bound(bucket: usize) -> u64 {
-    if bucket == 0 {
-        0
-    } else if bucket >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bucket) - 1
-    }
-}
-
 /// Per-stage log2 cycle histograms with exact counts and sums — the
 /// aggregation behind the `jprof client` / `jprof cluster` stage tables.
 #[derive(Debug, Clone)]
@@ -823,7 +801,7 @@ impl StageLatencyTable {
     /// Record one span duration.
     pub fn observe(&mut self, stage: SpanStage, cycles: u64) {
         let i = stage.index();
-        self.buckets[i][log2_bucket(cycles)] += 1;
+        self.buckets[i][bucket_index(cycles)] += 1;
         self.counts[i] += 1;
         self.sums[i] = self.sums[i].saturating_add(cycles);
     }
@@ -868,7 +846,7 @@ impl StageLatencyTable {
         for (b, &n) in self.buckets[i].iter().enumerate() {
             cumulative += n;
             if cumulative >= rank {
-                return log2_upper_bound(b);
+                return bucket_upper_bound(b);
             }
         }
         u64::MAX

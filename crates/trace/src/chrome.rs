@@ -25,29 +25,11 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use jvmsim_metrics::json_escape;
 use jvmsim_spans::{sort_ordinal, SpanRecord, SpanStage, TraceId};
 use jvmsim_vm::TraceEventKind;
 
 use crate::{ExportError, TraceEvent, TraceSnapshot};
-
-/// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn cycles_to_us(cycles: u64, clock_hz: u64) -> f64 {
     cycles as f64 * 1.0e6 / clock_hz as f64
@@ -320,12 +302,6 @@ mod tests {
         ]
         .join("\n");
         assert_eq!(json, expected);
-    }
-
-    #[test]
-    fn escaping() {
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     fn span(

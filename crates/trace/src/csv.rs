@@ -8,7 +8,8 @@
 
 use std::fmt::Write as _;
 
-use crate::chrome::json_escape;
+use jvmsim_metrics::json_escape;
+
 use crate::{ExportError, TraceSnapshot};
 
 /// Quote a field per RFC 4180 when it contains a delimiter, quote or

@@ -149,17 +149,23 @@ pub const AXIS: [&str; 8] = [
     "jbb",
 ];
 
+/// The problem size `workload` runs at in a matrix of size `size`: the
+/// JBB throughput analog is heavier per unit and runs at a tenth of the
+/// size, floored at 1; every other workload runs at `size` itself.
+pub fn row_size(workload: &str, size: ProblemSize) -> ProblemSize {
+    if workload == "jbb" {
+        ProblemSize(size.0.max(10) / 10)
+    } else {
+        size
+    }
+}
+
 /// The seven JVM98-like workloads, in the paper's table order.
 pub fn jvm98_suite() -> Vec<Box<dyn Workload>> {
-    vec![
-        Box::new(compress::Compress),
-        Box::new(jess::Jess),
-        Box::new(db::Db),
-        Box::new(javac::Javac),
-        Box::new(mpegaudio::MpegAudio),
-        Box::new(mtrt::Mtrt),
-        Box::new(jack::Jack),
-    ]
+    AXIS[..7]
+        .iter()
+        .map(|name| by_name(name).expect("every axis name resolves"))
+        .collect()
 }
 
 /// Look up any workload (JVM98 + `jbb`) by name.
@@ -257,6 +263,17 @@ mod tests {
         assert!(by_name("compress").is_some());
         assert!(by_name("jbb").is_some());
         assert!(by_name("nope").is_none());
+    }
+
+    #[test]
+    fn jbb_runs_at_a_tenth_of_the_matrix_size() {
+        assert_eq!(row_size("jbb", ProblemSize::S100), ProblemSize(10));
+        assert_eq!(row_size("jbb", ProblemSize(250)), ProblemSize(25));
+        // Tiny sizes floor at the JBB minimum scale.
+        assert_eq!(row_size("jbb", ProblemSize::S10), ProblemSize(1));
+        assert_eq!(row_size("jbb", ProblemSize::S1), ProblemSize(1));
+        assert_eq!(row_size("compress", ProblemSize::S100), ProblemSize::S100);
+        assert_eq!(row_size("crashy", ProblemSize::S1), ProblemSize::S1);
     }
 
     #[test]

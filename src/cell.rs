@@ -24,6 +24,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use jvmsim_cache::{CacheKey, CacheStore, Plane};
 use jvmsim_faults::FaultSite;
+use jvmsim_metrics::json_escape;
 
 use crate::harness::HarnessError;
 use crate::session::{RunOutcome, Session};
@@ -396,27 +397,6 @@ pub fn cell_row_json(benchmark: &str, agent: &str, size: u32, cell: &CellQuantit
         out.push('"');
     }
     out.push_str("}\n]\n");
-    out
-}
-
-/// Minimal JSON string escaping for row values (benchmark names and
-/// rendered numbers never need more than this, but a hostile workload
-/// name must not break the framing).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

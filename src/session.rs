@@ -526,7 +526,7 @@ mod tests {
     use super::*;
     use jvmsim_faults::FaultPlan;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use workloads::by_name;
+    use workloads::{by_name, AXIS};
 
     fn scratch(tag: &str) -> std::path::PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -645,17 +645,6 @@ mod tests {
         assert_eq!(spec_key, direct_key);
     }
 
-    const WORKLOADS: [&str; 8] = [
-        "compress",
-        "jess",
-        "db",
-        "javac",
-        "mpegaudio",
-        "mtrt",
-        "jack",
-        "jbb",
-    ];
-
     fn ipa_key(name: &str) -> CacheKey {
         let w = by_name(name).unwrap();
         Session::new(w.as_ref(), ProblemSize::S1)
@@ -665,7 +654,7 @@ mod tests {
 
     /// Every workload's key, derived in order starting at `first`.
     fn keys_from(first: usize) -> BTreeMap<&'static str, CacheKey> {
-        let order = WORKLOADS.iter().cycle().skip(first).take(WORKLOADS.len());
+        let order = AXIS.iter().cycle().skip(first).take(AXIS.len());
         order.map(|&name| (name, ipa_key(name))).collect()
     }
 
@@ -691,7 +680,7 @@ mod tests {
             assert_eq!(keys, &serial);
         }
         // The memoized digest is the digest of a freshly built archive.
-        for name in WORKLOADS {
+        for name in AXIS {
             let w = by_name(name).unwrap();
             let (fresh, _) = program_archive(&w.program(), &AgentChoice::None, None).unwrap();
             assert_eq!(shared_program(w.as_ref()).digest, fresh.digest(), "{name}");
@@ -715,7 +704,7 @@ mod tests {
             );
         }
         // The memo's lock is not poisoned: every other key still derives.
-        assert_eq!(keys_from(0).len(), WORKLOADS.len());
+        assert_eq!(keys_from(0).len(), AXIS.len());
     }
 
     #[test]
