@@ -835,6 +835,51 @@ mod tests {
         assert!(highwater >= 48, "highwater {highwater} must see the fleet");
     }
 
+    /// The CI spans job's client run against an in-process daemon, pinned
+    /// absolutely: one traced connection, no cache, so every status and
+    /// every modeled stage cycle is a function of the seeds alone.
+    #[test]
+    fn traced_single_connection_run_is_pinned() {
+        use crate::server::{ServeConfig, Server, SpanConfig};
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            jobs: 1,
+            spans: Some(SpanConfig {
+                seed: 5,
+                ..SpanConfig::default()
+            }),
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let report = run_client(&ClientConfig {
+            addr: server.local_addr().to_string(),
+            connections: 1,
+            requests: 6,
+            seed: 3,
+            size: 1,
+            ..ClientConfig::default()
+        })
+        .expect("client run");
+        server.shutdown();
+        let counts: Vec<(&str, u16, u64)> = report
+            .status_counts
+            .iter()
+            .map(|((endpoint, status), n)| (endpoint.as_str(), *status, *n))
+            .collect();
+        assert_eq!(counts, [("/healthz", 200, 2), ("/v1/run", 200, 4)]);
+        assert_eq!(report.deferred, 0);
+        assert_eq!(report.transport_errors, 0);
+        assert_eq!(
+            report.render_stages(),
+            "client stage root count 4 mean_cycles 3845341 p50_cycles 524287 p99_cycles 16777215\n\
+             client stage accept count 4 mean_cycles 2122 p50_cycles 4095 p99_cycles 4095\n\
+             client stage admission count 4 mean_cycles 400 p50_cycles 511 p99_cycles 511\n\
+             client stage recompute count 4 mean_cycles 3838129 p50_cycles 524287 p99_cycles 16777215\n\
+             client stage row_encode count 4 mean_cycles 2860 p50_cycles 4095 p99_cycles 4095\n\
+             client stage response_write count 4 mean_cycles 1830 p50_cycles 2047 p99_cycles 2047\n"
+        );
+    }
+
     #[test]
     fn merge_sums_deferred_counts() {
         let mut a = ClientReport {
