@@ -16,9 +16,8 @@
 //!             [--no-cache 1] [--spans 1] [--span-seed S] [--span-capacity N]
 //! jprof client [--addr HOST:PORT] [--connections N] [--requests M]
 //!              [--seed S] [--size N] [--rows DIR] [--cache-stats 1]
-//!              [--shutdown 1] [--spans-out FILE]
-//!              [--open-loop 1] [--hold-ms N] [--run-every N]
-//!              [--connect-burst N]
+//!              [--shutdown 1] [--spans-out FILE] [--hold-ms N]
+//!              [--run-every N]
 //! jprof run --workload NAME [--agent LABEL] [--size N] [--tiers MODE]
 //!           [--out FILE] [--cache-dir DIR] [--no-cache 1]
 //! jprof cluster [--peers N] [--kill K] [--seed S] [--size N]
@@ -56,13 +55,14 @@
 //! controlled HTTP front end whose `POST /v1/run` answers the same
 //! cell-row bytes the batch driver writes (cache-first when `--cache-dir`
 //! is shared with batch runs). `client` is the matching closed-loop
-//! deterministic load generator; its status-count summary goes to stdout
-//! and its wall-latency histograms to stderr. `client --open-loop 1`
-//! instead holds `--connections` keep-alive connections open at once
-//! (every `--run-every`-th one issuing `--requests` requests) for
-//! `--hold-ms`, reporting held counts on stdout and p50/p99 wall latency
-//! on stderr — the C10k validation mode against the readiness event
-//! loop. `run` executes a single
+//! deterministic load generator: it opens `--connections` keep-alive
+//! connections, every `--run-every`-th of them (default every one)
+//! issues `--requests` requests, and all of them stay open until
+//! `--hold-ms` has passed since the last one connected — a large fleet
+//! with a sparse active subset is the C10k validation mode against the
+//! readiness event loop. Its target, held, connect-failure and
+//! status-count summary goes to stdout, its p50/p99 wall latency and
+//! wall-latency histograms to stderr. `run` executes a single
 //! cell and prints that same canonical row — the batch-side anchor the
 //! CI serve job `cmp`s served responses against. `serve --spans 1` opens
 //! a deterministic root span per request with child spans per lifecycle
@@ -108,11 +108,8 @@ use jnativeprof::session::{Session, SessionSpec};
 use jvmsim_cache::CacheStore;
 use jvmsim_cluster::{cluster_drill, ClusterDrillConfig};
 use jvmsim_metrics::{render_json, render_prometheus, MetricsEntry};
-use jvmsim_serve::{
-    chaos_drill, run_client, run_open_loop, ClientConfig, OpenLoopConfig, ServeConfig, Server,
-    SpanConfig,
-};
-use jvmsim_trace::{export, TraceRecorder};
+use jvmsim_serve::{chaos_drill, run_client, ClientConfig, ServeConfig, Server, SpanConfig};
+use jvmsim_trace::{chrome, csv, flame, TraceRecorder};
 use jvmsim_vm::{TiersMode, TraceEventKind, TraceSink};
 use nativeprof_bench::{
     agents_artifact, render_agents, render_overhead_attribution, render_table1, render_table2,
@@ -136,8 +133,7 @@ usage:
               [--spans 1] [--span-seed S] [--span-capacity N]
   jprof client [--addr HOST:PORT] [--connections N] [--requests M] [--seed S]
                [--size N] [--rows DIR] [--cache-stats 1] [--shutdown 1]
-               [--spans-out FILE] [--open-loop 1] [--hold-ms N]
-               [--run-every N] [--connect-burst N]
+               [--spans-out FILE] [--hold-ms N] [--run-every N]
   jprof run --workload NAME [--agent LABEL] [--size N] [--tiers MODE]
             [--out FILE] [--cache-dir DIR] [--no-cache 1]
   jprof cluster [--peers N] [--kill K] [--seed S] [--size N]
@@ -339,23 +335,19 @@ fn cmd_trace(args: &[String]) -> Result<(), HarnessError> {
         profile.percent_native(),
     );
 
-    // One registry, one pass: each exporter writes to its configured
-    // destination (chrome always — it is the command's main artifact).
+    // Chrome always — it is the command's main artifact; the flame and
+    // event-CSV views only when asked for.
     let chrome_out = flags.get("--out").unwrap_or("trace.json");
-    for exporter in export::registry(run.pcl.clock_hz()) {
-        let path = match exporter.name() {
-            "chrome" => Some(chrome_out),
-            "flame" => flags.get("--flame"),
-            "events-csv" => flags.get("--events-csv"),
-            _ => None,
-        };
-        let Some(path) = path else { continue };
-        let mut out = Vec::new();
-        exporter
-            .export(&snapshot, &mut out)
-            .map_err(|e| HarnessError::Artifact(format!("exporting {path}: {e}")))?;
-        std::fs::write(path, &out)
-            .map_err(|e| HarnessError::Artifact(format!("writing {path}: {e}")))?;
+    let chrome_json = chrome::chrome_trace_json(&snapshot, run.pcl.clock_hz())
+        .map_err(|e| HarnessError::Artifact(format!("exporting {chrome_out}: {e}")))?;
+    write_file(chrome_out, &chrome_json)?;
+    eprintln!("  wrote {chrome_out}");
+    if let Some(path) = flags.get("--flame") {
+        write_file(path, &flame::collapsed_stacks(&snapshot))?;
+        eprintln!("  wrote {path}");
+    }
+    if let Some(path) = flags.get("--events-csv") {
+        write_file(path, &csv::events_csv(&snapshot))?;
         eprintln!("  wrote {path}");
     }
     Ok(())
@@ -626,46 +618,18 @@ fn cmd_client(args: &[String]) -> Result<(), HarnessError> {
             "--cache-stats",
             "--shutdown",
             "--spans-out",
-            "--open-loop",
             "--hold-ms",
             "--run-every",
-            "--connect-burst",
         ],
     )?;
-    if flags.truthy("--open-loop") {
-        let defaults = OpenLoopConfig::default();
-        let config = OpenLoopConfig {
-            addr: flags.get("--addr").unwrap_or("127.0.0.1:8126").to_owned(),
-            connections: flags
-                .get_parsed("--connections")?
-                .unwrap_or(defaults.connections),
-            hold: flags
-                .get_parsed("--hold-ms")?
-                .map_or(defaults.hold, Duration::from_millis),
-            run_every: flags
-                .get_parsed("--run-every")?
-                .unwrap_or(defaults.run_every),
-            requests: flags.get_parsed("--requests")?.unwrap_or(defaults.requests),
-            connect_burst: flags
-                .get_parsed("--connect-burst")?
-                .unwrap_or(defaults.connect_burst),
-            seed: flags.get_parsed("--seed")?.unwrap_or(0),
-            size: flags.get_parsed("--size")?.unwrap_or(1),
-            rows_dir: flags.get("--rows").map(std::path::PathBuf::from),
-            send_shutdown: flags.truthy("--shutdown"),
-        };
-        let report = run_open_loop(&config)
-            .map_err(|e| HarnessError::Artifact(format!("open loop: {e}")))?;
-        print!("{}", report.render_summary());
-        eprint!("{}", report.render_latency());
-        return Ok(());
-    }
     let config = ClientConfig {
         addr: flags.get("--addr").unwrap_or("127.0.0.1:8126").to_owned(),
         connections: flags.get_parsed("--connections")?.unwrap_or(2),
         requests: flags.get_parsed("--requests")?.unwrap_or(8),
         seed: flags.get_parsed("--seed")?.unwrap_or(0),
         size: flags.get_parsed("--size")?.unwrap_or(1),
+        run_every: flags.get_parsed("--run-every")?.unwrap_or(1),
+        hold: Duration::from_millis(flags.get_parsed("--hold-ms")?.unwrap_or(0)),
         rows_dir: flags.get("--rows").map(std::path::PathBuf::from),
         fetch_cache_stats: flags.truthy("--cache-stats"),
         spans_out: flags.get("--spans-out").map(std::path::PathBuf::from),

@@ -778,10 +778,15 @@ impl ChaosReport {
             self.failures.len(),
             self.injected(),
         );
+        let width = FaultSite::ALL
+            .iter()
+            .map(|site| site.name().len())
+            .max()
+            .unwrap_or(0);
         for &(label, consulted, injected) in &self.sites {
             let _ = writeln!(
                 out,
-                "  {label:<16} {injected:>8} injected / {consulted:>10} consulted"
+                "  {label:<width$} {injected:>8} injected / {consulted:>10} consulted"
             );
         }
         let _ = writeln!(
@@ -980,6 +985,32 @@ mod tests {
     fn overhead_formula_matches_the_paper() {
         assert!((overhead_pct(2.0, 3.0) - 50.0).abs() < 1e-12);
         assert_eq!(overhead_pct(0.0, 3.0), 0.0);
+    }
+
+    #[test]
+    fn chaos_table_columns_line_up_for_every_site() {
+        let report = ChaosReport {
+            seeds: 1,
+            cells: 0,
+            completed: 0,
+            failures: Vec::new(),
+            violations: Vec::new(),
+            sites: FaultSite::ALL.iter().map(|s| (s.name(), 12, 3)).collect(),
+            degraded_exports: 0,
+            exports: 0,
+            metrics: Vec::new(),
+        };
+        let text = report.render();
+        let offsets: Vec<(&str, usize)> = text
+            .lines()
+            .filter(|line| line.ends_with(" consulted"))
+            .map(|line| (line, line.find(" injected /").unwrap_or(0)))
+            .collect();
+        assert_eq!(offsets.len(), FaultSite::ALL.len(), "{text}");
+        assert!(
+            offsets.iter().all(|&(_, at)| at == offsets[0].1),
+            "injected column out of line: {offsets:#?}"
+        );
     }
 
     #[test]

@@ -18,9 +18,11 @@ use std::time::Duration;
 
 use jvmsim_cache::CacheStore;
 use jvmsim_faults::{splitmix64, FaultPlan, FaultSite};
-use jvmsim_metrics::{CounterId, MetricsEntry, MetricsRegistry};
+use jvmsim_metrics::{CounterId, MetricsRegistry};
 use jvmsim_serve::client::http_request;
-use jvmsim_serve::{PeerDirectory, PeerView, RetryPolicy, ServeConfig, Server, SpanConfig};
+use jvmsim_serve::{
+    AdmissionLedger, PeerDirectory, PeerView, RetryPolicy, ServeConfig, Server, SpanConfig,
+};
 use jvmsim_spans::{sort_ordinal, SpanRecord};
 
 use crate::ring::{HashRing, DEFAULT_VNODES};
@@ -72,81 +74,6 @@ impl Default for ClusterConfig {
 /// Seed-stream salt for per-member span planes.
 const SPAN_SEED_SALT: u64 = 0x5BA2_5EED_7ACE_1D5E;
 
-/// One member's admission ledger plus the cluster counters, frozen from
-/// a metrics snapshot. Sums across lives via [`LedgerTotals::absorb`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LedgerTotals {
-    /// Requests admitted (the ledger's left-hand side).
-    pub accepted: u64,
-    /// Answered 2xx.
-    pub served: u64,
-    /// Load-shed 429.
-    pub shed: u64,
-    /// 408/504 deadline outcomes.
-    pub timeout: u64,
-    /// Connection dropped before the response was written.
-    pub dropped: u64,
-    /// Other 4xx/5xx.
-    pub errors: u64,
-    /// Rows actually computed through a worker.
-    pub runs_executed: u64,
-    /// Local misses satisfied by a peer's store.
-    pub peer_hits: u64,
-    /// Peer walks exhausted into a local recompute.
-    pub peer_misses: u64,
-    /// Extra peer-fetch attempts after the first.
-    pub retries: u64,
-    /// Entries evicted by store compaction.
-    pub evictions: u64,
-}
-
-impl LedgerTotals {
-    /// Extract the serve-plane counters from a member's metric entries
-    /// (the first entry is the server's own registry).
-    #[must_use]
-    pub fn from_entries(entries: &[MetricsEntry]) -> LedgerTotals {
-        let Some(entry) = entries.first() else {
-            return LedgerTotals::default();
-        };
-        let c = |id| entry.snapshot.counter(id);
-        LedgerTotals {
-            accepted: c(CounterId::ServeAccepted),
-            served: c(CounterId::ServeServed),
-            shed: c(CounterId::ServeShed),
-            timeout: c(CounterId::ServeTimeout),
-            dropped: c(CounterId::ServeDropped),
-            errors: c(CounterId::ServeErrors),
-            runs_executed: c(CounterId::ServeRunsExecuted),
-            peer_hits: c(CounterId::ClusterPeerHits),
-            peer_misses: c(CounterId::ClusterPeerMisses),
-            retries: c(CounterId::ClusterRetries),
-            evictions: c(CounterId::ClusterEvictions),
-        }
-    }
-
-    /// Does the admission ledger balance? (`accepted` equals the sum of
-    /// the five exclusive outcome classes.)
-    #[must_use]
-    pub fn balanced(&self) -> bool {
-        self.accepted == self.served + self.shed + self.timeout + self.dropped + self.errors
-    }
-
-    /// Add another life's totals into this one.
-    pub fn absorb(&mut self, other: &LedgerTotals) {
-        self.accepted += other.accepted;
-        self.served += other.served;
-        self.shed += other.shed;
-        self.timeout += other.timeout;
-        self.dropped += other.dropped;
-        self.errors += other.errors;
-        self.runs_executed += other.runs_executed;
-        self.peer_hits += other.peer_hits;
-        self.peer_misses += other.peer_misses;
-        self.retries += other.retries;
-        self.evictions += other.evictions;
-    }
-}
-
 /// One fleet slot across its lives.
 struct Member {
     dir: PathBuf,
@@ -157,7 +84,7 @@ struct Member {
     /// Times this slot has (re)started.
     generation: u32,
     /// Accumulated totals from finished lives.
-    retired: LedgerTotals,
+    retired: AdmissionLedger,
     /// Ledger balance verdict captured at each death.
     death_ledgers_balanced: Vec<bool>,
     /// Spans captured from finished lives (the ring is drained at each
@@ -199,7 +126,7 @@ impl Cluster {
                     store: None,
                     quarantined: false,
                     generation: 0,
-                    retired: LedgerTotals::default(),
+                    retired: AdmissionLedger::default(),
                     death_ledgers_balanced: Vec::new(),
                     retired_spans: Vec::new(),
                     retired_spans_appended: 0,
@@ -234,12 +161,6 @@ impl Cluster {
     #[must_use]
     pub fn addr_of(&self, i: usize) -> Option<SocketAddr> {
         self.directory.get(i)
-    }
-
-    /// Is member `i` currently quarantined by the health sweep?
-    #[must_use]
-    pub fn is_quarantined(&self, i: usize) -> bool {
-        self.members.get(i).is_none_or(|m| m.quarantined)
     }
 
     /// How many times member `i` has (re)started.
@@ -320,7 +241,7 @@ impl Cluster {
     /// # Errors
     ///
     /// `i` out of range or already dead.
-    pub fn kill(&mut self, i: usize) -> Result<LedgerTotals, String> {
+    pub fn kill(&mut self, i: usize) -> Result<AdmissionLedger, String> {
         let member = self
             .members
             .get_mut(i)
@@ -334,7 +255,7 @@ impl Cluster {
             member.retired_spans_appended += snap.appended;
             member.retired_spans_dropped += snap.dropped;
         }
-        let totals = LedgerTotals::from_entries(&server.shutdown());
+        let totals = AdmissionLedger::from_entries(&server.shutdown());
         member.death_ledgers_balanced.push(totals.balanced());
         member.retired.absorb(&totals);
         Ok(totals)
@@ -389,21 +310,21 @@ impl Cluster {
 
     /// Member `i`'s totals across every life, including the current one.
     #[must_use]
-    pub fn member_totals(&self, i: usize) -> LedgerTotals {
+    pub fn member_totals(&self, i: usize) -> AdmissionLedger {
         let Some(member) = self.members.get(i) else {
-            return LedgerTotals::default();
+            return AdmissionLedger::default();
         };
         let mut totals = member.retired;
         if let Some(server) = &member.server {
-            totals.absorb(&LedgerTotals::from_entries(&server.metric_entries()));
+            totals.absorb(&AdmissionLedger::from_entries(&server.metric_entries()));
         }
         totals
     }
 
     /// Sum of [`Cluster::member_totals`] over the fleet.
     #[must_use]
-    pub fn fleet_totals(&self) -> LedgerTotals {
-        let mut totals = LedgerTotals::default();
+    pub fn fleet_totals(&self) -> AdmissionLedger {
+        let mut totals = AdmissionLedger::default();
         for i in 0..self.members.len() {
             totals.absorb(&self.member_totals(i));
         }
@@ -464,7 +385,7 @@ impl Cluster {
 
     /// Drain every live member, capturing final ledgers like
     /// [`Cluster::kill`]. Returns each member's all-lives totals.
-    pub fn shutdown_all(&mut self) -> Vec<LedgerTotals> {
+    pub fn shutdown_all(&mut self) -> Vec<AdmissionLedger> {
         for i in 0..self.members.len() {
             if self.members[i].server.is_some() {
                 let _ = self.kill(i);
@@ -485,42 +406,4 @@ fn probe_health(addr: SocketAddr) -> bool {
         http_request(&mut stream, "GET", "/healthz", None),
         Ok((200, _))
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ledger_totals_balance_and_absorb() {
-        let mut a = LedgerTotals {
-            accepted: 5,
-            served: 3,
-            errors: 2,
-            ..LedgerTotals::default()
-        };
-        assert!(a.balanced());
-        let b = LedgerTotals {
-            accepted: 2,
-            timeout: 1,
-            dropped: 1,
-            runs_executed: 4,
-            ..LedgerTotals::default()
-        };
-        assert!(b.balanced());
-        a.absorb(&b);
-        assert!(a.balanced());
-        assert_eq!(a.accepted, 7);
-        assert_eq!(a.runs_executed, 4);
-        let broken = LedgerTotals {
-            accepted: 1,
-            ..LedgerTotals::default()
-        };
-        assert!(!broken.balanced());
-    }
-
-    #[test]
-    fn from_entries_survives_emptiness() {
-        assert_eq!(LedgerTotals::from_entries(&[]), LedgerTotals::default());
-    }
 }

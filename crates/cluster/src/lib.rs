@@ -30,5 +30,5 @@ pub mod fleet;
 pub mod ring;
 
 pub use drill::{cluster_drill, ClusterDrillConfig, ClusterDrillReport};
-pub use fleet::{Cluster, ClusterConfig, LedgerTotals};
+pub use fleet::{Cluster, ClusterConfig};
 pub use ring::{key_of, HashRing, DEFAULT_VNODES};

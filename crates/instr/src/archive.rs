@@ -99,11 +99,6 @@ impl Archive {
         self.entries.iter().map(|(n, b)| (n.as_str(), b.as_slice()))
     }
 
-    /// Consume into `(name, bytes)` pairs (what `Vm::add_archive` takes).
-    pub fn into_entries(self) -> Vec<(String, Vec<u8>)> {
-        self.entries
-    }
-
     /// Apply `transform` to every class in place — the paper's static
     /// instrumentation step. Classes the transform leaves unchanged keep
     /// their original bytes.

@@ -12,9 +12,7 @@
 //! * the [bridge class generator][crate::bridge] (§IV's "special class
 //!   excluded from instrumentation"),
 //! * an [`Archive`] container with whole-archive instrumentation — the
-//!   `rt.jar` pipeline,
-//! * a general-purpose [entry-hook transform][crate::entry_hook] for
-//!   custom profilers.
+//!   `rt.jar` pipeline.
 //!
 //! ```
 //! use jvmsim_instr::{Archive, NativeWrapperTransform};
@@ -38,14 +36,12 @@
 
 pub mod archive;
 pub mod bridge;
-pub mod entry_hook;
 mod error;
 pub mod native_wrapper;
 pub mod transform;
 
 pub use archive::{instrumentation_cache_key, Archive, ArchiveReport};
 pub use bridge::bridge_class;
-pub use entry_hook::EntryHookTransform;
 pub use error::InstrError;
 pub use native_wrapper::{NativeWrapperTransform, WrapperConfig, DEFAULT_BRIDGE, DEFAULT_PREFIX};
-pub use transform::{apply_to_bytes, ClassTransform, Pipeline, TransformStats};
+pub use transform::{apply_to_bytes, ClassTransform, TransformStats};

@@ -14,14 +14,6 @@ pub struct TransformStats {
     pub methods_touched: usize,
 }
 
-impl TransformStats {
-    /// Merge another stats record into this one.
-    pub fn absorb(&mut self, other: TransformStats) {
-        self.changed |= other.changed;
-        self.methods_touched += other.methods_touched;
-    }
-}
-
 /// A class-to-class rewrite.
 ///
 /// Implementations must produce classes that still pass
@@ -65,61 +57,6 @@ pub fn apply_to_bytes(
         ),
     })?;
     Ok(Some(codec::encode(&class)))
-}
-
-/// A sequential pipeline of transforms.
-#[derive(Default)]
-pub struct Pipeline {
-    transforms: Vec<Box<dyn ClassTransform>>,
-}
-
-impl std::fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pipeline")
-            .field(
-                "transforms",
-                &self.transforms.iter().map(|t| t.name()).collect::<Vec<_>>(),
-            )
-            .finish()
-    }
-}
-
-impl Pipeline {
-    /// Empty pipeline (identity).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a stage.
-    #[must_use]
-    pub fn with(mut self, t: impl ClassTransform + 'static) -> Self {
-        self.transforms.push(Box::new(t));
-        self
-    }
-
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.transforms.len()
-    }
-
-    /// Is the pipeline empty?
-    pub fn is_empty(&self) -> bool {
-        self.transforms.is_empty()
-    }
-}
-
-impl ClassTransform for Pipeline {
-    fn name(&self) -> &str {
-        "pipeline"
-    }
-
-    fn apply(&self, class: &mut ClassFile) -> Result<TransformStats, InstrError> {
-        let mut stats = TransformStats::default();
-        for t in &self.transforms {
-            stats.absorb(t.apply(class)?);
-        }
-        Ok(stats)
-    }
 }
 
 #[cfg(test)]
@@ -184,40 +121,6 @@ mod tests {
             apply_to_bytes(&Rename("x".into()), &[1, 2, 3]),
             Err(InstrError::Classfile(_))
         ));
-    }
-
-    #[test]
-    fn pipeline_applies_in_order() {
-        let p = Pipeline::new()
-            .with(Rename("mid".into()))
-            .with(RenameFrom("mid", "final"));
-        let mut class = codec::decode(&sample_bytes()).unwrap();
-        let stats = p.apply(&mut class).unwrap();
-        assert!(stats.changed);
-        assert_eq!(stats.methods_touched, 2);
-        assert!(class.find_method("final", "()I").is_some());
-        assert_eq!(p.len(), 2);
-        assert!(!p.is_empty());
-    }
-
-    struct RenameFrom(&'static str, &'static str);
-    impl ClassTransform for RenameFrom {
-        fn name(&self) -> &str {
-            "rename-from"
-        }
-        fn apply(&self, class: &mut ClassFile) -> Result<TransformStats, InstrError> {
-            let mut touched = 0;
-            for m in class.methods_mut() {
-                if m.name() == self.0 {
-                    m.set_name(self.1);
-                    touched += 1;
-                }
-            }
-            Ok(TransformStats {
-                changed: touched > 0,
-                methods_touched: touched,
-            })
-        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use jnativeprof::harness::HarnessError;
 use jnativeprof::session::SessionSpec;
 use jvmsim_cache::CacheKey;
+use jvmsim_metrics::{CounterId, MetricsEntry};
 use polling::Notifier;
 
 use crate::peer::FetchAttempt;
@@ -220,6 +221,82 @@ impl AdmissionQueue {
     }
 }
 
+/// A daemon's admission ledger plus its fleet counters, frozen from a
+/// metrics snapshot. The cluster sums a member's lives via
+/// [`AdmissionLedger::absorb`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AdmissionLedger {
+    /// Requests admitted (the ledger's left-hand side).
+    pub accepted: u64,
+    /// Answered 2xx.
+    pub served: u64,
+    /// Load-shed 429.
+    pub shed: u64,
+    /// 408/504 deadline outcomes.
+    pub timeout: u64,
+    /// Connection dropped before the response was written.
+    pub dropped: u64,
+    /// Other 4xx/5xx.
+    pub errors: u64,
+    /// Rows actually computed through a worker.
+    pub runs_executed: u64,
+    /// Local misses satisfied by a peer's store.
+    pub peer_hits: u64,
+    /// Peer walks exhausted into a local recompute.
+    pub peer_misses: u64,
+    /// Extra peer-fetch attempts after the first.
+    pub retries: u64,
+    /// Entries evicted by store compaction.
+    pub evictions: u64,
+}
+
+impl AdmissionLedger {
+    /// Extract the serve-plane counters from a daemon's metric entries
+    /// (the first entry is the server's own registry).
+    #[must_use]
+    pub fn from_entries(entries: &[MetricsEntry]) -> AdmissionLedger {
+        let Some(entry) = entries.first() else {
+            return AdmissionLedger::default();
+        };
+        let c = |id| entry.snapshot.counter(id);
+        AdmissionLedger {
+            accepted: c(CounterId::ServeAccepted),
+            served: c(CounterId::ServeServed),
+            shed: c(CounterId::ServeShed),
+            timeout: c(CounterId::ServeTimeout),
+            dropped: c(CounterId::ServeDropped),
+            errors: c(CounterId::ServeErrors),
+            runs_executed: c(CounterId::ServeRunsExecuted),
+            peer_hits: c(CounterId::ClusterPeerHits),
+            peer_misses: c(CounterId::ClusterPeerMisses),
+            retries: c(CounterId::ClusterRetries),
+            evictions: c(CounterId::ClusterEvictions),
+        }
+    }
+
+    /// Does the admission ledger balance? (`accepted` equals the sum of
+    /// the five exclusive outcome classes.)
+    #[must_use]
+    pub fn balanced(&self) -> bool {
+        self.accepted == self.served + self.shed + self.timeout + self.dropped + self.errors
+    }
+
+    /// Add another life's totals into this one.
+    pub fn absorb(&mut self, other: &AdmissionLedger) {
+        self.accepted += other.accepted;
+        self.served += other.served;
+        self.shed += other.shed;
+        self.timeout += other.timeout;
+        self.dropped += other.dropped;
+        self.errors += other.errors;
+        self.runs_executed += other.runs_executed;
+        self.peer_hits += other.peer_hits;
+        self.peer_misses += other.peer_misses;
+        self.retries += other.retries;
+        self.evictions += other.evictions;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,5 +390,41 @@ mod tests {
         assert_eq!(drained[0].token, 41);
         assert!(drained[1].result.is_ok());
         assert!(board.drain().is_empty(), "drain empties the board");
+    }
+
+    #[test]
+    fn admission_ledger_balances_and_absorbs() {
+        let mut a = AdmissionLedger {
+            accepted: 5,
+            served: 3,
+            errors: 2,
+            ..AdmissionLedger::default()
+        };
+        assert!(a.balanced());
+        let b = AdmissionLedger {
+            accepted: 2,
+            timeout: 1,
+            dropped: 1,
+            runs_executed: 4,
+            ..AdmissionLedger::default()
+        };
+        assert!(b.balanced());
+        a.absorb(&b);
+        assert!(a.balanced());
+        assert_eq!(a.accepted, 7);
+        assert_eq!(a.runs_executed, 4);
+        let broken = AdmissionLedger {
+            accepted: 1,
+            ..AdmissionLedger::default()
+        };
+        assert!(!broken.balanced());
+    }
+
+    #[test]
+    fn from_entries_survives_emptiness() {
+        assert_eq!(
+            AdmissionLedger::from_entries(&[]),
+            AdmissionLedger::default()
+        );
     }
 }

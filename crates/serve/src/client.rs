@@ -1,17 +1,24 @@
-//! The closed-loop load generator (`jprof client`).
+//! The load generator (`jprof client`).
 //!
-//! Each connection thread issues its requests back-to-back over one
-//! keep-alive connection — closed-loop, so offered load is bounded by
-//! service latency and the generator can never outrun the daemon by
-//! more than `connections` in-flight requests. The request mix is a
-//! pure function of `(seed, connection, request-index)`, so two clients
-//! with the same flags offer the same specs in the same per-connection
-//! order, and the status-count summary is deterministic whenever the
-//! server is not shedding.
+//! A run opens `connections` keep-alive connections, drives every
+//! `run_every`-th of them through its requests on its own thread, and
+//! holds the whole set open until `hold` has passed. Each active
+//! connection issues its requests back-to-back — closed-loop, so
+//! offered load is bounded by service latency and the generator can
+//! never outrun the daemon by more than the active connections'
+//! in-flight requests. With the defaults every connection is active and
+//! nothing is held; a large fleet with a sparse active subset is the
+//! C10k proof (idle sockets sit in the daemon's event loop while a few
+//! connections keep the worker pool busy).
 //!
-//! Wall-clock latency is recorded in per-endpoint log2 histograms for
-//! operator eyes only — it never feeds artifact bytes (see DESIGN §12's
-//! determinism boundary).
+//! The request mix is a pure function of `(seed, connection,
+//! request-index)`, so two clients with the same flags offer the same
+//! specs in the same per-connection order, and the status-count summary
+//! is deterministic whenever the server is not shedding.
+//!
+//! Wall-clock latency is recorded in per-endpoint log2 histograms and
+//! raw samples for operator eyes only — it never feeds artifact bytes
+//! (see DESIGN §12's determinism boundary).
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -28,19 +35,30 @@ use workloads::AXIS;
 use crate::http::{ParsedResponse, ResponseParser, READ_POLL};
 use crate::spec::{ApiError, RunSpec};
 
+/// Connections opened per burst before a 1 ms breather, pacing the SYN
+/// backlog so the daemon's accept loop keeps up with a 10k fleet.
+const CONNECTS_PER_BURST: usize = 512;
+
 /// Load-generator configuration.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Daemon address, `host:port`.
     pub addr: String,
-    /// Concurrent closed-loop connections.
+    /// Keep-alive connections opened and held at once (floored at 1).
     pub connections: usize,
-    /// Requests issued per connection.
+    /// Requests each active connection issues.
     pub requests: usize,
     /// Seed for the deterministic request mix.
     pub seed: u64,
     /// Problem size every generated run spec uses.
     pub size: u32,
+    /// Every `run_every`-th connection is active and issues requests; the
+    /// rest idle. `1` makes every connection active, `0` none.
+    pub run_every: usize,
+    /// How long, counted from the moment the last connection opened,
+    /// every connection stays open; the active ones finish their requests
+    /// first either way.
+    pub hold: Duration,
     /// When set, each distinct `POST /v1/run` 200 body is saved here as
     /// `run-<workload>-<agent>-<size>.json` for comparison against batch
     /// driver rows.
@@ -63,6 +81,8 @@ impl Default for ClientConfig {
             requests: 8,
             seed: 0,
             size: 1,
+            run_every: 1,
+            hold: Duration::ZERO,
             rows_dir: None,
             fetch_cache_stats: false,
             spans_out: None,
@@ -79,6 +99,12 @@ pub type LatencyHistogram = [u64; 65];
 /// What one load run observed.
 #[derive(Debug, Default)]
 pub struct ClientReport {
+    /// Connections the run was asked to open.
+    pub target: usize,
+    /// Connections established and held at once.
+    pub held: usize,
+    /// Connections that never established within the connect budget.
+    pub connect_failures: u64,
     /// `(endpoint, status) -> count`, summed over all connections.
     pub status_counts: BTreeMap<(String, u16), u64>,
     /// Requests deferred on a `429 Retry-After`: the client slept a
@@ -89,6 +115,9 @@ pub struct ClientReport {
     /// Per-endpoint wall-latency histograms (non-deterministic; printed
     /// to stderr only).
     pub latency: BTreeMap<String, LatencyHistogram>,
+    /// Raw per-request wall latencies in microseconds, the input of
+    /// [`ClientReport::percentiles`].
+    pub samples_micros: Vec<u64>,
     /// Per-stage cycle histograms built from the daemon's `X-Jvmsim-Span`
     /// response annotations, plus the client's own `deferred_wait` stage.
     /// Empty when the daemon serves without tracing. Deterministic under
@@ -104,11 +133,13 @@ impl ClientReport {
             .status_counts
             .entry((endpoint.to_owned(), status))
             .or_insert(0) += 1;
+        let micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+        self.samples_micros.push(micros);
         let hist = self
             .latency
             .entry(endpoint.to_owned())
             .or_insert([0u64; 65]);
-        hist[bucket_index(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX))] += 1;
+        hist[bucket_index(micros)] += 1;
     }
 
     fn merge(&mut self, other: ClientReport) {
@@ -118,6 +149,7 @@ impl ClientReport {
         self.deferred += other.deferred;
         self.transport_errors += other.transport_errors;
         self.stages.merge(&other.stages);
+        self.samples_micros.extend(other.samples_micros);
         for (endpoint, hist) in other.latency {
             let mine = self.latency.entry(endpoint).or_insert([0u64; 65]);
             for (m, h) in mine.iter_mut().zip(hist.iter()) {
@@ -126,22 +158,26 @@ impl ClientReport {
         }
     }
 
-    /// Total requests answered with `status` across all endpoints.
+    /// `(p50, p99)` over the recorded samples, in microseconds.
     #[must_use]
-    pub fn total_with_status(&self, status: u16) -> u64 {
-        self.status_counts
-            .iter()
-            .filter(|((_, s), _)| *s == status)
-            .map(|(_, n)| n)
-            .sum()
+    pub fn percentiles(&self) -> (u64, u64) {
+        let mut sorted = self.samples_micros.clone();
+        sorted.sort_unstable();
+        (
+            percentile_micros(&sorted, 50),
+            percentile_micros(&sorted, 99),
+        )
     }
 
-    /// The deterministic summary (stdout): one sorted line per
-    /// `(endpoint, status)` pair plus the deferred and transport-error
-    /// counts.
+    /// The deterministic summary (stdout): the target, held and
+    /// connect-failure counts, one sorted line per `(endpoint, status)`
+    /// pair, then the deferred and transport-error counts.
     #[must_use]
     pub fn render_summary(&self) -> String {
-        let mut out = String::new();
+        let mut out = format!(
+            "client target {}\nclient held {}\nclient connect_failures {}\n",
+            self.target, self.held, self.connect_failures
+        );
         for ((endpoint, status), count) in &self.status_counts {
             out.push_str(&format!("client {endpoint} {status} {count}\n"));
         }
@@ -161,11 +197,15 @@ impl ClientReport {
         self.stages.render("client")
     }
 
-    /// The wall-latency histograms (stderr): nonzero log2 buckets per
-    /// endpoint.
+    /// The wall-latency view (stderr): p50/p99 over every request, then
+    /// the nonzero log2 buckets per endpoint.
     #[must_use]
     pub fn render_latency(&self) -> String {
-        let mut out = String::new();
+        let (p50, p99) = self.percentiles();
+        let mut out = format!(
+            "latency_us p50={p50} p99={p99} samples={}\n",
+            self.samples_micros.len()
+        );
         for (endpoint, hist) in &self.latency {
             out.push_str(&format!("latency {endpoint}:"));
             push_buckets(&mut out, hist);
@@ -188,6 +228,17 @@ fn push_buckets(out: &mut String, hist: &LatencyHistogram) {
         }
     }
     out.push('\n');
+}
+
+/// The `pct`-th percentile of an ascending-sorted sample set (nearest
+/// rank on `(len - 1) * pct / 100`); `0` when empty.
+#[must_use]
+pub fn percentile_micros(sorted: &[u64], pct: u64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = (sorted.len() - 1) * usize::try_from(pct.min(100)).unwrap_or(100) / 100;
+    sorted[rank]
 }
 
 /// The spec connection `conn` issues as its `idx`-th request, a pure
@@ -264,8 +315,7 @@ pub fn http_request_full(
 }
 
 /// The one response-decode path every caller in this crate shares:
-/// `/v1/run`, `/v1/spans`, the drill, and the open-loop mode all land
-/// here, and the framing rules are the shared [`ResponseParser`]'s.
+/// `/v1/run`, `/v1/spans` and the drill all land here, and the framing rules are the shared [`ResponseParser`]'s.
 fn read_response(
     stream: &mut TcpStream,
 ) -> Result<(u16, String, Option<u64>, Option<String>), String> {
@@ -308,30 +358,58 @@ fn convert(parsed: ParsedResponse) -> Result<(u16, String, Option<u64>, Option<S
     Ok((parsed.status, body, parsed.retry_after, parsed.span))
 }
 
-/// Run the closed-loop load and aggregate every connection's report.
+/// Run the load and aggregate every connection's report.
+///
+/// Three phases: open every connection in paced bursts (a connection
+/// that never establishes is counted and skipped), run each active
+/// connection's requests on its own scoped thread, then hold the whole
+/// set open for the rest of `hold` before the stats fetch, the spans
+/// scrape and the shutdown.
 ///
 /// # Errors
 ///
-/// Only setup failures (an unwritable `rows_dir`); per-request transport
-/// failures are *counted*, not fatal, so a chaos-mode daemon dropping
-/// connections cannot kill the generator.
+/// Only setup failures (an unwritable `rows_dir`, a failed spans scrape);
+/// per-request transport failures are *counted*, not fatal, so a
+/// chaos-mode daemon dropping connections cannot kill the generator.
 pub fn run_client(config: &ClientConfig) -> Result<ClientReport, String> {
     if let Some(dir) = &config.rows_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     }
-    let handles: Vec<_> = (0..config.connections.max(1))
-        .map(|conn| {
-            let config = config.clone();
-            std::thread::spawn(move || connection_loop(&config, conn))
-        })
-        .collect();
-    let mut report = ClientReport::default();
-    for handle in handles {
-        match handle.join() {
-            Ok(partial) => report.merge(partial),
-            Err(_) => report.transport_errors += 1,
+    let mut report = ClientReport {
+        target: config.connections.max(1),
+        ..ClientReport::default()
+    };
+    let mut slots: Vec<Option<TcpStream>> = Vec::with_capacity(report.target);
+    for conn in 0..report.target {
+        if conn > 0 && conn % CONNECTS_PER_BURST == 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
+        let stream = connect_with_retry(&config.addr, Duration::from_secs(10)).ok();
+        report.connect_failures += u64::from(stream.is_none());
+        slots.push(stream);
     }
+    report.held = slots.iter().flatten().count();
+    let hold_until = Instant::now() + config.hold;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = slots
+            .iter_mut()
+            .enumerate()
+            .filter(|(conn, slot)| {
+                slot.is_some() && config.run_every > 0 && conn % config.run_every == 0
+            })
+            .map(|(conn, slot)| scope.spawn(move || connection_loop(config, conn, slot)))
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(partial) => report.merge(partial),
+                Err(_) => report.transport_errors += 1,
+            }
+        }
+    });
+    // Every connection — active and idle — stays open until the hold
+    // expires, so the daemon's event loop carries the full set at once.
+    std::thread::sleep(hold_until.saturating_duration_since(Instant::now()));
+    drop(slots);
     if config.fetch_cache_stats {
         if let Ok(mut stream) = connect_with_retry(&config.addr, Duration::from_secs(5)) {
             if let Ok((200, body)) = http_request(&mut stream, "GET", "/v1/cache/stats", None) {
@@ -370,9 +448,14 @@ pub fn deferred_backoff(seed: u64, conn: usize, idx: usize, retry_after_secs: u6
     Duration::from_millis(low + h % (base - low + 1))
 }
 
-fn connection_loop(config: &ClientConfig, conn: usize) -> ClientReport {
+/// Issue connection `conn`'s requests over `stream`, reconnecting lazily
+/// after any drop.
+fn connection_loop(
+    config: &ClientConfig,
+    conn: usize,
+    stream: &mut Option<TcpStream>,
+) -> ClientReport {
     let mut report = ClientReport::default();
-    let mut stream = None;
     for idx in 0..config.requests {
         // Every 8th slot probes /healthz; the rest are run requests.
         let h = splitmix64(config.seed ^ ((conn as u64) << 32) ^ idx as u64);
@@ -387,8 +470,7 @@ fn connection_loop(config: &ClientConfig, conn: usize) -> ClientReport {
         let mut deferred_once = false;
         loop {
             let started = Instant::now();
-            // Reconnect lazily: the first request, and after any drop.
-            let s = match &mut stream {
+            let s = match stream {
                 Some(s) => s,
                 None => match connect_with_retry(&config.addr, Duration::from_secs(10)) {
                     Ok(s) => stream.insert(s),
@@ -414,7 +496,7 @@ fn connection_loop(config: &ClientConfig, conn: usize) -> ClientReport {
                         }
                     } else {
                         // Error responses close or may close; start fresh.
-                        stream = None;
+                        *stream = None;
                     }
                     if status == 429 && !deferred_once {
                         // The shed hint rides both the Retry-After header
@@ -443,256 +525,13 @@ fn connection_loop(config: &ClientConfig, conn: usize) -> ClientReport {
                 }
                 Err(_) => {
                     report.transport_errors += 1;
-                    stream = None;
+                    *stream = None;
                 }
             }
             break;
         }
     }
     report
-}
-
-/// Open-loop (C10k) configuration: hold `connections` keep-alive
-/// connections against the daemon at once while a deterministic subset
-/// issues requests. Unlike the closed loop, offered concurrency is fixed
-/// by flag, not by service latency — the point is to prove the readiness
-/// event loop holds ten thousand idle sockets while a small worker pool
-/// keeps serving, and to measure tail latency while it does.
-#[derive(Debug, Clone)]
-pub struct OpenLoopConfig {
-    /// Daemon address, `host:port`.
-    pub addr: String,
-    /// Connections to open and hold concurrently.
-    pub connections: usize,
-    /// How long to keep the full set open after the request phase (idle
-    /// connections just sit in the daemon's event loop).
-    pub hold: Duration,
-    /// Every `run_every`-th connection is *active* and issues requests;
-    /// `0` means every connection idles.
-    pub run_every: usize,
-    /// Requests each active connection issues.
-    pub requests: usize,
-    /// Connections opened per burst before a 1ms breather, pacing the
-    /// SYN backlog so the accept loop keeps up.
-    pub connect_burst: usize,
-    /// Seed for the deterministic request mix.
-    pub seed: u64,
-    /// Problem size every generated run spec uses.
-    pub size: u32,
-    /// When set, each distinct `POST /v1/run` 200 body is saved here (same
-    /// naming as the closed loop) for byte-comparison against batch rows.
-    pub rows_dir: Option<PathBuf>,
-    /// Send `POST /v1/shutdown` after the hold expires.
-    pub send_shutdown: bool,
-}
-
-impl Default for OpenLoopConfig {
-    fn default() -> OpenLoopConfig {
-        OpenLoopConfig {
-            addr: "127.0.0.1:8126".to_owned(),
-            connections: 10_000,
-            hold: Duration::from_secs(2),
-            run_every: 100,
-            requests: 4,
-            connect_burst: 256,
-            seed: 0,
-            size: 1,
-            rows_dir: None,
-            send_shutdown: false,
-        }
-    }
-}
-
-/// What one open-loop run observed.
-#[derive(Debug)]
-pub struct OpenLoopReport {
-    /// Connections the run was asked to hold.
-    pub target: usize,
-    /// Connections actually held concurrently at the peak.
-    pub held: usize,
-    /// Connections that never established within the connect budget.
-    pub connect_failures: u64,
-    /// `(endpoint, status) -> count` over the active subset.
-    pub status_counts: BTreeMap<(String, u16), u64>,
-    /// Requests that died below HTTP.
-    pub transport_errors: u64,
-    /// Raw per-request wall latencies in microseconds (insertion order).
-    pub samples_micros: Vec<u64>,
-    /// The same samples bucketed into the log2 histogram shape the
-    /// closed loop uses.
-    pub latency: LatencyHistogram,
-}
-
-impl Default for OpenLoopReport {
-    fn default() -> OpenLoopReport {
-        OpenLoopReport {
-            target: 0,
-            held: 0,
-            connect_failures: 0,
-            status_counts: BTreeMap::new(),
-            transport_errors: 0,
-            samples_micros: Vec::new(),
-            latency: [0u64; 65],
-        }
-    }
-}
-
-impl OpenLoopReport {
-    fn record(&mut self, endpoint: &str, status: u16, elapsed: Duration) {
-        *self
-            .status_counts
-            .entry((endpoint.to_owned(), status))
-            .or_insert(0) += 1;
-        let micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        self.samples_micros.push(micros);
-        self.latency[bucket_index(micros)] += 1;
-    }
-
-    /// `(p50, p99)` over the recorded samples, in microseconds.
-    #[must_use]
-    pub fn percentiles(&self) -> (u64, u64) {
-        let mut sorted = self.samples_micros.clone();
-        sorted.sort_unstable();
-        (
-            percentile_micros(&sorted, 50),
-            percentile_micros(&sorted, 99),
-        )
-    }
-
-    /// The deterministic summary (stdout): target/held/connect-failure
-    /// lines, then the same sorted `(endpoint, status)` lines as the
-    /// closed loop, then transport errors.
-    #[must_use]
-    pub fn render_summary(&self) -> String {
-        let mut out = format!(
-            "client open_loop target {}\nclient open_loop held {}\nclient open_loop connect_failures {}\n",
-            self.target, self.held, self.connect_failures
-        );
-        for ((endpoint, status), count) in &self.status_counts {
-            out.push_str(&format!("client {endpoint} {status} {count}\n"));
-        }
-        out.push_str(&format!(
-            "client transport_errors {}\n",
-            self.transport_errors
-        ));
-        out
-    }
-
-    /// The wall-latency view (stderr): p50/p99 plus the nonzero log2
-    /// buckets. Non-deterministic; never feeds artifact bytes.
-    #[must_use]
-    pub fn render_latency(&self) -> String {
-        let (p50, p99) = self.percentiles();
-        let mut out = format!(
-            "open_loop latency_us p50={p50} p99={p99} samples={}\nlatency open_loop:",
-            self.samples_micros.len()
-        );
-        push_buckets(&mut out, &self.latency);
-        out
-    }
-}
-
-/// The `pct`-th percentile of an ascending-sorted sample set (nearest
-/// rank on `(len - 1) * pct / 100`); `0` when empty.
-#[must_use]
-pub fn percentile_micros(sorted: &[u64], pct: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (sorted.len() - 1) * usize::try_from(pct.min(100)).unwrap_or(100) / 100;
-    sorted[rank]
-}
-
-/// Run the open loop: connect the full set in paced bursts, drive the
-/// active subset through the shared request path, then hold everything
-/// open until `hold` expires.
-///
-/// # Errors
-///
-/// Only setup failures (an unwritable `rows_dir`); connect and request
-/// failures are *counted*, not fatal.
-pub fn run_open_loop(config: &OpenLoopConfig) -> Result<OpenLoopReport, String> {
-    if let Some(dir) = &config.rows_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    }
-    let mut report = OpenLoopReport {
-        target: config.connections,
-        ..OpenLoopReport::default()
-    };
-    let mut held: Vec<TcpStream> = Vec::with_capacity(config.connections);
-    let burst = config.connect_burst.max(1);
-    while held.len() + usize::try_from(report.connect_failures).unwrap_or(usize::MAX)
-        < config.connections
-    {
-        let missing =
-            config.connections - held.len() - usize::try_from(report.connect_failures).unwrap_or(0);
-        for _ in 0..burst.min(missing) {
-            match connect_with_retry(&config.addr, Duration::from_secs(10)) {
-                Ok(stream) => held.push(stream),
-                Err(_) => report.connect_failures += 1,
-            }
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    report.held = held.len();
-    let hold_until = Instant::now() + config.hold;
-    if config.run_every > 0 && config.requests > 0 {
-        for slot in (0..held.len()).step_by(config.run_every) {
-            for idx in 0..config.requests {
-                // Mostly runs with a sprinkle of health probes, same
-                // seeded mix discipline as the closed loop.
-                let h = splitmix64(config.seed ^ ((slot as u64) << 32) ^ idx as u64);
-                let (endpoint, method, body, spec) = if h % 8 == 7 {
-                    ("/healthz", "GET", None, None)
-                } else {
-                    let spec = pick_spec(config.seed, slot, idx, config.size);
-                    ("/v1/run", "POST", Some(spec.to_json()), Some(spec))
-                };
-                let started = Instant::now();
-                match http_request_full(&mut held[slot], method, endpoint, body.as_deref()) {
-                    Ok((status, response_body, _, _)) => {
-                        report.record(endpoint, status, started.elapsed());
-                        if status == 200 {
-                            if let (Some(dir), Some(spec)) = (&config.rows_dir, &spec) {
-                                let name = format!(
-                                    "run-{}-{}-{}.json",
-                                    spec.workload, spec.agent, spec.size
-                                );
-                                let _ = std::fs::write(dir.join(name), response_body.as_bytes());
-                            }
-                        } else if let Ok(fresh) =
-                            connect_with_retry(&config.addr, Duration::from_secs(10))
-                        {
-                            // Error envelopes close (or may close) the
-                            // stream; replace it so the held count stays
-                            // at target for the rest of the run.
-                            held[slot] = fresh;
-                        }
-                    }
-                    Err(_) => {
-                        report.transport_errors += 1;
-                        if let Ok(fresh) = connect_with_retry(&config.addr, Duration::from_secs(10))
-                        {
-                            held[slot] = fresh;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // The hold phase: every connection — active and idle — stays open so
-    // the daemon's event loop carries the full set at once.
-    let remaining = hold_until.saturating_duration_since(Instant::now());
-    if !remaining.is_zero() {
-        std::thread::sleep(remaining);
-    }
-    drop(held);
-    if config.send_shutdown {
-        if let Ok(mut stream) = connect_with_retry(&config.addr, Duration::from_secs(5)) {
-            let _ = http_request(&mut stream, "POST", "/v1/shutdown", None);
-        }
-    }
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -738,7 +577,11 @@ mod tests {
 
     #[test]
     fn summary_renders_sorted_deterministic_lines() {
-        let mut report = ClientReport::default();
+        let mut report = ClientReport {
+            target: 4,
+            held: 4,
+            ..ClientReport::default()
+        };
         report.record("/v1/run", 200, Duration::from_micros(5));
         report.record("/v1/run", 200, Duration::from_micros(9));
         report.record("/v1/run", 429, Duration::from_micros(1));
@@ -746,9 +589,16 @@ mod tests {
         report.deferred = 1;
         assert_eq!(
             report.render_summary(),
-            "client /healthz 200 1\nclient /v1/run 200 2\nclient /v1/run 429 1\nclient deferred 1\nclient transport_errors 0\n"
+            "client target 4\nclient held 4\nclient connect_failures 0\n\
+             client /healthz 200 1\nclient /v1/run 200 2\nclient /v1/run 429 1\n\
+             client deferred 1\nclient transport_errors 0\n"
         );
+        assert_eq!(report.percentiles(), (2, 5));
         let latency = report.render_latency();
+        assert!(
+            latency.starts_with("latency_us p50=2 p99=5 samples=4\n"),
+            "{latency}"
+        );
         assert!(latency.contains("latency /v1/run:"), "{latency}");
     }
 
@@ -783,51 +633,38 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_summary_is_sorted_and_carries_held_counts() {
-        let mut report = OpenLoopReport {
-            target: 4,
-            held: 4,
-            ..OpenLoopReport::default()
-        };
-        report.record("/v1/run", 200, Duration::from_micros(8));
-        report.record("/healthz", 200, Duration::from_micros(2));
-        assert_eq!(
-            report.render_summary(),
-            "client open_loop target 4\nclient open_loop held 4\n\
-             client open_loop connect_failures 0\nclient /healthz 200 1\n\
-             client /v1/run 200 1\nclient transport_errors 0\n"
-        );
-        let (p50, p99) = report.percentiles();
-        assert!(p50 <= p99);
-        assert!(report.render_latency().contains("samples=2"));
-    }
-
-    #[test]
-    fn open_loop_holds_a_small_fleet_against_a_live_daemon() {
-        use crate::server::{ServeConfig, Server};
+    fn a_held_fleet_runs_its_active_subset_against_a_live_daemon() {
+        use crate::server::{ServeConfig, Server, SpanConfig};
         let server = Server::start(ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             jobs: 2,
+            spans: Some(SpanConfig::default()),
             ..ServeConfig::default()
         })
         .expect("bind");
-        let report = run_open_loop(&OpenLoopConfig {
+        let report = run_client(&ClientConfig {
             addr: server.local_addr().to_string(),
             connections: 48,
-            hold: Duration::from_millis(50),
-            run_every: 8,
             requests: 2,
-            connect_burst: 16,
             seed: 3,
-            ..OpenLoopConfig::default()
+            run_every: 8,
+            hold: Duration::from_millis(50),
+            ..ClientConfig::default()
         })
-        .expect("open loop");
+        .expect("held fleet");
+        assert_eq!(report.target, 48);
         assert_eq!(report.held, 48, "all connections must establish");
         assert_eq!(report.connect_failures, 0);
         assert_eq!(report.transport_errors, 0, "{:?}", report.status_counts);
         let answered: u64 = report.status_counts.values().sum();
         assert_eq!(answered, 12, "6 active conns x 2 requests");
         assert_eq!(report.samples_micros.len(), 12);
+        // The traced daemon's span annotations reach the stage table.
+        assert!(
+            report.render_stages().contains("client stage root count"),
+            "{}",
+            report.render_stages()
+        );
         let entries = server.shutdown();
         let highwater = entries[0]
             .snapshot

@@ -81,9 +81,9 @@ pub(crate) struct Conn {
     pub(crate) parser: RequestParser,
     /// Lifecycle phase.
     pub(crate) phase: Phase,
-    /// Deadline anchor: set when the connection enters `Idle` (so the
-    /// idle cutoff and the request deadline share one clock, exactly as
-    /// the thread-per-connection server measured them).
+    /// Deadline anchor: set when the connection enters `Idle` (the idle
+    /// cutoff's clock), and again when the next request's first bytes
+    /// arrive (the request deadline's clock).
     pub(crate) started: Instant,
     /// Open root span of the in-flight request, if traced.
     pub(crate) span: Option<SpanBuilder>,

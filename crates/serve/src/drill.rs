@@ -19,8 +19,8 @@
 use std::time::Duration;
 
 use jvmsim_faults::{FaultPlan, FaultSite};
-use jvmsim_metrics::CounterId;
 
+use crate::admission::AdmissionLedger;
 use crate::client::{connect_with_retry, http_request};
 use crate::server::{ServeConfig, Server};
 use crate::spec::RunSpec;
@@ -106,19 +106,19 @@ pub fn chaos_drill(seed: u64) -> Result<DrillReport, String> {
 
     let sites = server.fault_summary();
     let entries = server.shutdown();
-    let serve = &entries[0].snapshot;
-    let count = |id: CounterId| serve.counter(id);
-    let (accepted, served, shed, timeout, dropped, errors) = (
-        count(CounterId::ServeAccepted),
-        count(CounterId::ServeServed),
-        count(CounterId::ServeShed),
-        count(CounterId::ServeTimeout),
-        count(CounterId::ServeDropped),
-        count(CounterId::ServeErrors),
-    );
+    let ledger = AdmissionLedger::from_entries(&entries);
+    let AdmissionLedger {
+        accepted,
+        served,
+        shed,
+        timeout,
+        dropped,
+        errors,
+        ..
+    } = ledger;
 
     let mut violations = Vec::new();
-    if accepted != served + shed + timeout + dropped + errors {
+    if !ledger.balanced() {
         violations.push(format!(
             "ledger imbalance: accepted={accepted} != served={served} + shed={shed} \
              + timeout={timeout} + dropped={dropped} + errors={errors}"

@@ -370,8 +370,8 @@ pub struct ParsedResponse {
 }
 
 /// Incremental HTTP/1.1 *response* parser — the one decode path every
-/// client in this crate uses (`jprof client`, the open-loop C10k mode,
-/// and the peer-fetch tier). `Content-Length` frames the body when
+/// client in this crate uses (`jprof client`, the chaos drill and the
+/// peer-fetch tier). `Content-Length` frames the body when
 /// present; an unframed body is complete only at EOF. Bytes beyond a
 /// framed response stay buffered for the next one (keep-alive safe).
 #[derive(Debug, Default)]

@@ -20,7 +20,9 @@
 //!   connection deadlines at O(1) per event.
 //! * [`admission`] — the bounded queue into the worker pool and the
 //!   completion board back out of it; a full queue load-sheds
-//!   (`429 Retry-After`) instead of buffering without bound.
+//!   (`429 Retry-After`) instead of buffering without bound. Its
+//!   [`AdmissionLedger`] reads the outcome counters back out of a
+//!   daemon's metrics for every balance check.
 //! * [`server`] — the daemon itself: the event loop, cache-first request
 //!   handling, per-request deadlines (`504`), exactly-once outcome
 //!   accounting (`accepted == served + shed + timeout + dropped +
@@ -30,8 +32,8 @@
 //!   seeded retry/backoff policy, and the `GET /v1/cell/<hex>` fetch a
 //!   member tries on a local miss before degrading to recompute.
 //! * [`client`] — the deterministic load generator behind `jprof
-//!   client`: closed-loop by default, open-loop (hold N keep-alive
-//!   connections, latency percentiles) for C10k validation.
+//!   client`: closed-loop connections, optionally a sparse active subset
+//!   of a large held fleet (C10k validation), with latency percentiles.
 //! * [`drill`] — the chaos drill `jprof chaos` runs against the two
 //!   transport fault sites (`serve-slow-read`, `serve-conn-drop`),
 //!   asserting the ledger balances and no request is double-counted.
@@ -51,9 +53,9 @@ pub mod server;
 pub mod spec;
 pub(crate) mod timer;
 
+pub use admission::AdmissionLedger;
 pub use client::{
-    deferred_backoff, http_request_full, percentile_micros, run_client, run_open_loop,
-    ClientConfig, ClientReport, OpenLoopConfig, OpenLoopReport,
+    deferred_backoff, http_request_full, percentile_micros, run_client, ClientConfig, ClientReport,
 };
 pub use drill::{chaos_drill, DrillReport};
 pub use http::ServeError;

@@ -336,12 +336,6 @@ impl Server {
         self.shared.is_draining()
     }
 
-    /// Begin the graceful drain without waiting: stop accepting, refuse
-    /// new work, let queued and running requests finish.
-    pub fn trigger_shutdown(&self) {
-        self.shared.begin_drain();
-    }
-
     /// The server-side metric entries (serve ledger + absorbed runs).
     #[must_use]
     pub fn metric_entries(&self) -> Vec<MetricsEntry> {
@@ -547,7 +541,15 @@ impl EventLoop {
             // promised, nothing is accounted (exactly the old conn-thread
             // behavior for a torn read).
             ReadOutcome::Failed => self.close_silent(slot),
-            ReadOutcome::Progress => self.pump(slot),
+            ReadOutcome::Progress => {
+                // A request's deadline runs from its first byte, not from
+                // the keep-alive wait before it: a connection held idle
+                // longer than the deadline still gets its full budget.
+                if conn.phase == Phase::Idle {
+                    conn.started = Instant::now();
+                }
+                self.pump(slot);
+            }
             ReadOutcome::Eof => {
                 conn.peer_gone = true;
                 self.pump(slot);

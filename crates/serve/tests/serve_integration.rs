@@ -14,6 +14,7 @@
 //! 5. a run that panics answers a typed `500 panicked` envelope and the
 //!    daemon keeps serving.
 
+use std::io::{Read, Write};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -23,7 +24,7 @@ use jnativeprof::session::SessionSpec;
 use jvmsim_cache::CacheStore;
 use jvmsim_metrics::{CounterId, MetricsRegistry};
 use jvmsim_serve::client::{connect_with_retry, http_request};
-use jvmsim_serve::{RunSpec, ServeConfig, Server};
+use jvmsim_serve::{AdmissionLedger, RunSpec, ServeConfig, Server};
 
 /// A scratch directory that cleans up after itself.
 struct TempDir(std::path::PathBuf);
@@ -207,13 +208,8 @@ fn a_panicking_run_leaves_the_daemon_serving(config: ServeConfig) {
     let entries = server.shutdown();
     let serve = &entries[0].snapshot;
     assert_eq!(serve.counter(CounterId::ServeErrors), 1);
-    assert_eq!(
-        serve.counter(CounterId::ServeAccepted),
-        serve.counter(CounterId::ServeServed)
-            + serve.counter(CounterId::ServeShed)
-            + serve.counter(CounterId::ServeTimeout)
-            + serve.counter(CounterId::ServeDropped)
-            + serve.counter(CounterId::ServeErrors),
+    assert!(
+        AdmissionLedger::from_entries(&entries).balanced(),
         "admission ledger must balance"
     );
 }
@@ -286,15 +282,44 @@ fn queue_overflow_sheds_with_429_and_daemon_survives() {
     let entries = server.shutdown();
     let serve = &entries[0].snapshot;
     assert_eq!(serve.counter(CounterId::ServeShed), shed);
-    assert_eq!(
-        serve.counter(CounterId::ServeAccepted),
-        serve.counter(CounterId::ServeServed)
-            + serve.counter(CounterId::ServeShed)
-            + serve.counter(CounterId::ServeTimeout)
-            + serve.counter(CounterId::ServeDropped)
-            + serve.counter(CounterId::ServeErrors),
+    assert!(
+        AdmissionLedger::from_entries(&entries).balanced(),
         "admission ledger must balance"
     );
+}
+
+/// A keep-alive connection idle for longer than the request deadline
+/// (but within the idle cutoff) still gives its next request the full
+/// deadline, counted from that request's first byte: a request torn
+/// across two writes 200 ms apart answers 200, not 408.
+#[test]
+fn a_request_after_a_long_idle_wait_gets_its_full_deadline() {
+    let (server, addr) = start(ServeConfig {
+        deadline: Duration::from_millis(400),
+        idle: Some(Duration::from_secs(10)),
+        ..ServeConfig::default()
+    });
+    let mut stream = connect_with_retry(&addr, Duration::from_secs(5)).expect("connect");
+    std::thread::sleep(Duration::from_millis(600));
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\n")
+        .expect("first half");
+    std::thread::sleep(Duration::from_millis(200));
+    stream
+        .write_all(b"Host: jvmsim\r\nContent-Length: 0\r\n\r\n")
+        .expect("second half");
+    let mut response = String::new();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut chunk = [0u8; 512];
+    while !response.contains("\r\n\r\n") {
+        let n = stream.read(&mut chunk).expect("response");
+        assert!(n > 0, "closed before answering: {response:?}");
+        response.push_str(&String::from_utf8_lossy(&chunk[..n]));
+    }
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    server.shutdown();
 }
 
 #[test]

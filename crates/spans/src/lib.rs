@@ -316,13 +316,6 @@ impl SpanBuilder {
         self.trace
     }
 
-    /// The root span's id — what an outgoing peer fetch forwards as the
-    /// remote hop's parent.
-    #[must_use]
-    pub fn root_span_id(&self) -> u64 {
-        self.root_id
-    }
-
     /// The propagation header an outgoing fleet hop should carry.
     #[must_use]
     pub fn traceparent(&self) -> String {

@@ -60,10 +60,7 @@
 
 pub mod chrome;
 pub mod csv;
-pub mod export;
 pub mod flame;
-
-pub use export::{registry, ChromeExporter, CsvExporter, FlameExporter, TraceExporter};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
@@ -89,9 +86,6 @@ pub enum ExportError {
         /// Number of fields in the offending row.
         got: usize,
     },
-    /// An artifact write failed (I/O error, or the fault plane's
-    /// exporter-write site firing during a chaos run).
-    Write(String),
 }
 
 impl std::fmt::Display for ExportError {
@@ -101,7 +95,6 @@ impl std::fmt::Display for ExportError {
             ExportError::RaggedRow { expected, got } => {
                 write!(f, "row width {got} does not match header width {expected}")
             }
-            ExportError::Write(what) => write!(f, "artifact write failed: {what}"),
         }
     }
 }

@@ -294,36 +294,6 @@ impl<'a> JniEnv<'a> {
         })
     }
 
-    /// Convenience: `Call<ret>Method` (virtual) with the given style.
-    ///
-    /// # Errors
-    ///
-    /// See [`JniEnv::call`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn call_virtual(
-        &mut self,
-        ret: JniRetType,
-        style: ParamStyle,
-        receiver: Value,
-        class: &str,
-        name: &str,
-        descriptor: &str,
-        args: &[Value],
-    ) -> JniResult {
-        self.call(&JniCallSpec {
-            key: JniCallKey {
-                kind: CallKind::Virtual,
-                style,
-                ret,
-            },
-            class: class.to_owned(),
-            name: name.to_owned(),
-            descriptor: descriptor.to_owned(),
-            receiver: Some(receiver),
-            args: args.to_vec(),
-        })
-    }
-
     /// The uninstrumented invocation path used by default table entries.
     /// Interceptors call the original entry rather than this.
     ///
@@ -337,16 +307,6 @@ impl<'a> JniEnv<'a> {
     }
 
     // ------------------------------------------------------------- heap
-
-    /// Allocate an int array.
-    pub fn new_int_array(&mut self, len: usize) -> ObjRef {
-        let cost = self.vm.cost().alloc_array(len);
-        self.vm.charge(self.thread, cost);
-        let r = self.vm.heap_mut().alloc_int_array(len);
-        self.vm
-            .fire_allocation(self.thread, r, "<jni>", "NewIntArray", 0);
-        r
-    }
 
     /// Allocate and intern a string.
     pub fn new_string(&mut self, s: &str) -> ObjRef {

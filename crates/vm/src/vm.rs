@@ -12,7 +12,7 @@ use jvmsim_classfile::{codec, ClassFile, FieldFlags, CLINIT};
 use jvmsim_faults::{FaultInjector, FaultSite};
 use jvmsim_metrics::{Bucket, CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot};
 use jvmsim_pcl::{Pcl, Timestamp};
-use jvmsim_tiers::{Tier, TiersMode};
+use jvmsim_tiers::TiersMode;
 
 use crate::cost::CostModel;
 use crate::error::VmError;
@@ -76,17 +76,6 @@ pub struct VmStats {
     pub deopts: u64,
     /// Tier compiles aborted by the fault plane.
     pub tier_compile_aborts: u64,
-}
-
-impl VmStats {
-    /// Cycles charged at `tier`'s execution rate (not compile charges).
-    pub fn tier_cycles(&self, tier: Tier) -> u64 {
-        match tier {
-            Tier::Interp => self.interp_cycles,
-            Tier::C1 => self.c1_cycles,
-            Tier::C2 => self.c2_cycles,
-        }
-    }
 }
 
 /// One agent thread-local-storage slot: a type-erased value the agent's
@@ -500,11 +489,6 @@ impl Vm {
         &self.cost
     }
 
-    /// Mutate the cost model (before running).
-    pub fn cost_mut(&mut self) -> &mut CostModel {
-        &mut self.cost
-    }
-
     /// The PCL cycle-counter registry (shared handle).
     pub fn pcl(&self) -> Pcl {
         self.pcl.clone()
@@ -577,11 +561,6 @@ impl Vm {
     /// the HotSpot behaviour that ruins SPA (§III).
     pub fn set_event_mask(&mut self, mask: EventMask) {
         self.mask = mask;
-    }
-
-    /// Current event mask.
-    pub fn event_mask(&self) -> EventMask {
-        self.mask
     }
 
     /// Install a `tprof`-style timer sampler firing every `interval_cycles`

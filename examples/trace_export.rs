@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use jnativeprof::harness::AgentChoice;
 use jnativeprof::session::Session;
-use jvmsim_trace::{export, TraceRecorder};
+use jvmsim_trace::{chrome, csv, flame, TraceRecorder};
 use jvmsim_vm::{TraceEventKind, TraceSink};
 use workloads::{by_name, ProblemSize};
 
@@ -36,16 +36,13 @@ fn main() {
     let profile = run.profile.as_ref().expect("IPA attached");
     let snapshot = recorder.snapshot();
 
-    // One pass over the exporter registry writes every artifact format.
-    for exporter in export::registry(run.pcl.clock_hz()) {
-        let path = match exporter.name() {
-            "chrome" => "trace.json".to_owned(),
-            "events-csv" => "events.csv".to_owned(),
-            _ => format!("trace.{}", exporter.extension()),
-        };
-        let mut out = Vec::new();
-        exporter.export(&snapshot, &mut out).expect("render");
-        std::fs::write(&path, &out).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    let chrome_json = chrome::chrome_trace_json(&snapshot, run.pcl.clock_hz()).expect("render");
+    for (path, text) in [
+        ("trace.json", chrome_json),
+        ("trace.folded", flame::collapsed_stacks(&snapshot)),
+        ("events.csv", csv::events_csv(&snapshot)),
+    ] {
+        std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
     }
 
     println!(
