@@ -315,7 +315,8 @@ pub fn http_request_full(
 }
 
 /// The one response-decode path every caller in this crate shares:
-/// `/v1/run`, `/v1/spans` and the drill all land here, and the framing rules are the shared [`ResponseParser`]'s.
+/// `/v1/run`, `/v1/spans` and the drill all land here, and the framing
+/// rules are the shared [`ResponseParser`]'s.
 fn read_response(
     stream: &mut TcpStream,
 ) -> Result<(u16, String, Option<u64>, Option<String>), String> {
