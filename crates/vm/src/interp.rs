@@ -1,15 +1,9 @@
-//! Invocation machinery around the interpreter.
-//!
-//! [`Vm::invoke`] is the single funnel for *every* method activation —
-//! bytecode or native, from bytecode (`invokestatic`/`invokevirtual`), from
-//! native code (JNI `Call*Method*`), or from the harness. That is exactly
-//! where JVMTI's `MethodEntry`/`MethodExit` events hang, so SPA sees every
-//! activation, and it is where the tier pipeline's invocation counter
-//! lives. Bytecode bodies then run in the one execution loop,
-//! `Vm::execute` in `prepared.rs`; this module also holds the cold
-//! resolution paths that loop falls back to on an inline-cache miss.
+//! The interpreter's cold paths: what the dispatch loop in `prepared.rs`
+//! calls out to. Tier compiles and deopts, native invocation and
+//! binding, JNI `Call*Method*` upcalls (each starts a nested loop
+//! activation through `Vm::invoke`), the resolvers behind an
+//! inline-cache miss, and exception-handler lookup.
 
-use jvmsim_classfile::ExceptionHandler;
 use jvmsim_faults::FaultSite;
 use jvmsim_metrics::{Bucket, CounterId};
 use jvmsim_tiers::Tier;
@@ -23,97 +17,7 @@ use crate::value::Value;
 use crate::vm::Vm;
 
 impl Vm {
-    /// Invoke `mid` with `args` (receiver first for instance methods) on
-    /// `thread`. Dispatches `MethodEntry`/`MethodExit` events, maintains the
-    /// call-depth guard, routes to native or bytecode execution.
-    ///
-    /// # Errors
-    ///
-    /// Returns the Java exception unwinding out of the callee, if any.
-    pub(crate) fn invoke(
-        &mut self,
-        thread: ThreadId,
-        mid: MethodId,
-        args: Vec<Value>,
-    ) -> Result<Value, JThrow> {
-        self.stats.invocations += 1;
-        self.metric_incr(thread, jvmsim_metrics::CounterId::Invocations);
-        let depth = self.depth(thread);
-        if depth >= self.max_call_depth() {
-            return Err(self.throw_new(
-                thread,
-                "java/lang/StackOverflowError",
-                "call depth exceeded",
-            ));
-        }
-        self.set_depth(thread, depth + 1);
-        let result = self.invoke_inner(thread, mid, args);
-        self.set_depth(thread, depth);
-        result
-    }
-
-    fn invoke_inner(
-        &mut self,
-        thread: ThreadId,
-        mid: MethodId,
-        args: Vec<Value>,
-    ) -> Result<Value, JThrow> {
-        let events = self.method_events_on();
-        if events {
-            self.dispatch(thread, |sink, info, vm| {
-                sink.method_entry(info, vm.registry.method_view(mid));
-            });
-        }
-        let is_native = self.registry.method(mid).is_native();
-        let result = if is_native {
-            self.invoke_native(thread, mid, &args)
-        } else {
-            let jit_enabled = self.jit_enabled();
-            let mode = self.effective_tiers_mode();
-            let count = self.registry.note_invocation(mid);
-            let mut tier = self.registry.effective_tier(mid, jit_enabled);
-            // Promote one tier at a time at the invocation thresholds
-            // (Interp→C1 at the C1 threshold, C1→C2 at the C2 threshold),
-            // capped by the tiers mode's ceiling. `>=` rather than `==`:
-            // a fault-aborted compile resets the counter, and a successful
-            // promotion changes the tier so the lower threshold stops
-            // applying — either way this fires at most once per call.
-            if mode.allows_promotion_from(tier) {
-                if let Some(threshold) = self.cost().tiers.invocation_threshold(tier) {
-                    if count >= threshold {
-                        if let Some(next) = tier.next() {
-                            if self.tier_compile(thread, mid, next, false) {
-                                tier = next;
-                            }
-                        }
-                    }
-                }
-            }
-            let overhead = self.cost().call_overhead(tier);
-            self.charge(thread, overhead);
-            self.note_tier_cycles(tier, overhead);
-            self.execute(thread, mid, tier, args)
-        };
-        if events {
-            let via_exception = result.is_err();
-            self.dispatch(thread, |sink, info, vm| {
-                sink.method_exit(info, vm.registry.method_view(mid), via_exception);
-            });
-        }
-        result
-    }
-
     // ------------------------------------------------------ tier pipeline
-
-    /// Attribute `cycles` of bytecode-execution time (per-instruction
-    /// charges and call overheads) to `tier`'s ground-truth column.
-    pub(crate) fn note_tier_cycles(&mut self, tier: Tier, cycles: u64) {
-        match tier {
-            Tier::Interp => self.stats.interp_cycles += cycles,
-            Tier::C1 => self.stats.c1_cycles += cycles,
-            Tier::C2 => self.stats.c2_cycles += cycles,
-        }
-    }
 
     /// Compile `mid` at `target`, charging the compile cost to the calling
     /// thread under the tier's compile bucket. Returns `false` when the
@@ -186,7 +90,7 @@ impl Vm {
 
     // ----------------------------------------------------------- natives
 
-    fn invoke_native(
+    pub(crate) fn invoke_native(
         &mut self,
         thread: ThreadId,
         mid: MethodId,
@@ -386,7 +290,7 @@ impl Vm {
                 ),
             ));
         }
-        self.invoke(thread, mid, args)
+        self.invoke(thread, mid, &args)
     }
 
     pub(crate) fn ensure_loaded_or_throw(
@@ -511,32 +415,22 @@ impl Vm {
 
     // ---------------------------------------------------------- unwinding
 
-    pub(crate) fn handle_throw(
-        &mut self,
-        table: &[ExceptionHandler],
-        pc: u32,
-        t: JThrow,
-        stack: &mut Vec<Value>,
-    ) -> Option<u32> {
+    /// The handler in `body`'s exception table that catches `t` thrown
+    /// at `pc`, if any.
+    pub(crate) fn find_handler(&self, body: u32, pc: u32, t: JThrow) -> Option<u32> {
         let thrown_class = match self.heap().get(t.exception) {
             HeapObject::Instance { class, .. } => Some(*class),
             _ => None,
         };
-        for h in table {
-            if pc < h.start || pc >= h.end {
-                continue;
-            }
+        let table = &self.code.bodies[body as usize].exception_table;
+        table.iter().find_map(|h| {
             let matches = match (&h.catch_class, thrown_class) {
+                _ if pc < h.start || pc >= h.end => false,
                 (None, _) => true,
                 (Some(catch), Some(cls)) => self.is_subclass_of(cls, catch),
                 (Some(_), None) => false,
             };
-            if matches {
-                stack.clear();
-                stack.push(Value::Ref(t.exception));
-                return Some(h.handler);
-            }
-        }
-        None
+            matches.then_some(h.handler)
+        })
     }
 }

@@ -160,6 +160,19 @@ pub struct FieldSlot {
     pub ty: Type,
 }
 
+/// One method's execution state, read and written on every bytecode
+/// invocation (one record, so a call touches one slot).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct MethodExec {
+    /// Invocation counter (tier-promotion profiling).
+    pub invocations: u32,
+    /// Execution tier.
+    pub tier: Tier,
+    /// Index of the threaded-engine body in the VM's code arena, filled
+    /// on first execution.
+    pub body: Option<u32>,
+}
+
 /// A linked class.
 #[derive(Debug)]
 pub struct RuntimeClass {
@@ -186,16 +199,10 @@ pub struct RuntimeClass {
     method_index: HashMap<(Sym, Sym), u16>,
     /// Has `<clinit>` run (or been scheduled)?
     pub clinit_started: bool,
-    /// Per-method invocation counters (tier-promotion profiling).
-    pub invocations: Vec<u32>,
-    /// Per-method execution tier.
-    pub tiers: Vec<Tier>,
+    /// Per-method execution state (parallel to `methods`).
+    pub(crate) exec: Vec<MethodExec>,
     /// Shared method bodies (parallel to `methods`; `None` for natives).
     pub code: Vec<Option<Arc<Code>>>,
-    /// Threaded-engine bodies (parallel to `methods`), filled lazily on
-    /// first execution. A direct slot rather than a map: the lookup is on
-    /// every bytecode invocation's hot path.
-    pub(crate) prepared: Vec<Option<Arc<crate::prepared::PreparedCode>>>,
     /// Pool index → pre-resolved call site, for `invokestatic`/`invokevirtual`.
     pub callsites: HashMap<u16, CallSite>,
     /// Pool index → pre-resolved field reference.
@@ -437,10 +444,8 @@ impl ClassRegistry {
             static_index,
             method_index,
             clinit_started: false,
-            invocations: vec![0; n],
-            tiers: vec![Tier::Interp; n],
+            exec: vec![MethodExec::default(); n],
             code,
-            prepared: vec![None; n],
             callsites,
             fieldsites,
             classrefs,
@@ -521,20 +526,26 @@ impl ClassRegistry {
         self.resolve_instance_field_sym(class, field)
     }
 
+    pub(crate) fn exec(&self, id: MethodId) -> &MethodExec {
+        &self.classes[id.class.index()].exec[id.index as usize]
+    }
+
+    pub(crate) fn exec_mut(&mut self, id: MethodId) -> &mut MethodExec {
+        &mut self.classes[id.class.index()].exec[id.index as usize]
+    }
+
     /// Record one invocation of `id`, returning the new saturating count.
     /// The caller (the tier pipeline in the interpreter) compares the
     /// count against the active threshold and performs any promotion.
     pub fn note_invocation(&mut self, id: MethodId) -> u32 {
-        let rc = &mut self.classes[id.class.index()];
-        let i = id.index as usize;
-        let count = rc.invocations[i].saturating_add(1);
-        rc.invocations[i] = count;
-        count
+        let exec = self.exec_mut(id);
+        exec.invocations = exec.invocations.saturating_add(1);
+        exec.invocations
     }
 
     /// The method's current tier, ignoring whether compilation is enabled.
     pub fn tier_of(&self, id: MethodId) -> Tier {
-        self.classes[id.class.index()].tiers[id.index as usize]
+        self.exec(id).tier
     }
 
     /// The tier the method actually executes at: its recorded tier, or
@@ -552,13 +563,13 @@ impl ClassRegistry {
 
     /// Set the method's tier (promotion or demotion).
     pub fn set_tier(&mut self, id: MethodId, tier: Tier) {
-        self.classes[id.class.index()].tiers[id.index as usize] = tier;
+        self.exec_mut(id).tier = tier;
     }
 
     /// Reset the method's invocation counter (after a compile, an aborted
     /// compile, or a deoptimization).
     pub fn reset_invocations(&mut self, id: MethodId) {
-        self.classes[id.class.index()].invocations[id.index as usize] = 0;
+        self.exec_mut(id).invocations = 0;
     }
 
     /// Is the method currently running compiled code (and is the JIT on)?

@@ -1,29 +1,47 @@
-//! The interpreter: prepared (direct-threaded) code and the execution
-//! loop.
+//! The interpreter: prepared (direct-threaded) code and the one
+//! dispatch loop.
 //!
-//! Each method body is *prepared* once, on first invocation, into a dense
-//! [`Op`] array (a jump table for the compiler to dispatch over): operands
-//! are pre-decoded, call-site arity and returns-ness are baked in, and
-//! every resolution site gets an [`InlineCache`] slot, so the steady-state
-//! path does no hashing at all. A miss falls back to the cold resolvers in
-//! `interp.rs` and fills the slot.
+//! Each method body is *prepared* once, on first invocation, into the
+//! VM-wide [`CodeArena`] as a run of [`Op`]s (a jump table for the
+//! compiler to dispatch over): operands are pre-decoded, call-site arity
+//! and returns-ness are baked in, and every resolution site gets an
+//! [`InlineCache`] slot, so the steady-state path does no hashing at all.
+//! A miss falls back to the cold resolvers in `interp.rs` and fills the
+//! slot. Bodies are addressed by index and never move, so a call takes
+//! no reference count.
 //!
-//! [`Vm::execute`] runs a prepared body. Cycle charges and metrics counter
-//! bumps are *batched* into locals and flushed before every observable
-//! action (invokes, throws, allocations, sample polls, trace emission,
-//! returns), which removes the per-instruction atomic read-modify-write on
-//! the thread clock while keeping every clock reading an agent or trace
-//! can observe exact. Preparation itself charges nothing — it models the
-//! one-time threaded-code rewrite a template interpreter performs at link
-//! time, not measured work.
+//! Bytecode runs in one non-recursive loop over a per-thread frame stack
+//! ([`ThreadStack`]): a bytecode→bytecode call pushes a [`Frame`] record
+//! and carries on in the same loop, a return pops it, and an uncaught
+//! throw pops frames (deopting compiled ones and firing `MethodExit`)
+//! until a handler takes it. Every frame's locals and operands live in
+//! one slot arena, and a callee's locals start where its caller pushed
+//! the arguments. Simulated call depth therefore costs no host stack;
+//! host recursion remains only where native code calls back into Java
+//! (JNI `Call*Method*`, `<clinit>`, thread entry), which starts a nested
+//! loop activation through [`Vm::invoke`].
+//!
+//! The loop has two levels. [`straight`] is a small function with no
+//! calls on its hot paths: it runs straight-line ops, arrays, fields and
+//! statics through filled inline caches, and calls and returns between
+//! bytecode frames that fire no event and promote nothing. It stops at
+//! anything else, and [`Vm::execute`] runs that op with the whole VM at
+//! hand. Cycle charges, instruction counts, call overheads and the
+//! `Invocations` counter are *batched* (per tier) and flushed before
+//! every observable action (events, tier compiles, native callees,
+//! allocations, throws, polls, trace emission, leaving the activation),
+//! which keeps every clock reading an agent or trace can make exact.
+//! Preparation itself charges nothing — it models the one-time
+//! threaded-code rewrite a template interpreter performs at link time,
+//! not measured work.
 //!
 //! Preparation also fuses the hot straight-line sequences (DESIGN §16)
 //! into superinstructions, unless the VM polls (a sampler is installed or
 //! the fault plane is enabled; both are fixed before the first body is
 //! prepared). A fused op replaces only the *head* of its span: the span's
-//! other source ops stay at their own indexes, so the array keeps one
-//! `Op` per source index and a jump into the span runs them unfused. A
-//! fused op charges its whole span, and moves `pc` to the span's last op
+//! other source ops stay at their own indexes, so a body keeps one `Op`
+//! per source index and a jump into the span runs them unfused. A fused
+//! op charges its whole span, and moves `pc` to the span's last op
 //! before it branches or throws, so the OSR back-edge test, handler lookup
 //! and every `bci` see the `pc` the unfused ops would. Only a span's last
 //! op may branch or throw, and a span fuses only if no branch target,
@@ -33,18 +51,20 @@
 //!
 //! The committed golden corpus (`tests/golden.rs` in the umbrella crate)
 //! pins this loop's cycles, stats and trace streams for every matrix
-//! cell.
+//! cell, and the engine corpus (`tests/engine_corpus.rs`) for 200
+//! generated programs.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use jvmsim_classfile::{ArrayKind, Code, Cond, ExceptionHandler, Insn};
 use jvmsim_faults::FaultSite;
-use jvmsim_tiers::Tier;
+use jvmsim_tiers::{Tier, TiersMode};
+
+use crate::cost::TierCostModel;
 
 use crate::events::ThreadId;
-use crate::heap::HeapObject;
-use crate::klass::{CallSite, ClassId, MethodId};
+use crate::heap::{Heap, HeapObject};
+use crate::klass::{CallSite, ClassId, ClassRegistry, MethodId};
 use crate::throw::JThrow;
 use crate::value::{ObjRef, Value};
 use crate::vm::Vm;
@@ -118,8 +138,11 @@ impl IntOp {
 /// [`Insn`], at the same index — branch targets, the exception table and
 /// trace/alloc-site `bci`s carry over unchanged. A fused op (the variants
 /// after [`Op::AThrow`]) sits at the head index of the span it stands
-/// for; the span's other ops stay behind it, unfused.
-#[derive(Debug, Clone, PartialEq)]
+/// for; the span's other ops stay behind it, unfused. Ops are plain
+/// `Copy` data (a `tableswitch`'s targets live in the arena's side
+/// table), so the loop fetches one by value and keeps no borrow of the
+/// arena while it runs it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Op {
     Nop,
     IConst(i64),
@@ -157,9 +180,12 @@ pub(crate) enum Op {
     IfICmp(Cond, u32),
     IfNull(u32),
     IfNonNull(u32),
+    /// `targets` counts entries of [`CodeArena::switch_targets`] from
+    /// `first`.
     TableSwitch {
         low: i64,
-        targets: Box<[u32]>,
+        first: u32,
+        targets: u32,
         default: u32,
     },
     InvokeStatic {
@@ -228,33 +254,49 @@ pub(crate) enum Op {
     },
 }
 
-/// A method body rewritten into threaded form, cached per [`MethodId`]
-/// in its class's prepared-code slots.
+/// Where a prepared body sits in the [`CodeArena`].
 #[derive(Debug)]
-pub(crate) struct PreparedCode {
+pub(crate) struct Body {
+    /// Index of the body's first op in [`CodeArena::ops`].
+    pub code: u32,
     pub max_stack: u16,
     pub max_locals: u16,
+    pub exception_table: Box<[ExceptionHandler]>,
+}
+
+/// The VM-wide store of prepared code. Bodies are appended on first
+/// invocation and never move or die, so a frame names its body by
+/// index and no call touches a reference count.
+#[derive(Debug, Default)]
+pub(crate) struct CodeArena {
+    /// Every prepared body's ops, back to back.
     pub ops: Vec<Op>,
-    pub exception_table: Vec<ExceptionHandler>,
+    pub bodies: Vec<Body>,
+    /// `tableswitch` jump targets (see [`Op::TableSwitch`]).
+    pub switch_targets: Vec<u32>,
+    /// Inline-cache slots the ops index into.
+    pub ics: Vec<InlineCache>,
 }
 
-fn alloc_ic(arena: &mut Vec<InlineCache>) -> u32 {
-    let i = u32::try_from(arena.len()).expect("inline-cache arena overflow");
-    arena.push(InlineCache::Empty);
-    i
+impl CodeArena {
+    fn alloc_ic(&mut self) -> u32 {
+        let i = u32::try_from(self.ics.len()).expect("inline-cache arena overflow");
+        self.ics.push(InlineCache::Empty);
+        i
+    }
 }
 
-/// Rewrite `code` into threaded form, allocating inline-cache slots in
-/// `arena`, and fuse its hot spans if `fuse`. Call-site arity and
-/// returns-ness come from the class's pre-parsed
-/// [`crate::klass::CallSite`]s, so the execution loop never touches the
-/// callsite map.
+/// Rewrite `code` into threaded form at the end of `arena`, allocating
+/// its inline-cache slots there, and fuse its hot spans if `fuse`.
+/// Returns the new body's index. Call-site arity and returns-ness come
+/// from the class's pre-parsed [`crate::klass::CallSite`]s, so the
+/// execution loop never touches the callsite map.
 pub(crate) fn prepare(
     code: &Code,
     callsites: &HashMap<u16, CallSite>,
-    arena: &mut Vec<InlineCache>,
+    arena: &mut CodeArena,
     fuse: bool,
-) -> PreparedCode {
+) -> u32 {
     let mut ops = Vec::with_capacity(code.insns.len());
     for insn in &code.insns {
         let op = match insn {
@@ -263,7 +305,7 @@ pub(crate) fn prepare(
             Insn::FConst(v) => Op::FConst(*v),
             Insn::AConstNull => Op::AConstNull,
             Insn::Ldc(cp) => Op::Ldc {
-                ic: alloc_ic(arena),
+                ic: arena.alloc_ic(),
                 cp: cp.0,
             },
             Insn::ILoad(s) | Insn::FLoad(s) | Insn::ALoad(s) => Op::Load(*s),
@@ -304,17 +346,22 @@ pub(crate) fn prepare(
                 low,
                 targets,
                 default,
-            } => Op::TableSwitch {
-                low: *low,
-                targets: targets.clone().into_boxed_slice(),
-                default: *default,
-            },
+            } => {
+                let first = arena.switch_targets.len() as u32;
+                arena.switch_targets.extend_from_slice(targets);
+                Op::TableSwitch {
+                    low: *low,
+                    first,
+                    targets: targets.len() as u32,
+                    default: *default,
+                }
+            }
             Insn::InvokeStatic(cp) => {
                 let cs = callsites
                     .get(&cp.0)
                     .expect("validated invokestatic has a callsite");
                 Op::InvokeStatic {
-                    ic: alloc_ic(arena),
+                    ic: arena.alloc_ic(),
                     cp: cp.0,
                     nargs: cs.nargs as u8,
                     returns: cs.returns_value,
@@ -325,7 +372,7 @@ pub(crate) fn prepare(
                     .get(&cp.0)
                     .expect("validated invokevirtual has a callsite");
                 Op::InvokeVirtual {
-                    ic: alloc_ic(arena),
+                    ic: arena.alloc_ic(),
                     cp: cp.0,
                     nargs: cs.nargs as u8,
                     returns: cs.returns_value,
@@ -334,23 +381,23 @@ pub(crate) fn prepare(
             Insn::Return => Op::Return,
             Insn::IReturn | Insn::FReturn | Insn::AReturn => Op::ValueReturn,
             Insn::New(cp) => Op::New {
-                ic: alloc_ic(arena),
+                ic: arena.alloc_ic(),
                 cp: cp.0,
             },
             Insn::GetField(cp) => Op::GetField {
-                ic: alloc_ic(arena),
+                ic: arena.alloc_ic(),
                 cp: cp.0,
             },
             Insn::PutField(cp) => Op::PutField {
-                ic: alloc_ic(arena),
+                ic: arena.alloc_ic(),
                 cp: cp.0,
             },
             Insn::GetStatic(cp) => Op::GetStatic {
-                ic: alloc_ic(arena),
+                ic: arena.alloc_ic(),
                 cp: cp.0,
             },
             Insn::PutStatic(cp) => Op::PutStatic {
-                ic: alloc_ic(arena),
+                ic: arena.alloc_ic(),
                 cp: cp.0,
             },
             Insn::NewArray(kind) => Op::NewArray(*kind),
@@ -368,12 +415,15 @@ pub(crate) fn prepare(
     if fuse {
         fuse_spans(&mut ops, code);
     }
-    PreparedCode {
+    let index = u32::try_from(arena.bodies.len()).expect("body arena overflow");
+    arena.bodies.push(Body {
+        code: u32::try_from(arena.ops.len()).expect("op arena overflow"),
         max_stack: code.max_stack,
         max_locals: code.max_locals,
-        ops,
-        exception_table: code.exception_table.clone(),
-    }
+        exception_table: code.exception_table.clone().into_boxed_slice(),
+    });
+    arena.ops.extend(ops);
+    index
 }
 
 /// Rewrite span heads in `ops` into fused ops. Each index gets the
@@ -446,685 +496,1247 @@ fn fused3(w: &[Op]) -> Option<Op> {
     })
 }
 
-impl Vm {
-    /// `array[index]` for an `ArrLoad` of `kind`, or the class and message
-    /// of the exception it throws.
-    fn array_load(
-        &self,
-        kind: ArrayKind,
-        array: Value,
-        index: i64,
-    ) -> Result<Value, (&'static str, String)> {
-        let Some(arr) = array.as_ref_opt() else {
-            return Err(("java/lang/NullPointerException", "null array load".into()));
-        };
-        let out_of_bounds = || {
-            (
-                "java/lang/ArrayIndexOutOfBoundsException",
-                format!("{index}"),
-            )
-        };
-        if index < 0 {
-            return Err(out_of_bounds());
+/// One activation on a thread's frame stack. The running frame's record
+/// is a copy the dispatch loop keeps in its registers; the loop writes
+/// it back here when the frame calls, and reloads it when the callee
+/// returns. A native callee gets a record too (`body` is
+/// [`Frame::NATIVE`]), so the stack's length is the thread's call depth.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frame {
+    mid: MethodId,
+    body: u32,
+    /// Index of the body's first op in [`CodeArena::ops`].
+    code: u32,
+    /// First local slot in [`ThreadStack::slots`]; the operand region
+    /// starts `max_locals` above it.
+    base: u32,
+    /// The calling op while a callee runs.
+    pc: u32,
+    /// Operand-stack top, with a call's arguments already popped.
+    sp: u32,
+    tier: Tier,
+    insn_cost: u64,
+    osr_pending: bool,
+    backedges: u32,
+    /// Instructions since the last sampling or thread-death poll: each
+    /// activation counts from 0 and the caller resumes its own count.
+    polls: u32,
+}
+
+impl Frame {
+    const NATIVE: u32 = u32::MAX;
+
+    fn native(mid: MethodId) -> Self {
+        Frame {
+            mid,
+            body: Self::NATIVE,
+            code: 0,
+            base: 0,
+            pc: 0,
+            sp: 0,
+            tier: Tier::Interp,
+            insn_cost: 0,
+            osr_pending: false,
+            backedges: 0,
+            polls: 0,
         }
-        let i = index as usize;
-        let loaded = match (kind, self.heap().get(arr)) {
-            (ArrayKind::Int, HeapObject::IntArray(v)) => v.get(i).map(|&x| Value::Int(x)),
-            (ArrayKind::Float, HeapObject::FloatArray(v)) => v.get(i).map(|&x| Value::Float(x)),
-            (ArrayKind::Ref, HeapObject::RefArray(v)) => v.get(i).copied(),
-            _ => {
-                return Err(("java/lang/InternalError", "array load kind mismatch".into()));
-            }
+    }
+}
+
+/// A thread's frame stack: the frame records, and one slot arena that
+/// holds every frame's locals with its operands directly above them. A
+/// callee's locals start at its caller's first argument slot, so
+/// arguments are never copied between bytecode frames. The arena only
+/// grows while a loop activation runs; a nested activation (a JNI upcall
+/// or `<clinit>` run from native or resolution code) starts at its end
+/// and truncates it back when it returns.
+#[derive(Debug, Default)]
+pub(crate) struct ThreadStack {
+    frames: Vec<Frame>,
+    slots: Vec<Value>,
+}
+
+impl ThreadStack {
+    /// Push the frame of `mid` (prepared as `body`, running at `tier`),
+    /// whose `nargs` arguments sit at `slots[base..]`: the rest of its
+    /// locals are zeroed and its region is made to fit. Returns the
+    /// pushed record.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn push_frame(
+        &mut self,
+        arena: &CodeArena,
+        tiers: &TierCostModel,
+        mode: TiersMode,
+        mid: MethodId,
+        body: u32,
+        base: usize,
+        nargs: usize,
+        tier: Tier,
+    ) -> Frame {
+        let b = &arena.bodies[body as usize];
+        let max_locals = usize::from(b.max_locals);
+        let end = base + max_locals + usize::from(b.max_stack);
+        if self.slots.len() < end {
+            self.slots.resize(end, Value::Int(0));
+        }
+        for local in &mut self.slots[base + nargs..base + max_locals] {
+            *local = Value::Int(0);
+        }
+        let frame = Frame {
+            mid,
+            body,
+            code: b.code,
+            base: base as u32,
+            pc: 0,
+            sp: (base + max_locals) as u32,
+            tier,
+            insn_cost: tiers.insn(tier),
+            osr_pending: mode.allows_promotion_from(tier),
+            backedges: 0,
+            polls: 0,
         };
-        loaded.ok_or_else(out_of_bounds)
+        self.frames.push(frame);
+        frame
     }
 
-    /// The prepared body of `mid`, building (and caching) it on first use.
-    /// The steady state is two vector indexes and an `Arc` bump — this
-    /// runs on every bytecode invocation.
-    pub(crate) fn prepared_code(&mut self, mid: MethodId) -> Arc<PreparedCode> {
-        let rc = self.registry.get(mid.class);
-        if let Some(p) = &rc.prepared[mid.index as usize] {
-            return Arc::clone(p);
+    fn top(&self) -> Frame {
+        self.frames[self.frames.len() - 1]
+    }
+
+    fn set_top(&mut self, frame: Frame) {
+        let top = self.frames.len() - 1;
+        self.frames[top] = frame;
+    }
+}
+
+/// Charges batched since the last flush: settled instruction counts,
+/// cycles per tier (instructions plus call overheads) and invocations.
+#[derive(Debug, Default)]
+struct Pending {
+    insns: u64,
+    cycles: [u64; 3],
+    invocations: u64,
+}
+
+impl Pending {
+    /// Move `run` instructions at `frame`'s tier into the batch.
+    #[inline(always)]
+    fn settle(&mut self, frame: &Frame, run: &mut u64) {
+        if *run != 0 {
+            self.insns += *run;
+            self.cycles[frame.tier.index()] += *run * frame.insn_cost;
+            *run = 0;
         }
-        let code = rc.code[mid.index as usize]
-            .as_deref()
-            .expect("bytecode method has code");
+    }
+}
+
+/// The tier pipeline's promotion test for a call of a method with
+/// `count` invocations (this one included) at `tier`: promote one tier at
+/// a time at the invocation thresholds (Interp→C1 at the C1 threshold,
+/// C1→C2 at the C2 threshold), capped by the tiers mode's ceiling. `>=`
+/// rather than `==`: a fault-aborted compile resets the counter, and a
+/// successful promotion changes the tier so the lower threshold stops
+/// applying — either way this fires at most once per call.
+#[inline(always)]
+fn promotion(tiers: &TierCostModel, mode: TiersMode, tier: Tier, count: u32) -> Option<Tier> {
+    let due = mode.allows_promotion_from(tier)
+        && tiers
+            .invocation_threshold(tier)
+            .is_some_and(|threshold| count >= threshold);
+    due.then(|| tier.next()).flatten()
+}
+
+/// How [`Vm::enter`] left a call.
+enum Entered {
+    /// A bytecode callee's frame is on top of the stack, ready to run.
+    Frame(Frame),
+    /// A native callee returned.
+    Returned(Value),
+    /// The call threw before a bytecode frame was pushed, or its native
+    /// callee threw.
+    Threw(JThrow),
+}
+
+impl Vm {
+    /// Prepare `mid`'s body into the arena (its first execution), or
+    /// `None` for a native method.
+    #[cold]
+    fn prepare_body(&mut self, mid: MethodId) -> Option<u32> {
+        let rc = self.registry.get(mid.class);
+        let code = rc.code[mid.index as usize].as_deref()?;
         self.bodies_prepared = true;
         let fuse = self.sampler_interval().is_none() && !self.faults_enabled();
-        let p = Arc::new(prepare(code, &rc.callsites, &mut self.ic_arena, fuse));
-        self.registry.get_mut(mid.class).prepared[mid.index as usize] = Some(Arc::clone(&p));
-        p
+        let body = prepare(code, &rc.callsites, &mut self.code, fuse);
+        self.registry.exec_mut(mid).body = Some(body);
+        Some(body)
     }
 
-    /// Execute the bytecode method `mid` at `tier` with `args` in its
-    /// first local slots. Instructions are counted in `pending_insns` and
-    /// flushed (clock, `InterpInsns` counter, `VmStats`) before every
-    /// observable action, so every intermediate clock reading equals the
-    /// one an instruction-by-instruction charge would give. The tier, and
-    /// with it the per-instruction cost, only changes right after a
-    /// flush, so the pending cycles are `pending_insns * insn_cost`.
-    // `unused_assignments`: the flush before a `return` zeroes the pending
-    // count like every other flush; the zero is dead there.
-    #[allow(clippy::too_many_lines, unused_assignments)]
-    pub(crate) fn execute(
+    /// Run `f` with `st` parked in `thread`'s record, where a nested
+    /// activation (a JNI upcall, a `<clinit>`) finds it and stacks its
+    /// own frames on top.
+    fn parked<R>(
+        &mut self,
+        thread: ThreadId,
+        st: &mut ThreadStack,
+        f: impl FnOnce(&mut Vm) -> R,
+    ) -> R {
+        self.swap_stack(thread, st);
+        let r = f(self);
+        self.swap_stack(thread, st);
+        r
+    }
+
+    /// Charge what `p` batched to `thread`: its clock and ledger, the
+    /// `InterpInsns` and `Invocations` counters, and the `VmStats`
+    /// instruction, invocation and per-tier columns.
+    fn flush(&mut self, thread: ThreadId, p: &mut Pending) {
+        if p.insns == 0 && p.invocations == 0 && p.cycles == [0; 3] {
+            return;
+        }
+        let info = self.thread_info(thread);
+        info.charge(p.cycles.iter().sum());
+        if p.insns != 0 {
+            info.add(jvmsim_metrics::CounterId::InterpInsns, p.insns);
+        }
+        if p.invocations != 0 {
+            info.add(jvmsim_metrics::CounterId::Invocations, p.invocations);
+        }
+        self.stats.insns += p.insns;
+        self.stats.invocations += p.invocations;
+        let [interp, c1, c2] = p.cycles;
+        self.stats.interp_cycles += interp;
+        self.stats.c1_cycles += c1;
+        self.stats.c2_cycles += c2;
+        *p = Pending::default();
+    }
+
+    /// Begin a call of `mid` with its `nargs` arguments (receiver first)
+    /// at `st.slots[base..]`: count it, guard the call depth, fire
+    /// `MethodEntry`, then run a native callee to completion or promote
+    /// a bytecode callee and push its frame. Anything the call can
+    /// observe is preceded by a flush of `pend`. [`straight`] takes the
+    /// common case (no event, no promotion) without coming here.
+    #[inline(never)]
+    fn enter(
+        &mut self,
+        thread: ThreadId,
+        st: &mut ThreadStack,
+        pend: &mut Pending,
+        mid: MethodId,
+        base: usize,
+        nargs: usize,
+    ) -> Entered {
+        pend.invocations += 1;
+        if st.frames.len() >= self.max_call_depth() {
+            self.flush(thread, pend);
+            return Entered::Threw(self.parked(thread, st, |vm| {
+                vm.throw_new(
+                    thread,
+                    "java/lang/StackOverflowError",
+                    "call depth exceeded",
+                )
+            }));
+        }
+        let events = self.method_events_on();
+        if events {
+            self.flush(thread, pend);
+            self.dispatch(thread, |sink, info, vm| {
+                sink.method_entry(info, vm.registry.method_view(mid));
+            });
+        }
+        let body = match self.registry.exec(mid).body {
+            Some(body) => body,
+            None => match self.prepare_body(mid) {
+                Some(body) => body,
+                None => return self.call_native(thread, st, pend, mid, base, nargs, events),
+            },
+        };
+        let (jit, mode) = (self.jit_enabled(), self.effective_tiers_mode());
+        let exec = self.registry.exec_mut(mid);
+        exec.invocations = exec.invocations.saturating_add(1);
+        let count = exec.invocations;
+        let mut tier = if jit { exec.tier } else { Tier::Interp };
+        if let Some(next) = promotion(&self.cost.tiers, mode, tier, count) {
+            self.flush(thread, pend);
+            if self.tier_compile(thread, mid, next, false) {
+                tier = next;
+            }
+        }
+        pend.cycles[tier.index()] += self.cost.tiers.call_overhead(tier);
+        let tiers = &self.cost.tiers;
+        Entered::Frame(st.push_frame(&self.code, tiers, mode, mid, body, base, nargs, tier))
+    }
+
+    /// [`Vm::enter`] for a native callee: run it with its arguments
+    /// copied out of the (parked) arena, under a frame record of its own,
+    /// and fire `MethodExit` if `events`.
+    #[allow(clippy::too_many_arguments)]
+    fn call_native(
+        &mut self,
+        thread: ThreadId,
+        st: &mut ThreadStack,
+        pend: &mut Pending,
+        mid: MethodId,
+        base: usize,
+        nargs: usize,
+        events: bool,
+    ) -> Entered {
+        self.flush(thread, pend);
+        let args = st.slots[base..base + nargs].to_vec();
+        st.frames.push(Frame::native(mid));
+        let result = self.parked(thread, st, |vm| vm.invoke_native(thread, mid, &args));
+        st.frames.pop();
+        if events {
+            let via_exception = result.is_err();
+            self.dispatch(thread, |sink, info, vm| {
+                sink.method_exit(info, vm.registry.method_view(mid), via_exception);
+            });
+        }
+        match result {
+            Ok(v) => Entered::Returned(v),
+            Err(t) => Entered::Threw(t),
+        }
+    }
+
+    /// Invoke `mid` with `args` (receiver first for instance methods) on
+    /// `thread` as one loop activation: the entry point for the harness,
+    /// JNI `Call*Method*` and `<clinit>`. The activation stacks its frames
+    /// on the thread's frame stack and returns when its entry frame does.
+    ///
+    /// # Errors
+    ///
+    /// Returns the Java exception unwinding out of the callee, if any.
+    pub(crate) fn invoke(
         &mut self,
         thread: ThreadId,
         mid: MethodId,
-        tier: Tier,
-        args: Vec<Value>,
+        args: &[Value],
     ) -> Result<Value, JThrow> {
-        let cur = mid.class;
-        let prepared = self.prepared_code(mid);
-        let mut tier = tier;
-        let mut insn_cost = self.cost().insn(tier);
-        let mode = self.effective_tiers_mode();
-        let osr_threshold = self.cost().tiers.osr_backedge_threshold;
-        let mut osr_pending = mode.allows_promotion_from(tier);
-        let mut backedges: u32 = 0;
+        let mut st = ThreadStack::default();
+        self.swap_stack(thread, &mut st);
+        let base = st.slots.len();
+        st.slots.extend_from_slice(args);
+        // A polling VM (sampler or fault plane) runs its own copy of the
+        // loop, so the common one pays nothing for the poll counter.
+        let result = if self.sampler_interval().is_some() || self.faults_enabled() {
+            self.execute::<true>(thread, &mut st, mid, base, args.len())
+        } else {
+            self.execute::<false>(thread, &mut st, mid, base, args.len())
+        };
+        st.slots.truncate(base);
+        self.swap_stack(thread, &mut st);
+        result
+    }
+
+    /// The dispatch loop: call `mid` with its `nargs` arguments at
+    /// `st.slots[base..]` and run bytecode until that call returns or
+    /// throws. [`straight`] runs everything it can — straight-line ops,
+    /// and calls and returns between bytecode frames — and stops at what
+    /// needs the rest of the VM, which this loop runs: allocations,
+    /// `athrow`, inline-cache misses, calls that fire events, promote or
+    /// reach a native, returns that fire events or leave the activation,
+    /// throws, OSR and polls.
+    ///
+    /// Instructions are counted in `run` and settled into `pend` (at the
+    /// running frame's per-instruction cost) whenever the running frame
+    /// changes; `pend` is flushed (clock, `InterpInsns` and `Invocations`
+    /// counters, `VmStats`) before every observable action, so every
+    /// clock reading an agent or trace can make equals the one an
+    /// instruction-by-instruction, call-by-call charge would give.
+    #[allow(clippy::too_many_lines)]
+    fn execute<const POLLING: bool>(
+        &mut self,
+        thread: ThreadId,
+        st: &mut ThreadStack,
+        mid: MethodId,
+        base: usize,
+        nargs: usize,
+    ) -> Result<Value, JThrow> {
+        // Frames below `floor` belong to outer activations.
+        let floor = st.frames.len();
         let sampling = self.sampler_interval().is_some();
         let fault_polls = self.faults_enabled();
-        let polling = sampling || fault_polls;
-        let mut insns_since_poll: u32 = 0;
-        let mut pending_insns: u64 = 0;
-
-        // Frames come from the recycle pool: a template interpreter runs
-        // on a contiguous thread stack, not one heap allocation per
-        // activation. Contents are reset identically to a fresh frame.
-        let (mut locals, mut stack) = self.frame_pool.pop().unwrap_or_default();
-        locals.clear();
-        locals.resize(prepared.max_locals as usize, Value::Int(0));
-        locals[..args.len()].copy_from_slice(&args);
-        stack.clear();
-        stack.reserve(prepared.max_stack as usize);
-        {
-            let mut args = args;
-            args.clear();
-            self.arg_pool.push(args);
-        }
-        let mut pc: u32 = 0;
+        let mut pend = Pending::default();
+        // The running frame, the instructions it ran since the last
+        // settle, and whether the op at its `pc` is already counted (and
+        // polled).
+        let (mut f, mut run, mut counted) =
+            match self.enter(thread, st, &mut pend, mid, base, nargs) {
+                Entered::Frame(f) => (f, 0, false),
+                Entered::Returned(v) => return Ok(v),
+                Entered::Threw(t) => return Err(t),
+            };
 
         macro_rules! flush {
             () => {{
-                if pending_insns != 0 {
-                    let cycles = pending_insns * insn_cost;
-                    let info = self.thread_info(thread);
-                    info.charge(cycles);
-                    info.add(jvmsim_metrics::CounterId::InterpInsns, pending_insns);
-                    self.stats.insns += pending_insns;
-                    self.note_tier_cycles(tier, cycles);
-                    pending_insns = 0;
-                }
+                pend.settle(&f, &mut run);
+                self.flush(thread, &mut pend);
             }};
         }
 
-        macro_rules! take_branch {
-            ($t:expr) => {{
-                let target: u32 = $t;
-                if osr_pending && target <= pc {
-                    backedges += 1;
-                    if backedges >= osr_threshold {
-                        backedges = 0;
-                        flush!();
-                        if let Some(next) = tier.next() {
-                            if self.tier_compile(thread, mid, next, true) {
-                                tier = next;
-                                insn_cost = self.cost().insn(tier);
-                            }
-                        }
-                        osr_pending = mode.allows_promotion_from(tier);
-                    }
-                }
-                pc = target;
-                continue;
+        macro_rules! push {
+            ($v:expr) => {{
+                let v = $v;
+                st.slots[f.sp as usize] = v;
+                f.sp += 1;
             }};
         }
 
-        macro_rules! throw_or_handle {
-            ($t:expr) => {{
-                let t = $t;
-                flush!();
-                match self.handle_throw(&prepared.exception_table, pc, t, &mut stack) {
-                    Some(h) => {
-                        pc = h;
-                        continue;
-                    }
-                    None => {
-                        if tier.is_compiled() {
-                            self.deopt(thread, mid);
-                        }
-                        self.frame_pool
-                            .push((std::mem::take(&mut locals), std::mem::take(&mut stack)));
-                        return Err(t);
-                    }
-                }
-            }};
-        }
-
-        // A fused head charges the rest of its span and moves `pc` to the
-        // span's last op, where the unfused ops would branch or throw.
-        macro_rules! fused {
-            ($n:literal) => {{
-                pc += $n - 1;
-                pending_insns += $n - 1;
-            }};
-        }
-
-        macro_rules! jthrow {
-            ($class:expr, $msg:expr) => {{
-                flush!();
-                let t = self.throw_new(thread, $class, $msg);
-                throw_or_handle!(t)
+        macro_rules! pop {
+            () => {{
+                f.sp -= 1;
+                st.slots[f.sp as usize]
             }};
         }
 
         loop {
-            let op = &prepared.ops[pc as usize];
-            pending_insns += 1;
-            if polling {
-                insns_since_poll += 1;
-                if insns_since_poll >= 32 {
-                    insns_since_poll = 0;
-                    flush!();
-                    if sampling {
-                        self.poll_samples(thread, false);
-                    }
-                    if fault_polls && self.fault(FaultSite::ThreadDeath).is_some() {
-                        jthrow!(
-                            "java/lang/ThreadDeath",
-                            "fault plane: asynchronous thread death"
-                        );
-                    }
+            let thrown: JThrow = 'dispatch: loop {
+                // These break out of `'dispatch`, so they live inside it.
+                macro_rules! jthrow {
+                    ($class:expr, $msg:expr) => {{
+                        flush!();
+                        break 'dispatch self
+                            .parked(thread, st, |vm| vm.throw_new(thread, $class, $msg));
+                    }};
                 }
-            }
-            match op {
-                Op::Nop => {}
-                Op::IConst(v) => stack.push(Value::Int(*v)),
-                Op::FConst(v) => stack.push(Value::Float(*v)),
-                Op::AConstNull => stack.push(Value::Null),
-                Op::Ldc { ic, cp } => {
-                    let slot = *ic as usize;
-                    let r = match self.ic_arena[slot] {
-                        InlineCache::LdcStr(r) => r,
-                        _ => {
-                            flush!();
-                            let s = self.registry.get(cur).strings[cp].clone();
-                            let before = self.heap().len();
-                            let r = self.heap_mut().intern_string(&s);
-                            // Interning only allocates on a miss; an
-                            // already-interned literal is not an event.
-                            if self.alloc_events_on() && self.heap().len() > before {
-                                let (sc, sm) = self.site_of(mid);
-                                self.fire_allocation(thread, r, &sc, &sm, pc);
+
+                // Call `$callee` with the top `$nargs` operands as its
+                // arguments; `$returns` says whether the call site takes a
+                // value.
+                macro_rules! call {
+                    ($callee:expr, $nargs:expr, $returns:expr) => {{
+                        let args = f.sp as usize - $nargs;
+                        pend.settle(&f, &mut run);
+                        st.set_top(Frame {
+                            sp: args as u32,
+                            ..f
+                        });
+                        match self.enter(thread, st, &mut pend, $callee, args, $nargs) {
+                            Entered::Frame(callee) => {
+                                f = callee;
+                                continue;
                             }
-                            self.ic_arena[slot] = InlineCache::LdcStr(r);
-                            r
-                        }
-                    };
-                    stack.push(Value::Ref(r));
-                }
-                Op::Load(s) => stack.push(locals[*s as usize]),
-                Op::Store(s) => locals[*s as usize] = stack.pop().expect("verified stack"),
-                Op::Pop => {
-                    stack.pop();
-                }
-                Op::Dup => {
-                    let top = *stack.last().expect("verified stack");
-                    stack.push(top);
-                }
-                Op::Swap => {
-                    let n = stack.len();
-                    stack.swap(n - 1, n - 2);
-                }
-                Op::IBin(f) => {
-                    let b = stack.pop().expect("verified").as_int();
-                    let a = stack.pop().expect("verified").as_int();
-                    stack.push(Value::Int(f.apply(a, b)));
-                }
-                Op::IDiv | Op::IRem => {
-                    let b = stack.pop().expect("verified").as_int();
-                    let a = stack.pop().expect("verified").as_int();
-                    if b == 0 {
-                        jthrow!("java/lang/ArithmeticException", "/ by zero");
-                    }
-                    let r = if matches!(op, Op::IDiv) {
-                        a.wrapping_div(b)
-                    } else {
-                        a.wrapping_rem(b)
-                    };
-                    stack.push(Value::Int(r));
-                }
-                Op::INeg => {
-                    let a = stack.pop().expect("verified").as_int();
-                    stack.push(Value::Int(a.wrapping_neg()));
-                }
-                Op::IInc { local, delta } => {
-                    let v = locals[*local as usize].as_int();
-                    locals[*local as usize] = Value::Int(v.wrapping_add(i64::from(*delta)));
-                }
-                Op::FAdd | Op::FSub | Op::FMul | Op::FDiv => {
-                    let b = stack.pop().expect("verified").as_float();
-                    let a = stack.pop().expect("verified").as_float();
-                    let r = match op {
-                        Op::FAdd => a + b,
-                        Op::FSub => a - b,
-                        Op::FMul => a * b,
-                        _ => a / b,
-                    };
-                    stack.push(Value::Float(r));
-                }
-                Op::FNeg => {
-                    let a = stack.pop().expect("verified").as_float();
-                    stack.push(Value::Float(-a));
-                }
-                Op::I2F => {
-                    let a = stack.pop().expect("verified").as_int();
-                    stack.push(Value::Float(a as f64));
-                }
-                Op::F2I => {
-                    let a = stack.pop().expect("verified").as_float();
-                    stack.push(Value::Int(a as i64));
-                }
-                Op::FCmp => {
-                    let b = stack.pop().expect("verified").as_float();
-                    let a = stack.pop().expect("verified").as_float();
-                    let r = if a.is_nan() || b.is_nan() {
-                        1
-                    } else if a < b {
-                        -1
-                    } else {
-                        i64::from(a > b)
-                    };
-                    stack.push(Value::Int(r));
-                }
-                Op::Goto(t) => take_branch!(*t),
-                Op::If(cond, t) => {
-                    let v = stack.pop().expect("verified").as_int();
-                    if cond.eval(v.cmp(&0)) {
-                        take_branch!(*t);
-                    }
-                }
-                Op::IfICmp(cond, t) => {
-                    let b = stack.pop().expect("verified").as_int();
-                    let a = stack.pop().expect("verified").as_int();
-                    if cond.eval(a.cmp(&b)) {
-                        take_branch!(*t);
-                    }
-                }
-                Op::IfNull(t) => {
-                    let v = stack.pop().expect("verified");
-                    if v.as_ref_opt().is_none() {
-                        take_branch!(*t);
-                    }
-                }
-                Op::IfNonNull(t) => {
-                    let v = stack.pop().expect("verified");
-                    if v.as_ref_opt().is_some() {
-                        take_branch!(*t);
-                    }
-                }
-                Op::TableSwitch {
-                    low,
-                    targets,
-                    default,
-                } => {
-                    let k = stack.pop().expect("verified").as_int();
-                    let off = k.wrapping_sub(*low);
-                    let target = if off >= 0 && (off as usize) < targets.len() {
-                        targets[off as usize]
-                    } else {
-                        *default
-                    };
-                    take_branch!(target);
-                }
-                Op::InvokeStatic {
-                    ic,
-                    cp,
-                    nargs,
-                    returns,
-                } => {
-                    let slot = *ic as usize;
-                    let callee = match self.ic_arena[slot] {
-                        InlineCache::StaticCall(m) => m,
-                        _ => {
-                            flush!();
-                            match self.call_target(thread, cur, *cp, None) {
-                                Ok(m) => {
-                                    self.ic_arena[slot] = InlineCache::StaticCall(m);
-                                    m
+                            Entered::Returned(v) => {
+                                f.sp = args as u32;
+                                if $returns {
+                                    push!(v);
                                 }
-                                Err(t) => throw_or_handle!(t),
+                            }
+                            Entered::Threw(t) => {
+                                f.sp = args as u32;
+                                break 'dispatch t;
                             }
                         }
-                    };
-                    let split = stack.len() - *nargs as usize;
-                    let mut call_args = self.arg_pool.pop().unwrap_or_default();
-                    call_args.extend(stack.drain(split..));
-                    flush!();
-                    match self.invoke(thread, callee, call_args) {
-                        Ok(v) => {
-                            if *returns {
-                                stack.push(v);
-                            }
-                        }
-                        Err(t) => throw_or_handle!(t),
-                    }
+                    }};
                 }
-                Op::InvokeVirtual {
-                    ic,
-                    cp,
-                    nargs,
-                    returns,
-                } => {
-                    let split = stack.len() - *nargs as usize - 1;
-                    let mut call_args = self.arg_pool.pop().unwrap_or_default();
-                    call_args.extend(stack.drain(split..));
-                    let recv = call_args[0];
-                    let obj = match recv.as_ref_opt() {
-                        Some(o) => o,
-                        None => {
-                            jthrow!("java/lang/NullPointerException", "null receiver");
+
+                let (mode, jit) = (self.effective_tiers_mode(), self.jit_enabled());
+                let fast_calls = !self.method_events_on();
+                let stop = straight::<POLLING>(
+                    &mut Straight {
+                        arena: &self.code,
+                        heap: &mut self.heap,
+                        registry: &mut self.registry,
+                        st,
+                        pend: &mut pend,
+                        tiers: &self.cost.tiers,
+                        mode,
+                        jit,
+                        fast_calls,
+                        max_depth: self.max_call_depth,
+                        floor,
+                    },
+                    &mut f,
+                    &mut run,
+                    counted,
+                );
+                counted = false;
+                match stop {
+                    Stop::Slow => {}
+                    Stop::Poll => {
+                        flush!();
+                        if sampling {
+                            self.poll_samples(thread, false);
                         }
-                    };
-                    let dyn_class = match self.heap().get(obj) {
-                        HeapObject::Instance { class, .. } => *class,
-                        _ => {
+                        if fault_polls && self.fault(FaultSite::ThreadDeath).is_some() {
                             jthrow!(
-                                "java/lang/InternalError",
-                                "invokevirtual receiver is not an object instance"
+                                "java/lang/ThreadDeath",
+                                "fault plane: asynchronous thread death"
                             );
                         }
-                    };
-                    let slot = *ic as usize;
-                    let callee = match self.ic_arena[slot] {
-                        InlineCache::VirtualCall { receiver, target } if receiver == dyn_class => {
-                            target
+                        counted = true;
+                        continue;
+                    }
+                    Stop::Throw(class, message) => jthrow!(class, &message),
+                    Stop::Osr(target) => {
+                        flush!();
+                        if let Some(next) = f.tier.next() {
+                            if self.tier_compile(thread, f.mid, next, true) {
+                                f.tier = next;
+                                f.insn_cost = self.cost.tiers.insn(next);
+                            }
                         }
-                        _ => {
+                        f.osr_pending = self.effective_tiers_mode().allows_promotion_from(f.tier);
+                        f.pc = target;
+                        continue;
+                    }
+                }
+                // `straight` stopped at a counted op that needs the VM. A
+                // miss fills its inline cache and hands the op back.
+                let (cur, pc) = (f.mid, f.pc);
+                match self.code.ops[f.code as usize + pc as usize] {
+                    Op::Ldc { ic, cp } => {
+                        flush!();
+                        let s = self.registry.get(cur.class).strings[&cp].clone();
+                        let before = self.heap.len();
+                        let r = self.heap.intern_string(&s);
+                        // Interning only allocates on a miss; an
+                        // already-interned literal is not an event.
+                        if self.alloc_events_on() && self.heap.len() > before {
+                            let (sc, sm) = self.site_of(cur);
+                            self.fire_allocation(thread, r, &sc, &sm, pc);
+                        }
+                        self.code.ics[ic as usize] = InlineCache::LdcStr(r);
+                        counted = true;
+                        continue;
+                    }
+                    Op::InvokeStatic {
+                        ic,
+                        cp,
+                        nargs,
+                        returns,
+                    } => {
+                        if let InlineCache::StaticCall(callee) = self.code.ics[ic as usize] {
+                            call!(callee, usize::from(nargs), returns);
+                        } else {
                             flush!();
-                            match self.call_target(thread, cur, *cp, Some(dyn_class)) {
-                                Ok(m) => {
-                                    self.ic_arena[slot] = InlineCache::VirtualCall {
-                                        receiver: dyn_class,
-                                        target: m,
-                                    };
-                                    m
+                            let target = self.parked(thread, st, |vm| {
+                                vm.call_target(thread, cur.class, cp, None)
+                            });
+                            match target {
+                                Ok(m) => self.code.ics[ic as usize] = InlineCache::StaticCall(m),
+                                Err(t) => break 'dispatch t,
+                            }
+                            counted = true;
+                            continue;
+                        }
+                    }
+                    Op::InvokeVirtual {
+                        ic,
+                        cp,
+                        nargs,
+                        returns,
+                    } => {
+                        // `straight` checked the receiver.
+                        let nargs = usize::from(nargs) + 1;
+                        let recv = st.slots[f.sp as usize - nargs].as_ref_opt();
+                        let HeapObject::Instance { class, .. } = self.heap.get(recv.unwrap())
+                        else {
+                            unreachable!("straight checks invokevirtual receivers");
+                        };
+                        let dyn_class = *class;
+                        match self.code.ics[ic as usize] {
+                            InlineCache::VirtualCall { receiver, target }
+                                if receiver == dyn_class =>
+                            {
+                                call!(target, nargs, returns);
+                            }
+                            _ => {
+                                flush!();
+                                let target = self.parked(thread, st, |vm| {
+                                    vm.call_target(thread, cur.class, cp, Some(dyn_class))
+                                });
+                                match target {
+                                    Ok(m) => {
+                                        self.code.ics[ic as usize] = InlineCache::VirtualCall {
+                                            receiver: dyn_class,
+                                            target: m,
+                                        };
+                                    }
+                                    Err(t) => break 'dispatch t,
                                 }
-                                Err(t) => throw_or_handle!(t),
+                                counted = true;
+                                continue;
                             }
                         }
-                    };
-                    flush!();
-                    match self.invoke(thread, callee, std::mem::take(&mut call_args)) {
-                        Ok(v) => {
-                            if *returns {
-                                stack.push(v);
-                            }
-                        }
-                        Err(t) => throw_or_handle!(t),
                     }
-                }
-                Op::Return => {
-                    flush!();
-                    self.frame_pool.push((locals, stack));
-                    return Ok(Value::Null);
-                }
-                Op::ValueReturn => {
-                    flush!();
-                    let v = stack.pop().expect("verified");
-                    self.frame_pool.push((locals, stack));
-                    return Ok(v);
-                }
-                Op::New { ic, cp } => {
-                    let slot = *ic as usize;
-                    let cid = match self.ic_arena[slot] {
-                        InlineCache::NewClass(c) => c,
-                        _ => {
+                    op @ (Op::Return | Op::ValueReturn) => {
+                        let v = matches!(op, Op::ValueReturn).then(|| pop!());
+                        pend.settle(&f, &mut run);
+                        if self.method_events_on() {
                             flush!();
-                            let name = self.registry.get(cur).classrefs[cp].clone();
-                            let c = match self.ensure_loaded_or_throw(thread, &name) {
-                                Ok(c) => c,
-                                Err(t) => throw_or_handle!(t),
-                            };
-                            self.ic_arena[slot] = InlineCache::NewClass(c);
-                            c
+                            self.dispatch(thread, |sink, info, vm| {
+                                sink.method_exit(info, vm.registry.method_view(cur), false);
+                            });
                         }
-                    };
-                    flush!();
-                    self.charge(thread, self.cost().alloc_object);
-                    self.stats.allocations += 1;
-                    let defaults = self.registry.get(cid).field_defaults();
-                    let obj = self.heap_mut().alloc_instance(cid, defaults);
-                    if self.alloc_events_on() {
-                        let (sc, sm) = self.site_of(mid);
-                        self.fire_allocation(thread, obj, &sc, &sm, pc);
-                    }
-                    stack.push(Value::Ref(obj));
-                }
-                Op::GetField { ic, cp } | Op::PutField { ic, cp } => {
-                    let is_put = matches!(op, Op::PutField { .. });
-                    let value = if is_put {
-                        Some(stack.pop().expect("verified"))
-                    } else {
-                        None
-                    };
-                    let recv = stack.pop().expect("verified");
-                    let obj = match recv.as_ref_opt() {
-                        Some(o) => o,
-                        None => {
-                            jthrow!("java/lang/NullPointerException", "null field access");
-                        }
-                    };
-                    if !matches!(self.heap().get(obj), HeapObject::Instance { .. }) {
-                        jthrow!(
-                            "java/lang/InternalError",
-                            "field access on a non-object reference"
-                        );
-                    }
-                    let slot = match self.ic_arena[*ic as usize] {
-                        InlineCache::InstanceField(s) => s,
-                        _ => {
+                        st.frames.pop();
+                        if st.frames.len() == floor {
                             flush!();
-                            match self.instance_field_slot(thread, cur, *cp) {
-                                Ok(s) => {
-                                    self.ic_arena[*ic as usize] = InlineCache::InstanceField(s);
-                                    s
+                            return Ok(v.unwrap_or(Value::Null));
+                        }
+                        f = st.top();
+                        if let Some(v) = v {
+                            push!(v);
+                        }
+                    }
+                    Op::New { ic, cp } => {
+                        let cid = match self.code.ics[ic as usize] {
+                            InlineCache::NewClass(c) => c,
+                            _ => {
+                                flush!();
+                                let name = self.registry.get(cur.class).classrefs[&cp].clone();
+                                let loaded = self.parked(thread, st, |vm| {
+                                    vm.ensure_loaded_or_throw(thread, &name)
+                                });
+                                match loaded {
+                                    Ok(c) => self.code.ics[ic as usize] = InlineCache::NewClass(c),
+                                    Err(t) => break 'dispatch t,
                                 }
-                                Err(t) => throw_or_handle!(t),
+                                counted = true;
+                                continue;
                             }
+                        };
+                        flush!();
+                        self.charge(thread, self.cost.alloc_object);
+                        self.stats.allocations += 1;
+                        let defaults = self.registry.get(cid).field_defaults();
+                        let obj = self.heap.alloc_instance(cid, defaults);
+                        if self.alloc_events_on() {
+                            let (sc, sm) = self.site_of(cur);
+                            self.fire_allocation(thread, obj, &sc, &sm, pc);
                         }
-                    };
-                    match self.heap_mut().get_mut(obj) {
-                        HeapObject::Instance { fields, .. } => {
-                            if let Some(v) = value {
-                                fields[slot] = v;
-                            } else {
-                                let v = fields[slot];
-                                stack.push(v);
-                            }
-                        }
-                        _ => unreachable!("checked instance above"),
+                        push!(Value::Ref(obj));
                     }
-                }
-                Op::GetStatic { ic, cp } | Op::PutStatic { ic, cp } => {
-                    let is_put = matches!(op, Op::PutStatic { .. });
-                    let (cid, slot) = match self.ic_arena[*ic as usize] {
-                        InlineCache::StaticField { class, slot } => (class, slot),
-                        _ => {
+                    Op::GetField { ic, cp } | Op::PutField { ic, cp } => {
+                        flush!();
+                        let slot = self.parked(thread, st, |vm| {
+                            vm.instance_field_slot(thread, cur.class, cp)
+                        });
+                        match slot {
+                            Ok(s) => self.code.ics[ic as usize] = InlineCache::InstanceField(s),
+                            Err(t) => break 'dispatch t,
+                        }
+                        counted = true;
+                        continue;
+                    }
+                    Op::GetStatic { ic, cp } | Op::PutStatic { ic, cp } => {
+                        flush!();
+                        let target = self.parked(thread, st, |vm| {
+                            vm.static_field_target(thread, cur.class, cp)
+                        });
+                        match target {
+                            Ok((class, slot)) => {
+                                self.code.ics[ic as usize] =
+                                    InlineCache::StaticField { class, slot };
+                            }
+                            Err(t) => break 'dispatch t,
+                        }
+                        counted = true;
+                        continue;
+                    }
+                    Op::NewArray(kind) => {
+                        let len = pop!().as_int();
+                        if len < 0 {
+                            jthrow!("java/lang/NegativeArraySizeException", &format!("{len}"));
+                        }
+                        let len = len as usize;
+                        flush!();
+                        self.charge(thread, self.cost.alloc_array(len));
+                        self.stats.allocations += 1;
+                        let r = match kind {
+                            ArrayKind::Int => self.heap.alloc_int_array(len),
+                            ArrayKind::Float => self.heap.alloc_float_array(len),
+                            ArrayKind::Ref => self.heap.alloc_ref_array(len),
+                        };
+                        if self.alloc_events_on() {
+                            let (sc, sm) = self.site_of(cur);
+                            self.fire_allocation(thread, r, &sc, &sm, pc);
+                        }
+                        push!(Value::Ref(r));
+                    }
+                    Op::AThrow => match pop!().as_ref_opt() {
+                        Some(r) => {
                             flush!();
-                            match self.static_field_target(thread, cur, *cp) {
-                                Ok((class, slot)) => {
-                                    self.ic_arena[*ic as usize] =
-                                        InlineCache::StaticField { class, slot };
-                                    (class, slot)
-                                }
-                                Err(t) => throw_or_handle!(t),
-                            }
+                            break 'dispatch JThrow::new(r);
                         }
-                    };
-                    if is_put {
-                        let v = stack.pop().expect("verified");
-                        self.registry.get_mut(cid).statics[slot] = v;
-                    } else {
-                        stack.push(self.registry.get(cid).statics[slot]);
-                    }
-                }
-                Op::NewArray(kind) => {
-                    let len = stack.pop().expect("verified").as_int();
-                    if len < 0 {
-                        jthrow!("java/lang/NegativeArraySizeException", &format!("{len}"));
-                    }
-                    let len = len as usize;
-                    flush!();
-                    self.charge(thread, self.cost().alloc_array(len));
-                    self.stats.allocations += 1;
-                    let r = match kind {
-                        ArrayKind::Int => self.heap_mut().alloc_int_array(len),
-                        ArrayKind::Float => self.heap_mut().alloc_float_array(len),
-                        ArrayKind::Ref => self.heap_mut().alloc_ref_array(len),
-                    };
-                    if self.alloc_events_on() {
-                        let (sc, sm) = self.site_of(mid);
-                        self.fire_allocation(thread, r, &sc, &sm, pc);
-                    }
-                    stack.push(Value::Ref(r));
-                }
-                Op::ArrLoad(kind) => {
-                    let index = stack.pop().expect("verified").as_int();
-                    let arr = stack.pop().expect("verified");
-                    match self.array_load(*kind, arr, index) {
-                        Ok(v) => stack.push(v),
-                        Err((class, msg)) => jthrow!(class, &msg),
-                    }
-                }
-                Op::ArrStore(kind) => {
-                    let value = stack.pop().expect("verified");
-                    let index = stack.pop().expect("verified").as_int();
-                    let arr = stack.pop().expect("verified");
-                    let arr = match arr.as_ref_opt() {
-                        Some(a) => a,
-                        None => {
-                            jthrow!("java/lang/NullPointerException", "null array store");
-                        }
-                    };
-                    if index < 0 {
-                        jthrow!(
-                            "java/lang/ArrayIndexOutOfBoundsException",
-                            &format!("{index}")
-                        );
-                    }
-                    let i = index as usize;
-                    let stored = match (kind, self.heap_mut().get_mut(arr)) {
-                        (ArrayKind::Int, HeapObject::IntArray(v)) => {
-                            v.get_mut(i).map(|slot| *slot = value.as_int())
-                        }
-                        (ArrayKind::Float, HeapObject::FloatArray(v)) => {
-                            v.get_mut(i).map(|slot| *slot = value.as_float())
-                        }
-                        (ArrayKind::Ref, HeapObject::RefArray(v)) => {
-                            v.get_mut(i).map(|slot| *slot = value)
-                        }
-                        _ => {
-                            jthrow!("java/lang/ArrayStoreException", "array store kind mismatch");
-                        }
-                    };
-                    if stored.is_none() {
-                        jthrow!(
-                            "java/lang/ArrayIndexOutOfBoundsException",
-                            &format!("{index}")
-                        );
-                    }
-                }
-                Op::ArrayLength => {
-                    let arr = stack.pop().expect("verified");
-                    let arr = match arr.as_ref_opt() {
-                        Some(a) => a,
-                        None => {
-                            jthrow!("java/lang/NullPointerException", "null arraylength");
-                        }
-                    };
-                    match self.heap().get(arr).array_len() {
-                        Some(n) => stack.push(Value::Int(n as i64)),
-                        None => {
-                            jthrow!("java/lang/InternalError", "arraylength of a non-array");
-                        }
-                    }
-                }
-                Op::AThrow => {
-                    let v = stack.pop().expect("verified");
-                    match v.as_ref_opt() {
-                        Some(r) => throw_or_handle!(JThrow::new(r)),
                         None => {
                             jthrow!("java/lang/NullPointerException", "throwing null");
                         }
-                    }
+                    },
+                    _ => unreachable!("straight runs this op"),
                 }
-                Op::Load2(a, b) => {
-                    fused!(2);
-                    stack.push(locals[*a as usize]);
-                    stack.push(locals[*b as usize]);
+                f.pc += 1;
+            };
+            // Unwind: the running frame's handler, if one covers `pc`,
+            // takes the throw; otherwise the frame is popped (deopting a
+            // compiled one and firing `MethodExit`) and its caller is
+            // searched, until the activation's entry frame is gone.
+            flush!();
+            loop {
+                if let Some(h) = self.find_handler(f.body, f.pc, thrown) {
+                    f.sp = f.base + u32::from(self.code.bodies[f.body as usize].max_locals);
+                    push!(Value::Ref(thrown.exception));
+                    f.pc = h;
+                    break;
                 }
-                Op::LoadK(a, k) => {
-                    fused!(2);
-                    stack.push(locals[*a as usize]);
-                    stack.push(Value::Int(*k));
+                if f.tier.is_compiled() {
+                    self.deopt(thread, f.mid);
                 }
-                Op::StoreLoad(a, b) => {
-                    fused!(2);
-                    let top = stack.last_mut().expect("verified stack");
-                    locals[*a as usize] = *top;
-                    *top = locals[*b as usize];
+                if self.method_events_on() {
+                    let cur = f.mid;
+                    self.dispatch(thread, |sink, info, vm| {
+                        sink.method_exit(info, vm.registry.method_view(cur), true);
+                    });
                 }
-                Op::IBinK(f, k) => {
-                    fused!(2);
-                    let top = stack.last_mut().expect("verified stack");
-                    *top = Value::Int(f.apply(top.as_int(), *k));
+                st.frames.pop();
+                if st.frames.len() == floor {
+                    return Err(thrown);
                 }
-                Op::IBinLK(f, a, k) => {
-                    fused!(3);
-                    stack.push(Value::Int(f.apply(locals[*a as usize].as_int(), *k)));
-                }
-                Op::IfK(cond, k, t) => {
-                    fused!(2);
-                    let a = stack.pop().expect("verified").as_int();
-                    if cond.eval(a.cmp(k)) {
-                        take_branch!(*t);
-                    }
-                }
-                Op::IfLL(cond, a, b, t) => {
-                    fused!(3);
-                    let (a, b) = (locals[*a as usize].as_int(), locals[*b as usize].as_int());
-                    if cond.eval(a.cmp(&b)) {
-                        take_branch!(*t);
-                    }
-                }
-                Op::IfLK(cond, a, k, t) => {
-                    fused!(3);
-                    if cond.eval(locals[*a as usize].as_int().cmp(k)) {
-                        take_branch!(*t);
-                    }
-                }
-                Op::ArrLoadLL(kind, a, i) => {
-                    fused!(3);
-                    let index = locals[*i as usize].as_int();
-                    match self.array_load(*kind, locals[*a as usize], index) {
-                        Ok(v) => stack.push(v),
-                        Err((class, msg)) => jthrow!(class, &msg),
-                    }
-                }
-                Op::IIncGoto {
-                    local,
-                    delta,
-                    target,
-                } => {
-                    fused!(2);
-                    let v = locals[*local as usize].as_int();
-                    locals[*local as usize] = Value::Int(v.wrapping_add(i64::from(*delta)));
-                    take_branch!(*target);
+                f = st.top();
+            }
+        }
+    }
+}
+
+/// What [`straight`] may touch: the code arena, heap and class registry
+/// (statics, method execution records), the thread's frame stack, the
+/// pending charges, and the call rules in force while it runs (it runs
+/// no agent code, so none of them can change under it).
+struct Straight<'a> {
+    arena: &'a CodeArena,
+    heap: &'a mut Heap,
+    registry: &'a mut ClassRegistry,
+    st: &'a mut ThreadStack,
+    pend: &'a mut Pending,
+    tiers: &'a TierCostModel,
+    mode: TiersMode,
+    jit: bool,
+    /// No method events: calls and returns may run here.
+    fast_calls: bool,
+    max_depth: usize,
+    floor: usize,
+}
+
+/// Why [`straight`] stopped. In every case the op at `pc` is counted.
+#[derive(Debug)]
+enum Stop {
+    /// The op at `pc` needs the VM: the outer loop runs it.
+    Slow,
+    /// A sampling or thread-death poll is due before the op at `pc`.
+    Poll,
+    /// The op at `pc` throws a new `class` with this message.
+    Throw(&'static str, String),
+    /// The back-edge from `pc` to the target crossed the OSR threshold.
+    Osr(u32),
+}
+
+/// `array[index]` for an `ArrLoad` of `kind`, or the class and message of
+/// the exception it throws.
+#[inline(always)]
+fn array_load(
+    heap: &Heap,
+    kind: ArrayKind,
+    array: Value,
+    index: i64,
+) -> Result<Value, (&'static str, String)> {
+    let Some(arr) = array.as_ref_opt() else {
+        return Err(("java/lang/NullPointerException", "null array load".into()));
+    };
+    let out_of_bounds = || {
+        (
+            "java/lang/ArrayIndexOutOfBoundsException",
+            format!("{index}"),
+        )
+    };
+    if index < 0 {
+        return Err(out_of_bounds());
+    }
+    let i = index as usize;
+    let loaded = match (kind, heap.get(arr)) {
+        (ArrayKind::Int, HeapObject::IntArray(v)) => v.get(i).map(|&x| Value::Int(x)),
+        (ArrayKind::Float, HeapObject::FloatArray(v)) => v.get(i).map(|&x| Value::Float(x)),
+        (ArrayKind::Ref, HeapObject::RefArray(v)) => v.get(i).copied(),
+        _ => {
+            return Err(("java/lang/InternalError", "array load kind mismatch".into()));
+        }
+    };
+    loaded.ok_or_else(out_of_bounds)
+}
+
+/// Run the running frame `f` — and the bytecode frames it calls — from
+/// `f.pc` while the ops need no more than [`Straight`] holds: locals,
+/// operands, arithmetic, branches, switches, arrays, fields and statics
+/// and `ldc` through a filled inline cache, and calls and returns between
+/// bytecode frames that fire no event, promote nothing and stay inside
+/// the activation. Stops (see [`Stop`]) at anything else, a due poll, a
+/// throw, or an OSR threshold. Each op is counted (and, if `POLLING`,
+/// polled) before it runs, except the first if `counted`. It makes no
+/// call on its hot paths, so its state stays in registers.
+#[allow(clippy::too_many_lines)]
+#[inline(never)]
+fn straight<const POLLING: bool>(
+    cx: &mut Straight<'_>,
+    frame: &mut Frame,
+    run: &mut u64,
+    mut counted: bool,
+) -> Stop {
+    let Straight {
+        arena,
+        heap,
+        registry,
+        st,
+        pend,
+        tiers,
+        mode,
+        jit,
+        fast_calls,
+        max_depth,
+        floor,
+    } = cx;
+    let mut f = *frame;
+    // The running body's ops and the thread's slots, as slices (the
+    // slots are re-borrowed after a call may grow them).
+    let mut ops: &[Op] = &arena.ops[f.code as usize..];
+    let mut slots: &mut [Value] = &mut st.slots;
+    let (mut base, mut pc, mut sp) = (f.base as usize, f.pc, f.sp as usize);
+    let mut n = *run;
+
+    // Write the hot copies back into `f`.
+    macro_rules! sync {
+        () => {{
+            (f.pc, f.sp) = (pc, sp as u32);
+        }};
+    }
+
+    // Make `$frame` the running frame.
+    macro_rules! load {
+        ($frame:expr) => {{
+            f = $frame;
+            ops = &arena.ops[f.code as usize..];
+            (base, pc, sp) = (f.base as usize, f.pc, f.sp as usize);
+        }};
+    }
+
+    macro_rules! stop {
+        ($stop:expr) => {{
+            sync!();
+            *frame = f;
+            *run = n;
+            return $stop;
+        }};
+    }
+
+    macro_rules! throw {
+        ($class:expr, $msg:expr) => {
+            stop!(Stop::Throw($class, $msg.into()))
+        };
+    }
+
+    macro_rules! push {
+        ($v:expr) => {{
+            let v = $v;
+            slots[sp] = v;
+            sp += 1;
+        }};
+    }
+
+    macro_rules! pop {
+        () => {{
+            sp -= 1;
+            slots[sp]
+        }};
+    }
+
+    macro_rules! local {
+        ($i:expr) => {
+            slots[base + $i as usize]
+        };
+    }
+
+    macro_rules! branch {
+        ($t:expr) => {{
+            let target: u32 = $t;
+            if f.osr_pending && target <= pc {
+                f.backedges += 1;
+                if f.backedges >= tiers.osr_backedge_threshold {
+                    f.backedges = 0;
+                    stop!(Stop::Osr(target));
                 }
             }
+            pc = target;
+            continue;
+        }};
+    }
+
+    // A fused head charges the rest of its span and moves `pc` to the
+    // span's last op, where the unfused ops would branch or throw.
+    macro_rules! fused {
+        ($n:literal) => {{
+            pc += $n - 1;
+            n += $n - 1;
+        }};
+    }
+
+    // Call `$callee` with the top `$nargs` operands as its arguments, if
+    // it is prepared bytecode, the depth allows it and no promotion is
+    // due; stop otherwise, leaving everything as it was.
+    macro_rules! call {
+        ($callee:expr, $nargs:expr) => {{
+            let (callee, nargs): (MethodId, usize) = ($callee, $nargs);
+            if !*fast_calls || st.frames.len() >= *max_depth {
+                stop!(Stop::Slow);
+            }
+            let exec = registry.exec_mut(callee);
+            let Some(body) = exec.body else {
+                stop!(Stop::Slow);
+            };
+            let count = exec.invocations.saturating_add(1);
+            let tier = if *jit { exec.tier } else { Tier::Interp };
+            if promotion(tiers, *mode, tier, count).is_some() {
+                stop!(Stop::Slow);
+            }
+            exec.invocations = count;
+            pend.invocations += 1;
+            pend.cycles[tier.index()] += tiers.call_overhead(tier);
+            pend.settle(&f, &mut n);
+            let args = sp - nargs;
+            sync!();
+            st.set_top(Frame {
+                sp: args as u32,
+                ..f
+            });
+            let pushed = st.push_frame(arena, tiers, *mode, callee, body, args, nargs, tier);
+            slots = &mut st.slots;
+            load!(pushed);
+            continue;
+        }};
+    }
+
+    // Return `$v` (if any) to the caller, unless it is in another
+    // activation or events are on.
+    macro_rules! ret {
+        ($v:expr) => {{
+            if !*fast_calls || st.frames.len() - 1 == *floor {
+                stop!(Stop::Slow);
+            }
+            let v: Option<Value> = $v;
+            pend.settle(&f, &mut n);
+            st.frames.pop();
+            load!(st.frames[st.frames.len() - 1]);
+            if let Some(v) = v {
+                push!(v);
+            }
             pc += 1;
+            continue;
+        }};
+    }
+
+    loop {
+        let op = &ops[pc as usize];
+        if counted {
+            counted = false;
+        } else {
+            n += 1;
+            if POLLING {
+                f.polls += 1;
+                if f.polls >= 32 {
+                    f.polls = 0;
+                    stop!(Stop::Poll);
+                }
+            }
         }
+        match *op {
+            Op::Nop => {}
+            Op::IConst(v) => push!(Value::Int(v)),
+            Op::FConst(v) => push!(Value::Float(v)),
+            Op::AConstNull => push!(Value::Null),
+            Op::Ldc { ic, .. } => match arena.ics[ic as usize] {
+                InlineCache::LdcStr(r) => push!(Value::Ref(r)),
+                _ => stop!(Stop::Slow),
+            },
+            Op::Load(s) => push!(local!(s)),
+            Op::Store(s) => local!(s) = pop!(),
+            Op::Pop => sp -= 1,
+            Op::Dup => push!(slots[sp - 1]),
+            Op::Swap => slots.swap(sp - 1, sp - 2),
+            Op::IBin(op) => {
+                let b = pop!().as_int();
+                let a = slots[sp - 1].as_int();
+                slots[sp - 1] = Value::Int(op.apply(a, b));
+            }
+            Op::IDiv | Op::IRem => {
+                let b = pop!().as_int();
+                let a = pop!().as_int();
+                if b == 0 {
+                    throw!("java/lang/ArithmeticException", "/ by zero");
+                }
+                let r = if matches!(op, Op::IDiv) {
+                    a.wrapping_div(b)
+                } else {
+                    a.wrapping_rem(b)
+                };
+                push!(Value::Int(r));
+            }
+            Op::INeg => {
+                let a = slots[sp - 1].as_int();
+                slots[sp - 1] = Value::Int(a.wrapping_neg());
+            }
+            Op::IInc { local, delta } => {
+                let v = local!(local).as_int();
+                local!(local) = Value::Int(v.wrapping_add(i64::from(delta)));
+            }
+            Op::FAdd | Op::FSub | Op::FMul | Op::FDiv => {
+                let b = pop!().as_float();
+                let a = pop!().as_float();
+                let r = match op {
+                    Op::FAdd => a + b,
+                    Op::FSub => a - b,
+                    Op::FMul => a * b,
+                    _ => a / b,
+                };
+                push!(Value::Float(r));
+            }
+            Op::FNeg => {
+                let a = pop!().as_float();
+                push!(Value::Float(-a));
+            }
+            Op::I2F => {
+                let a = pop!().as_int();
+                push!(Value::Float(a as f64));
+            }
+            Op::F2I => {
+                let a = pop!().as_float();
+                push!(Value::Int(a as i64));
+            }
+            Op::FCmp => {
+                let b = pop!().as_float();
+                let a = pop!().as_float();
+                let r = if a.is_nan() || b.is_nan() {
+                    1
+                } else if a < b {
+                    -1
+                } else {
+                    i64::from(a > b)
+                };
+                push!(Value::Int(r));
+            }
+            Op::Goto(t) => branch!(t),
+            Op::If(cond, t) => {
+                let v = pop!().as_int();
+                if cond.eval(v.cmp(&0)) {
+                    branch!(t);
+                }
+            }
+            Op::IfICmp(cond, t) => {
+                let b = pop!().as_int();
+                let a = pop!().as_int();
+                if cond.eval(a.cmp(&b)) {
+                    branch!(t);
+                }
+            }
+            Op::IfNull(t) => {
+                if pop!().as_ref_opt().is_none() {
+                    branch!(t);
+                }
+            }
+            Op::IfNonNull(t) => {
+                if pop!().as_ref_opt().is_some() {
+                    branch!(t);
+                }
+            }
+            Op::TableSwitch {
+                low,
+                first,
+                targets,
+                default,
+            } => {
+                let k = pop!().as_int();
+                let off = k.wrapping_sub(low);
+                let target = if off >= 0 && (off as u64) < u64::from(targets) {
+                    arena.switch_targets[first as usize + off as usize]
+                } else {
+                    default
+                };
+                branch!(target);
+            }
+            Op::InvokeStatic { ic, nargs, .. } => match arena.ics[ic as usize] {
+                InlineCache::StaticCall(callee) => call!(callee, usize::from(nargs)),
+                _ => stop!(Stop::Slow),
+            },
+            Op::InvokeVirtual { ic, nargs, .. } => {
+                let nargs = usize::from(nargs) + 1;
+                let Some(obj) = slots[sp - nargs].as_ref_opt() else {
+                    sp -= nargs;
+                    throw!("java/lang/NullPointerException", "null receiver");
+                };
+                let HeapObject::Instance { class, .. } = heap.get(obj) else {
+                    sp -= nargs;
+                    throw!(
+                        "java/lang/InternalError",
+                        "invokevirtual receiver is not an object instance"
+                    );
+                };
+                match arena.ics[ic as usize] {
+                    InlineCache::VirtualCall { receiver, target } if receiver == *class => {
+                        call!(target, nargs);
+                    }
+                    _ => stop!(Stop::Slow),
+                }
+            }
+            Op::Return => ret!(None),
+            Op::ValueReturn => ret!(Some(slots[sp - 1])),
+            Op::GetField { ic, .. } | Op::PutField { ic, .. } => {
+                let is_put = matches!(op, Op::PutField { .. });
+                let recv = slots[sp - 1 - usize::from(is_put)];
+                let Some(obj) = recv.as_ref_opt() else {
+                    sp -= 1 + usize::from(is_put);
+                    throw!("java/lang/NullPointerException", "null field access");
+                };
+                let HeapObject::Instance { fields, .. } = heap.get_mut(obj) else {
+                    sp -= 1 + usize::from(is_put);
+                    throw!(
+                        "java/lang/InternalError",
+                        "field access on a non-object reference"
+                    );
+                };
+                let InlineCache::InstanceField(slot) = arena.ics[ic as usize] else {
+                    stop!(Stop::Slow);
+                };
+                if is_put {
+                    fields[slot] = slots[sp - 1];
+                    sp -= 2;
+                } else {
+                    slots[sp - 1] = fields[slot];
+                }
+            }
+            Op::GetStatic { ic, .. } | Op::PutStatic { ic, .. } => {
+                let InlineCache::StaticField { class, slot } = arena.ics[ic as usize] else {
+                    stop!(Stop::Slow);
+                };
+                let statics = &mut registry.get_mut(class).statics;
+                if matches!(op, Op::PutStatic { .. }) {
+                    statics[slot] = pop!();
+                } else {
+                    push!(statics[slot]);
+                }
+            }
+            Op::ArrLoad(kind) => {
+                let index = pop!().as_int();
+                let arr = pop!();
+                match array_load(heap, kind, arr, index) {
+                    Ok(v) => push!(v),
+                    Err((class, msg)) => throw!(class, msg),
+                }
+            }
+            Op::ArrStore(kind) => {
+                let value = pop!();
+                let index = pop!().as_int();
+                let Some(arr) = pop!().as_ref_opt() else {
+                    throw!("java/lang/NullPointerException", "null array store");
+                };
+                if index < 0 {
+                    throw!(
+                        "java/lang/ArrayIndexOutOfBoundsException",
+                        format!("{index}")
+                    );
+                }
+                let i = index as usize;
+                let stored = match (kind, heap.get_mut(arr)) {
+                    (ArrayKind::Int, HeapObject::IntArray(v)) => {
+                        v.get_mut(i).map(|slot| *slot = value.as_int())
+                    }
+                    (ArrayKind::Float, HeapObject::FloatArray(v)) => {
+                        v.get_mut(i).map(|slot| *slot = value.as_float())
+                    }
+                    (ArrayKind::Ref, HeapObject::RefArray(v)) => {
+                        v.get_mut(i).map(|slot| *slot = value)
+                    }
+                    _ => {
+                        throw!("java/lang/ArrayStoreException", "array store kind mismatch");
+                    }
+                };
+                if stored.is_none() {
+                    throw!(
+                        "java/lang/ArrayIndexOutOfBoundsException",
+                        format!("{index}")
+                    );
+                }
+            }
+            Op::ArrayLength => {
+                let Some(arr) = pop!().as_ref_opt() else {
+                    throw!("java/lang/NullPointerException", "null arraylength");
+                };
+                match heap.get(arr).array_len() {
+                    Some(len) => push!(Value::Int(len as i64)),
+                    None => {
+                        throw!("java/lang/InternalError", "arraylength of a non-array");
+                    }
+                }
+            }
+            Op::Load2(a, b) => {
+                fused!(2);
+                push!(local!(a));
+                push!(local!(b));
+            }
+            Op::LoadK(a, k) => {
+                fused!(2);
+                push!(local!(a));
+                push!(Value::Int(k));
+            }
+            Op::StoreLoad(a, b) => {
+                fused!(2);
+                local!(a) = slots[sp - 1];
+                slots[sp - 1] = local!(b);
+            }
+            Op::IBinK(op, k) => {
+                fused!(2);
+                let a = slots[sp - 1].as_int();
+                slots[sp - 1] = Value::Int(op.apply(a, k));
+            }
+            Op::IBinLK(op, a, k) => {
+                fused!(3);
+                push!(Value::Int(op.apply(local!(a).as_int(), k)));
+            }
+            Op::IfK(cond, k, t) => {
+                fused!(2);
+                let a = pop!().as_int();
+                if cond.eval(a.cmp(&k)) {
+                    branch!(t);
+                }
+            }
+            Op::IfLL(cond, a, b, t) => {
+                fused!(3);
+                if cond.eval(local!(a).as_int().cmp(&local!(b).as_int())) {
+                    branch!(t);
+                }
+            }
+            Op::IfLK(cond, a, k, t) => {
+                fused!(3);
+                if cond.eval(local!(a).as_int().cmp(&k)) {
+                    branch!(t);
+                }
+            }
+            Op::ArrLoadLL(kind, a, i) => {
+                fused!(3);
+                match array_load(heap, kind, local!(a), local!(i).as_int()) {
+                    Ok(v) => push!(v),
+                    Err((class, msg)) => throw!(class, msg),
+                }
+            }
+            Op::IIncGoto {
+                local,
+                delta,
+                target,
+            } => {
+                fused!(2);
+                let v = local!(local).as_int();
+                local!(local) = Value::Int(v.wrapping_add(i64::from(delta)));
+                branch!(target);
+            }
+            Op::New { .. } | Op::NewArray(_) | Op::AThrow => stop!(Stop::Slow),
+        }
+        pc += 1;
     }
 }
 
@@ -1132,7 +1744,7 @@ impl Vm {
 mod tests {
     use jvmsim_classfile::{Code, Cond, ExceptionHandler, Insn};
 
-    use super::{prepare, HashMap, Op};
+    use super::{prepare, CodeArena, HashMap, Op};
 
     /// `iload 0; iload 1; iload 2; if_icmplt 0; iload 0; iload 1;
     /// if_icmplt 0; return` with `exception_table`, prepared fused.
@@ -1153,7 +1765,9 @@ mod tests {
             insns,
             exception_table,
         };
-        prepare(&code, &HashMap::new(), &mut Vec::new(), true).ops
+        let mut arena = CodeArena::default();
+        prepare(&code, &HashMap::new(), &mut arena, true);
+        arena.ops
     }
 
     fn handler(start: u32, end: u32, handler: u32) -> ExceptionHandler {
@@ -1200,7 +1814,9 @@ mod tests {
             insns: vec![Insn::ILoad(0), Insn::ILoad(1), Insn::Return],
             exception_table: Vec::new(),
         };
-        let ops = prepare(&code, &HashMap::new(), &mut Vec::new(), false).ops;
+        let mut arena = CodeArena::default();
+        prepare(&code, &HashMap::new(), &mut arena, false);
+        let ops = arena.ops;
         assert_eq!(ops, [Op::Load(0), Op::Load(1), Op::Return]);
     }
 }

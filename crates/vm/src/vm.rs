@@ -22,6 +22,7 @@ use crate::events::{
 use crate::heap::{Heap, HeapObject};
 use crate::jni::{JniFunctionTable, NativeFn, NativeLibrary};
 use crate::klass::{ClassId, ClassRegistry, MethodId};
+use crate::prepared::{CodeArena, ThreadStack};
 use crate::throw::{ExceptionInfo, JThrow};
 use crate::value::{ObjRef, Value};
 
@@ -114,7 +115,9 @@ pub struct ThreadInfo {
     bucket: Cell<Bucket>,
     ledger: RefCell<MetricsSnapshot>,
     tls: RefCell<Vec<TlsSlot>>,
-    pub(crate) depth: usize,
+    /// The thread's frame stack, while no dispatch loop runs on it (a
+    /// running loop holds it, and parks it here whenever it calls out).
+    pub(crate) stack: ThreadStack,
     /// Cycle count at which the next timer sample is due (when sampling).
     pub(crate) next_sample_due: u64,
     /// Result recorded when the thread's initial method finishes.
@@ -144,7 +147,7 @@ impl ThreadInfo {
             bucket: Cell::new(Bucket::Workload),
             ledger: RefCell::new(MetricsSnapshot::default()),
             tls: RefCell::new(Vec::new()),
-            depth: 0,
+            stack: ThreadStack::default(),
             next_sample_due: u64::MAX,
             result: None,
         }
@@ -313,10 +316,10 @@ struct PendingThread {
 /// # }
 /// ```
 pub struct Vm {
-    cost: CostModel,
+    pub(crate) cost: CostModel,
     pcl: Pcl,
     pub(crate) registry: ClassRegistry,
-    heap: Heap,
+    pub(crate) heap: Heap,
     /// Classpath: class name → serialized classfile bytes.
     classpath: HashMap<String, Vec<u8>>,
     /// Registered (but not yet loaded) native libraries.
@@ -340,15 +343,9 @@ pub struct Vm {
     sampler: Option<(u64, Arc<dyn SampleSink>)>,
     /// Which tier promotions the pipeline performs (the `--tiers` axis).
     tiers_mode: TiersMode,
-    /// Inline-cache arena the prepared ops index into (the prepared
-    /// bodies themselves live in per-class slots).
-    pub(crate) ic_arena: Vec<crate::prepared::InlineCache>,
-    /// Recycled `(locals, stack)` buffers for interpreter frames — the
-    /// contiguous-stack discipline of a real template interpreter,
-    /// instead of two heap allocations per activation.
-    pub(crate) frame_pool: Vec<(Vec<Value>, Vec<Value>)>,
-    /// Recycled argument vectors for interpreter call sites.
-    pub(crate) arg_pool: Vec<Vec<Value>>,
+    /// Prepared bodies and the inline caches their ops index into (each
+    /// class's per-method slots hold body indexes).
+    pub(crate) code: CodeArena,
     /// Set when the first method body is prepared. From then on the
     /// sampler and the fault plane are fixed, so every body is prepared
     /// under the same polling decision.
@@ -356,7 +353,7 @@ pub struct Vm {
     threads: Vec<ThreadInfo>,
     pending: VecDeque<PendingThread>,
     jni_table: JniFunctionTable,
-    max_call_depth: usize,
+    pub(crate) max_call_depth: usize,
     /// Deterministic fault-injection plane (disabled by default; armed by
     /// the chaos driver). Shared so the JVMTI shim and trace recorder can
     /// consult the same schedule.
@@ -410,9 +407,7 @@ impl Vm {
             mask: EventMask::none(),
             sampler: None,
             tiers_mode: TiersMode::default(),
-            ic_arena: Vec::new(),
-            frame_pool: Vec::new(),
-            arg_pool: Vec::new(),
+            code: CodeArena::default(),
             bodies_prepared: false,
             threads: Vec::new(),
             pending: VecDeque::new(),
@@ -1074,7 +1069,7 @@ impl Vm {
             // An exception escaping <clinit> is fatal for the class; the
             // JVM throws ExceptionInInitializerError. We surface it as a
             // linkage error.
-            if let Err(t) = self.invoke(thread, mid, Vec::new()) {
+            if let Err(t) = self.invoke(thread, mid, &[]) {
                 let info = self.describe_exception(t);
                 return Err(VmError::ClassFormat {
                     class: self.registry.get(id).name.clone(),
@@ -1255,7 +1250,7 @@ impl Vm {
                 "{class}.{method}{descriptor} must be static"
             )));
         }
-        Ok(match self.invoke(thread, mid, args) {
+        Ok(match self.invoke(thread, mid, &args) {
             Ok(v) => Ok(v),
             Err(t) => Err(self.describe_exception(t)),
         })
@@ -1324,12 +1319,9 @@ impl Vm {
         result
     }
 
-    pub(crate) fn depth(&self, thread: ThreadId) -> usize {
-        self.threads[thread.index()].depth
-    }
-
-    pub(crate) fn set_depth(&mut self, thread: ThreadId, depth: usize) {
-        self.threads[thread.index()].depth = depth;
+    /// Exchange `stack` with the one parked in `thread`'s record.
+    pub(crate) fn swap_stack(&mut self, thread: ThreadId, stack: &mut ThreadStack) {
+        std::mem::swap(&mut self.threads[thread.index()].stack, stack);
     }
 
     /// Are method entry/exit events delivered to a sink?

@@ -363,6 +363,12 @@ fn deep_recursion_throws_stack_overflow() {
         .unwrap()
         .unwrap_err();
     assert_eq!(err.class_name, "java/lang/StackOverflowError");
+    // Pinned absolutely: 200 frames ran their 4 instructions up to the
+    // call, the 201st invocation threw, and the run cost 5,316 cycles
+    // (tier promotions on the way down included).
+    let stats = vm.stats();
+    assert_eq!((stats.invocations, stats.insns), (201, 800));
+    assert_eq!(vm.pcl().total_cycles(), 5_316);
 }
 
 // ---------------------------------------------------------------- natives

@@ -700,8 +700,8 @@ fn classes_digest() -> String {
     format!("classes\t{}", hex(&bytes))
 }
 
-/// Every (seed, mode) line run `polled` or plain, in file order. Runs on
-/// two threads with room for 2,000 recursive frames.
+/// Every (seed, mode) line run `polled` or plain, in file order, on two
+/// threads.
 fn corpus_lines(polled: bool) -> Vec<String> {
     let jobs: Vec<(u64, TiersMode)> = (0..PROGRAMS)
         .flat_map(|seed| TiersMode::ALL.map(|mode| (seed, mode)))
@@ -710,15 +710,12 @@ fn corpus_lines(polled: bool) -> Vec<String> {
         let workers: Vec<_> = jobs
             .chunks(jobs.len().div_ceil(2))
             .map(|chunk| {
-                std::thread::Builder::new()
-                    .stack_size(256 << 20)
-                    .spawn_scoped(s, move || {
-                        chunk
-                            .iter()
-                            .map(|&(seed, mode)| line(seed, mode, polled))
-                            .collect()
-                    })
-                    .unwrap()
+                s.spawn(move || {
+                    chunk
+                        .iter()
+                        .map(|&(seed, mode)| line(seed, mode, polled))
+                        .collect()
+                })
             })
             .collect();
         workers.into_iter().map(|w| w.join().unwrap()).collect()
@@ -780,11 +777,7 @@ fn engine_corpus_covers_every_engine_path() {
             vm.add_classfile(class);
         }
         vm.register_native_library(native_library(), true);
-        let run = std::thread::Builder::new()
-            .stack_size(256 << 20)
-            .spawn(move || vm.run(MAIN, "main", "()I", vec![]).unwrap().stats)
-            .unwrap();
-        vm_stats.push(run.join().unwrap());
+        vm_stats.push(vm.run(MAIN, "main", "()I", vec![]).unwrap().stats);
     }
     let total = |f: fn(&jvmsim_vm::VmStats) -> u64| vm_stats.iter().map(f).sum::<u64>();
     assert!(total(|s| s.osrs) > 0, "an OSR");
