@@ -35,10 +35,6 @@ use workloads::AXIS;
 use crate::http::{ParsedResponse, ResponseParser, READ_POLL};
 use crate::spec::{ApiError, RunSpec};
 
-/// Connections opened per burst before a 1 ms breather, pacing the SYN
-/// backlog so the daemon's accept loop keeps up with a 10k fleet.
-const CONNECTS_PER_BURST: usize = 512;
-
 /// Load-generator configuration.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
@@ -361,8 +357,8 @@ fn convert(parsed: ParsedResponse) -> Result<(u16, String, Option<u64>, Option<S
 
 /// Run the load and aggregate every connection's report.
 ///
-/// Three phases: open every connection in paced bursts (a connection
-/// that never establishes is counted and skipped), run each active
+/// Three phases: open every connection (a connection that never
+/// establishes is counted and skipped), run each active
 /// connection's requests on its own scoped thread, then hold the whole
 /// set open for the rest of `hold` before the stats fetch, the spans
 /// scrape and the shutdown.
@@ -381,10 +377,7 @@ pub fn run_client(config: &ClientConfig) -> Result<ClientReport, String> {
         ..ClientReport::default()
     };
     let mut slots: Vec<Option<TcpStream>> = Vec::with_capacity(report.target);
-    for conn in 0..report.target {
-        if conn > 0 && conn % CONNECTS_PER_BURST == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+    for _ in 0..report.target {
         let stream = connect_with_retry(&config.addr, Duration::from_secs(10)).ok();
         report.connect_failures += u64::from(stream.is_none());
         slots.push(stream);

@@ -91,6 +91,24 @@ use crate::timer::TimerWheel;
 /// zero and can never reach it; `usize::MAX` is the notifier's).
 const LISTENER_KEY: usize = usize::MAX - 1;
 
+/// Accept-queue length asked of the kernel (clamped to `somaxconn`).
+const LISTEN_BACKLOG: i32 = 4096;
+
+/// Bind the daemon's non-blocking listener on `addr`, with an accept
+/// queue of [`LISTEN_BACKLOG`] rather than std's 128, so a held fleet's
+/// connect burst lands in the queue instead of waiting out SYN
+/// retransmits while the event loop is busy.
+///
+/// # Errors
+///
+/// Bind failures (address in use, bad address) or a failed `listen(2)`.
+pub fn bind_listener(addr: &str) -> io::Result<TcpListener> {
+    let listener = TcpListener::bind(addr)?;
+    polling::set_listen_backlog(listener.as_raw_fd(), LISTEN_BACKLOG)?;
+    listener.set_nonblocking(true)?;
+    Ok(listener)
+}
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -273,8 +291,7 @@ impl Server {
     /// Bind failures (address in use, bad address) or fd exhaustion
     /// creating the poller.
     pub fn start(config: ServeConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
+        let listener = bind_listener(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let poller = Poller::new()?;
         poller.add(listener.as_raw_fd(), Event::readable(LISTENER_KEY))?;
