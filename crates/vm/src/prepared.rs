@@ -58,16 +58,17 @@ use std::collections::HashMap;
 
 use jvmsim_classfile::{ArrayKind, Code, Cond, ExceptionHandler, Insn};
 use jvmsim_faults::FaultSite;
+use jvmsim_metrics::{Bucket, CounterId};
 use jvmsim_tiers::{Tier, TiersMode};
 
 use crate::cost::TierCostModel;
 
-use crate::events::ThreadId;
+use crate::events::{ThreadId, VmEventSink};
 use crate::heap::{Heap, HeapObject};
 use crate::klass::{CallSite, ClassId, ClassRegistry, MethodId};
 use crate::throw::JThrow;
 use crate::value::{ObjRef, Value};
-use crate::vm::Vm;
+use crate::vm::{event_scope, ThreadInfo, Vm, VmStats};
 
 /// One inline-cache slot in the VM-wide arena. Ops carry `u32` indices
 /// into the arena; a slot starts [`InlineCache::Empty`] and is filled on
@@ -620,6 +621,29 @@ struct Pending {
 }
 
 impl Pending {
+    /// Charge the batch to the thread `info` and `stats`: its clock and
+    /// ledger, the `InterpInsns` and `Invocations` counters, and the
+    /// `VmStats` instruction, invocation and per-tier columns.
+    fn flush(&mut self, info: &ThreadInfo, stats: &mut VmStats) {
+        if self.insns == 0 && self.invocations == 0 && self.cycles == [0; 3] {
+            return;
+        }
+        info.charge(self.cycles.iter().sum());
+        if self.insns != 0 {
+            info.add(CounterId::InterpInsns, self.insns);
+        }
+        if self.invocations != 0 {
+            info.add(CounterId::Invocations, self.invocations);
+        }
+        stats.insns += self.insns;
+        stats.invocations += self.invocations;
+        let [interp, c1, c2] = self.cycles;
+        stats.interp_cycles += interp;
+        stats.c1_cycles += c1;
+        stats.c2_cycles += c2;
+        *self = Pending::default();
+    }
+
     /// Move `run` instructions at `frame`'s tier into the batch.
     #[inline(always)]
     fn settle(&mut self, frame: &Frame, run: &mut u64) {
@@ -687,28 +711,9 @@ impl Vm {
         r
     }
 
-    /// Charge what `p` batched to `thread`: its clock and ledger, the
-    /// `InterpInsns` and `Invocations` counters, and the `VmStats`
-    /// instruction, invocation and per-tier columns.
+    /// Charge what `p` batched to `thread` (see [`Pending::flush`]).
     fn flush(&mut self, thread: ThreadId, p: &mut Pending) {
-        if p.insns == 0 && p.invocations == 0 && p.cycles == [0; 3] {
-            return;
-        }
-        let info = self.thread_info(thread);
-        info.charge(p.cycles.iter().sum());
-        if p.insns != 0 {
-            info.add(jvmsim_metrics::CounterId::InterpInsns, p.insns);
-        }
-        if p.invocations != 0 {
-            info.add(jvmsim_metrics::CounterId::Invocations, p.invocations);
-        }
-        self.stats.insns += p.insns;
-        self.stats.invocations += p.invocations;
-        let [interp, c1, c2] = p.cycles;
-        self.stats.interp_cycles += interp;
-        self.stats.c1_cycles += c1;
-        self.stats.c2_cycles += c2;
-        *p = Pending::default();
+        p.flush(&self.threads[thread.index()], &mut self.stats);
     }
 
     /// Begin a call of `mid` with its `nargs` arguments (receiver first)
@@ -932,7 +937,11 @@ impl Vm {
                 }
 
                 let (mode, jit) = (self.effective_tiers_mode(), self.jit_enabled());
-                let fast_calls = !self.method_events_on();
+                let events = self
+                    .sink
+                    .as_deref()
+                    .filter(|_| self.method_events_on())
+                    .map(|sink| (sink, self.agent_bucket(), self.cost.event_dispatch));
                 let stop = straight::<POLLING>(
                     &mut Straight {
                         arena: &self.code,
@@ -943,9 +952,11 @@ impl Vm {
                         tiers: &self.cost.tiers,
                         mode,
                         jit,
-                        fast_calls,
                         max_depth: self.max_call_depth,
                         floor,
+                        info: &self.threads[thread.index()],
+                        stats: &mut self.stats,
+                        events,
                     },
                     &mut f,
                     &mut run,
@@ -1200,9 +1211,10 @@ impl Vm {
 }
 
 /// What [`straight`] may touch: the code arena, heap and class registry
-/// (statics, method execution records), the thread's frame stack, the
-/// pending charges, and the call rules in force while it runs (it runs
-/// no agent code, so none of them can change under it).
+/// (statics, method execution records), the thread's frame stack and
+/// record, the pending charges and ground-truth counters, and the call
+/// rules in force while it runs (method-event callbacks see no `Vm`, so
+/// none of them can change under it).
 struct Straight<'a> {
     arena: &'a CodeArena,
     heap: &'a mut Heap,
@@ -1212,10 +1224,15 @@ struct Straight<'a> {
     tiers: &'a TierCostModel,
     mode: TiersMode,
     jit: bool,
-    /// No method events: calls and returns may run here.
-    fast_calls: bool,
     max_depth: usize,
     floor: usize,
+    /// The running thread's record and the ground-truth counters, for
+    /// flushes and method events.
+    info: &'a ThreadInfo,
+    stats: &'a mut VmStats,
+    /// With method events on: the sink, the agent's attribution bucket
+    /// and the cost of one dispatch.
+    events: Option<(&'a dyn VmEventSink, Bucket, u64)>,
 }
 
 /// Why [`straight`] stopped. In every case the op at `pc` is counted.
@@ -1281,24 +1298,11 @@ fn straight<const POLLING: bool>(
     run: &mut u64,
     mut counted: bool,
 ) -> Stop {
-    let Straight {
-        arena,
-        heap,
-        registry,
-        st,
-        pend,
-        tiers,
-        mode,
-        jit,
-        fast_calls,
-        max_depth,
-        floor,
-    } = cx;
     let mut f = *frame;
     // The running body's ops and the thread's slots, as slices (the
     // slots are re-borrowed after a call may grow them).
-    let mut ops: &[Op] = &arena.ops[f.code as usize..];
-    let mut slots: &mut [Value] = &mut st.slots;
+    let mut ops: &[Op] = &cx.arena.ops[f.code as usize..];
+    let mut slots: &mut [Value] = &mut cx.st.slots;
     let (mut base, mut pc, mut sp) = (f.base as usize, f.pc, f.sp as usize);
     let mut n = *run;
 
@@ -1313,7 +1317,7 @@ fn straight<const POLLING: bool>(
     macro_rules! load {
         ($frame:expr) => {{
             f = $frame;
-            ops = &arena.ops[f.code as usize..];
+            ops = &cx.arena.ops[f.code as usize..];
             (base, pc, sp) = (f.base as usize, f.pc, f.sp as usize);
         }};
     }
@@ -1359,7 +1363,7 @@ fn straight<const POLLING: bool>(
             let target: u32 = $t;
             if f.osr_pending && target <= pc {
                 f.backedges += 1;
-                if f.backedges >= tiers.osr_backedge_threshold {
+                if f.backedges >= cx.tiers.osr_backedge_threshold {
                     f.backedges = 0;
                     stop!(Stop::Osr(target));
                 }
@@ -1378,52 +1382,72 @@ fn straight<const POLLING: bool>(
         }};
     }
 
+    // Fire a method event (`$fire` gets the sink and the view of `$mid`)
+    // if they are on, after a flush: the clock it reads is exact.
+    macro_rules! method_event {
+        ($mid:expr, $fire:expr) => {{
+            if let Some((sink, bucket, dispatch)) = cx.events {
+                cx.pend.settle(&f, &mut n);
+                cx.pend.flush(cx.info, cx.stats);
+                cx.stats.events_dispatched += 1;
+                let _agent = event_scope(cx.info, bucket, dispatch);
+                $fire(sink, cx.registry.method_view($mid));
+            }
+        }};
+    }
+
     // Call `$callee` with the top `$nargs` operands as its arguments, if
     // it is prepared bytecode, the depth allows it and no promotion is
     // due; stop otherwise, leaving everything as it was.
     macro_rules! call {
         ($callee:expr, $nargs:expr) => {{
             let (callee, nargs): (MethodId, usize) = ($callee, $nargs);
-            if !*fast_calls || st.frames.len() >= *max_depth {
+            if cx.st.frames.len() >= cx.max_depth {
                 stop!(Stop::Slow);
             }
-            let exec = registry.exec_mut(callee);
+            let exec = cx.registry.exec(callee);
             let Some(body) = exec.body else {
                 stop!(Stop::Slow);
             };
             let count = exec.invocations.saturating_add(1);
-            let tier = if *jit { exec.tier } else { Tier::Interp };
-            if promotion(tiers, *mode, tier, count).is_some() {
+            let tier = if cx.jit { exec.tier } else { Tier::Interp };
+            if promotion(cx.tiers, cx.mode, tier, count).is_some() {
                 stop!(Stop::Slow);
             }
-            exec.invocations = count;
-            pend.invocations += 1;
-            pend.cycles[tier.index()] += tiers.call_overhead(tier);
-            pend.settle(&f, &mut n);
+            cx.pend.invocations += 1;
+            method_event!(callee, |sink: &dyn VmEventSink, view| sink
+                .method_entry(cx.info, view));
+            cx.registry.exec_mut(callee).invocations = count;
+            cx.pend.cycles[tier.index()] += cx.tiers.call_overhead(tier);
+            cx.pend.settle(&f, &mut n);
             let args = sp - nargs;
             sync!();
-            st.set_top(Frame {
+            cx.st.set_top(Frame {
                 sp: args as u32,
                 ..f
             });
-            let pushed = st.push_frame(arena, tiers, *mode, callee, body, args, nargs, tier);
-            slots = &mut st.slots;
+            let pushed = cx
+                .st
+                .push_frame(cx.arena, cx.tiers, cx.mode, callee, body, args, nargs, tier);
+            slots = &mut cx.st.slots;
             load!(pushed);
             continue;
         }};
     }
 
     // Return `$v` (if any) to the caller, unless it is in another
-    // activation or events are on.
+    // activation.
     macro_rules! ret {
         ($v:expr) => {{
-            if !*fast_calls || st.frames.len() - 1 == *floor {
+            if cx.st.frames.len() - 1 == cx.floor {
                 stop!(Stop::Slow);
             }
             let v: Option<Value> = $v;
-            pend.settle(&f, &mut n);
-            st.frames.pop();
-            load!(st.frames[st.frames.len() - 1]);
+            cx.pend.settle(&f, &mut n);
+            method_event!(f.mid, |sink: &dyn VmEventSink, view| sink
+                .method_exit(cx.info, view, false));
+            cx.st.frames.pop();
+            load!(cx.st.frames[cx.st.frames.len() - 1]);
             if let Some(v) = v {
                 push!(v);
             }
@@ -1451,7 +1475,7 @@ fn straight<const POLLING: bool>(
             Op::IConst(v) => push!(Value::Int(v)),
             Op::FConst(v) => push!(Value::Float(v)),
             Op::AConstNull => push!(Value::Null),
-            Op::Ldc { ic, .. } => match arena.ics[ic as usize] {
+            Op::Ldc { ic, .. } => match cx.arena.ics[ic as usize] {
                 InlineCache::LdcStr(r) => push!(Value::Ref(r)),
                 _ => stop!(Stop::Slow),
             },
@@ -1554,13 +1578,13 @@ fn straight<const POLLING: bool>(
                 let k = pop!().as_int();
                 let off = k.wrapping_sub(low);
                 let target = if off >= 0 && (off as u64) < u64::from(targets) {
-                    arena.switch_targets[first as usize + off as usize]
+                    cx.arena.switch_targets[first as usize + off as usize]
                 } else {
                     default
                 };
                 branch!(target);
             }
-            Op::InvokeStatic { ic, nargs, .. } => match arena.ics[ic as usize] {
+            Op::InvokeStatic { ic, nargs, .. } => match cx.arena.ics[ic as usize] {
                 InlineCache::StaticCall(callee) => call!(callee, usize::from(nargs)),
                 _ => stop!(Stop::Slow),
             },
@@ -1570,14 +1594,14 @@ fn straight<const POLLING: bool>(
                     sp -= nargs;
                     throw!("java/lang/NullPointerException", "null receiver");
                 };
-                let HeapObject::Instance { class, .. } = heap.get(obj) else {
+                let HeapObject::Instance { class, .. } = cx.heap.get(obj) else {
                     sp -= nargs;
                     throw!(
                         "java/lang/InternalError",
                         "invokevirtual receiver is not an object instance"
                     );
                 };
-                match arena.ics[ic as usize] {
+                match cx.arena.ics[ic as usize] {
                     InlineCache::VirtualCall { receiver, target } if receiver == *class => {
                         call!(target, nargs);
                     }
@@ -1593,14 +1617,14 @@ fn straight<const POLLING: bool>(
                     sp -= 1 + usize::from(is_put);
                     throw!("java/lang/NullPointerException", "null field access");
                 };
-                let HeapObject::Instance { fields, .. } = heap.get_mut(obj) else {
+                let HeapObject::Instance { fields, .. } = cx.heap.get_mut(obj) else {
                     sp -= 1 + usize::from(is_put);
                     throw!(
                         "java/lang/InternalError",
                         "field access on a non-object reference"
                     );
                 };
-                let InlineCache::InstanceField(slot) = arena.ics[ic as usize] else {
+                let InlineCache::InstanceField(slot) = cx.arena.ics[ic as usize] else {
                     stop!(Stop::Slow);
                 };
                 if is_put {
@@ -1611,10 +1635,10 @@ fn straight<const POLLING: bool>(
                 }
             }
             Op::GetStatic { ic, .. } | Op::PutStatic { ic, .. } => {
-                let InlineCache::StaticField { class, slot } = arena.ics[ic as usize] else {
+                let InlineCache::StaticField { class, slot } = cx.arena.ics[ic as usize] else {
                     stop!(Stop::Slow);
                 };
-                let statics = &mut registry.get_mut(class).statics;
+                let statics = &mut cx.registry.get_mut(class).statics;
                 if matches!(op, Op::PutStatic { .. }) {
                     statics[slot] = pop!();
                 } else {
@@ -1624,7 +1648,7 @@ fn straight<const POLLING: bool>(
             Op::ArrLoad(kind) => {
                 let index = pop!().as_int();
                 let arr = pop!();
-                match array_load(heap, kind, arr, index) {
+                match array_load(cx.heap, kind, arr, index) {
                     Ok(v) => push!(v),
                     Err((class, msg)) => throw!(class, msg),
                 }
@@ -1642,7 +1666,7 @@ fn straight<const POLLING: bool>(
                     );
                 }
                 let i = index as usize;
-                let stored = match (kind, heap.get_mut(arr)) {
+                let stored = match (kind, cx.heap.get_mut(arr)) {
                     (ArrayKind::Int, HeapObject::IntArray(v)) => {
                         v.get_mut(i).map(|slot| *slot = value.as_int())
                     }
@@ -1667,7 +1691,7 @@ fn straight<const POLLING: bool>(
                 let Some(arr) = pop!().as_ref_opt() else {
                     throw!("java/lang/NullPointerException", "null arraylength");
                 };
-                match heap.get(arr).array_len() {
+                match cx.heap.get(arr).array_len() {
                     Some(len) => push!(Value::Int(len as i64)),
                     None => {
                         throw!("java/lang/InternalError", "arraylength of a non-array");
@@ -1719,7 +1743,7 @@ fn straight<const POLLING: bool>(
             }
             Op::ArrLoadLL(kind, a, i) => {
                 fused!(3);
-                match array_load(heap, kind, local!(a), local!(i).as_int()) {
+                match array_load(cx.heap, kind, local!(a), local!(i).as_int()) {
                     Ok(v) => push!(v),
                     Err((class, msg)) => throw!(class, msg),
                 }

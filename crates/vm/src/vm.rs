@@ -256,6 +256,16 @@ const _: fn() = || {
     assert_send::<Vm>();
 };
 
+/// Start delivering one JVMTI event on `info`'s thread: enter the
+/// agent's attribution `bucket` for the returned scope (which covers the
+/// callback), count the event and charge its `dispatch` cost.
+pub(crate) fn event_scope(info: &ThreadInfo, bucket: Bucket, dispatch: u64) -> BucketScope<'_> {
+    let scope = info.enter(bucket);
+    info.incr(CounterId::JvmtiEvents);
+    info.charge(dispatch);
+    scope
+}
+
 /// Outcome of one thread's initial method.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadOutcome {
@@ -333,7 +343,7 @@ pub struct Vm {
     pub(crate) native_statics: Vec<Box<dyn Any + Send>>,
     /// Registered native-method name prefixes (JVMTI 1.1 prefix retry).
     prefixes: Vec<String>,
-    sink: Option<Arc<dyn VmEventSink>>,
+    pub(crate) sink: Option<Arc<dyn VmEventSink>>,
     /// Transition-trace recorder (orthogonal to the JVMTI event mask; no
     /// cycles are charged for trace emission, so tracing never perturbs
     /// the quantities being measured).
@@ -350,7 +360,7 @@ pub struct Vm {
     /// sampler and the fault plane are fixed, so every body is prepared
     /// under the same polling decision.
     pub(crate) bodies_prepared: bool,
-    threads: Vec<ThreadInfo>,
+    pub(crate) threads: Vec<ThreadInfo>,
     pending: VecDeque<PendingThread>,
     jni_table: JniFunctionTable,
     pub(crate) max_call_depth: usize,
@@ -678,13 +688,6 @@ impl Vm {
             .map_or(Bucket::Workload, MetricsRegistry::agent_bucket)
     }
 
-    /// Enter the agent bucket on `thread` for the lifetime of the returned
-    /// scope — scoping event-dispatch and agent callback cycles to the
-    /// attached agent's attribution bucket.
-    pub(crate) fn agent_scope(&self, thread: ThreadId) -> BucketScope<'_> {
-        self.threads[thread.index()].enter(self.agent_bucket())
-    }
-
     /// Is JIT compilation effective right now? Method events suppress it
     /// (as on HotSpot); the `-Xint` analog is [`TiersMode::InterpOnly`].
     pub fn jit_enabled(&self) -> bool {
@@ -878,10 +881,8 @@ impl Vm {
     ) -> Option<R> {
         let sink = self.sink.as_deref()?;
         self.stats.events_dispatched += 1;
-        let _agent = self.agent_scope(thread);
         let info = &self.threads[thread.index()];
-        info.incr(CounterId::JvmtiEvents);
-        info.charge(self.cost.event_dispatch);
+        let _agent = event_scope(info, self.agent_bucket(), self.cost.event_dispatch);
         Some(deliver(sink, info, self))
     }
 
