@@ -61,7 +61,7 @@ use jvmsim_faults::FaultSite;
 use jvmsim_metrics::{Bucket, CounterId};
 use jvmsim_tiers::{Tier, TiersMode};
 
-use crate::cost::TierCostModel;
+use crate::cost::{CostModel, TierCostModel};
 
 use crate::events::{ThreadId, VmEventSink};
 use crate::heap::{Heap, HeapObject};
@@ -937,6 +937,7 @@ impl Vm {
                 }
 
                 let (mode, jit) = (self.effective_tiers_mode(), self.jit_enabled());
+                let alloc_events = self.alloc_events_on();
                 let events = self
                     .sink
                     .as_deref()
@@ -949,11 +950,12 @@ impl Vm {
                         registry: &mut self.registry,
                         st,
                         pend: &mut pend,
-                        tiers: &self.cost.tiers,
+                        cost: &self.cost,
                         mode,
                         jit,
                         max_depth: self.max_call_depth,
                         floor,
+                        alloc_events,
                         info: &self.threads[thread.index()],
                         stats: &mut self.stats,
                         events,
@@ -1221,11 +1223,13 @@ struct Straight<'a> {
     registry: &'a mut ClassRegistry,
     st: &'a mut ThreadStack,
     pend: &'a mut Pending,
-    tiers: &'a TierCostModel,
+    cost: &'a CostModel,
     mode: TiersMode,
     jit: bool,
     max_depth: usize,
     floor: usize,
+    /// Allocation events on: allocations stop here.
+    alloc_events: bool,
     /// The running thread's record and the ground-truth counters, for
     /// flushes and method events.
     info: &'a ThreadInfo,
@@ -1363,7 +1367,7 @@ fn straight<const POLLING: bool>(
             let target: u32 = $t;
             if f.osr_pending && target <= pc {
                 f.backedges += 1;
-                if f.backedges >= cx.tiers.osr_backedge_threshold {
+                if f.backedges >= cx.cost.tiers.osr_backedge_threshold {
                     f.backedges = 0;
                     stop!(Stop::Osr(target));
                 }
@@ -1411,14 +1415,14 @@ fn straight<const POLLING: bool>(
             };
             let count = exec.invocations.saturating_add(1);
             let tier = if cx.jit { exec.tier } else { Tier::Interp };
-            if promotion(cx.tiers, cx.mode, tier, count).is_some() {
+            if promotion(&cx.cost.tiers, cx.mode, tier, count).is_some() {
                 stop!(Stop::Slow);
             }
             cx.pend.invocations += 1;
             method_event!(callee, |sink: &dyn VmEventSink, view| sink
                 .method_entry(cx.info, view));
             cx.registry.exec_mut(callee).invocations = count;
-            cx.pend.cycles[tier.index()] += cx.tiers.call_overhead(tier);
+            cx.pend.cycles[tier.index()] += cx.cost.tiers.call_overhead(tier);
             cx.pend.settle(&f, &mut n);
             let args = sp - nargs;
             sync!();
@@ -1426,9 +1430,16 @@ fn straight<const POLLING: bool>(
                 sp: args as u32,
                 ..f
             });
-            let pushed = cx
-                .st
-                .push_frame(cx.arena, cx.tiers, cx.mode, callee, body, args, nargs, tier);
+            let pushed = cx.st.push_frame(
+                cx.arena,
+                &cx.cost.tiers,
+                cx.mode,
+                callee,
+                body,
+                args,
+                nargs,
+                tier,
+            );
             slots = &mut cx.st.slots;
             load!(pushed);
             continue;
@@ -1758,7 +1769,37 @@ fn straight<const POLLING: bool>(
                 local!(local) = Value::Int(v.wrapping_add(i64::from(delta)));
                 branch!(target);
             }
-            Op::New { .. } | Op::NewArray(_) | Op::AThrow => stop!(Stop::Slow),
+            Op::New { ic, .. } => {
+                let InlineCache::NewClass(class) = cx.arena.ics[ic as usize] else {
+                    stop!(Stop::Slow);
+                };
+                if cx.alloc_events {
+                    stop!(Stop::Slow);
+                }
+                cx.info.charge(cx.cost.alloc_object);
+                cx.stats.allocations += 1;
+                let defaults = cx.registry.get(class).field_defaults();
+                push!(Value::Ref(cx.heap.alloc_instance(class, defaults)));
+            }
+            Op::NewArray(kind) => {
+                if cx.alloc_events {
+                    stop!(Stop::Slow);
+                }
+                let len = pop!().as_int();
+                if len < 0 {
+                    throw!("java/lang/NegativeArraySizeException", format!("{len}"));
+                }
+                let len = len as usize;
+                cx.info.charge(cx.cost.alloc_array(len));
+                cx.stats.allocations += 1;
+                let r = match kind {
+                    ArrayKind::Int => cx.heap.alloc_int_array(len),
+                    ArrayKind::Float => cx.heap.alloc_float_array(len),
+                    ArrayKind::Ref => cx.heap.alloc_ref_array(len),
+                };
+                push!(Value::Ref(r));
+            }
+            Op::AThrow => stop!(Stop::Slow),
         }
         pc += 1;
     }
