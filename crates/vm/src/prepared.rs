@@ -1302,34 +1302,37 @@ fn straight<const POLLING: bool>(
     run: &mut u64,
     mut counted: bool,
 ) -> Stop {
-    let mut f = *frame;
-    // The running body's ops and the thread's slots, as slices (the
-    // slots are re-borrowed after a call may grow them).
+    // The running frame's record: its cold fields are read and written
+    // in place, its hot ones (`pc`, `sp`) live in registers.
+    let f = frame;
+    // The running body's ops, and the slots from the running frame's
+    // first local on (re-borrowed whenever the frame changes), so `sp`
+    // counts from the frame's base and a local is indexed directly.
     let mut ops: &[Op] = &cx.arena.ops[f.code as usize..];
-    let mut slots: &mut [Value] = &mut cx.st.slots;
-    let (mut base, mut pc, mut sp) = (f.base as usize, f.pc, f.sp as usize);
+    let mut slots: &mut [Value] = &mut cx.st.slots[f.base as usize..];
+    let (mut pc, mut sp) = (f.pc, (f.sp - f.base) as usize);
     let mut n = *run;
 
-    // Write the hot copies back into `f`.
+    // Write the hot copies back into the record.
     macro_rules! sync {
         () => {{
-            (f.pc, f.sp) = (pc, sp as u32);
+            (f.pc, f.sp) = (pc, f.base + sp as u32);
         }};
     }
 
     // Make `$frame` the running frame.
     macro_rules! load {
         ($frame:expr) => {{
-            f = $frame;
+            *f = $frame;
             ops = &cx.arena.ops[f.code as usize..];
-            (base, pc, sp) = (f.base as usize, f.pc, f.sp as usize);
+            slots = &mut cx.st.slots[f.base as usize..];
+            (pc, sp) = (f.pc, (f.sp - f.base) as usize);
         }};
     }
 
     macro_rules! stop {
         ($stop:expr) => {{
             sync!();
-            *frame = f;
             *run = n;
             return $stop;
         }};
@@ -1358,7 +1361,7 @@ fn straight<const POLLING: bool>(
 
     macro_rules! local {
         ($i:expr) => {
-            slots[base + $i as usize]
+            slots[$i as usize]
         };
     }
 
@@ -1391,7 +1394,7 @@ fn straight<const POLLING: bool>(
     macro_rules! method_event {
         ($mid:expr, $fire:expr) => {{
             if let Some((sink, bucket, dispatch)) = cx.events {
-                cx.pend.settle(&f, &mut n);
+                cx.pend.settle(f, &mut n);
                 cx.pend.flush(cx.info, cx.stats);
                 cx.stats.events_dispatched += 1;
                 let _agent = event_scope(cx.info, bucket, dispatch);
@@ -1423,12 +1426,12 @@ fn straight<const POLLING: bool>(
                 .method_entry(cx.info, view));
             cx.registry.exec_mut(callee).invocations = count;
             cx.pend.cycles[tier.index()] += cx.cost.tiers.call_overhead(tier);
-            cx.pend.settle(&f, &mut n);
-            let args = sp - nargs;
+            cx.pend.settle(f, &mut n);
+            let args = f.base as usize + sp - nargs;
             sync!();
             cx.st.set_top(Frame {
                 sp: args as u32,
-                ..f
+                ..*f
             });
             let pushed = cx.st.push_frame(
                 cx.arena,
@@ -1440,7 +1443,6 @@ fn straight<const POLLING: bool>(
                 nargs,
                 tier,
             );
-            slots = &mut cx.st.slots;
             load!(pushed);
             continue;
         }};
@@ -1454,7 +1456,7 @@ fn straight<const POLLING: bool>(
                 stop!(Stop::Slow);
             }
             let v: Option<Value> = $v;
-            cx.pend.settle(&f, &mut n);
+            cx.pend.settle(f, &mut n);
             method_event!(f.mid, |sink: &dyn VmEventSink, view| sink
                 .method_exit(cx.info, view, false));
             cx.st.frames.pop();
