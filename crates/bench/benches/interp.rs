@@ -23,6 +23,12 @@
 //! can push a median to zero or below; the line says how many it left
 //! out).
 //!
+//! A third pass prices one Java→Java call: a generated loop calling
+//! `static int f(int)` against the same loop with `f`'s body inlined,
+//! both interp-only at a fixed trip count. It prints the median over N
+//! samples of the time difference per call, and panics unless both
+//! programs' `total_cycles` equal the constants pinned below.
+//!
 //! Speed is reported, not gated: host-time regressions are gated end to
 //! end by the `hostbench` pipeline.
 //!
@@ -32,9 +38,11 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use jnativeprof::classfile::builder::{ClassBuilder, MethodBuilder};
+use jnativeprof::classfile::{Cond, MethodFlags};
 use jnativeprof::harness::AgentChoice;
 use jvmsim_metrics::MetricsRegistry;
-use jvmsim_vm::{RunOutcome, TiersMode, Vm};
+use jvmsim_vm::{RunOutcome, TiersMode, Value, Vm};
 use workloads::{by_name, ProblemSize, WorkloadProgram};
 
 /// Interp-only `total_cycles` per workload at size 10.
@@ -63,6 +71,13 @@ const PINNED_SPA_CYCLES: [(&str, u64); 8] = [
 ];
 
 const SIZE: ProblemSize = ProblemSize::S10;
+
+/// Loop trips of the `call_cost` programs.
+const CALLS: i64 = 200_000;
+
+/// Interp-only `total_cycles` of the `call_cost` loop with the call, and
+/// with `f` inlined.
+const PINNED_CALL_CYCLES: [u64; 2] = [34_800_352, 24_000_352];
 
 fn samples() -> usize {
     if smoke() {
@@ -200,7 +215,73 @@ fn spa_event_cost() {
     );
 }
 
+/// `f(x) = x * 3 + 1`, the callee's body (and the inlined loop's).
+fn f_body(m: &mut MethodBuilder<'_>) {
+    m.iconst(3).imul().iconst(1).iadd();
+}
+
+/// A VM holding `t/Calls.main()I`: `acc = f(acc ^ i) & 0xffff` for
+/// `CALLS` trips, through `invokestatic` if `call`, with `f` inlined
+/// otherwise.
+fn call_loop_vm(call: bool) -> Vm {
+    let mut cb = ClassBuilder::new("t/Calls");
+    let st = MethodFlags::STATIC;
+    let mut f = cb.method("f", "(I)I", st);
+    f.iload(0);
+    f_body(&mut f);
+    f.ireturn();
+    f.finish().unwrap();
+    let mut m = cb.method("main", "()I", st);
+    let (top, done) = (m.new_label(), m.new_label());
+    m.iconst(0).istore(0).iconst(0).istore(1);
+    m.bind(top);
+    m.iload(0).iconst(CALLS).if_icmp(Cond::Ge, done);
+    m.iload(1).iload(0).ixor();
+    if call {
+        m.invokestatic("t/Calls", "f", "(I)I");
+    } else {
+        f_body(&mut m);
+    }
+    m.iconst(0xffff).iand().istore(1);
+    m.iinc(0, 1).goto(top);
+    m.bind(done);
+    m.iload(1).ireturn();
+    m.finish().unwrap();
+    let mut vm = Vm::new();
+    vm.set_tiers_mode(TiersMode::InterpOnly);
+    vm.add_classfile(&cb.finish().unwrap());
+    vm
+}
+
+/// The call-cost pass: each sample times the inlined loop and the
+/// calling loop back to back, VM construction and class loading
+/// included in both, and takes the difference per call.
+fn call_cost() {
+    let mut ns_per_call = Vec::with_capacity(samples());
+    let mut totals = [0; 2];
+    for _ in 0..samples() {
+        let mut times = [0.0; 2];
+        for (i, call) in [true, false].into_iter().enumerate() {
+            let t0 = Instant::now();
+            let mut vm = call_loop_vm(call);
+            let outcome = black_box(vm.run("t/Calls", "main", "()I", vec![]).unwrap());
+            times[i] = t0.elapsed().as_secs_f64();
+            assert!(matches!(outcome.main, Ok(Value::Int(_))));
+            totals[i] = outcome.total_cycles;
+        }
+        ns_per_call.push((times[0] - times[1]) * 1e9 / CALLS as f64);
+    }
+    ns_per_call.sort_by(f64::total_cmp);
+    let median = ns_per_call[ns_per_call.len() / 2];
+    println!(
+        "call_cost/static_int_f    pinned total_cycles {:>11} vs {:>11} inlined  {median:>7.1} ns/call",
+        PINNED_CALL_CYCLES[0], PINNED_CALL_CYCLES[1]
+    );
+    assert_eq!(totals, PINNED_CALL_CYCLES, "call-cost cycle totals moved");
+}
+
 fn main() {
     exactness_gate();
     spa_event_cost();
+    call_cost();
 }
