@@ -173,6 +173,21 @@ pub(crate) struct MethodExec {
     pub body: Option<u32>,
 }
 
+impl MethodExec {
+    /// The tier the method actually executes at: its recorded tier, or
+    /// `Interp` when compilation is off (`jit_enabled = false` freezes
+    /// everything interpreted — including methods compiled earlier;
+    /// HotSpot deoptimises when an agent enables method events, and we
+    /// model the steady state).
+    pub fn effective_tier(&self, jit_enabled: bool) -> Tier {
+        if jit_enabled {
+            self.tier
+        } else {
+            Tier::Interp
+        }
+    }
+}
+
 /// A linked class.
 #[derive(Debug)]
 pub struct RuntimeClass {
@@ -534,33 +549,6 @@ impl ClassRegistry {
         &mut self.classes[id.class.index()].exec[id.index as usize]
     }
 
-    /// Record one invocation of `id`, returning the new saturating count.
-    /// The caller (the tier pipeline in the interpreter) compares the
-    /// count against the active threshold and performs any promotion.
-    pub fn note_invocation(&mut self, id: MethodId) -> u32 {
-        let exec = self.exec_mut(id);
-        exec.invocations = exec.invocations.saturating_add(1);
-        exec.invocations
-    }
-
-    /// The method's current tier, ignoring whether compilation is enabled.
-    pub fn tier_of(&self, id: MethodId) -> Tier {
-        self.exec(id).tier
-    }
-
-    /// The tier the method actually executes at: its recorded tier, or
-    /// `Interp` when compilation is off (`jit_enabled = false` freezes
-    /// everything interpreted — including methods compiled earlier;
-    /// HotSpot deoptimises when an agent enables method events, and we
-    /// model the steady state).
-    pub fn effective_tier(&self, id: MethodId, jit_enabled: bool) -> Tier {
-        if jit_enabled {
-            self.tier_of(id)
-        } else {
-            Tier::Interp
-        }
-    }
-
     /// Set the method's tier (promotion or demotion).
     pub fn set_tier(&mut self, id: MethodId, tier: Tier) {
         self.exec_mut(id).tier = tier;
@@ -570,11 +558,6 @@ impl ClassRegistry {
     /// compile, or a deoptimization).
     pub fn reset_invocations(&mut self, id: MethodId) {
         self.exec_mut(id).invocations = 0;
-    }
-
-    /// Is the method currently running compiled code (and is the JIT on)?
-    pub fn is_compiled(&self, id: MethodId, jit_enabled: bool) -> bool {
-        self.effective_tier(id, jit_enabled).is_compiled()
     }
 
     /// Iterate over linked class names (diagnostics).
@@ -724,20 +707,16 @@ mod tests {
         let (a, _) = class_ab();
         let aid = reg.define(&a).unwrap();
         let mid = reg.resolve_method(aid, "id", "()I").unwrap();
-        assert_eq!(reg.tier_of(mid), Tier::Interp);
-        for want in 1..=9u32 {
-            assert_eq!(reg.note_invocation(mid), want);
-        }
+        assert_eq!(reg.exec(mid).tier, Tier::Interp);
+        reg.exec_mut(mid).invocations = 9;
         reg.set_tier(mid, Tier::C1);
-        assert_eq!(reg.tier_of(mid), Tier::C1);
-        assert!(reg.is_compiled(mid, true));
+        assert_eq!(reg.exec(mid).effective_tier(true), Tier::C1);
         // JIT off hides compiled state.
-        assert_eq!(reg.effective_tier(mid, false), Tier::Interp);
-        assert!(!reg.is_compiled(mid, false));
+        assert_eq!(reg.exec(mid).effective_tier(false), Tier::Interp);
         reg.reset_invocations(mid);
-        assert_eq!(reg.note_invocation(mid), 1);
+        assert_eq!(reg.exec(mid).invocations, 0);
         reg.set_tier(mid, Tier::Interp);
-        assert_eq!(reg.tier_of(mid), Tier::Interp);
+        assert_eq!(reg.exec(mid).tier, Tier::Interp);
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //! loop activation through [`Vm::invoke`].
 //!
 //! The loop has two levels. [`straight`] is a small function with no
-//! calls on its hot paths: it runs straight-line ops, arrays, fields and
-//! statics through filled inline caches, and calls and returns between
-//! bytecode frames that fire no event and promote nothing. It stops at
+//! calls on its hot paths: it runs straight-line ops, arrays, fields,
+//! statics, `ldc` and allocations through filled inline caches, and
+//! calls and returns between bytecode frames (method events included)
+//! that promote nothing and stay inside the activation. It stops at
 //! anything else, and [`Vm::execute`] runs that op with the whole VM at
 //! hand. Cycle charges, instruction counts, call overheads and the
 //! `Invocations` counter are *batched* (per tier) and flushed before
@@ -733,7 +734,7 @@ impl Vm {
         nargs: usize,
     ) -> Entered {
         pend.invocations += 1;
-        if st.frames.len() >= self.max_call_depth() {
+        if st.frames.len() >= self.max_call_depth {
             self.flush(thread, pend);
             return Entered::Threw(self.parked(thread, st, |vm| {
                 vm.throw_new(
@@ -761,7 +762,7 @@ impl Vm {
         let exec = self.registry.exec_mut(mid);
         exec.invocations = exec.invocations.saturating_add(1);
         let count = exec.invocations;
-        let mut tier = if jit { exec.tier } else { Tier::Interp };
+        let mut tier = exec.effective_tier(jit);
         if let Some(next) = promotion(&self.cost.tiers, mode, tier, count) {
             self.flush(thread, pend);
             if self.tier_compile(thread, mid, next, false) {
@@ -838,10 +839,10 @@ impl Vm {
     /// `st.slots[base..]` and run bytecode until that call returns or
     /// throws. [`straight`] runs everything it can — straight-line ops,
     /// and calls and returns between bytecode frames — and stops at what
-    /// needs the rest of the VM, which this loop runs: allocations,
-    /// `athrow`, inline-cache misses, calls that fire events, promote or
-    /// reach a native, returns that fire events or leave the activation,
-    /// throws, OSR and polls.
+    /// needs the rest of the VM, which this loop runs: allocations under
+    /// allocation events, `athrow`, inline-cache misses, calls that
+    /// promote, overflow or reach a native, returns that leave the
+    /// activation, throws, OSR and polls.
     ///
     /// Instructions are counted in `run` and settled into `pend` (at the
     /// running frame's per-instruction cost) whenever the running frame
@@ -1285,12 +1286,13 @@ fn array_load(
     loaded.ok_or_else(out_of_bounds)
 }
 
-/// Run the running frame `f` — and the bytecode frames it calls — from
-/// `f.pc` while the ops need no more than [`Straight`] holds: locals,
-/// operands, arithmetic, branches, switches, arrays, fields and statics
-/// and `ldc` through a filled inline cache, and calls and returns between
-/// bytecode frames that fire no event, promote nothing and stay inside
-/// the activation. Stops (see [`Stop`]) at anything else, a due poll, a
+/// Run the running `frame` — and the bytecode frames it calls — from
+/// its `pc` while the ops need no more than [`Straight`] holds: locals,
+/// operands, arithmetic, branches, switches, arrays, fields, statics,
+/// `ldc` and allocations through a filled inline cache (allocations only
+/// without allocation events), and calls and returns between bytecode
+/// frames, with their method events, that promote nothing and stay
+/// inside the activation. Stops (see [`Stop`]) at anything else, a due poll, a
 /// throw, or an OSR threshold. Each op is counted (and, if `POLLING`,
 /// polled) before it runs, except the first if `counted`. It makes no
 /// call on its hot paths, so its state stays in registers.
@@ -1417,7 +1419,7 @@ fn straight<const POLLING: bool>(
                 stop!(Stop::Slow);
             };
             let count = exec.invocations.saturating_add(1);
-            let tier = if cx.jit { exec.tier } else { Tier::Interp };
+            let tier = exec.effective_tier(cx.jit);
             if promotion(&cx.cost.tiers, cx.mode, tier, count).is_some() {
                 stop!(Stop::Slow);
             }

@@ -1330,10 +1330,6 @@ impl Vm {
         self.mask.method_events && self.sink.is_some()
     }
 
-    pub(crate) fn max_call_depth(&self) -> usize {
-        self.max_call_depth
-    }
-
     pub(crate) fn loaded_libraries(&self) -> &[NativeLibrary] {
         &self.loaded_libraries
     }
