@@ -805,6 +805,52 @@ impl Vm {
         }
     }
 
+    /// [`allocate`] on `thread`.
+    fn allocate(&mut self, thread: ThreadId, what: Alloc) -> ObjRef {
+        let info = &self.threads[thread.index()];
+        allocate(
+            &mut self.heap,
+            &self.registry,
+            info,
+            &mut self.stats,
+            &self.cost,
+            what,
+        )
+    }
+
+    /// What [`straight`] may touch, lent from the VM for one run.
+    fn straight_cx<'a>(
+        &'a mut self,
+        thread: ThreadId,
+        st: &'a mut ThreadStack,
+        pend: &'a mut Pending,
+        floor: usize,
+    ) -> Straight<'a> {
+        let (mode, jit) = (self.effective_tiers_mode(), self.jit_enabled());
+        let alloc_events = self.alloc_events_on();
+        let events = self
+            .sink
+            .as_deref()
+            .filter(|_| self.method_events_on())
+            .map(|sink| (sink, self.agent_bucket(), self.cost.event_dispatch));
+        Straight {
+            arena: &self.code,
+            heap: &mut self.heap,
+            registry: &mut self.registry,
+            st,
+            pend,
+            cost: &self.cost,
+            mode,
+            jit,
+            max_depth: self.max_call_depth,
+            floor,
+            alloc_events,
+            info: &self.threads[thread.index()],
+            stats: &mut self.stats,
+            events,
+        }
+    }
+
     /// Invoke `mid` with `args` (receiver first for instance methods) on
     /// `thread` as one loop activation: the entry point for the harness,
     /// JNI `Call*Method*` and `<clinit>`. The activation stacks its frames
@@ -937,30 +983,9 @@ impl Vm {
                     }};
                 }
 
-                let (mode, jit) = (self.effective_tiers_mode(), self.jit_enabled());
-                let alloc_events = self.alloc_events_on();
-                let events = self
-                    .sink
-                    .as_deref()
-                    .filter(|_| self.method_events_on())
-                    .map(|sink| (sink, self.agent_bucket(), self.cost.event_dispatch));
+                st.set_top(f);
                 let stop = straight::<POLLING>(
-                    &mut Straight {
-                        arena: &self.code,
-                        heap: &mut self.heap,
-                        registry: &mut self.registry,
-                        st,
-                        pend: &mut pend,
-                        cost: &self.cost,
-                        mode,
-                        jit,
-                        max_depth: self.max_call_depth,
-                        floor,
-                        alloc_events,
-                        info: &self.threads[thread.index()],
-                        stats: &mut self.stats,
-                        events,
-                    },
+                    &mut self.straight_cx(thread, st, &mut pend, floor),
                     &mut f,
                     &mut run,
                     counted,
@@ -1075,24 +1100,19 @@ impl Vm {
                             }
                         }
                     }
+                    // `straight` returns to callers in the activation, so
+                    // this is its entry frame returning.
                     op @ (Op::Return | Op::ValueReturn) => {
+                        debug_assert_eq!(st.frames.len() - 1, floor);
                         let v = matches!(op, Op::ValueReturn).then(|| pop!());
-                        pend.settle(&f, &mut run);
+                        flush!();
                         if self.method_events_on() {
-                            flush!();
                             self.dispatch(thread, |sink, info, vm| {
                                 sink.method_exit(info, vm.registry.method_view(cur), false);
                             });
                         }
                         st.frames.pop();
-                        if st.frames.len() == floor {
-                            flush!();
-                            return Ok(v.unwrap_or(Value::Null));
-                        }
-                        f = st.top();
-                        if let Some(v) = v {
-                            push!(v);
-                        }
+                        return Ok(v.unwrap_or(Value::Null));
                     }
                     Op::New { ic, cp } => {
                         let cid = match self.code.ics[ic as usize] {
@@ -1111,15 +1131,11 @@ impl Vm {
                                 continue;
                             }
                         };
+                        // `straight` allocates unless allocation events are on.
                         flush!();
-                        self.charge(thread, self.cost.alloc_object);
-                        self.stats.allocations += 1;
-                        let defaults = self.registry.get(cid).field_defaults();
-                        let obj = self.heap.alloc_instance(cid, defaults);
-                        if self.alloc_events_on() {
-                            let (sc, sm) = self.site_of(cur);
-                            self.fire_allocation(thread, obj, &sc, &sm, pc);
-                        }
+                        let obj = self.allocate(thread, Alloc::Object(cid));
+                        let (sc, sm) = self.site_of(cur);
+                        self.fire_allocation(thread, obj, &sc, &sm, pc);
                         push!(Value::Ref(obj));
                     }
                     Op::GetField { ic, cp } | Op::PutField { ic, cp } => {
@@ -1154,19 +1170,10 @@ impl Vm {
                         if len < 0 {
                             jthrow!("java/lang/NegativeArraySizeException", &format!("{len}"));
                         }
-                        let len = len as usize;
                         flush!();
-                        self.charge(thread, self.cost.alloc_array(len));
-                        self.stats.allocations += 1;
-                        let r = match kind {
-                            ArrayKind::Int => self.heap.alloc_int_array(len),
-                            ArrayKind::Float => self.heap.alloc_float_array(len),
-                            ArrayKind::Ref => self.heap.alloc_ref_array(len),
-                        };
-                        if self.alloc_events_on() {
-                            let (sc, sm) = self.site_of(cur);
-                            self.fire_allocation(thread, r, &sc, &sm, pc);
-                        }
+                        let r = self.allocate(thread, Alloc::Array(kind, len as usize));
+                        let (sc, sm) = self.site_of(cur);
+                        self.fire_allocation(thread, r, &sc, &sm, pc);
                         push!(Value::Ref(r));
                     }
                     Op::AThrow => match pop!().as_ref_opt() {
@@ -1251,6 +1258,41 @@ enum Stop {
     Throw(&'static str, String),
     /// The back-edge from `pc` to the target crossed the OSR threshold.
     Osr(u32),
+}
+
+/// What `new` and `newarray` allocate.
+#[derive(Debug, Clone, Copy)]
+enum Alloc {
+    Object(ClassId),
+    Array(ArrayKind, usize),
+}
+
+/// Allocate `what` on `heap`, charging its cost to the thread `info`
+/// and counting it in `stats`.
+#[inline(always)]
+fn allocate(
+    heap: &mut Heap,
+    registry: &ClassRegistry,
+    info: &ThreadInfo,
+    stats: &mut VmStats,
+    cost: &CostModel,
+    what: Alloc,
+) -> ObjRef {
+    stats.allocations += 1;
+    match what {
+        Alloc::Object(class) => {
+            info.charge(cost.alloc_object);
+            heap.alloc_instance(class, registry.get(class).field_defaults())
+        }
+        Alloc::Array(kind, len) => {
+            info.charge(cost.alloc_array(len));
+            match kind {
+                ArrayKind::Int => heap.alloc_int_array(len),
+                ArrayKind::Float => heap.alloc_float_array(len),
+                ArrayKind::Ref => heap.alloc_ref_array(len),
+            }
+        }
+    }
 }
 
 /// `array[index]` for an `ArrLoad` of `kind`, or the class and message of
@@ -1780,10 +1822,9 @@ fn straight<const POLLING: bool>(
                 if cx.alloc_events {
                     stop!(Stop::Slow);
                 }
-                cx.info.charge(cx.cost.alloc_object);
-                cx.stats.allocations += 1;
-                let defaults = cx.registry.get(class).field_defaults();
-                push!(Value::Ref(cx.heap.alloc_instance(class, defaults)));
+                let what = Alloc::Object(class);
+                let obj = allocate(cx.heap, cx.registry, cx.info, cx.stats, cx.cost, what);
+                push!(Value::Ref(obj));
             }
             Op::NewArray(kind) => {
                 if cx.alloc_events {
@@ -1793,14 +1834,8 @@ fn straight<const POLLING: bool>(
                 if len < 0 {
                     throw!("java/lang/NegativeArraySizeException", format!("{len}"));
                 }
-                let len = len as usize;
-                cx.info.charge(cx.cost.alloc_array(len));
-                cx.stats.allocations += 1;
-                let r = match kind {
-                    ArrayKind::Int => cx.heap.alloc_int_array(len),
-                    ArrayKind::Float => cx.heap.alloc_float_array(len),
-                    ArrayKind::Ref => cx.heap.alloc_ref_array(len),
-                };
+                let what = Alloc::Array(kind, len as usize);
+                let r = allocate(cx.heap, cx.registry, cx.info, cx.stats, cx.cost, what);
                 push!(Value::Ref(r));
             }
             Op::AThrow => stop!(Stop::Slow),
