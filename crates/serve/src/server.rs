@@ -95,7 +95,7 @@ const LISTENER_KEY: usize = usize::MAX - 1;
 const LISTEN_BACKLOG: i32 = 4096;
 
 /// Bind the daemon's non-blocking listener on `addr`, with an accept
-/// queue of [`LISTEN_BACKLOG`] rather than std's 128, so a held fleet's
+/// queue of 4096 rather than std's 128, so a held fleet's
 /// connect burst lands in the queue instead of waiting out SYN
 /// retransmits while the event loop is busy.
 ///
