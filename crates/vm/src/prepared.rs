@@ -983,7 +983,6 @@ impl Vm {
                     }};
                 }
 
-                st.set_top(f);
                 let stop = straight::<POLLING>(
                     &mut self.straight_cx(thread, st, &mut pend, floor),
                     &mut f,
