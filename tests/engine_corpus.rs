@@ -6,9 +6,14 @@
 //! up to `max_call_depth`, exceptions that unwind through native frames
 //! and JNI upcalls inside an OSR'd loop, throws out of compiled frames
 //! with values still on the operand stack, and jumps or handler ranges
-//! that enter a fusible span in its middle. Each program here is built
-//! from a seed through [`ClassBuilder`] (so it passes the validator) and
-//! mixes those shapes; every (seed, tiers mode) pair is run twice, plain
+//! that enter a fusible span in its middle. Seeds from 200 on draw from
+//! a second set of shapes aimed at register-form preparation: loads whose
+//! local is overwritten before the value is consumed, values live across
+//! a merge, stack shuffles, calls on locals and constants, stores of a
+//! call's result, and handler ranges that split a load from its consumer.
+//! Each program here is built from a seed through [`ClassBuilder`] (so it
+//! passes the validator) and mixes those shapes; every (seed, tiers mode)
+//! pair is run twice, plain
 //! and polled (a sampler that never fires, so bodies run unfused), and
 //! both runs must match the committed line in `tests/golden/engine.tsv`:
 //! the result, `total_cycles`, and SHA-256 digests of the `VmStats`, the
@@ -38,7 +43,9 @@ use jvmsim_vm::{
 };
 
 const CORPUS: &str = include_str!("golden/engine.tsv");
-const PROGRAMS: u64 = 200;
+const PROGRAMS: u64 = 240;
+/// Seeds from here on draw their shapes from [`HAZARDS`].
+const FIRST_HAZARD_SEED: u64 = 200;
 const ST: MethodFlags = MethodFlags::STATIC;
 const MAIN: &str = "e/Main";
 
@@ -171,6 +178,15 @@ const SHAPES: [Shape; 9] = [
     depth_limit,
 ];
 
+/// The shapes of seeds from [`FIRST_HAZARD_SEED`] on.
+const HAZARDS: [Shape; 5] = [
+    clobbered_loads,
+    ternaries,
+    stack_shuffles,
+    call_operands,
+    split_ranges,
+];
+
 fn program(seed: u64) -> Program {
     let mut rng = Rng(seed);
     let mut cb = ClassBuilder::new(MAIN);
@@ -201,10 +217,15 @@ fn program(seed: u64) -> Program {
     }
     m.finish().unwrap();
 
-    // Every shape appears in 1 of 9 seeds as the lead; the rest are drawn.
-    let mut shapes = vec![SHAPES[seed as usize % SHAPES.len()]];
+    // Every shape of the seed's set leads in turn; the rest are drawn.
+    let set: &[Shape] = if seed < FIRST_HAZARD_SEED {
+        &SHAPES
+    } else {
+        &HAZARDS
+    };
+    let mut shapes = vec![set[seed as usize % set.len()]];
     for _ in 0..rng.range(1, 3) {
-        shapes.push(rng.pick(&SHAPES));
+        shapes.push(rng.pick(set));
     }
     // On these seeds the last call's exception, if any, escapes `main`.
     let uncaught = seed % 23 == 5;
@@ -591,6 +612,194 @@ fn depth_limit(cb: &mut ClassBuilder, rng: &mut Rng, k: usize) -> String {
     if catch_here {
         m.try_region(start, end, handler, Some("java/lang/StackOverflowError"));
     }
+    m.finish().unwrap();
+    name
+}
+
+/// Loads of a local that an `istore` or `iinc` overwrites before the
+/// loaded value is consumed, feeding arithmetic, stores and a branch.
+fn clobbered_loads(cb: &mut ClassBuilder, rng: &mut Rng, k: usize) -> String {
+    let name = format!("clobber{k}");
+    let n = rng.range(20, 300);
+    let (c, d) = (rng.range(1, 9), rng.range(-4, 4) as i32);
+    let mut m = cb.method(&name, "()I", ST);
+    m.iconst(c).istore(0).iconst(1).istore(2);
+    counted(&mut m, 1, n, |m| {
+        let skip = m.new_label();
+        // t = x - (x += d)
+        m.iload(0).iinc(0, d).iload(0).isub().istore(3);
+        // y = y + (y = t)
+        m.iload(2).iload(3).istore(2).iload(2).iadd().istore(2);
+        // x = x + (x = i) * c
+        m.iload(0).iload(1).istore(0).iload(0).iconst(c).imul().iadd();
+        m.iconst(0xffff).iand().istore(0);
+        // y = y ^ (y = x + 1)
+        m.iload(2).iload(0).iconst(1).iadd().istore(2).iload(2).ixor();
+        m.iconst(0xfffff).iand().istore(2);
+        // if (t < (t += d)) y++
+        m.iload(3).iinc(3, d).iload(3).if_icmp(Cond::Lt, skip);
+        m.iinc(2, 1);
+        m.bind(skip);
+    });
+    m.iload(0).iload(2).iadd().iload(3).iadd().ireturn();
+    m.finish().unwrap();
+    name
+}
+
+/// `c ? a : b` values on the operand stack across a merge, with a value
+/// loaded before the branch beneath them, feeding arithmetic, a call
+/// argument and a return.
+fn ternaries(cb: &mut ClassBuilder, rng: &mut Rng, k: usize) -> String {
+    let (name, pick, add) = (format!("ternary{k}"), format!("pick{k}"), format!("add{k}"));
+    let (a, b) = (rng.range(1, 9), rng.range(-9, 9));
+    let n = rng.range(20, 300);
+    // pick(x, y) = x < y ? x : y - 1
+    let mut m = cb.method(&pick, "(II)I", ST);
+    let (lt, join) = (m.new_label(), m.new_label());
+    m.iload(0).iload(1).if_icmp(Cond::Lt, lt);
+    m.iload(1).iconst(1).isub().goto(join);
+    m.bind(lt);
+    m.iload(0);
+    m.bind(join);
+    m.ireturn();
+    m.finish().unwrap();
+    // add(x, y) = x + 2y
+    let mut m = cb.method(&add, "(II)I", ST);
+    m.iload(0).iload(1).iconst(2).imul().iadd().ireturn();
+    m.finish().unwrap();
+    let mut m = cb.method(&name, "()I", ST);
+    m.iconst(0).istore(2);
+    counted(&mut m, 1, n, |m| {
+        let (t1, j1, t2, j2) = (m.new_label(), m.new_label(), m.new_label(), m.new_label());
+        // s = s + (i % 3 == 0 ? a : i) * b
+        m.iload(2);
+        m.iload(1).iconst(3).irem().if_(Cond::Eq, t1);
+        m.iload(1).goto(j1);
+        m.bind(t1);
+        m.iconst(a);
+        m.bind(j1);
+        m.iconst(b).imul().iadd().istore(2);
+        // s = add(s, (i & 1) != 0 ? i : a) & 0xffff
+        m.iload(2);
+        m.iload(1).iconst(1).iand().if_(Cond::Ne, t2);
+        m.iconst(a).goto(j2);
+        m.bind(t2);
+        m.iload(1);
+        m.bind(j2);
+        m.invokestatic(MAIN, &add, "(II)I");
+        m.iconst(0xffff).iand().istore(2);
+        // s = s ^ pick(i, a)
+        m.iload(2).iload(1).iconst(a).invokestatic(MAIN, &pick, "(II)I");
+        m.ixor().istore(2);
+    });
+    m.iload(2).iconst(a).invokestatic(MAIN, &pick, "(II)I").ireturn();
+    m.finish().unwrap();
+    name
+}
+
+/// `dup`, `swap` and `pop` over loaded, constant and computed values,
+/// some of them under a store to the local they were loaded from.
+fn stack_shuffles(cb: &mut ClassBuilder, rng: &mut Rng, k: usize) -> String {
+    let name = format!("shuffle{k}");
+    let n = rng.range(20, 300);
+    let a = rng.range(1, 9);
+    let mut m = cb.method(&name, "()I", ST);
+    m.iconst(a).istore(2).iconst(0).istore(3);
+    counted(&mut m, 1, n, |m| {
+        // s = s + i * i
+        m.iload(1).dup().imul().iload(2).iadd().istore(2);
+        // t = s - (a - i)
+        m.iload(1).iconst(a).swap().isub().iload(2).swap().isub().istore(3);
+        // s = (s + 3) ^ ... with the sum kept by `dup` and stored
+        m.iload(2).iconst(3).iadd().dup().istore(2).iload(3).ixor().istore(3);
+        // dropped loaded and computed values
+        m.iload(3).pop().iload(1).iconst(2).imul().pop();
+        // t = s + (s += 5)
+        m.iload(2).dup().iinc(2, 5).iadd().istore(3);
+        // swap s and t through the stack, with and without `swap`
+        m.iload(2).iload(3).istore(2).istore(3);
+        m.iload(2).iload(3).swap().istore(2).istore(3);
+        m.iload(2).iconst(0xffff).iand().istore(2);
+        m.iload(3).iconst(0xffff).iand().istore(3);
+    });
+    m.iload(2).iload(3).isub().ireturn();
+    m.finish().unwrap();
+    name
+}
+
+/// Static and virtual calls whose arguments are all locals or constants,
+/// some with a loaded value beneath them, and stores of a call's result
+/// straight into a local (one that value was loaded from).
+fn call_operands(cb: &mut ClassBuilder, rng: &mut Rng, k: usize) -> String {
+    let (name, f3) = (format!("callops{k}"), format!("f3{k}"));
+    let (c, d) = (rng.range(-5, 9), rng.range(1, 9));
+    let n = rng.range(20, 300);
+    // f3(x, y, z) = 3x + y - z
+    let mut m = cb.method(&f3, "(III)I", ST);
+    m.iload(0).iconst(3).imul().iload(1).iadd().iload(2).isub().ireturn();
+    m.finish().unwrap();
+    let receiver = RECEIVERS[rng.range(0, 4) as usize];
+    let mut m = cb.method(&name, "()I", ST);
+    m.new_obj(receiver).dup().iconst(d).putfield("e/Base", "k", "I");
+    m.astore(0).iconst(0).istore(2).iconst(0).istore(3);
+    counted(&mut m, 1, n, |m| {
+        m.iload(1).iconst(c).iload(2).invokestatic(MAIN, &f3, "(III)I");
+        m.istore(2);
+        m.iconst(c).iconst(d).iload(1).invokestatic(MAIN, &f3, "(III)I");
+        m.iload(2).iadd().istore(3);
+        // s = s + (s = f3(i, s, 1))
+        m.iload(2).iload(1).iload(2).iconst(1).invokestatic(MAIN, &f3, "(III)I");
+        m.istore(2).iload(2).iadd().iconst(0xfffff).iand().istore(2);
+        m.aload(0).iload(1).invokevirtual("e/Base", "v", "(I)I").istore(3);
+        m.iload(3).iload(2).ixor().iconst(0xfffff).iand().istore(2);
+    });
+    m.iload(2).iload(3).iadd().ireturn();
+    m.finish().unwrap();
+    name
+}
+
+/// Handler ranges that start after a load and before its throwing
+/// consumer (`idiv`), and end between an array's loads and the `iaload`
+/// that throws past them to an outer range; the handlers read the locals
+/// the throwing spans would have stored.
+fn split_ranges(cb: &mut ClassBuilder, rng: &mut Rng, k: usize) -> String {
+    let name = format!("split{k}");
+    let (len, q) = (rng.range(1, 12), rng.range(2, 7));
+    let n = rng.range(20, 300);
+    let mut m = cb.method(&name, "()I", ST);
+    m.iconst(len).newarray(ArrayKind::Int).astore(0);
+    m.iconst(1).istore(2).iconst(0).istore(4);
+    counted(&mut m, 1, n, |m| {
+        let (s1, e1, h1, s2, e2, h2, next) = (
+            m.new_label(),
+            m.new_label(),
+            m.new_label(),
+            m.new_label(),
+            m.new_label(),
+            m.new_label(),
+            m.new_label(),
+        );
+        m.bind(s2);
+        m.aload(0).iload(1).iconst(len).irem().iload(2).iastore();
+        m.iload(2).iload(1).iload(1).iconst(q).irem();
+        m.bind(s1);
+        m.idiv().iadd().istore(2);
+        m.aload(0).iload(1).iconst(len + 1).irem();
+        m.bind(e1);
+        m.iaload().istore(4);
+        m.iload(2).iload(4).iadd().iconst(0xfffff).iand().istore(2);
+        m.bind(e2);
+        m.goto(next);
+        m.bind(h1);
+        m.pop().iload(2).iload(4).iadd().istore(2);
+        m.goto(next);
+        m.bind(h2);
+        m.pop().iinc(4, 13);
+        m.bind(next);
+        m.try_region(s1, e1, h1, Some("java/lang/ArithmeticException"));
+        m.try_region(s2, e2, h2, None);
+    });
+    m.iload(2).iload(4).iadd().ireturn();
     m.finish().unwrap();
     name
 }
