@@ -105,155 +105,156 @@ pub(crate) enum InlineCache {
     NewClass(ClassId),
 }
 
-/// The int binops that cannot throw, as one op with an operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum IntOp {
-    Add,
-    Sub,
-    Mul,
-    Shl,
-    Shr,
-    UShr,
-    And,
-    Or,
-    Xor,
+/// Declare [`Op`]. Every variant gets `len`, the number of source
+/// instructions it stands for; the `dst` group also gets `dst`, the slot
+/// it writes its result to, which a following store may retarget.
+macro_rules! ops {
+    (
+        dst { $($(#[$dm:meta])* $d:ident { $($df:ident: $dt:ty),* $(,)? },)* }
+        other { $($(#[$om:meta])* $o:ident { $($of:ident: $ot:ty),* $(,)? },)* }
+    ) => {
+        /// A prepared instruction in register form. Its operands are frame
+        /// slots (numbered from the frame's first local: locals, then the
+        /// operand stack, position `d` at `max_locals + d`) or inline
+        /// constants. An op stands for the `len` source instructions of
+        /// the span it heads: loads and constants folded into their
+        /// consumer, the consumer itself (which may branch or throw) and,
+        /// for the `dst` ops, a store folded into it. It sits at its
+        /// span's first index; every other index keeps the one-instruction
+        /// op, so a jump into a span still runs. `at` is where the
+        /// consumer sits in the span, and `top` is `max_locals` plus the
+        /// stack depth the consumer starts at: an op that stops the
+        /// straight-line loop leaves `pc` and `sp` as the stack code
+        /// would. Ops are plain `Copy` data (a `tableswitch`'s table lives
+        /// in the arena), so the loop fetches one by value and keeps no
+        /// borrow of the arena while it runs it.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub(crate) enum Op {
+            $($(#[$dm])* $d { len: u8, dst: u16, $($df: $dt),* },)*
+            $($(#[$om])* $o { len: u8, $($of: $ot),* },)*
+        }
+
+        impl Op {
+            /// The number of source instructions the op stands for.
+            fn len_mut(&mut self) -> &mut u8 {
+                match self {
+                    $(Op::$d { len, .. } => len,)*
+                    $(Op::$o { len, .. } => len,)*
+                }
+            }
+
+            /// The slot the op writes its result to, if it writes one.
+            fn dst_mut(&mut self) -> Option<&mut u16> {
+                match self {
+                    $(Op::$d { dst, .. } => Some(dst),)*
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-impl IntOp {
-    #[inline]
-    fn apply(self, a: i64, b: i64) -> i64 {
-        match self {
-            IntOp::Add => a.wrapping_add(b),
-            IntOp::Sub => a.wrapping_sub(b),
-            IntOp::Mul => a.wrapping_mul(b),
-            IntOp::Shl => a.wrapping_shl(b as u32 & 63),
-            IntOp::Shr => a.wrapping_shr(b as u32 & 63),
-            IntOp::UShr => ((a as u64) >> (b as u32 & 63)) as i64,
-            IntOp::And => a & b,
-            IntOp::Or => a | b,
-            IntOp::Xor => a ^ b,
-        }
+ops! {
+    dst {
+        /// A load, a store, a `dup`, or a load and the store it feeds.
+        Mov { src: u16 },
+        Const { k: i64 },
+        FConst { k: f64 },
+        Null {},
+        Ldc { at: u8, ic: u32, cp: u16, top: u16 },
+        IAdd { a: u16, b: u16 },
+        ISub { a: u16, b: u16 },
+        IMul { a: u16, b: u16 },
+        IShl { a: u16, b: u16 },
+        IShr { a: u16, b: u16 },
+        IUShr { a: u16, b: u16 },
+        IAnd { a: u16, b: u16 },
+        IOr { a: u16, b: u16 },
+        IXor { a: u16, b: u16 },
+        IDiv { at: u8, a: u16, b: u16 },
+        IRem { at: u8, a: u16, b: u16 },
+        IAddK { a: u16, k: i64 },
+        ISubK { a: u16, k: i64 },
+        IMulK { a: u16, k: i64 },
+        IShlK { a: u16, k: i64 },
+        IShrK { a: u16, k: i64 },
+        IUShrK { a: u16, k: i64 },
+        IAndK { a: u16, k: i64 },
+        IOrK { a: u16, k: i64 },
+        IXorK { a: u16, k: i64 },
+        IDivK { at: u8, a: u16, k: i64 },
+        IRemK { at: u8, a: u16, k: i64 },
+        INeg { a: u16 },
+        FAdd { a: u16, b: u16 },
+        FSub { a: u16, b: u16 },
+        FMul { a: u16, b: u16 },
+        FDiv { a: u16, b: u16 },
+        FNeg { a: u16 },
+        I2F { a: u16 },
+        F2I { a: u16 },
+        FCmp { a: u16, b: u16 },
+        GetField { at: u8, ic: u32, cp: u16, obj: u16, top: u16 },
+        GetStatic { at: u8, ic: u32, cp: u16, top: u16 },
+        IALoad { at: u8, arr: u16, idx: u16 },
+        FALoad { at: u8, arr: u16, idx: u16 },
+        AALoad { at: u8, arr: u16, idx: u16 },
+        IALoadK { at: u8, arr: u16, k: i64 },
+        FALoadK { at: u8, arr: u16, k: i64 },
+        AALoadK { at: u8, arr: u16, k: i64 },
+        ArrayLength { at: u8, arr: u16 },
+    }
+    other {
+        /// Instructions with nothing to do at run time (`nop`, `pop`).
+        Nop {},
+        Swap { a: u16, b: u16 },
+        IInc { local: u16, delta: i32 },
+        IIncGoto { local: u16, delta: i32, target: u32 },
+        Goto { target: u32 },
+        IfEq { a: u16, b: u16, target: u32 },
+        IfNe { a: u16, b: u16, target: u32 },
+        IfLt { a: u16, b: u16, target: u32 },
+        IfGe { a: u16, b: u16, target: u32 },
+        IfGt { a: u16, b: u16, target: u32 },
+        IfLe { a: u16, b: u16, target: u32 },
+        IfEqK { a: u16, k: i64, target: u32 },
+        IfNeK { a: u16, k: i64, target: u32 },
+        IfLtK { a: u16, k: i64, target: u32 },
+        IfGeK { a: u16, k: i64, target: u32 },
+        IfGtK { a: u16, k: i64, target: u32 },
+        IfLeK { a: u16, k: i64, target: u32 },
+        IfNull { a: u16, target: u32 },
+        IfNonNull { a: u16, target: u32 },
+        /// `switch` indexes [`CodeArena::switches`].
+        TableSwitch { key: u16, switch: u32 },
+        /// `args` are where the last two arguments (receiver included)
+        /// are read from: the call writes them to their stack slots first.
+        InvokeStatic { ic: u32, cp: u16, nargs: u8, returns: bool, top: u16, args: [u16; 2] },
+        InvokeVirtual { ic: u32, cp: u16, nargs: u8, returns: bool, top: u16, args: [u16; 2] },
+        Return { top: u16 },
+        /// Unified `ireturn`/`freturn`/`areturn` of the value in `src`.
+        ValueReturn { src: u16, top: u16 },
+        New { ic: u32, cp: u16, top: u16 },
+        PutField { ic: u32, cp: u16, obj: u16, val: u16, top: u16 },
+        PutStatic { ic: u32, cp: u16, src: u16, top: u16 },
+        NewArray { kind: ArrayKind, top: u16 },
+        IAStore { arr: u16, idx: u16, val: u16 },
+        FAStore { arr: u16, idx: u16, val: u16 },
+        AAStore { arr: u16, idx: u16, val: u16 },
+        IAStoreK { arr: u16, k: i64, val: u16 },
+        FAStoreK { arr: u16, k: i64, val: u16 },
+        AAStoreK { arr: u16, k: i64, val: u16 },
+        AThrow { top: u16 },
     }
 }
 
-/// A prepared (direct-threaded) instruction. One `Op` per source
-/// [`Insn`], at the same index — branch targets, the exception table and
-/// trace/alloc-site `bci`s carry over unchanged. A fused op (the variants
-/// after [`Op::AThrow`]) sits at the head index of the span it stands
-/// for; the span's other ops stay behind it, unfused. Ops are plain
-/// `Copy` data (a `tableswitch`'s targets live in the arena's side
-/// table), so the loop fetches one by value and keeps no borrow of the
-/// arena while it runs it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Op {
-    Nop,
-    IConst(i64),
-    FConst(f64),
-    AConstNull,
-    Ldc {
-        ic: u32,
-        cp: u16,
-    },
-    /// Unified `iload`/`fload`/`aload` (slots are untyped at runtime).
-    Load(u16),
-    /// Unified `istore`/`fstore`/`astore`.
-    Store(u16),
-    Pop,
-    Dup,
-    Swap,
-    IBin(IntOp),
-    IDiv,
-    IRem,
-    INeg,
-    IInc {
-        local: u16,
-        delta: i32,
-    },
-    FAdd,
-    FSub,
-    FMul,
-    FDiv,
-    FNeg,
-    I2F,
-    F2I,
-    FCmp,
-    Goto(u32),
-    If(Cond, u32),
-    IfICmp(Cond, u32),
-    IfNull(u32),
-    IfNonNull(u32),
-    /// `targets` counts entries of [`CodeArena::switch_targets`] from
-    /// `first`.
-    TableSwitch {
-        low: i64,
-        first: u32,
-        targets: u32,
-        default: u32,
-    },
-    InvokeStatic {
-        ic: u32,
-        cp: u16,
-        nargs: u8,
-        returns: bool,
-    },
-    InvokeVirtual {
-        ic: u32,
-        cp: u16,
-        nargs: u8,
-        returns: bool,
-    },
-    Return,
-    /// Unified `ireturn`/`freturn`/`areturn`.
-    ValueReturn,
-    New {
-        ic: u32,
-        cp: u16,
-    },
-    GetField {
-        ic: u32,
-        cp: u16,
-    },
-    PutField {
-        ic: u32,
-        cp: u16,
-    },
-    GetStatic {
-        ic: u32,
-        cp: u16,
-    },
-    PutStatic {
-        ic: u32,
-        cp: u16,
-    },
-    NewArray(ArrayKind),
-    ArrLoad(ArrayKind),
-    ArrStore(ArrayKind),
-    ArrayLength,
-    AThrow,
-    /// `Load a; Load b`.
-    Load2(u16, u16),
-    /// `Load a; IConst k`.
-    LoadK(u16, i64),
-    /// `Store a; Load b`.
-    StoreLoad(u16, u16),
-    /// `IConst k; IBin`.
-    IBinK(IntOp, i64),
-    /// `Load a; IConst k; IBin`.
-    IBinLK(IntOp, u16, i64),
-    /// `IConst k; IfICmp`.
-    IfK(Cond, i64, u32),
-    /// `Load a; Load b; IfICmp`.
-    IfLL(Cond, u16, u16, u32),
-    /// `Load a; IConst k; IfICmp`.
-    IfLK(Cond, u16, i64, u32),
-    /// `Load array; Load index; ArrLoad`.
-    ArrLoadLL(ArrayKind, u16, u16),
-    /// `IInc; Goto`.
-    IIncGoto {
-        local: u16,
-        delta: i32,
-        target: u32,
-    },
+/// A `tableswitch`'s jump table: `count` entries of
+/// [`CodeArena::switch_targets`] from `first`.
+#[derive(Debug)]
+pub(crate) struct Switch {
+    low: i64,
+    first: u32,
+    count: u32,
+    default: u32,
 }
 
 /// Where a prepared body sits in the [`CodeArena`].
@@ -274,7 +275,8 @@ pub(crate) struct CodeArena {
     /// Every prepared body's ops, back to back.
     pub ops: Vec<Op>,
     pub bodies: Vec<Body>,
-    /// `tableswitch` jump targets (see [`Op::TableSwitch`]).
+    /// `tableswitch` tables (see [`Op::TableSwitch`]) and their targets.
+    pub switches: Vec<Switch>,
     pub switch_targets: Vec<u32>,
     /// Inline-cache slots the ops index into.
     pub ics: Vec<InlineCache>,
@@ -288,134 +290,67 @@ impl CodeArena {
     }
 }
 
-/// Rewrite `code` into threaded form at the end of `arena`, allocating
-/// its inline-cache slots there, and fuse its hot spans if `fuse`.
-/// Returns the new body's index. Call-site arity and returns-ness come
-/// from the class's pre-parsed [`crate::klass::CallSite`]s, so the
-/// execution loop never touches the callsite map.
+/// Translate `code` into register form at the end of `arena`, allocating
+/// its inline-cache slots and switch tables there, and fold its loads,
+/// constants and stores into their neighbours if `fold`. Returns the new
+/// body's index. Call-site arity and returns-ness come from the class's
+/// pre-parsed [`crate::klass::CallSite`]s, so the execution loop never
+/// touches the callsite map.
 pub(crate) fn prepare(
     code: &Code,
     callsites: &HashMap<u16, CallSite>,
     arena: &mut CodeArena,
-    fuse: bool,
+    fold: bool,
 ) -> u32 {
-    let mut ops = Vec::with_capacity(code.insns.len());
-    for insn in &code.insns {
-        let op = match insn {
-            Insn::Nop => Op::Nop,
-            Insn::IConst(v) => Op::IConst(*v),
-            Insn::FConst(v) => Op::FConst(*v),
-            Insn::AConstNull => Op::AConstNull,
-            Insn::Ldc(cp) => Op::Ldc {
-                ic: arena.alloc_ic(),
-                cp: cp.0,
-            },
-            Insn::ILoad(s) | Insn::FLoad(s) | Insn::ALoad(s) => Op::Load(*s),
-            Insn::IStore(s) | Insn::FStore(s) | Insn::AStore(s) => Op::Store(*s),
-            Insn::Pop => Op::Pop,
-            Insn::Dup => Op::Dup,
-            Insn::Swap => Op::Swap,
-            Insn::IAdd => Op::IBin(IntOp::Add),
-            Insn::ISub => Op::IBin(IntOp::Sub),
-            Insn::IMul => Op::IBin(IntOp::Mul),
-            Insn::IShl => Op::IBin(IntOp::Shl),
-            Insn::IShr => Op::IBin(IntOp::Shr),
-            Insn::IUShr => Op::IBin(IntOp::UShr),
-            Insn::IAnd => Op::IBin(IntOp::And),
-            Insn::IOr => Op::IBin(IntOp::Or),
-            Insn::IXor => Op::IBin(IntOp::Xor),
-            Insn::IDiv => Op::IDiv,
-            Insn::IRem => Op::IRem,
-            Insn::INeg => Op::INeg,
-            Insn::IInc { local, delta } => Op::IInc {
-                local: *local,
-                delta: *delta,
-            },
-            Insn::FAdd => Op::FAdd,
-            Insn::FSub => Op::FSub,
-            Insn::FMul => Op::FMul,
-            Insn::FDiv => Op::FDiv,
-            Insn::FNeg => Op::FNeg,
-            Insn::I2F => Op::I2F,
-            Insn::F2I => Op::F2I,
-            Insn::FCmp => Op::FCmp,
-            Insn::Goto(t) => Op::Goto(*t),
-            Insn::If(c, t) => Op::If(*c, *t),
-            Insn::IfICmp(c, t) => Op::IfICmp(*c, *t),
-            Insn::IfNull(t) => Op::IfNull(*t),
-            Insn::IfNonNull(t) => Op::IfNonNull(*t),
+    // One side-table entry per instruction that needs one, shared by the
+    // instruction's own op and any folded op it ends, so a cache filled
+    // through either serves both.
+    let side: Vec<u32> = code
+        .insns
+        .iter()
+        .map(|insn| match insn {
+            Insn::Ldc(_)
+            | Insn::InvokeStatic(_)
+            | Insn::InvokeVirtual(_)
+            | Insn::New(_)
+            | Insn::GetField(_)
+            | Insn::PutField(_)
+            | Insn::GetStatic(_)
+            | Insn::PutStatic(_) => arena.alloc_ic(),
             Insn::TableSwitch {
                 low,
                 targets,
                 default,
             } => {
-                let first = arena.switch_targets.len() as u32;
-                arena.switch_targets.extend_from_slice(targets);
-                Op::TableSwitch {
+                let switch = arena.switches.len() as u32;
+                arena.switches.push(Switch {
                     low: *low,
-                    first,
-                    targets: targets.len() as u32,
+                    first: arena.switch_targets.len() as u32,
+                    count: targets.len() as u32,
                     default: *default,
-                }
+                });
+                arena.switch_targets.extend_from_slice(targets);
+                switch
             }
-            Insn::InvokeStatic(cp) => {
-                let cs = callsites
-                    .get(&cp.0)
-                    .expect("validated invokestatic has a callsite");
-                Op::InvokeStatic {
-                    ic: arena.alloc_ic(),
-                    cp: cp.0,
-                    nargs: cs.nargs as u8,
-                    returns: cs.returns_value,
-                }
+            _ => 0,
+        })
+        .collect();
+    let mut x = Translator::new(code, callsites, &side);
+    let mut ops: Vec<Op> = x.run(false).into_iter().map(Option::unwrap).collect();
+    if fold {
+        // Forcing a value to its slot only ever adds forced values, so
+        // this settles once a pass forces nothing new.
+        let heads = loop {
+            let heads = x.run(true);
+            if !std::mem::take(&mut x.forced_more) {
+                break heads;
             }
-            Insn::InvokeVirtual(cp) => {
-                let cs = callsites
-                    .get(&cp.0)
-                    .expect("validated invokevirtual has a callsite");
-                Op::InvokeVirtual {
-                    ic: arena.alloc_ic(),
-                    cp: cp.0,
-                    nargs: cs.nargs as u8,
-                    returns: cs.returns_value,
-                }
-            }
-            Insn::Return => Op::Return,
-            Insn::IReturn | Insn::FReturn | Insn::AReturn => Op::ValueReturn,
-            Insn::New(cp) => Op::New {
-                ic: arena.alloc_ic(),
-                cp: cp.0,
-            },
-            Insn::GetField(cp) => Op::GetField {
-                ic: arena.alloc_ic(),
-                cp: cp.0,
-            },
-            Insn::PutField(cp) => Op::PutField {
-                ic: arena.alloc_ic(),
-                cp: cp.0,
-            },
-            Insn::GetStatic(cp) => Op::GetStatic {
-                ic: arena.alloc_ic(),
-                cp: cp.0,
-            },
-            Insn::PutStatic(cp) => Op::PutStatic {
-                ic: arena.alloc_ic(),
-                cp: cp.0,
-            },
-            Insn::NewArray(kind) => Op::NewArray(*kind),
-            Insn::IALoad => Op::ArrLoad(ArrayKind::Int),
-            Insn::FALoad => Op::ArrLoad(ArrayKind::Float),
-            Insn::AALoad => Op::ArrLoad(ArrayKind::Ref),
-            Insn::IAStore => Op::ArrStore(ArrayKind::Int),
-            Insn::FAStore => Op::ArrStore(ArrayKind::Float),
-            Insn::AAStore => Op::ArrStore(ArrayKind::Ref),
-            Insn::ArrayLength => Op::ArrayLength,
-            Insn::AThrow => Op::AThrow,
         };
-        ops.push(op);
-    }
-    if fuse {
-        fuse_spans(&mut ops, code);
+        for (op, head) in ops.iter_mut().zip(heads) {
+            if let Some(head) = head {
+                *op = head;
+            }
+        }
     }
     let index = u32::try_from(arena.bodies.len()).expect("body arena overflow");
     arena.bodies.push(Body {
@@ -428,74 +363,802 @@ pub(crate) fn prepare(
     index
 }
 
-/// Rewrite span heads in `ops` into fused ops. Each index gets the
-/// choice (its own op, or the two- or three-op span it starts) that
-/// leaves the fewest dispatches to the end of the body when falling
-/// through. Spans may overlap: the op at a span's interior index still
-/// serves jumps there.
-fn fuse_spans(ops: &mut [Op], code: &Code) {
-    // Indexes control can enter other than by falling through.
-    let mut entered = vec![false; ops.len() + 1];
-    for t in code.insns.iter().flat_map(Insn::branch_targets) {
-        entered[t as usize] = true;
+/// The longest span the translator builds, so `len` and `at` fit a `u8`.
+const MAX_SPAN: usize = 250;
+
+/// A value on the translator's model of the operand stack.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Val {
+    /// In its stack slot.
+    Slot,
+    /// Still in this local: its load folds into the value's consumer.
+    Local(u16),
+    /// Constants not yet written anywhere.
+    Int(i64),
+    Float(f64),
+    Null,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    val: Val,
+    /// The instruction that pushed it.
+    src: usize,
+}
+
+/// An int operand: a frame slot or an inline constant.
+#[derive(Debug, Clone, Copy)]
+enum Arg {
+    Slot(u16),
+    K(i64),
+}
+
+/// The int binops, for translation.
+#[derive(Debug, Clone, Copy)]
+enum IntOp {
+    Add,
+    Sub,
+    Mul,
+    Shl,
+    Shr,
+    UShr,
+    And,
+    Or,
+    Xor,
+    Div,
+    Rem,
+}
+
+impl IntOp {
+    fn of(insn: &Insn) -> Option<IntOp> {
+        Some(match insn {
+            Insn::IAdd => IntOp::Add,
+            Insn::ISub => IntOp::Sub,
+            Insn::IMul => IntOp::Mul,
+            Insn::IShl => IntOp::Shl,
+            Insn::IShr => IntOp::Shr,
+            Insn::IUShr => IntOp::UShr,
+            Insn::IAnd => IntOp::And,
+            Insn::IOr => IntOp::Or,
+            Insn::IXor => IntOp::Xor,
+            Insn::IDiv => IntOp::Div,
+            Insn::IRem => IntOp::Rem,
+            _ => return None,
+        })
     }
-    for h in &code.exception_table {
-        for i in [h.start, h.end, h.handler] {
-            entered[i as usize] = true;
+
+    fn commutes(self) -> bool {
+        matches!(
+            self,
+            IntOp::Add | IntOp::Mul | IntOp::And | IntOp::Or | IntOp::Xor
+        )
+    }
+
+    fn op(self, dst: u16, at: u8, a: u16, b: Arg) -> Op {
+        let len = 0;
+        match (self, b) {
+            (IntOp::Add, Arg::Slot(b)) => Op::IAdd { len, dst, a, b },
+            (IntOp::Sub, Arg::Slot(b)) => Op::ISub { len, dst, a, b },
+            (IntOp::Mul, Arg::Slot(b)) => Op::IMul { len, dst, a, b },
+            (IntOp::Shl, Arg::Slot(b)) => Op::IShl { len, dst, a, b },
+            (IntOp::Shr, Arg::Slot(b)) => Op::IShr { len, dst, a, b },
+            (IntOp::UShr, Arg::Slot(b)) => Op::IUShr { len, dst, a, b },
+            (IntOp::And, Arg::Slot(b)) => Op::IAnd { len, dst, a, b },
+            (IntOp::Or, Arg::Slot(b)) => Op::IOr { len, dst, a, b },
+            (IntOp::Xor, Arg::Slot(b)) => Op::IXor { len, dst, a, b },
+            (IntOp::Div, Arg::Slot(b)) => Op::IDiv { len, dst, at, a, b },
+            (IntOp::Rem, Arg::Slot(b)) => Op::IRem { len, dst, at, a, b },
+            (IntOp::Add, Arg::K(k)) => Op::IAddK { len, dst, a, k },
+            (IntOp::Sub, Arg::K(k)) => Op::ISubK { len, dst, a, k },
+            (IntOp::Mul, Arg::K(k)) => Op::IMulK { len, dst, a, k },
+            (IntOp::Shl, Arg::K(k)) => Op::IShlK { len, dst, a, k },
+            (IntOp::Shr, Arg::K(k)) => Op::IShrK { len, dst, a, k },
+            (IntOp::UShr, Arg::K(k)) => Op::IUShrK { len, dst, a, k },
+            (IntOp::And, Arg::K(k)) => Op::IAndK { len, dst, a, k },
+            (IntOp::Or, Arg::K(k)) => Op::IOrK { len, dst, a, k },
+            (IntOp::Xor, Arg::K(k)) => Op::IXorK { len, dst, a, k },
+            (IntOp::Div, Arg::K(k)) => Op::IDivK { len, dst, at, a, k },
+            (IntOp::Rem, Arg::K(k)) => Op::IRemK { len, dst, at, a, k },
         }
     }
-    let mut dispatches = vec![0_usize; ops.len() + 1];
-    let mut heads = vec![None; ops.len()];
-    for head in (0..ops.len()).rev() {
-        let w = &ops[head..];
-        dispatches[head] = 1 + dispatches[head + 1];
-        let three = if entered[head + 1] { None } else { fused3(w) };
-        // Fusing `len` ops leaves `1 + dispatches[head + len]`; a tie
-        // goes to the longer span.
-        for (len, op) in [(2, fused2(w)), (3, three)] {
-            if let Some(op) = op.filter(|_| dispatches[head + len] < dispatches[head]) {
-                dispatches[head] = 1 + dispatches[head + len];
-                heads[head] = Some(op);
+}
+
+/// The branch taken when `cond` holds between `a` and `b`.
+fn if_op(cond: Cond, a: u16, b: Arg, target: u32) -> Op {
+    let len = 0;
+    match (cond, b) {
+        (Cond::Eq, Arg::Slot(b)) => Op::IfEq { len, a, b, target },
+        (Cond::Ne, Arg::Slot(b)) => Op::IfNe { len, a, b, target },
+        (Cond::Lt, Arg::Slot(b)) => Op::IfLt { len, a, b, target },
+        (Cond::Ge, Arg::Slot(b)) => Op::IfGe { len, a, b, target },
+        (Cond::Gt, Arg::Slot(b)) => Op::IfGt { len, a, b, target },
+        (Cond::Le, Arg::Slot(b)) => Op::IfLe { len, a, b, target },
+        (Cond::Eq, Arg::K(k)) => Op::IfEqK { len, a, k, target },
+        (Cond::Ne, Arg::K(k)) => Op::IfNeK { len, a, k, target },
+        (Cond::Lt, Arg::K(k)) => Op::IfLtK { len, a, k, target },
+        (Cond::Ge, Arg::K(k)) => Op::IfGeK { len, a, k, target },
+        (Cond::Gt, Arg::K(k)) => Op::IfGtK { len, a, k, target },
+        (Cond::Le, Arg::K(k)) => Op::IfLeK { len, a, k, target },
+    }
+}
+
+/// `cond` with its operands swapped.
+fn mirror(cond: Cond) -> Cond {
+    match cond {
+        Cond::Lt => Cond::Gt,
+        Cond::Gt => Cond::Lt,
+        Cond::Le => Cond::Ge,
+        Cond::Ge => Cond::Le,
+        c => c,
+    }
+}
+
+fn arr_load(kind: ArrayKind, dst: u16, at: u8, arr: u16, idx: Arg) -> Op {
+    let len = 0;
+    match (kind, idx) {
+        (ArrayKind::Int, Arg::Slot(idx)) => Op::IALoad {
+            len,
+            dst,
+            at,
+            arr,
+            idx,
+        },
+        (ArrayKind::Float, Arg::Slot(idx)) => Op::FALoad {
+            len,
+            dst,
+            at,
+            arr,
+            idx,
+        },
+        (ArrayKind::Ref, Arg::Slot(idx)) => Op::AALoad {
+            len,
+            dst,
+            at,
+            arr,
+            idx,
+        },
+        (ArrayKind::Int, Arg::K(k)) => Op::IALoadK {
+            len,
+            dst,
+            at,
+            arr,
+            k,
+        },
+        (ArrayKind::Float, Arg::K(k)) => Op::FALoadK {
+            len,
+            dst,
+            at,
+            arr,
+            k,
+        },
+        (ArrayKind::Ref, Arg::K(k)) => Op::AALoadK {
+            len,
+            dst,
+            at,
+            arr,
+            k,
+        },
+    }
+}
+
+fn arr_store(kind: ArrayKind, arr: u16, idx: Arg, val: u16) -> Op {
+    let len = 0;
+    match (kind, idx) {
+        (ArrayKind::Int, Arg::Slot(idx)) => Op::IAStore { len, arr, idx, val },
+        (ArrayKind::Float, Arg::Slot(idx)) => Op::FAStore { len, arr, idx, val },
+        (ArrayKind::Ref, Arg::Slot(idx)) => Op::AAStore { len, arr, idx, val },
+        (ArrayKind::Int, Arg::K(k)) => Op::IAStoreK { len, arr, k, val },
+        (ArrayKind::Float, Arg::K(k)) => Op::FAStoreK { len, arr, k, val },
+        (ArrayKind::Ref, Arg::K(k)) => Op::AAStoreK { len, arr, k, val },
+    }
+}
+
+/// The operand-stack depth on entry to each instruction (`None` if no
+/// path reaches it), by the same flow the validator checks: fall-through,
+/// branch targets and handler entries (with the thrown reference).
+fn stack_depths(code: &Code, callsites: &HashMap<u16, CallSite>) -> Vec<Option<u16>> {
+    let mut depth = vec![None; code.insns.len()];
+    let mut work: Vec<(u32, u16)> = vec![(0, 0)];
+    work.extend(code.exception_table.iter().map(|h| (h.handler, 1)));
+    while let Some((i, d)) = work.pop() {
+        if depth[i as usize].is_some() {
+            continue;
+        }
+        depth[i as usize] = Some(d);
+        let insn = &code.insns[i as usize];
+        let args = |cp: u16| {
+            let cs = &callsites[&cp];
+            (cs.nargs as u16, u16::from(cs.returns_value))
+        };
+        let (pops, pushes) = match insn {
+            Insn::Nop
+            | Insn::Swap
+            | Insn::INeg
+            | Insn::FNeg
+            | Insn::I2F
+            | Insn::F2I
+            | Insn::IInc { .. }
+            | Insn::Goto(_)
+            | Insn::Return
+            | Insn::GetField(_)
+            | Insn::NewArray(_)
+            | Insn::ArrayLength => (0, 0),
+            Insn::IConst(_)
+            | Insn::FConst(_)
+            | Insn::AConstNull
+            | Insn::Ldc(_)
+            | Insn::ILoad(_)
+            | Insn::FLoad(_)
+            | Insn::ALoad(_)
+            | Insn::Dup
+            | Insn::New(_)
+            | Insn::GetStatic(_) => (0, 1),
+            Insn::IStore(_)
+            | Insn::FStore(_)
+            | Insn::AStore(_)
+            | Insn::Pop
+            | Insn::If(..)
+            | Insn::IfNull(_)
+            | Insn::IfNonNull(_)
+            | Insn::TableSwitch { .. }
+            | Insn::IReturn
+            | Insn::FReturn
+            | Insn::AReturn
+            | Insn::PutStatic(_)
+            | Insn::AThrow => (1, 0),
+            Insn::IfICmp(..) | Insn::PutField(_) => (2, 0),
+            Insn::IAStore | Insn::FAStore | Insn::AAStore => (3, 0),
+            Insn::InvokeStatic(cp) => args(cp.0),
+            Insn::InvokeVirtual(cp) => {
+                let (nargs, returns) = args(cp.0);
+                (nargs + 1, returns)
+            }
+            // The binops, `fcmp` and the array loads.
+            _ => (2, 1),
+        };
+        let after = d - pops + pushes;
+        if insn.falls_through() {
+            work.push((i + 1, after));
+        }
+        work.extend(insn.branch_targets().into_iter().map(|t| (t, after)));
+    }
+    depth
+}
+
+/// Translates one body into register form: once one op per instruction,
+/// and once with loads, constants and stores folded (see [`Op`]).
+///
+/// The folding pass models the operand stack. A load or constant is not
+/// written anywhere when it is pushed: its consumer reads the local or
+/// the constant directly. It is *forced* (written to its stack slot by
+/// an op of its own, at the instruction that pushed it) where that would
+/// be wrong or impossible: before a store or `iinc` to its local, where
+/// a call takes it as an argument, where it is still on the stack at a
+/// block's end (a branch, or an instruction control can enter other than
+/// by falling through), or where its consumer takes no such operand. A
+/// pass records what it forces; the translation repeats until a pass
+/// forces nothing new, so every forced value is written when pushed. A
+/// store folds into the op emitted just before it when that op produced
+/// the stored value, and `iinc; goto` becomes one op.
+struct Translator<'a> {
+    code: &'a Code,
+    callsites: &'a HashMap<u16, CallSite>,
+    side: &'a [u32],
+    depth: Vec<Option<u16>>,
+    /// Branch targets and handler entries.
+    entered: Vec<bool>,
+    fold: bool,
+    /// Instructions whose pushed value is forced, and whether the
+    /// running pass forced a new one.
+    forced: Vec<bool>,
+    forced_more: bool,
+    stack: Vec<Entry>,
+    /// The first instruction no emitted op covers yet.
+    start: usize,
+    /// The head of the last op emitted since the block began.
+    last: Option<usize>,
+    out: Vec<Option<Op>>,
+}
+
+impl<'a> Translator<'a> {
+    fn new(code: &'a Code, callsites: &'a HashMap<u16, CallSite>, side: &'a [u32]) -> Self {
+        let n = code.insns.len();
+        let mut entered = vec![false; n];
+        for t in code.insns.iter().flat_map(Insn::branch_targets) {
+            entered[t as usize] = true;
+        }
+        for h in &code.exception_table {
+            entered[h.handler as usize] = true;
+        }
+        Translator {
+            code,
+            callsites,
+            side,
+            depth: stack_depths(code, callsites),
+            entered,
+            fold: false,
+            forced: vec![false; n],
+            forced_more: false,
+            stack: Vec::new(),
+            start: 0,
+            last: None,
+            out: Vec::new(),
+        }
+    }
+
+    /// One pass: the op heading each span, at its first index.
+    fn run(&mut self, fold: bool) -> Vec<Option<Op>> {
+        let n = self.code.insns.len();
+        self.fold = fold;
+        self.out = vec![None; n];
+        self.stack.clear();
+        (self.start, self.last) = (0, None);
+        let mut ended = true;
+        for i in 0..n {
+            let Some(d) = self.depth[i] else {
+                // Unreachable: never run.
+                self.out[i] = Some(Op::Nop { len: 1 });
+                (self.start, ended) = (i + 1, true);
+                continue;
+            };
+            if ended || self.entered[i] || i - self.start >= MAX_SPAN {
+                self.force_all();
+                if self.start < i {
+                    self.emit(i - 1, Op::Nop { len: 0 });
+                }
+                self.last = None;
+                self.stack.clear();
+                let slot = Entry {
+                    val: Val::Slot,
+                    src: i,
+                };
+                self.stack.resize(usize::from(d), slot);
+            }
+            self.insn(i, usize::from(d));
+            ended = !self.code.insns[i].falls_through();
+        }
+        std::mem::take(&mut self.out)
+    }
+
+    /// The frame slot of stack position `p`.
+    fn slot(&self, p: usize) -> u16 {
+        self.code.max_locals + p as u16
+    }
+
+    /// Where instruction `i` sits in the span it ends.
+    fn at(&self, i: usize) -> u8 {
+        (i - self.start) as u8
+    }
+
+    /// Put `op` at the head of the span from `start` through `i`.
+    fn emit(&mut self, i: usize, mut op: Op) {
+        *op.len_mut() = (i + 1 - self.start) as u8;
+        self.out[self.start] = Some(op);
+        self.last = Some(self.start);
+        self.start = i + 1;
+    }
+
+    /// Emit `op`, which pops `pops` values and pushes `pushes` results
+    /// into their slots.
+    fn emit_pop_push(&mut self, i: usize, op: Op, pops: usize, pushes: usize) {
+        self.emit(i, op);
+        let d = self.stack.len() - pops;
+        self.stack.truncate(d);
+        for _ in 0..pushes {
+            self.stack.push(Entry {
+                val: Val::Slot,
+                src: i,
+            });
+        }
+    }
+
+    fn force(&mut self, p: usize) {
+        let e = &mut self.stack[p];
+        if e.val != Val::Slot {
+            e.val = Val::Slot;
+            if !self.forced[e.src] {
+                self.forced[e.src] = true;
+                self.forced_more = true;
             }
         }
     }
-    for (op, head) in ops.iter_mut().zip(heads) {
-        if let Some(head) = head {
-            *op = head;
+
+    fn force_all(&mut self) {
+        for p in 0..self.stack.len() {
+            self.force(p);
         }
     }
-}
 
-/// The fused op for the two-op span `w` starts with, if any. Only the
-/// span's last op may branch or throw.
-fn fused2(w: &[Op]) -> Option<Op> {
-    use Op::{Goto, IBin, IConst, IInc, IfICmp, Load, Store};
-    Some(match *w {
-        [Load(a), Load(b), ..] => Op::Load2(a, b),
-        [Load(a), IConst(k), ..] => Op::LoadK(a, k),
-        [Store(a), Load(b), ..] => Op::StoreLoad(a, b),
-        [IConst(k), IBin(f), ..] => Op::IBinK(f, k),
-        [IConst(k), IfICmp(c, t), ..] => Op::IfK(c, k, t),
-        [IInc { local, delta }, Goto(target), ..] => Op::IIncGoto {
-            local,
-            delta,
-            target,
-        },
-        _ => return None,
-    })
-}
+    /// Force every value still in `local`, which is about to be written.
+    fn clobber(&mut self, local: u16) {
+        for p in 0..self.stack.len() {
+            if self.stack[p].val == Val::Local(local) {
+                self.force(p);
+            }
+        }
+    }
 
-/// The fused op for the three-op span `w` starts with, if any, as
-/// [`fused2`].
-fn fused3(w: &[Op]) -> Option<Op> {
-    use Op::{ArrLoad, IBin, IConst, IfICmp, Load};
-    Some(match *w {
-        [Load(a), Load(b), IfICmp(c, t), ..] => Op::IfLL(c, a, b, t),
-        [Load(a), IConst(k), IfICmp(c, t), ..] => Op::IfLK(c, a, k, t),
-        [Load(a), Load(i), ArrLoad(kind), ..] => Op::ArrLoadLL(kind, a, i),
-        [Load(a), IConst(k), IBin(f), ..] => Op::IBinLK(f, a, k),
-        _ => return None,
-    })
+    /// Push `val`, pushed by instruction `i`: written to its slot now if
+    /// forced (or not folding), else left for its consumer to read.
+    fn push(&mut self, i: usize, val: Val) {
+        if self.fold && !self.forced[i] {
+            self.stack.push(Entry { val, src: i });
+            return;
+        }
+        let (len, dst) = (0, self.slot(self.stack.len()));
+        let op = match val {
+            Val::Slot => unreachable!("a pushed value starts outside its slot"),
+            Val::Local(src) => Op::Mov { len, dst, src },
+            Val::Int(k) => Op::Const { len, dst, k },
+            Val::Float(k) => Op::FConst { len, dst, k },
+            Val::Null => Op::Null { len, dst },
+        };
+        self.emit_pop_push(i, op, 0, 1);
+    }
+
+    /// The slot the value at position `p` is read from; a constant is
+    /// forced to its own.
+    fn slot_arg(&mut self, p: usize) -> u16 {
+        match self.stack[p].val {
+            Val::Local(l) => l,
+            Val::Slot => self.slot(p),
+            _ => {
+                self.force(p);
+                self.slot(p)
+            }
+        }
+    }
+
+    /// The value at position `p` as an int operand.
+    fn int_arg(&mut self, p: usize) -> Arg {
+        match self.stack[p].val {
+            Val::Int(k) => Arg::K(k),
+            _ => Arg::Slot(self.slot_arg(p)),
+        }
+    }
+
+    /// The two int operands at positions `p` and `p + 1` as a slot and a
+    /// slot or constant: a constant on the left swaps over if `swaps`
+    /// (the op commutes or mirrors) and the right is a slot, and is
+    /// forced otherwise. Returns whether the operands swapped.
+    fn int_args(&mut self, p: usize, swaps: bool) -> (u16, Arg, bool) {
+        let b = self.int_arg(p + 1);
+        match (self.int_arg(p), b) {
+            (Arg::Slot(a), b) => (a, b, false),
+            (Arg::K(k), Arg::Slot(b)) if swaps => (b, Arg::K(k), true),
+            (Arg::K(_), b) => {
+                self.force(p);
+                (self.slot(p), b, false)
+            }
+        }
+    }
+
+    fn store(&mut self, i: usize, local: u16) {
+        let v = self.stack.pop().expect("validated store");
+        self.clobber(local);
+        let (len, dst) = (0, local);
+        let op = match v.val {
+            Val::Local(src) => Op::Mov { len, dst, src },
+            Val::Int(k) => Op::Const { len, dst, k },
+            Val::Float(k) => Op::FConst { len, dst, k },
+            Val::Null => Op::Null { len, dst },
+            Val::Slot => {
+                let src = self.slot(self.stack.len());
+                // Retarget the op that just produced the value.
+                let prev = self
+                    .last
+                    .filter(|_| self.fold && self.start == i)
+                    .and_then(|head| self.out[head].as_mut());
+                if let Some(prev) = prev {
+                    if let Some(dst) = prev.dst_mut().filter(|dst| **dst == src) {
+                        *dst = local;
+                        *prev.len_mut() += 1;
+                        self.start = i + 1;
+                        return;
+                    }
+                }
+                Op::Mov { len, dst, src }
+            }
+        };
+        self.emit(i, op);
+    }
+
+    /// Emit a branch: its operands are read, the rest of the stack is
+    /// forced (it outlives the block), then the branch ends the span.
+    fn branch(&mut self, i: usize, op: Op, pops: usize) {
+        let d = self.stack.len() - pops;
+        self.stack.truncate(d);
+        self.force_all();
+        self.emit(i, op);
+    }
+
+    #[allow(clippy::too_many_lines)]
+    fn insn(&mut self, i: usize, d: usize) {
+        let code = self.code;
+        let insn = &code.insns[i];
+        let (len, ic) = (0, self.side[i]);
+        if let Some(op) = IntOp::of(insn) {
+            let (a, b, _) = self.int_args(d - 2, op.commutes());
+            let op = op.op(self.slot(d - 2), self.at(i), a, b);
+            return self.emit_pop_push(i, op, 2, 1);
+        }
+        match *insn {
+            Insn::Nop | Insn::Pop => {
+                if matches!(insn, Insn::Pop) {
+                    self.stack.pop();
+                }
+                if !self.fold {
+                    self.emit(i, Op::Nop { len });
+                }
+            }
+            Insn::IConst(k) => self.push(i, Val::Int(k)),
+            Insn::FConst(k) => self.push(i, Val::Float(k)),
+            Insn::AConstNull => self.push(i, Val::Null),
+            Insn::ILoad(l) | Insn::FLoad(l) | Insn::ALoad(l) => self.push(i, Val::Local(l)),
+            Insn::IStore(l) | Insn::FStore(l) | Insn::AStore(l) => self.store(i, l),
+            Insn::Dup => match self.stack[d - 1].val {
+                Val::Slot => {
+                    let (dst, src) = (self.slot(d), self.slot(d - 1));
+                    self.emit_pop_push(i, Op::Mov { len, dst, src }, 0, 1);
+                }
+                v => self.push(i, v),
+            },
+            Insn::Swap => {
+                self.force(d - 1);
+                self.force(d - 2);
+                let (a, b) = (self.slot(d - 2), self.slot(d - 1));
+                self.emit(i, Op::Swap { len, a, b });
+            }
+            Insn::IInc { local, delta } => {
+                self.clobber(local);
+                self.emit(i, Op::IInc { len, local, delta });
+            }
+            Insn::INeg | Insn::FNeg | Insn::I2F | Insn::F2I => {
+                let (dst, a) = (self.slot(d - 1), self.slot_arg(d - 1));
+                let op = match insn {
+                    Insn::INeg => Op::INeg { len, dst, a },
+                    Insn::FNeg => Op::FNeg { len, dst, a },
+                    Insn::I2F => Op::I2F { len, dst, a },
+                    _ => Op::F2I { len, dst, a },
+                };
+                self.emit_pop_push(i, op, 1, 1);
+            }
+            Insn::FAdd | Insn::FSub | Insn::FMul | Insn::FDiv | Insn::FCmp => {
+                let b = self.slot_arg(d - 1);
+                let (dst, a) = (self.slot(d - 2), self.slot_arg(d - 2));
+                let op = match insn {
+                    Insn::FAdd => Op::FAdd { len, dst, a, b },
+                    Insn::FSub => Op::FSub { len, dst, a, b },
+                    Insn::FMul => Op::FMul { len, dst, a, b },
+                    Insn::FDiv => Op::FDiv { len, dst, a, b },
+                    _ => Op::FCmp { len, dst, a, b },
+                };
+                self.emit_pop_push(i, op, 2, 1);
+            }
+            Insn::Goto(target) => {
+                self.force_all();
+                let prev = self.last.filter(|_| self.fold && self.start == i);
+                if let Some(head) = prev {
+                    if let Some(Op::IInc { len, local, delta }) = self.out[head] {
+                        let len = len + 1;
+                        self.out[head] = Some(Op::IIncGoto {
+                            len,
+                            local,
+                            delta,
+                            target,
+                        });
+                        self.start = i + 1;
+                        return;
+                    }
+                }
+                self.emit(i, Op::Goto { len, target });
+            }
+            Insn::If(cond, target) => {
+                let a = self.slot_arg(d - 1);
+                self.branch(i, if_op(cond, a, Arg::K(0), target), 1);
+            }
+            Insn::IfICmp(cond, target) => {
+                let (a, b, swapped) = self.int_args(d - 2, true);
+                let cond = if swapped { mirror(cond) } else { cond };
+                self.branch(i, if_op(cond, a, b, target), 2);
+            }
+            Insn::IfNull(target) | Insn::IfNonNull(target) => {
+                let a = self.slot_arg(d - 1);
+                let op = if matches!(insn, Insn::IfNull(_)) {
+                    Op::IfNull { len, a, target }
+                } else {
+                    Op::IfNonNull { len, a, target }
+                };
+                self.branch(i, op, 1);
+            }
+            Insn::TableSwitch { .. } => {
+                let key = self.slot_arg(d - 1);
+                self.branch(
+                    i,
+                    Op::TableSwitch {
+                        len,
+                        key,
+                        switch: ic,
+                    },
+                    1,
+                );
+            }
+            Insn::InvokeStatic(cp) | Insn::InvokeVirtual(cp) => {
+                let cs = &self.callsites[&cp.0];
+                let is_virtual = matches!(insn, Insn::InvokeVirtual(_));
+                let (nargs, returns) = (cs.nargs as u8, cs.returns_value);
+                let pops = usize::from(nargs) + usize::from(is_virtual);
+                // Arguments sit where the callee's locals will start: the
+                // call writes the last two there itself, loads folded, and
+                // the rest are forced.
+                let mut args = [0; 2];
+                for p in d - pops..d {
+                    let last_two = (p + 2).checked_sub(d);
+                    match (self.stack[p].val, last_two) {
+                        (Val::Local(l), Some(j)) => args[j] = l,
+                        (_, Some(j)) => {
+                            self.force(p);
+                            args[j] = self.slot(p);
+                        }
+                        _ => self.force(p),
+                    }
+                }
+                let (cp, top) = (cp.0, self.slot(d));
+                let op = if is_virtual {
+                    Op::InvokeVirtual {
+                        len,
+                        ic,
+                        cp,
+                        nargs,
+                        returns,
+                        top,
+                        args,
+                    }
+                } else {
+                    Op::InvokeStatic {
+                        len,
+                        ic,
+                        cp,
+                        nargs,
+                        returns,
+                        top,
+                        args,
+                    }
+                };
+                self.emit_pop_push(i, op, pops, usize::from(returns));
+            }
+            Insn::Return => self.emit(
+                i,
+                Op::Return {
+                    len,
+                    top: self.slot(d),
+                },
+            ),
+            Insn::IReturn | Insn::FReturn | Insn::AReturn => {
+                let (src, top) = (self.slot_arg(d - 1), self.slot(d));
+                self.emit(i, Op::ValueReturn { len, src, top });
+            }
+            Insn::AThrow => {
+                self.force(d - 1);
+                self.emit(
+                    i,
+                    Op::AThrow {
+                        len,
+                        top: self.slot(d),
+                    },
+                );
+            }
+            Insn::New(cp) => {
+                let top = self.slot(d);
+                self.emit_pop_push(
+                    i,
+                    Op::New {
+                        len,
+                        ic,
+                        cp: cp.0,
+                        top,
+                    },
+                    0,
+                    1,
+                );
+            }
+            Insn::NewArray(kind) => {
+                self.force(d - 1);
+                let top = self.slot(d);
+                self.emit_pop_push(i, Op::NewArray { len, kind, top }, 1, 1);
+            }
+            Insn::Ldc(cp) | Insn::GetStatic(cp) => {
+                let (dst, at, cp, top) = (self.slot(d), self.at(i), cp.0, self.slot(d));
+                let op = if matches!(insn, Insn::Ldc(_)) {
+                    Op::Ldc {
+                        len,
+                        dst,
+                        at,
+                        ic,
+                        cp,
+                        top,
+                    }
+                } else {
+                    Op::GetStatic {
+                        len,
+                        dst,
+                        at,
+                        ic,
+                        cp,
+                        top,
+                    }
+                };
+                self.emit_pop_push(i, op, 0, 1);
+            }
+            Insn::PutStatic(cp) => {
+                let (src, top) = (self.slot_arg(d - 1), self.slot(d));
+                let op = Op::PutStatic {
+                    len,
+                    ic,
+                    cp: cp.0,
+                    src,
+                    top,
+                };
+                self.emit_pop_push(i, op, 1, 0);
+            }
+            Insn::GetField(cp) => {
+                let (dst, at, obj, top) = (
+                    self.slot(d - 1),
+                    self.at(i),
+                    self.slot_arg(d - 1),
+                    self.slot(d),
+                );
+                let op = Op::GetField {
+                    len,
+                    dst,
+                    at,
+                    ic,
+                    cp: cp.0,
+                    obj,
+                    top,
+                };
+                self.emit_pop_push(i, op, 1, 1);
+            }
+            Insn::PutField(cp) => {
+                let (val, obj, top) = (self.slot_arg(d - 1), self.slot_arg(d - 2), self.slot(d));
+                let op = Op::PutField {
+                    len,
+                    ic,
+                    cp: cp.0,
+                    obj,
+                    val,
+                    top,
+                };
+                self.emit_pop_push(i, op, 2, 0);
+            }
+            Insn::IALoad | Insn::FALoad | Insn::AALoad => {
+                let kind = match insn {
+                    Insn::IALoad => ArrayKind::Int,
+                    Insn::FALoad => ArrayKind::Float,
+                    _ => ArrayKind::Ref,
+                };
+                let idx = self.int_arg(d - 1);
+                let (dst, at, arr) = (self.slot(d - 2), self.at(i), self.slot_arg(d - 2));
+                self.emit_pop_push(i, arr_load(kind, dst, at, arr, idx), 2, 1);
+            }
+            Insn::IAStore | Insn::FAStore | Insn::AAStore => {
+                let kind = match insn {
+                    Insn::IAStore => ArrayKind::Int,
+                    Insn::FAStore => ArrayKind::Float,
+                    _ => ArrayKind::Ref,
+                };
+                let val = self.slot_arg(d - 1);
+                let idx = self.int_arg(d - 2);
+                let arr = self.slot_arg(d - 3);
+                self.emit_pop_push(i, arr_store(kind, arr, idx, val), 3, 0);
+            }
+            Insn::ArrayLength => {
+                let (dst, at, arr) = (self.slot(d - 1), self.at(i), self.slot_arg(d - 1));
+                self.emit_pop_push(i, Op::ArrayLength { len, dst, at, arr }, 1, 1);
+            }
+            _ => unreachable!("int binops are translated above"),
+        }
+    }
 }
 
 /// One activation on a thread's frame stack. The running frame's record
@@ -822,9 +1485,9 @@ impl Vm {
     fn straight_cx<'a>(
         &'a mut self,
         thread: ThreadId,
-        st: &'a mut ThreadStack,
         pend: &'a mut Pending,
         floor: usize,
+        run: u64,
     ) -> Straight<'a> {
         let (mode, jit) = (self.effective_tiers_mode(), self.jit_enabled());
         let alloc_events = self.alloc_events_on();
@@ -837,7 +1500,6 @@ impl Vm {
             arena: &self.code,
             heap: &mut self.heap,
             registry: &mut self.registry,
-            st,
             pend,
             cost: &self.cost,
             mode,
@@ -848,6 +1510,7 @@ impl Vm {
             info: &self.threads[thread.index()],
             stats: &mut self.stats,
             events,
+            run,
         }
     }
 
@@ -983,12 +1646,9 @@ impl Vm {
                     }};
                 }
 
-                let stop = straight::<POLLING>(
-                    &mut self.straight_cx(thread, st, &mut pend, floor),
-                    &mut f,
-                    &mut run,
-                    counted,
-                );
+                let mut cx = self.straight_cx(thread, &mut pend, floor, run);
+                let stop = straight::<POLLING>(&mut cx, st, &mut f, counted);
+                run = cx.run;
                 counted = false;
                 match stop {
                     Stop::Slow => {}
@@ -1006,7 +1666,7 @@ impl Vm {
                         counted = true;
                         continue;
                     }
-                    Stop::Throw(class, message) => jthrow!(class, &message),
+                    Stop::Throw(fault) => jthrow!(fault.class(), &fault.message()),
                     Stop::Osr(target) => {
                         flush!();
                         if let Some(next) = f.tier.next() {
@@ -1024,7 +1684,7 @@ impl Vm {
                 // miss fills its inline cache and hands the op back.
                 let (cur, pc) = (f.mid, f.pc);
                 match self.code.ops[f.code as usize + pc as usize] {
-                    Op::Ldc { ic, cp } => {
+                    Op::Ldc { ic, cp, .. } => {
                         flush!();
                         let s = self.registry.get(cur.class).strings[&cp].clone();
                         let before = self.heap.len();
@@ -1044,6 +1704,7 @@ impl Vm {
                         cp,
                         nargs,
                         returns,
+                        ..
                     } => {
                         if let InlineCache::StaticCall(callee) = self.code.ics[ic as usize] {
                             call!(callee, usize::from(nargs), returns);
@@ -1065,6 +1726,7 @@ impl Vm {
                         cp,
                         nargs,
                         returns,
+                        ..
                     } => {
                         // `straight` checked the receiver.
                         let nargs = usize::from(nargs) + 1;
@@ -1101,9 +1763,9 @@ impl Vm {
                     }
                     // `straight` returns to callers in the activation, so
                     // this is its entry frame returning.
-                    op @ (Op::Return | Op::ValueReturn) => {
+                    op @ (Op::Return { .. } | Op::ValueReturn { .. }) => {
                         debug_assert_eq!(st.frames.len() - 1, floor);
-                        let v = matches!(op, Op::ValueReturn).then(|| pop!());
+                        let v = matches!(op, Op::ValueReturn { .. }).then(|| pop!());
                         flush!();
                         if self.method_events_on() {
                             self.dispatch(thread, |sink, info, vm| {
@@ -1113,7 +1775,7 @@ impl Vm {
                         st.frames.pop();
                         return Ok(v.unwrap_or(Value::Null));
                     }
-                    Op::New { ic, cp } => {
+                    Op::New { ic, cp, .. } => {
                         let cid = match self.code.ics[ic as usize] {
                             InlineCache::NewClass(c) => c,
                             _ => {
@@ -1137,7 +1799,7 @@ impl Vm {
                         self.fire_allocation(thread, obj, &sc, &sm, pc);
                         push!(Value::Ref(obj));
                     }
-                    Op::GetField { ic, cp } | Op::PutField { ic, cp } => {
+                    Op::GetField { ic, cp, .. } | Op::PutField { ic, cp, .. } => {
                         flush!();
                         let slot = self.parked(thread, st, |vm| {
                             vm.instance_field_slot(thread, cur.class, cp)
@@ -1149,7 +1811,7 @@ impl Vm {
                         counted = true;
                         continue;
                     }
-                    Op::GetStatic { ic, cp } | Op::PutStatic { ic, cp } => {
+                    Op::GetStatic { ic, cp, .. } | Op::PutStatic { ic, cp, .. } => {
                         flush!();
                         let target = self.parked(thread, st, |vm| {
                             vm.static_field_target(thread, cur.class, cp)
@@ -1164,7 +1826,7 @@ impl Vm {
                         counted = true;
                         continue;
                     }
-                    Op::NewArray(kind) => {
+                    Op::NewArray { kind, .. } => {
                         let len = pop!().as_int();
                         if len < 0 {
                             jthrow!("java/lang/NegativeArraySizeException", &format!("{len}"));
@@ -1175,7 +1837,7 @@ impl Vm {
                         self.fire_allocation(thread, r, &sc, &sm, pc);
                         push!(Value::Ref(r));
                     }
-                    Op::AThrow => match pop!().as_ref_opt() {
+                    Op::AThrow { .. } => match pop!().as_ref_opt() {
                         Some(r) => {
                             flush!();
                             break 'dispatch JThrow::new(r);
@@ -1219,16 +1881,15 @@ impl Vm {
     }
 }
 
-/// What [`straight`] may touch: the code arena, heap and class registry
-/// (statics, method execution records), the thread's frame stack and
-/// record, the pending charges and ground-truth counters, and the call
-/// rules in force while it runs (method-event callbacks see no `Vm`, so
-/// none of them can change under it).
+/// What [`straight`] may touch besides the thread's frame stack: the code
+/// arena, heap and class registry (statics, method execution records),
+/// the thread's record, the pending charges and ground-truth counters,
+/// and the call rules in force while it runs (method-event callbacks see
+/// no `Vm`, so none of them can change under it).
 struct Straight<'a> {
     arena: &'a CodeArena,
     heap: &'a mut Heap,
     registry: &'a mut ClassRegistry,
-    st: &'a mut ThreadStack,
     pend: &'a mut Pending,
     cost: &'a CostModel,
     mode: TiersMode,
@@ -1244,6 +1905,154 @@ struct Straight<'a> {
     /// With method events on: the sink, the agent's attribution bucket
     /// and the cost of one dispatch.
     events: Option<(&'a dyn VmEventSink, Bucket, u64)>,
+    /// Instructions the running frame ran since the last settle, in and
+    /// out of a run.
+    run: u64,
+}
+
+impl<'a> Straight<'a> {
+    /// Fire a method entry (or exit) event of `mid` if they are on,
+    /// after settling `run` (counted at `f`'s tier) and a flush: the clock
+    /// it reads is exact.
+    #[inline(always)]
+    fn method_event(&mut self, f: &Frame, run: &mut u64, mid: MethodId, entry: bool) {
+        if self.events.is_some() {
+            self.run = *run;
+            self.fire_method_event(f, mid, entry);
+            *run = self.run;
+        }
+    }
+
+    /// [`Straight::method_event`] when events are on, out of line. It
+    /// settles `self.run`: since the loop calls a function that writes
+    /// the context, the optimizer loads the context's fields where the
+    /// loop's ops use them instead of holding each one in a register (or
+    /// a spill reloaded) across every dispatch.
+    #[inline(never)]
+    fn fire_method_event(&mut self, f: &Frame, mid: MethodId, entry: bool) {
+        let Some((sink, bucket, dispatch)) = self.events else {
+            return;
+        };
+        self.pend.settle(f, &mut self.run);
+        self.pend.flush(self.info, self.stats);
+        self.stats.events_dispatched += 1;
+        let _agent = event_scope(self.info, bucket, dispatch);
+        let view = self.registry.method_view(mid);
+        if entry {
+            sink.method_entry(self.info, view);
+        } else {
+            sink.method_exit(self.info, view, false);
+        }
+    }
+
+    /// Run the call at `pc` in the running frame `f` through inline-cache
+    /// slot `ic`, with its `nargs` arguments (receiver first if
+    /// `is_virtual`) below stack slot `top`: if the slot names the callee
+    /// (for the receiver's class), it is prepared bytecode, the depth
+    /// allows it and no promotion is due, push its frame, make it `f` and
+    /// return its ops. `Ok(None)` means stop, having changed nothing; a
+    /// null or non-instance receiver throws.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn call(
+        &mut self,
+        st: &mut ThreadStack,
+        f: &mut Frame,
+        run: &mut u64,
+        pc: u32,
+        ic: u32,
+        nargs: usize,
+        top: u16,
+        is_virtual: bool,
+    ) -> Result<Option<&'a [Op]>, Fault> {
+        let args = f.base as usize + usize::from(top) - nargs;
+        let callee = match (self.arena.ics[ic as usize], is_virtual) {
+            (InlineCache::StaticCall(callee), false) => callee,
+            (cache, true) => {
+                let Some(obj) = st.slots[args].as_ref_opt() else {
+                    return Err(Fault::NullReceiver);
+                };
+                let HeapObject::Instance { class, .. } = self.heap.get(obj) else {
+                    return Err(Fault::ReceiverKind);
+                };
+                match cache {
+                    InlineCache::VirtualCall { receiver, target } if receiver == *class => target,
+                    _ => return Ok(None),
+                }
+            }
+            _ => return Ok(None),
+        };
+        if st.frames.len() >= self.max_depth {
+            return Ok(None);
+        }
+        let exec = self.registry.exec(callee);
+        let Some(body) = exec.body else {
+            return Ok(None);
+        };
+        let count = exec.invocations.saturating_add(1);
+        let tier = exec.effective_tier(self.jit);
+        if promotion(&self.cost.tiers, self.mode, tier, count).is_some() {
+            return Ok(None);
+        }
+        self.pend.invocations += 1;
+        self.method_event(f, run, callee, true);
+        self.registry.exec_mut(callee).invocations = count;
+        self.pend.cycles[tier.index()] += self.cost.tiers.call_overhead(tier);
+        self.pend.settle(f, run);
+        f.pc = pc;
+        st.set_top(Frame {
+            sp: args as u32,
+            ..*f
+        });
+        let tiers = &self.cost.tiers;
+        *f = st.push_frame(
+            self.arena, tiers, self.mode, callee, body, args, nargs, tier,
+        );
+        Ok(Some(&self.arena.ops[f.code as usize..]))
+    }
+
+    /// Return `v` (if any) from the running frame `f` to its caller: make
+    /// the caller `f` and return its ops, or `None`, having changed
+    /// nothing, if the caller is in another activation.
+    #[inline(always)]
+    fn leave(
+        &mut self,
+        st: &mut ThreadStack,
+        f: &mut Frame,
+        run: &mut u64,
+        v: Option<Value>,
+    ) -> Option<&'a [Op]> {
+        if st.frames.len() - 1 == self.floor {
+            return None;
+        }
+        self.pend.settle(f, run);
+        self.method_event(f, run, f.mid, false);
+        st.frames.pop();
+        *f = st.top();
+        if let Some(v) = v {
+            st.slots[f.sp as usize] = v;
+        }
+        Some(&self.arena.ops[f.code as usize..])
+    }
+}
+
+/// Read the static field cached in inline-cache slot `ic`, or write `put`
+/// to it; `None` if the slot is not filled.
+#[inline(never)]
+fn static_field(
+    arena: &CodeArena,
+    registry: &mut ClassRegistry,
+    ic: u32,
+    put: Option<Value>,
+) -> Option<Value> {
+    let InlineCache::StaticField { class, slot } = arena.ics[ic as usize] else {
+        return None;
+    };
+    let statics = &mut registry.get_mut(class).statics;
+    if let Some(v) = put {
+        statics[slot] = v;
+    }
+    Some(statics[slot])
 }
 
 /// Why [`straight`] stopped. In every case the op at `pc` is counted.
@@ -1253,10 +2062,74 @@ enum Stop {
     Slow,
     /// A sampling or thread-death poll is due before the op at `pc`.
     Poll,
-    /// The op at `pc` throws a new `class` with this message.
-    Throw(&'static str, String),
+    /// The op at `pc` throws a new exception.
+    Throw(Fault),
     /// The back-edge from `pc` to the target crossed the OSR threshold.
     Osr(u32),
+}
+
+/// An exception the straight-line loop throws. It is two words, so a
+/// [`Stop`] comes back in registers, and the loop builds no message:
+/// [`Vm::execute`] does, when it throws.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    NullReceiver,
+    NullField,
+    NullArrayLoad,
+    NullArrayStore,
+    NullArrayLength,
+    /// An `invokevirtual` receiver that is not an object instance.
+    ReceiverKind,
+    /// A field access on a reference that is not an object instance.
+    FieldKind,
+    /// An `arraylength` of a reference that is not an array.
+    LengthKind,
+    /// An array load of the wrong element kind.
+    LoadKind,
+    /// An array store of the wrong element kind.
+    StoreKind,
+    /// An array index out of bounds.
+    Bounds(i64),
+    /// A negative array length.
+    NegativeSize(i64),
+    DivideByZero,
+}
+
+impl Fault {
+    fn class(self) -> &'static str {
+        match self {
+            Fault::NullReceiver
+            | Fault::NullField
+            | Fault::NullArrayLoad
+            | Fault::NullArrayStore
+            | Fault::NullArrayLength => "java/lang/NullPointerException",
+            Fault::ReceiverKind | Fault::FieldKind | Fault::LengthKind | Fault::LoadKind => {
+                "java/lang/InternalError"
+            }
+            Fault::StoreKind => "java/lang/ArrayStoreException",
+            Fault::Bounds(_) => "java/lang/ArrayIndexOutOfBoundsException",
+            Fault::NegativeSize(_) => "java/lang/NegativeArraySizeException",
+            Fault::DivideByZero => "java/lang/ArithmeticException",
+        }
+    }
+
+    fn message(self) -> String {
+        let text = match self {
+            Fault::Bounds(n) | Fault::NegativeSize(n) => return n.to_string(),
+            Fault::NullReceiver => "null receiver",
+            Fault::NullField => "null field access",
+            Fault::NullArrayLoad => "null array load",
+            Fault::NullArrayStore => "null array store",
+            Fault::NullArrayLength => "null arraylength",
+            Fault::ReceiverKind => "invokevirtual receiver is not an object instance",
+            Fault::FieldKind => "field access on a non-object reference",
+            Fault::LengthKind => "arraylength of a non-array",
+            Fault::LoadKind => "array load kind mismatch",
+            Fault::StoreKind => "array store kind mismatch",
+            Fault::DivideByZero => "/ by zero",
+        };
+        text.to_owned()
+    }
 }
 
 /// What `new` and `newarray` allocate.
@@ -1268,7 +2141,7 @@ enum Alloc {
 
 /// Allocate `what` on `heap`, charging its cost to the thread `info`
 /// and counting it in `stats`.
-#[inline(always)]
+#[inline(never)]
 fn allocate(
     heap: &mut Heap,
     registry: &ClassRegistry,
@@ -1294,37 +2167,85 @@ fn allocate(
     }
 }
 
-/// `array[index]` for an `ArrLoad` of `kind`, or the class and message of
-/// the exception it throws.
+/// `array[index]` for an array load of `kind`, or the exception it
+/// throws.
 #[inline(always)]
-fn array_load(
-    heap: &Heap,
-    kind: ArrayKind,
-    array: Value,
-    index: i64,
-) -> Result<Value, (&'static str, String)> {
+fn array_load(heap: &Heap, kind: ArrayKind, array: Value, index: i64) -> Result<Value, Fault> {
     let Some(arr) = array.as_ref_opt() else {
-        return Err(("java/lang/NullPointerException", "null array load".into()));
-    };
-    let out_of_bounds = || {
-        (
-            "java/lang/ArrayIndexOutOfBoundsException",
-            format!("{index}"),
-        )
+        return Err(Fault::NullArrayLoad);
     };
     if index < 0 {
-        return Err(out_of_bounds());
+        return Err(Fault::Bounds(index));
     }
     let i = index as usize;
     let loaded = match (kind, heap.get(arr)) {
         (ArrayKind::Int, HeapObject::IntArray(v)) => v.get(i).map(|&x| Value::Int(x)),
         (ArrayKind::Float, HeapObject::FloatArray(v)) => v.get(i).map(|&x| Value::Float(x)),
         (ArrayKind::Ref, HeapObject::RefArray(v)) => v.get(i).copied(),
-        _ => {
-            return Err(("java/lang/InternalError", "array load kind mismatch".into()));
-        }
+        _ => return Err(Fault::LoadKind),
     };
-    loaded.ok_or_else(out_of_bounds)
+    loaded.ok_or(Fault::Bounds(index))
+}
+
+/// `array[index] = value` for an array store of `kind`, or the exception
+/// it throws.
+#[inline(always)]
+fn array_store(
+    heap: &mut Heap,
+    kind: ArrayKind,
+    array: Value,
+    index: i64,
+    value: Value,
+) -> Result<(), Fault> {
+    let Some(arr) = array.as_ref_opt() else {
+        return Err(Fault::NullArrayStore);
+    };
+    if index < 0 {
+        return Err(Fault::Bounds(index));
+    }
+    let i = index as usize;
+    let stored = match (kind, heap.get_mut(arr)) {
+        (ArrayKind::Int, HeapObject::IntArray(v)) => {
+            v.get_mut(i).map(|slot| *slot = value.as_int())
+        }
+        (ArrayKind::Float, HeapObject::FloatArray(v)) => {
+            v.get_mut(i).map(|slot| *slot = value.as_float())
+        }
+        (ArrayKind::Ref, HeapObject::RefArray(v)) => v.get_mut(i).map(|slot| *slot = value),
+        _ => return Err(Fault::StoreKind),
+    };
+    stored.ok_or(Fault::Bounds(index))
+}
+
+/// The int binops, as the straight-line loop applies them.
+mod int {
+    pub(super) fn add(a: i64, b: i64) -> i64 {
+        a.wrapping_add(b)
+    }
+    pub(super) fn sub(a: i64, b: i64) -> i64 {
+        a.wrapping_sub(b)
+    }
+    pub(super) fn mul(a: i64, b: i64) -> i64 {
+        a.wrapping_mul(b)
+    }
+    pub(super) fn shl(a: i64, b: i64) -> i64 {
+        a.wrapping_shl(b as u32 & 63)
+    }
+    pub(super) fn shr(a: i64, b: i64) -> i64 {
+        a.wrapping_shr(b as u32 & 63)
+    }
+    pub(super) fn ushr(a: i64, b: i64) -> i64 {
+        ((a as u64) >> (b as u32 & 63)) as i64
+    }
+    pub(super) fn and(a: i64, b: i64) -> i64 {
+        a & b
+    }
+    pub(super) fn or(a: i64, b: i64) -> i64 {
+        a | b
+    }
+    pub(super) fn xor(a: i64, b: i64) -> i64 {
+        a ^ b
+    }
 }
 
 /// Run the running `frame` — and the bytecode frames it calls — from
@@ -1333,79 +2254,109 @@ fn array_load(
 /// `ldc` and allocations through a filled inline cache (allocations only
 /// without allocation events), and calls and returns between bytecode
 /// frames, with their method events, that promote nothing and stay
-/// inside the activation. Stops (see [`Stop`]) at anything else, a due poll, a
-/// throw, or an OSR threshold. Each op is counted (and, if `POLLING`,
-/// polled) before it runs, except the first if `counted`. It makes no
-/// call on its hot paths, so its state stays in registers.
+/// inside the activation. Stops (see [`Stop`]) at anything else, a due
+/// poll, a throw, or an OSR threshold. Each op counts the instructions it
+/// stands for as it runs (if `POLLING`, after a poll check); the first
+/// op's first instruction is already counted if `counted`. Ops read and
+/// write frame slots directly, so only a stop sets the frame's `sp`. It
+/// makes no call on its hot paths, so its state stays in registers.
 #[allow(clippy::too_many_lines)]
 #[inline(never)]
 fn straight<const POLLING: bool>(
     cx: &mut Straight<'_>,
+    st: &mut ThreadStack,
     frame: &mut Frame,
-    run: &mut u64,
     mut counted: bool,
 ) -> Stop {
     // The running frame's record: its cold fields are read and written
-    // in place, its hot ones (`pc`, `sp`) live in registers.
+    // in place, its `pc` lives in a register.
     let f = frame;
+    // The context, reached through an opaque pointer so that no field of
+    // it (nor anything loaded through one) is hoisted out of the loop:
+    // values hoisted there would hold registers across every dispatch
+    // for the few ops that use them.
+    macro_rules! cx {
+        () => {
+            (&mut *cx)
+        };
+    }
     // The running body's ops, and the slots from the running frame's
-    // first local on (re-borrowed whenever the frame changes), so `sp`
-    // counts from the frame's base and a local is indexed directly.
+    // first local on (re-borrowed whenever the frame changes), so an
+    // op's slot operand indexes them directly.
     let mut ops: &[Op] = &cx.arena.ops[f.code as usize..];
-    let mut slots: &mut [Value] = &mut cx.st.slots[f.base as usize..];
-    let (mut pc, mut sp) = (f.pc, (f.sp - f.base) as usize);
-    let mut n = *run;
-
-    // Write the hot copies back into the record.
-    macro_rules! sync {
-        () => {{
-            (f.pc, f.sp) = (pc, f.base + sp as u32);
-        }};
-    }
-
-    // Make `$frame` the running frame.
-    macro_rules! load {
-        ($frame:expr) => {{
-            *f = $frame;
-            ops = &cx.arena.ops[f.code as usize..];
-            slots = &mut cx.st.slots[f.base as usize..];
-            (pc, sp) = (f.pc, (f.sp - f.base) as usize);
-        }};
-    }
+    let mut slots: &mut [Value] = &mut st.slots[f.base as usize..];
+    let mut pc = f.pc;
+    // The first op counts its first instruction again, so it starts one
+    // short (wrapping, hence the wrapping adds).
+    let mut n = if counted {
+        cx.run.wrapping_sub(1)
+    } else {
+        cx.run
+    };
 
     macro_rules! stop {
         ($stop:expr) => {{
-            sync!();
-            *run = n;
+            f.pc = pc;
+            cx.run = n;
             return $stop;
         }};
     }
 
+    // Stop for the outer loop to run the op at `pc`, with the operand
+    // stack `$top` slots above the frame's base.
+    macro_rules! slow {
+        ($top:expr) => {{
+            f.sp = f.base + u32::from($top);
+            stop!(Stop::Slow)
+        }};
+    }
+
     macro_rules! throw {
-        ($class:expr, $msg:expr) => {
-            stop!(Stop::Throw($class, $msg.into()))
+        ($fault:expr) => {
+            stop!(Stop::Throw($fault))
         };
     }
 
-    macro_rules! push {
-        ($v:expr) => {{
+    // Count an op's `$len` instructions and move past them.
+    macro_rules! next {
+        ($len:expr) => {{
+            n = n.wrapping_add(u64::from($len));
+            pc += u32::from($len);
+        }};
+    }
+
+    // Count the instructions up to the one `$at` into the op's span, and
+    // move to it: where the op branches, throws or stops.
+    macro_rules! upto {
+        ($at:expr) => {{
+            n = n.wrapping_add(u64::from($at) + 1);
+            pc += u32::from($at);
+        }};
+    }
+
+    macro_rules! get {
+        ($s:expr) => {
+            slots[usize::from($s)]
+        };
+    }
+
+    macro_rules! int {
+        ($s:expr) => {
+            get!($s).as_int()
+        };
+    }
+
+    macro_rules! float {
+        ($s:expr) => {
+            get!($s).as_float()
+        };
+    }
+
+    macro_rules! put {
+        ($s:expr, $v:expr) => {{
             let v = $v;
-            slots[sp] = v;
-            sp += 1;
+            get!($s) = v;
         }};
-    }
-
-    macro_rules! pop {
-        () => {{
-            sp -= 1;
-            slots[sp]
-        }};
-    }
-
-    macro_rules! local {
-        ($i:expr) => {
-            slots[$i as usize]
-        };
     }
 
     macro_rules! branch {
@@ -1413,7 +2364,7 @@ fn straight<const POLLING: bool>(
             let target: u32 = $t;
             if f.osr_pending && target <= pc {
                 f.backedges += 1;
-                if f.backedges >= cx.cost.tiers.osr_backedge_threshold {
+                if f.backedges >= cx!().cost.tiers.osr_backedge_threshold {
                     f.backedges = 0;
                     stop!(Stop::Osr(target));
                 }
@@ -1423,175 +2374,243 @@ fn straight<const POLLING: bool>(
         }};
     }
 
-    // A fused head charges the rest of its span and moves `pc` to the
-    // span's last op, where the unfused ops would branch or throw.
-    macro_rules! fused {
-        ($n:literal) => {{
-            pc += $n - 1;
-            n += $n - 1;
+    // `$dst = $f($a, $b)` over ints.
+    macro_rules! ibin {
+        ($len:expr, $dst:expr, $a:expr, $b:expr, $f:expr) => {{
+            put!($dst, Value::Int($f($a, $b)));
+            next!($len);
         }};
     }
 
-    // Fire a method event (`$fire` gets the sink and the view of `$mid`)
-    // if they are on, after a flush: the clock it reads is exact.
-    macro_rules! method_event {
-        ($mid:expr, $fire:expr) => {{
-            if let Some((sink, bucket, dispatch)) = cx.events {
-                cx.pend.settle(f, &mut n);
-                cx.pend.flush(cx.info, cx.stats);
-                cx.stats.events_dispatched += 1;
-                let _agent = event_scope(cx.info, bucket, dispatch);
-                $fire(sink, cx.registry.method_view($mid));
+    // `$dst = $a / $b` (or `%`), throwing at the consumer on a zero `$b`.
+    macro_rules! idiv {
+        ($len:expr, $dst:expr, $at:expr, $a:expr, $b:expr, $f:ident) => {{
+            let (a, b): (i64, i64) = ($a, $b);
+            if b == 0 {
+                upto!($at);
+                throw!(Fault::DivideByZero);
+            }
+            put!($dst, Value::Int(a.$f(b)));
+            next!($len);
+        }};
+    }
+
+    macro_rules! fbin {
+        ($len:expr, $dst:expr, $a:expr, $b:expr, $op:tt) => {{
+            put!($dst, Value::Float(float!($a) $op float!($b)));
+            next!($len);
+        }};
+    }
+
+    // Branch to `$t` if `$taken`, else fall through.
+    macro_rules! cond {
+        ($len:expr, $t:expr, $taken:expr) => {{
+            if $taken {
+                upto!($len - 1);
+                branch!($t);
+            }
+            next!($len);
+        }};
+    }
+
+    macro_rules! aload {
+        ($len:expr, $dst:expr, $at:expr, $kind:expr, $arr:expr, $idx:expr) => {{
+            match array_load(cx.heap, $kind, get!($arr), $idx) {
+                Ok(v) => {
+                    put!($dst, v);
+                    next!($len);
+                }
+                Err(fault) => {
+                    upto!($at);
+                    throw!(fault);
+                }
             }
         }};
     }
 
-    // Call `$callee` with the top `$nargs` operands as its arguments, if
-    // it is prepared bytecode, the depth allows it and no promotion is
-    // due; stop otherwise, leaving everything as it was.
+    macro_rules! astore {
+        ($len:expr, $kind:expr, $arr:expr, $idx:expr, $val:expr) => {{
+            if let Err(fault) = array_store(cx.heap, $kind, get!($arr), $idx, get!($val)) {
+                upto!($len - 1);
+                throw!(fault);
+            }
+            next!($len);
+        }};
+    }
+
+    // Write a call's last two arguments (of `$nargs`) below slot `$top`
+    // from the slots `$args` names.
+    macro_rules! pass {
+        ($nargs:expr, $top:expr, $args:expr) => {{
+            if $nargs >= 2 {
+                put!($top - 2, get!($args[0]));
+            }
+            if $nargs >= 1 {
+                put!($top - 1, get!($args[1]));
+            }
+        }};
+    }
+
+    // Run the call at `pc` through inline-cache slot `$ic`, with its
+    // `$nargs` arguments (receiver included) below slot `$top`: enter
+    // the callee, stop, or throw (see [`Straight::call`]).
     macro_rules! call {
-        ($callee:expr, $nargs:expr) => {{
-            let (callee, nargs): (MethodId, usize) = ($callee, $nargs);
-            if cx.st.frames.len() >= cx.max_depth {
-                stop!(Stop::Slow);
+        ($ic:expr, $nargs:expr, $top:expr, $is_virtual:expr) => {{
+            let top: u16 = $top;
+            // A copy: `n` itself stays out of memory.
+            let mut m = n;
+            let called = cx!().call(st, f, &mut m, pc, $ic, $nargs, top, $is_virtual);
+            n = m;
+            match called {
+                Ok(Some(callee)) => {
+                    ops = callee;
+                    slots = &mut st.slots[f.base as usize..];
+                    pc = 0;
+                    continue;
+                }
+                Ok(None) => slow!(top),
+                Err(fault) => throw!(fault),
             }
-            let exec = cx.registry.exec(callee);
-            let Some(body) = exec.body else {
-                stop!(Stop::Slow);
-            };
-            let count = exec.invocations.saturating_add(1);
-            let tier = exec.effective_tier(cx.jit);
-            if promotion(&cx.cost.tiers, cx.mode, tier, count).is_some() {
-                stop!(Stop::Slow);
-            }
-            cx.pend.invocations += 1;
-            method_event!(callee, |sink: &dyn VmEventSink, view| sink
-                .method_entry(cx.info, view));
-            cx.registry.exec_mut(callee).invocations = count;
-            cx.pend.cycles[tier.index()] += cx.cost.tiers.call_overhead(tier);
-            cx.pend.settle(f, &mut n);
-            let args = f.base as usize + sp - nargs;
-            sync!();
-            cx.st.set_top(Frame {
-                sp: args as u32,
-                ..*f
-            });
-            let pushed = cx.st.push_frame(
-                cx.arena,
-                &cx.cost.tiers,
-                cx.mode,
-                callee,
-                body,
-                args,
-                nargs,
-                tier,
-            );
-            load!(pushed);
-            continue;
         }};
     }
 
     // Return `$v` (if any) to the caller, unless it is in another
-    // activation.
+    // activation: then stop with the operand stack `$top` slots up.
     macro_rules! ret {
-        ($v:expr) => {{
-            if cx.st.frames.len() - 1 == cx.floor {
-                stop!(Stop::Slow);
-            }
+        ($v:expr, $top:expr) => {{
             let v: Option<Value> = $v;
-            cx.pend.settle(f, &mut n);
-            method_event!(f.mid, |sink: &dyn VmEventSink, view| sink
-                .method_exit(cx.info, view, false));
-            cx.st.frames.pop();
-            load!(cx.st.frames[cx.st.frames.len() - 1]);
-            if let Some(v) = v {
-                push!(v);
-            }
-            pc += 1;
+            let mut m = n;
+            let caller = cx!().leave(st, f, &mut m, v);
+            n = m;
+            slots = &mut st.slots[f.base as usize..];
+            let Some(caller) = caller else {
+                if let Some(v) = v {
+                    put!($top - 1, v);
+                }
+                slow!($top);
+            };
+            ops = caller;
+            pc = f.pc + 1;
             continue;
         }};
     }
 
     loop {
-        let op = &ops[pc as usize];
-        if counted {
-            counted = false;
-        } else {
-            n += 1;
-            if POLLING {
+        if POLLING {
+            if counted {
+                counted = false;
+            } else {
                 f.polls += 1;
                 if f.polls >= 32 {
                     f.polls = 0;
+                    n += 1;
                     stop!(Stop::Poll);
                 }
             }
         }
-        match *op {
-            Op::Nop => {}
-            Op::IConst(v) => push!(Value::Int(v)),
-            Op::FConst(v) => push!(Value::Float(v)),
-            Op::AConstNull => push!(Value::Null),
-            Op::Ldc { ic, .. } => match cx.arena.ics[ic as usize] {
-                InlineCache::LdcStr(r) => push!(Value::Ref(r)),
-                _ => stop!(Stop::Slow),
-            },
-            Op::Load(s) => push!(local!(s)),
-            Op::Store(s) => local!(s) = pop!(),
-            Op::Pop => sp -= 1,
-            Op::Dup => push!(slots[sp - 1]),
-            Op::Swap => slots.swap(sp - 1, sp - 2),
-            Op::IBin(op) => {
-                let b = pop!().as_int();
-                let a = slots[sp - 1].as_int();
-                slots[sp - 1] = Value::Int(op.apply(a, b));
+        match ops[pc as usize] {
+            Op::Nop { len } => next!(len),
+            Op::Mov { len, dst, src } => {
+                put!(dst, get!(src));
+                next!(len);
             }
-            Op::IDiv | Op::IRem => {
-                let b = pop!().as_int();
-                let a = pop!().as_int();
-                if b == 0 {
-                    throw!("java/lang/ArithmeticException", "/ by zero");
+            Op::Const { len, dst, k } => {
+                put!(dst, Value::Int(k));
+                next!(len);
+            }
+            Op::FConst { len, dst, k } => {
+                put!(dst, Value::Float(k));
+                next!(len);
+            }
+            Op::Null { len, dst } => {
+                put!(dst, Value::Null);
+                next!(len);
+            }
+            Op::Ldc {
+                len,
+                dst,
+                at,
+                ic,
+                top,
+                ..
+            } => match cx!().arena.ics[ic as usize] {
+                InlineCache::LdcStr(r) => {
+                    put!(dst, Value::Ref(r));
+                    next!(len);
                 }
-                let r = if matches!(op, Op::IDiv) {
-                    a.wrapping_div(b)
-                } else {
-                    a.wrapping_rem(b)
-                };
-                push!(Value::Int(r));
+                _ => {
+                    upto!(at);
+                    slow!(top);
+                }
+            },
+            Op::Swap { len, a, b } => {
+                slots.swap(usize::from(a), usize::from(b));
+                next!(len);
             }
-            Op::INeg => {
-                let a = slots[sp - 1].as_int();
-                slots[sp - 1] = Value::Int(a.wrapping_neg());
+            Op::IAdd { len, dst, a, b } => ibin!(len, dst, int!(a), int!(b), int::add),
+            Op::ISub { len, dst, a, b } => ibin!(len, dst, int!(a), int!(b), int::sub),
+            Op::IMul { len, dst, a, b } => ibin!(len, dst, int!(a), int!(b), int::mul),
+            Op::IShl { len, dst, a, b } => ibin!(len, dst, int!(a), int!(b), int::shl),
+            Op::IShr { len, dst, a, b } => ibin!(len, dst, int!(a), int!(b), int::shr),
+            Op::IUShr { len, dst, a, b } => ibin!(len, dst, int!(a), int!(b), int::ushr),
+            Op::IAnd { len, dst, a, b } => ibin!(len, dst, int!(a), int!(b), int::and),
+            Op::IOr { len, dst, a, b } => ibin!(len, dst, int!(a), int!(b), int::or),
+            Op::IXor { len, dst, a, b } => ibin!(len, dst, int!(a), int!(b), int::xor),
+            Op::IAddK { len, dst, a, k } => ibin!(len, dst, int!(a), k, int::add),
+            Op::ISubK { len, dst, a, k } => ibin!(len, dst, int!(a), k, int::sub),
+            Op::IMulK { len, dst, a, k } => ibin!(len, dst, int!(a), k, int::mul),
+            Op::IShlK { len, dst, a, k } => ibin!(len, dst, int!(a), k, int::shl),
+            Op::IShrK { len, dst, a, k } => ibin!(len, dst, int!(a), k, int::shr),
+            Op::IUShrK { len, dst, a, k } => ibin!(len, dst, int!(a), k, int::ushr),
+            Op::IAndK { len, dst, a, k } => ibin!(len, dst, int!(a), k, int::and),
+            Op::IOrK { len, dst, a, k } => ibin!(len, dst, int!(a), k, int::or),
+            Op::IXorK { len, dst, a, k } => ibin!(len, dst, int!(a), k, int::xor),
+            Op::IDiv { len, dst, at, a, b } => idiv!(len, dst, at, int!(a), int!(b), wrapping_div),
+            Op::IRem { len, dst, at, a, b } => idiv!(len, dst, at, int!(a), int!(b), wrapping_rem),
+            Op::IDivK { len, dst, at, a, k } => idiv!(len, dst, at, int!(a), k, wrapping_div),
+            Op::IRemK { len, dst, at, a, k } => idiv!(len, dst, at, int!(a), k, wrapping_rem),
+            Op::INeg { len, dst, a } => {
+                put!(dst, Value::Int(int!(a).wrapping_neg()));
+                next!(len);
             }
-            Op::IInc { local, delta } => {
-                let v = local!(local).as_int();
-                local!(local) = Value::Int(v.wrapping_add(i64::from(delta)));
+            Op::IInc { len, local, delta } => {
+                put!(
+                    local,
+                    Value::Int(int!(local).wrapping_add(i64::from(delta)))
+                );
+                next!(len);
             }
-            Op::FAdd | Op::FSub | Op::FMul | Op::FDiv => {
-                let b = pop!().as_float();
-                let a = pop!().as_float();
-                let r = match op {
-                    Op::FAdd => a + b,
-                    Op::FSub => a - b,
-                    Op::FMul => a * b,
-                    _ => a / b,
-                };
-                push!(Value::Float(r));
+            Op::IIncGoto {
+                len,
+                local,
+                delta,
+                target,
+            } => {
+                put!(
+                    local,
+                    Value::Int(int!(local).wrapping_add(i64::from(delta)))
+                );
+                upto!(len - 1);
+                branch!(target);
             }
-            Op::FNeg => {
-                let a = pop!().as_float();
-                push!(Value::Float(-a));
+            Op::FAdd { len, dst, a, b } => fbin!(len, dst, a, b, +),
+            Op::FSub { len, dst, a, b } => fbin!(len, dst, a, b, -),
+            Op::FMul { len, dst, a, b } => fbin!(len, dst, a, b, *),
+            Op::FDiv { len, dst, a, b } => fbin!(len, dst, a, b, /),
+            Op::FNeg { len, dst, a } => {
+                put!(dst, Value::Float(-float!(a)));
+                next!(len);
             }
-            Op::I2F => {
-                let a = pop!().as_int();
-                push!(Value::Float(a as f64));
+            Op::I2F { len, dst, a } => {
+                put!(dst, Value::Float(int!(a) as f64));
+                next!(len);
             }
-            Op::F2I => {
-                let a = pop!().as_float();
-                push!(Value::Int(a as i64));
+            Op::F2I { len, dst, a } => {
+                put!(dst, Value::Int(float!(a) as i64));
+                next!(len);
             }
-            Op::FCmp => {
-                let b = pop!().as_float();
-                let a = pop!().as_float();
+            Op::FCmp { len, dst, a, b } => {
+                let (a, b) = (float!(a), float!(b));
                 let r = if a.is_nan() || b.is_nan() {
                     1
                 } else if a < b {
@@ -1599,247 +2618,259 @@ fn straight<const POLLING: bool>(
                 } else {
                     i64::from(a > b)
                 };
-                push!(Value::Int(r));
+                put!(dst, Value::Int(r));
+                next!(len);
             }
-            Op::Goto(t) => branch!(t),
-            Op::If(cond, t) => {
-                let v = pop!().as_int();
-                if cond.eval(v.cmp(&0)) {
-                    branch!(t);
-                }
-            }
-            Op::IfICmp(cond, t) => {
-                let b = pop!().as_int();
-                let a = pop!().as_int();
-                if cond.eval(a.cmp(&b)) {
-                    branch!(t);
-                }
-            }
-            Op::IfNull(t) => {
-                if pop!().as_ref_opt().is_none() {
-                    branch!(t);
-                }
-            }
-            Op::IfNonNull(t) => {
-                if pop!().as_ref_opt().is_some() {
-                    branch!(t);
-                }
-            }
-            Op::TableSwitch {
-                low,
-                first,
-                targets,
-                default,
-            } => {
-                let k = pop!().as_int();
-                let off = k.wrapping_sub(low);
-                let target = if off >= 0 && (off as u64) < u64::from(targets) {
-                    cx.arena.switch_targets[first as usize + off as usize]
-                } else {
-                    default
-                };
+            Op::Goto { len, target } => {
+                upto!(len - 1);
                 branch!(target);
             }
-            Op::InvokeStatic { ic, nargs, .. } => match cx.arena.ics[ic as usize] {
-                InlineCache::StaticCall(callee) => call!(callee, usize::from(nargs)),
-                _ => stop!(Stop::Slow),
-            },
-            Op::InvokeVirtual { ic, nargs, .. } => {
+            Op::IfEq { len, a, b, target } => cond!(len, target, int!(a) == int!(b)),
+            Op::IfNe { len, a, b, target } => cond!(len, target, int!(a) != int!(b)),
+            Op::IfLt { len, a, b, target } => cond!(len, target, int!(a) < int!(b)),
+            Op::IfGe { len, a, b, target } => cond!(len, target, int!(a) >= int!(b)),
+            Op::IfGt { len, a, b, target } => cond!(len, target, int!(a) > int!(b)),
+            Op::IfLe { len, a, b, target } => cond!(len, target, int!(a) <= int!(b)),
+            Op::IfEqK { len, a, k, target } => cond!(len, target, int!(a) == k),
+            Op::IfNeK { len, a, k, target } => cond!(len, target, int!(a) != k),
+            Op::IfLtK { len, a, k, target } => cond!(len, target, int!(a) < k),
+            Op::IfGeK { len, a, k, target } => cond!(len, target, int!(a) >= k),
+            Op::IfGtK { len, a, k, target } => cond!(len, target, int!(a) > k),
+            Op::IfLeK { len, a, k, target } => cond!(len, target, int!(a) <= k),
+            Op::IfNull { len, a, target } => cond!(len, target, get!(a).as_ref_opt().is_none()),
+            Op::IfNonNull { len, a, target } => {
+                cond!(len, target, get!(a).as_ref_opt().is_some());
+            }
+            Op::TableSwitch { len, key, switch } => {
+                let k = int!(key);
+                let sw = &cx!().arena.switches[switch as usize];
+                let off = k.wrapping_sub(sw.low);
+                let target = if off >= 0 && (off as u64) < u64::from(sw.count) {
+                    cx!().arena.switch_targets[sw.first as usize + off as usize]
+                } else {
+                    sw.default
+                };
+                upto!(len - 1);
+                branch!(target);
+            }
+            Op::InvokeStatic {
+                len,
+                ic,
+                nargs,
+                top,
+                args,
+                ..
+            } => {
+                let nargs = usize::from(nargs);
+                pass!(nargs, top, args);
+                upto!(len - 1);
+                call!(ic, nargs, top, false);
+            }
+            Op::InvokeVirtual {
+                len,
+                ic,
+                nargs,
+                top,
+                args,
+                ..
+            } => {
                 let nargs = usize::from(nargs) + 1;
-                let Some(obj) = slots[sp - nargs].as_ref_opt() else {
-                    sp -= nargs;
-                    throw!("java/lang/NullPointerException", "null receiver");
-                };
-                let HeapObject::Instance { class, .. } = cx.heap.get(obj) else {
-                    sp -= nargs;
-                    throw!(
-                        "java/lang/InternalError",
-                        "invokevirtual receiver is not an object instance"
-                    );
-                };
-                match cx.arena.ics[ic as usize] {
-                    InlineCache::VirtualCall { receiver, target } if receiver == *class => {
-                        call!(target, nargs);
-                    }
-                    _ => stop!(Stop::Slow),
-                }
+                pass!(nargs, top, args);
+                upto!(len - 1);
+                call!(ic, nargs, top, true);
             }
-            Op::Return => ret!(None),
-            Op::ValueReturn => ret!(Some(slots[sp - 1])),
-            Op::GetField { ic, .. } | Op::PutField { ic, .. } => {
-                let is_put = matches!(op, Op::PutField { .. });
-                let recv = slots[sp - 1 - usize::from(is_put)];
-                let Some(obj) = recv.as_ref_opt() else {
-                    sp -= 1 + usize::from(is_put);
-                    throw!("java/lang/NullPointerException", "null field access");
-                };
-                let HeapObject::Instance { fields, .. } = cx.heap.get_mut(obj) else {
-                    sp -= 1 + usize::from(is_put);
-                    throw!(
-                        "java/lang/InternalError",
-                        "field access on a non-object reference"
-                    );
-                };
-                let InlineCache::InstanceField(slot) = cx.arena.ics[ic as usize] else {
-                    stop!(Stop::Slow);
-                };
-                if is_put {
-                    fields[slot] = slots[sp - 1];
-                    sp -= 2;
-                } else {
-                    slots[sp - 1] = fields[slot];
-                }
+            Op::Return { len, top } => {
+                upto!(len - 1);
+                ret!(None, top);
             }
-            Op::GetStatic { ic, .. } | Op::PutStatic { ic, .. } => {
-                let InlineCache::StaticField { class, slot } = cx.arena.ics[ic as usize] else {
-                    stop!(Stop::Slow);
-                };
-                let statics = &mut cx.registry.get_mut(class).statics;
-                if matches!(op, Op::PutStatic { .. }) {
-                    statics[slot] = pop!();
-                } else {
-                    push!(statics[slot]);
-                }
+            Op::ValueReturn { len, src, top } => {
+                upto!(len - 1);
+                ret!(Some(get!(src)), top);
             }
-            Op::ArrLoad(kind) => {
-                let index = pop!().as_int();
-                let arr = pop!();
-                match array_load(cx.heap, kind, arr, index) {
-                    Ok(v) => push!(v),
-                    Err((class, msg)) => throw!(class, msg),
-                }
-            }
-            Op::ArrStore(kind) => {
-                let value = pop!();
-                let index = pop!().as_int();
-                let Some(arr) = pop!().as_ref_opt() else {
-                    throw!("java/lang/NullPointerException", "null array store");
-                };
-                if index < 0 {
-                    throw!(
-                        "java/lang/ArrayIndexOutOfBoundsException",
-                        format!("{index}")
-                    );
-                }
-                let i = index as usize;
-                let stored = match (kind, cx.heap.get_mut(arr)) {
-                    (ArrayKind::Int, HeapObject::IntArray(v)) => {
-                        v.get_mut(i).map(|slot| *slot = value.as_int())
-                    }
-                    (ArrayKind::Float, HeapObject::FloatArray(v)) => {
-                        v.get_mut(i).map(|slot| *slot = value.as_float())
-                    }
-                    (ArrayKind::Ref, HeapObject::RefArray(v)) => {
-                        v.get_mut(i).map(|slot| *slot = value)
-                    }
-                    _ => {
-                        throw!("java/lang/ArrayStoreException", "array store kind mismatch");
-                    }
-                };
-                if stored.is_none() {
-                    throw!(
-                        "java/lang/ArrayIndexOutOfBoundsException",
-                        format!("{index}")
-                    );
-                }
-            }
-            Op::ArrayLength => {
-                let Some(arr) = pop!().as_ref_opt() else {
-                    throw!("java/lang/NullPointerException", "null arraylength");
-                };
-                match cx.heap.get(arr).array_len() {
-                    Some(len) => push!(Value::Int(len as i64)),
-                    None => {
-                        throw!("java/lang/InternalError", "arraylength of a non-array");
-                    }
-                }
-            }
-            Op::Load2(a, b) => {
-                fused!(2);
-                push!(local!(a));
-                push!(local!(b));
-            }
-            Op::LoadK(a, k) => {
-                fused!(2);
-                push!(local!(a));
-                push!(Value::Int(k));
-            }
-            Op::StoreLoad(a, b) => {
-                fused!(2);
-                local!(a) = slots[sp - 1];
-                slots[sp - 1] = local!(b);
-            }
-            Op::IBinK(op, k) => {
-                fused!(2);
-                let a = slots[sp - 1].as_int();
-                slots[sp - 1] = Value::Int(op.apply(a, k));
-            }
-            Op::IBinLK(op, a, k) => {
-                fused!(3);
-                push!(Value::Int(op.apply(local!(a).as_int(), k)));
-            }
-            Op::IfK(cond, k, t) => {
-                fused!(2);
-                let a = pop!().as_int();
-                if cond.eval(a.cmp(&k)) {
-                    branch!(t);
-                }
-            }
-            Op::IfLL(cond, a, b, t) => {
-                fused!(3);
-                if cond.eval(local!(a).as_int().cmp(&local!(b).as_int())) {
-                    branch!(t);
-                }
-            }
-            Op::IfLK(cond, a, k, t) => {
-                fused!(3);
-                if cond.eval(local!(a).as_int().cmp(&k)) {
-                    branch!(t);
-                }
-            }
-            Op::ArrLoadLL(kind, a, i) => {
-                fused!(3);
-                match array_load(cx.heap, kind, local!(a), local!(i).as_int()) {
-                    Ok(v) => push!(v),
-                    Err((class, msg)) => throw!(class, msg),
-                }
-            }
-            Op::IIncGoto {
-                local,
-                delta,
-                target,
+            Op::GetField {
+                len,
+                dst,
+                at,
+                ic,
+                obj,
+                top,
+                ..
             } => {
-                fused!(2);
-                let v = local!(local).as_int();
-                local!(local) = Value::Int(v.wrapping_add(i64::from(delta)));
-                branch!(target);
-            }
-            Op::New { ic, .. } => {
-                let InlineCache::NewClass(class) = cx.arena.ics[ic as usize] else {
-                    stop!(Stop::Slow);
+                let recv = get!(obj);
+                let Some(r) = recv.as_ref_opt() else {
+                    upto!(at);
+                    throw!(Fault::NullField);
                 };
-                if cx.alloc_events {
-                    stop!(Stop::Slow);
+                let c = cx!();
+                let HeapObject::Instance { fields, .. } = c.heap.get(r) else {
+                    upto!(at);
+                    throw!(Fault::FieldKind);
+                };
+                let InlineCache::InstanceField(slot) = c.arena.ics[ic as usize] else {
+                    put!(top - 1, recv);
+                    upto!(at);
+                    slow!(top);
+                };
+                put!(dst, fields[slot]);
+                next!(len);
+            }
+            Op::PutField {
+                len,
+                ic,
+                obj,
+                val,
+                top,
+                ..
+            } => {
+                let (recv, v) = (get!(obj), get!(val));
+                let Some(r) = recv.as_ref_opt() else {
+                    upto!(len - 1);
+                    throw!(Fault::NullField);
+                };
+                let c = cx!();
+                let HeapObject::Instance { fields, .. } = c.heap.get_mut(r) else {
+                    upto!(len - 1);
+                    throw!(Fault::FieldKind);
+                };
+                let InlineCache::InstanceField(slot) = c.arena.ics[ic as usize] else {
+                    put!(top - 2, recv);
+                    put!(top - 1, v);
+                    upto!(len - 1);
+                    slow!(top);
+                };
+                fields[slot] = v;
+                next!(len);
+            }
+            Op::GetStatic {
+                len,
+                dst,
+                at,
+                ic,
+                top,
+                ..
+            } => {
+                let Some(v) = static_field(cx!().arena, cx!().registry, ic, None) else {
+                    upto!(at);
+                    slow!(top);
+                };
+                put!(dst, v);
+                next!(len);
+            }
+            Op::PutStatic {
+                len, ic, src, top, ..
+            } => {
+                let v = get!(src);
+                if static_field(cx!().arena, cx!().registry, ic, Some(v)).is_none() {
+                    put!(top - 1, v);
+                    upto!(len - 1);
+                    slow!(top);
+                }
+                next!(len);
+            }
+            Op::IALoad {
+                len,
+                dst,
+                at,
+                arr,
+                idx,
+            } => aload!(len, dst, at, ArrayKind::Int, arr, int!(idx)),
+            Op::FALoad {
+                len,
+                dst,
+                at,
+                arr,
+                idx,
+            } => aload!(len, dst, at, ArrayKind::Float, arr, int!(idx)),
+            Op::AALoad {
+                len,
+                dst,
+                at,
+                arr,
+                idx,
+            } => aload!(len, dst, at, ArrayKind::Ref, arr, int!(idx)),
+            Op::IALoadK {
+                len,
+                dst,
+                at,
+                arr,
+                k,
+            } => aload!(len, dst, at, ArrayKind::Int, arr, k),
+            Op::FALoadK {
+                len,
+                dst,
+                at,
+                arr,
+                k,
+            } => aload!(len, dst, at, ArrayKind::Float, arr, k),
+            Op::AALoadK {
+                len,
+                dst,
+                at,
+                arr,
+                k,
+            } => aload!(len, dst, at, ArrayKind::Ref, arr, k),
+            Op::IAStore { len, arr, idx, val } => {
+                astore!(len, ArrayKind::Int, arr, int!(idx), val);
+            }
+            Op::FAStore { len, arr, idx, val } => {
+                astore!(len, ArrayKind::Float, arr, int!(idx), val);
+            }
+            Op::AAStore { len, arr, idx, val } => {
+                astore!(len, ArrayKind::Ref, arr, int!(idx), val);
+            }
+            Op::IAStoreK { len, arr, k, val } => astore!(len, ArrayKind::Int, arr, k, val),
+            Op::FAStoreK { len, arr, k, val } => astore!(len, ArrayKind::Float, arr, k, val),
+            Op::AAStoreK { len, arr, k, val } => astore!(len, ArrayKind::Ref, arr, k, val),
+            Op::ArrayLength { len, dst, at, arr } => {
+                let Some(r) = get!(arr).as_ref_opt() else {
+                    upto!(at);
+                    throw!(Fault::NullArrayLength);
+                };
+                let Some(length) = cx!().heap.get(r).array_len() else {
+                    upto!(at);
+                    throw!(Fault::LengthKind);
+                };
+                put!(dst, Value::Int(length as i64));
+                next!(len);
+            }
+            Op::New { len, ic, top, .. } => {
+                upto!(len - 1);
+                let InlineCache::NewClass(class) = cx!().arena.ics[ic as usize] else {
+                    slow!(top);
+                };
+                if cx!().alloc_events {
+                    slow!(top);
                 }
                 let what = Alloc::Object(class);
-                let obj = allocate(cx.heap, cx.registry, cx.info, cx.stats, cx.cost, what);
-                push!(Value::Ref(obj));
+                let obj = {
+                    let cx = cx!();
+                    allocate(cx.heap, cx.registry, cx.info, cx.stats, cx.cost, what)
+                };
+                put!(top, Value::Ref(obj));
+                pc += 1;
             }
-            Op::NewArray(kind) => {
-                if cx.alloc_events {
-                    stop!(Stop::Slow);
+            Op::NewArray { len, kind, top } => {
+                upto!(len - 1);
+                if cx!().alloc_events {
+                    slow!(top);
                 }
-                let len = pop!().as_int();
-                if len < 0 {
-                    throw!("java/lang/NegativeArraySizeException", format!("{len}"));
+                let length = int!(top - 1);
+                if length < 0 {
+                    throw!(Fault::NegativeSize(length));
                 }
-                let what = Alloc::Array(kind, len as usize);
-                let r = allocate(cx.heap, cx.registry, cx.info, cx.stats, cx.cost, what);
-                push!(Value::Ref(r));
+                let what = Alloc::Array(kind, length as usize);
+                let r = {
+                    let cx = cx!();
+                    allocate(cx.heap, cx.registry, cx.info, cx.stats, cx.cost, what)
+                };
+                put!(top - 1, Value::Ref(r));
+                pc += 1;
             }
-            Op::AThrow => stop!(Stop::Slow),
+            Op::AThrow { len, top } => {
+                upto!(len - 1);
+                slow!(top);
+            }
         }
-        pc += 1;
     }
 }
 
@@ -1849,77 +2880,250 @@ mod tests {
 
     use super::{prepare, CodeArena, HashMap, Op};
 
-    /// `iload 0; iload 1; iload 2; if_icmplt 0; iload 0; iload 1;
-    /// if_icmplt 0; return` with `exception_table`, prepared fused.
-    fn fused(exception_table: Vec<ExceptionHandler>) -> Vec<Op> {
-        let insns = vec![
-            Insn::ILoad(0),
-            Insn::ILoad(1),
-            Insn::ILoad(2),
-            Insn::IfICmp(Cond::Lt, 0),
-            Insn::ILoad(0),
-            Insn::ILoad(1),
-            Insn::IfICmp(Cond::Lt, 0),
-            Insn::Return,
-        ];
+    /// `insns` with 3 locals, prepared folded (or not).
+    fn prepared(insns: Vec<Insn>, handlers: Vec<ExceptionHandler>, fold: bool) -> Vec<Op> {
         let code = Code {
-            max_stack: 3,
+            max_stack: 4,
             max_locals: 3,
             insns,
-            exception_table,
+            exception_table: handlers,
         };
         let mut arena = CodeArena::default();
-        prepare(&code, &HashMap::new(), &mut arena, true);
+        prepare(&code, &HashMap::new(), &mut arena, fold);
         arena.ops
     }
 
-    fn handler(start: u32, end: u32, handler: u32) -> ExceptionHandler {
-        ExceptionHandler {
-            start,
-            end,
-            handler,
-            catch_class: None,
-        }
+    #[test]
+    fn ops_are_two_words() {
+        assert_eq!(std::mem::size_of::<Op>(), 16);
     }
 
     #[test]
-    fn heads_are_chosen_for_the_fewest_dispatches() {
-        let ops = fused(Vec::new());
-        // `Load; IfLL` (two dispatches) beats `Load2; Load; IfICmp`.
-        assert_eq!(ops[0], Op::Load(0));
-        assert_eq!(ops[1], Op::IfLL(Cond::Lt, 1, 2, 0));
-        // Interior ops stay behind their heads for jumps.
-        assert_eq!(ops[2], Op::Load(2));
-        assert_eq!(ops[3], Op::IfICmp(Cond::Lt, 0));
-        assert_eq!(ops[4], Op::IfLL(Cond::Lt, 0, 1, 0));
+    fn loads_constants_and_a_store_fold_into_their_consumer() {
+        // `l2 = l0 + l1; if (l2 < 5) goto 0; return`
+        let insns = vec![
+            Insn::ILoad(0),
+            Insn::ILoad(1),
+            Insn::IAdd,
+            Insn::IStore(2),
+            Insn::ILoad(2),
+            Insn::IConst(5),
+            Insn::IfICmp(Cond::Lt, 0),
+            Insn::Return,
+        ];
+        let ops = prepared(insns, Vec::new(), true);
+        let (len, dst) = (4, 2);
+        assert_eq!(
+            ops[0],
+            Op::IAdd {
+                len,
+                dst,
+                a: 0,
+                b: 1
+            }
+        );
+        let (len, target) = (3, 0);
+        assert_eq!(
+            ops[4],
+            Op::IfLtK {
+                len,
+                a: 2,
+                k: 5,
+                target
+            }
+        );
+        // Interior indexes keep their one-instruction ops for jumps in:
+        // stack position `d` is slot `max_locals + d`.
+        assert_eq!(
+            ops[1],
+            Op::Mov {
+                len: 1,
+                dst: 4,
+                src: 1
+            }
+        );
+        assert_eq!(
+            ops[2],
+            Op::IAdd {
+                len: 1,
+                dst: 3,
+                a: 3,
+                b: 4
+            }
+        );
+        assert_eq!(
+            ops[3],
+            Op::Mov {
+                len: 1,
+                dst: 2,
+                src: 3
+            }
+        );
     }
 
     #[test]
-    fn an_index_entered_inside_a_span_blocks_it() {
-        // A handler entry, start or end at a three-op span's middle index
-        // leaves it to a two-op span.
-        for h in [handler(7, 8, 5), handler(5, 7, 7), handler(0, 5, 7)] {
-            let ops = fused(vec![h]);
-            assert_eq!(ops[4], Op::Load2(0, 1));
-        }
-        // Boundaries at a span's first or last index do not.
-        for h in [handler(6, 7, 4), handler(0, 6, 7), handler(4, 8, 7)] {
-            let ops = fused(vec![h]);
-            assert_eq!(ops[4], Op::IfLL(Cond::Lt, 0, 1, 0));
-        }
+    fn a_load_is_forced_before_its_local_is_written() {
+        // `l0 - (l0 += 1)`, then `l1 = l1 + (l1 = 7)`.
+        let insns = vec![
+            Insn::ILoad(0),
+            Insn::IInc { local: 0, delta: 1 },
+            Insn::ILoad(0),
+            Insn::ISub,
+            Insn::ILoad(1),
+            Insn::IConst(7),
+            Insn::IStore(1),
+            Insn::ILoad(1),
+            Insn::IAdd,
+            Insn::IStore(1),
+            Insn::Return,
+        ];
+        let ops = prepared(insns, Vec::new(), true);
+        assert_eq!(
+            ops[0],
+            Op::Mov {
+                len: 1,
+                dst: 3,
+                src: 0
+            }
+        );
+        assert_eq!(
+            ops[1],
+            Op::IInc {
+                len: 1,
+                local: 0,
+                delta: 1
+            }
+        );
+        assert_eq!(
+            ops[2],
+            Op::ISub {
+                len: 2,
+                dst: 3,
+                a: 3,
+                b: 0
+            }
+        );
+        assert_eq!(
+            ops[4],
+            Op::Mov {
+                len: 1,
+                dst: 4,
+                src: 1
+            }
+        );
+        assert_eq!(
+            ops[5],
+            Op::Const {
+                len: 2,
+                dst: 1,
+                k: 7
+            }
+        );
+        assert_eq!(
+            ops[7],
+            Op::IAdd {
+                len: 3,
+                dst: 1,
+                a: 4,
+                b: 1
+            }
+        );
     }
 
     #[test]
-    fn a_polling_vm_prepares_unfused_bodies() {
-        let code = Code {
-            max_stack: 2,
-            max_locals: 2,
-            insns: vec![Insn::ILoad(0), Insn::ILoad(1), Insn::Return],
-            exception_table: Vec::new(),
-        };
-        let mut arena = CodeArena::default();
-        prepare(&code, &HashMap::new(), &mut arena, false);
-        let ops = arena.ops;
-        assert_eq!(ops, [Op::Load(0), Op::Load(1), Op::Return]);
+    fn values_live_at_a_block_end_are_in_their_slots() {
+        // `l0` under a branch, then `l1 ? 1 : l2` across the merge.
+        let insns = vec![
+            Insn::ILoad(0),
+            Insn::ILoad(1),
+            Insn::If(Cond::Eq, 5),
+            Insn::IConst(1),
+            Insn::Goto(6),
+            Insn::ILoad(2),
+            Insn::IAdd,
+            Insn::IReturn,
+        ];
+        let ops = prepared(insns, Vec::new(), true);
+        assert_eq!(
+            ops[0],
+            Op::Mov {
+                len: 1,
+                dst: 3,
+                src: 0
+            }
+        );
+        assert_eq!(
+            ops[1],
+            Op::IfEqK {
+                len: 2,
+                a: 1,
+                k: 0,
+                target: 5
+            }
+        );
+        assert_eq!(
+            ops[3],
+            Op::Const {
+                len: 1,
+                dst: 4,
+                k: 1
+            }
+        );
+        assert_eq!(
+            ops[5],
+            Op::Mov {
+                len: 1,
+                dst: 4,
+                src: 2
+            }
+        );
+        assert_eq!(
+            ops[6],
+            Op::IAdd {
+                len: 1,
+                dst: 3,
+                a: 3,
+                b: 4
+            }
+        );
+        assert_eq!(
+            ops[7],
+            Op::ValueReturn {
+                len: 1,
+                src: 3,
+                top: 4
+            }
+        );
+    }
+
+    #[test]
+    fn a_polling_vm_prepares_one_op_per_instruction() {
+        let insns = vec![
+            Insn::ILoad(0),
+            Insn::ILoad(1),
+            Insn::Pop,
+            Insn::Pop,
+            Insn::Return,
+        ];
+        let ops = prepared(insns, Vec::new(), false);
+        let (len, top) = (1, 3);
+        assert_eq!(
+            ops,
+            [
+                Op::Mov {
+                    len,
+                    dst: 3,
+                    src: 0
+                },
+                Op::Mov {
+                    len,
+                    dst: 4,
+                    src: 1
+                },
+                Op::Nop { len },
+                Op::Nop { len },
+                Op::Return { len, top },
+            ]
+        );
     }
 }
