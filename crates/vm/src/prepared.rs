@@ -1438,8 +1438,8 @@ impl Vm {
     }
 
     /// [`Vm::enter`] for a native callee: run it with its arguments
-    /// copied out of the (parked) arena, under a frame record of its own,
-    /// and fire `MethodExit` if `events`.
+    /// copied out of the (parked) arena into [`Vm::native_args`], under a
+    /// frame record of its own, and fire `MethodExit` if `events`.
     #[allow(clippy::too_many_arguments)]
     fn call_native(
         &mut self,
@@ -1452,9 +1452,12 @@ impl Vm {
         events: bool,
     ) -> Entered {
         self.flush(thread, pend);
-        let args = st.slots[base..base + nargs].to_vec();
+        let mut args = std::mem::take(&mut self.native_args);
+        args.clear();
+        args.extend_from_slice(&st.slots[base..base + nargs]);
         st.frames.push(Frame::native(mid));
         let result = self.parked(thread, st, |vm| vm.invoke_native(thread, mid, &args));
+        self.native_args = args;
         st.frames.pop();
         if events {
             let via_exception = result.is_err();

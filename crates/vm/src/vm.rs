@@ -360,6 +360,10 @@ pub struct Vm {
     /// sampler and the fault plane are fixed, so every body is prepared
     /// under the same polling decision.
     pub(crate) bodies_prepared: bool,
+    /// A native callee's arguments, copied out of the parked slot arena:
+    /// taken for the call and put back after, so only a native nested in
+    /// another's JNI upcall allocates.
+    pub(crate) native_args: Vec<Value>,
     pub(crate) threads: Vec<ThreadInfo>,
     pending: VecDeque<PendingThread>,
     jni_table: JniFunctionTable,
@@ -419,6 +423,7 @@ impl Vm {
             tiers_mode: TiersMode::default(),
             code: CodeArena::default(),
             bodies_prepared: false,
+            native_args: Vec::new(),
             threads: Vec::new(),
             pending: VecDeque::new(),
             jni_table: JniFunctionTable::new(),
