@@ -528,7 +528,16 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use workloads::{by_name, AXIS};
 
-    fn scratch(tag: &str) -> std::path::PathBuf {
+    /// A fresh directory under the system temp dir, removed when dropped.
+    struct Scratch(std::path::PathBuf);
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn scratch(tag: &str) -> Scratch {
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
             "jnativeprof-session-test-{}-{}-{}",
@@ -537,7 +546,7 @@ mod tests {
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
+        Scratch(dir)
     }
 
     #[test]
@@ -560,7 +569,8 @@ mod tests {
 
     #[test]
     fn instrumentation_cache_round_trip_is_invisible() {
-        let store = CacheStore::open(scratch("instr")).unwrap();
+        let dir = scratch("instr");
+        let store = CacheStore::open(&dir.0).unwrap();
         let w = by_name("compress").unwrap();
         let run = |expect_hit: Option<bool>| {
             let r = Session::new(w.as_ref(), ProblemSize::S1)
@@ -580,7 +590,8 @@ mod tests {
 
     #[test]
     fn corrupted_instrumentation_entry_recomputes() {
-        let store = CacheStore::open(scratch("poison")).unwrap();
+        let scratch = scratch("poison");
+        let store = CacheStore::open(&scratch.0).unwrap();
         let w = by_name("compress").unwrap();
         let session = || {
             Session::new(w.as_ref(), ProblemSize::S1)
