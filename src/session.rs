@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use jvmsim_cache::{CacheKey, CacheStore, Digest, KeyHasher, Plane};
-use jvmsim_faults::FaultInjector;
+use jvmsim_faults::{FaultInjector, FaultSite};
 use jvmsim_instr::{instrumentation_cache_key, Archive};
 use jvmsim_metrics::MetricsRegistry;
 use jvmsim_pcl::Pcl;
@@ -290,10 +290,11 @@ impl<'w> Session<'w> {
     /// produce bit-identical [`RunOutcome`] quantities; the suite driver
     /// memoizes completed rows under this key.
     ///
-    /// The program is not rebuilt per call: it and its archive digest
+    /// Nothing is rebuilt per call: the program and its archive digest
     /// are built once per process for each workload name (see
-    /// [`Workload::name`]), so a warm cache hit costs only hashing the
-    /// key fields.
+    /// [`Workload::name`]), and the key itself is memoized per process
+    /// under the fields it is derived from, so a warm cache hit costs a
+    /// map lookup.
     ///
     /// # Panics
     ///
@@ -302,6 +303,48 @@ impl<'w> Session<'w> {
     /// guarded form the row producers call.
     #[must_use]
     pub fn result_key(&self) -> CacheKey {
+        /// At most this many keys are held; past it, keys are derived afresh.
+        const CAP: usize = 4096;
+        static MEMO: Mutex<BTreeMap<KeyFields, CacheKey>> = Mutex::new(BTreeMap::new());
+        let fields = self.key_fields();
+        let memo = || MEMO.lock().expect("nothing panics while holding the memo");
+        if let Some(&key) = memo().get(&fields) {
+            return key;
+        }
+        // Derived outside the lock: a panicking `program()` stores nothing.
+        let key = self.derive_result_key();
+        let mut memo = memo();
+        if memo.len() < CAP {
+            memo.insert(fields, key);
+        }
+        key
+    }
+
+    /// Everything [`Session::result_key`] is a function of besides the
+    /// process-constant cost model and the per-process archive digest.
+    fn key_fields(&self) -> KeyFields {
+        KeyFields {
+            workload: self.workload.name(),
+            size: self.size.0 as u64,
+            agent: self.agent.label(),
+            tiers: self.tiers.label(),
+            ipa: match &self.agent {
+                AgentChoice::Ipa(config) => Some((
+                    config.mode == InstrumentationMode::Dynamic,
+                    config.compensate,
+                    config.wrapper.digest().0,
+                )),
+                _ => None,
+            },
+            faults: self.faults.as_ref().map(|injector| {
+                let plan = injector.plan();
+                (plan.seed, plan.rates_ppm)
+            }),
+        }
+    }
+
+    /// [`Session::result_key`], derived afresh.
+    fn derive_result_key(&self) -> CacheKey {
         let mut k = KeyHasher::new("cell-result");
         k.field_str("workload", self.workload.name());
         k.field_u64("size", self.size.0 as u64);
@@ -446,6 +489,19 @@ pub fn program_archive(
     // A failed store only means the next run pays instrumentation again.
     let _ = store.store(Plane::Instrumentation, &key, &archive.to_bytes());
     Ok((archive, Some(false)))
+}
+
+/// The fields a result key is derived from (see [`Session::key_fields`]).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct KeyFields {
+    workload: &'static str,
+    size: u64,
+    agent: &'static str,
+    tiers: &'static str,
+    /// Dynamic mode, compensation and the wrapper digest, for IPA.
+    ipa: Option<(bool, bool, [u8; 32])>,
+    /// The fault plan's seed and rates.
+    faults: Option<(u64, [u32; FaultSite::COUNT])>,
 }
 
 /// A workload's program with the digest of its uninstrumented
@@ -745,5 +801,30 @@ mod tests {
             k(&base.clone().trace(recorder as Arc<dyn TraceSink>)),
             "trace sink is identity-neutral"
         );
+    }
+
+    #[test]
+    fn memoized_result_keys_equal_fresh_derivations() {
+        let plan = FaultPlan::chaos(11);
+        for name in AXIS {
+            let w = by_name(name).unwrap();
+            let size = workloads::row_size(name, ProblemSize::S10);
+            for agent in crate::harness::AGENT_AXIS {
+                for tiers in TiersMode::ALL {
+                    for faults in [None, Some(plan)] {
+                        let mut s = Session::new(w.as_ref(), size)
+                            .agent(agent.parse().unwrap())
+                            .tiers(tiers);
+                        if let Some(plan) = faults {
+                            s = s.faults(Arc::new(FaultInjector::new(plan)));
+                        }
+                        let fresh = s.derive_result_key();
+                        let cell = format!("{name}/{agent}/{}/{faults:?}", tiers.label());
+                        assert_eq!(s.result_key(), fresh, "{cell}");
+                        assert_eq!(s.result_key(), fresh, "{cell}, served by the memo");
+                    }
+                }
+            }
+        }
     }
 }
