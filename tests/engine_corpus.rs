@@ -631,10 +631,22 @@ fn clobbered_loads(cb: &mut ClassBuilder, rng: &mut Rng, k: usize) -> String {
         // y = y + (y = t)
         m.iload(2).iload(3).istore(2).iload(2).iadd().istore(2);
         // x = x + (x = i) * c
-        m.iload(0).iload(1).istore(0).iload(0).iconst(c).imul().iadd();
+        m.iload(0)
+            .iload(1)
+            .istore(0)
+            .iload(0)
+            .iconst(c)
+            .imul()
+            .iadd();
         m.iconst(0xffff).iand().istore(0);
         // y = y ^ (y = x + 1)
-        m.iload(2).iload(0).iconst(1).iadd().istore(2).iload(2).ixor();
+        m.iload(2)
+            .iload(0)
+            .iconst(1)
+            .iadd()
+            .istore(2)
+            .iload(2)
+            .ixor();
         m.iconst(0xfffff).iand().istore(2);
         // if (t < (t += d)) y++
         m.iload(3).iinc(3, d).iload(3).if_icmp(Cond::Lt, skip);
@@ -689,10 +701,16 @@ fn ternaries(cb: &mut ClassBuilder, rng: &mut Rng, k: usize) -> String {
         m.invokestatic(MAIN, &add, "(II)I");
         m.iconst(0xffff).iand().istore(2);
         // s = s ^ pick(i, a)
-        m.iload(2).iload(1).iconst(a).invokestatic(MAIN, &pick, "(II)I");
+        m.iload(2)
+            .iload(1)
+            .iconst(a)
+            .invokestatic(MAIN, &pick, "(II)I");
         m.ixor().istore(2);
     });
-    m.iload(2).iconst(a).invokestatic(MAIN, &pick, "(II)I").ireturn();
+    m.iload(2)
+        .iconst(a)
+        .invokestatic(MAIN, &pick, "(II)I")
+        .ireturn();
     m.finish().unwrap();
     name
 }
@@ -709,9 +727,23 @@ fn stack_shuffles(cb: &mut ClassBuilder, rng: &mut Rng, k: usize) -> String {
         // s = s + i * i
         m.iload(1).dup().imul().iload(2).iadd().istore(2);
         // t = s - (a - i)
-        m.iload(1).iconst(a).swap().isub().iload(2).swap().isub().istore(3);
+        m.iload(1)
+            .iconst(a)
+            .swap()
+            .isub()
+            .iload(2)
+            .swap()
+            .isub()
+            .istore(3);
         // s = (s + 3) ^ ... with the sum kept by `dup` and stored
-        m.iload(2).iconst(3).iadd().dup().istore(2).iload(3).ixor().istore(3);
+        m.iload(2)
+            .iconst(3)
+            .iadd()
+            .dup()
+            .istore(2)
+            .iload(3)
+            .ixor()
+            .istore(3);
         // dropped loaded and computed values
         m.iload(3).pop().iload(1).iconst(2).imul().pop();
         // t = s + (s += 5)
@@ -736,21 +768,44 @@ fn call_operands(cb: &mut ClassBuilder, rng: &mut Rng, k: usize) -> String {
     let n = rng.range(20, 300);
     // f3(x, y, z) = 3x + y - z
     let mut m = cb.method(&f3, "(III)I", ST);
-    m.iload(0).iconst(3).imul().iload(1).iadd().iload(2).isub().ireturn();
+    m.iload(0)
+        .iconst(3)
+        .imul()
+        .iload(1)
+        .iadd()
+        .iload(2)
+        .isub()
+        .ireturn();
     m.finish().unwrap();
     let receiver = RECEIVERS[rng.range(0, 4) as usize];
     let mut m = cb.method(&name, "()I", ST);
-    m.new_obj(receiver).dup().iconst(d).putfield("e/Base", "k", "I");
+    m.new_obj(receiver)
+        .dup()
+        .iconst(d)
+        .putfield("e/Base", "k", "I");
     m.astore(0).iconst(0).istore(2).iconst(0).istore(3);
     counted(&mut m, 1, n, |m| {
-        m.iload(1).iconst(c).iload(2).invokestatic(MAIN, &f3, "(III)I");
+        m.iload(1)
+            .iconst(c)
+            .iload(2)
+            .invokestatic(MAIN, &f3, "(III)I");
         m.istore(2);
-        m.iconst(c).iconst(d).iload(1).invokestatic(MAIN, &f3, "(III)I");
+        m.iconst(c)
+            .iconst(d)
+            .iload(1)
+            .invokestatic(MAIN, &f3, "(III)I");
         m.iload(2).iadd().istore(3);
         // s = s + (s = f3(i, s, 1))
-        m.iload(2).iload(1).iload(2).iconst(1).invokestatic(MAIN, &f3, "(III)I");
+        m.iload(2)
+            .iload(1)
+            .iload(2)
+            .iconst(1)
+            .invokestatic(MAIN, &f3, "(III)I");
         m.istore(2).iload(2).iadd().iconst(0xfffff).iand().istore(2);
-        m.aload(0).iload(1).invokevirtual("e/Base", "v", "(I)I").istore(3);
+        m.aload(0)
+            .iload(1)
+            .invokevirtual("e/Base", "v", "(I)I")
+            .istore(3);
         m.iload(3).iload(2).ixor().iconst(0xfffff).iand().istore(2);
     });
     m.iload(2).iload(3).iadd().ireturn();
