@@ -2,13 +2,13 @@
 //! dispatch loop.
 //!
 //! Each method body is *prepared* once, on first invocation, into the
-//! VM-wide [`CodeArena`] as a run of [`Op`]s (a jump table for the
-//! compiler to dispatch over): operands are pre-decoded, call-site arity
-//! and returns-ness are baked in, and every resolution site gets an
-//! [`InlineCache`] slot, so the steady-state path does no hashing at all.
-//! A miss falls back to the cold resolvers in `interp.rs` and fills the
-//! slot. Bodies are addressed by index and never move, so a call takes
-//! no reference count.
+//! VM-wide [`CodeArena`] as a run of register-form [`Op`]s (a jump table
+//! for the compiler to dispatch over): operands are frame slots or inline
+//! constants, call-site arity and returns-ness are baked in, and every
+//! resolution site gets an [`InlineCache`] slot, so the steady-state path
+//! does no hashing at all. A miss falls back to the cold resolvers in
+//! `interp.rs` and fills the slot. Bodies are addressed by index and
+//! never move, so a call takes no reference count.
 //!
 //! Bytecode runs in one non-recursive loop over a per-thread frame stack
 //! ([`ThreadStack`]): a bytecode→bytecode call pushes a [`Frame`] record
@@ -36,23 +36,28 @@
 //! threaded-code rewrite a template interpreter performs at link time,
 //! not measured work.
 //!
-//! Preparation also fuses the hot straight-line sequences (DESIGN §16)
-//! into superinstructions, unless the VM polls (a sampler is installed or
-//! the fault plane is enabled; both are fixed before the first body is
-//! prepared). A fused op replaces only the *head* of its span: the span's
-//! other source ops stay at their own indexes, so a body keeps one `Op`
-//! per source index and a jump into the span runs them unfused. A fused
-//! op charges its whole span, and moves `pc` to the span's last op
-//! before it branches or throws, so the OSR back-edge test, handler lookup
-//! and every `bci` see the `pc` the unfused ops would. Only a span's last
-//! op may branch or throw, and a span fuses only if no branch target,
-//! handler entry or handler range boundary falls strictly between its
-//! first and last index. While polling nothing fuses, so a poll still
-//! lands every 32 instructions exactly.
+//! A frame's slots are its locals, then its operand stack: stack
+//! position `d` is slot `max_locals + d`, where `d` is the depth the
+//! validator's flow proves at each instruction. [`prepare`] translates
+//! the stack code into ops that name those slots (DESIGN §16): a load or
+//! constant folds into the op that consumes it, a store folds into the op
+//! that just produced its value, `iinc; goto` is one op, and a call
+//! writes its last two arguments to their slots itself. An op stands for
+//! the span of instructions it covers and counts them all; it sits at the
+//! span's first index, and every other index keeps its one-instruction
+//! op, so a jump or handler entry into a span still runs. Straight-line
+//! ops never touch `sp`: an op that can stop the loop carries the depth
+//! its instruction starts at, and before it branches, throws or stops it
+//! moves `pc` to that instruction, writing any folded operands to their
+//! slots first, so [`Vm::execute`], the OSR back-edge test, handler
+//! lookup and every `bci` see the `pc` and `sp` the stack code would.
+//! While the VM polls (a sampler is installed or the fault plane is
+//! enabled; both are fixed before the first body is prepared) nothing
+//! folds, so a poll still lands every 32 instructions exactly.
 //!
 //! The committed golden corpus (`tests/golden.rs` in the umbrella crate)
 //! pins this loop's cycles, stats and trace streams for every matrix
-//! cell, and the engine corpus (`tests/engine_corpus.rs`) for 200
+//! cell, and the engine corpus (`tests/engine_corpus.rs`) for 240
 //! generated programs.
 
 use std::collections::HashMap;
@@ -1177,7 +1182,9 @@ pub(crate) struct Frame {
     base: u32,
     /// The calling op while a callee runs.
     pc: u32,
-    /// Operand-stack top, with a call's arguments already popped.
+    /// Operand-stack top as the stack code would have it, with a call's
+    /// arguments already popped: set when the straight-line loop stops
+    /// or calls, and where a callee's result goes.
     sp: u32,
     tier: Tier,
     insn_cost: u64,
@@ -2251,8 +2258,9 @@ mod int {
     }
 }
 
-/// Run the running `frame` — and the bytecode frames it calls — from
-/// its `pc` while the ops need no more than [`Straight`] holds: locals,
+/// Run the running `frame` on the thread stack `st` — and the bytecode
+/// frames it calls — from its `pc` while the ops need no more than
+/// [`Straight`] and `st` hold: locals,
 /// operands, arithmetic, branches, switches, arrays, fields, statics,
 /// `ldc` and allocations through a filled inline cache (allocations only
 /// without allocation events), and calls and returns between bytecode
@@ -2260,9 +2268,9 @@ mod int {
 /// inside the activation. Stops (see [`Stop`]) at anything else, a due
 /// poll, a throw, or an OSR threshold. Each op counts the instructions it
 /// stands for as it runs (if `POLLING`, after a poll check); the first
-/// op's first instruction is already counted if `counted`. Ops read and
-/// write frame slots directly, so only a stop sets the frame's `sp`. It
-/// makes no call on its hot paths, so its state stays in registers.
+/// op's first instruction is already counted if `counted`; the count
+/// runs on from `cx.run` and is left there. Ops read and write frame
+/// slots directly, so only a stop or a call sets the frame's `sp`.
 #[allow(clippy::too_many_lines)]
 #[inline(never)]
 fn straight<const POLLING: bool>(
@@ -2274,15 +2282,6 @@ fn straight<const POLLING: bool>(
     // The running frame's record: its cold fields are read and written
     // in place, its `pc` lives in a register.
     let f = frame;
-    // The context, reached through an opaque pointer so that no field of
-    // it (nor anything loaded through one) is hoisted out of the loop:
-    // values hoisted there would hold registers across every dispatch
-    // for the few ops that use them.
-    macro_rules! cx {
-        () => {
-            (&mut *cx)
-        };
-    }
     // The running body's ops, and the slots from the running frame's
     // first local on (re-borrowed whenever the frame changes), so an
     // op's slot operand indexes them directly.
@@ -2367,7 +2366,7 @@ fn straight<const POLLING: bool>(
             let target: u32 = $t;
             if f.osr_pending && target <= pc {
                 f.backedges += 1;
-                if f.backedges >= cx!().cost.tiers.osr_backedge_threshold {
+                if f.backedges >= cx.cost.tiers.osr_backedge_threshold {
                     f.backedges = 0;
                     stop!(Stop::Osr(target));
                 }
@@ -2462,7 +2461,7 @@ fn straight<const POLLING: bool>(
             let top: u16 = $top;
             // A copy: `n` itself stays out of memory.
             let mut m = n;
-            let called = cx!().call(st, f, &mut m, pc, $ic, $nargs, top, $is_virtual);
+            let called = cx.call(st, f, &mut m, pc, $ic, $nargs, top, $is_virtual);
             n = m;
             match called {
                 Ok(Some(callee)) => {
@@ -2483,7 +2482,7 @@ fn straight<const POLLING: bool>(
         ($v:expr, $top:expr) => {{
             let v: Option<Value> = $v;
             let mut m = n;
-            let caller = cx!().leave(st, f, &mut m, v);
+            let caller = cx.leave(st, f, &mut m, v);
             n = m;
             slots = &mut st.slots[f.base as usize..];
             let Some(caller) = caller else {
@@ -2536,7 +2535,7 @@ fn straight<const POLLING: bool>(
                 ic,
                 top,
                 ..
-            } => match cx!().arena.ics[ic as usize] {
+            } => match cx.arena.ics[ic as usize] {
                 InlineCache::LdcStr(r) => {
                     put!(dst, Value::Ref(r));
                     next!(len);
@@ -2646,10 +2645,10 @@ fn straight<const POLLING: bool>(
             }
             Op::TableSwitch { len, key, switch } => {
                 let k = int!(key);
-                let sw = &cx!().arena.switches[switch as usize];
+                let sw = &cx.arena.switches[switch as usize];
                 let off = k.wrapping_sub(sw.low);
                 let target = if off >= 0 && (off as u64) < u64::from(sw.count) {
-                    cx!().arena.switch_targets[sw.first as usize + off as usize]
+                    cx.arena.switch_targets[sw.first as usize + off as usize]
                 } else {
                     sw.default
                 };
@@ -2704,7 +2703,7 @@ fn straight<const POLLING: bool>(
                     upto!(at);
                     throw!(Fault::NullField);
                 };
-                let c = cx!();
+                let c = &mut *cx;
                 let HeapObject::Instance { fields, .. } = c.heap.get(r) else {
                     upto!(at);
                     throw!(Fault::FieldKind);
@@ -2730,7 +2729,7 @@ fn straight<const POLLING: bool>(
                     upto!(len - 1);
                     throw!(Fault::NullField);
                 };
-                let c = cx!();
+                let c = &mut *cx;
                 let HeapObject::Instance { fields, .. } = c.heap.get_mut(r) else {
                     upto!(len - 1);
                     throw!(Fault::FieldKind);
@@ -2752,7 +2751,7 @@ fn straight<const POLLING: bool>(
                 top,
                 ..
             } => {
-                let Some(v) = static_field(cx!().arena, cx!().registry, ic, None) else {
+                let Some(v) = static_field(cx.arena, cx.registry, ic, None) else {
                     upto!(at);
                     slow!(top);
                 };
@@ -2763,7 +2762,7 @@ fn straight<const POLLING: bool>(
                 len, ic, src, top, ..
             } => {
                 let v = get!(src);
-                if static_field(cx!().arena, cx!().registry, ic, Some(v)).is_none() {
+                if static_field(cx.arena, cx.registry, ic, Some(v)).is_none() {
                     put!(top - 1, v);
                     upto!(len - 1);
                     slow!(top);
@@ -2829,7 +2828,7 @@ fn straight<const POLLING: bool>(
                     upto!(at);
                     throw!(Fault::NullArrayLength);
                 };
-                let Some(length) = cx!().heap.get(r).array_len() else {
+                let Some(length) = cx.heap.get(r).array_len() else {
                     upto!(at);
                     throw!(Fault::LengthKind);
                 };
@@ -2838,23 +2837,20 @@ fn straight<const POLLING: bool>(
             }
             Op::New { len, ic, top, .. } => {
                 upto!(len - 1);
-                let InlineCache::NewClass(class) = cx!().arena.ics[ic as usize] else {
+                let InlineCache::NewClass(class) = cx.arena.ics[ic as usize] else {
                     slow!(top);
                 };
-                if cx!().alloc_events {
+                if cx.alloc_events {
                     slow!(top);
                 }
                 let what = Alloc::Object(class);
-                let obj = {
-                    let cx = cx!();
-                    allocate(cx.heap, cx.registry, cx.info, cx.stats, cx.cost, what)
-                };
+                let obj = allocate(cx.heap, cx.registry, cx.info, cx.stats, cx.cost, what);
                 put!(top, Value::Ref(obj));
                 pc += 1;
             }
             Op::NewArray { len, kind, top } => {
                 upto!(len - 1);
-                if cx!().alloc_events {
+                if cx.alloc_events {
                     slow!(top);
                 }
                 let length = int!(top - 1);
@@ -2862,10 +2858,7 @@ fn straight<const POLLING: bool>(
                     throw!(Fault::NegativeSize(length));
                 }
                 let what = Alloc::Array(kind, length as usize);
-                let r = {
-                    let cx = cx!();
-                    allocate(cx.heap, cx.registry, cx.info, cx.stats, cx.cost, what)
-                };
+                let r = allocate(cx.heap, cx.registry, cx.info, cx.stats, cx.cost, what);
                 put!(top - 1, Value::Ref(r));
                 pc += 1;
             }
