@@ -541,10 +541,12 @@ impl ClassRegistry {
         self.resolve_instance_field_sym(class, field)
     }
 
+    #[inline]
     pub(crate) fn exec(&self, id: MethodId) -> &MethodExec {
         &self.classes[id.class.index()].exec[id.index as usize]
     }
 
+    #[inline]
     pub(crate) fn exec_mut(&mut self, id: MethodId) -> &mut MethodExec {
         &mut self.classes[id.class.index()].exec[id.index as usize]
     }

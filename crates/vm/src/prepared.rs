@@ -155,6 +155,29 @@ macro_rules! ops {
                     _ => None,
                 }
             }
+
+            /// The op's branch target, if it has one.
+            fn target_mut(&mut self) -> Option<&mut u32> {
+                match self {
+                    Op::Goto { target, .. }
+                    | Op::IIncGoto { target, .. }
+                    | Op::IfEq { target, .. }
+                    | Op::IfNe { target, .. }
+                    | Op::IfLt { target, .. }
+                    | Op::IfGe { target, .. }
+                    | Op::IfGt { target, .. }
+                    | Op::IfLe { target, .. }
+                    | Op::IfEqK { target, .. }
+                    | Op::IfNeK { target, .. }
+                    | Op::IfLtK { target, .. }
+                    | Op::IfGeK { target, .. }
+                    | Op::IfGtK { target, .. }
+                    | Op::IfLeK { target, .. }
+                    | Op::IfNull { target, .. }
+                    | Op::IfNonNull { target, .. } => Some(target),
+                    _ => None,
+                }
+            }
         }
     };
 }
@@ -267,6 +290,12 @@ pub(crate) struct Switch {
 pub(crate) struct Body {
     /// Index of the body's first op in [`CodeArena::ops`].
     pub code: u32,
+    /// Where the one-instruction ops start, after the folded ones.
+    pub canon: u32,
+    /// For each instruction, the op (from `code`) control entering there
+    /// runs: the folded op of a span that starts there, else the
+    /// instruction's own op.
+    pub resume: Box<[u32]>,
     pub max_stack: u16,
     pub max_locals: u16,
     pub exception_table: Box<[ExceptionHandler]>,
@@ -279,6 +308,8 @@ pub(crate) struct Body {
 pub(crate) struct CodeArena {
     /// Every prepared body's ops, back to back.
     pub ops: Vec<Op>,
+    /// The first instruction each op in `ops` stands for.
+    pub src: Vec<u32>,
     pub bodies: Vec<Body>,
     /// `tableswitch` tables (see [`Op::TableSwitch`]) and their targets.
     pub switches: Vec<Switch>,
@@ -341,7 +372,11 @@ pub(crate) fn prepare(
         })
         .collect();
     let mut x = Translator::new(code, callsites, &side);
-    let mut ops: Vec<Op> = x.run(false).into_iter().map(Option::unwrap).collect();
+    let canon = x.run(false).into_iter().map(Option::unwrap);
+    // The folded ops come first, in source order, so each one's
+    // fall-through successor is the next op; the one-instruction ops
+    // follow, for jumps into a span and for polling VMs.
+    let mut ops: Vec<(u32, Op)> = Vec::new();
     if fold {
         // Forcing a value to its slot only ever adds forced values, so
         // this settles once a pass forces nothing new.
@@ -351,22 +386,49 @@ pub(crate) fn prepare(
                 break heads;
             }
         };
-        for (op, head) in ops.iter_mut().zip(heads) {
-            if let Some(head) = head {
-                *op = head;
+        ops.extend((0..).zip(heads).filter_map(|(i, op)| Some((i, op?))));
+    }
+    let folded = ops.len() as u32;
+    let mut resume: Vec<u32> = (folded..).take(code.insns.len()).collect();
+    for (p, &(i, _)) in (0..).zip(&ops) {
+        resume[i as usize] = p;
+    }
+    ops.extend((0..).zip(canon));
+    // A branch names the op it goes to, with `BACK` set on a back-edge (a
+    // target at or before the branch), which the OSR test counts.
+    let jump = |from: u32, to: u32| resume[to as usize] | if to <= from { BACK } else { 0 };
+    for (first, op) in &mut ops {
+        let last = *first + u32::from(*op.len_mut()) - 1;
+        if let Some(target) = op.target_mut() {
+            *target = jump(last, *target);
+        }
+    }
+    for (i, insn) in (0..).zip(&code.insns) {
+        if let Insn::TableSwitch { .. } = insn {
+            let sw = &mut arena.switches[side[i as usize] as usize];
+            sw.default = jump(i, sw.default);
+            let (first, count) = (sw.first as usize, sw.count as usize);
+            for target in &mut arena.switch_targets[first..first + count] {
+                *target = jump(i, *target);
             }
         }
     }
     let index = u32::try_from(arena.bodies.len()).expect("body arena overflow");
     arena.bodies.push(Body {
         code: u32::try_from(arena.ops.len()).expect("op arena overflow"),
+        canon: folded,
+        resume: resume.into_boxed_slice(),
         max_stack: code.max_stack,
         max_locals: code.max_locals,
         exception_table: code.exception_table.clone().into_boxed_slice(),
     });
-    arena.ops.extend(ops);
+    arena.src.extend(ops.iter().map(|&(first, _)| first));
+    arena.ops.extend(ops.into_iter().map(|(_, op)| op));
     index
 }
+
+/// Set in a branch target on a back-edge.
+const BACK: u32 = 1 << 31;
 
 /// The longest span the translator builds, so `len` and `at` fit a `u8`.
 const MAX_SPAN: usize = 250;
@@ -774,6 +836,19 @@ impl<'a> Translator<'a> {
         }
     }
 
+    /// Before an op at `i` that can miss its inline cache, force the
+    /// values below its operands (the first `below` positions) unless `i`
+    /// starts the op's span: a miss there resumes at `i`'s own op, and
+    /// the one-instruction ops that run from there read every value from
+    /// its slot.
+    fn force_below(&mut self, i: usize, below: usize) {
+        if self.fold && self.start < i {
+            for p in 0..below {
+                self.force(p);
+            }
+        }
+    }
+
     /// Force every value still in `local`, which is about to be written.
     fn clobber(&mut self, local: u16) {
         for p in 0..self.stack.len() {
@@ -1073,6 +1148,7 @@ impl<'a> Translator<'a> {
                 self.emit_pop_push(i, Op::NewArray { len, kind, top }, 1, 1);
             }
             Insn::Ldc(cp) | Insn::GetStatic(cp) => {
+                self.force_below(i, d);
                 let (dst, at, cp, top) = (self.slot(d), self.at(i), cp.0, self.slot(d));
                 let op = if matches!(insn, Insn::Ldc(_)) {
                     Op::Ldc {
@@ -1096,6 +1172,7 @@ impl<'a> Translator<'a> {
                 self.emit_pop_push(i, op, 0, 1);
             }
             Insn::PutStatic(cp) => {
+                self.force_below(i, d - 1);
                 let (src, top) = (self.slot_arg(d - 1), self.slot(d));
                 let op = Op::PutStatic {
                     len,
@@ -1107,6 +1184,7 @@ impl<'a> Translator<'a> {
                 self.emit_pop_push(i, op, 1, 0);
             }
             Insn::GetField(cp) => {
+                self.force_below(i, d - 1);
                 let (dst, at, obj, top) = (
                     self.slot(d - 1),
                     self.at(i),
@@ -1125,6 +1203,7 @@ impl<'a> Translator<'a> {
                 self.emit_pop_push(i, op, 1, 1);
             }
             Insn::PutField(cp) => {
+                self.force_below(i, d - 2);
                 let (val, obj, top) = (self.slot_arg(d - 1), self.slot_arg(d - 2), self.slot(d));
                 let op = Op::PutField {
                     len,
@@ -1177,11 +1256,16 @@ pub(crate) struct Frame {
     body: u32,
     /// Index of the body's first op in [`CodeArena::ops`].
     code: u32,
+    /// The body's [`Body::canon`].
+    canon: u32,
     /// First local slot in [`ThreadStack::slots`]; the operand region
     /// starts `max_locals` above it.
     base: u32,
-    /// The calling op while a callee runs.
+    /// The calling instruction while a callee runs.
     pc: u32,
+    /// While a callee runs, the op (from `code`) the loop resumes at when
+    /// it returns: the [`Body::resume`] entry of `pc + 1`.
+    ret: u32,
     /// Operand-stack top as the stack code would have it, with a call's
     /// arguments already popped: set when the straight-line loop stops
     /// or calls, and where a callee's result goes.
@@ -1203,8 +1287,10 @@ impl Frame {
             mid,
             body: Self::NATIVE,
             code: 0,
+            canon: 0,
             base: 0,
             pc: 0,
+            ret: 0,
             sp: 0,
             tier: Tier::Interp,
             insn_cost: 0,
@@ -1259,8 +1345,10 @@ impl ThreadStack {
             mid,
             body,
             code: b.code,
+            canon: b.canon,
             base: base as u32,
             pc: 0,
+            ret: 0,
             sp: (base + max_locals) as u32,
             tier,
             insn_cost: tiers.insn(tier),
@@ -1635,6 +1723,7 @@ impl Vm {
                         pend.settle(&f, &mut run);
                         st.set_top(Frame {
                             sp: args as u32,
+                            ret: self.code.bodies[f.body as usize].resume[f.pc as usize + 1],
                             ..f
                         });
                         match self.enter(thread, st, &mut pend, $callee, args, $nargs) {
@@ -1693,7 +1782,8 @@ impl Vm {
                 // `straight` stopped at a counted op that needs the VM. A
                 // miss fills its inline cache and hands the op back.
                 let (cur, pc) = (f.mid, f.pc);
-                match self.code.ops[f.code as usize + pc as usize] {
+                let canon = self.code.bodies[f.body as usize].canon;
+                match self.code.ops[(f.code + canon + pc) as usize] {
                     Op::Ldc { ic, cp, .. } => {
                         flush!();
                         let s = self.registry.get(cur.class).strings[&cp].clone();
@@ -1959,9 +2049,10 @@ impl<'a> Straight<'a> {
     /// slot `ic`, with its `nargs` arguments (receiver first if
     /// `is_virtual`) below stack slot `top`: if the slot names the callee
     /// (for the receiver's class), it is prepared bytecode, the depth
-    /// allows it and no promotion is due, push its frame, make it `f` and
-    /// return its ops. `Ok(None)` means stop, having changed nothing; a
-    /// null or non-instance receiver throws.
+    /// allows it and no promotion is due, push its frame (the caller to
+    /// resume at op `ret`), make it `f` and return its ops. `Ok(None)`
+    /// means stop, having changed nothing; a null or non-instance
+    /// receiver throws.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn call(
@@ -1970,6 +2061,7 @@ impl<'a> Straight<'a> {
         f: &mut Frame,
         run: &mut u64,
         pc: u32,
+        ret: u32,
         ic: u32,
         nargs: usize,
         top: u16,
@@ -2009,7 +2101,7 @@ impl<'a> Straight<'a> {
         self.registry.exec_mut(callee).invocations = count;
         self.pend.cycles[tier.index()] += self.cost.tiers.call_overhead(tier);
         self.pend.settle(f, run);
-        f.pc = pc;
+        (f.pc, f.ret) = (pc, ret);
         st.set_top(Frame {
             sp: args as u32,
             ..*f
@@ -2280,14 +2372,15 @@ fn straight<const POLLING: bool>(
     mut counted: bool,
 ) -> Stop {
     // The running frame's record: its cold fields are read and written
-    // in place, its `pc` lives in a register.
+    // in place, and the position of its running op lives in a register.
     let f = frame;
     // The running body's ops, and the slots from the running frame's
     // first local on (re-borrowed whenever the frame changes), so an
     // op's slot operand indexes them directly.
     let mut ops: &[Op] = &cx.arena.ops[f.code as usize..];
+    let mut src: &[u32] = &cx.arena.src[f.code as usize..];
     let mut slots: &mut [Value] = &mut st.slots[f.base as usize..];
-    let mut pc = f.pc;
+    let mut pos = cx.arena.bodies[f.body as usize].resume[f.pc as usize];
     // The first op counts its first instruction again, so it starts one
     // short (wrapping, hence the wrapping adds).
     let mut n = if counted {
@@ -2296,43 +2389,51 @@ fn straight<const POLLING: bool>(
         cx.run
     };
 
+    // Stop with the frame at instruction `$pc`.
     macro_rules! stop {
-        ($stop:expr) => {{
-            f.pc = pc;
+        ($stop:expr, $pc:expr) => {{
+            f.pc = $pc;
             cx.run = n;
             return $stop;
         }};
     }
 
-    // Stop for the outer loop to run the op at `pc`, with the operand
+    // Stop for the outer loop to run instruction `$pc`, with the operand
     // stack `$top` slots above the frame's base.
     macro_rules! slow {
-        ($top:expr) => {{
+        ($top:expr, $pc:expr) => {{
             f.sp = f.base + u32::from($top);
-            stop!(Stop::Slow)
+            stop!(Stop::Slow, $pc)
         }};
     }
 
     macro_rules! throw {
-        ($fault:expr) => {
-            stop!(Stop::Throw($fault))
+        ($fault:expr, $pc:expr) => {
+            stop!(Stop::Throw($fault), $pc)
         };
     }
 
-    // Count an op's `$len` instructions and move past them.
+    // The first instruction the running op stands for.
+    macro_rules! first {
+        () => {
+            src[pos as usize]
+        };
+    }
+
+    // Count an op's `$len` instructions and move to the next op.
     macro_rules! next {
         ($len:expr) => {{
             n = n.wrapping_add(u64::from($len));
-            pc += u32::from($len);
+            pos += 1;
         }};
     }
 
-    // Count the instructions up to the one `$at` into the op's span, and
-    // move to it: where the op branches, throws or stops.
-    macro_rules! upto {
+    // Count the instructions up to the one `$at` into the op's span and
+    // give its index: where the op throws, calls or stops.
+    macro_rules! here {
         ($at:expr) => {{
             n = n.wrapping_add(u64::from($at) + 1);
-            pc += u32::from($at);
+            first!() + u32::from($at)
         }};
     }
 
@@ -2361,17 +2462,22 @@ fn straight<const POLLING: bool>(
         }};
     }
 
+    // Count an op's `$len` instructions and branch to the op `$t` names
+    // (see [`BACK`]).
     macro_rules! branch {
-        ($t:expr) => {{
-            let target: u32 = $t;
-            if f.osr_pending && target <= pc {
+        ($len:expr, $t:expr) => {{
+            let (len, t): (u8, u32) = ($len, $t);
+            n = n.wrapping_add(u64::from(len));
+            if t & BACK != 0 && f.osr_pending {
                 f.backedges += 1;
                 if f.backedges >= cx.cost.tiers.osr_backedge_threshold {
                     f.backedges = 0;
-                    stop!(Stop::Osr(target));
+                    let at = first!() + u32::from(len) - 1;
+                    let target = src[(t & !BACK) as usize];
+                    stop!(Stop::Osr(target), at);
                 }
             }
-            pc = target;
+            pos = t & !BACK;
             continue;
         }};
     }
@@ -2389,8 +2495,8 @@ fn straight<const POLLING: bool>(
         ($len:expr, $dst:expr, $at:expr, $a:expr, $b:expr, $f:ident) => {{
             let (a, b): (i64, i64) = ($a, $b);
             if b == 0 {
-                upto!($at);
-                throw!(Fault::DivideByZero);
+                let pc = here!($at);
+                throw!(Fault::DivideByZero, pc);
             }
             put!($dst, Value::Int(a.$f(b)));
             next!($len);
@@ -2408,8 +2514,7 @@ fn straight<const POLLING: bool>(
     macro_rules! cond {
         ($len:expr, $t:expr, $taken:expr) => {{
             if $taken {
-                upto!($len - 1);
-                branch!($t);
+                branch!($len, $t);
             }
             next!($len);
         }};
@@ -2423,8 +2528,8 @@ fn straight<const POLLING: bool>(
                     next!($len);
                 }
                 Err(fault) => {
-                    upto!($at);
-                    throw!(fault);
+                    let pc = here!($at);
+                    throw!(fault, pc);
                 }
             }
         }};
@@ -2433,8 +2538,8 @@ fn straight<const POLLING: bool>(
     macro_rules! astore {
         ($len:expr, $kind:expr, $arr:expr, $idx:expr, $val:expr) => {{
             if let Err(fault) = array_store(cx.heap, $kind, get!($arr), $idx, get!($val)) {
-                upto!($len - 1);
-                throw!(fault);
+                let pc = here!($len - 1);
+                throw!(fault, pc);
             }
             next!($len);
         }};
@@ -2453,33 +2558,44 @@ fn straight<const POLLING: bool>(
         }};
     }
 
-    // Run the call at `pc` through inline-cache slot `$ic`, with its
-    // `$nargs` arguments (receiver included) below slot `$top`: enter
-    // the callee, stop, or throw (see [`Straight::call`]).
+    // Run the call at instruction `$pc` through inline-cache slot `$ic`,
+    // with its `$nargs` arguments (receiver included) below slot `$top`:
+    // enter the callee, stop, or throw (see [`Straight::call`]).
     macro_rules! call {
-        ($ic:expr, $nargs:expr, $top:expr, $is_virtual:expr) => {{
-            let top: u16 = $top;
+        ($ic:expr, $nargs:expr, $top:expr, $is_virtual:expr, $pc:expr) => {{
+            let (top, pc): (u16, u32) = ($top, $pc);
             // A copy: `n` itself stays out of memory.
             let mut m = n;
-            let called = cx.call(st, f, &mut m, pc, $ic, $nargs, top, $is_virtual);
+            // A call from a folded op returns to the next one; one from a
+            // one-instruction op, to wherever control entering after it
+            // goes.
+            let ret = if pos < f.canon {
+                pos + 1
+            } else {
+                cx.arena.bodies[f.body as usize].resume[pc as usize + 1]
+            };
+            let called = cx.call(st, f, &mut m, pc, ret, $ic, $nargs, top, $is_virtual);
             n = m;
             match called {
                 Ok(Some(callee)) => {
                     ops = callee;
+                    src = &cx.arena.src[f.code as usize..];
                     slots = &mut st.slots[f.base as usize..];
-                    pc = 0;
+                    pos = 0;
                     continue;
                 }
-                Ok(None) => slow!(top),
-                Err(fault) => throw!(fault),
+                Ok(None) => slow!(top, pc),
+                Err(fault) => throw!(fault, pc),
             }
         }};
     }
 
-    // Return `$v` (if any) to the caller, unless it is in another
-    // activation: then stop with the operand stack `$top` slots up.
+    // Return `$v` (if any) from instruction `$pc` to the caller, unless
+    // it is in another activation: then stop with the operand stack
+    // `$top` slots up.
     macro_rules! ret {
-        ($v:expr, $top:expr) => {{
+        ($v:expr, $top:expr, $pc:expr) => {{
+            let pc: u32 = $pc;
             let v: Option<Value> = $v;
             let mut m = n;
             let caller = cx.leave(st, f, &mut m, v);
@@ -2489,10 +2605,11 @@ fn straight<const POLLING: bool>(
                 if let Some(v) = v {
                     put!($top - 1, v);
                 }
-                slow!($top);
+                slow!($top, pc);
             };
             ops = caller;
-            pc = f.pc + 1;
+            src = &cx.arena.src[f.code as usize..];
+            pos = f.ret;
             continue;
         }};
     }
@@ -2506,11 +2623,11 @@ fn straight<const POLLING: bool>(
                 if f.polls >= 32 {
                     f.polls = 0;
                     n += 1;
-                    stop!(Stop::Poll);
+                    stop!(Stop::Poll, first!());
                 }
             }
         }
-        match ops[pc as usize] {
+        match ops[pos as usize] {
             Op::Nop { len } => next!(len),
             Op::Mov { len, dst, src } => {
                 put!(dst, get!(src));
@@ -2541,8 +2658,8 @@ fn straight<const POLLING: bool>(
                     next!(len);
                 }
                 _ => {
-                    upto!(at);
-                    slow!(top);
+                    let pc = here!(at);
+                    slow!(top, pc);
                 }
             },
             Op::Swap { len, a, b } => {
@@ -2592,8 +2709,7 @@ fn straight<const POLLING: bool>(
                     local,
                     Value::Int(int!(local).wrapping_add(i64::from(delta)))
                 );
-                upto!(len - 1);
-                branch!(target);
+                branch!(len, target);
             }
             Op::FAdd { len, dst, a, b } => fbin!(len, dst, a, b, +),
             Op::FSub { len, dst, a, b } => fbin!(len, dst, a, b, -),
@@ -2624,8 +2740,7 @@ fn straight<const POLLING: bool>(
                 next!(len);
             }
             Op::Goto { len, target } => {
-                upto!(len - 1);
-                branch!(target);
+                branch!(len, target);
             }
             Op::IfEq { len, a, b, target } => cond!(len, target, int!(a) == int!(b)),
             Op::IfNe { len, a, b, target } => cond!(len, target, int!(a) != int!(b)),
@@ -2652,8 +2767,7 @@ fn straight<const POLLING: bool>(
                 } else {
                     sw.default
                 };
-                upto!(len - 1);
-                branch!(target);
+                branch!(len, target);
             }
             Op::InvokeStatic {
                 len,
@@ -2665,8 +2779,8 @@ fn straight<const POLLING: bool>(
             } => {
                 let nargs = usize::from(nargs);
                 pass!(nargs, top, args);
-                upto!(len - 1);
-                call!(ic, nargs, top, false);
+                let pc = here!(len - 1);
+                call!(ic, nargs, top, false, pc);
             }
             Op::InvokeVirtual {
                 len,
@@ -2678,16 +2792,16 @@ fn straight<const POLLING: bool>(
             } => {
                 let nargs = usize::from(nargs) + 1;
                 pass!(nargs, top, args);
-                upto!(len - 1);
-                call!(ic, nargs, top, true);
+                let pc = here!(len - 1);
+                call!(ic, nargs, top, true, pc);
             }
             Op::Return { len, top } => {
-                upto!(len - 1);
-                ret!(None, top);
+                let pc = here!(len - 1);
+                ret!(None, top, pc);
             }
             Op::ValueReturn { len, src, top } => {
-                upto!(len - 1);
-                ret!(Some(get!(src)), top);
+                let pc = here!(len - 1);
+                ret!(Some(get!(src)), top, pc);
             }
             Op::GetField {
                 len,
@@ -2700,18 +2814,18 @@ fn straight<const POLLING: bool>(
             } => {
                 let recv = get!(obj);
                 let Some(r) = recv.as_ref_opt() else {
-                    upto!(at);
-                    throw!(Fault::NullField);
+                    let pc = here!(at);
+                    throw!(Fault::NullField, pc);
                 };
                 let c = &mut *cx;
                 let HeapObject::Instance { fields, .. } = c.heap.get(r) else {
-                    upto!(at);
-                    throw!(Fault::FieldKind);
+                    let pc = here!(at);
+                    throw!(Fault::FieldKind, pc);
                 };
                 let InlineCache::InstanceField(slot) = c.arena.ics[ic as usize] else {
                     put!(top - 1, recv);
-                    upto!(at);
-                    slow!(top);
+                    let pc = here!(at);
+                    slow!(top, pc);
                 };
                 put!(dst, fields[slot]);
                 next!(len);
@@ -2726,19 +2840,19 @@ fn straight<const POLLING: bool>(
             } => {
                 let (recv, v) = (get!(obj), get!(val));
                 let Some(r) = recv.as_ref_opt() else {
-                    upto!(len - 1);
-                    throw!(Fault::NullField);
+                    let pc = here!(len - 1);
+                    throw!(Fault::NullField, pc);
                 };
                 let c = &mut *cx;
                 let HeapObject::Instance { fields, .. } = c.heap.get_mut(r) else {
-                    upto!(len - 1);
-                    throw!(Fault::FieldKind);
+                    let pc = here!(len - 1);
+                    throw!(Fault::FieldKind, pc);
                 };
                 let InlineCache::InstanceField(slot) = c.arena.ics[ic as usize] else {
                     put!(top - 2, recv);
                     put!(top - 1, v);
-                    upto!(len - 1);
-                    slow!(top);
+                    let pc = here!(len - 1);
+                    slow!(top, pc);
                 };
                 fields[slot] = v;
                 next!(len);
@@ -2752,8 +2866,8 @@ fn straight<const POLLING: bool>(
                 ..
             } => {
                 let Some(v) = static_field(cx.arena, cx.registry, ic, None) else {
-                    upto!(at);
-                    slow!(top);
+                    let pc = here!(at);
+                    slow!(top, pc);
                 };
                 put!(dst, v);
                 next!(len);
@@ -2764,8 +2878,8 @@ fn straight<const POLLING: bool>(
                 let v = get!(src);
                 if static_field(cx.arena, cx.registry, ic, Some(v)).is_none() {
                     put!(top - 1, v);
-                    upto!(len - 1);
-                    slow!(top);
+                    let pc = here!(len - 1);
+                    slow!(top, pc);
                 }
                 next!(len);
             }
@@ -2825,46 +2939,46 @@ fn straight<const POLLING: bool>(
             Op::AAStoreK { len, arr, k, val } => astore!(len, ArrayKind::Ref, arr, k, val),
             Op::ArrayLength { len, dst, at, arr } => {
                 let Some(r) = get!(arr).as_ref_opt() else {
-                    upto!(at);
-                    throw!(Fault::NullArrayLength);
+                    let pc = here!(at);
+                    throw!(Fault::NullArrayLength, pc);
                 };
                 let Some(length) = cx.heap.get(r).array_len() else {
-                    upto!(at);
-                    throw!(Fault::LengthKind);
+                    let pc = here!(at);
+                    throw!(Fault::LengthKind, pc);
                 };
                 put!(dst, Value::Int(length as i64));
                 next!(len);
             }
             Op::New { len, ic, top, .. } => {
-                upto!(len - 1);
+                let pc = here!(len - 1);
                 let InlineCache::NewClass(class) = cx.arena.ics[ic as usize] else {
-                    slow!(top);
+                    slow!(top, pc);
                 };
                 if cx.alloc_events {
-                    slow!(top);
+                    slow!(top, pc);
                 }
                 let what = Alloc::Object(class);
                 let obj = allocate(cx.heap, cx.registry, cx.info, cx.stats, cx.cost, what);
                 put!(top, Value::Ref(obj));
-                pc += 1;
+                pos += 1;
             }
             Op::NewArray { len, kind, top } => {
-                upto!(len - 1);
+                let pc = here!(len - 1);
                 if cx.alloc_events {
-                    slow!(top);
+                    slow!(top, pc);
                 }
                 let length = int!(top - 1);
                 if length < 0 {
-                    throw!(Fault::NegativeSize(length));
+                    throw!(Fault::NegativeSize(length), pc);
                 }
                 let what = Alloc::Array(kind, length as usize);
                 let r = allocate(cx.heap, cx.registry, cx.info, cx.stats, cx.cost, what);
                 put!(top - 1, Value::Ref(r));
-                pc += 1;
+                pos += 1;
             }
             Op::AThrow { len, top } => {
-                upto!(len - 1);
-                slow!(top);
+                let pc = here!(len - 1);
+                slow!(top, pc);
             }
         }
     }
@@ -2874,19 +2988,43 @@ fn straight<const POLLING: bool>(
 mod tests {
     use jvmsim_classfile::{Code, Cond, ExceptionHandler, Insn};
 
-    use super::{prepare, CodeArena, HashMap, Op};
+    use super::{prepare, CodeArena, HashMap, Op, BACK};
 
-    /// `insns` with 3 locals, prepared folded (or not).
-    fn prepared(insns: Vec<Insn>, handlers: Vec<ExceptionHandler>, fold: bool) -> Vec<Op> {
-        let code = Code {
-            max_stack: 4,
-            max_locals: 3,
-            insns,
-            exception_table: handlers,
-        };
-        let mut arena = CodeArena::default();
-        prepare(&code, &HashMap::new(), &mut arena, fold);
-        arena.ops
+    /// `insns` with 3 locals, prepared folded (or not): the op control
+    /// entering at each instruction runs, and each instruction's own op.
+    struct Prepared {
+        ops: Vec<Op>,
+        resume: Vec<u32>,
+        canon: u32,
+    }
+
+    impl Prepared {
+        fn new(insns: Vec<Insn>, handlers: Vec<ExceptionHandler>, fold: bool) -> Self {
+            let code = Code {
+                max_stack: 4,
+                max_locals: 3,
+                insns,
+                exception_table: handlers,
+            };
+            let mut arena = CodeArena::default();
+            prepare(&code, &HashMap::new(), &mut arena, fold);
+            let body = &arena.bodies[0];
+            Prepared {
+                resume: body.resume.to_vec(),
+                canon: body.canon,
+                ops: arena.ops,
+            }
+        }
+
+        /// The op control entering at instruction `i` runs.
+        fn at(&self, i: usize) -> Op {
+            self.ops[self.resume[i] as usize]
+        }
+
+        /// Instruction `i`'s one-instruction op.
+        fn own(&self, i: u32) -> Op {
+            self.ops[(self.canon + i) as usize]
+        }
     }
 
     #[test]
@@ -2907,10 +3045,11 @@ mod tests {
             Insn::IfICmp(Cond::Lt, 0),
             Insn::Return,
         ];
-        let ops = prepared(insns, Vec::new(), true);
+        let p = Prepared::new(insns, Vec::new(), true);
+        // The folded ops come first, each followed by its successor.
         let (len, dst) = (4, 2);
         assert_eq!(
-            ops[0],
+            p.ops[0],
             Op::IAdd {
                 len,
                 dst,
@@ -2918,9 +3057,10 @@ mod tests {
                 b: 1
             }
         );
-        let (len, target) = (3, 0);
+        // The back-edge to instruction 0 names op 0.
+        let (len, target) = (3, BACK);
         assert_eq!(
-            ops[4],
+            p.ops[1],
             Op::IfLtK {
                 len,
                 a: 2,
@@ -2928,10 +3068,12 @@ mod tests {
                 target
             }
         );
-        // Interior indexes keep their one-instruction ops for jumps in:
-        // stack position `d` is slot `max_locals + d`.
+        assert_eq!(p.ops[2], Op::Return { len: 1, top: 3 });
+        assert_eq!(p.resume, [0, 4, 5, 6, 1, 8, 9, 2]);
+        // Each instruction keeps its own op for jumps in: stack position
+        // `d` is slot `max_locals + d`.
         assert_eq!(
-            ops[1],
+            p.own(1),
             Op::Mov {
                 len: 1,
                 dst: 4,
@@ -2939,7 +3081,7 @@ mod tests {
             }
         );
         assert_eq!(
-            ops[2],
+            p.own(2),
             Op::IAdd {
                 len: 1,
                 dst: 3,
@@ -2948,7 +3090,7 @@ mod tests {
             }
         );
         assert_eq!(
-            ops[3],
+            p.own(3),
             Op::Mov {
                 len: 1,
                 dst: 2,
@@ -2973,9 +3115,9 @@ mod tests {
             Insn::IStore(1),
             Insn::Return,
         ];
-        let ops = prepared(insns, Vec::new(), true);
+        let p = Prepared::new(insns, Vec::new(), true);
         assert_eq!(
-            ops[0],
+            p.at(0),
             Op::Mov {
                 len: 1,
                 dst: 3,
@@ -2983,7 +3125,7 @@ mod tests {
             }
         );
         assert_eq!(
-            ops[1],
+            p.at(1),
             Op::IInc {
                 len: 1,
                 local: 0,
@@ -2991,7 +3133,7 @@ mod tests {
             }
         );
         assert_eq!(
-            ops[2],
+            p.at(2),
             Op::ISub {
                 len: 2,
                 dst: 3,
@@ -3000,7 +3142,7 @@ mod tests {
             }
         );
         assert_eq!(
-            ops[4],
+            p.at(4),
             Op::Mov {
                 len: 1,
                 dst: 4,
@@ -3008,7 +3150,7 @@ mod tests {
             }
         );
         assert_eq!(
-            ops[5],
+            p.at(5),
             Op::Const {
                 len: 2,
                 dst: 1,
@@ -3016,7 +3158,7 @@ mod tests {
             }
         );
         assert_eq!(
-            ops[7],
+            p.at(7),
             Op::IAdd {
                 len: 3,
                 dst: 1,
@@ -3039,26 +3181,27 @@ mod tests {
             Insn::IAdd,
             Insn::IReturn,
         ];
-        let ops = prepared(insns, Vec::new(), true);
+        let p = Prepared::new(insns, Vec::new(), true);
         assert_eq!(
-            ops[0],
+            p.at(0),
             Op::Mov {
                 len: 1,
                 dst: 3,
                 src: 0
             }
         );
+        let (len, target) = (2, p.resume[5]);
         assert_eq!(
-            ops[1],
+            p.at(1),
             Op::IfEqK {
-                len: 2,
+                len,
                 a: 1,
                 k: 0,
-                target: 5
+                target
             }
         );
         assert_eq!(
-            ops[3],
+            p.at(3),
             Op::Const {
                 len: 1,
                 dst: 4,
@@ -3066,7 +3209,7 @@ mod tests {
             }
         );
         assert_eq!(
-            ops[5],
+            p.at(5),
             Op::Mov {
                 len: 1,
                 dst: 4,
@@ -3074,7 +3217,7 @@ mod tests {
             }
         );
         assert_eq!(
-            ops[6],
+            p.at(6),
             Op::IAdd {
                 len: 1,
                 dst: 3,
@@ -3083,7 +3226,7 @@ mod tests {
             }
         );
         assert_eq!(
-            ops[7],
+            p.at(7),
             Op::ValueReturn {
                 len: 1,
                 src: 3,
@@ -3101,10 +3244,10 @@ mod tests {
             Insn::Pop,
             Insn::Return,
         ];
-        let ops = prepared(insns, Vec::new(), false);
+        let p = Prepared::new(insns, Vec::new(), false);
         let (len, top) = (1, 3);
         assert_eq!(
-            ops,
+            p.ops,
             [
                 Op::Mov {
                     len,
@@ -3121,5 +3264,6 @@ mod tests {
                 Op::Return { len, top },
             ]
         );
+        assert_eq!(p.resume, [0, 1, 2, 3, 4]);
     }
 }
