@@ -43,17 +43,21 @@
 //! constant folds into the op that consumes it, a store folds into the op
 //! that just produced its value, `iinc; goto` is one op, and a call
 //! writes its last two arguments to their slots itself. An op stands for
-//! the span of instructions it covers and counts them all; it sits at the
-//! span's first index, and every other index keeps its one-instruction
-//! op, so a jump or handler entry into a span still runs. Straight-line
-//! ops never touch `sp`: an op that can stop the loop carries the depth
-//! its instruction starts at, and before it branches, throws or stops it
-//! moves `pc` to that instruction, writing any folded operands to their
-//! slots first, so [`Vm::execute`], the OSR back-edge test, handler
-//! lookup and every `bci` see the `pc` and `sp` the stack code would.
-//! While the VM polls (a sampler is installed or the fault plane is
-//! enabled; both are fixed before the first body is prepared) nothing
-//! folds, so a poll still lands every 32 instructions exactly.
+//! the span of instructions it covers and counts them all. A body's
+//! folded ops come first, one per span in source order, so an op falls
+//! through to the next position; its one-instruction ops follow, one per
+//! instruction, for jumps into a span, for resuming after a stop inside
+//! one, and for polling VMs. Branches name positions, a body's
+//! [`Body::resume`] table maps an instruction to the op control entering
+//! there runs, and [`CodeArena::src`] maps an op back to its first
+//! instruction. Straight-line ops never touch `sp`: an op that can stop
+//! the loop carries the depth its instruction starts at, and before it
+//! throws, calls or stops it names that instruction, writing any folded
+//! operands to their slots first, so [`Vm::execute`], handler lookup and
+//! every `bci` see the `pc` and `sp` the stack code would. While the VM
+//! polls (a sampler is installed or the fault plane is enabled; both are
+//! fixed before the first body is prepared) nothing folds, so a poll
+//! still lands every 32 instructions exactly.
 //!
 //! The committed golden corpus (`tests/golden.rs` in the umbrella crate)
 //! pins this loop's cycles, stats and trace streams for every matrix
@@ -124,9 +128,8 @@ macro_rules! ops {
         /// constants. An op stands for the `len` source instructions of
         /// the span it heads: loads and constants folded into their
         /// consumer, the consumer itself (which may branch or throw) and,
-        /// for the `dst` ops, a store folded into it. It sits at its
-        /// span's first index; every other index keeps the one-instruction
-        /// op, so a jump into a span still runs. `at` is where the
+        /// for the `dst` ops, a store folded into it (see the module doc
+        /// for where ops sit and where branches go). `at` is where the
         /// consumer sits in the span, and `top` is `max_locals` plus the
         /// stack depth the consumer starts at: an op that stops the
         /// straight-line loop leaves `pc` and `sp` as the stack code
