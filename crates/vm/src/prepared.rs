@@ -43,21 +43,23 @@
 //! constant folds into the op that consumes it, a store folds into the op
 //! that just produced its value, `iinc; goto` is one op, and a call
 //! writes its last two arguments to their slots itself. An op stands for
-//! the span of instructions it covers and counts them all. A body's
-//! folded ops come first, one per span in source order, so an op falls
-//! through to the next position; its one-instruction ops follow, one per
-//! instruction, for jumps into a span, for resuming after a stop inside
-//! one, and for polling VMs. Branches name positions, a body's
-//! [`Body::resume`] table maps an instruction to the op control entering
-//! there runs, and [`CodeArena::src`] maps an op back to its first
-//! instruction. Straight-line ops never touch `sp`: an op that can stop
-//! the loop carries the depth its instruction starts at, and before it
-//! throws, calls or stops it names that instruction, writing any folded
-//! operands to their slots first, so [`Vm::execute`], handler lookup and
-//! every `bci` see the `pc` and `sp` the stack code would. While the VM
-//! polls (a sampler is installed or the fault plane is enabled; both are
-//! fixed before the first body is prepared) nothing folds, so a poll
-//! still lands every 32 instructions exactly.
+//! the span of instructions it covers and counts them all. Each body has
+//! one prepared form, one op per span in source order, so an op falls
+//! through to the next position. Branches name positions, and every
+//! branch target, handler entry and OSR target starts a span; a body's
+//! [`Body::resume`] table maps an instruction to the op whose span covers
+//! it, and [`CodeArena::src`] maps an op back to its first instruction.
+//! Straight-line ops never touch `sp`: an op that can stop the loop
+//! carries the depth its instruction starts at, and when it throws, calls
+//! or stops it names that instruction, so [`Vm::execute`], handler lookup
+//! and every `bci` see the `pc` and `sp` the stack code would. An inline
+//! cache that misses inside a span is filled and the loop re-enters the
+//! span's op: the instructions before its consumer write nothing, so
+//! running them again changes nothing, and the count is rewound to match.
+//! While the VM polls (a sampler is installed or the fault plane is
+//! enabled; both are fixed before the first body is prepared) nothing
+//! folds: every op is one instruction, so a poll still lands every 32
+//! instructions exactly.
 //!
 //! The committed golden corpus (`tests/golden.rs` in the umbrella crate)
 //! pins this loop's cycles, stats and trace streams for every matrix
@@ -293,11 +295,9 @@ pub(crate) struct Switch {
 pub(crate) struct Body {
     /// Index of the body's first op in [`CodeArena::ops`].
     pub code: u32,
-    /// Where the one-instruction ops start, after the folded ones.
-    pub canon: u32,
-    /// For each instruction, the op (from `code`) control entering there
-    /// runs: the folded op of a span that starts there, else the
-    /// instruction's own op.
+    /// For each instruction, the op (from `code`) whose span covers it.
+    /// A branch, a handler or an OSR transfer lands where a span starts;
+    /// a stop inside a span re-enters its op.
     pub resume: Box<[u32]>,
     pub max_stack: u16,
     pub max_locals: u16,
@@ -341,9 +341,9 @@ pub(crate) fn prepare(
     arena: &mut CodeArena,
     fold: bool,
 ) -> u32 {
-    // One side-table entry per instruction that needs one, shared by the
-    // instruction's own op and any folded op it ends, so a cache filled
-    // through either serves both.
+    // One inline-cache slot or switch table per instruction that needs
+    // one, for the op whose span covers it, allocated once however many
+    // passes the translation takes.
     let side: Vec<u32> = code
         .insns
         .iter()
@@ -374,29 +374,26 @@ pub(crate) fn prepare(
             _ => 0,
         })
         .collect();
-    let mut x = Translator::new(code, callsites, &side);
-    let canon = x.run(false).into_iter().map(Option::unwrap);
-    // The folded ops come first, in source order, so each one's
-    // fall-through successor is the next op; the one-instruction ops
-    // follow, for jumps into a span and for polling VMs.
-    let mut ops: Vec<(u32, Op)> = Vec::new();
-    if fold {
-        // Forcing a value to its slot only ever adds forced values, so
-        // this settles once a pass forces nothing new.
-        let heads = loop {
-            let heads = x.run(true);
-            if !std::mem::take(&mut x.forced_more) {
-                break heads;
-            }
-        };
-        ops.extend((0..).zip(heads).filter_map(|(i, op)| Some((i, op?))));
+    let mut x = Translator::new(code, callsites, &side, fold);
+    // Forcing a value to its slot only ever adds forced values, so this
+    // settles once a pass forces nothing new (at once if not folding).
+    let heads = loop {
+        let heads = x.run();
+        if !std::mem::take(&mut x.forced_more) {
+            break heads;
+        }
+    };
+    // One op per span, in source order, so each one's fall-through
+    // successor is the next op.
+    let mut ops: Vec<(u32, Op)> = (0..)
+        .zip(heads)
+        .filter_map(|(i, op)| Some((i, op?)))
+        .collect();
+    let mut resume = vec![0; code.insns.len()];
+    for (p, (first, op)) in (0..).zip(&mut ops) {
+        let first = *first as usize;
+        resume[first..first + usize::from(*op.len_mut())].fill(p);
     }
-    let folded = ops.len() as u32;
-    let mut resume: Vec<u32> = (folded..).take(code.insns.len()).collect();
-    for (p, &(i, _)) in (0..).zip(&ops) {
-        resume[i as usize] = p;
-    }
-    ops.extend((0..).zip(canon));
     // A branch names the op it goes to, with `BACK` set on a back-edge (a
     // target at or before the branch), which the OSR test counts.
     let jump = |from: u32, to: u32| resume[to as usize] | if to <= from { BACK } else { 0 };
@@ -419,7 +416,6 @@ pub(crate) fn prepare(
     let index = u32::try_from(arena.bodies.len()).expect("body arena overflow");
     arena.bodies.push(Body {
         code: u32::try_from(arena.ops.len()).expect("op arena overflow"),
-        canon: folded,
         resume: resume.into_boxed_slice(),
         max_stack: code.max_stack,
         max_locals: code.max_locals,
@@ -695,10 +691,11 @@ fn stack_depths(code: &Code, callsites: &HashMap<u16, CallSite>) -> Vec<Option<u
     depth
 }
 
-/// Translates one body into register form: once one op per instruction,
-/// and once with loads, constants and stores folded (see [`Op`]).
+/// Translates one body into register form: one op per instruction, or,
+/// if folding, one op per span with loads, constants and stores folded
+/// (see [`Op`]).
 ///
-/// The folding pass models the operand stack. A load or constant is not
+/// Folding models the operand stack. A load or constant is not
 /// written anywhere when it is pushed: its consumer reads the local or
 /// the constant directly. It is *forced* (written to its stack slot by
 /// an op of its own, at the instruction that pushed it) where that would
@@ -731,7 +728,12 @@ struct Translator<'a> {
 }
 
 impl<'a> Translator<'a> {
-    fn new(code: &'a Code, callsites: &'a HashMap<u16, CallSite>, side: &'a [u32]) -> Self {
+    fn new(
+        code: &'a Code,
+        callsites: &'a HashMap<u16, CallSite>,
+        side: &'a [u32],
+        fold: bool,
+    ) -> Self {
         let n = code.insns.len();
         let mut entered = vec![false; n];
         for t in code.insns.iter().flat_map(Insn::branch_targets) {
@@ -746,7 +748,7 @@ impl<'a> Translator<'a> {
             side,
             depth: stack_depths(code, callsites),
             entered,
-            fold: false,
+            fold,
             forced: vec![false; n],
             forced_more: false,
             stack: Vec::new(),
@@ -757,9 +759,8 @@ impl<'a> Translator<'a> {
     }
 
     /// One pass: the op heading each span, at its first index.
-    fn run(&mut self, fold: bool) -> Vec<Option<Op>> {
+    fn run(&mut self) -> Vec<Option<Op>> {
         let n = self.code.insns.len();
-        self.fold = fold;
         self.out = vec![None; n];
         self.stack.clear();
         (self.start, self.last) = (0, None);
@@ -836,19 +837,6 @@ impl<'a> Translator<'a> {
     fn force_all(&mut self) {
         for p in 0..self.stack.len() {
             self.force(p);
-        }
-    }
-
-    /// Before an op at `i` that can miss its inline cache, force the
-    /// values below its operands (the first `below` positions) unless `i`
-    /// starts the op's span: a miss there resumes at `i`'s own op, and
-    /// the one-instruction ops that run from there read every value from
-    /// its slot.
-    fn force_below(&mut self, i: usize, below: usize) {
-        if self.fold && self.start < i {
-            for p in 0..below {
-                self.force(p);
-            }
         }
     }
 
@@ -1151,7 +1139,6 @@ impl<'a> Translator<'a> {
                 self.emit_pop_push(i, Op::NewArray { len, kind, top }, 1, 1);
             }
             Insn::Ldc(cp) | Insn::GetStatic(cp) => {
-                self.force_below(i, d);
                 let (dst, at, cp, top) = (self.slot(d), self.at(i), cp.0, self.slot(d));
                 let op = if matches!(insn, Insn::Ldc(_)) {
                     Op::Ldc {
@@ -1175,7 +1162,6 @@ impl<'a> Translator<'a> {
                 self.emit_pop_push(i, op, 0, 1);
             }
             Insn::PutStatic(cp) => {
-                self.force_below(i, d - 1);
                 let (src, top) = (self.slot_arg(d - 1), self.slot(d));
                 let op = Op::PutStatic {
                     len,
@@ -1187,7 +1173,6 @@ impl<'a> Translator<'a> {
                 self.emit_pop_push(i, op, 1, 0);
             }
             Insn::GetField(cp) => {
-                self.force_below(i, d - 1);
                 let (dst, at, obj, top) = (
                     self.slot(d - 1),
                     self.at(i),
@@ -1206,7 +1191,6 @@ impl<'a> Translator<'a> {
                 self.emit_pop_push(i, op, 1, 1);
             }
             Insn::PutField(cp) => {
-                self.force_below(i, d - 2);
                 let (val, obj, top) = (self.slot_arg(d - 1), self.slot_arg(d - 2), self.slot(d));
                 let op = Op::PutField {
                     len,
@@ -1259,15 +1243,13 @@ pub(crate) struct Frame {
     body: u32,
     /// Index of the body's first op in [`CodeArena::ops`].
     code: u32,
-    /// The body's [`Body::canon`].
-    canon: u32,
     /// First local slot in [`ThreadStack::slots`]; the operand region
     /// starts `max_locals` above it.
     base: u32,
     /// The calling instruction while a callee runs.
     pc: u32,
     /// While a callee runs, the op (from `code`) the loop resumes at when
-    /// it returns: the [`Body::resume`] entry of `pc + 1`.
+    /// it returns: the one after the call's, since a call ends its span.
     ret: u32,
     /// Operand-stack top as the stack code would have it, with a call's
     /// arguments already popped: set when the straight-line loop stops
@@ -1290,7 +1272,6 @@ impl Frame {
             mid,
             body: Self::NATIVE,
             code: 0,
-            canon: 0,
             base: 0,
             pc: 0,
             ret: 0,
@@ -1348,7 +1329,6 @@ impl ThreadStack {
             mid,
             body,
             code: b.code,
-            canon: b.canon,
             base: base as u32,
             pc: 0,
             ret: 0,
@@ -1675,8 +1655,8 @@ impl Vm {
         let fault_polls = self.faults_enabled();
         let mut pend = Pending::default();
         // The running frame, the instructions it ran since the last
-        // settle, and whether the op at its `pc` is already counted (and
-        // polled).
+        // settle, and whether the instructions of its op through `pc` are
+        // already counted (and polled).
         let (mut f, mut run, mut counted) =
             match self.enter(thread, st, &mut pend, mid, base, nargs) {
                 Entered::Frame(f) => (f, 0, false),
@@ -1783,10 +1763,10 @@ impl Vm {
                     }
                 }
                 // `straight` stopped at a counted op that needs the VM. A
-                // miss fills its inline cache and hands the op back.
+                // miss fills its inline cache and re-enters the op.
                 let (cur, pc) = (f.mid, f.pc);
-                let canon = self.code.bodies[f.body as usize].canon;
-                match self.code.ops[(f.code + canon + pc) as usize] {
+                let pos = self.code.bodies[f.body as usize].resume[pc as usize];
+                match self.code.ops[(f.code + pos) as usize] {
                     Op::Ldc { ic, cp, .. } => {
                         flush!();
                         let s = self.registry.get(cur.class).strings[&cp].clone();
@@ -2160,7 +2140,8 @@ fn static_field(
     Some(statics[slot])
 }
 
-/// Why [`straight`] stopped. In every case the op at `pc` is counted.
+/// Why [`straight`] stopped. In every case the running op's instructions
+/// through `pc` are counted.
 #[derive(Debug)]
 enum Stop {
     /// The op at `pc` needs the VM: the outer loop runs it.
@@ -2362,10 +2343,11 @@ mod int {
 /// frames, with their method events, that promote nothing and stay
 /// inside the activation. Stops (see [`Stop`]) at anything else, a due
 /// poll, a throw, or an OSR threshold. Each op counts the instructions it
-/// stands for as it runs (if `POLLING`, after a poll check); the first
-/// op's first instruction is already counted if `counted`; the count
-/// runs on from `cx.run` and is left there. Ops read and write frame
-/// slots directly, so only a stop or a call sets the frame's `sp`.
+/// stands for as it runs (if `POLLING`, after a poll check); if `counted`,
+/// the first op's instructions through `pc` are already counted (it is
+/// re-entered after a stop inside its span); the count runs on from
+/// `cx.run` and is left there. Ops read and write frame slots directly,
+/// so only a stop or a call sets the frame's `sp`.
 #[allow(clippy::too_many_lines)]
 #[inline(never)]
 fn straight<const POLLING: bool>(
@@ -2384,10 +2366,10 @@ fn straight<const POLLING: bool>(
     let mut src: &[u32] = &cx.arena.src[f.code as usize..];
     let mut slots: &mut [Value] = &mut st.slots[f.base as usize..];
     let mut pos = cx.arena.bodies[f.body as usize].resume[f.pc as usize];
-    // The first op counts its first instruction again, so it starts one
-    // short (wrapping, hence the wrapping adds).
+    // The first op counts its instructions through `pc` again, so it
+    // starts that many short (wrapping, hence the wrapping adds).
     let mut n = if counted {
-        cx.run.wrapping_sub(1)
+        cx.run.wrapping_sub(u64::from(f.pc - src[pos as usize] + 1))
     } else {
         cx.run
     };
@@ -2569,15 +2551,7 @@ fn straight<const POLLING: bool>(
             let (top, pc): (u16, u32) = ($top, $pc);
             // A copy: `n` itself stays out of memory.
             let mut m = n;
-            // A call from a folded op returns to the next one; one from a
-            // one-instruction op, to wherever control entering after it
-            // goes.
-            let ret = if pos < f.canon {
-                pos + 1
-            } else {
-                cx.arena.bodies[f.body as usize].resume[pc as usize + 1]
-            };
-            let called = cx.call(st, f, &mut m, pc, ret, $ic, $nargs, top, $is_virtual);
+            let called = cx.call(st, f, &mut m, pc, pos + 1, $ic, $nargs, top, $is_virtual);
             n = m;
             match called {
                 Ok(Some(callee)) => {
@@ -2826,7 +2800,6 @@ fn straight<const POLLING: bool>(
                     throw!(Fault::FieldKind, pc);
                 };
                 let InlineCache::InstanceField(slot) = c.arena.ics[ic as usize] else {
-                    put!(top - 1, recv);
                     let pc = here!(at);
                     slow!(top, pc);
                 };
@@ -2852,8 +2825,6 @@ fn straight<const POLLING: bool>(
                     throw!(Fault::FieldKind, pc);
                 };
                 let InlineCache::InstanceField(slot) = c.arena.ics[ic as usize] else {
-                    put!(top - 2, recv);
-                    put!(top - 1, v);
                     let pc = here!(len - 1);
                     slow!(top, pc);
                 };
@@ -2880,7 +2851,6 @@ fn straight<const POLLING: bool>(
             } => {
                 let v = get!(src);
                 if static_field(cx.arena, cx.registry, ic, Some(v)).is_none() {
-                    put!(top - 1, v);
                     let pc = here!(len - 1);
                     slow!(top, pc);
                 }
@@ -2993,12 +2963,11 @@ mod tests {
 
     use super::{prepare, CodeArena, HashMap, Op, BACK};
 
-    /// `insns` with 3 locals, prepared folded (or not): the op control
-    /// entering at each instruction runs, and each instruction's own op.
+    /// `insns` with 3 locals, prepared folded (or not): its ops, and the
+    /// op covering each instruction.
     struct Prepared {
         ops: Vec<Op>,
         resume: Vec<u32>,
-        canon: u32,
     }
 
     impl Prepared {
@@ -3014,19 +2983,13 @@ mod tests {
             let body = &arena.bodies[0];
             Prepared {
                 resume: body.resume.to_vec(),
-                canon: body.canon,
                 ops: arena.ops,
             }
         }
 
-        /// The op control entering at instruction `i` runs.
+        /// The op covering instruction `i`.
         fn at(&self, i: usize) -> Op {
             self.ops[self.resume[i] as usize]
-        }
-
-        /// Instruction `i`'s one-instruction op.
-        fn own(&self, i: u32) -> Op {
-            self.ops[(self.canon + i) as usize]
         }
     }
 
@@ -3048,35 +3011,34 @@ mod tests {
             Insn::IfICmp(Cond::Lt, 0),
             Insn::Return,
         ];
-        let p = Prepared::new(insns, Vec::new(), true);
-        // The folded ops come first, each followed by its successor.
-        let (len, dst) = (4, 2);
-        assert_eq!(
-            p.ops[0],
-            Op::IAdd {
-                len,
-                dst,
-                a: 0,
-                b: 1
-            }
-        );
-        // The back-edge to instruction 0 names op 0.
+        let p = Prepared::new(insns.clone(), Vec::new(), true);
+        // One op per span, each followed by its successor; the back-edge
+        // to instruction 0 names op 0.
         let (len, target) = (3, BACK);
         assert_eq!(
-            p.ops[1],
-            Op::IfLtK {
-                len,
-                a: 2,
-                k: 5,
-                target
-            }
+            p.ops,
+            [
+                Op::IAdd {
+                    len: 4,
+                    dst: 2,
+                    a: 0,
+                    b: 1
+                },
+                Op::IfLtK {
+                    len,
+                    a: 2,
+                    k: 5,
+                    target
+                },
+                Op::Return { len: 1, top: 3 },
+            ]
         );
-        assert_eq!(p.ops[2], Op::Return { len: 1, top: 3 });
-        assert_eq!(p.resume, [0, 4, 5, 6, 1, 8, 9, 2]);
-        // Each instruction keeps its own op for jumps in: stack position
-        // `d` is slot `max_locals + d`.
+        assert_eq!(p.resume, [0, 0, 0, 0, 1, 1, 1, 2]);
+        // Unfolded, each instruction is its own op: stack position `d` is
+        // slot `max_locals + d`.
+        let p = Prepared::new(insns, Vec::new(), false);
         assert_eq!(
-            p.own(1),
+            p.at(1),
             Op::Mov {
                 len: 1,
                 dst: 4,
@@ -3084,7 +3046,7 @@ mod tests {
             }
         );
         assert_eq!(
-            p.own(2),
+            p.at(2),
             Op::IAdd {
                 len: 1,
                 dst: 3,
@@ -3093,7 +3055,7 @@ mod tests {
             }
         );
         assert_eq!(
-            p.own(3),
+            p.at(3),
             Op::Mov {
                 len: 1,
                 dst: 2,
