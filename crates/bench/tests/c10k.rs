@@ -21,8 +21,8 @@ use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::Duration;
 
+use jvmsim_cache::hex_decode;
 use jvmsim_serve::client::{connect_with_retry, http_request};
-use jvmsim_serve::peer::hex_decode;
 use jvmsim_spans::{decode_spans, partition_violations};
 
 const JPROF: &str = env!("CARGO_BIN_EXE_jprof");

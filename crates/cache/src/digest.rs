@@ -1,5 +1,6 @@
-//! A dependency-free SHA-256 and the [`Digest`] newtype the cache keys
-//! and verifies entries with.
+//! A dependency-free SHA-256, the [`Digest`] newtype the cache keys
+//! and verifies entries with, and the hex codec that renders both
+//! digests and entry payloads as text.
 //!
 //! The workspace builds without registry access, so the hash is
 //! implemented here from the FIPS 180-4 specification in safe Rust. It is
@@ -98,12 +99,7 @@ impl Digest {
     /// Lower-case hex rendering (64 chars) — used as the entry file stem.
     #[must_use]
     pub fn to_hex(&self) -> String {
-        let mut s = String::with_capacity(64);
-        for b in self.0 {
-            s.push(char::from_digit(u32::from(b >> 4), 16).unwrap());
-            s.push(char::from_digit(u32::from(b & 0xf), 16).unwrap());
-        }
-        s
+        hex_encode(&self.0)
     }
 
     /// Parse the 64-char lower/upper-hex rendering back into a digest —
@@ -111,16 +107,7 @@ impl Digest {
     /// segment back into a store address. `None` on any other shape.
     #[must_use]
     pub fn from_hex(s: &str) -> Option<Digest> {
-        if s.len() != 64 {
-            return None;
-        }
-        let mut out = [0u8; 32];
-        for (i, pair) in s.as_bytes().chunks_exact(2).enumerate() {
-            let hi = (pair[0] as char).to_digit(16)?;
-            let lo = (pair[1] as char).to_digit(16)?;
-            out[i] = u8::try_from(hi * 16 + lo).ok()?;
-        }
-        Some(Digest(out))
+        hex_decode(s)?.try_into().ok().map(Digest)
     }
 
     /// Digest of `bytes` in one shot.
@@ -130,6 +117,35 @@ impl Digest {
         h.update(bytes);
         h.finish()
     }
+}
+
+/// Lower-case hex rendering of arbitrary bytes: a digest's file stem, and
+/// the `GET /v1/cell` wire form that carries entry payloads over the
+/// text-only transport.
+#[must_use]
+pub fn hex_encode(bytes: &[u8]) -> String {
+    let mut s = String::with_capacity(bytes.len() * 2);
+    for b in bytes {
+        s.push(char::from_digit(u32::from(b >> 4), 16).unwrap_or('0'));
+        s.push(char::from_digit(u32::from(b & 0xf), 16).unwrap_or('0'));
+    }
+    s
+}
+
+/// Inverse of [`hex_encode`], either case; `None` on odd length or a
+/// non-hex digit.
+#[must_use]
+pub fn hex_decode(s: &str) -> Option<Vec<u8>> {
+    if !s.len().is_multiple_of(2) {
+        return None;
+    }
+    let mut out = Vec::with_capacity(s.len() / 2);
+    for pair in s.as_bytes().chunks_exact(2) {
+        let hi = (pair[0] as char).to_digit(16)?;
+        let lo = (pair[1] as char).to_digit(16)?;
+        out.push(u8::try_from(hi * 16 + lo).ok()?);
+    }
+    Some(out)
 }
 
 impl std::fmt::Debug for Digest {
@@ -310,6 +326,15 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finish(), whole, "split at {split}");
         }
+    }
+
+    #[test]
+    fn hex_round_trips_and_rejects_garbage() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        assert_eq!(hex_decode(&hex_encode(&bytes)).as_deref(), Some(&bytes[..]));
+        assert_eq!(hex_decode(""), Some(Vec::new()));
+        assert_eq!(hex_decode("abc"), None, "odd length");
+        assert_eq!(hex_decode("zz"), None, "non-hex digit");
     }
 
     #[test]

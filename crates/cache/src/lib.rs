@@ -26,7 +26,7 @@
 
 mod digest;
 
-pub use digest::{Digest, Sha256};
+pub use digest::{hex_decode, hex_encode, Digest, Sha256};
 
 use std::io;
 use std::path::{Path, PathBuf};

@@ -5,16 +5,16 @@
 //! and rejects underflow, kind mismatches, inconsistent stack shapes at merge
 //! points, out-of-range branch targets and local slots, dangling constant-pool
 //! references, malformed exception tables, and bodies that can fall off the
-//! end. As a byproduct it computes the true maximum stack depth, which
-//! [`crate::builder::MethodBuilder`] uses to fill in `max_stack`.
+//! end. As a byproduct it records the stack depth on entry to every
+//! instruction and the true maximum depth: [`crate::builder::MethodBuilder`]
+//! uses the maximum to fill in `max_stack`, and the VM lays out each frame's
+//! operand slots from the per-instruction depths.
 //!
 //! The pass is *structural*, not fully type-safe: local-variable slots are
 //! bounds-checked but not kind-tracked (the VM re-checks kinds at runtime).
 //! That matches what the paper's tooling needs — instrumentation output must
 //! be well-formed, and behavioural equivalence is established by tests, not
 //! by the verifier.
-
-use std::collections::HashMap;
 
 use crate::class::{ClassFile, Code, MethodInfo};
 use crate::constpool::{Constant, ConstantPool};
@@ -48,19 +48,19 @@ impl VKind {
 pub struct CodeFacts {
     /// Maximum operand-stack depth over all reachable paths.
     pub max_stack: u16,
-    /// Highest local slot index used, plus one (0 if no locals touched).
-    pub max_local_used: u16,
+    /// Operand-stack depth on entry to each instruction, by pc; `None`
+    /// where no path reaches it.
+    pub depths: Vec<Option<u16>>,
 }
 
 struct Sim<'a> {
     code: &'a Code,
     pool: &'a ConstantPool,
     method: &'a MethodInfo,
-    /// Stack shape at each reached pc.
-    states: HashMap<InsnIndex, Vec<VKind>>,
+    /// Stack shape at each pc, `None` until a path reaches it.
+    states: Vec<Option<Vec<VKind>>>,
     worklist: Vec<InsnIndex>,
     max_stack: usize,
-    max_local: usize,
 }
 
 impl<'a> Sim<'a> {
@@ -86,7 +86,7 @@ impl<'a> Sim<'a> {
         if (to as usize) >= self.code.insns.len() {
             return Err(self.err(from, format!("branch target @{to} out of range")));
         }
-        match self.states.get(&to) {
+        match &self.states[to as usize] {
             Some(existing) => {
                 if existing != stack {
                     return Err(self.err(
@@ -101,7 +101,7 @@ impl<'a> Sim<'a> {
                 // Entry depth at a merge target counts toward max_stack
                 // even if the first instruction there pops immediately.
                 self.max_stack = self.max_stack.max(stack.len());
-                self.states.insert(to, stack.to_vec());
+                self.states[to as usize] = Some(stack.to_vec());
                 self.worklist.push(to);
             }
         }
@@ -118,13 +118,12 @@ impl<'a> Sim<'a> {
                 ),
             ));
         }
-        self.max_local = self.max_local.max(slot as usize + 1);
         Ok(())
     }
 
     fn run(&mut self) -> Result<(), ClassfileError> {
         // Entry state: empty stack.
-        self.states.insert(0, Vec::new());
+        self.states[0] = Some(Vec::new());
         self.worklist.push(0);
         // Exception handlers start with just the thrown reference.
         for (i, h) in self.code.exception_table.iter().enumerate() {
@@ -146,7 +145,8 @@ impl<'a> Sim<'a> {
             let entry = vec![VKind::Ref];
             // The handler receives the thrown reference: depth ≥ 1.
             self.max_stack = self.max_stack.max(1);
-            match self.states.get(&h.handler) {
+            let state = &mut self.states[h.handler as usize];
+            match state {
                 Some(existing) if *existing != entry => {
                     return Err(ClassfileError::Invalid(format!(
                         "{}: handler @{} reached with stack {existing:?}, expected [Ref]",
@@ -156,7 +156,7 @@ impl<'a> Sim<'a> {
                 }
                 Some(_) => {}
                 None => {
-                    self.states.insert(h.handler, entry);
+                    *state = Some(entry);
                     self.worklist.push(h.handler);
                 }
             }
@@ -188,7 +188,9 @@ impl<'a> Sim<'a> {
 
     #[allow(clippy::too_many_lines)]
     fn step(&mut self, pc: InsnIndex) -> Result<(), ClassfileError> {
-        let mut stack = self.states[&pc].clone();
+        let mut stack = self.states[pc as usize]
+            .clone()
+            .expect("a worklist pc has a state");
         let insn = self.code.insns[pc as usize].clone();
         use Insn::*;
         use VKind::{Float as F, Int as I, Ref as R};
@@ -408,7 +410,8 @@ impl<'a> Sim<'a> {
     }
 }
 
-/// Validate one method body and compute its stack facts.
+/// Validate one method body and compute its stack facts: the depth on
+/// entry to each instruction and the maximum.
 ///
 /// # Errors
 ///
@@ -444,26 +447,31 @@ pub fn validate_code(
         code,
         pool,
         method,
-        states: HashMap::new(),
+        states: vec![None; code.insns.len()],
         worklist: Vec::new(),
         max_stack: 0,
-        max_local: 0,
     };
     sim.run()?;
-    Ok(CodeFacts {
-        max_stack: u16::try_from(sim.max_stack)
-            .map_err(|_| ClassfileError::Invalid(format!("{}: stack too deep", method.name())))?,
-        max_local_used: sim.max_local as u16,
-    })
+    let max_stack = u16::try_from(sim.max_stack)
+        .map_err(|_| ClassfileError::Invalid(format!("{}: stack too deep", method.name())))?;
+    // Every entry depth is at most `max_stack`, so it fits in a `u16`.
+    let depths = sim
+        .states
+        .into_iter()
+        .map(|s| s.map(|s| s.len() as u16))
+        .collect();
+    Ok(CodeFacts { max_stack, depths })
 }
 
 /// Validate a whole class: every method body, declared `max_stack` adequacy,
-/// and the native/body invariant.
+/// and the native/body invariant. Returns each method's facts, parallel to
+/// [`ClassFile::methods`] (`None` for a native method).
 ///
 /// # Errors
 ///
 /// Returns the first [`ClassfileError`] found.
-pub fn validate_class(class: &ClassFile) -> Result<(), ClassfileError> {
+pub fn validate_class(class: &ClassFile) -> Result<Vec<Option<CodeFacts>>, ClassfileError> {
+    let mut all = Vec::with_capacity(class.methods().len());
     for m in class.methods() {
         match (&m.code, m.is_native()) {
             (None, false) => {
@@ -491,11 +499,12 @@ pub fn validate_class(class: &ClassFile) -> Result<(), ClassfileError> {
                         facts.max_stack
                     )));
                 }
+                all.push(Some(facts));
             }
-            (None, true) => {}
+            (None, true) => all.push(None),
         }
     }
-    Ok(())
+    Ok(all)
 }
 
 #[cfg(test)]
@@ -616,6 +625,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(facts.max_stack, 1);
+        let d = |n| Some(n);
+        assert_eq!(facts.depths, [d(0), d(1), d(0), d(1), d(0), d(1)]);
     }
 
     #[test]
@@ -636,7 +647,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(facts.max_stack, 1);
-        assert_eq!(facts.max_local_used, 1);
+        let d = |n| Some(n);
+        assert_eq!(facts.depths, [d(0), d(1), d(0), d(0), d(0)]);
     }
 
     #[test]
@@ -738,6 +750,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(facts.max_stack, 1);
+        // The handler is entered with the thrown reference on the stack.
+        assert_eq!(facts.depths, [Some(0), Some(0), Some(1)]);
     }
 
     #[test]
@@ -877,6 +891,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(facts.max_stack, 1);
+        let d = |n| Some(n);
+        assert_eq!(
+            facts.depths,
+            [d(0), d(1), d(0), d(1), d(0), d(1), d(0), d(1)]
+        );
     }
 
     #[test]
@@ -885,5 +904,6 @@ mod tests {
         // same as the JVM verifier's reachability rule.
         let facts = check("()V", 0, vec![Insn::Return, Insn::IAdd]).unwrap();
         assert_eq!(facts.max_stack, 0);
+        assert_eq!(facts.depths, [Some(0), None]);
     }
 }

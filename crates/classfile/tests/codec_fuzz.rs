@@ -1,13 +1,17 @@
-//! Codec robustness under arbitrary corruption: `decode` must return
-//! `Err` — never panic, never hang — for any mutation of a valid encoded
-//! class. This is the contract the VM's fault plane relies on when it
-//! truncates classfile bytes mid-load: a corrupt class becomes a Java
-//! linkage error, not a simulator crash.
+//! Codec and validator robustness under arbitrary corruption: `decode`
+//! must return `Err` — never panic, never hang — for any mutation of a
+//! valid encoded class, and a mutant that does decode must go through
+//! `validate_class` without panicking either. This is the contract the
+//! VM's fault plane relies on when it truncates classfile bytes mid-load:
+//! a corrupt class becomes a Java linkage error, not a simulator crash.
+//! When a mutant is valid, its facts give every body one entry depth per
+//! instruction, none above the declared `max_stack`: the VM lays out
+//! frame slots from those depths.
 
 use proptest::prelude::*;
 
 use jvmsim_classfile::builder::ClassBuilder;
-use jvmsim_classfile::{codec, Cond, MethodFlags};
+use jvmsim_classfile::{codec, validate, Cond, MethodFlags};
 
 const ST: MethodFlags = MethodFlags::PUBLIC.with(MethodFlags::STATIC);
 
@@ -39,12 +43,59 @@ fn sample_class_bytes() -> Vec<u8> {
     codec::encode(&cb.finish().unwrap())
 }
 
+/// Decode `bytes`; if that succeeds, re-encode and validate the class,
+/// and check a valid class's facts against its bodies. Returns whether
+/// the bytes decoded to a valid class.
+fn decode_and_validate(bytes: &[u8]) -> bool {
+    let Ok(class) = codec::decode(bytes) else {
+        return false;
+    };
+    let _ = codec::encode(&class);
+    let Ok(facts) = validate::validate_class(&class) else {
+        return false;
+    };
+    assert_eq!(facts.len(), class.methods().len(), "one fact per method");
+    for (m, f) in class.methods().iter().zip(&facts) {
+        match (&m.code, f) {
+            (Some(code), Some(f)) => {
+                assert_eq!(f.depths.len(), code.insns.len(), "{}", m.name());
+                assert!(
+                    f.depths.iter().flatten().all(|&d| d <= code.max_stack),
+                    "{}: depths {:?} over max_stack {}",
+                    m.name(),
+                    f.depths,
+                    code.max_stack
+                );
+            }
+            (None, None) => {}
+            _ => panic!("{}: facts disagree with the body", m.name()),
+        }
+    }
+    true
+}
+
 #[test]
 fn sample_round_trips() {
     let bytes = sample_class_bytes();
     let class = codec::decode(&bytes).expect("valid class decodes");
     assert_eq!(class.name(), "fuzz/Sample");
     assert_eq!(codec::encode(&class), bytes, "round trip is byte-stable");
+    assert!(decode_and_validate(&bytes), "the sample is valid");
+}
+
+#[test]
+fn every_single_byte_mutant_validates_without_panic() {
+    let bytes = sample_class_bytes();
+    let mut valid = 0;
+    for pos in 0..bytes.len() {
+        for value in 0..=u8::MAX {
+            let mut mutant = bytes.clone();
+            mutant[pos] = value;
+            valid += usize::from(decode_and_validate(&mutant));
+        }
+    }
+    // Each position's identity edit at least.
+    assert!(valid >= bytes.len(), "{valid} valid mutants");
 }
 
 proptest! {
@@ -67,10 +118,8 @@ proptest! {
         bytes[pos] = value;
         // A mutated class may still decode (e.g. a flipped bit inside a
         // string constant) — the contract is only "no panic, and if Ok,
-        // re-encoding doesn't panic either".
-        if let Ok(class) = codec::decode(&bytes) {
-            let _ = codec::encode(&class);
-        }
+        // neither re-encoding nor validation panics".
+        decode_and_validate(&bytes);
     }
 
     #[test]
@@ -84,13 +133,11 @@ proptest! {
             bytes[pos] = value;
         }
         bytes.extend_from_slice(&tail);
-        if let Ok(class) = codec::decode(&bytes) {
-            let _ = codec::encode(&class);
-        }
+        decode_and_validate(&bytes);
     }
 
     #[test]
     fn arbitrary_garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = codec::decode(&bytes);
+        decode_and_validate(&bytes);
     }
 }

@@ -30,10 +30,10 @@ use jnativeprof::cell::{self, cell_row_json, CellQuantities};
 use jnativeprof::harness::AGENT_AXIS;
 use jnativeprof::session::SessionSpec;
 use jnativeprof::workloads::{row_size, ProblemSize, AXIS};
+use jvmsim_cache::{hex_decode, hex_encode};
 use jvmsim_faults::{splitmix64, FaultInjector, FaultPlan, FaultSite};
 use jvmsim_pcl::PAPER_CLOCK_HZ;
 use jvmsim_serve::client::{connect_with_retry, http_request};
-use jvmsim_serve::peer::{hex_decode, hex_encode};
 use jvmsim_serve::RunSpec;
 use jvmsim_spans::{
     decode_spans, encode_spans, partition_violations, stitched_traces, StageLatencyTable,

@@ -20,6 +20,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use jvmsim_cache::hex_decode;
 use jvmsim_faults::{splitmix64, FaultInjector, FaultSite};
 use jvmsim_metrics::{CounterId, MetricsShard};
 
@@ -308,46 +309,9 @@ fn fetch_once(
     }
 }
 
-/// Lower-case hex rendering of arbitrary bytes — the `GET /v1/cell`
-/// wire form, chosen so entry payloads survive the text-only transport.
-#[must_use]
-pub fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(char::from_digit(u32::from(b >> 4), 16).unwrap_or('0'));
-        s.push(char::from_digit(u32::from(b & 0xf), 16).unwrap_or('0'));
-    }
-    s
-}
-
-/// Inverse of [`hex_encode`]; `None` on odd length or a non-hex digit.
-#[must_use]
-pub fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    let digits = s.as_bytes();
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in digits.chunks_exact(2) {
-        let hi = (pair[0] as char).to_digit(16)?;
-        let lo = (pair[1] as char).to_digit(16)?;
-        out.push(u8::try_from(hi * 16 + lo).ok()?);
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hex_round_trips_and_rejects_garbage() {
-        let bytes: Vec<u8> = (0..=255).collect();
-        assert_eq!(hex_decode(&hex_encode(&bytes)).as_deref(), Some(&bytes[..]));
-        assert_eq!(hex_decode(""), Some(Vec::new()));
-        assert_eq!(hex_decode("abc"), None, "odd length");
-        assert_eq!(hex_decode("zz"), None, "non-hex digit");
-    }
 
     #[test]
     fn backoff_is_deterministic_bounded_and_seed_sensitive() {

@@ -65,7 +65,7 @@ use std::time::{Duration, Instant};
 use jnativeprof::cell::{self, cell_row_json, CellQuantities};
 use jnativeprof::harness::HarnessError;
 use jnativeprof::session::SessionSpec;
-use jvmsim_cache::{CacheKey, CacheStore, Digest, Plane};
+use jvmsim_cache::{hex_encode, CacheKey, CacheStore, Digest, Plane};
 use jvmsim_faults::{FaultInjector, FaultPlan, FaultSite};
 use jvmsim_metrics::{
     render_prometheus, CounterId, GaugeId, HistogramId, MetricsEntry, MetricsRegistry,
@@ -83,7 +83,7 @@ use crate::admission::{
 };
 use crate::conn::{Conn, Phase, ReadOutcome, WriteOutcome};
 use crate::http::{Request, Response, ServeError, READ_POLL};
-use crate::peer::{hex_encode, PeerView};
+use crate::peer::PeerView;
 use crate::spec::{ApiError, ApiRequest, ApiResponse, OutcomeClass};
 use crate::timer::TimerWheel;
 

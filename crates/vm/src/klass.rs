@@ -9,10 +9,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 use jvmsim_classfile::constpool::Constant;
-use jvmsim_classfile::{ClassFile, Code, MethodInfo, Type};
+use jvmsim_classfile::validate::CodeFacts;
+use jvmsim_classfile::{ClassFile, MethodInfo, Type};
 use jvmsim_tiers::Tier;
 
 use crate::error::VmError;
@@ -199,8 +199,12 @@ pub struct RuntimeClass {
     pub name_sym: Sym,
     /// Superclass, `None` only for the root.
     pub super_id: Option<ClassId>,
-    /// Methods, cloned out of the classfile at link time.
+    /// Methods, moved out of the classfile at link time.
     pub methods: Vec<MethodInfo>,
+    /// Operand-stack depth on entry to each instruction of each body, as
+    /// the validator's flow proved it (parallel to `methods`; empty for
+    /// natives).
+    pub(crate) depths: Vec<Vec<Option<u16>>>,
     /// Instance-field layout *including inherited slots* (super first).
     pub instance_layout: Vec<FieldSlot>,
     /// Interned field name → slot in `instance_layout` (inherited names
@@ -216,8 +220,6 @@ pub struct RuntimeClass {
     pub clinit_started: bool,
     /// Per-method execution state (parallel to `methods`).
     pub(crate) exec: Vec<MethodExec>,
-    /// Shared method bodies (parallel to `methods`; `None` for natives).
-    pub code: Vec<Option<Arc<Code>>>,
     /// Pool index → pre-resolved call site, for `invokestatic`/`invokevirtual`.
     pub callsites: HashMap<u16, CallSite>,
     /// Pool index → pre-resolved field reference.
@@ -317,9 +319,7 @@ impl ClassRegistry {
     /// Bytecode instruction count of a method (0 for natives) — the size
     /// input to the tier compile-cost model.
     pub fn insn_count(&self, id: MethodId) -> usize {
-        self.classes[id.class.index()].code[id.index as usize]
-            .as_ref()
-            .map_or(0, |c| c.insns.len())
+        self.method(id).code.as_ref().map_or(0, |c| c.insns.len())
     }
 
     /// Build the event-callback view of a method.
@@ -335,14 +335,24 @@ impl ClassRegistry {
         }
     }
 
-    /// Link a decoded classfile. The superclass must already be linked
-    /// (callers load bottom-up).
+    /// Link a decoded classfile, given the facts
+    /// [`jvmsim_classfile::validate::validate_class`] returned for it
+    /// (none for a class without methods). The superclass must already be
+    /// linked (callers load bottom-up).
     ///
     /// # Errors
     ///
     /// [`VmError::BadHierarchy`] if the superclass is missing, or a
     /// duplicate definition of the same name.
-    pub fn define(&mut self, class: &ClassFile) -> Result<ClassId, VmError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `facts` is not one entry per method (VM bug).
+    pub fn define(
+        &mut self,
+        mut class: ClassFile,
+        facts: Vec<Option<CodeFacts>>,
+    ) -> Result<ClassId, VmError> {
         if self.by_name.contains_key(class.name()) {
             return Err(VmError::BadHierarchy(format!(
                 "class {} defined twice",
@@ -381,17 +391,18 @@ impl ClassRegistry {
                 });
             }
         }
-        let methods: Vec<MethodInfo> = class.methods().to_vec();
+        let methods = std::mem::take(class.methods_mut());
+        assert_eq!(facts.len(), methods.len(), "one fact per method");
+        let depths = facts
+            .into_iter()
+            .map(|f| f.map_or_else(Vec::new, |f| f.depths))
+            .collect();
         let mut method_index = HashMap::new();
         for (i, m) in methods.iter().enumerate() {
             let name = self.interner.intern(m.name());
             let desc = self.interner.intern(m.descriptor_string());
             method_index.insert((name, desc), i as u16);
         }
-        let code: Vec<Option<Arc<Code>>> = methods
-            .iter()
-            .map(|m| m.code.clone().map(Arc::new))
-            .collect();
         // Pre-resolve pool entries the interpreter dereferences, interning
         // every name a resolve path will ever compare.
         let mut callsites = HashMap::new();
@@ -453,6 +464,7 @@ impl ClassRegistry {
             name_sym,
             super_id,
             methods,
+            depths,
             instance_layout,
             instance_index,
             statics,
@@ -460,7 +472,6 @@ impl ClassRegistry {
             method_index,
             clinit_started: false,
             exec: vec![MethodExec::default(); n],
-            code,
             callsites,
             fieldsites,
             classrefs,
@@ -574,13 +585,19 @@ mod tests {
     use jvmsim_classfile::builder::ClassBuilder;
     use jvmsim_classfile::{FieldFlags, MethodFlags, OBJECT_CLASS};
 
+    /// Validate and link `class`, as the VM's loader does.
+    fn define(reg: &mut ClassRegistry, class: &ClassFile) -> Result<ClassId, VmError> {
+        let facts = jvmsim_classfile::validate::validate_class(class).unwrap();
+        reg.define(class.clone(), facts)
+    }
+
     fn object_class() -> ClassFile {
         ClassBuilder::new(OBJECT_CLASS).finish().unwrap()
     }
 
     fn registry_with_object() -> (ClassRegistry, ClassId) {
         let mut reg = ClassRegistry::new();
-        let oid = reg.define(&object_class()).unwrap();
+        let oid = define(&mut reg, &object_class()).unwrap();
         (reg, oid)
     }
 
@@ -607,8 +624,8 @@ mod tests {
     fn define_and_lookup() {
         let (mut reg, _) = registry_with_object();
         let (a, b) = class_ab();
-        let aid = reg.define(&a).unwrap();
-        let bid = reg.define(&b).unwrap();
+        let aid = define(&mut reg, &a).unwrap();
+        let bid = define(&mut reg, &b).unwrap();
         assert_eq!(reg.id_of("t/A"), Some(aid));
         assert_eq!(reg.id_of("t/B"), Some(bid));
         assert_eq!(reg.len(), 3);
@@ -619,7 +636,7 @@ mod tests {
     fn super_must_be_linked_first() {
         let (mut reg, _) = registry_with_object();
         let (_, b) = class_ab();
-        let err = reg.define(&b).unwrap_err();
+        let err = define(&mut reg, &b).unwrap_err();
         assert!(matches!(err, VmError::BadHierarchy(_)));
     }
 
@@ -627,16 +644,19 @@ mod tests {
     fn duplicate_definition_rejected() {
         let (mut reg, _) = registry_with_object();
         let (a, _) = class_ab();
-        reg.define(&a).unwrap();
-        assert!(matches!(reg.define(&a), Err(VmError::BadHierarchy(_))));
+        define(&mut reg, &a).unwrap();
+        assert!(matches!(
+            define(&mut reg, &a),
+            Err(VmError::BadHierarchy(_))
+        ));
     }
 
     #[test]
     fn instance_layout_includes_supers() {
         let (mut reg, _) = registry_with_object();
         let (a, b) = class_ab();
-        reg.define(&a).unwrap();
-        let bid = reg.define(&b).unwrap();
+        define(&mut reg, &a).unwrap();
+        let bid = define(&mut reg, &b).unwrap();
         let rb = reg.get(bid);
         assert_eq!(rb.instance_slots(), 2); // x from A, y from B
         assert_eq!(reg.resolve_instance_field(bid, "x"), Some(0));
@@ -648,8 +668,8 @@ mod tests {
     fn virtual_dispatch_picks_most_derived() {
         let (mut reg, _) = registry_with_object();
         let (a, b) = class_ab();
-        let aid = reg.define(&a).unwrap();
-        let bid = reg.define(&b).unwrap();
+        let aid = define(&mut reg, &a).unwrap();
+        let bid = define(&mut reg, &b).unwrap();
         let on_b = reg.resolve_method(bid, "id", "()I").unwrap();
         assert_eq!(on_b.class, bid);
         let on_a = reg.resolve_method(aid, "id", "()I").unwrap();
@@ -662,8 +682,8 @@ mod tests {
     fn static_field_resolution_walks_supers() {
         let (mut reg, _) = registry_with_object();
         let (a, b) = class_ab();
-        let aid = reg.define(&a).unwrap();
-        let bid = reg.define(&b).unwrap();
+        let aid = define(&mut reg, &a).unwrap();
+        let bid = define(&mut reg, &b).unwrap();
         assert_eq!(reg.resolve_static(bid, "s"), Some((aid, 0)));
         assert_eq!(reg.resolve_static(bid, "nope"), None);
     }
@@ -686,8 +706,8 @@ mod tests {
     fn sym_resolution_matches_string_resolution() {
         let (mut reg, _) = registry_with_object();
         let (a, b) = class_ab();
-        reg.define(&a).unwrap();
-        let bid = reg.define(&b).unwrap();
+        define(&mut reg, &a).unwrap();
+        let bid = define(&mut reg, &b).unwrap();
         let name = reg.interner().lookup("id").unwrap();
         let desc = reg.interner().lookup("()I").unwrap();
         assert_eq!(
@@ -707,7 +727,7 @@ mod tests {
     fn tier_state_promotes_and_demotes() {
         let (mut reg, _) = registry_with_object();
         let (a, _) = class_ab();
-        let aid = reg.define(&a).unwrap();
+        let aid = define(&mut reg, &a).unwrap();
         let mid = reg.resolve_method(aid, "id", "()I").unwrap();
         assert_eq!(reg.exec(mid).tier, Tier::Interp);
         reg.exec_mut(mid).invocations = 9;
@@ -729,7 +749,7 @@ mod tests {
         let mut m = c.method("f", "()I", MethodFlags::PUBLIC);
         m.iconst(1).ireturn();
         m.finish().unwrap();
-        let cid = reg.define(&c.finish().unwrap()).unwrap();
+        let cid = define(&mut reg, &c.finish().unwrap()).unwrap();
         let nat = reg.resolve_method(cid, "nat", "(I)I").unwrap();
         let f = reg.resolve_method(cid, "f", "()I").unwrap();
         assert_eq!(reg.insn_count(nat), 0);
@@ -741,7 +761,7 @@ mod tests {
         let (mut reg, _) = registry_with_object();
         let mut c = ClassBuilder::new("t/N");
         c.native_method("nat", "(I)I", MethodFlags::PUBLIC).unwrap();
-        let cid = reg.define(&c.finish().unwrap()).unwrap();
+        let cid = define(&mut reg, &c.finish().unwrap()).unwrap();
         let mid = reg.resolve_method(cid, "nat", "(I)I").unwrap();
         let view = reg.method_view(mid);
         assert!(view.is_native);

@@ -38,7 +38,9 @@
 //!
 //! A frame's slots are its locals, then its operand stack: stack
 //! position `d` is slot `max_locals + d`, where `d` is the depth the
-//! validator's flow proves at each instruction. [`prepare`] translates
+//! validator's flow proved at each instruction when the class was loaded
+//! (its `CodeFacts::depths`, kept beside the body in the
+//! [`crate::klass::RuntimeClass`]). [`prepare`] translates
 //! the stack code into ops that name those slots (DESIGN §16): a load or
 //! constant folds into the op that consumes it, a store folds into the op
 //! that just produced its value, `iinc; goto` is one op, and a call
@@ -331,12 +333,15 @@ impl CodeArena {
 
 /// Translate `code` into register form at the end of `arena`, allocating
 /// its inline-cache slots and switch tables there, and fold its loads,
-/// constants and stores into their neighbours if `fold`. Returns the new
-/// body's index. Call-site arity and returns-ness come from the class's
-/// pre-parsed [`crate::klass::CallSite`]s, so the execution loop never
-/// touches the callsite map.
+/// constants and stores into their neighbours if `fold`. `depths` is the
+/// operand-stack depth on entry to each instruction (`None` where none
+/// reaches it), as the validator proved it. Returns the new body's index.
+/// Call-site arity and returns-ness come from the class's pre-parsed
+/// [`crate::klass::CallSite`]s, so the execution loop never touches the
+/// callsite map.
 pub(crate) fn prepare(
     code: &Code,
+    depths: &[Option<u16>],
     callsites: &HashMap<u16, CallSite>,
     arena: &mut CodeArena,
     fold: bool,
@@ -374,7 +379,7 @@ pub(crate) fn prepare(
             _ => 0,
         })
         .collect();
-    let mut x = Translator::new(code, callsites, &side, fold);
+    let mut x = Translator::new(code, depths, callsites, &side, fold);
     // Forcing a value to its slot only ever adds forced values, so this
     // settles once a pass forces nothing new (at once if not folding).
     let heads = loop {
@@ -619,81 +624,11 @@ fn arr_store(kind: ArrayKind, arr: u16, idx: Arg, val: u16) -> Op {
     }
 }
 
-/// The operand-stack depth on entry to each instruction (`None` if no
-/// path reaches it), by the same flow the validator checks: fall-through,
-/// branch targets and handler entries (with the thrown reference).
-fn stack_depths(code: &Code, callsites: &HashMap<u16, CallSite>) -> Vec<Option<u16>> {
-    let mut depth = vec![None; code.insns.len()];
-    let mut work: Vec<(u32, u16)> = vec![(0, 0)];
-    work.extend(code.exception_table.iter().map(|h| (h.handler, 1)));
-    while let Some((i, d)) = work.pop() {
-        if depth[i as usize].is_some() {
-            continue;
-        }
-        depth[i as usize] = Some(d);
-        let insn = &code.insns[i as usize];
-        let args = |cp: u16| {
-            let cs = &callsites[&cp];
-            (cs.nargs as u16, u16::from(cs.returns_value))
-        };
-        let (pops, pushes) = match insn {
-            Insn::Nop
-            | Insn::Swap
-            | Insn::INeg
-            | Insn::FNeg
-            | Insn::I2F
-            | Insn::F2I
-            | Insn::IInc { .. }
-            | Insn::Goto(_)
-            | Insn::Return
-            | Insn::GetField(_)
-            | Insn::NewArray(_)
-            | Insn::ArrayLength => (0, 0),
-            Insn::IConst(_)
-            | Insn::FConst(_)
-            | Insn::AConstNull
-            | Insn::Ldc(_)
-            | Insn::ILoad(_)
-            | Insn::FLoad(_)
-            | Insn::ALoad(_)
-            | Insn::Dup
-            | Insn::New(_)
-            | Insn::GetStatic(_) => (0, 1),
-            Insn::IStore(_)
-            | Insn::FStore(_)
-            | Insn::AStore(_)
-            | Insn::Pop
-            | Insn::If(..)
-            | Insn::IfNull(_)
-            | Insn::IfNonNull(_)
-            | Insn::TableSwitch { .. }
-            | Insn::IReturn
-            | Insn::FReturn
-            | Insn::AReturn
-            | Insn::PutStatic(_)
-            | Insn::AThrow => (1, 0),
-            Insn::IfICmp(..) | Insn::PutField(_) => (2, 0),
-            Insn::IAStore | Insn::FAStore | Insn::AAStore => (3, 0),
-            Insn::InvokeStatic(cp) => args(cp.0),
-            Insn::InvokeVirtual(cp) => {
-                let (nargs, returns) = args(cp.0);
-                (nargs + 1, returns)
-            }
-            // The binops, `fcmp` and the array loads.
-            _ => (2, 1),
-        };
-        let after = d - pops + pushes;
-        if insn.falls_through() {
-            work.push((i + 1, after));
-        }
-        work.extend(insn.branch_targets().into_iter().map(|t| (t, after)));
-    }
-    depth
-}
-
 /// Translates one body into register form: one op per instruction, or,
 /// if folding, one op per span with loads, constants and stores folded
-/// (see [`Op`]).
+/// (see [`Op`]). Each instruction's stack position comes from the
+/// validator's entry depths; an instruction with none is unreachable and
+/// becomes a `Nop`.
 ///
 /// Folding models the operand stack. A load or constant is not
 /// written anywhere when it is pushed: its consumer reads the local or
@@ -711,7 +646,7 @@ struct Translator<'a> {
     code: &'a Code,
     callsites: &'a HashMap<u16, CallSite>,
     side: &'a [u32],
-    depth: Vec<Option<u16>>,
+    depth: &'a [Option<u16>],
     /// Branch targets and handler entries.
     entered: Vec<bool>,
     fold: bool,
@@ -730,6 +665,7 @@ struct Translator<'a> {
 impl<'a> Translator<'a> {
     fn new(
         code: &'a Code,
+        depth: &'a [Option<u16>],
         callsites: &'a HashMap<u16, CallSite>,
         side: &'a [u32],
         fold: bool,
@@ -746,7 +682,7 @@ impl<'a> Translator<'a> {
             code,
             callsites,
             side,
-            depth: stack_depths(code, callsites),
+            depth,
             entered,
             fold,
             forced: vec![false; n],
@@ -1430,10 +1366,11 @@ impl Vm {
     #[cold]
     fn prepare_body(&mut self, mid: MethodId) -> Option<u32> {
         let rc = self.registry.get(mid.class);
-        let code = rc.code[mid.index as usize].as_deref()?;
+        let i = mid.index as usize;
+        let code = rc.methods[i].code.as_ref()?;
         self.bodies_prepared = true;
-        let fuse = self.sampler_interval().is_none() && !self.faults_enabled();
-        let body = prepare(code, &rc.callsites, &mut self.code, fuse);
+        let fold = self.sampler_interval().is_none() && !self.faults_enabled();
+        let body = prepare(code, &rc.depths[i], &rc.callsites, &mut self.code, fold);
         self.registry.exec_mut(mid).body = Some(body);
         Some(body)
     }
@@ -2959,12 +2896,16 @@ fn straight<const POLLING: bool>(
 
 #[cfg(test)]
 mod tests {
-    use jvmsim_classfile::{Code, Cond, ExceptionHandler, Insn};
+    use jvmsim_classfile::validate::validate_code;
+    use jvmsim_classfile::{
+        Code, Cond, ConstantPool, ExceptionHandler, Insn, MethodFlags, MethodInfo,
+    };
 
     use super::{prepare, CodeArena, HashMap, Op, BACK};
 
-    /// `insns` with 3 locals, prepared folded (or not): its ops, and the
-    /// op covering each instruction.
+    /// `insns` with 3 locals, in a static method returning an int if they
+    /// do and nothing otherwise, validated and prepared folded (or not):
+    /// its ops, and the op covering each instruction.
     struct Prepared {
         ops: Vec<Op>,
         resume: Vec<u32>,
@@ -2972,14 +2913,21 @@ mod tests {
 
     impl Prepared {
         fn new(insns: Vec<Insn>, handlers: Vec<ExceptionHandler>, fold: bool) -> Self {
+            let desc = if insns.contains(&Insn::IReturn) {
+                "()I"
+            } else {
+                "()V"
+            };
             let code = Code {
                 max_stack: 4,
                 max_locals: 3,
                 insns,
                 exception_table: handlers,
             };
+            let method = MethodInfo::new("t", desc, MethodFlags::STATIC, code.clone()).unwrap();
+            let facts = validate_code(&ConstantPool::new(), &method, &code).unwrap();
             let mut arena = CodeArena::default();
-            prepare(&code, &HashMap::new(), &mut arena, fold);
+            prepare(&code, &facts.depths, &HashMap::new(), &mut arena, fold);
             let body = &arena.bodies[0];
             Prepared {
                 resume: body.resume.to_vec(),

@@ -448,7 +448,9 @@ impl Vm {
                     .expect("bootstrap field");
             }
             let class = cb.finish().expect("bootstrap class");
-            vm.registry.define(&class).expect("bootstrap define");
+            vm.registry
+                .define(class, Vec::new())
+                .expect("bootstrap define");
             vm.stats.classes_loaded += 1;
         };
         define(self, "java/lang/Object", None, false);
@@ -581,7 +583,7 @@ impl Vm {
     ///
     /// Panics if `interval_cycles` is zero, or if a method body has
     /// already been prepared (some bytecode has run): a sampler makes the
-    /// interpreter poll, and bodies prepared without one are fused.
+    /// interpreter poll, and bodies prepared without one are folded.
     pub fn set_sampler(&mut self, interval_cycles: u64, sink: Arc<dyn SampleSink>) {
         assert!(interval_cycles > 0, "sampling interval must be nonzero");
         assert!(
@@ -642,7 +644,7 @@ impl Vm {
     ///
     /// Panics if a method body has already been prepared (some bytecode
     /// has run): an enabled fault plane makes the interpreter poll, and
-    /// bodies prepared without one are fused.
+    /// bodies prepared without one are folded.
     pub fn set_fault_injector(&mut self, faults: Arc<FaultInjector>) {
         assert!(
             !self.bodies_prepared,
@@ -1043,7 +1045,7 @@ impl Vm {
                 )),
             });
         }
-        jvmsim_classfile::validate::validate_class(&class).map_err(|cause| {
+        let facts = jvmsim_classfile::validate::validate_class(&class).map_err(|cause| {
             VmError::ClassFormat {
                 class: name.to_owned(),
                 cause,
@@ -1053,7 +1055,7 @@ impl Vm {
         if let Some(s) = class.super_name() {
             self.ensure_loaded_on(thread, s)?;
         }
-        let id = self.registry.define(&class)?;
+        let id = self.registry.define(class, facts)?;
         self.stats.classes_loaded += 1;
         self.run_clinit(thread, id)?;
         Ok(id)
@@ -1105,7 +1107,7 @@ impl Vm {
                     let synthetic = cb.finish().expect("synthetic exception class");
                     self.stats.classes_loaded += 1;
                     self.registry
-                        .define(&synthetic)
+                        .define(synthetic, Vec::new())
                         .expect("synthetic exception define")
                 }
             },
