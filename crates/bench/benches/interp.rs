@@ -23,11 +23,14 @@
 //! can push a median to zero or below; the line says how many it left
 //! out).
 //!
-//! A third pass prices one Java→Java call: a generated loop calling
+//! Two more passes price one Java→Java call: a generated loop calling
 //! `static int f(int)` against the same loop with `f`'s body inlined,
-//! both interp-only at a fixed trip count. It prints the median over N
-//! samples of the time difference per call, and panics unless both
-//! programs' `total_cycles` equal the constants pinned below.
+//! and a loop calling a one-field getter through `invokevirtual` against
+//! the same loop with its `getfield` inlined, all interp-only at a fixed
+//! trip count. Each prints the median over N samples of the time
+//! difference per call, and the difference per call of the two loops'
+//! fastest samples, and panics unless both of its programs'
+//! `total_cycles` equal the constants pinned below.
 //!
 //! Speed is reported, not gated: host-time regressions are gated end to
 //! end by the `hostbench` pipeline.
@@ -39,7 +42,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use jnativeprof::classfile::builder::{ClassBuilder, MethodBuilder};
-use jnativeprof::classfile::{Cond, MethodFlags};
+use jnativeprof::classfile::{Cond, FieldFlags, MethodFlags};
 use jnativeprof::harness::AgentChoice;
 use jvmsim_metrics::MetricsRegistry;
 use jvmsim_vm::{RunOutcome, TiersMode, Value, Vm};
@@ -75,9 +78,13 @@ const SIZE: ProblemSize = ProblemSize::S10;
 /// Loop trips of the `call_cost` programs.
 const CALLS: i64 = 200_000;
 
-/// Interp-only `total_cycles` of the `call_cost` loop with the call, and
-/// with `f` inlined.
-const PINNED_CALL_CYCLES: [u64; 2] = [34_800_352, 24_000_352];
+/// Interp-only `total_cycles` of the static `call_cost` loop with the
+/// call, and with `f` inlined.
+const PINNED_STATIC_CALL_CYCLES: [u64; 2] = [34_800_352, 24_000_352];
+
+/// Interp-only `total_cycles` of the virtual `call_cost` loop with the
+/// getter call, and with its `getfield` inlined.
+const PINNED_VIRTUAL_CALL_CYCLES: [u64; 2] = [33_200_472, 22_400_472];
 
 fn samples() -> usize {
     if smoke() {
@@ -223,7 +230,7 @@ fn f_body(m: &mut MethodBuilder<'_>) {
 /// A VM holding `t/Calls.main()I`: `acc = f(acc ^ i) & 0xffff` for
 /// `CALLS` trips, through `invokestatic` if `call`, with `f` inlined
 /// otherwise.
-fn call_loop_vm(call: bool) -> Vm {
+fn static_loop_vm(call: bool) -> Vm {
     let mut cb = ClassBuilder::new("t/Calls");
     let st = MethodFlags::STATIC;
     let mut f = cb.method("f", "(I)I", st);
@@ -253,19 +260,58 @@ fn call_loop_vm(call: bool) -> Vm {
     vm
 }
 
-/// The call-cost pass: each sample times the inlined loop and the
-/// calling loop back to back, VM construction and class loading
-/// included in both, and takes the difference per call.
-fn call_cost() {
+/// A VM holding `t/Getter.main()I`, mtrt's call shape: one object `p`
+/// with `p.v = 7`, then `acc = (acc ^ i) + p.get() & 0xffff` for `CALLS`
+/// trips, through `invokevirtual` of the one-field getter `get()I` if
+/// `call`, with its `getfield` inlined otherwise.
+fn virtual_loop_vm(call: bool) -> Vm {
+    let mut cb = ClassBuilder::new("t/Getter");
+    cb.field("v", "I", FieldFlags::PUBLIC).unwrap();
+    let mut get = cb.method("get", "()I", MethodFlags::PUBLIC);
+    get.aload(0).getfield("t/Getter", "v", "I").ireturn();
+    get.finish().unwrap();
+    let mut m = cb.method("main", "()I", MethodFlags::STATIC);
+    let (top, done) = (m.new_label(), m.new_label());
+    m.new_obj("t/Getter").astore(0);
+    m.aload(0).iconst(7).putfield("t/Getter", "v", "I");
+    m.iconst(0).istore(1).iconst(0).istore(2);
+    m.bind(top);
+    m.iload(1).iconst(CALLS).if_icmp(Cond::Ge, done);
+    m.iload(2).iload(1).ixor().aload(0);
+    if call {
+        m.invokevirtual("t/Getter", "get", "()I");
+    } else {
+        m.getfield("t/Getter", "v", "I");
+    }
+    m.iadd().iconst(0xffff).iand().istore(2);
+    m.iinc(1, 1).goto(top);
+    m.bind(done);
+    m.iload(2).ireturn();
+    m.finish().unwrap();
+    let mut vm = Vm::new();
+    vm.set_tiers_mode(TiersMode::InterpOnly);
+    vm.add_classfile(&cb.finish().unwrap());
+    vm
+}
+
+/// One call-cost pass: each sample times the calling loop and the
+/// inlined loop back to back, VM construction and class loading
+/// included in both. Prints the median over samples of their difference
+/// per call and, since one sample swings widely on a shared host, the
+/// difference per call of each loop's fastest sample; panics unless
+/// both loops' `total_cycles` equal `pinned` (calling, inlined).
+fn call_cost(name: &str, class: &str, vm: fn(bool) -> Vm, pinned: [u64; 2]) {
     let mut ns_per_call = Vec::with_capacity(samples());
+    let mut fastest = [f64::INFINITY; 2];
     let mut totals = [0; 2];
     for _ in 0..samples() {
         let mut times = [0.0; 2];
         for (i, call) in [true, false].into_iter().enumerate() {
             let t0 = Instant::now();
-            let mut vm = call_loop_vm(call);
-            let outcome = black_box(vm.run("t/Calls", "main", "()I", vec![]).unwrap());
+            let mut vm = vm(call);
+            let outcome = black_box(vm.run(class, "main", "()I", vec![]).unwrap());
             times[i] = t0.elapsed().as_secs_f64();
+            fastest[i] = fastest[i].min(times[i]);
             assert!(matches!(outcome.main, Ok(Value::Int(_))));
             totals[i] = outcome.total_cycles;
         }
@@ -273,15 +319,27 @@ fn call_cost() {
     }
     ns_per_call.sort_by(f64::total_cmp);
     let median = ns_per_call[ns_per_call.len() / 2];
+    let min = (fastest[0] - fastest[1]) * 1e9 / CALLS as f64;
     println!(
-        "call_cost/static_int_f    pinned total_cycles {:>11} vs {:>11} inlined  {median:>7.1} ns/call",
-        PINNED_CALL_CYCLES[0], PINNED_CALL_CYCLES[1]
+        "call_cost/{name:<15} pinned total_cycles {:>11} vs {:>11} inlined  median {median:>7.1} min {min:>7.1} ns/call",
+        pinned[0], pinned[1]
     );
-    assert_eq!(totals, PINNED_CALL_CYCLES, "call-cost cycle totals moved");
+    assert_eq!(totals, pinned, "{name}: call-cost cycle totals moved");
 }
 
 fn main() {
     exactness_gate();
     spa_event_cost();
-    call_cost();
+    call_cost(
+        "static_int_f",
+        "t/Calls",
+        static_loop_vm,
+        PINNED_STATIC_CALL_CYCLES,
+    );
+    call_cost(
+        "virtual_getter",
+        "t/Getter",
+        virtual_loop_vm,
+        PINNED_VIRTUAL_CALL_CYCLES,
+    );
 }

@@ -154,7 +154,7 @@ fn main() -> ExitCode {
         Some("client") => cmd_client(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         Some("cluster") => cmd_cluster(&args[1..]),
-        Some("list") => cmd_list(),
+        Some("list") => cmd_list(&args[1..]),
         Some("--help" | "-h" | "help") => {
             print!("{USAGE}");
             Ok(())
@@ -179,10 +179,17 @@ struct Flags<'a> {
 }
 
 impl<'a> Flags<'a> {
+    /// Parse a subcommand's flags. `--help` or `-h` in a flag's place
+    /// prints the usage to stdout and exits 0 before the subcommand does
+    /// anything.
     fn parse(args: &'a [String], allowed: &[&str]) -> Result<Self, HarnessError> {
         let mut pairs = Vec::new();
         let mut it = args.iter();
         while let Some(key) = it.next() {
+            if matches!(key.as_str(), "--help" | "-h") {
+                print!("{USAGE}");
+                std::process::exit(0);
+            }
             if !allowed.contains(&key.as_str()) {
                 return Err(HarnessError::Usage(format!(
                     "unknown argument {key:?}\n{USAGE}"
@@ -782,7 +789,8 @@ fn cmd_cluster(args: &[String]) -> Result<(), HarnessError> {
     }
 }
 
-fn cmd_list() -> Result<(), HarnessError> {
+fn cmd_list(args: &[String]) -> Result<(), HarnessError> {
+    Flags::parse(args, &[])?;
     for name in AXIS {
         println!("{name}");
     }

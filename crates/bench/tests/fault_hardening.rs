@@ -6,6 +6,8 @@
 //!   or without a result cache attached;
 //! * `jprof run` of that workload exits with the typed `panicked` code
 //!   (11), cached or not, instead of dying with a Rust panic;
+//! * every `jprof` subcommand prints its usage and exits 0 on `--help`,
+//!   and exits with the usage code (2) on an unknown argument;
 //! * a present-but-disabled fault injector changes no measurement;
 //! * the chaos driver is deterministic (same seeds → same report, any
 //!   job count) and every accounting invariant holds under injection.
@@ -117,6 +119,34 @@ fn jprof_run_of_a_panicking_workload_exits_with_the_panicked_code() {
         assert!(stderr.contains("run panicked: "), "{stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_jprof_subcommand_exits_0_on_help_and_2_on_an_unknown_argument() {
+    let jprof = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_jprof"))
+            .args(args)
+            .output()
+            .expect("spawn jprof")
+    };
+    for sub in [
+        "trace", "suite", "chaos", "report", "serve", "client", "run", "cluster", "list",
+    ] {
+        for help in ["--help", "-h"] {
+            let out = jprof(&[sub, help]);
+            assert_eq!(out.status.code(), Some(0), "jprof {sub} {help}: {out:?}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(stdout.starts_with("usage:"), "jprof {sub} {help}: {stdout}");
+        }
+        let out = jprof(&[sub, "--no-such-flag", "1"]);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "jprof {sub} --no-such-flag: {out:?}"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown argument"), "{stderr}");
+    }
 }
 
 #[test]

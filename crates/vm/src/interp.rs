@@ -50,10 +50,10 @@ impl Vm {
         if aborted {
             self.stats.tier_compile_aborts += 1;
             self.metric_incr(thread, CounterId::TierCompileAborts);
-            self.registry.reset_invocations(mid);
+            self.prepared(mid).invocations.set(0);
             return false;
         }
-        self.registry.set_tier(mid, target);
+        self.prepared(mid).tier.set(target);
         match target {
             Tier::C1 => {
                 self.stats.c1_compiles += 1;
@@ -81,8 +81,9 @@ impl Vm {
     /// compiled activations, so the compiled state is discarded and the
     /// method returns to the interpreter to re-earn promotion.
     pub(crate) fn deopt(&mut self, thread: ThreadId, mid: MethodId) {
-        self.registry.set_tier(mid, Tier::Interp);
-        self.registry.reset_invocations(mid);
+        let body = self.prepared(mid);
+        body.tier.set(Tier::Interp);
+        body.invocations.set(0);
         self.stats.deopts += 1;
         self.metric_incr(thread, CounterId::Deopts);
         self.trace_emit(thread, crate::events::TraceEventKind::Deopt, Some(mid));

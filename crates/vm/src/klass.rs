@@ -13,7 +13,6 @@ use std::fmt;
 use jvmsim_classfile::constpool::Constant;
 use jvmsim_classfile::validate::CodeFacts;
 use jvmsim_classfile::{ClassFile, MethodInfo, Type};
-use jvmsim_tiers::Tier;
 
 use crate::error::VmError;
 use crate::events::MethodView;
@@ -160,34 +159,6 @@ pub struct FieldSlot {
     pub ty: Type,
 }
 
-/// One method's execution state, read and written on every bytecode
-/// invocation (one record, so a call touches one slot).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct MethodExec {
-    /// Invocation counter (tier-promotion profiling).
-    pub invocations: u32,
-    /// Execution tier.
-    pub tier: Tier,
-    /// Index of the threaded-engine body in the VM's code arena, filled
-    /// on first execution.
-    pub body: Option<u32>,
-}
-
-impl MethodExec {
-    /// The tier the method actually executes at: its recorded tier, or
-    /// `Interp` when compilation is off (`jit_enabled = false` freezes
-    /// everything interpreted — including methods compiled earlier;
-    /// HotSpot deoptimises when an agent enables method events, and we
-    /// model the steady state).
-    pub fn effective_tier(&self, jit_enabled: bool) -> Tier {
-        if jit_enabled {
-            self.tier
-        } else {
-            Tier::Interp
-        }
-    }
-}
-
 /// A linked class.
 #[derive(Debug)]
 pub struct RuntimeClass {
@@ -218,8 +189,10 @@ pub struct RuntimeClass {
     method_index: HashMap<(Sym, Sym), u16>,
     /// Has `<clinit>` run (or been scheduled)?
     pub clinit_started: bool,
-    /// Per-method execution state (parallel to `methods`).
-    pub(crate) exec: Vec<MethodExec>,
+    /// Per method (parallel to `methods`), the index of its prepared
+    /// body in the VM's code arena, which holds its invocation count and
+    /// tier; filled on first execution.
+    bodies: Vec<Option<u32>>,
     /// Pool index → pre-resolved call site, for `invokestatic`/`invokevirtual`.
     pub callsites: HashMap<u16, CallSite>,
     /// Pool index → pre-resolved field reference.
@@ -471,7 +444,7 @@ impl ClassRegistry {
             static_index,
             method_index,
             clinit_started: false,
-            exec: vec![MethodExec::default(); n],
+            bodies: vec![None; n],
             callsites,
             fieldsites,
             classrefs,
@@ -552,25 +525,13 @@ impl ClassRegistry {
         self.resolve_instance_field_sym(class, field)
     }
 
-    #[inline]
-    pub(crate) fn exec(&self, id: MethodId) -> &MethodExec {
-        &self.classes[id.class.index()].exec[id.index as usize]
+    /// The method's prepared body, if it has run.
+    pub(crate) fn body(&self, id: MethodId) -> Option<u32> {
+        self.classes[id.class.index()].bodies[id.index as usize]
     }
 
-    #[inline]
-    pub(crate) fn exec_mut(&mut self, id: MethodId) -> &mut MethodExec {
-        &mut self.classes[id.class.index()].exec[id.index as usize]
-    }
-
-    /// Set the method's tier (promotion or demotion).
-    pub fn set_tier(&mut self, id: MethodId, tier: Tier) {
-        self.exec_mut(id).tier = tier;
-    }
-
-    /// Reset the method's invocation counter (after a compile, an aborted
-    /// compile, or a deoptimization).
-    pub fn reset_invocations(&mut self, id: MethodId) {
-        self.exec_mut(id).invocations = 0;
+    pub(crate) fn set_body(&mut self, id: MethodId, body: u32) {
+        self.classes[id.class.index()].bodies[id.index as usize] = Some(body);
     }
 
     /// Iterate over linked class names (diagnostics).
@@ -721,24 +682,6 @@ mod tests {
         );
         let s = reg.interner().lookup("s").unwrap();
         assert_eq!(reg.resolve_static_sym(bid, s), reg.resolve_static(bid, "s"));
-    }
-
-    #[test]
-    fn tier_state_promotes_and_demotes() {
-        let (mut reg, _) = registry_with_object();
-        let (a, _) = class_ab();
-        let aid = define(&mut reg, &a).unwrap();
-        let mid = reg.resolve_method(aid, "id", "()I").unwrap();
-        assert_eq!(reg.exec(mid).tier, Tier::Interp);
-        reg.exec_mut(mid).invocations = 9;
-        reg.set_tier(mid, Tier::C1);
-        assert_eq!(reg.exec(mid).effective_tier(true), Tier::C1);
-        // JIT off hides compiled state.
-        assert_eq!(reg.exec(mid).effective_tier(false), Tier::Interp);
-        reg.reset_invocations(mid);
-        assert_eq!(reg.exec(mid).invocations, 0);
-        reg.set_tier(mid, Tier::Interp);
-        assert_eq!(reg.exec(mid).tier, Tier::Interp);
     }
 
     #[test]

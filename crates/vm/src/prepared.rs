@@ -52,8 +52,9 @@
 //! [`Body::resume`] table maps an instruction to the op whose span covers
 //! it, and [`CodeArena::src`] maps an op back to its first instruction.
 //! Straight-line ops never touch `sp`: an op that can stop the loop
-//! carries the depth its instruction starts at, and when it throws, calls
-//! or stops it names that instruction, so [`Vm::execute`], handler lookup
+//! carries the depth its instruction starts at, and when it throws or
+//! stops it names that instruction (a suspended caller's call instruction
+//! is derived from where it resumes), so [`Vm::execute`], handler lookup
 //! and every `bci` see the `pc` and `sp` the stack code would. An inline
 //! cache that misses inside a span is filled and the loop re-enters the
 //! span's op: the instructions before its consumer write nothing, so
@@ -68,6 +69,7 @@
 //! cell, and the engine corpus (`tests/engine_corpus.rs`) for 240
 //! generated programs.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 
 use jvmsim_classfile::{ArrayKind, Code, Cond, ExceptionHandler, Insn};
@@ -92,17 +94,22 @@ use crate::vm::{event_scope, ThreadInfo, Vm, VmStats};
 pub(crate) enum InlineCache {
     /// Not yet resolved.
     Empty,
-    /// `invokestatic` target.
-    StaticCall(MethodId),
-    /// Monomorphic `invokevirtual` entry: valid while the receiver's
-    /// dynamic class matches (a different receiver re-resolves and
-    /// re-caches — last-seen wins, which is deterministic).
+    /// `invokestatic` of a bytecode method: its prepared body, which
+    /// names the method.
+    StaticCall(u32),
+    /// `invokestatic` of a native method.
+    StaticNative(MethodId),
+    /// Monomorphic `invokevirtual` entry, naming the resolved callee's
+    /// prepared body: valid while the receiver's dynamic class matches (a
+    /// different receiver re-resolves and re-caches — last-seen wins,
+    /// which is deterministic).
     VirtualCall {
         /// Receiver class the cached target was resolved against.
         receiver: ClassId,
-        /// Resolved callee.
-        target: MethodId,
+        body: u32,
     },
+    /// [`InlineCache::VirtualCall`] of a native method.
+    VirtualNative { receiver: ClassId, target: MethodId },
     /// Instance-field slot index.
     InstanceField(usize),
     /// Static field: declaring class and slot.
@@ -292,17 +299,24 @@ pub(crate) struct Switch {
     default: u32,
 }
 
-/// Where a prepared body sits in the [`CodeArena`].
+/// Where a prepared body sits in the [`CodeArena`], and its method's
+/// execution state: the one record a call through an inline cache reads.
 #[derive(Debug)]
 pub(crate) struct Body {
     /// Index of the body's first op in [`CodeArena::ops`].
     pub code: u32,
+    pub max_stack: u16,
+    pub max_locals: u16,
+    /// The method the body is prepared from.
+    pub mid: MethodId,
+    /// Invocation counter (tier-promotion profiling).
+    pub invocations: Cell<u32>,
+    /// Execution tier.
+    pub tier: Cell<Tier>,
     /// For each instruction, the op (from `code`) whose span covers it.
     /// A branch, a handler or an OSR transfer lands where a span starts;
     /// a stop inside a span re-enters its op.
     pub resume: Box<[u32]>,
-    pub max_stack: u16,
-    pub max_locals: u16,
     pub exception_table: Box<[ExceptionHandler]>,
 }
 
@@ -324,6 +338,31 @@ pub(crate) struct CodeArena {
 }
 
 impl CodeArena {
+    /// The method a call through inline-cache slot `ic` reaches, if the
+    /// slot holds one for a receiver of class `receiver` (`None` for an
+    /// `invokestatic`).
+    fn cached_callee(&self, ic: u32, receiver: Option<ClassId>) -> Option<MethodId> {
+        match (self.ics[ic as usize], receiver) {
+            (InlineCache::StaticCall(body), None) => Some(self.bodies[body as usize].mid),
+            (InlineCache::StaticNative(target), None) => Some(target),
+            (InlineCache::VirtualCall { receiver, body }, Some(class)) if receiver == class => {
+                Some(self.bodies[body as usize].mid)
+            }
+            (InlineCache::VirtualNative { receiver, target }, Some(class)) if receiver == class => {
+                Some(target)
+            }
+            _ => None,
+        }
+    }
+
+    /// The call instruction the suspended caller `f` waits at: the last
+    /// instruction of the op before the one it resumes at.
+    fn call_pc(&self, f: &Frame) -> u32 {
+        let at = (f.code + f.ret - 1) as usize;
+        let mut op = self.ops[at];
+        self.src[at] + u32::from(*op.len_mut()) - 1
+    }
+
     fn alloc_ic(&mut self) -> u32 {
         let i = u32::try_from(self.ics.len()).expect("inline-cache arena overflow");
         self.ics.push(InlineCache::Empty);
@@ -331,15 +370,17 @@ impl CodeArena {
     }
 }
 
-/// Translate `code` into register form at the end of `arena`, allocating
-/// its inline-cache slots and switch tables there, and fold its loads,
-/// constants and stores into their neighbours if `fold`. `depths` is the
+/// Translate `code`, the body of `mid`, into register form at the end of
+/// `arena`, allocating its inline-cache slots and switch tables there,
+/// and fold its loads, constants and stores into their neighbours if
+/// `fold`. `depths` is the
 /// operand-stack depth on entry to each instruction (`None` where none
 /// reaches it), as the validator proved it. Returns the new body's index.
 /// Call-site arity and returns-ness come from the class's pre-parsed
 /// [`crate::klass::CallSite`]s, so the execution loop never touches the
 /// callsite map.
 pub(crate) fn prepare(
+    mid: MethodId,
     code: &Code,
     depths: &[Option<u16>],
     callsites: &HashMap<u16, CallSite>,
@@ -421,9 +462,12 @@ pub(crate) fn prepare(
     let index = u32::try_from(arena.bodies.len()).expect("body arena overflow");
     arena.bodies.push(Body {
         code: u32::try_from(arena.ops.len()).expect("op arena overflow"),
-        resume: resume.into_boxed_slice(),
         max_stack: code.max_stack,
         max_locals: code.max_locals,
+        mid,
+        invocations: Cell::new(0),
+        tier: Cell::new(Tier::Interp),
+        resume: resume.into_boxed_slice(),
         exception_table: code.exception_table.clone().into_boxed_slice(),
     });
     arena.src.extend(ops.iter().map(|&(first, _)| first));
@@ -1169,10 +1213,11 @@ impl<'a> Translator<'a> {
 }
 
 /// One activation on a thread's frame stack. The running frame's record
-/// is a copy the dispatch loop keeps in its registers; the loop writes
-/// it back here when the frame calls, and reloads it when the callee
-/// returns. A native callee gets a record too (`body` is
-/// [`Frame::NATIVE`]), so the stack's length is the thread's call depth.
+/// is the top of the stack, and the dispatch loop reads and writes it in
+/// place: a call writes the caller's `ret` and `sp` into it and pushes
+/// the callee's record, and a return pops it. A native callee gets
+/// a record too (`body` is [`Frame::NATIVE`]), so the stack's length is
+/// the thread's call depth.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Frame {
     mid: MethodId,
@@ -1182,7 +1227,9 @@ pub(crate) struct Frame {
     /// First local slot in [`ThreadStack::slots`]; the operand region
     /// starts `max_locals` above it.
     base: u32,
-    /// The calling instruction while a callee runs.
+    /// The instruction the frame stopped at. While a callee runs it is
+    /// not kept: the call is the last instruction of the op before `ret`
+    /// (see [`CodeArena::call_pc`]).
     pc: u32,
     /// While a callee runs, the op (from `code`) the loop resumes at when
     /// it returns: the one after the call's, since a call ends its span.
@@ -1235,24 +1282,11 @@ pub(crate) struct ThreadStack {
 }
 
 impl ThreadStack {
-    /// Push the frame of `mid` (prepared as `body`, running at `tier`),
-    /// whose `nargs` arguments sit at `slots[base..]`: the rest of its
-    /// locals are zeroed and its region is made to fit. Returns the
-    /// pushed record.
+    /// Push the frame of body `b` (at `body` in the arena, running as
+    /// `rule` says), whose `nargs` arguments sit at `slots[base..]`: the
+    /// rest of its locals are zeroed and its region is made to fit.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn push_frame(
-        &mut self,
-        arena: &CodeArena,
-        tiers: &TierCostModel,
-        mode: TiersMode,
-        mid: MethodId,
-        body: u32,
-        base: usize,
-        nargs: usize,
-        tier: Tier,
-    ) -> Frame {
-        let b = &arena.bodies[body as usize];
+    fn push_frame(&mut self, b: &Body, body: u32, rule: &TierRule, base: usize, nargs: usize) {
         let max_locals = usize::from(b.max_locals);
         let end = base + max_locals + usize::from(b.max_stack);
         if self.slots.len() < end {
@@ -1261,31 +1295,39 @@ impl ThreadStack {
         for local in &mut self.slots[base + nargs..base + max_locals] {
             *local = Value::Int(0);
         }
-        let frame = Frame {
-            mid,
+        self.frames.push(Frame {
+            mid: b.mid,
             body,
             code: b.code,
             base: base as u32,
             pc: 0,
             ret: 0,
             sp: (base + max_locals) as u32,
-            tier,
-            insn_cost: tiers.insn(tier),
-            osr_pending: mode.allows_promotion_from(tier),
+            tier: rule.tier,
+            insn_cost: rule.insn,
+            osr_pending: rule.promotes,
             backedges: 0,
             polls: 0,
-        };
-        self.frames.push(frame);
-        frame
+        });
     }
 
-    fn top(&self) -> Frame {
-        self.frames[self.frames.len() - 1]
+    /// The running frame's record.
+    fn top(&mut self) -> &mut Frame {
+        self.frames.last_mut().expect("a running frame")
     }
 
-    fn set_top(&mut self, frame: Frame) {
-        let top = self.frames.len() - 1;
-        self.frames[top] = frame;
+    /// Push `v` on the running frame's operand stack.
+    fn push(&mut self, v: Value) {
+        let f = self.frames.last_mut().expect("a running frame");
+        self.slots[f.sp as usize] = v;
+        f.sp += 1;
+    }
+
+    /// Pop the running frame's operand stack.
+    fn pop(&mut self) -> Value {
+        let f = self.frames.last_mut().expect("a running frame");
+        f.sp -= 1;
+        self.slots[f.sp as usize]
     }
 }
 
@@ -1324,35 +1366,63 @@ impl Pending {
 
     /// Move `run` instructions at `frame`'s tier into the batch.
     #[inline(always)]
-    fn settle(&mut self, frame: &Frame, run: &mut u64) {
-        if *run != 0 {
-            self.insns += *run;
-            self.cycles[frame.tier.index()] += *run * frame.insn_cost;
-            *run = 0;
-        }
+    fn settle(&mut self, frame: &Frame, run: u64) {
+        self.insns += run;
+        self.cycles[frame.tier.index()] += run * frame.insn_cost;
     }
 }
 
-/// The tier pipeline's promotion test for a call of a method with
-/// `count` invocations (this one included) at `tier`: promote one tier at
-/// a time at the invocation thresholds (Interp→C1 at the C1 threshold,
-/// C1→C2 at the C2 threshold), capped by the tiers mode's ceiling. `>=`
-/// rather than `==`: a fault-aborted compile resets the counter, and a
-/// successful promotion changes the tier so the lower threshold stops
-/// applying — either way this fires at most once per call.
-#[inline(always)]
-fn promotion(tiers: &TierCostModel, mode: TiersMode, tier: Tier, count: u32) -> Option<Tier> {
-    let due = mode.allows_promotion_from(tier)
-        && tiers
-            .invocation_threshold(tier)
-            .is_some_and(|threshold| count >= threshold);
-    due.then(|| tier.next()).flatten()
+/// What a call does with a callee whose recorded tier indexes it, under
+/// the tiers mode and JIT flag in force (see [`tier_rules`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TierRule {
+    /// The tier the callee runs at: its recorded tier, or `Interp` while
+    /// the JIT is off (an agent holding method events freezes everything
+    /// interpreted, methods compiled earlier included: HotSpot deoptimizes
+    /// when an agent enables method events, and this models the steady
+    /// state).
+    tier: Tier,
+    /// Whether the tiers mode promotes from `tier` at all.
+    promotes: bool,
+    /// Cycles per instruction and per call at `tier`.
+    insn: u64,
+    overhead: u64,
+}
+
+impl TierRule {
+    /// Whether a call that makes `count` invocations promotes the callee:
+    /// one tier at a time at the invocation thresholds (Interp→C1 at the
+    /// C1 threshold, C1→C2 at the C2 threshold), capped by the tiers
+    /// mode's ceiling. `>=` rather than `==`: a fault-aborted compile
+    /// resets the counter, and a successful promotion changes the tier so
+    /// the lower threshold stops applying.
+    #[inline(always)]
+    fn due(&self, tiers: &TierCostModel, count: u32) -> bool {
+        self.promotes
+            && tiers
+                .invocation_threshold(self.tier)
+                .is_some_and(|threshold| count >= threshold)
+    }
+}
+
+/// The call rules for each recorded tier: nothing promotes, and every
+/// method runs interpreted, while the JIT is off.
+fn tier_rules(tiers: &TierCostModel, mode: TiersMode, jit: bool) -> [TierRule; 3] {
+    Tier::ALL.map(|recorded| {
+        let tier = if jit { recorded } else { Tier::Interp };
+        TierRule {
+            tier,
+            promotes: jit && mode.allows_promotion_from(tier),
+            insn: tiers.insn(tier),
+            overhead: tiers.call_overhead(tier),
+        }
+    })
 }
 
 /// How [`Vm::enter`] left a call.
 enum Entered {
     /// A bytecode callee's frame is on top of the stack, ready to run.
-    Frame(Frame),
+    Frame,
     /// A native callee returned.
     Returned(Value),
     /// The call threw before a bytecode frame was pushed, or its native
@@ -1361,8 +1431,16 @@ enum Entered {
 }
 
 impl Vm {
-    /// Prepare `mid`'s body into the arena (its first execution), or
+    /// `mid`'s prepared body, prepared into the arena on first use, or
     /// `None` for a native method.
+    fn body(&mut self, mid: MethodId) -> Option<u32> {
+        match self.registry.body(mid) {
+            Some(body) => Some(body),
+            None => self.prepare_body(mid),
+        }
+    }
+
+    /// Prepare `mid`'s body into the arena, or `None` for a native method.
     #[cold]
     fn prepare_body(&mut self, mid: MethodId) -> Option<u32> {
         let rc = self.registry.get(mid.class);
@@ -1370,9 +1448,37 @@ impl Vm {
         let code = rc.methods[i].code.as_ref()?;
         self.bodies_prepared = true;
         let fold = self.sampler_interval().is_none() && !self.faults_enabled();
-        let body = prepare(code, &rc.depths[i], &rc.callsites, &mut self.code, fold);
-        self.registry.exec_mut(mid).body = Some(body);
+        let body = prepare(
+            mid,
+            code,
+            &rc.depths[i],
+            &rc.callsites,
+            &mut self.code,
+            fold,
+        );
+        self.registry.set_body(mid, body);
         Some(body)
+    }
+
+    /// The inline-cache entry for a call resolved to `target` (for a
+    /// receiver of class `receiver`, `None` for an `invokestatic`): its
+    /// prepared body, prepared now, or the method itself if it is native.
+    fn call_cache(&mut self, target: MethodId, receiver: Option<ClassId>) -> InlineCache {
+        match (self.body(target), receiver) {
+            (Some(body), None) => InlineCache::StaticCall(body),
+            (None, None) => InlineCache::StaticNative(target),
+            (Some(body), Some(receiver)) => InlineCache::VirtualCall { receiver, body },
+            (None, Some(receiver)) => InlineCache::VirtualNative { receiver, target },
+        }
+    }
+
+    /// The prepared body of `mid`, which has run.
+    pub(crate) fn prepared(&self, mid: MethodId) -> &Body {
+        let body = self
+            .registry
+            .body(mid)
+            .expect("a method that ran is prepared");
+        &self.code.bodies[body as usize]
     }
 
     /// Run `f` with `st` parked in `thread`'s record, where a nested
@@ -1429,27 +1535,24 @@ impl Vm {
                 sink.method_entry(info, vm.registry.method_view(mid));
             });
         }
-        let body = match self.registry.exec(mid).body {
-            Some(body) => body,
-            None => match self.prepare_body(mid) {
-                Some(body) => body,
-                None => return self.call_native(thread, st, pend, mid, base, nargs, events),
-            },
+        let Some(body) = self.body(mid) else {
+            return self.call_native(thread, st, pend, mid, base, nargs, events);
         };
-        let (jit, mode) = (self.jit_enabled(), self.effective_tiers_mode());
-        let exec = self.registry.exec_mut(mid);
-        exec.invocations = exec.invocations.saturating_add(1);
-        let count = exec.invocations;
-        let mut tier = exec.effective_tier(jit);
-        if let Some(next) = promotion(&self.cost.tiers, mode, tier, count) {
+        let rules = tier_rules(&self.cost.tiers, self.tiers_mode(), self.jit_enabled());
+        let b = &self.code.bodies[body as usize];
+        let count = b.invocations.get().saturating_add(1);
+        b.invocations.set(count);
+        let mut rule = rules[b.tier.get().index()];
+        if rule.due(&self.cost.tiers, count) {
+            let next = rule.tier.next().expect("a tier that promotes has a next");
             self.flush(thread, pend);
             if self.tier_compile(thread, mid, next, false) {
-                tier = next;
+                rule = rules[next.index()];
             }
         }
-        pend.cycles[tier.index()] += self.cost.tiers.call_overhead(tier);
-        let tiers = &self.cost.tiers;
-        Entered::Frame(st.push_frame(&self.code, tiers, mode, mid, body, base, nargs, tier))
+        pend.cycles[rule.tier.index()] += rule.overhead;
+        st.push_frame(&self.code.bodies[body as usize], body, &rule, base, nargs);
+        Entered::Frame
     }
 
     /// [`Vm::enter`] for a native callee: run it with its arguments
@@ -1507,7 +1610,7 @@ impl Vm {
         floor: usize,
         run: u64,
     ) -> Straight<'a> {
-        let (mode, jit) = (self.effective_tiers_mode(), self.jit_enabled());
+        let rules = tier_rules(&self.cost.tiers, self.tiers_mode(), self.jit_enabled());
         let alloc_events = self.alloc_events_on();
         let events = self
             .sink
@@ -1520,8 +1623,7 @@ impl Vm {
             registry: &mut self.registry,
             pend,
             cost: &self.cost,
-            mode,
-            jit,
+            rules,
             max_depth: self.max_call_depth,
             floor,
             alloc_events,
@@ -1591,35 +1693,19 @@ impl Vm {
         let sampling = self.sampler_interval().is_some();
         let fault_polls = self.faults_enabled();
         let mut pend = Pending::default();
-        // The running frame, the instructions it ran since the last
-        // settle, and whether the instructions of its op through `pc` are
-        // already counted (and polled).
-        let (mut f, mut run, mut counted) =
-            match self.enter(thread, st, &mut pend, mid, base, nargs) {
-                Entered::Frame(f) => (f, 0, false),
-                Entered::Returned(v) => return Ok(v),
-                Entered::Threw(t) => return Err(t),
-            };
+        // The instructions the running frame ran since the last settle,
+        // and whether the instructions of its op through `pc` are already
+        // counted (and polled).
+        let (mut run, mut counted) = match self.enter(thread, st, &mut pend, mid, base, nargs) {
+            Entered::Frame => (0, false),
+            Entered::Returned(v) => return Ok(v),
+            Entered::Threw(t) => return Err(t),
+        };
 
         macro_rules! flush {
             () => {{
-                pend.settle(&f, &mut run);
+                pend.settle(st.top(), std::mem::take(&mut run));
                 self.flush(thread, &mut pend);
-            }};
-        }
-
-        macro_rules! push {
-            ($v:expr) => {{
-                let v = $v;
-                st.slots[f.sp as usize] = v;
-                f.sp += 1;
-            }};
-        }
-
-        macro_rules! pop {
-            () => {{
-                f.sp -= 1;
-                st.slots[f.sp as usize]
             }};
         }
 
@@ -1639,34 +1725,25 @@ impl Vm {
                 // value.
                 macro_rules! call {
                     ($callee:expr, $nargs:expr, $returns:expr) => {{
+                        let f = st.top();
                         let args = f.sp as usize - $nargs;
-                        pend.settle(&f, &mut run);
-                        st.set_top(Frame {
-                            sp: args as u32,
-                            ret: self.code.bodies[f.body as usize].resume[f.pc as usize + 1],
-                            ..f
-                        });
+                        f.sp = args as u32;
+                        f.ret = self.code.bodies[f.body as usize].resume[f.pc as usize + 1];
+                        pend.settle(f, std::mem::take(&mut run));
                         match self.enter(thread, st, &mut pend, $callee, args, $nargs) {
-                            Entered::Frame(callee) => {
-                                f = callee;
-                                continue;
-                            }
+                            Entered::Frame => continue,
                             Entered::Returned(v) => {
-                                f.sp = args as u32;
                                 if $returns {
-                                    push!(v);
+                                    st.push(v);
                                 }
                             }
-                            Entered::Threw(t) => {
-                                f.sp = args as u32;
-                                break 'dispatch t;
-                            }
+                            Entered::Threw(t) => break 'dispatch t,
                         }
                     }};
                 }
 
                 let mut cx = self.straight_cx(thread, &mut pend, floor, run);
-                let stop = straight::<POLLING>(&mut cx, st, &mut f, counted);
+                let stop = straight::<POLLING>(&mut cx, st, counted);
                 run = cx.run;
                 counted = false;
                 match stop {
@@ -1688,6 +1765,7 @@ impl Vm {
                     Stop::Throw(fault) => jthrow!(fault.class(), &fault.message()),
                     Stop::Osr(target) => {
                         flush!();
+                        let f = st.top();
                         if let Some(next) = f.tier.next() {
                             if self.tier_compile(thread, f.mid, next, true) {
                                 f.tier = next;
@@ -1701,6 +1779,7 @@ impl Vm {
                 }
                 // `straight` stopped at a counted op that needs the VM. A
                 // miss fills its inline cache and re-enters the op.
+                let f = st.top();
                 let (cur, pc) = (f.mid, f.pc);
                 let pos = self.code.bodies[f.body as usize].resume[pc as usize];
                 match self.code.ops[(f.code + pos) as usize] {
@@ -1719,73 +1798,53 @@ impl Vm {
                         counted = true;
                         continue;
                     }
-                    Op::InvokeStatic {
+                    op @ (Op::InvokeStatic {
                         ic,
                         cp,
                         nargs,
                         returns,
                         ..
-                    } => {
-                        if let InlineCache::StaticCall(callee) = self.code.ics[ic as usize] {
-                            call!(callee, usize::from(nargs), returns);
+                    }
+                    | Op::InvokeVirtual {
+                        ic,
+                        cp,
+                        nargs,
+                        returns,
+                        ..
+                    }) => {
+                        // An `invokevirtual` dispatches on its receiver's
+                        // class (`straight` checked the receiver).
+                        let receiver = matches!(op, Op::InvokeVirtual { .. }).then(|| {
+                            let at = st.top().sp as usize - usize::from(nargs) - 1;
+                            let recv = st.slots[at];
+                            match self.heap.get(recv.as_ref_opt().unwrap()) {
+                                HeapObject::Instance { class, .. } => *class,
+                                _ => unreachable!("straight checks invokevirtual receivers"),
+                            }
+                        });
+                        let nargs = usize::from(nargs) + usize::from(receiver.is_some());
+                        if let Some(target) = self.code.cached_callee(ic, receiver) {
+                            call!(target, nargs, returns);
                         } else {
                             flush!();
                             let target = self.parked(thread, st, |vm| {
-                                vm.call_target(thread, cur.class, cp, None)
+                                vm.call_target(thread, cur.class, cp, receiver)
                             });
                             match target {
-                                Ok(m) => self.code.ics[ic as usize] = InlineCache::StaticCall(m),
+                                Ok(target) => {
+                                    self.code.ics[ic as usize] = self.call_cache(target, receiver);
+                                }
                                 Err(t) => break 'dispatch t,
                             }
                             counted = true;
                             continue;
                         }
                     }
-                    Op::InvokeVirtual {
-                        ic,
-                        cp,
-                        nargs,
-                        returns,
-                        ..
-                    } => {
-                        // `straight` checked the receiver.
-                        let nargs = usize::from(nargs) + 1;
-                        let recv = st.slots[f.sp as usize - nargs].as_ref_opt();
-                        let HeapObject::Instance { class, .. } = self.heap.get(recv.unwrap())
-                        else {
-                            unreachable!("straight checks invokevirtual receivers");
-                        };
-                        let dyn_class = *class;
-                        match self.code.ics[ic as usize] {
-                            InlineCache::VirtualCall { receiver, target }
-                                if receiver == dyn_class =>
-                            {
-                                call!(target, nargs, returns);
-                            }
-                            _ => {
-                                flush!();
-                                let target = self.parked(thread, st, |vm| {
-                                    vm.call_target(thread, cur.class, cp, Some(dyn_class))
-                                });
-                                match target {
-                                    Ok(m) => {
-                                        self.code.ics[ic as usize] = InlineCache::VirtualCall {
-                                            receiver: dyn_class,
-                                            target: m,
-                                        };
-                                    }
-                                    Err(t) => break 'dispatch t,
-                                }
-                                counted = true;
-                                continue;
-                            }
-                        }
-                    }
                     // `straight` returns to callers in the activation, so
                     // this is its entry frame returning.
                     op @ (Op::Return { .. } | Op::ValueReturn { .. }) => {
                         debug_assert_eq!(st.frames.len() - 1, floor);
-                        let v = matches!(op, Op::ValueReturn { .. }).then(|| pop!());
+                        let v = matches!(op, Op::ValueReturn { .. }).then(|| st.pop());
                         flush!();
                         if self.method_events_on() {
                             self.dispatch(thread, |sink, info, vm| {
@@ -1817,7 +1876,7 @@ impl Vm {
                         let obj = self.allocate(thread, Alloc::Object(cid));
                         let (sc, sm) = self.site_of(cur);
                         self.fire_allocation(thread, obj, &sc, &sm, pc);
-                        push!(Value::Ref(obj));
+                        st.push(Value::Ref(obj));
                     }
                     Op::GetField { ic, cp, .. } | Op::PutField { ic, cp, .. } => {
                         flush!();
@@ -1847,7 +1906,7 @@ impl Vm {
                         continue;
                     }
                     Op::NewArray { kind, .. } => {
-                        let len = pop!().as_int();
+                        let len = st.pop().as_int();
                         if len < 0 {
                             jthrow!("java/lang/NegativeArraySizeException", &format!("{len}"));
                         }
@@ -1855,9 +1914,9 @@ impl Vm {
                         let r = self.allocate(thread, Alloc::Array(kind, len as usize));
                         let (sc, sm) = self.site_of(cur);
                         self.fire_allocation(thread, r, &sc, &sm, pc);
-                        push!(Value::Ref(r));
+                        st.push(Value::Ref(r));
                     }
-                    Op::AThrow { .. } => match pop!().as_ref_opt() {
+                    Op::AThrow { .. } => match st.pop().as_ref_opt() {
                         Some(r) => {
                             flush!();
                             break 'dispatch JThrow::new(r);
@@ -1868,7 +1927,7 @@ impl Vm {
                     },
                     _ => unreachable!("straight runs this op"),
                 }
-                f.pc += 1;
+                st.top().pc += 1;
             };
             // Unwind: the running frame's handler, if one covers `pc`,
             // takes the throw; otherwise the frame is popped (deopting a
@@ -1876,17 +1935,18 @@ impl Vm {
             // searched, until the activation's entry frame is gone.
             flush!();
             loop {
+                let f = st.top();
                 if let Some(h) = self.find_handler(f.body, f.pc, thrown) {
                     f.sp = f.base + u32::from(self.code.bodies[f.body as usize].max_locals);
-                    push!(Value::Ref(thrown.exception));
                     f.pc = h;
+                    st.push(Value::Ref(thrown.exception));
                     break;
                 }
-                if f.tier.is_compiled() {
-                    self.deopt(thread, f.mid);
+                let (cur, tier) = (f.mid, f.tier);
+                if tier.is_compiled() {
+                    self.deopt(thread, cur);
                 }
                 if self.method_events_on() {
-                    let cur = f.mid;
                     self.dispatch(thread, |sink, info, vm| {
                         sink.method_exit(info, vm.registry.method_view(cur), true);
                     });
@@ -1895,7 +1955,8 @@ impl Vm {
                 if st.frames.len() == floor {
                     return Err(thrown);
                 }
-                f = st.top();
+                let f = st.top();
+                f.pc = self.code.call_pc(f);
             }
         }
     }
@@ -1912,8 +1973,7 @@ struct Straight<'a> {
     registry: &'a mut ClassRegistry,
     pend: &'a mut Pending,
     cost: &'a CostModel,
-    mode: TiersMode,
-    jit: bool,
+    rules: [TierRule; 3],
     max_depth: usize,
     floor: usize,
     /// Allocation events on: allocations stop here.
@@ -1931,29 +1991,26 @@ struct Straight<'a> {
 }
 
 impl<'a> Straight<'a> {
-    /// Fire a method entry (or exit) event of `mid` if they are on,
-    /// after settling `run` (counted at `f`'s tier) and a flush: the clock
-    /// it reads is exact.
+    /// Fire a method entry (or exit) event of `mid` if they are on. The
+    /// running frame's instructions are settled first, so the clock it
+    /// reads is exact.
     #[inline(always)]
-    fn method_event(&mut self, f: &Frame, run: &mut u64, mid: MethodId, entry: bool) {
+    fn method_event(&mut self, mid: MethodId, entry: bool) {
         if self.events.is_some() {
-            self.run = *run;
-            self.fire_method_event(f, mid, entry);
-            *run = self.run;
+            self.fire_method_event(mid, entry);
         }
     }
 
     /// [`Straight::method_event`] when events are on, out of line. It
-    /// settles `self.run`: since the loop calls a function that writes
-    /// the context, the optimizer loads the context's fields where the
-    /// loop's ops use them instead of holding each one in a register (or
-    /// a spill reloaded) across every dispatch.
+    /// flushes the pending charges: since the loop calls a function that
+    /// writes the context, the optimizer loads the context's fields where
+    /// the loop's ops use them instead of holding each one in a register
+    /// (or a spill reloaded) across every dispatch.
     #[inline(never)]
-    fn fire_method_event(&mut self, f: &Frame, mid: MethodId, entry: bool) {
+    fn fire_method_event(&mut self, mid: MethodId, entry: bool) {
         let Some((sink, bucket, dispatch)) = self.events else {
             return;
         };
-        self.pend.settle(f, &mut self.run);
         self.pend.flush(self.info, self.stats);
         self.stats.events_dispatched += 1;
         let _agent = event_scope(self.info, bucket, dispatch);
@@ -1965,31 +2022,24 @@ impl<'a> Straight<'a> {
         }
     }
 
-    /// Run the call at `pc` in the running frame `f` through inline-cache
-    /// slot `ic`, with its `nargs` arguments (receiver first if
-    /// `is_virtual`) below stack slot `top`: if the slot names the callee
-    /// (for the receiver's class), it is prepared bytecode, the depth
-    /// allows it and no promotion is due, push its frame (the caller to
-    /// resume at op `ret`), make it `f` and return its ops. `Ok(None)`
-    /// means stop, having changed nothing; a null or non-instance
-    /// receiver throws.
+    /// Run a call through inline-cache slot `ic` whose `nargs` arguments
+    /// (receiver first if `is_virtual`) start at slot `args`, the running
+    /// frame having recorded the call and settled its instructions: if
+    /// the slot names the callee's prepared body (for the receiver's
+    /// class), the depth allows it and no promotion is due, push its frame
+    /// and return `Ok(true)`. `Ok(false)` means stop,
+    /// having changed nothing; a null or non-instance receiver throws.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
     fn call(
         &mut self,
         st: &mut ThreadStack,
-        f: &mut Frame,
-        run: &mut u64,
-        pc: u32,
-        ret: u32,
         ic: u32,
+        args: usize,
         nargs: usize,
-        top: u16,
         is_virtual: bool,
-    ) -> Result<Option<&'a [Op]>, Fault> {
-        let args = f.base as usize + usize::from(top) - nargs;
-        let callee = match (self.arena.ics[ic as usize], is_virtual) {
-            (InlineCache::StaticCall(callee), false) => callee,
+    ) -> Result<bool, Fault> {
+        let body = match (self.arena.ics[ic as usize], is_virtual) {
+            (InlineCache::StaticCall(body), false) => body,
             (cache, true) => {
                 let Some(obj) = st.slots[args].as_ref_opt() else {
                     return Err(Fault::NullReceiver);
@@ -1998,63 +2048,46 @@ impl<'a> Straight<'a> {
                     return Err(Fault::ReceiverKind);
                 };
                 match cache {
-                    InlineCache::VirtualCall { receiver, target } if receiver == *class => target,
-                    _ => return Ok(None),
+                    InlineCache::VirtualCall { receiver, body } if receiver == *class => body,
+                    _ => return Ok(false),
                 }
             }
-            _ => return Ok(None),
+            _ => return Ok(false),
         };
         if st.frames.len() >= self.max_depth {
-            return Ok(None);
+            return Ok(false);
         }
-        let exec = self.registry.exec(callee);
-        let Some(body) = exec.body else {
-            return Ok(None);
-        };
-        let count = exec.invocations.saturating_add(1);
-        let tier = exec.effective_tier(self.jit);
-        if promotion(&self.cost.tiers, self.mode, tier, count).is_some() {
-            return Ok(None);
+        let b = &self.arena.bodies[body as usize];
+        let count = b.invocations.get().saturating_add(1);
+        let rule = self.rules[b.tier.get().index()];
+        if rule.due(&self.cost.tiers, count) {
+            return Ok(false);
         }
+        b.invocations.set(count);
         self.pend.invocations += 1;
-        self.method_event(f, run, callee, true);
-        self.registry.exec_mut(callee).invocations = count;
-        self.pend.cycles[tier.index()] += self.cost.tiers.call_overhead(tier);
-        self.pend.settle(f, run);
-        (f.pc, f.ret) = (pc, ret);
-        st.set_top(Frame {
-            sp: args as u32,
-            ..*f
-        });
-        let tiers = &self.cost.tiers;
-        *f = st.push_frame(
-            self.arena, tiers, self.mode, callee, body, args, nargs, tier,
-        );
-        Ok(Some(&self.arena.ops[f.code as usize..]))
+        self.method_event(b.mid, true);
+        self.pend.cycles[rule.tier.index()] += rule.overhead;
+        st.push_frame(b, body, &rule, args, nargs);
+        Ok(true)
     }
 
-    /// Return `v` (if any) from the running frame `f` to its caller: make
-    /// the caller `f` and return its ops, or `None`, having changed
-    /// nothing, if the caller is in another activation.
+    /// Return the value in slot `from` (if any) from the running frame,
+    /// its instructions settled, to its caller: pop it and return `true`,
+    /// or `false`, having changed nothing, if the caller is in another
+    /// activation.
     #[inline(always)]
-    fn leave(
-        &mut self,
-        st: &mut ThreadStack,
-        f: &mut Frame,
-        run: &mut u64,
-        v: Option<Value>,
-    ) -> Option<&'a [Op]> {
+    fn leave(&mut self, st: &mut ThreadStack, from: Option<usize>) -> bool {
         if st.frames.len() - 1 == self.floor {
-            return None;
+            return false;
         }
-        self.pend.settle(f, run);
-        self.method_event(f, run, f.mid, false);
+        let mid = st.top().mid;
+        self.method_event(mid, false);
         st.frames.pop();
-        *f = st.top();
-        if let Some(v) = v {
-            st.slots[f.sp as usize] = v;
+        if let Some(from) = from {
+            let sp = st.top().sp;
+            st.slots[sp as usize] = st.slots[from];
         }
-        Some(&self.arena.ops[f.code as usize..])
+        true
     }
 }
 
@@ -2271,9 +2304,9 @@ mod int {
     }
 }
 
-/// Run the running `frame` on the thread stack `st` — and the bytecode
-/// frames it calls — from its `pc` while the ops need no more than
-/// [`Straight`] and `st` hold: locals,
+/// Run the running frame, the top of the thread stack `st`, and the
+/// bytecode frames it calls, from its `pc` while the ops need no more
+/// than [`Straight`] and `st` hold: locals,
 /// operands, arithmetic, branches, switches, arrays, fields, statics,
 /// `ldc` and allocations through a filled inline cache (allocations only
 /// without allocation events), and calls and returns between bytecode
@@ -2290,23 +2323,25 @@ mod int {
 fn straight<const POLLING: bool>(
     cx: &mut Straight<'_>,
     st: &mut ThreadStack,
-    frame: &mut Frame,
     mut counted: bool,
 ) -> Stop {
-    // The running frame's record: its cold fields are read and written
-    // in place, and the position of its running op lives in a register.
-    let f = frame;
+    // The running frame's record, read and written in place (re-borrowed
+    // whenever the frame changes); the position of its running op lives
+    // in a register.
+    let mut f: &mut Frame = st.frames.last_mut().expect("a running frame");
     // The running body's ops, and the slots from the running frame's
     // first local on (re-borrowed whenever the frame changes), so an
-    // op's slot operand indexes them directly.
+    // op's slot operand indexes them directly. The first instruction of
+    // each op is read from the arena where a stop, a call or an OSR needs
+    // it.
     let mut ops: &[Op] = &cx.arena.ops[f.code as usize..];
-    let mut src: &[u32] = &cx.arena.src[f.code as usize..];
     let mut slots: &mut [Value] = &mut st.slots[f.base as usize..];
     let mut pos = cx.arena.bodies[f.body as usize].resume[f.pc as usize];
     // The first op counts its instructions through `pc` again, so it
     // starts that many short (wrapping, hence the wrapping adds).
     let mut n = if counted {
-        cx.run.wrapping_sub(u64::from(f.pc - src[pos as usize] + 1))
+        cx.run
+            .wrapping_sub(u64::from(f.pc - cx.arena.src[(f.code + pos) as usize] + 1))
     } else {
         cx.run
     };
@@ -2338,7 +2373,7 @@ fn straight<const POLLING: bool>(
     // The first instruction the running op stands for.
     macro_rules! first {
         () => {
-            src[pos as usize]
+            cx.arena.src[(f.code + pos) as usize]
         };
     }
 
@@ -2395,7 +2430,7 @@ fn straight<const POLLING: bool>(
                 if f.backedges >= cx.cost.tiers.osr_backedge_threshold {
                     f.backedges = 0;
                     let at = first!() + u32::from(len) - 1;
-                    let target = src[(t & !BACK) as usize];
+                    let target = cx.arena.src[(f.code + (t & !BACK)) as usize];
                     stop!(Stop::Osr(target), at);
                 }
             }
@@ -2480,50 +2515,64 @@ fn straight<const POLLING: bool>(
         }};
     }
 
-    // Run the call at instruction `$pc` through inline-cache slot `$ic`,
-    // with its `$nargs` arguments (receiver included) below slot `$top`:
-    // enter the callee, stop, or throw (see [`Straight::call`]).
+    // Make the frame on top of the stack the running one, at op `$pos`.
+    macro_rules! load {
+        ($pos:expr) => {{
+            f = st.frames.last_mut().expect("a running frame");
+            ops = &cx.arena.ops[f.code as usize..];
+            slots = &mut st.slots[f.base as usize..];
+            pos = $pos;
+        }};
+    }
+
+    // Count the `$len` instructions of a call op and run its call
+    // through inline-cache slot `$ic`, with its `$nargs` arguments
+    // (receiver included) below slot `$top`: enter the callee, or stop
+    // or throw at the call instruction (see [`Straight::call`]).
     macro_rules! call {
-        ($ic:expr, $nargs:expr, $top:expr, $is_virtual:expr, $pc:expr) => {{
-            let (top, pc): (u16, u32) = ($top, $pc);
-            // A copy: `n` itself stays out of memory.
-            let mut m = n;
-            let called = cx.call(st, f, &mut m, pc, pos + 1, $ic, $nargs, top, $is_virtual);
-            n = m;
-            match called {
-                Ok(Some(callee)) => {
-                    ops = callee;
-                    src = &cx.arena.src[f.code as usize..];
-                    slots = &mut st.slots[f.base as usize..];
-                    pos = 0;
+        ($len:expr, $ic:expr, $nargs:expr, $top:expr, $is_virtual:expr) => {{
+            let (len, top): (u8, u16) = ($len, $top);
+            let args = f.base as usize + usize::from(top) - $nargs;
+            (f.ret, f.sp) = (pos + 1, args as u32);
+            cx.pend.settle(f, n.wrapping_add(u64::from(len)));
+            n = 0;
+            match cx.call(st, $ic, args, $nargs, $is_virtual) {
+                Ok(true) => {
+                    load!(0);
                     continue;
                 }
-                Ok(None) => slow!(top, pc),
-                Err(fault) => throw!(fault, pc),
+                Ok(false) => {
+                    f = st.frames.last_mut().expect("a running frame");
+                    slow!(top, first!() + u32::from(len) - 1)
+                }
+                Err(fault) => {
+                    f = st.frames.last_mut().expect("a running frame");
+                    throw!(fault, first!() + u32::from(len) - 1)
+                }
             }
         }};
     }
 
-    // Return `$v` (if any) from instruction `$pc` to the caller, unless
-    // it is in another activation: then stop with the operand stack
-    // `$top` slots up.
+    // Count the `$len` instructions of a return op and return the value
+    // in slot `$src` (if any) to the caller, unless it is in another
+    // activation: then stop at the return with the operand stack `$top`
+    // slots up.
     macro_rules! ret {
-        ($v:expr, $top:expr, $pc:expr) => {{
-            let pc: u32 = $pc;
-            let v: Option<Value> = $v;
-            let mut m = n;
-            let caller = cx.leave(st, f, &mut m, v);
-            n = m;
-            slots = &mut st.slots[f.base as usize..];
-            let Some(caller) = caller else {
-                if let Some(v) = v {
-                    put!($top - 1, v);
+        ($len:expr, $src:expr, $top:expr) => {{
+            let (len, src): (u8, Option<u16>) = ($len, $src);
+            cx.pend.settle(f, n.wrapping_add(u64::from(len)));
+            n = 0;
+            let from = src.map(|s| f.base as usize + usize::from(s));
+            if !cx.leave(st, from) {
+                f = st.frames.last_mut().expect("a running frame");
+                slots = &mut st.slots[f.base as usize..];
+                if let Some(s) = src {
+                    put!($top - 1, get!(s));
                 }
-                slow!($top, pc);
-            };
-            ops = caller;
-            src = &cx.arena.src[f.code as usize..];
-            pos = f.ret;
+                slow!($top, first!() + u32::from(len) - 1);
+            }
+            let ret = st.frames.last().expect("a running frame").ret;
+            load!(ret);
             continue;
         }};
     }
@@ -2693,8 +2742,7 @@ fn straight<const POLLING: bool>(
             } => {
                 let nargs = usize::from(nargs);
                 pass!(nargs, top, args);
-                let pc = here!(len - 1);
-                call!(ic, nargs, top, false, pc);
+                call!(len, ic, nargs, top, false);
             }
             Op::InvokeVirtual {
                 len,
@@ -2706,17 +2754,10 @@ fn straight<const POLLING: bool>(
             } => {
                 let nargs = usize::from(nargs) + 1;
                 pass!(nargs, top, args);
-                let pc = here!(len - 1);
-                call!(ic, nargs, top, true, pc);
+                call!(len, ic, nargs, top, true);
             }
-            Op::Return { len, top } => {
-                let pc = here!(len - 1);
-                ret!(None, top, pc);
-            }
-            Op::ValueReturn { len, src, top } => {
-                let pc = here!(len - 1);
-                ret!(Some(get!(src)), top, pc);
-            }
+            Op::Return { len, top } => ret!(len, None, top),
+            Op::ValueReturn { len, src, top } => ret!(len, Some(src), top),
             Op::GetField {
                 len,
                 dst,
@@ -2901,7 +2942,10 @@ mod tests {
         Code, Cond, ConstantPool, ExceptionHandler, Insn, MethodFlags, MethodInfo,
     };
 
-    use super::{prepare, CodeArena, HashMap, Op, BACK};
+    use jvmsim_tiers::{Tier, TiersMode};
+
+    use super::{prepare, tier_rules, ClassId, CodeArena, HashMap, MethodId, Op, TierRule, BACK};
+    use crate::cost::TierCostModel;
 
     /// `insns` with 3 locals, in a static method returning an int if they
     /// do and nothing otherwise, validated and prepared folded (or not):
@@ -2927,7 +2971,11 @@ mod tests {
             let method = MethodInfo::new("t", desc, MethodFlags::STATIC, code.clone()).unwrap();
             let facts = validate_code(&ConstantPool::new(), &method, &code).unwrap();
             let mut arena = CodeArena::default();
-            prepare(&code, &facts.depths, &HashMap::new(), &mut arena, fold);
+            let mid = MethodId {
+                class: ClassId::for_test(0),
+                index: 0,
+            };
+            prepare(mid, &code, &facts.depths, &HashMap::new(), &mut arena, fold);
             let body = &arena.bodies[0];
             Prepared {
                 resume: body.resume.to_vec(),
@@ -2938,6 +2986,43 @@ mod tests {
         /// The op covering instruction `i`.
         fn at(&self, i: usize) -> Op {
             self.ops[self.resume[i] as usize]
+        }
+    }
+
+    #[test]
+    fn tier_rules_promote_one_tier_at_a_time_and_never_with_the_jit_off() {
+        let t = TierCostModel::default();
+        let rule = |tier: Tier, promotes: bool| TierRule {
+            tier,
+            promotes,
+            insn: t.insn(tier),
+            overhead: t.call_overhead(tier),
+        };
+        let full = tier_rules(&t, TiersMode::Full, true);
+        assert_eq!(
+            full,
+            [
+                rule(Tier::Interp, true),
+                rule(Tier::C1, true),
+                rule(Tier::C2, false)
+            ]
+        );
+        let (c1, c2) = (t.c1_invocation_threshold, t.c2_invocation_threshold);
+        assert!(!full[0].due(&t, c1 - 1) && full[0].due(&t, c1));
+        assert!(!full[1].due(&t, c2 - 1) && full[1].due(&t, c2));
+        assert!(!full[2].due(&t, u32::MAX));
+        assert_eq!(
+            tier_rules(&t, TiersMode::Tiered, true),
+            [
+                rule(Tier::Interp, true),
+                rule(Tier::C1, false),
+                rule(Tier::C2, false)
+            ]
+        );
+        // The JIT off hides compiled state: every method runs
+        // interpreted, and nothing promotes.
+        for mode in TiersMode::ALL {
+            assert_eq!(tier_rules(&t, mode, false), [rule(Tier::Interp, false); 3]);
         }
     }
 

@@ -1,6 +1,6 @@
 //! Interpreter edge cases: IEEE semantics, shift masking, switch bounds,
 //! aliasing arraycopy, nested handlers, inheritance, builtin corners, and
-//! fused ops at branch targets, handler boundaries and OSR back-edges.
+//! folded ops at branch targets, handler boundaries and OSR back-edges.
 
 use std::sync::Arc;
 
@@ -380,10 +380,11 @@ fn iinc_wraps_like_iadd() {
 }
 
 /// Run `class.method(args)` twice in fresh VMs: once plain, where the
-/// interpreter runs fused bodies, and once with a sampler whose interval
+/// interpreter runs folded bodies, and once with a sampler whose interval
 /// is never reached, which charges nothing but makes the interpreter
-/// poll and so run unfused bodies. Returns both outcomes.
-fn fused_and_unfused(
+/// poll and so run one op per instruction (polled). Returns both
+/// outcomes.
+fn folded_and_polled(
     class: &jvmsim_classfile::ClassFile,
     method: &str,
     descriptor: &str,
@@ -432,18 +433,18 @@ fn a_branch_target_inside_a_span_blocks_fusion_and_counts_alike() {
     })
     .unwrap();
     for (a, b, want) in [(1, 2, 1), (3, 2, 0), (-5, 0, 1), (-5, -1, 0)] {
-        let (fused, unfused) = fused_and_unfused(&class, "f", "(II)I", &[a, b], TiersMode::Full);
-        assert_eq!(fused.main, Ok(Value::Int(want)), "f({a}, {b})");
-        assert_eq!(fused, unfused, "f({a}, {b})");
+        let (folded, polled) = folded_and_polled(&class, "f", "(II)I", &[a, b], TiersMode::Full);
+        assert_eq!(folded.main, Ok(Value::Int(want)), "f({a}, {b})");
+        assert_eq!(folded, polled, "f({a}, {b})");
     }
 }
 
 /// `f(i, null_array)`: loads `array[i]` of a 2-element array (or of a
-/// null local) with a fused `aload iload iaload`, inside a handler range
-/// that starts at the `iaload`. Only a fused op that moves `pc` to its
-/// last op before throwing lands in the handler.
+/// null local) with a folded `aload iload iaload`, inside a handler range
+/// that starts at the `iaload`. Only a folded op that moves `pc` to its
+/// last instruction before throwing lands in the handler.
 #[test]
-fn a_fused_array_load_throws_into_a_handler_starting_at_its_last_op() {
+fn a_folded_array_load_throws_into_a_handler_starting_at_its_last_instruction() {
     // (caught class, index, null array?, result)
     let cases = [
         ("java/lang/ArrayIndexOutOfBoundsException", 1, 0, 0),
@@ -472,7 +473,7 @@ fn a_fused_array_load_throws_into_a_handler_starting_at_its_last_op() {
             m.try_region(start, end, handler, Some(catch));
         })
         .unwrap();
-        let (fused, unfused) = fused_and_unfused(
+        let (folded, polled) = folded_and_polled(
             &class,
             "f",
             "(II)I",
@@ -480,20 +481,20 @@ fn a_fused_array_load_throws_into_a_handler_starting_at_its_last_op() {
             TiersMode::InterpOnly,
         );
         assert_eq!(
-            fused.main,
+            folded.main,
             Ok(Value::Int(want)),
             "{catch}: f({i}, {null_array})"
         );
-        assert_eq!(fused, unfused, "{catch}: f({i}, {null_array})");
+        assert_eq!(folded, polled, "{catch}: f({i}, {null_array})");
     }
 }
 
-/// Counting loops whose back-edge is a fused op (`iload iload if_icmp`
-/// at the bottom, or `iinc goto` behind a fused loop test at the top)
+/// Counting loops whose back-edge is a folded op (`iload iload if_icmp`
+/// at the bottom, or `iinc goto` behind a folded loop test at the top)
 /// OSR at the same back-edge count, with the same per-tier cycles, as the
-/// unfused loops.
+/// same loops run one op per instruction (polled).
 #[test]
-fn a_fused_back_edge_osrs_at_the_same_count() {
+fn a_folded_back_edge_osrs_at_the_same_count() {
     let bottom_test = single_method_class("e/L", "f", "(I)I", |m| {
         let top = m.new_label();
         m.iconst(0).istore(1);
@@ -515,9 +516,9 @@ fn a_fused_back_edge_osrs_at_the_same_count() {
     })
     .unwrap();
     for class in [bottom_test, top_test] {
-        let (fused, unfused) = fused_and_unfused(&class, "f", "(I)I", &[500], TiersMode::Full);
-        assert_eq!(fused.main, Ok(Value::Int(500)));
-        assert_eq!(fused.stats.osrs, 2, "{:?}", fused.stats);
-        assert_eq!(fused, unfused);
+        let (folded, polled) = folded_and_polled(&class, "f", "(I)I", &[500], TiersMode::Full);
+        assert_eq!(folded.main, Ok(Value::Int(500)));
+        assert_eq!(folded.stats.osrs, 2, "{:?}", folded.stats);
+        assert_eq!(folded, polled);
     }
 }

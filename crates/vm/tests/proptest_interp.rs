@@ -4,9 +4,9 @@
 //! assembler and evaluated both by a reference Rust evaluator and by the
 //! VM; results must agree exactly (including wrapping arithmetic and
 //! division-by-zero exceptions). Additionally, JIT state must never change
-//! results: interpreted-only and JIT-enabled runs agree. Nor must fused
-//! dispatch: a run on fused bodies and a polled run on unfused ones agree
-//! on result, `VmStats` and cycles.
+//! results: interpreted-only and JIT-enabled runs agree. Nor must folding:
+//! a run on folded bodies and a polled run of one op per instruction
+//! agree on result, `VmStats` and cycles.
 
 use std::sync::Arc;
 
@@ -225,9 +225,9 @@ fn run_in_vm(expr: &Expr, args: [i64; 3], jit: bool) -> Result<i64, String> {
     }
 }
 
-/// One `--tiers full` run of the expression, on fused bodies or, with a
+/// One `--tiers full` run of the expression, on folded bodies or, with a
 /// sampler that never fires (it charges nothing but makes the
-/// interpreter poll), on unfused ones.
+/// interpreter poll), one op per instruction (polled).
 fn run_outcome(expr: &Expr, args: [i64; 3], polled: bool) -> RunOutcome {
     struct NeverFires;
     impl SampleSink for NeverFires {
@@ -285,13 +285,13 @@ proptest! {
     }
 
     #[test]
-    fn fusion_never_changes_results(
+    fn folding_never_changes_results(
         expr in arb_expr(),
         a in -100i64..100,
     ) {
         let args = [a, a ^ 5, a.wrapping_mul(3)];
-        let fused = run_outcome(&expr, args, false);
-        let unfused = run_outcome(&expr, args, true);
-        prop_assert_eq!(fused, unfused);
+        let folded = run_outcome(&expr, args, false);
+        let polled = run_outcome(&expr, args, true);
+        prop_assert_eq!(folded, polled);
     }
 }

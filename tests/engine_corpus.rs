@@ -6,7 +6,7 @@
 //! up to `max_call_depth`, exceptions that unwind through native frames
 //! and JNI upcalls inside an OSR'd loop, throws out of compiled frames
 //! with values still on the operand stack, and jumps or handler ranges
-//! that enter a fusible span in its middle. Seeds from 200 on draw from
+//! that enter a foldable span in its middle. Seeds from 200 on draw from
 //! a second set of shapes aimed at register-form preparation: loads whose
 //! local is overwritten before the value is consumed, values live across
 //! a merge, stack shuffles, calls on locals and constants, stores of a
@@ -14,7 +14,8 @@
 //! Each program here is built from a seed through [`ClassBuilder`] (so it
 //! passes the validator) and mixes those shapes; every (seed, tiers mode)
 //! pair is run twice, plain
-//! and polled (a sampler that never fires, so bodies run unfused), and
+//! and polled (a sampler that never fires, so bodies run one op per
+//! instruction), and
 //! both runs must match the committed line in `tests/golden/engine.tsv`:
 //! the result, `total_cycles`, and SHA-256 digests of the `VmStats`, the
 //! transition trace, the metrics snapshot and (for every fourth seed, run
@@ -138,7 +139,7 @@ fn native_library() -> NativeLibrary {
 }
 
 /// Emit `for (slot = 0; slot < n; slot++) { body }`, the counter bumped
-/// by `iinc; goto` and tested by `iload; iconst; if_icmp` (both fusible).
+/// by `iinc; goto` and tested by `iload; iconst; if_icmp` (both foldable).
 fn counted(
     m: &mut MethodBuilder<'_>,
     slot: u16,
@@ -537,8 +538,9 @@ fn fields_and_arrays(cb: &mut ClassBuilder, rng: &mut Rng, k: usize) -> String {
 }
 
 /// Jumps, handler entries and handler range boundaries that land strictly
-/// inside fusible spans (`iload; iload; …`, `iload; iconst; iadd`), so
-/// the fused head is bypassed and the interior ops run on their own.
+/// inside foldable spans (`iload; iload; …`, `iload; iconst; iadd`), so
+/// the folded op's head is bypassed and the interior instructions run on
+/// their own.
 fn mid_span_entries(cb: &mut ClassBuilder, rng: &mut Rng, k: usize) -> String {
     let name = format!("midspan{k}");
     let n = rng.range(20, 300);

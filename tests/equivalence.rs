@@ -150,7 +150,7 @@ fn one_program_reruns_identically_in_fresh_vms() {
 /// One `--tiers full` run of `name` at size 1 under `agent`, with a
 /// trace recorder attached and, if `polled`, a sampler whose interval is
 /// never reached. The sampler charges nothing, but it makes the
-/// interpreter poll, so its run takes the unfused dispatch path.
+/// interpreter poll, so its run takes one op per instruction (polled).
 fn tiered_run(name: &str, agent: &AgentChoice, polled: bool) -> (jvmsim_vm::RunOutcome, String) {
     struct NeverFires;
     impl jvmsim_vm::events::SampleSink for NeverFires {
@@ -176,22 +176,22 @@ fn tiered_run(name: &str, agent: &AgentChoice, polled: bool) -> (jvmsim_vm::RunO
     (outcome, digest.to_hex())
 }
 
-/// Fused dispatch counts exactly like unfused dispatch: every workload,
+/// Folded dispatch counts exactly like polled dispatch: every workload,
 /// under no agent and under SPA, gives the same cycles (total and per
 /// thread), `VmStats`, checksum and transition trace whether the
-/// interpreter runs fused bodies or, because a sampler makes it poll,
-/// unfused ones.
+/// interpreter runs folded bodies or, because a sampler makes it poll,
+/// one op per instruction.
 #[test]
-fn fused_and_unfused_dispatch_agree() {
+fn folded_and_polled_dispatch_agree() {
     let mut diverged = Vec::new();
     for name in ALL {
         for agent in [AgentChoice::None, AgentChoice::Spa] {
-            let (fused, fused_trace) = tiered_run(name, &agent, false);
-            let (unfused, unfused_trace) = tiered_run(name, &agent, true);
-            assert!(fused.main.is_ok(), "{name}: {:?}", fused.main);
-            if fused != unfused || fused_trace != unfused_trace {
+            let (folded, folded_trace) = tiered_run(name, &agent, false);
+            let (polled, polled_trace) = tiered_run(name, &agent, true);
+            assert!(folded.main.is_ok(), "{name}: {:?}", folded.main);
+            if folded != polled || folded_trace != polled_trace {
                 diverged.push(format!(
-                    "{name}/{}: fused {fused:?} trace {fused_trace}\n  unfused {unfused:?} trace {unfused_trace}",
+                    "{name}/{}: folded {folded:?} trace {folded_trace}\n  polled {polled:?} trace {polled_trace}",
                     agent.label()
                 ));
             }
