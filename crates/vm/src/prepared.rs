@@ -301,6 +301,8 @@ pub(crate) struct Switch {
 
 /// Where a prepared body sits in the [`CodeArena`], and its method's
 /// execution state: the one record a call through an inline cache reads.
+/// The state is in `Cell`s, so the loop updates it through the shared
+/// borrow of the arena it runs from.
 #[derive(Debug)]
 pub(crate) struct Body {
     /// Index of the body's first op in [`CodeArena::ops`].

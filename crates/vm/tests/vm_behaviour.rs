@@ -986,7 +986,7 @@ fn vm_locals_are_per_vm_and_per_type() {
     assert_eq!(next(&mut vms[1]), Ok(Value::Int(1)));
 }
 
-/// A VM that has already run bytecode (so prepared, possibly fused,
+/// A VM that has already run bytecode (so prepared, possibly folded,
 /// bodies exist).
 fn vm_after_a_run() -> Vm {
     let class = single_method_class("t/Ran", "f", "()I", |m| {
