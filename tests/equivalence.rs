@@ -180,9 +180,10 @@ fn tiered_run(name: &str, agent: &AgentChoice, polled: bool) -> (jvmsim_vm::RunO
 /// under no agent and under SPA, gives the same cycles (total and per
 /// thread), `VmStats`, checksum and transition trace whether the
 /// interpreter runs folded bodies or, because a sampler makes it poll,
-/// one op per instruction.
+/// one op per instruction. ("Fused" and "unfused" are the older names of
+/// the folded and the polled path.)
 #[test]
-fn folded_and_polled_dispatch_agree() {
+fn fused_and_unfused_dispatch_agree() {
     let mut diverged = Vec::new();
     for name in ALL {
         for agent in [AgentChoice::None, AgentChoice::Spa] {
