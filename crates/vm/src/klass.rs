@@ -506,12 +506,6 @@ impl ClassRegistry {
         None
     }
 
-    /// Resolve a static field by string name (cold paths and tests).
-    pub fn resolve_static(&self, class: ClassId, field: &str) -> Option<(ClassId, usize)> {
-        let field = self.interner.lookup(field)?;
-        self.resolve_static_sym(class, field)
-    }
-
     /// Resolve an instance-field slot by interned name for objects whose
     /// dynamic class is `class` (the index already folds in inheritance
     /// and shadowing).
@@ -532,11 +526,6 @@ impl ClassRegistry {
 
     pub(crate) fn set_body(&mut self, id: MethodId, body: u32) {
         self.classes[id.class.index()].bodies[id.index as usize] = Some(body);
-    }
-
-    /// Iterate over linked class names (diagnostics).
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.classes.iter().map(|c| c.name.as_str())
     }
 }
 
@@ -645,8 +634,11 @@ mod tests {
         let (a, b) = class_ab();
         let aid = define(&mut reg, &a).unwrap();
         let bid = define(&mut reg, &b).unwrap();
-        assert_eq!(reg.resolve_static(bid, "s"), Some((aid, 0)));
-        assert_eq!(reg.resolve_static(bid, "nope"), None);
+        let s = reg.interner().lookup("s").unwrap();
+        assert_eq!(reg.resolve_static_sym(bid, s), Some((aid, 0)));
+        // An instance field's name is interned but names no static.
+        let x = reg.interner().lookup("x").unwrap();
+        assert_eq!(reg.resolve_static_sym(bid, x), None);
     }
 
     #[test]
@@ -680,8 +672,6 @@ mod tests {
             reg.resolve_instance_field_sym(bid, x),
             reg.resolve_instance_field(bid, "x")
         );
-        let s = reg.interner().lookup("s").unwrap();
-        assert_eq!(reg.resolve_static_sym(bid, s), reg.resolve_static(bid, "s"));
     }
 
     #[test]
