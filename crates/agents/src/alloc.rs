@@ -6,7 +6,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use jvmsim_faults::FaultSite;
-use jvmsim_jvmti::{Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError, ProbeKind};
+use jvmsim_jvmti::{
+    Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError, ProbeKind, VmEventSink,
+};
 use jvmsim_vm::{AllocationView, ThreadInfo, TraceEventKind, TraceSink};
 
 /// Capacity of the allocation-site table. A new site arriving at a full
@@ -110,7 +112,9 @@ impl Agent for AllocAgent {
         let _ = self.env.set(host.env());
         Ok(())
     }
+}
 
+impl VmEventSink for AllocAgent {
     fn allocation(&self, thread: &ThreadInfo, alloc: AllocationView<'_>) {
         let Some(env) = self.env.get() else { return };
         // Self-timing span: every cycle below lands in the alloc_probe

@@ -17,7 +17,7 @@ use std::sync::{Arc, OnceLock};
 
 use jvmsim_jvmti::{
     Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError, LedgerSnapshot, MonitorRow,
-    ProbeKind, RawMonitor,
+    ProbeKind, RawMonitor, VmEventSink,
 };
 use jvmsim_vm::ThreadInfo;
 
@@ -98,7 +98,9 @@ impl Agent for LockAgent {
         let _ = self.env.set(env);
         Ok(())
     }
+}
 
+impl VmEventSink for LockAgent {
     fn thread_start(&self, thread: &ThreadInfo) {
         self.update_totals(thread, true);
     }

@@ -19,7 +19,7 @@ use std::sync::{Arc, OnceLock};
 
 use jnativeprof::harness::AgentChoice;
 use jnativeprof::session::Session;
-use jvmsim_jvmti::{Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError};
+use jvmsim_jvmti::{Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError, VmEventSink};
 use jvmsim_vm::{MethodView, ThreadInfo, TiersMode, Vm};
 use nativeprof::{ChainProfiler, InstrumentationMode, IpaConfig};
 use workloads::{by_name, ProblemSize, WorkloadProgram};
@@ -67,6 +67,9 @@ impl Agent for TimestampEverything {
         self.env.set(host.env()).ok();
         Ok(())
     }
+}
+
+impl VmEventSink for TimestampEverything {
     fn method_entry(&self, thread: &ThreadInfo, _m: MethodView<'_>) {
         let _ = self.env.get().unwrap().timestamp(thread);
     }

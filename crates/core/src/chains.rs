@@ -17,7 +17,8 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use jvmsim_jvmti::{
-    Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError, RawMonitor, ThreadLocalStorage,
+    Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError, RawMonitor,
+    ThreadLocalStorage, VmEventSink,
 };
 use jvmsim_vm::{MethodView, ThreadInfo};
 
@@ -173,7 +174,9 @@ impl Agent for ChainProfiler {
         self.env.set(env).expect("attached twice");
         Ok(())
     }
+}
 
+impl VmEventSink for ChainProfiler {
     fn method_entry(&self, thread: &ThreadInfo, method: MethodView<'_>) {
         let env = self.env.get().expect("attached");
         self.with_stack(thread, |stack| {

@@ -25,7 +25,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use jvmsim_instr::{bridge_class, NativeWrapperTransform, WrapperConfig};
 use jvmsim_jvmti::{
     Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError, ProbeKind, RawMonitor,
-    ThreadLocalStorage,
+    ThreadLocalStorage, VmEventSink,
 };
 use jvmsim_vm::cost::CostModel;
 use jvmsim_vm::{NativeLibrary, ThreadInfo, TraceEventKind, TraceSink, Value};
@@ -420,7 +420,9 @@ impl Agent for IpaAgent {
         self.env.set(env).expect("IPA attached twice");
         Ok(())
     }
+}
 
+impl VmEventSink for IpaAgent {
     fn thread_start(&self, thread: &ThreadInfo) {
         let tc = self.new_context(thread);
         self.tls().put(thread, tc);
@@ -453,7 +455,7 @@ impl Agent for IpaAgent {
         }
     }
 
-    fn class_file_load_hook(&self, class_name: &str, bytes: &[u8]) -> Option<Vec<u8>> {
+    fn class_file_load(&self, class_name: &str, bytes: &[u8]) -> Option<Vec<u8>> {
         if self.config.mode != InstrumentationMode::Dynamic {
             return None;
         }
@@ -461,8 +463,8 @@ impl Agent for IpaAgent {
             return None;
         }
         let transform = NativeWrapperTransform::with_config(self.config.wrapper.clone());
-        match jvmsim_instr::archive::instrument_class_bytes(&transform, bytes) {
-            Ok(replacement) => replacement,
+        match jvmsim_instr::apply_to_bytes(&transform, bytes) {
+            Ok(rewritten) => rewritten.map(|(bytes, _)| bytes),
             Err(_) => {
                 // The class loads uninstrumented: its native calls will be
                 // invisible to the J2N count. Surface it via the counter so
@@ -551,6 +553,24 @@ mod tests {
         assert!(outcome.stats.insns > 0);
         let pct = report.percent_native();
         assert!(pct > 50.0, "native work dominates this program: {pct}");
+    }
+
+    #[test]
+    fn dynamic_single_class_path() {
+        let ipa = IpaAgent::with_config(IpaConfig {
+            mode: InstrumentationMode::Dynamic,
+            ..IpaConfig::default()
+        });
+        let mut cb = ClassBuilder::new("t/Dyn");
+        cb.native_method("n", "()I", MethodFlags::STATIC).unwrap();
+        let bytes = jvmsim_classfile::codec::encode(&cb.finish().unwrap());
+        let out = ipa.class_file_load("t/Dyn", &bytes).expect("changed");
+        let class = jvmsim_classfile::codec::decode(&out).unwrap();
+        assert!(class.find_method("n", "()I").is_some());
+        assert!(class.find_method("$$nativeprof$$n", "()I").is_some());
+        assert_eq!(ipa.instrumentation_failures(), 0);
+        // A class without native methods loads as it is.
+        assert_eq!(ipa.class_file_load("t/Dyn", &out), None);
     }
 
     #[test]

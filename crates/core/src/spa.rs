@@ -15,7 +15,7 @@ use std::sync::{Arc, OnceLock};
 
 use jvmsim_jvmti::{
     Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError, ProbeKind, RawMonitor,
-    ThreadLocalStorage,
+    ThreadLocalStorage, VmEventSink,
 };
 use jvmsim_vm::{MethodView, ThreadInfo};
 
@@ -140,7 +140,9 @@ impl Agent for SpaAgent {
         self.env.set(env).expect("SPA attached twice");
         Ok(())
     }
+}
 
+impl VmEventSink for SpaAgent {
     fn thread_start(&self, thread: &ThreadInfo) {
         // Same construction as the lazy path; creating it here just makes
         // the meter start at the thread's first instant.

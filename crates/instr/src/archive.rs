@@ -114,26 +114,17 @@ impl Archive {
         let mut report = ArchiveReport::default();
         // Stage replacements per index so a mid-archive failure leaves the
         // archive untouched, without cloning every unchanged entry.
-        let mut replacements: Vec<(usize, Vec<u8>, usize)> = Vec::new();
-        for (i, (name, bytes)) in self.entries.iter().enumerate() {
+        let mut replacements = Vec::new();
+        for (i, (_, bytes)) in self.entries.iter().enumerate() {
             report.classes_seen += 1;
-            // Decode once to count touched methods precisely.
-            let mut class = codec::decode(bytes)?;
-            let stats = transform.apply(&mut class)?;
-            if stats.changed {
-                jvmsim_classfile::validate::validate_class(&class).map_err(|e| {
-                    InstrError::Transform {
-                        class: name.clone(),
-                        reason: format!("invalid after {}: {e}", transform.name()),
-                    }
-                })?;
-                replacements.push((i, codec::encode(&class), stats.methods_touched));
+            if let Some(rewritten) = apply_to_bytes(transform, bytes)? {
+                replacements.push((i, rewritten));
             }
         }
-        for (i, bytes, touched) in replacements {
+        for (i, (bytes, stats)) in replacements {
             self.entries[i].1 = bytes;
             report.classes_instrumented += 1;
-            report.methods_touched += touched;
+            report.methods_touched += stats.methods_touched;
         }
         Ok(report)
     }
@@ -208,21 +199,6 @@ impl IntoIterator for Archive {
     fn into_iter(self) -> Self::IntoIter {
         self.entries.into_iter()
     }
-}
-
-/// Instrument classfile bytes one class at a time — the dynamic-
-/// instrumentation path (used from a `ClassFileLoadHook`). Returns `None`
-/// when the class needs no change, mirroring
-/// [`crate::transform::apply_to_bytes`].
-///
-/// # Errors
-///
-/// See [`crate::transform::apply_to_bytes`].
-pub fn instrument_class_bytes(
-    transform: &dyn ClassTransform,
-    bytes: &[u8],
-) -> Result<Option<Vec<u8>>, InstrError> {
-    apply_to_bytes(transform, bytes)
 }
 
 /// The instrumentation-plane cache key for running the native-wrapper
@@ -356,18 +332,5 @@ mod tests {
             instrumentation_cache_key(&a, &cfg),
             instrumentation_cache_key(&instrumented, &cfg)
         );
-    }
-
-    #[test]
-    fn dynamic_single_class_path() {
-        let mut cb = ClassBuilder::new("t/Dyn");
-        cb.native_method("n", "()I", MethodFlags::STATIC).unwrap();
-        let bytes = codec::encode(&cb.finish().unwrap());
-        let out = instrument_class_bytes(&NativeWrapperTransform::new(), &bytes)
-            .unwrap()
-            .expect("changed");
-        let class = codec::decode(&out).unwrap();
-        assert!(class.find_method("n", "()I").is_some());
-        assert!(class.find_method("$$nativeprof$$n", "()I").is_some());
     }
 }

@@ -32,9 +32,12 @@ pub trait ClassTransform {
 }
 
 /// Apply a transform to serialized classfile bytes: decode → rewrite →
-/// validate → encode. Returns `None` when the transform left the class
-/// unchanged (so callers can keep the original bytes — the fast path the
-/// paper's tool takes for classes without native methods).
+/// validate → encode. Returns the rewritten bytes with what the transform
+/// did, or `None` when it left the class unchanged (so callers can keep
+/// the original bytes — the fast path the paper's tool takes for classes
+/// without native methods). Both instrumentation paths run through here:
+/// [`crate::Archive::instrument`] statically, per entry, and a
+/// `ClassFileLoadHook` dynamically, per loaded class.
 ///
 /// # Errors
 ///
@@ -43,7 +46,7 @@ pub trait ClassTransform {
 pub fn apply_to_bytes(
     transform: &dyn ClassTransform,
     bytes: &[u8],
-) -> Result<Option<Vec<u8>>, InstrError> {
+) -> Result<Option<(Vec<u8>, TransformStats)>, InstrError> {
     let mut class = codec::decode(bytes)?;
     let stats = transform.apply(&mut class)?;
     if !stats.changed {
@@ -56,7 +59,7 @@ pub fn apply_to_bytes(
             transform.name()
         ),
     })?;
-    Ok(Some(codec::encode(&class)))
+    Ok(Some((codec::encode(&class), stats)))
 }
 
 #[cfg(test)]
@@ -94,9 +97,10 @@ mod tests {
 
     #[test]
     fn bytes_round_trip_when_changed() {
-        let out = apply_to_bytes(&Rename("new".into()), &sample_bytes())
+        let (out, stats) = apply_to_bytes(&Rename("new".into()), &sample_bytes())
             .unwrap()
             .expect("changed");
+        assert_eq!(stats.methods_touched, 1);
         let class = codec::decode(&out).unwrap();
         assert!(class.find_method("new", "()I").is_some());
         assert!(class.find_method("old", "()I").is_none());

@@ -1,4 +1,4 @@
-//! Capabilities and event kinds — the JVMTI permission model.
+//! Capabilities — the JVMTI permission model.
 //!
 //! A JVMTI agent must *request capabilities* before it may enable the
 //! corresponding events or use the corresponding functions. The subset here
@@ -7,7 +7,7 @@
 //! disables the JIT); IPA requests native-method prefixing and JNI
 //! function interception instead.
 
-use std::fmt;
+use jvmsim_vm::EventType;
 
 /// Requestable capabilities (JVMTI `jvmtiCapabilities` analog).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,6 +74,18 @@ impl Capabilities {
         }
     }
 
+    /// May an agent holding this set enable `event`? Thread and VM-death
+    /// events need no capability.
+    pub fn permits(self, event: EventType) -> bool {
+        match event {
+            EventType::MethodEntry => self.can_generate_method_entry_events,
+            EventType::MethodExit => self.can_generate_method_exit_events,
+            EventType::ClassFileLoadHook => self.can_generate_class_file_load_hook,
+            EventType::Allocation => self.can_generate_allocation_events,
+            EventType::ThreadStart | EventType::ThreadEnd | EventType::VmDeath => true,
+        }
+    }
+
     /// Union of two capability sets.
     #[must_use]
     pub fn with(self, other: Capabilities) -> Capabilities {
@@ -92,69 +104,6 @@ impl Capabilities {
             can_observe_raw_monitors: self.can_observe_raw_monitors
                 || other.can_observe_raw_monitors,
         }
-    }
-}
-
-/// Enableable event kinds (JVMTI `jvmtiEvent` analog).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EventType {
-    /// New thread, before its initial method (not sent for the primordial
-    /// thread — the wart §III works around).
-    ThreadStart,
-    /// Thread finished its initial method.
-    ThreadEnd,
-    /// Method entered (bytecode or native). Requires
-    /// [`Capabilities::can_generate_method_entry_events`].
-    MethodEntry,
-    /// Method exited, by return or exception. Requires
-    /// [`Capabilities::can_generate_method_exit_events`].
-    MethodExit,
-    /// VM terminating; no events follow.
-    VmDeath,
-    /// Classfile about to be linked; agent may rewrite it. Requires
-    /// [`Capabilities::can_generate_class_file_load_hook`].
-    ClassFileLoadHook,
-    /// An object was allocated (instance, array, or string). Requires
-    /// [`Capabilities::can_generate_allocation_events`].
-    Allocation,
-}
-
-impl EventType {
-    /// All event kinds.
-    pub const ALL: [EventType; 7] = [
-        EventType::ThreadStart,
-        EventType::ThreadEnd,
-        EventType::MethodEntry,
-        EventType::MethodExit,
-        EventType::VmDeath,
-        EventType::ClassFileLoadHook,
-        EventType::Allocation,
-    ];
-
-    /// The capability gate for this event, if any.
-    pub fn required_capability(self, caps: Capabilities) -> bool {
-        match self {
-            EventType::MethodEntry => caps.can_generate_method_entry_events,
-            EventType::MethodExit => caps.can_generate_method_exit_events,
-            EventType::ClassFileLoadHook => caps.can_generate_class_file_load_hook,
-            EventType::Allocation => caps.can_generate_allocation_events,
-            _ => true,
-        }
-    }
-}
-
-impl fmt::Display for EventType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            EventType::ThreadStart => "ThreadStart",
-            EventType::ThreadEnd => "ThreadEnd",
-            EventType::MethodEntry => "MethodEntry",
-            EventType::MethodExit => "MethodExit",
-            EventType::VmDeath => "VMDeath",
-            EventType::ClassFileLoadHook => "ClassFileLoadHook",
-            EventType::Allocation => "Allocation",
-        };
-        f.write_str(s)
     }
 }
 
@@ -184,21 +133,15 @@ mod tests {
     #[test]
     fn event_capability_gates() {
         let none = Capabilities::none();
-        assert!(EventType::ThreadStart.required_capability(none));
-        assert!(EventType::VmDeath.required_capability(none));
-        assert!(!EventType::MethodEntry.required_capability(none));
-        assert!(!EventType::MethodExit.required_capability(none));
-        assert!(!EventType::ClassFileLoadHook.required_capability(none));
-        assert!(EventType::MethodEntry.required_capability(Capabilities::spa()));
-        assert!(!EventType::Allocation.required_capability(none));
-        assert!(EventType::Allocation.required_capability(Capabilities::alloc()));
+        assert!(none.permits(EventType::ThreadStart));
+        assert!(none.permits(EventType::VmDeath));
+        assert!(!none.permits(EventType::MethodEntry));
+        assert!(!none.permits(EventType::MethodExit));
+        assert!(!none.permits(EventType::ClassFileLoadHook));
+        assert!(Capabilities::spa().permits(EventType::MethodEntry));
+        assert!(!none.permits(EventType::Allocation));
+        assert!(Capabilities::alloc().permits(EventType::Allocation));
         assert!(Capabilities::lock().can_observe_raw_monitors);
         assert!(!Capabilities::lock().can_generate_allocation_events);
-    }
-
-    #[test]
-    fn display() {
-        assert_eq!(EventType::VmDeath.to_string(), "VMDeath");
-        assert_eq!(EventType::MethodEntry.to_string(), "MethodEntry");
     }
 }

@@ -8,11 +8,9 @@ use jvmsim_metrics::{Bucket, CounterId, HistogramId};
 use jvmsim_pcl::{Pcl, Timestamp};
 use jvmsim_vm::cost::CostModel;
 use jvmsim_vm::jni::{JniCallKey, JniEntryFn};
-use jvmsim_vm::{
-    AllocationView, BucketScope, EventMask, MethodView, NativeLibrary, ThreadInfo, Vm, VmEventSink,
-};
+use jvmsim_vm::{BucketScope, EventMask, EventType, NativeLibrary, ThreadInfo, Vm, VmEventSink};
 
-use crate::caps::{Capabilities, EventType};
+use crate::caps::Capabilities;
 use crate::error::JvmtiError;
 use crate::monitor::{MonitorLedger, RawMonitor};
 use crate::tls::ThreadLocalStorage;
@@ -219,11 +217,8 @@ impl Drop for ProbeSpan<'_> {
 pub struct AgentHost<'vm> {
     vm: &'vm mut Vm,
     env: JvmtiEnv,
-    enabled: EnabledEvents,
+    enabled: EventMask,
 }
-
-/// Which events an agent enabled, indexed by `EventType as usize`.
-type EnabledEvents = [bool; EventType::ALL.len()];
 
 impl<'vm> AgentHost<'vm> {
     /// The environment handle to keep for the agent's lifetime.
@@ -248,12 +243,12 @@ impl<'vm> AgentHost<'vm> {
     /// [`JvmtiError::MustPossessCapability`] if the event's gating
     /// capability was not requested.
     pub fn enable_event(&mut self, event: EventType) -> Result<(), JvmtiError> {
-        if !event.required_capability(self.env.capabilities()) {
+        if !self.env.capabilities().permits(event) {
             return Err(JvmtiError::MustPossessCapability(format!(
                 "event {event} requires a capability that was not requested"
             )));
         }
-        self.enabled[event as usize] = true;
+        self.enabled.insert(event);
         Ok(())
     }
 
@@ -347,15 +342,16 @@ impl<'vm> AgentHost<'vm> {
     }
 }
 
-/// A JVMTI agent. `on_load` is `Agent_OnLoad`; the event callbacks mirror
-/// the JVMTI event set. Only events the agent enabled during `on_load` are
-/// delivered.
+/// A JVMTI agent: `on_load` is `Agent_OnLoad`, and the event callbacks
+/// are the agent's [`VmEventSink`] methods. [`attach`] installs the agent
+/// itself as the VM's sink, and the VM delivers only the events the agent
+/// enabled during `on_load`.
 ///
 /// Per-thread callbacks borrow the acting thread's [`ThreadInfo`] record
 /// for the duration of the event: pass it to [`JvmtiEnv`]'s clock and TLS
 /// services and to [`crate::RawMonitor::enter`]. Callbacks must not
 /// re-enter the VM.
-pub trait Agent: Send + Sync + 'static {
+pub trait Agent: VmEventSink + 'static {
     /// Agent initialization: request capabilities, enable events, install
     /// interceptors, stash the [`JvmtiEnv`].
     ///
@@ -363,75 +359,12 @@ pub trait Agent: Send + Sync + 'static {
     ///
     /// Any [`JvmtiError`] aborts the attach.
     fn on_load(&self, host: &mut AgentHost<'_>) -> Result<(), JvmtiError>;
-
-    /// `ThreadStart`.
-    fn thread_start(&self, _thread: &ThreadInfo) {}
-    /// `ThreadEnd`.
-    fn thread_end(&self, _thread: &ThreadInfo) {}
-    /// `MethodEntry`.
-    fn method_entry(&self, _thread: &ThreadInfo, _method: MethodView<'_>) {}
-    /// `MethodExit`.
-    fn method_exit(&self, _thread: &ThreadInfo, _method: MethodView<'_>, _via_exception: bool) {}
-    /// `VMDeath`; `threads` holds every thread's record in ascending thread
-    /// order, for folding per-thread state no `ThreadEnd` collected.
-    fn vm_death(&self, _threads: &[ThreadInfo]) {}
-    /// `ClassFileLoadHook`: return replacement bytes to rewrite the class.
-    fn class_file_load_hook(&self, _class_name: &str, _bytes: &[u8]) -> Option<Vec<u8>> {
-        None
-    }
-    /// `Allocation`: `thread` allocated one object.
-    fn allocation(&self, _thread: &ThreadInfo, _alloc: AllocationView<'_>) {}
 }
 
-/// Adapter delivering VM events to the agent, filtered by what it enabled.
-struct AgentSink {
-    agent: Arc<dyn Agent>,
-    enabled: EnabledEvents,
-}
-
-impl VmEventSink for AgentSink {
-    fn thread_start(&self, thread: &ThreadInfo) {
-        if self.enabled[EventType::ThreadStart as usize] {
-            self.agent.thread_start(thread);
-        }
-    }
-    fn thread_end(&self, thread: &ThreadInfo) {
-        if self.enabled[EventType::ThreadEnd as usize] {
-            self.agent.thread_end(thread);
-        }
-    }
-    fn vm_death(&self, threads: &[ThreadInfo]) {
-        if self.enabled[EventType::VmDeath as usize] {
-            self.agent.vm_death(threads);
-        }
-    }
-    fn method_entry(&self, thread: &ThreadInfo, method: MethodView<'_>) {
-        if self.enabled[EventType::MethodEntry as usize] {
-            self.agent.method_entry(thread, method);
-        }
-    }
-    fn method_exit(&self, thread: &ThreadInfo, method: MethodView<'_>, via_exception: bool) {
-        if self.enabled[EventType::MethodExit as usize] {
-            self.agent.method_exit(thread, method, via_exception);
-        }
-    }
-    fn class_file_load(&self, class_name: &str, bytes: &[u8]) -> Option<Vec<u8>> {
-        if self.enabled[EventType::ClassFileLoadHook as usize] {
-            self.agent.class_file_load_hook(class_name, bytes)
-        } else {
-            None
-        }
-    }
-    fn allocation(&self, thread: &ThreadInfo, alloc: AllocationView<'_>) {
-        if self.enabled[EventType::Allocation as usize] {
-            self.agent.allocation(thread, alloc);
-        }
-    }
-}
-
-/// Attach `agent` to `vm`: run `Agent_OnLoad`, install the event sink, and
-/// set the VM event mask. If the agent enabled `MethodEntry`/`MethodExit`,
-/// the mask disables JIT compilation — the cost the paper's SPA pays.
+/// Attach `agent` to `vm`: run `Agent_OnLoad`, install the agent as the
+/// event sink, and set the VM event mask to the events it enabled. If the
+/// agent enabled `MethodEntry` or `MethodExit`, the VM runs with the JIT
+/// disabled — the cost the paper's SPA pays.
 ///
 /// # Errors
 ///
@@ -448,19 +381,11 @@ pub fn attach(vm: &mut Vm, agent: Arc<dyn Agent>) -> Result<JvmtiEnv, JvmtiError
     let mut host = AgentHost {
         vm,
         env: env.clone(),
-        enabled: [false; EventType::ALL.len()],
+        enabled: EventMask::default(),
     };
     agent.on_load(&mut host)?;
-    let enabled = host.enabled;
-    let on = |event: EventType| enabled[event as usize];
-    let mask = EventMask {
-        thread_events: on(EventType::ThreadStart) || on(EventType::ThreadEnd),
-        method_events: on(EventType::MethodEntry) || on(EventType::MethodExit),
-        vm_death: on(EventType::VmDeath),
-        class_file_load_hook: on(EventType::ClassFileLoadHook),
-        alloc_events: on(EventType::Allocation),
-    };
-    vm.set_event_sink(Arc::new(AgentSink { agent, enabled }));
+    let mask = host.enabled;
+    vm.set_event_sink(agent);
     vm.set_event_mask(mask);
     Ok(env)
 }

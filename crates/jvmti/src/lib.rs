@@ -1,10 +1,16 @@
 //! # jvmsim-jvmti — the JVM Tool Interface analog
 //!
 //! The JVMTI surface the paper's agents are written against (§II-B):
-//! [capabilities][caps] gating [events][caps::EventType],
+//! [capabilities][caps] gating [events][EventType],
 //! [thread-local storage][tls], [raw monitors][monitor], JNI function
 //! interception and native-method prefixing (both via
 //! [`AgentHost`]), and the attach protocol ([`attach`]).
+//!
+//! The event set and its callbacks are the VM's own [`EventType`] and
+//! [`VmEventSink`], re-exported here: an [`Agent`] *is* a `VmEventSink`
+//! plus `on_load`, and [`attach`] installs it as the VM's sink. The VM
+//! delivers a callback only if the agent enabled its event, so each event
+//! costs one virtual call.
 //!
 //! Faithfully reproduced warts:
 //!
@@ -25,8 +31,9 @@ mod error;
 pub mod monitor;
 pub mod tls;
 
-pub use caps::{Capabilities, EventType};
+pub use caps::Capabilities;
 pub use env::{attach, Agent, AgentHost, JvmtiEnv, ProbeKind, ProbeSpan};
 pub use error::JvmtiError;
+pub use jvmsim_vm::{EventType, VmEventSink};
 pub use monitor::{LedgerSnapshot, MonitorGuard, MonitorLedger, MonitorRow, RawMonitor};
 pub use tls::ThreadLocalStorage;

@@ -6,8 +6,10 @@ use std::sync::{Arc, OnceLock};
 
 use jvmsim_classfile::builder::{single_method_class, ClassBuilder};
 use jvmsim_classfile::MethodFlags;
-use jvmsim_jvmti::{attach, Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError};
-use jvmsim_vm::{MethodView, ThreadId, ThreadInfo, Value, Vm};
+use jvmsim_jvmti::{
+    attach, Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError, VmEventSink,
+};
+use jvmsim_vm::{builtins, AllocationView, MethodView, ThreadId, ThreadInfo, Value, Vm};
 
 fn trivial_class() -> jvmsim_classfile::ClassFile {
     single_method_class("t/M", "main", "()V", |m| {
@@ -37,6 +39,7 @@ fn enabling_gated_event_without_capability_fails_attach() {
             Ok(())
         }
     }
+    impl VmEventSink for Bad {}
     let mut vm = Vm::new();
     let err = attach(&mut vm, Arc::new(Bad)).unwrap_err();
     assert!(matches!(err, JvmtiError::MustPossessCapability(_)));
@@ -51,6 +54,7 @@ fn prefix_requires_capability_and_nonempty() {
             Ok(())
         }
     }
+    impl VmEventSink for NoCap {}
     let mut vm = Vm::new();
     assert!(matches!(
         attach(&mut vm, Arc::new(NoCap)).unwrap_err(),
@@ -65,6 +69,7 @@ fn prefix_requires_capability_and_nonempty() {
             Ok(())
         }
     }
+    impl VmEventSink for EmptyPrefix {}
     let mut vm = Vm::new();
     assert!(matches!(
         attach(&mut vm, Arc::new(EmptyPrefix)).unwrap_err(),
@@ -79,6 +84,7 @@ fn prefix_requires_capability_and_nonempty() {
             Ok(())
         }
     }
+    impl VmEventSink for Good {}
     let mut vm = Vm::new();
     attach(&mut vm, Arc::new(Good)).unwrap();
     assert_eq!(vm.native_prefixes(), &["$$x$$".to_owned()]);
@@ -93,6 +99,7 @@ fn jni_interception_requires_capability() {
             Ok(())
         }
     }
+    impl VmEventSink for NoCap {}
     let mut vm = Vm::new();
     assert!(matches!(
         attach(&mut vm, Arc::new(NoCap)).unwrap_err(),
@@ -100,34 +107,102 @@ fn jni_interception_requires_capability() {
     ));
 }
 
+/// A program that fires every event kind: `main` spawns a thread running
+/// `worker`, and each method interns a fresh string (an allocation).
+fn every_event_class() -> jvmsim_classfile::ClassFile {
+    const ST: MethodFlags = MethodFlags::STATIC;
+    let mut cb = ClassBuilder::new("t/All");
+    let mut m = cb.method("worker", "(I)V", ST);
+    m.ldc_str("in worker").pop().ret_void();
+    m.finish().unwrap();
+    let mut m = cb.method("main", "()V", ST);
+    m.ldc_str("w").ldc_str("t/All").ldc_str("worker").iconst(1);
+    m.invokestatic(
+        "java/lang/Threads",
+        "start",
+        "(Ljava/lang/String;Ljava/lang/String;Ljava/lang/String;I)V",
+    );
+    m.ret_void();
+    m.finish().unwrap();
+    cb.finish().unwrap()
+}
+
 #[test]
 fn only_enabled_events_are_delivered() {
-    #[derive(Default)]
-    struct EntryOnly {
-        entries: AtomicU64,
-        exits: AtomicU64,
+    /// Enables `event` alone and counts every callback it receives.
+    struct OneEvent {
+        event: EventType,
+        delivered: [AtomicU64; EventType::ALL.len()],
     }
-    impl Agent for EntryOnly {
+    impl OneEvent {
+        fn count(&self, event: EventType) {
+            self.delivered[event as usize].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    impl Agent for OneEvent {
         fn on_load(&self, host: &mut AgentHost<'_>) -> Result<(), JvmtiError> {
-            host.add_capabilities(Capabilities::spa());
-            host.enable_event(EventType::MethodEntry)?;
-            // MethodExit deliberately NOT enabled.
-            Ok(())
+            host.add_capabilities(Capabilities {
+                can_generate_class_file_load_hook: true,
+                ..Capabilities::spa().with(Capabilities::alloc())
+            });
+            host.enable_event(self.event)
+        }
+    }
+    impl VmEventSink for OneEvent {
+        fn thread_start(&self, _t: &ThreadInfo) {
+            self.count(EventType::ThreadStart);
+        }
+        fn thread_end(&self, _t: &ThreadInfo) {
+            self.count(EventType::ThreadEnd);
+        }
+        fn vm_death(&self, _threads: &[ThreadInfo]) {
+            self.count(EventType::VmDeath);
         }
         fn method_entry(&self, _t: &ThreadInfo, _m: MethodView<'_>) {
-            self.entries.fetch_add(1, Ordering::Relaxed);
+            self.count(EventType::MethodEntry);
         }
         fn method_exit(&self, _t: &ThreadInfo, _m: MethodView<'_>, _e: bool) {
-            self.exits.fetch_add(1, Ordering::Relaxed);
+            self.count(EventType::MethodExit);
+        }
+        fn class_file_load(&self, _name: &str, _bytes: &[u8]) -> Option<Vec<u8>> {
+            self.count(EventType::ClassFileLoadHook);
+            None
+        }
+        fn allocation(&self, _t: &ThreadInfo, _a: AllocationView<'_>) {
+            self.count(EventType::Allocation);
         }
     }
-    let agent = Arc::new(EntryOnly::default());
-    let mut vm = Vm::new();
-    vm.add_classfile(&trivial_class());
-    attach(&mut vm, Arc::clone(&agent) as Arc<dyn Agent>).unwrap();
-    vm.run("t/M", "main", "()V", vec![]).unwrap();
-    assert_eq!(agent.entries.load(Ordering::Relaxed), 2); // main + leaf
-    assert_eq!(agent.exits.load(Ordering::Relaxed), 0);
+    // What the program fires of each kind: one spawned thread (the
+    // primordial thread has no start), two ends; `main`, `worker` and
+    // `Threads.start` entered and exited; `t/All` and `java/lang/Threads`
+    // loaded from the class path; four strings interned.
+    let expected = [
+        (EventType::ThreadStart, 1),
+        (EventType::ThreadEnd, 2),
+        (EventType::MethodEntry, 3),
+        (EventType::MethodExit, 3),
+        (EventType::VmDeath, 1),
+        (EventType::ClassFileLoadHook, 2),
+        (EventType::Allocation, 4),
+    ];
+    assert_eq!(expected.map(|(e, _)| e), EventType::ALL);
+    for (event, fired) in expected {
+        let agent = Arc::new(OneEvent {
+            event,
+            delivered: Default::default(),
+        });
+        let mut vm = Vm::new();
+        builtins::install(&mut vm);
+        vm.add_classfile(&every_event_class());
+        attach(&mut vm, Arc::clone(&agent) as Arc<dyn Agent>).unwrap();
+        vm.run("t/All", "main", "()V", vec![]).unwrap();
+        let delivered = agent
+            .delivered
+            .each_ref()
+            .map(|n| n.load(Ordering::Relaxed));
+        let want = EventType::ALL.map(|e| if e == event { fired } else { 0 });
+        assert_eq!(delivered, want, "only {event} enabled");
+    }
 }
 
 #[test]
@@ -141,6 +216,7 @@ fn attach_with_method_events_disables_jit() {
             Ok(())
         }
     }
+    impl VmEventSink for Spa {}
     let mut vm = Vm::new();
     assert!(vm.jit_enabled());
     attach(&mut vm, Arc::new(Spa)).unwrap();
@@ -156,6 +232,7 @@ fn attach_with_method_events_disables_jit() {
             Ok(())
         }
     }
+    impl VmEventSink for Ipa {}
     let mut vm = Vm::new();
     attach(&mut vm, Arc::new(Ipa)).unwrap();
     assert!(vm.jit_enabled(), "IPA-style agents leave the JIT on");
@@ -173,6 +250,8 @@ fn tls_and_monitor_charge_the_acting_thread() {
             self.env.set(host.env()).ok();
             Ok(())
         }
+    }
+    impl VmEventSink for TlsAgent {
         fn thread_end(&self, thread: &ThreadInfo) {
             let env = self.env.get().unwrap();
             let before = env.timestamp_unaccounted(thread);
@@ -211,6 +290,7 @@ fn tls_lifecycle() {
             Ok(())
         }
     }
+    impl VmEventSink for Noop {}
     let env = attach(&mut vm, Arc::new(Noop)).unwrap();
     // Force thread 0 to exist so charging has a clock.
     vm.add_classfile(&trivial_class());
@@ -245,6 +325,8 @@ fn ThreadId_from_index_for_test() -> ThreadId {
             host.enable_event(EventType::ThreadEnd)?;
             Ok(())
         }
+    }
+    impl VmEventSink for Capture {
         fn thread_end(&self, thread: &ThreadInfo) {
             *CAPTURED.lock().unwrap() = Some(thread.id());
         }
@@ -289,6 +371,7 @@ fn bootstrap_classpath_and_agent_library() {
             Ok(())
         }
     }
+    impl VmEventSink for Loader {}
     let mut vm = Vm::new();
     attach(&mut vm, Arc::new(Loader)).unwrap();
     let r = vm

@@ -50,43 +50,96 @@ pub struct MethodView<'a> {
     pub is_native: bool,
 }
 
-/// Which event categories the VM should dispatch.
-///
-/// Mirrors JVMTI event enabling. **Enabling method entry/exit events
-/// disables JIT compilation** for the lifetime of the setting — the
-/// documented HotSpot behaviour that makes SPA's overhead catastrophic
-/// (§III of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EventMask {
-    /// `ThreadStart` / `ThreadEnd`.
-    pub thread_events: bool,
-    /// `MethodEntry` / `MethodExit` (forces interpreted-only execution).
-    pub method_events: bool,
-    /// `VMDeath`.
-    pub vm_death: bool,
-    /// `ClassFileLoadHook` (lets the sink rewrite classfile bytes before
-    /// they are linked — the dynamic-instrumentation path of §IV).
-    pub class_file_load_hook: bool,
-    /// `Allocation` (the ALLOC agent's object-allocation hook; off for
-    /// every other agent so the allocation fast path stays one branch).
-    pub alloc_events: bool,
+/// Enableable event kinds (JVMTI `jvmtiEvent` analog), one per
+/// [`VmEventSink`] callback.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum EventType {
+    /// New thread, before its initial method (not sent for the primordial
+    /// thread — the wart §III works around).
+    ThreadStart,
+    /// Thread finished its initial method.
+    ThreadEnd,
+    /// Method entered (bytecode or native).
+    MethodEntry,
+    /// Method exited, by return or exception.
+    MethodExit,
+    /// VM terminating; no events follow.
+    VmDeath,
+    /// Classfile about to be linked; the sink may rewrite it.
+    ClassFileLoadHook,
+    /// An object was allocated (instance, array, or string).
+    Allocation,
 }
 
+impl EventType {
+    /// All event kinds.
+    pub const ALL: [EventType; 7] = [
+        EventType::ThreadStart,
+        EventType::ThreadEnd,
+        EventType::MethodEntry,
+        EventType::MethodExit,
+        EventType::VmDeath,
+        EventType::ClassFileLoadHook,
+        EventType::Allocation,
+    ];
+}
+
+impl fmt::Display for EventType {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            EventType::ThreadStart => "ThreadStart",
+            EventType::ThreadEnd => "ThreadEnd",
+            EventType::MethodEntry => "MethodEntry",
+            EventType::MethodExit => "MethodExit",
+            EventType::VmDeath => "VMDeath",
+            EventType::ClassFileLoadHook => "ClassFileLoadHook",
+            EventType::Allocation => "Allocation",
+        };
+        f.write_str(s)
+    }
+}
+
+/// The set of enabled events (JVMTI event enabling).
+///
+/// The VM delivers a callback only if its event is in the set, but it
+/// charges events in pairs: enabling either method event charges a
+/// dispatch for every entry *and* exit, and enabling either thread event
+/// one for every start *and* end. **Enabling a method event also disables
+/// JIT compilation** for the lifetime of the setting — the documented
+/// HotSpot behaviour that makes SPA's overhead catastrophic (§III of the
+/// paper).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EventMask(u8);
+
 impl EventMask {
-    /// All events off.
-    pub fn none() -> Self {
-        Self::default()
+    /// Add `event` to the set.
+    pub fn insert(&mut self, event: EventType) {
+        self.0 |= 1 << event as u8;
     }
 
-    /// Every event on (what SPA needs).
-    pub fn all() -> Self {
-        EventMask {
-            thread_events: true,
-            method_events: true,
-            vm_death: true,
-            class_file_load_hook: true,
-            alloc_events: true,
-        }
+    /// Is `event` in the set?
+    #[inline]
+    pub fn contains(self, event: EventType) -> bool {
+        self.0 & 1 << event as u8 != 0
+    }
+
+    /// `MethodEntry` or `MethodExit`: the JIT is off and both are charged.
+    #[inline]
+    pub(crate) fn method_events(self) -> bool {
+        self.contains(EventType::MethodEntry) || self.contains(EventType::MethodExit)
+    }
+
+    /// `ThreadStart` or `ThreadEnd`: both are charged.
+    pub(crate) fn thread_events(self) -> bool {
+        self.contains(EventType::ThreadStart) || self.contains(EventType::ThreadEnd)
+    }
+}
+
+impl FromIterator<EventType> for EventMask {
+    fn from_iter<I: IntoIterator<Item = EventType>>(events: I) -> Self {
+        let mut mask = EventMask::default();
+        events.into_iter().for_each(|e| mask.insert(e));
+        mask
     }
 }
 
@@ -108,8 +161,10 @@ pub struct AllocationView<'a> {
     pub bci: u32,
 }
 
-/// Receiver of VM events. All methods have empty defaults so sinks override
-/// only what they enable.
+/// Receiver of VM events, one callback per [`EventType`]; a JVMTI agent
+/// is one (`jvmsim_jvmti::Agent`). The VM calls a callback only when its
+/// event is in the [`EventMask`], so every method has an empty default and
+/// sinks override only what they enable.
 ///
 /// Callbacks take `&self`: agents keep their global state behind interior
 /// mutability, exactly like a C JVMTI agent keeps globals behind raw
@@ -135,16 +190,9 @@ pub trait VmEventSink: Send + Sync {
     fn class_file_load(&self, _class_name: &str, _bytes: &[u8]) -> Option<Vec<u8>> {
         None
     }
-    /// `thread` allocated one object (dispatched only when
-    /// [`EventMask::alloc_events`] is set).
+    /// `thread` allocated one object.
     fn allocation(&self, _thread: &ThreadInfo, _alloc: AllocationView<'_>) {}
 }
-
-/// A sink that ignores every event (useful as a baseline and in tests).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl VmEventSink for NullSink {}
 
 jvmsim_metrics::id_table! {
     /// Category of a transition-trace event.
@@ -222,19 +270,20 @@ mod tests {
 
     #[test]
     fn masks() {
-        assert_eq!(EventMask::none(), EventMask::default());
-        let all = EventMask::all();
-        assert!(all.thread_events && all.method_events && all.vm_death);
-        assert!(all.class_file_load_hook);
+        let all: EventMask = EventType::ALL.into_iter().collect();
+        assert!(EventType::ALL.iter().all(|&e| all.contains(e)));
+        assert!(all.method_events() && all.thread_events());
+        let mut end = EventMask::default();
+        assert!(!end.thread_events());
+        end.insert(EventType::ThreadEnd);
+        assert!(end.thread_events() && !end.method_events());
+        assert!(end.contains(EventType::ThreadEnd) && !end.contains(EventType::ThreadStart));
     }
 
     #[test]
-    fn null_sink_defaults() {
-        let s = NullSink;
-        let main = ThreadInfo::new(ThreadId(0), "main");
-        s.thread_start(&main);
-        s.vm_death(std::slice::from_ref(&main));
-        assert_eq!(s.class_file_load("a/B", &[1, 2, 3]), None);
+    fn display() {
+        assert_eq!(EventType::VmDeath.to_string(), "VMDeath");
+        assert_eq!(EventType::MethodEntry.to_string(), "MethodEntry");
     }
 
     #[test]

@@ -62,7 +62,7 @@ mod vm;
 pub use cost::CostModel;
 pub use error::VmError;
 pub use events::{
-    AllocationView, EventMask, MethodView, NullSink, ThreadId, TraceEventKind, TraceSink,
+    AllocationView, EventMask, EventType, MethodView, ThreadId, TraceEventKind, TraceSink,
     VmEventSink,
 };
 pub use jni::{JniEnv, NativeLibrary};

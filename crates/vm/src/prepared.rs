@@ -79,7 +79,7 @@ use jvmsim_tiers::{Tier, TiersMode};
 
 use crate::cost::{CostModel, TierCostModel};
 
-use crate::events::{ThreadId, VmEventSink};
+use crate::events::{EventMask, EventType, ThreadId, VmEventSink};
 use crate::heap::{Heap, HeapObject};
 use crate::klass::{CallSite, ClassId, ClassRegistry, MethodId};
 use crate::throw::JThrow;
@@ -1533,7 +1533,7 @@ impl Vm {
         let events = self.method_events_on();
         if events {
             self.flush(thread, pend);
-            self.dispatch(thread, |sink, info, vm| {
+            self.dispatch(thread, EventType::MethodEntry, |sink, info, vm| {
                 sink.method_entry(info, vm.registry.method_view(mid));
             });
         }
@@ -1581,7 +1581,7 @@ impl Vm {
         st.frames.pop();
         if events {
             let via_exception = result.is_err();
-            self.dispatch(thread, |sink, info, vm| {
+            self.dispatch(thread, EventType::MethodExit, |sink, info, vm| {
                 sink.method_exit(info, vm.registry.method_view(mid), via_exception);
             });
         }
@@ -1618,7 +1618,14 @@ impl Vm {
             .sink
             .as_deref()
             .filter(|_| self.method_events_on())
-            .map(|sink| (sink, self.agent_bucket(), self.cost.event_dispatch));
+            .map(|sink| {
+                (
+                    sink,
+                    self.mask,
+                    self.agent_bucket(),
+                    self.cost.event_dispatch,
+                )
+            });
         Straight {
             arena: &self.code,
             heap: &mut self.heap,
@@ -1849,7 +1856,7 @@ impl Vm {
                         let v = matches!(op, Op::ValueReturn { .. }).then(|| st.pop());
                         flush!();
                         if self.method_events_on() {
-                            self.dispatch(thread, |sink, info, vm| {
+                            self.dispatch(thread, EventType::MethodExit, |sink, info, vm| {
                                 sink.method_exit(info, vm.registry.method_view(cur), false);
                             });
                         }
@@ -1949,7 +1956,7 @@ impl Vm {
                     self.deopt(thread, cur);
                 }
                 if self.method_events_on() {
-                    self.dispatch(thread, |sink, info, vm| {
+                    self.dispatch(thread, EventType::MethodExit, |sink, info, vm| {
                         sink.method_exit(info, vm.registry.method_view(cur), true);
                     });
                 }
@@ -1984,9 +1991,9 @@ struct Straight<'a> {
     /// flushes and method events.
     info: &'a ThreadInfo,
     stats: &'a mut VmStats,
-    /// With method events on: the sink, the agent's attribution bucket
-    /// and the cost of one dispatch.
-    events: Option<(&'a dyn VmEventSink, Bucket, u64)>,
+    /// With method events on: the sink, the enabled events, the agent's
+    /// attribution bucket and the cost of one dispatch.
+    events: Option<(&'a dyn VmEventSink, EventMask, Bucket, u64)>,
     /// Instructions the running frame ran since the last settle, in and
     /// out of a run.
     run: u64,
@@ -2010,7 +2017,7 @@ impl<'a> Straight<'a> {
     /// (or a spill reloaded) across every dispatch.
     #[inline(never)]
     fn fire_method_event(&mut self, mid: MethodId, entry: bool) {
-        let Some((sink, bucket, dispatch)) = self.events else {
+        let Some((sink, mask, bucket, dispatch)) = self.events else {
             return;
         };
         self.pend.flush(self.info, self.stats);
@@ -2018,8 +2025,10 @@ impl<'a> Straight<'a> {
         let _agent = event_scope(self.info, bucket, dispatch);
         let view = self.registry.method_view(mid);
         if entry {
-            sink.method_entry(self.info, view);
-        } else {
+            if mask.contains(EventType::MethodEntry) {
+                sink.method_entry(self.info, view);
+            }
+        } else if mask.contains(EventType::MethodExit) {
             sink.method_exit(self.info, view, false);
         }
     }

@@ -17,7 +17,8 @@ use jvmsim_tiers::TiersMode;
 use crate::cost::CostModel;
 use crate::error::VmError;
 use crate::events::{
-    AllocationView, EventMask, SampleSink, ThreadId, TraceEventKind, TraceSink, VmEventSink,
+    AllocationView, EventMask, EventType, SampleSink, ThreadId, TraceEventKind, TraceSink,
+    VmEventSink,
 };
 use crate::heap::{Heap, HeapObject};
 use crate::jni::{JniFunctionTable, NativeFn, NativeLibrary};
@@ -348,7 +349,7 @@ pub struct Vm {
     /// cycles are charged for trace emission, so tracing never perturbs
     /// the quantities being measured).
     trace: Option<Arc<dyn TraceSink>>,
-    mask: EventMask,
+    pub(crate) mask: EventMask,
     /// Timer-based sampler: (interval in cycles, sink).
     sampler: Option<(u64, Arc<dyn SampleSink>)>,
     /// Which tier promotions the pipeline performs (the `--tiers` axis).
@@ -418,7 +419,7 @@ impl Vm {
             prefixes: Vec::new(),
             sink: None,
             trace: None,
-            mask: EventMask::none(),
+            mask: EventMask::default(),
             sampler: None,
             tiers_mode: TiersMode::default(),
             code: CodeArena::default(),
@@ -568,9 +569,9 @@ impl Vm {
         }
     }
 
-    /// Enable/disable event categories. Enabling
-    /// [`EventMask::method_events`] suppresses JIT compilation while set —
-    /// the HotSpot behaviour that ruins SPA (§III).
+    /// Set which events the sink receives. Enabling `MethodEntry` or
+    /// `MethodExit` suppresses JIT compilation while set — the HotSpot
+    /// behaviour that ruins SPA (§III).
     pub fn set_event_mask(&mut self, mask: EventMask) {
         self.mask = mask;
     }
@@ -698,7 +699,7 @@ impl Vm {
     /// Is JIT compilation effective right now? Method events suppress it
     /// (as on HotSpot); the `-Xint` analog is [`TiersMode::InterpOnly`].
     pub fn jit_enabled(&self) -> bool {
-        !self.mask.method_events
+        !self.mask.method_events()
     }
 
     /// Select which tier promotions the pipeline performs (the `--tiers`
@@ -879,29 +880,36 @@ impl Vm {
     /// Dispatch one JVMTI event on `thread`, if a sink is installed:
     /// counted in `events_dispatched`, scoped to the agent's attribution
     /// bucket, charged one `event_dispatch`, then delivered with the
-    /// thread's record borrowed. Callbacks get `&Vm` only through
-    /// `deliver`'s arguments, so they cannot re-enter the VM.
+    /// thread's record borrowed if `event` is enabled (the charge follows
+    /// the caller's check, which for a method or thread event is its
+    /// pair's). Callbacks get `&Vm` only through `deliver`'s arguments, so
+    /// they cannot re-enter the VM.
     pub(crate) fn dispatch<R>(
         &mut self,
         thread: ThreadId,
+        event: EventType,
         deliver: impl FnOnce(&dyn VmEventSink, &ThreadInfo, &Vm) -> R,
     ) -> Option<R> {
         let sink = self.sink.as_deref()?;
         self.stats.events_dispatched += 1;
         let info = &self.threads[thread.index()];
         let _agent = event_scope(info, self.agent_bucket(), self.cost.event_dispatch);
-        Some(deliver(sink, info, self))
+        self.mask.contains(event).then(|| deliver(sink, info, self))
     }
 
     pub(crate) fn fire_thread_start(&mut self, thread: ThreadId) {
-        if self.mask.thread_events {
-            self.dispatch(thread, |sink, info, _| sink.thread_start(info));
+        if self.mask.thread_events() {
+            self.dispatch(thread, EventType::ThreadStart, |sink, info, _| {
+                sink.thread_start(info);
+            });
         }
     }
 
     pub(crate) fn fire_thread_end(&mut self, thread: ThreadId) {
-        if self.mask.thread_events {
-            self.dispatch(thread, |sink, info, _| sink.thread_end(info));
+        if self.mask.thread_events() {
+            self.dispatch(thread, EventType::ThreadEnd, |sink, info, _| {
+                sink.thread_end(info);
+            });
         }
     }
 
@@ -910,7 +918,7 @@ impl Vm {
     /// allocates exactly as before.
     #[inline]
     pub(crate) fn alloc_events_on(&self) -> bool {
-        self.mask.alloc_events && self.sink.is_some()
+        self.mask.contains(EventType::Allocation) && self.sink.is_some()
     }
 
     /// `(class name, method name)` of `mid`, owned — the allocation-site
@@ -957,7 +965,9 @@ impl Vm {
             site_method,
             bci,
         };
-        self.dispatch(thread, |sink, info, _| sink.allocation(info, alloc));
+        self.dispatch(thread, EventType::Allocation, |sink, info, _| {
+            sink.allocation(info, alloc);
+        });
     }
 
     fn fire_vm_death(&mut self) {
@@ -965,7 +975,7 @@ impl Vm {
             return;
         }
         self.vm_dead = true;
-        if self.mask.vm_death {
+        if self.mask.contains(EventType::VmDeath) {
             if let Some(sink) = self.sink.as_deref() {
                 self.stats.events_dispatched += 1;
                 // VMDeath is delivered after the last thread has finished,
@@ -1013,10 +1023,12 @@ impl Vm {
         // ClassFileLoadHook: the sink may rewrite the bytes (dynamic
         // instrumentation, §IV).
         // Hook delivery costs like any other JVMTI event.
-        let bytes = if self.mask.class_file_load_hook {
-            self.dispatch(thread, |sink, _, _| sink.class_file_load(name, &bytes))
-                .flatten()
-                .unwrap_or(bytes)
+        let bytes = if self.mask.contains(EventType::ClassFileLoadHook) {
+            self.dispatch(thread, EventType::ClassFileLoadHook, |sink, _, _| {
+                sink.class_file_load(name, &bytes)
+            })
+            .flatten()
+            .unwrap_or(bytes)
         } else {
             bytes
         };
@@ -1332,9 +1344,10 @@ impl Vm {
         std::mem::swap(&mut self.threads[thread.index()].stack, stack);
     }
 
-    /// Are method entry/exit events delivered to a sink?
+    /// Are method entry/exit events dispatched to a sink (at least one of
+    /// them delivered)?
     pub(crate) fn method_events_on(&self) -> bool {
-        self.mask.method_events && self.sink.is_some()
+        self.mask.method_events() && self.sink.is_some()
     }
 
     pub(crate) fn loaded_libraries(&self) -> &[NativeLibrary] {

@@ -8,7 +8,9 @@ use std::sync::Arc;
 use jvmsim_classfile::builder::{single_method_class, ClassBuilder};
 use jvmsim_classfile::{Cond, FieldFlags, MethodFlags};
 use jvmsim_vm::jni::{JniRetType, NativeLibrary, ParamStyle};
-use jvmsim_vm::{builtins, EventMask, MethodView, ThreadInfo, TiersMode, Value, Vm, VmEventSink};
+use jvmsim_vm::{
+    builtins, EventMask, EventType, MethodView, ThreadInfo, TiersMode, Value, Vm, VmEventSink,
+};
 
 const ST: MethodFlags = MethodFlags::STATIC;
 
@@ -669,7 +671,7 @@ fn method_events_fire_for_bytecode_and_native_and_balance() {
     vm.add_classfile(&cb.finish().unwrap());
     vm.register_native_library(lib, true);
     vm.set_event_sink(Arc::clone(&sink) as Arc<dyn VmEventSink>);
-    vm.set_event_mask(EventMask::all());
+    vm.set_event_mask(EventType::ALL.into_iter().collect());
     let outcome = vm.run("t/E", "main", "()V", vec![]).unwrap();
     assert!(outcome.main.is_ok());
     // main + leaf + nat = 3 entries, 3 exits, 1 native entry.
@@ -693,7 +695,7 @@ fn method_exit_reports_exceptional_unwind() {
     let mut vm = Vm::new();
     vm.add_classfile(&class);
     vm.set_event_sink(Arc::clone(&sink) as Arc<dyn VmEventSink>);
-    vm.set_event_mask(EventMask::all());
+    vm.set_event_mask(EventType::ALL.into_iter().collect());
     let outcome = vm.run("t/Ex", "main", "()V", vec![]).unwrap();
     assert!(outcome.main.is_err());
     assert_eq!(sink.exceptional_exits.load(Ordering::Relaxed), 1);
@@ -703,12 +705,11 @@ fn method_exit_reports_exceptional_unwind() {
 fn enabling_method_events_disables_jit() {
     let mut vm = Vm::new();
     assert!(vm.jit_enabled());
-    vm.set_event_mask(EventMask {
-        method_events: true,
-        ..EventMask::none()
-    });
-    assert!(!vm.jit_enabled());
-    vm.set_event_mask(EventMask::none());
+    for event in [EventType::MethodEntry, EventType::MethodExit] {
+        vm.set_event_mask([event].into_iter().collect());
+        assert!(!vm.jit_enabled(), "{event}");
+    }
+    vm.set_event_mask(EventMask::default());
     assert!(vm.jit_enabled());
     assert_eq!(vm.effective_tiers_mode(), TiersMode::Full);
     vm.set_tiers_mode(TiersMode::InterpOnly);
@@ -762,7 +763,7 @@ fn method_events_cost_dwarfs_plain_execution() {
         vm.add_classfile(&hot_loop_class());
         if events {
             vm.set_event_sink(Arc::new(CountingSink::default()));
-            vm.set_event_mask(EventMask::all());
+            vm.set_event_mask(EventType::ALL.into_iter().collect());
         }
         let outcome = vm.run("t/Hot", "main", "()I", vec![]).unwrap();
         outcome.total_cycles
@@ -819,11 +820,15 @@ fn spawned_threads_run_with_events_and_own_clocks() {
     vm.set_tiers_mode(TiersMode::InterpOnly);
     vm.add_classfile(&cb.finish().unwrap());
     vm.set_event_sink(Arc::clone(&sink) as Arc<dyn VmEventSink>);
-    vm.set_event_mask(EventMask {
-        thread_events: true,
-        vm_death: true,
-        ..EventMask::none()
-    });
+    vm.set_event_mask(
+        [
+            EventType::ThreadStart,
+            EventType::ThreadEnd,
+            EventType::VmDeath,
+        ]
+        .into_iter()
+        .collect(),
+    );
     let outcome = vm.run("t/Th", "main", "()V", vec![]).unwrap();
     assert_eq!(outcome.threads.len(), 3);
     assert_eq!(outcome.threads[1].name, "w1");
@@ -861,10 +866,7 @@ fn class_file_load_hook_can_rewrite_classes() {
     let mut vm = Vm::new();
     vm.add_classfile(&original);
     vm.set_event_sink(Arc::new(Rewriter));
-    vm.set_event_mask(EventMask {
-        class_file_load_hook: true,
-        ..EventMask::none()
-    });
+    vm.set_event_mask([EventType::ClassFileLoadHook].into_iter().collect());
     let r = vm
         .call_static("t/Hooked", "f", "()I", vec![])
         .unwrap()

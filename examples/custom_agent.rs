@@ -7,20 +7,23 @@
 //! The agent below is a small "hot method" profiler: it counts entries per
 //! method (the classic bytecode-counting profiler family the paper cites as
 //! related work [1], [4]) and prints the top methods at `VMDeath`. Note
-//! what this costs: requesting `MethodEntry` events disables the JIT, so
+//! what this costs: enabling `MethodEntry` events disables the JIT, so
 //! the program runs ~10× slower even before the agent does any work —
-//! exactly the trap the paper's SPA falls into.
+//! exactly the trap the paper's SPA falls into. The VM also charges an
+//! event dispatch for every method exit, which this agent never receives.
 //!
-//! Each callback borrows the acting thread's record, and the counts live
-//! in thread-local storage on that record, so counting takes no lock; the
-//! per-thread tables are merged once, at `VMDeath`.
+//! An agent is two impls: `Agent::on_load` enables events, and the
+//! `VmEventSink` impl holds the callbacks, which the VM calls only for the
+//! events enabled. Each callback borrows the acting thread's record, and
+//! the counts live in thread-local storage on that record, so counting
+//! takes no lock; the per-thread tables are merged once, at `VMDeath`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 
 use jnativeprof::vm::{MethodView, ThreadInfo, Vm};
 use jvmsim_jvmti::{
-    attach, Agent, AgentHost, Capabilities, EventType, JvmtiError, ThreadLocalStorage,
+    attach, Agent, AgentHost, Capabilities, EventType, JvmtiError, ThreadLocalStorage, VmEventSink,
 };
 use workloads::{by_name, ProblemSize};
 
@@ -38,7 +41,9 @@ impl Agent for HotMethodAgent {
         self.counts.set(host.env().create_tls()).ok();
         Ok(())
     }
+}
 
+impl VmEventSink for HotMethodAgent {
     fn method_entry(&self, thread: &ThreadInfo, method: MethodView<'_>) {
         let key = format!("{}.{}{}", method.class_name, method.name, method.descriptor);
         let tls = self.counts.get().expect("attached");

@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use jvmsim_jvmti::{attach, Agent, AgentHost, Capabilities, EventType, JvmtiError};
+use jvmsim_jvmti::{attach, Agent, AgentHost, Capabilities, EventType, JvmtiError, VmEventSink};
 use jvmsim_vm::{AllocationView, MethodView, RunOutcome, ThreadInfo, Vm};
 use nativeprof::ChainProfiler;
 use workloads::{by_name, ProblemSize};
@@ -48,6 +48,9 @@ impl<A: Agent> Agent for Counted<A> {
     fn on_load(&self, host: &mut AgentHost<'_>) -> Result<(), JvmtiError> {
         self.inner.on_load(host)
     }
+}
+
+impl<A: Agent> VmEventSink for Counted<A> {
     fn thread_start(&self, thread: &ThreadInfo) {
         self.count(EventType::ThreadStart);
         self.inner.thread_start(thread);
@@ -68,9 +71,9 @@ impl<A: Agent> Agent for Counted<A> {
         self.count(EventType::VmDeath);
         self.inner.vm_death(threads);
     }
-    fn class_file_load_hook(&self, class_name: &str, bytes: &[u8]) -> Option<Vec<u8>> {
+    fn class_file_load(&self, class_name: &str, bytes: &[u8]) -> Option<Vec<u8>> {
         self.count(EventType::ClassFileLoadHook);
-        self.inner.class_file_load_hook(class_name, bytes)
+        self.inner.class_file_load(class_name, bytes)
     }
     fn allocation(&self, thread: &ThreadInfo, alloc: AllocationView<'_>) {
         self.count(EventType::Allocation);
@@ -87,6 +90,8 @@ impl Agent for EntryOnly {
         host.enable_event(EventType::MethodEntry)
     }
 }
+
+impl VmEventSink for EntryOnly {}
 
 /// Run size-1 `jbb` under `agent`; return the outcome and its deliveries.
 fn run_jbb<A: Agent>(agent: Arc<A>) -> (RunOutcome, [u64; EventType::ALL.len()]) {

@@ -40,7 +40,7 @@ use jvmsim_trace::{csv::events_csv, TraceRecorder};
 use jvmsim_vm::events::SampleSink;
 use jvmsim_vm::jni::{JniRetType, NativeLibrary, ParamStyle};
 use jvmsim_vm::{
-    EventMask, MethodView, ThreadId, ThreadInfo, TiersMode, TraceSink, Value, Vm, VmEventSink,
+    EventType, MethodView, ThreadId, ThreadInfo, TiersMode, TraceSink, Value, Vm, VmEventSink,
 };
 
 const CORPUS: &str = include_str!("golden/engine.tsv");
@@ -923,10 +923,11 @@ fn line(seed: u64, mode: TiersMode, polled: bool) -> String {
     let log = Arc::new(MethodLog::default());
     if program.events {
         vm.set_event_sink(Arc::clone(&log) as Arc<dyn VmEventSink>);
-        vm.set_event_mask(EventMask {
-            method_events: true,
-            ..EventMask::none()
-        });
+        vm.set_event_mask(
+            [EventType::MethodEntry, EventType::MethodExit]
+                .into_iter()
+                .collect(),
+        );
     }
     for class in &program.classes {
         vm.add_classfile(class);
